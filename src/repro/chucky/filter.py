@@ -248,65 +248,42 @@ class CuckooLidFilterBase(ABC):
 
     def query(self, key: int) -> list[int]:
         """All sub-levels whose stored fingerprint matches ``key``, in
-        young-to-old order — the sub-levels a point read must search.
+        young-to-old order — the sub-levels a point read must search."""
+        return self._probe(key)
+
+    def query_many(self, keys: list[int]) -> list[list[int]]:
+        """:meth:`query` for each key: same answers, same counted I/Os."""
+        probe = self._probe
+        return [probe(key) for key in keys]
+
+    def _probe(self, key: int) -> list[int]:
+        """The one bucket probe: two bucket loads, plus one AHT lookup
+        whenever the AHT holds anything.
 
         Hashes once: every per-LID fingerprint is the digest shifted by
         the level's precomputed ``_fp_shifts`` entry, which is exactly
-        what :meth:`fingerprint` computes slot by slot.
+        what :meth:`fingerprint` computes slot by slot. A fingerprint is
+        never 0 (:meth:`_adjusted_digest`), so empty slots never match.
+
+        The AHT is consulted even when neither bucket is full *now*: a
+        failed eviction walk files its homeless entry under the pair
+        where the walk ended, and later removals of *other* keys can
+        free slots in both buckets without repatriating it.
         """
         digest = self._adjusted_digest(key)
         b1, b2 = self._bucket_pair_from_digest(key, digest)
         shifts = self._fp_shifts
-        empty_lid = self.empty_lid
         matches: set[int] = set()
-        any_full = False
         for bucket in (b1,) if b1 == b2 else (b1, b2):
-            full = True
             for lid, fp in self._load(bucket):
-                if fp == 0 and lid == empty_lid:
-                    full = False
-                elif fp == digest >> shifts[lid - 1]:
+                if fp == digest >> shifts[lid - 1]:
                     matches.add(lid)
-            any_full = any_full or full
-        if any_full and self.aht:
+        if self.aht:
             self.memory_ios.add("filter_aht", 1)
             for lid, fp in self.aht.get(self._pair_key(b1, b2), ()):
                 if fp == digest >> shifts[lid - 1]:
                     matches.add(lid)
         return sorted(matches)
-
-    def query_many(self, keys: list[int]) -> list[list[int]]:
-        """Batched :meth:`query`: same answers and the same counted
-        memory I/Os per key (two bucket loads, plus the AHT probe when a
-        touched bucket is full), with per-call dispatch amortized over
-        the batch."""
-        load = self._load
-        pair_from = self._bucket_pair_from_digest
-        adjust = self._adjusted_digest
-        shifts = self._fp_shifts
-        empty_lid = self.empty_lid
-        aht = self.aht
-        results: list[list[int]] = []
-        for key in keys:
-            digest = adjust(key)
-            b1, b2 = pair_from(key, digest)
-            matches: set[int] = set()
-            any_full = False
-            for bucket in (b1,) if b1 == b2 else (b1, b2):
-                full = True
-                for lid, fp in load(bucket):
-                    if fp == 0 and lid == empty_lid:
-                        full = False
-                    elif fp == digest >> shifts[lid - 1]:
-                        matches.add(lid)
-                any_full = any_full or full
-            if any_full and aht:
-                self.memory_ios.add("filter_aht", 1)
-                for lid, fp in aht.get(self._pair_key(b1, b2), ()):
-                    if fp == digest >> shifts[lid - 1]:
-                        matches.add(lid)
-            results.append(sorted(matches))
-        return results
 
     def update_lid(self, key: int, old_lid: int, new_lid: int) -> bool:
         """Move one mapping of ``key`` from ``old_lid`` to ``new_lid``
@@ -574,32 +551,23 @@ class ChuckyFilter(CuckooLidFilterBase):
                 f"persisted bucket is {bucket_bits} bits, expected "
                 f"{round(bits_per_entry * slots)}"
             )
-        filt = cls.__new__(cls)
-        codebook = ChuckyCodebook(
-            dist, slots=slots, bucket_bits=bucket_bits, mode="mf_fac", nov=nov
-        )
-        CuckooLidFilterBase.__init__(
-            filt,
-            num_buckets=num_buckets,
+        # ``capacity`` at zero over-provisioning reproduces the persisted
+        # bucket count exactly; the caller's value is restored below.
+        filt = cls(
+            capacity=num_buckets * slots,
+            dist=dist,
+            bits_per_entry=bits_per_entry,
             slots=slots,
-            empty_lid=codebook.empty_lid,
+            nov=nov,
+            over_provision=0.0,
             memory_ios=memory_ios,
             seed=seed,
             metrics=metrics,
         )
-        filt.dist = dist
-        filt.bits_per_entry = bits_per_entry
         filt.over_provision = over_provision
-        filt.codebook = codebook
-        filt.tables = CodecTables(codebook, filt.memory_ios)
-        filt.codec = BucketCodec(codebook, filt.tables)
-        filt._empty_packed = filt.codec.empty_packed
-        filt._buckets = PackedBucketStore(num_buckets, bucket_bits)
         for i in range(num_buckets):
             filt._buckets[i] = reader.read(bucket_bits)
-        filt._fp_shifts = [64 - codebook.fp_length(lid) for lid in dist.lids]
         filt.memory_ios.add("filter", num_buckets)
-        filt.overflow = {}
         for _ in range(reader.read(32)):
             index = reader.read(32)
             count = reader.read(8)

@@ -101,10 +101,8 @@ class PartitionedChuckyFilter:
         return self._partition_of(key).query(key)
 
     def query_many(self, keys: list[int]) -> list[list[int]]:
-        """Batched :meth:`query`; each key routes to its own partition,
-        so this is per-key routing with the dispatch hoisted."""
-        partition_of = self._partition_of
-        return [partition_of(key).query(key) for key in keys]
+        """:meth:`query` for each key (each routes to its own partition)."""
+        return [self.query(key) for key in keys]
 
     def update_lid(self, key: int, old_lid: int, new_lid: int) -> bool:
         return self._partition_of(key).update_lid(key, old_lid, new_lid)

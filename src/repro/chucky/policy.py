@@ -15,14 +15,11 @@ from the tree's flush/merge events:
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from repro.coding.distributions import LidDistribution
 from repro.common.counters import IOCounters
 from repro.chucky.filter import ChuckyFilter, UncompressedLidFilter
 from repro.chucky.partitioned import PartitionedChuckyFilter
 from repro.filters.policy import FilterPolicy
-from repro.lsm.run import Run
 from repro.lsm.tree import BUFFER_ORIGIN, FlushEvent, LSMTree, MergeEvent, TreeEvent
 
 
@@ -233,25 +230,14 @@ class ChuckyPolicy(FilterPolicy):
     # Queries
     # ------------------------------------------------------------------
 
-    def candidates(
-        self, key: int, occupied: list[tuple[int, Run]]
-    ) -> Iterator[int]:
+    def candidates(self, key: int) -> list[int]:
+        """One two-bucket lookup answers every candidate."""
         assert self.filter is not None
-        yield from self.filter.query(key)
+        return self.filter.query(key)
 
-    def candidates_many(
-        self, keys: list[int], occupied: list[tuple[int, Run]]
-    ) -> list[Iterator[int]]:
-        """Batched probe. Chucky's scalar query is already eager (one
-        two-bucket lookup answers every candidate), so answering the
-        whole batch up front is I/O-neutral and saves the per-key
-        dispatch overhead."""
+    def candidates_many(self, keys: list[int]) -> list[list[int]]:
         assert self.filter is not None
-        query_many = getattr(self.filter, "query_many", None)
-        if query_many is None:
-            query = self.filter.query
-            return [iter(query(key)) for key in keys]
-        return [iter(lids) for lids in query_many(keys)]
+        return self.filter.query_many(keys)
 
     @property
     def size_bits(self) -> int:

@@ -17,7 +17,7 @@ a Figure-14-style latency breakdown.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 from repro.common.cost import CostModel, LatencyBreakdown
 from repro.common.counters import IOCounters
@@ -32,7 +32,7 @@ from repro.lsm.tree import LSMTree, RunManifest
 from repro.lsm.wal import WriteAheadLog, parse_wal_record, record_is_batch
 from repro.obs import NULL_OBS, Observability
 from repro.obs.metrics import LATENCY_NS_BUCKETS, SUBLEVELS_BUCKETS
-from repro.obs.trace import NULL_TRACER, Tracer
+from repro.obs.trace import Tracer
 
 #: Memory-I/O categories that make up the 'filter' latency component.
 _FILTER_CATEGORIES = ("filter", "filter_dt", "filter_rt", "filter_aht", "filter_ovf")
@@ -596,7 +596,10 @@ class KVStore:
 
     def get(self, key: int) -> Any:
         """Point read; returns the value or None."""
-        return self.get_with_stats(key).value
+        if self._obs_on or self._tuning is not None:
+            return self.get_with_stats(key).value
+        entry = self._find(key)[0]
+        return None if entry is None else self._value_of(entry)
 
     def get_with_stats(self, key: int) -> ReadResult:
         """Point read with false-positive accounting.
@@ -607,11 +610,24 @@ class KVStore:
         14 B-D measure.
         """
         if not self._obs_on:
-            result = self._read_impl(key)
+            result = self._result(*self._find(key))
         else:
             start = self._modelled_ns()
-            with self.obs.tracer.span("read", key=key) as span:
-                result = self._read_impl(key, tracer=self.obs.tracer)
+            tracer = self.obs.tracer
+            with tracer.span("read", key=key) as span:
+                # The same lookup as ``_find``, with the per-hop child
+                # spans one traced read shows. Spans never touch the I/O
+                # counters, so the counted work is identical.
+                self.queries += 1
+                with tracer.span("memtable_probe"):
+                    found = self.memtable.get(key), 0, 0
+                if found[0] is None:
+                    with tracer.span("filter_probe") as fspan:
+                        found = self._walk(
+                            key, self.policy.candidates(key), tracer
+                        )
+                        fspan.set(false_positives=found[1], runs_probed=found[2])
+                result = self._result(*found)
                 span.set(
                     found=result.found,
                     false_positives=result.false_positives,
@@ -626,107 +642,77 @@ class KVStore:
             self._tuning.on_read(key, result)
         return result
 
-    def _read_impl(self, key: int, tracer: Tracer = NULL_TRACER) -> ReadResult:
-        # ``tracer`` (the shard's own, passed only on the instrumented
-        # path) adds memtable/filter/storage probe child spans under
-        # the caller's "read" span — the per-hop detail one traced
-        # request's tree shows. Spans never touch the I/O counters, so
-        # the counted work is identical with or without them.
-        self.queries += 1
-        with tracer.span("memtable_probe"):
-            entry = self.memtable.get(key)
-        if entry is not None:
-            value = self._value_of(entry)
-            return ReadResult(value, value is not None, 0, 0)
-        occupied = self.tree.occupied_runs()
-        false_positives = 0
-        probed = 0
-        with tracer.span("filter_probe") as fspan:
-            for sublevel in self.policy.candidates(key, occupied):
-                run = self.tree.run_at(sublevel)
-                if run is None:
-                    # The filter pointed at an empty sub-level: a false
-                    # positive that costs no storage I/O.
-                    false_positives += 1
-                    continue
-                probed += 1
-                with tracer.span("run_probe", sublevel=sublevel):
-                    found = run.get(key, self.counters.memory, self.tree.cache)
-                if found is not None:
-                    self.false_positives += false_positives
-                    fspan.set(
-                        false_positives=false_positives, runs_probed=probed
-                    )
-                    # An expired version, like a tombstone, *stops* the
-                    # search (it shadows anything older) and answers
-                    # absent — same probes, same counted I/Os.
-                    value = self._value_of(found)
-                    return ReadResult(
-                        value, value is not None, false_positives, probed
-                    )
-                false_positives += 1
-            fspan.set(false_positives=false_positives, runs_probed=probed)
-        self.false_positives += false_positives
-        return ReadResult(None, False, false_positives, probed)
-
     def get_batch(self, keys: list[int]) -> list[Any]:
         """Point-read many keys; values align with ``keys`` by index.
 
         When no per-operation hook needs to fire (observability off, no
-        tuning), the batch runs through one fused pass: a memtable
-        phase, one batched filter probe
-        (:meth:`FilterPolicy.candidates_many`) and a run-probe phase.
-        Counted I/Os and the cache access sequence are identical to the
-        per-key loop — the memtable never touches the block cache and
-        run probes keep key order — only the per-call dispatch is
+        tuning), the batch runs a memtable phase, one batched filter
+        probe (:meth:`FilterPolicy.candidates_many`) and a run-probe
+        phase. Counted I/Os and the cache access sequence are identical
+        to the per-key loop — the memtable never touches the block cache
+        and run probes keep key order — only the per-call dispatch is
         amortized.
         """
-        if self._obs_on or self._tuning is not None or not keys:
+        if self._obs_on or self._tuning is not None:
             return [self.get(key) for key in keys]
-        return self._read_many_impl(keys)
-
-    def _read_many_impl(self, keys: list[int]) -> list[Any]:
-        memtable_get = self.memtable.get
-        value_of = self._value_of
         self.queries += len(keys)
-        out: list[Any] = [None] * len(keys)
-        miss_positions: list[int] = []
-        miss_keys: list[int] = []
-        for pos, key in enumerate(keys):
-            entry = memtable_get(key)
-            if entry is not None:
-                out[pos] = value_of(entry)
-            else:
-                miss_positions.append(pos)
-                miss_keys.append(key)
-        if not miss_keys:
-            return out
-        occupied = self.tree.occupied_runs()
-        runs = self.tree.run_map()
+        memtable_get = self.memtable.get
+        out = [memtable_get(key) for key in keys]
+        misses = [pos for pos, entry in enumerate(out) if entry is None]
+        candidates = self.policy.candidates_many([keys[pos] for pos in misses])
+        for pos, cands in zip(misses, candidates):
+            out[pos] = self._walk(keys[pos], cands)[0]
+        value_of = self._value_of
+        return [None if entry is None else value_of(entry) for entry in out]
+
+    def _find(self, key: int) -> tuple[Entry | None, int, int]:
+        """One point lookup — memtable, then the filter's candidates:
+        ``(entry, false_positives, runs_probed)``."""
+        self.queries += 1
+        entry = self.memtable.get(key)
+        if entry is not None:
+            return entry, 0, 0
+        return self._walk(key, self.policy.candidates(key))
+
+    def _walk(
+        self, key: int, candidates: Iterable[int], tracer: Tracer | None = None
+    ) -> tuple[Entry | None, int, int]:
+        """The candidate-walking loop every point read runs: fetch the
+        run at each candidate sub-level, youngest first, stopping at the
+        first that holds ``key`` (a tombstone or expired version stops
+        the search too — it shadows anything older). ``tracer`` (the
+        instrumented read only) wraps each fetch in a ``run_probe``
+        span."""
+        runs = self.tree.runs
         memory = self.counters.memory
         cache = self.tree.cache
-        total_false_positives = 0
-        for pos, key, cands in zip(
-            miss_positions,
-            miss_keys,
-            self.policy.candidates_many(miss_keys, occupied),
-        ):
-            false_positives = 0
-            for sublevel in cands:
-                run = runs.get(sublevel)
-                if run is None:
-                    # Empty sub-level: a false positive costing no
-                    # storage I/O (same as the scalar path).
-                    false_positives += 1
-                    continue
-                found = run.get(key, memory, cache)
-                if found is not None:
-                    out[pos] = value_of(found)
-                    break
+        false_positives = 0
+        probed = 0
+        found = None
+        for sublevel in candidates:
+            run = runs.get(sublevel)
+            if run is None:
+                # The filter pointed at an empty sub-level: a false
+                # positive that costs no storage I/O.
                 false_positives += 1
-            total_false_positives += false_positives
-        self.false_positives += total_false_positives
-        return out
+                continue
+            probed += 1
+            if tracer is None:
+                found = run.get(key, memory, cache)
+            else:
+                with tracer.span("run_probe", sublevel=sublevel):
+                    found = run.get(key, memory, cache)
+            if found is not None:
+                break
+            false_positives += 1
+        self.false_positives += false_positives
+        return found, false_positives, probed
+
+    def _result(
+        self, entry: Entry | None, false_positives: int, probed: int
+    ) -> ReadResult:
+        value = None if entry is None else self._value_of(entry)
+        return ReadResult(value, value is not None, false_positives, probed)
 
     def scan(self, lo: int, hi: int) -> Iterator[tuple[int, Any]]:
         """Range read over [lo, hi]; filters are bypassed (section 4.5)."""

@@ -201,7 +201,7 @@ class InvariantChecker:
         with storage.counting_suspended():
             for sublevel, run in occupied:
                 for entry in run.read_all():
-                    candidates = list(shard.policy.candidates(entry.key, occupied))
+                    candidates = list(shard.policy.candidates(entry.key))
                     if sublevel not in candidates:
                         violations.append(
                             Violation(

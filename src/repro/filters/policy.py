@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import importlib.util
 from abc import ABC, abstractmethod
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from repro.coding.distributions import LidDistribution
 from repro.common.counters import IOCounters
@@ -22,7 +22,6 @@ from repro.filters.allocation import (
 )
 from repro.filters.blocked_bloom import BlockedBloomFilter
 from repro.filters.bloom import BloomFilter
-from repro.lsm.run import Run
 from repro.lsm.tree import FlushEvent, LSMTree, MergeEvent, TreeEvent
 from repro.obs import NULL_OBS, Observability
 
@@ -91,26 +90,18 @@ class FilterPolicy(ABC):
         policies defer wholesale rebuilds to this point."""
 
     @abstractmethod
-    def candidates(
-        self, key: int, occupied: list[tuple[int, Run]]
-    ) -> Iterator[int]:
-        """Yield sub-level numbers that may contain ``key``, youngest
-        first. ``occupied`` is the tree's current (sublevel, run) list."""
+    def candidates(self, key: int) -> Iterable[int]:
+        """Sub-level numbers that may contain ``key``, youngest first.
 
-    def candidates_many(
-        self, keys: list[int], occupied: list[tuple[int, Run]]
-    ) -> list[Iterator[int]]:
-        """Per-key candidate iterators for a batch of point reads.
+        Per-run policies walk the attached tree's run table
+        (``tree.runs``) themselves and stay lazy: each filter is probed
+        only as far as the caller consumes the iterable, so nothing is
+        paid for filters past the first hit."""
 
-        The default stays lazy *per key* — each iterator probes its
-        filters only as far as the caller consumes it, so a per-run
-        Bloom policy still pays nothing for filters past the first hit.
-        Policies whose scalar probe is already eager (Chucky answers
-        every candidate from one two-bucket lookup) override this to
-        amortize per-call setup across the batch; counted I/Os are
-        identical either way.
-        """
-        return [self.candidates(key, occupied) for key in keys]
+    def candidates_many(self, keys: list[int]) -> list[Iterable[int]]:
+        """:meth:`candidates` for each key of a batch of point reads —
+        same answers and counted I/Os as the per-key calls."""
+        return [self.candidates(key) for key in keys]
 
     @property
     @abstractmethod
@@ -126,11 +117,8 @@ class NoFilterPolicy(FilterPolicy):
     def handle_event(self, event: TreeEvent) -> None:
         pass
 
-    def candidates(
-        self, key: int, occupied: list[tuple[int, Run]]
-    ) -> Iterator[int]:
-        for sublevel, _ in occupied:
-            yield sublevel
+    def candidates(self, key: int) -> list[int]:
+        return [s for s, run in self.tree.runs.items() if run is not None]
 
     @property
     def size_bits(self) -> int:
@@ -228,10 +216,10 @@ class BloomFilterPolicy(FilterPolicy):
 
     # -- queries ----------------------------------------------------------
 
-    def candidates(
-        self, key: int, occupied: list[tuple[int, Run]]
-    ) -> Iterator[int]:
-        for sublevel, _ in occupied:
+    def candidates(self, key: int) -> Iterator[int]:
+        for sublevel, run in self.tree.runs.items():
+            if run is None:
+                continue
             filt = self._filters.get(sublevel)
             if filt is None or filt.may_contain(key):
                 yield sublevel

@@ -141,6 +141,12 @@ class LSMTree:
         #: expiry checks never fire — the merge path is byte-for-byte the
         #: pre-TTL one.
         self.clock: Callable[[], int] | None = None
+        #: The run table: global sub-level number -> run (``None`` for an
+        #: empty slot), one key per slot in sub-level (young-to-old)
+        #: order. Point reads and per-run filter policies resolve
+        #: sub-levels here; read it, never write it.
+        self.runs: dict[int, Run | None] = {}
+        self._rebuild_runs()
         self.attach_observability(NULL_OBS)
 
     def attach_observability(self, obs: Observability) -> None:
@@ -176,6 +182,20 @@ class LSMTree:
         a_i = self.config.sublevels_at(level, num_levels)
         return _Level(number=level, slots=[None] * a_i)
 
+    def _rebuild_runs(self) -> None:
+        """(Re)derive the run table from the levels — construction and
+        growth only; every other change goes through :meth:`_set_run`."""
+        self.runs = {
+            self.sublevel_number(level.number, slot_index): run
+            for level in self._levels
+            for slot_index, run in enumerate(level.slots)
+        }
+
+    def _set_run(self, level: _Level, slot_index: int, run: Run | None) -> None:
+        """The one place a slot changes: level array and run table together."""
+        level.slots[slot_index] = run
+        self.runs[self.sublevel_number(level.number, slot_index)] = run
+
     # ------------------------------------------------------------------
     # Geometry accessors
     # ------------------------------------------------------------------
@@ -198,32 +218,11 @@ class LSMTree:
 
     def occupied_runs(self) -> list[tuple[int, Run]]:
         """(global sub-level number, run), youngest (smallest) first."""
-        result: list[tuple[int, Run]] = []
-        for level in self._levels:
-            for slot_index, run in level.occupied():
-                result.append((self.sublevel_number(level.number, slot_index), run))
-        return result
+        return [(s, run) for s, run in self.runs.items() if run is not None]
 
     def run_at(self, sublevel: int) -> Run | None:
         """The run at a global sub-level number, or None."""
-        for level in self._levels:
-            base = self.config.sublevel_number(level.number, 1)
-            offset = sublevel - base
-            if 0 <= offset < len(level.slots):
-                return level.slots[offset]
-        return None
-
-    def run_map(self) -> dict[int, Run | None]:
-        """Sub-level number -> run for every slot (None when empty): the
-        O(1)-lookup view batched point reads resolve filter candidates
-        against, instead of an O(levels) :meth:`run_at` search per
-        candidate. A snapshot — rebuild after any flush/merge."""
-        result: dict[int, Run | None] = {}
-        for level in self._levels:
-            base = self.config.sublevel_number(level.number, 1)
-            for offset, run in enumerate(level.slots):
-                result[base + offset] = run
-        return result
+        return self.runs.get(sublevel)
 
     @property
     def num_entries(self) -> int:
@@ -382,7 +381,7 @@ class LSMTree:
             return
         crash_point("tree.emplace.before_build")
         run = Run.build(entries, self.storage, self.config.block_entries)
-        level.slots[slot_index] = run
+        self._set_run(level, slot_index, run)
         if origin is None and not drops:
             event: TreeEvent = FlushEvent(sublevel=sublevel, entries=tuple(entries))
         else:
@@ -458,11 +457,11 @@ class LSMTree:
         )
         drops = list(pending_drops) + drops
         self._retire(target)
-        level.slots[slot_index] = None
+        self._set_run(level, slot_index, None)
         if merged:
             crash_point("tree.merge.before_build")
             run = Run.build(merged, self.storage, self.config.block_entries)
-            level.slots[slot_index] = run
+            self._set_run(level, slot_index, run)
             crash_point("tree.merge.after_build")
         event = MergeEvent(
             input_sublevels=tuple(input_sublevels) + (sublevel,),
@@ -493,7 +492,7 @@ class LSMTree:
         merged, merged_origin, drops = _merge_sorted(sources, purge_tombstones=False)
         for slot_index, run in occupied:
             self._retire(run)
-            level.slots[slot_index] = None
+            self._set_run(level, slot_index, None)
         crash_point("tree.spill.before_place")
         self._place(
             level_number + 1,
@@ -530,6 +529,7 @@ class LSMTree:
         new_count = self.num_levels + 1
         self._levels[-1] = self._make_level(old_last.number, new_count)
         self._levels.append(self._make_level(new_count, new_count))
+        self._rebuild_runs()
         self._m_growths.inc()
         for listener in self.grow_listeners:
             listener(new_count)
@@ -601,7 +601,7 @@ class LSMTree:
                     f"duplicate manifest entry for level {m.level} slot "
                     f"{m.slot_index}"
                 )
-            level.slots[m.slot_index] = run
+            tree._set_run(level, m.slot_index, run)
         tree._commit()
         return tree
 
@@ -619,7 +619,7 @@ class LSMTree:
                 if level.slots[offset] is not None:
                     raise ValueError(f"sub-level {sublevel} is already occupied")
                 run = Run.build(entries, self.storage, self.config.block_entries)
-                level.slots[offset] = run
+                self._set_run(level, offset, run)
                 self._notify(
                     FlushEvent(sublevel=sublevel, entries=tuple(entries)), []
                 )

@@ -191,6 +191,33 @@ class TestEntryOverflowsAht:
         assert 6 in f.query(42)
 
 
+@pytest.mark.parametrize(
+    "cls,seed",
+    [(ChuckyFilter, 11), (ChuckyFilter, 17),
+     (UncompressedLidFilter, 3), (UncompressedLidFilter, 11)],
+)
+def test_spilled_entry_survives_removal_of_its_neighbours(cls, seed):
+    """A failed eviction walk files the homeless slot under the pair
+    where the walk *ended*; removing other keys then frees slots in both
+    of its buckets without repatriating it. The probe must still find it
+    (regression: the AHT was consulted only when a touched bucket was
+    full, which lost a live key on each of these seeds)."""
+    dist = LidDistribution(
+        size_ratio=4, num_levels=3, runs_per_level=1, runs_at_last_level=1
+    )
+    f = cls(capacity=400, dist=dist, over_provision=0.0, seed=seed)
+    live = []
+    while not f.aht:
+        live.append(len(live) + 1)
+        f.insert(live[-1], 3)
+    random.Random(seed).shuffle(live)
+    while live and f.aht:
+        assert f.remove(live.pop(), 3)
+        missing = [key for key in live if 3 not in f.query(key)]
+        assert missing == [], (seed, len(live))
+    assert f.maintenance_misses == 0
+
+
 class TestRareBucketOverflow:
     def test_rare_combo_bucket_roundtrips(self):
         """Force a bucket into a rare combination (all smallest-level

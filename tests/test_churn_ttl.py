@@ -17,8 +17,9 @@ import pytest
 from repro.chucky.policy import ChuckyPolicy
 from repro.engine.kvstore import KVStore
 from repro.faults.invariants import InvariantChecker
-from repro.filters.policy import make_policy
+from repro.filters.policy import available_policies, make_policy
 from repro.lsm.config import leveling, tiering
+from repro.obs import Observability
 
 CYCLES = 12
 POPULATION = 240
@@ -37,9 +38,14 @@ POLICIES = {
 }
 
 
-def _make_store(preset, policy, durable=False):
+def _make_store(preset, policy, durable=False, observability=None):
+    """``policy`` is a ``POLICIES`` key or any registered policy name."""
+    factory = POLICIES.get(policy)
     return KVStore(
-        PRESETS[preset](), filter_policy=POLICIES[policy](), durable=durable
+        PRESETS[preset](),
+        filter_policy=factory() if factory else make_policy(policy, 10.0),
+        durable=durable,
+        observability=observability,
     )
 
 
@@ -54,6 +60,63 @@ def _churn_cycle(kv, live, rng, cycle):
             value = f"c{cycle}k{key}"
             kv.put(key, value)
             live[key] = value
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+@pytest.mark.parametrize(
+    "policy", sorted(set(available_policies()) | set(POLICIES))
+)
+def test_get_batch_counted_ios_identical_to_scalar(preset, policy):
+    """``get``, ``get_batch`` and the traced ``get_with_stats`` are one
+    read path: same values, same counted I/Os and false positives, for
+    every registered policy — and the traced read still shows its hops."""
+    obs = Observability()
+    stores = [
+        _make_store(preset, policy),
+        _make_store(preset, policy),
+        _make_store(preset, policy, observability=obs),
+    ]
+    for kv in stores:
+        rng = random.Random(3)
+        live = {}
+        for cycle in range(4):
+            _churn_cycle(kv, live, rng, cycle)
+    probes = list(range(POPULATION)) + [POPULATION + 5, 1 << 30]
+    before = [kv.snapshot() for kv in stores]
+    scalar_kv, batch_kv, traced_kv = stores
+    scalar = [scalar_kv.get(key) for key in probes]
+    batched = batch_kv.get_batch(probes)
+    traced = []
+    for key in probes:
+        result = traced_kv.get_with_stats(key)
+        traced.append(result.value)
+        read = obs.tracer.recent(1)[0]
+        assert read.name == "read" and read.attrs["key"] == key
+        hops = [child.name for child in read.children]
+        if hops == ["memtable_probe"]:
+            assert result.sublevels_probed == 0
+            continue
+        assert hops == ["memtable_probe", "filter_probe"]
+        probe = read.children[1]
+        assert probe.attrs == {
+            "false_positives": result.false_positives,
+            "runs_probed": result.sublevels_probed,
+        }
+        assert [c.name for c in probe.children] == (
+            ["run_probe"] * result.sublevels_probed
+        )
+    assert scalar == batched == traced == [live.get(key) for key in probes]
+    deltas = []
+    for kv, snap in zip(stores, before):
+        after = kv.snapshot()
+        deltas.append((
+            after.storage_reads - snap.storage_reads,
+            after.false_positives - snap.false_positives,
+            after.queries - snap.queries,
+            dict(after.memory),
+        ))
+    assert deltas[0] == deltas[1] == deltas[2]
+    assert deltas[0][0] > 0  # the reads really reached storage
 
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
@@ -86,33 +149,6 @@ class TestChurnCycles:
                 assert violations == [], (preset, policy, cycle, violations)
         # Sanity: the churn actually deleted things.
         assert 0 < len(live) < POPULATION
-
-    def test_get_batch_counted_ios_identical_to_scalar(self, preset, policy):
-        a = _make_store(preset, policy)
-        b = _make_store(preset, policy)
-        live = {}
-        for kv in (a, b):
-            rng = random.Random(3)
-            model = {}
-            for cycle in range(4):
-                _churn_cycle(kv, model, rng, cycle)
-            live = model
-        probes = list(range(POPULATION)) + [POPULATION + 5, 1 << 30]
-        snap_a, snap_b = a.snapshot(), b.snapshot()
-        scalar = [a.get(key) for key in probes]
-        batched = b.get_batch(probes)
-        assert scalar == batched
-        assert [live.get(key) for key in probes] == scalar
-        da, db = a.snapshot(), b.snapshot()
-        assert (
-            da.storage_reads - snap_a.storage_reads,
-            da.false_positives - snap_a.false_positives,
-            dict(da.memory),
-        ) == (
-            db.storage_reads - snap_b.storage_reads,
-            db.false_positives - snap_b.false_positives,
-            dict(db.memory),
-        )
 
     def test_crash_recover_mid_churn_keeps_acked_deletes_dead(
         self, preset, policy

@@ -27,9 +27,7 @@ def filter_consistency(kv):
     """Invariant: for every live entry, the policy proposes its
     sub-level (no false negatives through the whole write history)."""
     for entry, sublevel in kv.tree.iter_entries_with_sublevels():
-        candidates = list(
-            kv.policy.candidates(entry.key, kv.tree.occupied_runs())
-        )
+        candidates = list(kv.policy.candidates(entry.key))
         assert sublevel in candidates, (
             f"key {entry.key} at sub-level {sublevel} missed by "
             f"{kv.policy.name}: {candidates}"
@@ -159,7 +157,7 @@ class TestNoFilterPolicy:
     def test_yields_everything(self):
         kv, ref = written_store(NoFilterPolicy())
         occupied = kv.tree.occupied_runs()
-        cands = list(kv.policy.candidates(123, occupied))
+        cands = list(kv.policy.candidates(123))
         assert cands == [s for s, _ in occupied]
 
     def test_zero_size(self):

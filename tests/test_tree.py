@@ -296,6 +296,70 @@ class TestGrowth:
         assert tree.num_sublevels == cfg.total_sublevels(tree.num_levels)
 
 
+def recomputed_runs(tree: LSMTree):
+    """The run table derived from scratch from the level slot arrays."""
+    return {
+        tree.sublevel_number(level.number, slot_index): run
+        for level in tree._levels
+        for slot_index, run in enumerate(level.slots)
+    }
+
+
+def check_run_table(tree: LSMTree):
+    expected = recomputed_runs(tree)
+    assert tree.runs == expected
+    assert list(tree.runs) == sorted(tree.runs), "young-to-old key order"
+    assert tree.occupied_runs() == [
+        (s, run) for s, run in sorted(expected.items()) if run is not None
+    ]
+    for sublevel, run in expected.items():
+        assert tree.run_at(sublevel) is run
+    assert tree.run_at(max(expected) + 1) is None
+
+
+class TestRunTable:
+    def test_tracks_flush_merge_spill_and_growth(self):
+        kinds = set()
+        for make in (leveling, tiering, lazy_leveling):
+            cfg = make(3, buffer_entries=4, block_entries=2, initial_levels=1)
+            tree = LSMTree(cfg)
+
+            def on_event(event):
+                check_run_table(tree)
+                if isinstance(event, FlushEvent):
+                    kinds.add("flush")
+                elif event.output_sublevel in event.input_sublevels:
+                    kinds.add("in-place merge")
+                else:
+                    kinds.add("spill")
+
+            def on_grow(num_levels):
+                check_run_table(tree)
+                assert len(tree.runs) == cfg.total_sublevels(num_levels)
+                kinds.add("growth")
+
+            tree.listeners.append(on_event)
+            tree.grow_listeners.append(on_grow)
+            check_run_table(tree)
+            drive(tree, [(i % 150, i) for i in range(400)], cfg.buffer_entries)
+            check_run_table(tree)
+            assert tree.num_levels > 1
+        assert kinds == {"flush", "in-place merge", "spill", "growth"}
+
+    def test_tracks_install_run_and_from_manifest(self, small_tiering):
+        cfg = small_tiering.with_levels(2)
+        tree = LSMTree(cfg)
+        tree.install_run(4, [Entry(k, f"v{k}", k + 1) for k in range(10)])
+        tree.install_run(2, [Entry(k, f"w{k}", k + 20) for k in range(5)])
+        check_run_table(tree)
+        assert [s for s, _ in tree.occupied_runs()] == [2, 4]
+        reopened = LSMTree.from_manifest(cfg, tree.storage, tree.manifest())
+        check_run_table(reopened)
+        assert [(s, run.run_id) for s, run in reopened.occupied_runs()] == [
+            (s, run.run_id) for s, run in tree.occupied_runs()
+        ]
+
+
 class TestInstallRun:
     def test_bulk_load_and_query(self, small_leveling):
         tree = LSMTree(small_leveling.with_levels(3))
