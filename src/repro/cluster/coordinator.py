@@ -264,8 +264,8 @@ class ClusterCoordinator:
         )
 
     async def get_many(self, keys: list[int]) -> list[bytes | None]:
-        """Pipelined point reads (the per-connection GET fusion on the
-        server turns each node's run into engine ``get_batch`` calls)."""
+        """Pipelined point reads (each node serves the GETs buffered on
+        its connection as runs through engine ``get_batch`` calls)."""
         return list(await asyncio.gather(*(self.get(key) for key in keys)))
 
     # ------------------------------------------------------------------

@@ -782,7 +782,7 @@ class ClusterNode:
                 continue
 
     # ------------------------------------------------------------------
-    # Routing enforcement (called by ClusterServer before the base ops)
+    # Routing enforcement (ClusterServer's per-request routing hook)
     # ------------------------------------------------------------------
 
     def route_check(self, request: Request) -> Response | None:
@@ -885,6 +885,8 @@ class ClusterServer(ReproServer):
     ) -> None:
         super().__init__(node.store, config=config, observability=observability)
         self.node = node
+        # Shard-map routing runs on every request before it executes.
+        self._route_check = node.route_check
         # Swap in the replicated writer: acks now wait for followers.
         self.commit = ReplicatedGroupCommitWriter(
             node.store,
@@ -893,16 +895,6 @@ class ClusterServer(ReproServer):
             node.live_followers_of,
             max_batch=self.config.group_commit_batch,
             observability=self.obs,
-        )
-
-    def _can_fuse(self, request: Request) -> bool:
-        # A fused batch goes straight to store.get_batch, skipping
-        # _execute — so a GET may only join one when it would pass the
-        # routing check anyway (misrouted GETs must keep bouncing with
-        # the coordinator's refresh signal).
-        return (
-            super()._can_fuse(request)
-            and self.node.route_check(request) is None
         )
 
     async def _execute(self, request: Request) -> Response:
@@ -924,9 +916,6 @@ class ClusterServer(ReproServer):
                 request.request_id, op, Status.OK,
                 value=payload.encode("utf-8"),
             )
-        misrouted = self.node.route_check(request)
-        if misrouted is not None:
-            return misrouted
         return await super()._execute(request)
 
     def stats(self) -> dict:

@@ -5,12 +5,14 @@ whose routing is **global**: keys hash over ``num_global`` shards (the
 cluster-wide count) but only the shards this node hosts are present.
 Everything the base class provides over its shard list — flush, scan
 merge, crash/recover per shard, snapshot aggregation, metric rollup —
-works unchanged because the list simply holds fewer stores; only the
-three routing entry points (``shard_for`` / ``put_batch`` /
-``get_batch``) are overridden to use the global hash and to raise
-:class:`NotOwnedError` for keys the node does not host, which is the
-signal the serving layer turns into a routing error the client answers
-by refreshing its shard map.
+works unchanged because the list simply holds fewer stores (``scan``
+merges the *hosted* shards only; a cluster-wide scan is the
+coordinator's job); only the two routing hooks (``shard_id_of`` /
+``_shard_at``) are overridden, to use the global hash and to raise
+:class:`NotOwnedError` for shards the node does not host — for a batch,
+before any shard is written — which is the signal the serving layer
+turns into a routing error the client answers by refreshing its shard
+map.
 
 Shards attach and detach live (:meth:`add_shard` / :meth:`remove_shard`)
 — the mechanics of a handoff commit: the target attaches its fully
@@ -21,12 +23,9 @@ when a request sees a half-moved shard.
 
 from __future__ import annotations
 
-from typing import Any, Iterator
-
 from repro.common.errors import ReproError
 from repro.engine.kvstore import KVStore
 from repro.engine.sharded import ShardedKVStore, shard_of
-from repro.faults.crashpoints import crash_point
 from repro.obs import NULL_OBS, Observability
 
 
@@ -59,8 +58,8 @@ class ShardSubsetStore(ShardedKVStore):
         self.shards = [self.local[i] for i in sorted(self.local)]
         self.obs = observability if observability is not None else NULL_OBS
         self._tuning = None
-        if self.obs.enabled and self.shards:
-            self._register_instruments()
+        if self.obs.enabled:
+            self.obs.registry.add_collector(self._collect_aggregates)
 
     # -- live membership ------------------------------------------------
 
@@ -90,61 +89,16 @@ class ShardSubsetStore(ShardedKVStore):
     def owns(self, shard_id: int) -> bool:
         return shard_id in self.local
 
+    # -- routing hooks (global hash, sparse ownership) ------------------
+
     def shard_id_of(self, key: int | str | bytes) -> int:
         """The *global* shard a key belongs to, hosted here or not."""
         return shard_of(key, self.num_global)
 
-    # -- routing overrides (global hash, sparse ownership) --------------
-
-    def shard_for(self, key: int | str | bytes) -> KVStore:
-        shard_id = shard_of(key, self.num_global)
+    def _shard_at(self, shard_id: int) -> KVStore:
         store = self.local.get(shard_id)
         if store is None:
             raise NotOwnedError(
-                f"shard {shard_id} (key {key!r}) is not hosted on this node"
+                f"shard {shard_id} is not hosted on this node"
             )
         return store
-
-    def put_batch(self, items: list[tuple[int, Any]]) -> None:
-        groups: dict[int, list[tuple[int, Any]]] = {}
-        for key, value in items:
-            groups.setdefault(shard_of(key, self.num_global), []).append(
-                (key, value)
-            )
-        missing = [i for i in groups if i not in self.local]
-        if missing:
-            raise NotOwnedError(
-                f"batch touches unhosted shards {sorted(missing)}"
-            )
-        for position, index in enumerate(sorted(groups)):
-            if position:
-                crash_point("sharded.batch.between_shards")
-            self.local[index].put_batch(groups[index])
-        if self._tuning is not None:
-            self._tuning.on_write(len(items))
-
-    def get_batch(self, keys: list[int]) -> list[Any]:
-        if self._tuning is not None:
-            return [self.get(key) for key in keys]
-        positions: dict[int, list[int]] = {}
-        for pos, key in enumerate(keys):
-            positions.setdefault(shard_of(key, self.num_global), []).append(
-                pos
-            )
-        missing = [i for i in positions if i not in self.local]
-        if missing:
-            raise NotOwnedError(
-                f"batch touches unhosted shards {sorted(missing)}"
-            )
-        out: list[Any] = [None] * len(keys)
-        for index in sorted(positions):
-            group = positions[index]
-            values = self.local[index].get_batch([keys[p] for p in group])
-            for pos, value in zip(group, values):
-                out[pos] = value
-        return out
-
-    def scan(self, lo: int, hi: int) -> Iterator[tuple[int, Any]]:
-        """Merged scan over the *hosted* shards only (a cluster-wide
-        scan is the coordinator's job: it merges per-leader scans)."""
-        return super().scan(lo, hi)

@@ -115,7 +115,7 @@ class ShardedKVStore:
         #: each logical operation is sensed exactly once.
         self._tuning = None
         if self.obs.enabled:
-            self._register_instruments()
+            self.obs.registry.add_collector(self._collect_aggregates)
 
     # ------------------------------------------------------------------
     # Tuning hook
@@ -135,9 +135,34 @@ class ShardedKVStore:
     def num_shards(self) -> int:
         return len(self.shards)
 
+    # ------------------------------------------------------------------
+    # Routing: two hooks every operation resolves its shard through (a
+    # subclass with another key -> shard mapping overrides just these)
+    # ------------------------------------------------------------------
+
+    def shard_id_of(self, key: int | str | bytes) -> int:
+        """The id of the shard ``key`` belongs to."""
+        return shard_of(key, len(self.shards))
+
+    def _shard_at(self, shard_id: int) -> KVStore:
+        """The store holding shard ``shard_id``."""
+        return self.shards[shard_id]
+
     def shard_for(self, key: int | str | bytes) -> KVStore:
         """The shard that owns ``key``."""
-        return self.shards[shard_of(key, len(self.shards))]
+        return self._shard_at(self.shard_id_of(key))
+
+    def _by_shard(self, keys: list[int]) -> list[tuple[KVStore, list[int]]]:
+        """Positions of ``keys`` grouped by owning shard, in shard-id
+        order. Every touched shard is resolved here, before the caller
+        acts on the first one."""
+        positions: dict[int, list[int]] = {}
+        for pos, key in enumerate(keys):
+            positions.setdefault(self.shard_id_of(key), []).append(pos)
+        return [
+            (self._shard_at(shard_id), positions[shard_id])
+            for shard_id in sorted(positions)
+        ]
 
     # ------------------------------------------------------------------
     # Writes
@@ -161,17 +186,14 @@ class ShardedKVStore:
         """Buffer a batch, grouped so each shard's memtable and WAL are
         touched once. Per-shard groups keep the caller's relative order
         and each group is atomic within its shard (one WAL record)."""
-        groups: dict[int, list[tuple[int, Any]]] = {}
-        num = len(self.shards)
-        for key, value in items:
-            groups.setdefault(shard_of(key, num), []).append((key, value))
-        for position, index in enumerate(sorted(groups)):
+        groups = self._by_shard([key for key, _ in items])
+        for position, (shard, group) in enumerate(groups):
             if position:
                 # Atomicity is per shard: a crash here leaves earlier
                 # shards' groups durable and later ones absent — legal,
                 # because the batch has not been acknowledged yet.
                 crash_point("sharded.batch.between_shards")
-            self.shards[index].put_batch(groups[index])
+            shard.put_batch([items[pos] for pos in group])
         if self._tuning is not None:
             self._tuning.on_write(len(items))
 
@@ -202,14 +224,9 @@ class ShardedKVStore:
             # Per-key routing so the hook senses each read. Grouping is
             # pure routing sugar — the counted I/Os are identical.
             return [self.get(key) for key in keys]
-        num = len(self.shards)
-        positions: dict[int, list[int]] = {}
-        for pos, key in enumerate(keys):
-            positions.setdefault(shard_of(key, num), []).append(pos)
         out: list[Any] = [None] * len(keys)
-        for index in sorted(positions):
-            group = positions[index]
-            values = self.shards[index].get_batch([keys[p] for p in group])
+        for shard, group in self._by_shard(keys):
+            values = shard.get_batch([keys[pos] for pos in group])
             for pos, value in zip(group, values):
                 out[pos] = value
         return out
@@ -344,9 +361,17 @@ class ShardedKVStore:
         """Max/mean entries per shard: 1.0 is perfectly balanced, 0.0
         means the store is empty. The hash router keeps this near 1 for
         any key distribution; a value well above 1 flags skew."""
+        return self._entry_spread()[2]
+
+    def _entry_spread(self) -> tuple[int, float, float]:
+        """(max, mean, max/mean) entries per shard — all zero for a
+        store that is empty or (a cluster node between handoffs) holds
+        no shard at all."""
         entries = self.entries_per_shard()
+        if not entries:
+            return 0, 0.0, 0.0
         mean = sum(entries) / len(entries)
-        return max(entries) / mean if mean else 0.0
+        return max(entries), mean, max(entries) / mean if mean else 0.0
 
     def recent_spans(self, n: int | None = None) -> list[Span]:
         """The most recent finished root spans across all shard tracers
@@ -362,13 +387,6 @@ class ShardedKVStore:
             return spans
         return spans[-n:] if n > 0 else []
 
-    def _register_instruments(self) -> None:
-        registry = self.obs.registry
-        registry.gauge("kv_shards", "shards in the sharded store").set(
-            len(self.shards)
-        )
-        registry.add_collector(self._collect_aggregates)
-
     def _collect_aggregates(self) -> None:
         """Roll per-shard instruments up into store-wide gauges.
 
@@ -378,16 +396,19 @@ class ShardedKVStore:
         left per-shard (their buckets do not aggregate into a gauge).
         """
         registry = self.obs.registry
-        entries = self.entries_per_shard()
-        mean = sum(entries) / len(entries)
+        # Sampled, not set once: cluster nodes attach and detach shards.
+        registry.gauge("kv_shards", "shards in the sharded store").set(
+            len(self.shards)
+        )
+        fullest, mean, imbalance = self._entry_spread()
         registry.gauge(
             "shard_entries_max", "entries in the fullest shard"
-        ).set(max(entries))
+        ).set(fullest)
         registry.gauge("shard_entries_mean", "mean entries per shard").set(mean)
         registry.gauge(
             "shard_imbalance",
             "max/mean entries per shard (1.0 = perfectly balanced)",
-        ).set(max(entries) / mean if mean else 0.0)
+        ).set(imbalance)
         sums: dict[str, float] = {}
         for instrument in list(registry.instruments()):
             if isinstance(instrument, Histogram):

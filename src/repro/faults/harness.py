@@ -552,13 +552,13 @@ async def _group_commit_schedule(
         writer.start()
         outcomes = list(
             await asyncio.gather(
-                *(writer.submit(k, v) for k, v in first),
+                *(writer.submit([item]) for item in first),
                 return_exceptions=True,
             )
         )
         outcomes.extend(
             await asyncio.gather(
-                *(writer.submit(k, v) for k, v in second),
+                *(writer.submit([item]) for item in second),
                 return_exceptions=True,
             )
         )

@@ -35,8 +35,10 @@ import asyncio
 from typing import Any
 
 from repro.faults.crashpoints import crash_point
-from repro.lsm.entry import TOMBSTONE
 from repro.obs import GROUP_COMMIT_BUCKETS, NULL_OBS, Observability
+
+#: One queued write: (key, value, waiter, trace context or None).
+Pending = tuple[int, Any, asyncio.Future, tuple[int, int] | None]
 
 
 class GroupCommitWriter:
@@ -53,10 +55,8 @@ class GroupCommitWriter:
         self.store = store
         self.max_batch = max_batch
         self.obs = observability if observability is not None else NULL_OBS
-        #: (key, value, future, trace ctx or None) in submission order.
-        self._pending: list[
-            tuple[int, Any, asyncio.Future, tuple[int, int] | None]
-        ] = []
+        #: Queued writes in submission order.
+        self._pending: list[Pending] = []
         self._wake = asyncio.Event()
         self._closed = False
         self._task: asyncio.Task | None = None
@@ -66,9 +66,7 @@ class GroupCommitWriter:
         self.active = False
         #: The group currently mid apply/finish (None when idle);
         #: lets scoped drains (shard handoff) find in-flight waiters.
-        self.inflight: list[
-            tuple[int, Any, asyncio.Future, tuple[int, int] | None]
-        ] | None = None
+        self.inflight: list[Pending] | None = None
         #: Lifetime totals (also exported as metrics when obs is on).
         self.batches = 0
         self.items = 0
@@ -114,42 +112,26 @@ class GroupCommitWriter:
         ]
 
     async def submit(
-        self, key: int, value: Any, trace: tuple[int, int] | None = None
-    ) -> None:
-        """Enqueue one write and wait until it is durably applied.
-
-        ``value`` may be :data:`TOMBSTONE` for a delete. ``trace`` is
-        an optional ``(trace_id, parent_span_id)`` context: the batch
-        that applies this write will join that trace. Raises whatever
-        ``put_batch`` raised for this write's group, or
-        ``ConnectionResetError`` if the writer was closed before the
-        write could be applied (it never silently drops a submission).
-        """
-        if self._closed:
-            raise ConnectionResetError("group-commit writer is closed")
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._pending.append((key, value, future, trace))
-        self._wake.set()
-        await future
-
-    async def submit_delete(
-        self, key: int, trace: tuple[int, int] | None = None
-    ) -> None:
-        await self.submit(key, TOMBSTONE, trace=trace)
-
-    async def submit_many(
         self,
         items: list[tuple[int, Any]],
         trace: tuple[int, int] | None = None,
     ) -> None:
-        """Enqueue a client batch as one contiguous run of writes and
-        wait for all of them. Contiguity means a batch no larger than
-        ``max_batch`` is applied by a single ``put_batch`` call —
-        i.e. it keeps the engine's per-shard crash atomicity."""
+        """Enqueue ``(key, value)`` writes as one contiguous run and
+        wait until all of them are durably applied.
+
+        A single write is a one-item list; a delete carries
+        :data:`~repro.lsm.entry.TOMBSTONE` as its value. Contiguity
+        means a submission no larger than ``max_batch`` is applied by a
+        single ``put_batch`` call — i.e. it keeps the engine's
+        per-shard crash atomicity. ``trace`` is an optional
+        ``(trace_id, parent_span_id)`` context: the batch that applies
+        these writes will join that trace. Raises whatever
+        ``put_batch`` raised for a write's group, or
+        ``ConnectionResetError`` if the writer was closed before the
+        writes could be applied (it never silently drops a submission).
+        """
         if self._closed:
             raise ConnectionResetError("group-commit writer is closed")
-        if not items:
-            return
         loop = asyncio.get_running_loop()
         futures = []
         for key, value in items:
@@ -157,7 +139,9 @@ class GroupCommitWriter:
             self._pending.append((key, value, future, trace))
             futures.append(future)
         self._wake.set()
-        await asyncio.gather(*futures)
+        # A single write waits on its own future: through gather() the
+        # submitter would wake one event-loop pass after the ack.
+        await (futures[0] if len(futures) == 1 else asyncio.gather(*futures))
 
     async def _run(self) -> None:
         while True:
@@ -187,10 +171,7 @@ class GroupCommitWriter:
                 self.active = False
                 self.inflight = None
 
-    def _apply(
-        self,
-        group: list[tuple[int, Any, asyncio.Future, tuple[int, int] | None]],
-    ) -> bool:
+    def _apply(self, group: list[Pending]) -> bool:
         items = [(key, value) for key, value, _, _ in group]
         # Traced submissions in this group: the first context hosts the
         # batch span (and, via the family carrier, the shard-level
@@ -242,29 +223,19 @@ class GroupCommitWriter:
         self._m_batch_size.observe(len(group))
         return True
 
-    async def _finish(
-        self,
-        group: list[tuple[int, Any, asyncio.Future, tuple[int, int] | None]],
-    ) -> None:
+    async def _finish(self, group: list[Pending]) -> None:
         """Acknowledge an applied group. The seam a replicated writer
         overrides: ship the group's WAL records to followers, await
         their acks, *then* resolve — so an acknowledged write is
         durable beyond the leader."""
         self._resolve(group)
 
-    def _resolve(
-        self,
-        group: list[tuple[int, Any, asyncio.Future, tuple[int, int] | None]],
-    ) -> None:
+    def _resolve(self, group: list[Pending]) -> None:
         for _, _, future, _ in group:
             if not future.done():
                 future.set_result(None)
 
-    def _fail(
-        self,
-        group: list[tuple[int, Any, asyncio.Future, tuple[int, int] | None]],
-        exc: BaseException,
-    ) -> None:
+    def _fail(self, group: list[Pending], exc: BaseException) -> None:
         self.failed_items += len(group)
         self._m_failed_items.inc(len(group))
         for _, _, future, _ in group:

@@ -12,10 +12,15 @@ What earns this layer its keep beyond plumbing:
 * **Group commit** — PUT/DELETE submissions from concurrent handlers
   coalesce into crash-atomic ``put_batch`` calls (one WAL batch record
   per group per shard) via :class:`GroupCommitWriter`.
+* **One request path** — a request is a run of one; the untraced GETs
+  a pipelining client already has buffered form a longer run, served
+  by one ``store.get_batch``. Reading, admission, routing, accounting
+  and responding are written once, for a run.
 * **Admission control** — at most ``max_inflight`` requests in flight
-  server-wide and ``max_queue_depth`` pipelined per connection; work
-  beyond either limit is *shed* with an immediate ``BUSY`` response
-  (clients retry; an accepted write is never dropped).
+  server-wide and ``max_queue_depth`` pipelined per connection; the
+  part of a run beyond either limit is *shed* with an immediate
+  ``BUSY`` response (clients retry; an accepted write is never
+  dropped).
 * **Graceful drain** — on SIGINT or a SHUTDOWN op the server stops
   accepting, answers new requests with ``SHUTTING_DOWN``, finishes
   everything in flight, drains the group-commit queue, flushes every
@@ -32,6 +37,7 @@ import asyncio
 import json
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.analysis.measured import collect_metrics
 from repro.lsm.entry import TOMBSTONE
@@ -92,7 +98,9 @@ class ServerConfig:
             arrivals beyond it are shed with ``BUSY``.
         max_queue_depth: per-connection cap on pipelined requests in
             flight; a client pipelining deeper gets ``BUSY`` for the
-            excess.
+            excess. Also the longest run of buffered GETs served as
+            one ``store.get_batch`` (a longer one could never be
+            admitted).
         group_commit_batch: most writes coalesced into one
             ``put_batch`` call.
         scan_limit: hard cap on pairs returned by one SCAN (a request
@@ -103,12 +111,6 @@ class ServerConfig:
             disables the time-series store and the SLO engine; needs
             observability enabled to do anything).
         telemetry_capacity: ring size of each telemetry series.
-        fuse_gets: when a pipelined connection has >= 2 consecutive
-            untraced GETs already buffered, serve up to this many of
-            them through one fused ``store.get_batch`` call (<= 1
-            disables fusion). Counted I/Os per key are identical to
-            serving them one by one — only Python-level dispatch
-            overhead is amortised.
     """
 
     host: str = "127.0.0.1"
@@ -120,7 +122,6 @@ class ServerConfig:
     stats_full_metrics: bool = False
     telemetry_interval: float = 0.0
     telemetry_capacity: int = 512
-    fuse_gets: int = 32
 
     def __post_init__(self) -> None:
         if self.telemetry_interval < 0:
@@ -140,6 +141,12 @@ class ServerConfig:
             raise ValueError(f"scan_limit must be >= 1, got {self.scan_limit}")
 
 
+def _shares_a_run(request: Request) -> bool:
+    """Only untraced GETs travel together: a traced one keeps its own
+    serve span, anything else executes through its own op branch."""
+    return request.op is Op.GET and not request.trace_id
+
+
 class _Connection:
     """Per-connection bookkeeping: the write side and its queue depth."""
 
@@ -154,6 +161,11 @@ class _Connection:
 
 class ReproServer:
     """Serve one store over TCP until drained."""
+
+    #: Routing hook run on every admitted request before it executes:
+    #: ``request -> Response`` to answer with instead (a misrouted
+    #: request), or None to go ahead. A plain server routes nothing.
+    _route_check: Callable[[Request], Response | None] | None = None
 
     def __init__(
         self,
@@ -187,11 +199,11 @@ class ReproServer:
         registry = self.obs.registry
         self._m_get_batches = registry.counter(
             "server_get_batches_total",
-            "fused GET batches served via store.get_batch",
+            "GET runs served via one store.get_batch",
         )
         self._m_batched_gets = registry.counter(
             "server_batched_gets_total",
-            "GET requests served inside a fused batch",
+            "GET requests served inside such a run",
         )
         self._m_requests = registry.counter(
             "server_requests_total", "requests accepted for processing"
@@ -321,148 +333,57 @@ class ReproServer:
         conn = _Connection(writer)
         self._connections.add(conn)
         try:
+            request = None
             while True:
-                payload = await read_frame(reader)
-                if payload is None:
-                    break
-                try:
+                if request is None:
+                    payload = await read_frame(reader)
+                    if payload is None:
+                        break
                     request = decode_request(payload)
-                except ProtocolError:
-                    # Malformed frame: error THIS connection, keep
-                    # serving everyone else. No response is possible
-                    # (the request id may itself be garbage).
-                    self.bad_frames += 1
-                    self._m_bad_frames.inc()
-                    break
-                leftover = None
-                if self.config.fuse_gets > 1 and self._can_fuse(request):
-                    # Pipelining detector: only frames ALREADY buffered
-                    # join the fusion — never wait for more input.
-                    fused, leftover = await self._collect_fused(
-                        reader, request
-                    )
-                    if len(fused) > 1:
-                        await self._dispatch_get_batch(conn, fused)
-                    else:
-                        await self._dispatch(conn, request)
-                else:
-                    await self._dispatch(conn, request)
-                if leftover is not None:
-                    await self._dispatch(conn, leftover)
+                run, request = await self._read_run(reader, request)
+                await self._dispatch(conn, run)
         except (ProtocolError, ConnectionResetError, BrokenPipeError):
+            # Malformed frame (or a dead peer): error THIS connection,
+            # keep serving everyone else. No response is possible (the
+            # request id may itself be garbage).
             self.bad_frames += 1
             self._m_bad_frames.inc()
         finally:
             self._connections.discard(conn)
             await self._close_connection(conn)
 
-    def _can_fuse(self, request: Request) -> bool:
-        """Whether a request may join a fused GET batch. Traced GETs
-        keep their individual serve spans; subclasses narrow further
-        (e.g. cluster routing checks)."""
-        return request.op is Op.GET and not request.trace_id
-
     @staticmethod
     def _buffered_frame_ready(reader: asyncio.StreamReader) -> bool:
         """True when a complete frame is already in the reader's buffer
         (so ``read_frame`` completes without waiting). Peeks the
-        stream's internal buffer; on a reader without one, fusion just
-        never kicks in."""
+        stream's internal buffer; on a reader without one, every run
+        is a run of one."""
         buffer = getattr(reader, "_buffer", None)
         if buffer is None or len(buffer) < 4:
             return False
         length = int.from_bytes(buffer[:4], "big")
         return len(buffer) >= 4 + length
 
-    async def _collect_fused(
+    async def _read_run(
         self, reader: asyncio.StreamReader, first: Request
     ) -> tuple[list[Request], Request | None]:
-        """Greedily pop buffered consecutive fusable GETs after
-        ``first``. Returns (fused GETs, first non-fusable request
-        popped while probing — to dispatch after the batch)."""
-        fused = [first]
-        while (
-            len(fused) < self.config.fuse_gets
-            and self._buffered_frame_ready(reader)
-        ):
-            payload = await read_frame(reader)
-            if payload is None:  # pragma: no cover — buffered ⇒ present
-                break
-            request = decode_request(payload)
-            if not self._can_fuse(request):
-                return fused, request
-            fused.append(request)
-        return fused, None
-
-    async def _dispatch_get_batch(
-        self, conn: _Connection, requests: list[Request]
-    ) -> None:
-        """Admission + task handoff for one fused GET batch. The batch
-        must fit the inflight budgets whole; otherwise it falls back to
-        per-request dispatch (preserving shed semantics exactly)."""
-        n = len(requests)
-        if (
-            self._draining
-            or self._inflight + n > self.config.max_inflight
-            or conn.inflight + n > self.config.max_queue_depth
-        ):
-            for request in requests:
-                await self._dispatch(conn, request)
-            return
-        self._inflight += n
-        conn.inflight += n
-        self._idle.clear()
-        self.requests += n
-        self._m_requests.inc(n)
-        asyncio.get_running_loop().create_task(
-            self._serve_get_batch(conn, requests)
-        )
-
-    async def _serve_get_batch(
-        self, conn: _Connection, requests: list[Request]
-    ) -> None:
-        start = time.perf_counter_ns()
-        n = len(requests)
-        try:
-            keys = [request.key for request in requests]
-            try:
-                with self.obs.tracer.span("serve_get_batch", size=n):
-                    values = self.store.get_batch(keys)
-            except Exception as exc:  # noqa: BLE001 — must not kill the server
-                self.errors += n
-                self._m_errors.inc(n)
-                message = f"{type(exc).__name__}: {exc}"
-                for request in requests:
-                    await self._respond(
-                        conn,
-                        Response(
-                            request.request_id, Op.GET, Status.ERROR,
-                            message=message,
-                        ),
-                    )
-                return
-            self.get_batches += 1
-            self.batched_gets += n
-            self._m_get_batches.inc()
-            self._m_batched_gets.inc(n)
-            elapsed_us = (time.perf_counter_ns() - start) / 1_000 / n
-            for request, value in zip(requests, values):
-                self._m_latency[Op.GET].observe(elapsed_us)
-                if value is None:
-                    response = Response(
-                        request.request_id, Op.GET, Status.NOT_FOUND
-                    )
-                else:
-                    response = Response(
-                        request.request_id, Op.GET, Status.OK,
-                        value=self._encode_value(value),
-                    )
-                await self._respond(conn, response)
-        finally:
-            self._inflight -= n
-            conn.inflight -= n
-            if self._inflight == 0:
-                self._idle.set()
+        """The run ``first`` starts. A request is a run of one; an
+        untraced GET is joined by the consecutive untraced GETs ALREADY
+        buffered behind it — a pipelining client; never wait for more
+        input — up to ``max_queue_depth``, the longest run that could
+        be admitted. Returns (run, the request popped while probing
+        that did not join — the next run's first — or None)."""
+        run = [first]
+        if _shares_a_run(first):
+            while (
+                len(run) < self.config.max_queue_depth
+                and self._buffered_frame_ready(reader)
+            ):
+                request = decode_request(await read_frame(reader))
+                if not _shares_a_run(request):
+                    return run, request
+                run.append(request)
+        return run, None
 
     async def _close_connection(self, conn: _Connection) -> None:
         if conn.closed:
@@ -474,62 +395,78 @@ class ReproServer:
         except (ConnectionResetError, BrokenPipeError, OSError):
             pass
 
-    async def _dispatch(self, conn: _Connection, request: Request) -> None:
-        """Admission control, then hand the request to its own task."""
+    async def _dispatch(self, conn: _Connection, run: list[Request]) -> None:
+        """Admission control: the prefix of ``run`` that fits both
+        budgets goes to one task; the rest is refused, each request
+        with its own response."""
+        room = 0 if self._draining else min(
+            self.config.max_inflight - self._inflight,
+            self.config.max_queue_depth - conn.inflight,
+        )
+        admitted = run if len(run) <= room else run[:room]
+        n = len(admitted)
+        if n:
+            self._inflight += n
+            conn.inflight += n
+            self._idle.clear()
+            self.requests += n
+            self._m_requests.inc(n)
+            asyncio.get_running_loop().create_task(self._serve(conn, admitted))
+            if n == len(run):
+                return
+        refused = run[n:]
         if self._draining:
+            status, message = Status.SHUTTING_DOWN, "server is draining"
+        else:
+            # Load shedding: these were NOT accepted; the client knows
+            # it can safely retry.
+            status, message = Status.BUSY, "server overloaded"
+            self.shed += len(refused)
+            self._m_shed.inc(len(refused))
+        for request in refused:
             await self._respond(
                 conn,
                 Response(
-                    request.request_id, request.op, Status.SHUTTING_DOWN,
-                    message="server is draining",
+                    request.request_id, request.op, status, message=message
                 ),
             )
-            return
-        if (
-            self._inflight >= self.config.max_inflight
-            or conn.inflight >= self.config.max_queue_depth
-        ):
-            # Load shedding: the request was NOT accepted; the client
-            # knows it can safely retry.
-            self.shed += 1
-            self._m_shed.inc()
-            await self._respond(
-                conn,
-                Response(
-                    request.request_id, request.op, Status.BUSY,
-                    message="server overloaded",
-                ),
-            )
-            return
-        self._inflight += 1
-        conn.inflight += 1
-        self._idle.clear()
-        self.requests += 1
-        self._m_requests.inc()
-        asyncio.get_running_loop().create_task(self._serve_one(conn, request))
 
-    async def _serve_one(self, conn: _Connection, request: Request) -> None:
-        # The request stays "in flight" until its response has been
+    async def _serve(self, conn: _Connection, run: list[Request]) -> None:
+        # The run stays "in flight" until its responses have been
         # written: drain() waits on that, so an acknowledged write's
         # ack can never be dropped by a racing shutdown.
         start = time.perf_counter_ns()
+        n = len(run)
+        responses: list[Response | None] = [None] * n
         try:
             try:
-                response = await self._execute(request)
+                # Routing first, per request: a misrouted one is
+                # answered here and never reaches the store, pipelined
+                # or not.
+                route = self._route_check
+                if route is not None:
+                    responses = [route(request) for request in run]
+                if n > 1:
+                    self._execute_gets(run, responses)
+                elif responses[0] is None:
+                    responses[0] = await self._execute(run[0])
             except Exception as exc:  # noqa: BLE001 — a request must never kill the server
-                self.errors += 1
-                self._m_errors.inc()
-                response = Response(
-                    request.request_id, request.op, Status.ERROR,
-                    message=f"{type(exc).__name__}: {exc}",
-                )
-            self._m_latency[request.op].observe(
-                (time.perf_counter_ns() - start) / 1_000
-            )
-            await self._respond(conn, response)
+                message = f"{type(exc).__name__}: {exc}"
+                failed = [i for i, r in enumerate(responses) if r is None]
+                self.errors += len(failed)
+                self._m_errors.inc(len(failed))
+                for i in failed:
+                    responses[i] = Response(
+                        run[i].request_id, run[i].op, Status.ERROR,
+                        message=message,
+                    )
+            elapsed_us = (time.perf_counter_ns() - start) / 1_000 / n
+            for request, response in zip(run, responses):
+                self._m_latency[request.op].observe(elapsed_us)
+                await self._respond(conn, response)
         finally:
-            self._inflight -= 1
-            conn.inflight -= 1
+            self._inflight -= n
+            conn.inflight -= n
             if self._inflight == 0:
                 self._idle.set()
 
@@ -571,53 +508,18 @@ class ReproServer:
                 key=request.key,
             ):
                 value = self.store.get(request.key)
-            if value is None:
-                return Response(rid, op, Status.NOT_FOUND)
-            return Response(rid, op, Status.OK, value=self._encode_value(value))
+            return self._get_response(rid, value)
         if op is Op.PUT:
             decoded = request.value.decode("utf-8", errors="replace")
-            if trace_id:
-                span_id = new_span_id()
-                start = time.perf_counter_ns()
-                await self.commit.submit(
-                    request.key, decoded, trace=(trace_id, span_id)
-                )
-                tracer.record(
-                    "serve_put",
-                    trace_id=trace_id,
-                    parent_id=parent_id,
-                    span_id=span_id,
-                    wall_ns=float(time.perf_counter_ns() - start),
-                    request_id=rid,
-                    key=request.key,
-                )
-            else:
-                await self.commit.submit(request.key, decoded)
-                with tracer.span("serve_put", request_id=rid, key=request.key):
-                    pass
+            await self._commit(
+                "serve_put", request, [(request.key, decoded)], key=request.key
+            )
             return Response(rid, op, Status.OK)
         if op is Op.DELETE:
-            if trace_id:
-                span_id = new_span_id()
-                start = time.perf_counter_ns()
-                await self.commit.submit_delete(
-                    request.key, trace=(trace_id, span_id)
-                )
-                tracer.record(
-                    "serve_delete",
-                    trace_id=trace_id,
-                    parent_id=parent_id,
-                    span_id=span_id,
-                    wall_ns=float(time.perf_counter_ns() - start),
-                    request_id=rid,
-                    key=request.key,
-                )
-            else:
-                await self.commit.submit_delete(request.key)
-                with tracer.span(
-                    "serve_delete", request_id=rid, key=request.key
-                ):
-                    pass
+            await self._commit(
+                "serve_delete", request, [(request.key, TOMBSTONE)],
+                key=request.key,
+            )
             return Response(rid, op, Status.OK)
         if op is Op.BATCH:
             items = [
@@ -632,25 +534,7 @@ class ReproServer:
             # One submission: the items stay contiguous in the commit
             # queue, so a batch no larger than group_commit_batch lands
             # in a single crash-atomic put_batch call.
-            if trace_id:
-                span_id = new_span_id()
-                start = time.perf_counter_ns()
-                await self.commit.submit_many(
-                    items, trace=(trace_id, span_id)
-                )
-                tracer.record(
-                    "serve_batch",
-                    trace_id=trace_id,
-                    parent_id=parent_id,
-                    span_id=span_id,
-                    wall_ns=float(time.perf_counter_ns() - start),
-                    request_id=rid,
-                    size=len(items),
-                )
-            else:
-                await self.commit.submit_many(items)
-                with tracer.span("serve_batch", request_id=rid, size=len(items)):
-                    pass
+            await self._commit("serve_batch", request, items, size=len(items))
             return Response(rid, op, Status.OK, count=len(request.items))
         if op is Op.SCAN:
             limit = min(
@@ -681,6 +565,57 @@ class ReproServer:
         # response still reaches the requester.
         asyncio.get_running_loop().create_task(self.drain("SHUTDOWN op"))
         return Response(rid, op, Status.OK)
+
+    async def _commit(
+        self, name: str, request: Request, items: list, **attrs
+    ) -> None:
+        """Group-commit ``items`` and emit the write's ``name`` serve
+        span: recorded after the ack under the wire trace context when
+        the request carries one, an instantaneous local span otherwise."""
+        tracer = self.obs.tracer
+        if request.trace_id:
+            span_id = new_span_id()
+            start = time.perf_counter_ns()
+            await self.commit.submit(items, trace=(request.trace_id, span_id))
+            tracer.record(
+                name,
+                trace_id=request.trace_id,
+                parent_id=request.parent_span_id,
+                span_id=span_id,
+                wall_ns=float(time.perf_counter_ns() - start),
+                request_id=request.request_id,
+                **attrs,
+            )
+        else:
+            await self.commit.submit(items)
+            with tracer.span(name, request_id=request.request_id, **attrs):
+                pass
+
+    def _execute_gets(
+        self, run: list[Request], responses: list[Response | None]
+    ) -> None:
+        """Answer the GETs of ``run`` that routing left open (a None in
+        ``responses``) through one ``store.get_batch``: counted I/Os per
+        key are identical to serving them one by one, only Python-level
+        dispatch overhead is amortised."""
+        live = [i for i, response in enumerate(responses) if response is None]
+        if not live:
+            return
+        with self.obs.tracer.span("serve_get_batch", size=len(live)):
+            values = self.store.get_batch([run[i].key for i in live])
+        self.get_batches += 1
+        self.batched_gets += len(live)
+        self._m_get_batches.inc()
+        self._m_batched_gets.inc(len(live))
+        for i, value in zip(live, values):
+            responses[i] = self._get_response(run[i].request_id, value)
+
+    def _get_response(self, rid: int, value) -> Response:
+        if value is None:
+            return Response(rid, Op.GET, Status.NOT_FOUND)
+        return Response(
+            rid, Op.GET, Status.OK, value=self._encode_value(value)
+        )
 
     def _trace_payload(self, trace_id: int) -> dict | None:
         """Body of a TRACE response: one trace's spans, or (id 0) the

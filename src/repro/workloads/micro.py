@@ -16,8 +16,9 @@ Several cases are comparative and report a speedup alongside the ns/op:
   :func:`repro.chucky.decode.legacy_codec`);
 * ``bucket_pack`` — the compiled per-combination pack functions against
   the reference BitWriter path (same toggle);
-* ``get_batch_fused`` — one ``store.get_batch`` pass against the
-  per-key ``store.get`` loop the server's fused-GET dispatch replaces;
+* ``get_batch_fused`` — one ``store.get_batch`` pass (how the server
+  executes a run of pipelined GETs) against the per-key ``store.get``
+  loop (the same GETs as runs of one);
 * ``bloom_vectorized_*`` vs the scalar blocked-Bloom loop (only when
   numpy resolves; the suite runs without it, just shorter).
 """
@@ -123,9 +124,9 @@ def run_micro(inner: int = 256, rounds: int = 5) -> dict[str, Any]:
          reference_ns_per_op=round(ref_ns, 1),
          speedup=round(ref_ns / fast_ns, 2) if fast_ns else None)
 
-    # Fused GET dispatch: the server folds consecutive pipelined GETs
-    # into one store.get_batch call. Time the batched pass against the
-    # per-key loop it replaces (same counted I/Os per key by contract).
+    # A run of pipelined GETs: the server executes it as one
+    # store.get_batch call. Time the batched pass against the per-key
+    # loop of runs of one (same counted I/Os per key by contract).
     from repro.engine.kvstore import KVStore
 
     store = KVStore()

@@ -31,6 +31,7 @@ from repro.cluster.faultcheck import _LiveCluster
 from repro.cluster.node import ClusterNode, build_shard_store
 from repro.engine.config import EngineConfig
 from repro.engine.sharded import shard_of
+from repro.obs import Observability, registry_to_dict
 from repro.server.group_commit import GroupCommitWriter
 from repro.server.protocol import (
     HANDOFF_ABORT,
@@ -48,6 +49,8 @@ from repro.server.protocol import (
     decode_response,
     encode_request,
     encode_response,
+    frame,
+    read_frame,
 )
 
 
@@ -233,6 +236,40 @@ class TestShardSubsetStore:
             store.get(key)
         with pytest.raises(ValueError):
             store.remove_shard(3)
+
+    def test_batch_touching_unhosted_shard_writes_nothing(self):
+        store = self._store({0, 1})
+        mine = [k for k in range(100) if shard_of(k, 6) in (0, 1)][:4]
+        foreign = next(k for k in range(100) if shard_of(k, 6) == 5)
+        with pytest.raises(NotOwnedError):
+            store.put_batch([(k, "x") for k in mine] + [(foreign, "x")])
+        assert store.num_entries == 0
+        assert store.get_batch(mine) == [None] * 4
+
+    def test_metrics_rollup_follows_membership_down_to_zero_shards(self):
+        """Handing off the last shard (or starting with none) must not
+        break metrics export; ``kv_shards`` tracks live membership."""
+        obs = Observability()
+        store = ShardSubsetStore(
+            {0: build_shard_store(_tiny_engine())}, 2, observability=obs
+        )
+        assert registry_to_dict(obs.registry)["gauges"]["kv_shards"] == 1
+        store.remove_shard(0)
+        gauges = registry_to_dict(obs.registry)["gauges"]
+        assert gauges["kv_shards"] == 0
+        assert gauges["shard_entries_max"] == 0
+        assert gauges["shard_imbalance"] == 0.0
+        assert store.imbalance == 0.0
+        # born empty, populated later: the roll-up is registered anyway
+        obs = Observability()
+        store = ShardSubsetStore({}, 2, observability=obs)
+        assert registry_to_dict(obs.registry)["gauges"]["kv_shards"] == 0
+        store.add_shard(1, build_shard_store(_tiny_engine()))
+        key = next(k for k in range(100) if shard_of(k, 2) == 1)
+        store.put(key, "v")
+        gauges = registry_to_dict(obs.registry)["gauges"]
+        assert gauges["kv_shards"] == 1
+        assert gauges["shard_entries_max"] == 1
 
     def test_get_batch_alignment(self):
         store = self._store(range(6))
@@ -467,6 +504,91 @@ class TestClusterLive:
                 assert resp.message.startswith("not leader")
                 assert f"epoch {node.map.epoch}" in resp.message
             finally:
+                await coordinator.close()
+                await cluster.stop()
+
+        asyncio.run(run())
+
+
+class TestPipelinedRouting:
+    """Routing is one per-request hook: a GET bounces from the same
+    place whether it arrived alone or inside a pipelined run."""
+
+    def test_burst_bounces_exactly_the_unhosted_keys(self):
+        async def run():
+            cluster = _LiveCluster(_cluster_cfg())
+            coordinator = await cluster.start()
+            try:
+                keys = list(range(24))  # one admissible run (< queue depth)
+                await coordinator.put_batch([(k, f"v{k}") for k in keys])
+                node = cluster.nodes["n0"]
+                hosted = {
+                    k for k in keys
+                    if node.store.owns(node.store.shard_id_of(k))
+                }
+                assert hosted and len(hosted) < len(keys)
+                reader, writer = await asyncio.open_connection(
+                    *cluster.addrs["n0"]
+                )
+                writer.write(
+                    b"".join(
+                        frame(encode_request(Request(100 + k, Op.GET, key=k)))
+                        for k in keys
+                    )
+                )
+                await writer.drain()
+                responses = {}
+                for _ in keys:
+                    resp = decode_response(await read_frame(reader))
+                    responses[resp.request_id - 100] = resp
+                writer.close()
+                await writer.wait_closed()
+                assert sorted(responses) == keys
+                for key, resp in responses.items():
+                    if key in hosted:
+                        assert resp.status is Status.OK
+                        assert bytes(resp.value) == f"v{key}".encode()
+                    else:
+                        assert resp.status is Status.ERROR
+                        assert resp.message.startswith("wrong node:")
+                # the hosted ones did travel as runs, not one by one
+                assert node.server.get_batches >= 1
+                assert node.server.errors == 0
+            finally:
+                await coordinator.close()
+                await cluster.stop()
+
+        asyncio.run(run())
+
+    def test_get_many_follows_a_map_refresh(self):
+        async def run():
+            cluster = _LiveCluster(_cluster_cfg())
+            coordinator = await cluster.start()
+            operator = ClusterCoordinator(dict(cluster.addrs))
+            try:
+                keys = list(range(60))
+                await coordinator.put_batch([(k, f"v{k}") for k in keys])
+                # Move shard 2 to the one node that holds no copy of it,
+                # behind the reading coordinator's back: the old leader
+                # drops the shard, so the stale map now misroutes it.
+                await operator.refresh_map()
+                stale = coordinator.map
+                target = next(
+                    n for n in cluster.names if n not in stale.replicas[2]
+                )
+                moved = await operator.rebalance(2, target)
+                assert coordinator.map.epoch == stale.epoch < moved.epoch
+                assert not cluster.nodes[stale.leader_of(2)].store.owns(2)
+                refreshes = coordinator.refreshes
+                values = await coordinator.get_many(keys + [999])
+                assert values == [f"v{k}".encode() for k in keys] + [None]
+                assert coordinator.refreshes > refreshes
+                assert coordinator.map.epoch == moved.epoch
+                assert sum(
+                    n.server.get_batches for n in cluster.nodes.values()
+                ) >= 1
+            finally:
+                await operator.close()
                 await coordinator.close()
                 await cluster.stop()
 

@@ -451,9 +451,9 @@ class TestObservability:
 
 
 class TestFusedGets:
-    """Consecutive pipelined GETs fuse into one ``store.get_batch``
-    dispatch — same answers, same per-key counted I/Os, fewer task
-    round-trips."""
+    """A request is a run of one; consecutive pipelined GETs form one
+    run served by one ``store.get_batch`` — same answers, same per-key
+    counted I/Os, fewer task round-trips."""
 
     @staticmethod
     async def _burst(port, requests):
@@ -526,16 +526,15 @@ class TestFusedGets:
         asyncio.run(main())
 
     def test_counted_ios_identical_with_and_without_fusion(self):
+        """The same GETs as runs of one (awaited one at a time) and as
+        one pipelined burst: same values, same counted I/Os."""
         async def main():
             keys = [(i * 11) % 48 for i in range(32)]
             observed = []
-            for fuse in (1, 32):
-                server, store, port = await start_server(
-                    server_config=ServerConfig(fuse_gets=fuse)
-                )
+            for pipelined in (False, True):
+                server, store, port = await start_server()
                 client = await AsyncClient.connect(HOST, port)
                 await client.put_batch([(k, f"v{k}") for k in range(48)])
-                await client.close()
                 def io_state():
                     return (
                         sum(s.counters.storage.reads for s in store.shards),
@@ -547,7 +546,13 @@ class TestFusedGets:
                     Request(200 + i, Op.GET, key=key)
                     for i, key in enumerate(keys)
                 ]
-                responses = await self._burst(port, requests)
+                if pipelined:
+                    responses = await self._burst(port, requests)
+                else:
+                    responses = {
+                        r.request_id: await client.request(r) for r in requests
+                    }
+                await client.close()
                 values = tuple(
                     bytes(responses[200 + i].value) for i in range(len(keys))
                 )
@@ -567,5 +572,46 @@ class TestFusedGets:
             assert fus_vals == ref_vals
             assert fus_reads == ref_reads
             assert fus_mem == ref_mem
+
+        asyncio.run(main())
+
+    def test_burst_deeper_than_queue_depth_admits_a_prefix(self):
+        """More pipelined GETs than ``max_queue_depth``: each run admits
+        the prefix that fits and sheds the rest — every request gets
+        exactly one response, and the counters add up."""
+        burst = 40
+
+        async def main():
+            server, store, port = await start_server(
+                server_config=ServerConfig(max_queue_depth=8)
+            )
+            client = await AsyncClient.connect(HOST, port)
+            await client.put_batch([(k, f"v{k}") for k in range(32)])
+            await client.close()
+            accepted_before = server.requests
+            requests = [
+                Request(100 + i, Op.GET, key=(i * 7) % 40) for i in range(burst)
+            ]
+            responses = await asyncio.wait_for(
+                self._burst(port, requests), timeout=30
+            )
+            assert len(responses) == burst  # one response per request id
+            busy = 0
+            for req in requests:
+                resp = responses[req.request_id]
+                if resp.status is Status.BUSY:
+                    busy += 1
+                elif req.key < 32:
+                    assert resp.status is Status.OK
+                    assert bytes(resp.value) == f"v{req.key}".encode()
+                else:
+                    assert resp.status is Status.NOT_FOUND
+            assert 0 < busy < burst
+            assert server.shed == busy
+            assert server.requests - accepted_before == burst - busy
+            assert server.batched_gets >= 2
+            assert server.inflight == 0
+            assert server.errors == 0
+            await server.drain()
 
         asyncio.run(main())
