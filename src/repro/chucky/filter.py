@@ -74,7 +74,11 @@ def partner_bucket(
     """
     if fp_length < fp_min:
         raise ValueError(f"fingerprint has {fp_length} bits, need >= {fp_min}")
-    prefix = fp >> (fp_length - fp_min)
+    return _partner(bucket, fp >> (fp_length - fp_min), num_buckets)
+
+
+def _partner(bucket: int, prefix: int, num_buckets: int) -> int:
+    """:func:`partner_bucket` from the shared prefix itself."""
     anchor = splitmix64(prefix ^ _ANCHOR_SALT) % num_buckets
     return (anchor - bucket) % num_buckets
 
@@ -104,6 +108,9 @@ class CuckooLidFilterBase(ABC):
         self.num_buckets = num_buckets
         self.slots = slots
         self.empty_lid = empty_lid
+        #: What an unoccupied slot reads as. A stored fingerprint is
+        #: never 0 (:meth:`_address`), so no live entry equals it.
+        self._empty: Slot = (empty_lid, 0)
         self.fp_min = fp_min
         self.memory_ios = (
             memory_ios if memory_ios is not None else MemoryIOCounter()
@@ -150,30 +157,40 @@ class CuckooLidFilterBase(ABC):
 
     # -- addressing -------------------------------------------------------
 
+    def _address(self, key: int) -> tuple[int, int, int]:
+        """``(digest, b1, b2)``: the 64-bit digest every fingerprint
+        length of ``key`` is sliced from (Malleable Fingerprinting) and
+        both candidate buckets, which its first ``fp_min`` bits fix.
+
+        One hash replaces the per-slot :func:`fingerprint_bits` calls
+        of the seed: ``fingerprint(key, lid) == digest >> (64 -
+        fp_length(lid))`` by construction, bit for bit.
+        """
+        shift = 64 - self.fp_min
+        digest = key_digest(key, 1)  # seed 1: fingerprint_bits' digest
+        prefix = digest >> shift
+        if prefix == 0:
+            prefix = 1
+            digest |= 1 << shift
+        b1 = primary_bucket(key, self.num_buckets)
+        return digest, b1, _partner(b1, prefix, self.num_buckets)
+
+    def _slot(self, digest: int, lid: int) -> Slot:
+        """The ``(lid, fingerprint)`` slot of the key behind ``digest``
+        at sub-level ``lid`` — the one place a caller's LID is checked."""
+        if lid > 0:  # a negative index would slice with another level's shift
+            try:
+                return lid, digest >> self._fp_shifts[lid - 1]
+            except IndexError:
+                pass
+        raise FilterError(f"LID {lid} out of range [1, {len(self._fp_shifts)}]")
+
     def fingerprint(self, key: int, lid: int) -> int:
         return fingerprint_bits(key, self._fp_length(lid), fp_min=self.fp_min)
 
-    def _adjusted_digest(self, key: int) -> int:
-        """The shared 64-bit digest every fingerprint length of ``key``
-        is sliced from (Malleable Fingerprinting). One hash here replaces
-        the per-slot :func:`fingerprint_bits` calls of the seed:
-        ``fingerprint(key, lid) == digest >> (64 - fp_length(lid))`` by
-        construction, so all derived values are bit-identical.
-        """
-        digest = key_digest(key, seed=1)
-        if digest >> (64 - self.fp_min) == 0:
-            digest |= 1 << (64 - self.fp_min)
-        return digest
-
     def bucket_pair(self, key: int) -> tuple[int, int]:
         """Both candidate buckets of a key (same for all its versions)."""
-        return self._bucket_pair_from_digest(key, self._adjusted_digest(key))
-
-    def _bucket_pair_from_digest(self, key: int, digest: int) -> tuple[int, int]:
-        prefix = digest >> (64 - self.fp_min)
-        b1 = primary_bucket(key, self.num_buckets)
-        b2 = partner_bucket(b1, prefix, self.fp_min, self.num_buckets, self.fp_min)
-        return b1, b2
+        return self._address(key)[1:]
 
     def _partner_of_slot(self, bucket: int, slot: Slot) -> int:
         lid, fp = slot
@@ -191,43 +208,40 @@ class CuckooLidFilterBase(ABC):
         self.memory_ios.add("filter", 1)
         return self._read_bucket(index)
 
-    def _is_empty_slot(self, slot: Slot) -> bool:
-        return slot[1] == 0 and slot[0] == self.empty_lid
-
-    def _free_index(self, slots: list[Slot]) -> int | None:
-        for i, slot in enumerate(slots):
-            if self._is_empty_slot(slot):
-                return i
-        return None
-
     # -- core operations ----------------------------------------------------
+
+    def _swap(self, b1: int, b2: int, old: Slot, new: Slot) -> int | None:
+        """The one filter edit: scan the pair's distinct buckets in
+        order, one counted load each, and overwrite the first slot equal
+        to ``old`` with ``new``. Returns the bucket edited, if any."""
+        for bucket in (b1,) if b1 == b2 else (b1, b2):
+            slots = self._load(bucket)
+            if old in slots:
+                slots[slots.index(old)] = new
+                self._write_bucket(bucket, slots)
+                return bucket
+        return None
 
     def insert(self, key: int, lid: int) -> None:
         """Map ``key`` to sub-level ``lid`` (one mapping per version)."""
-        self._check_lid(lid)
-        digest = self._adjusted_digest(key)
-        fp = digest >> self._fp_shifts[lid - 1]
-        entry: Slot = (lid, fp)
-        b1, b2 = self._bucket_pair_from_digest(key, digest)
-        for bucket in dict.fromkeys((b1, b2)):
-            slots = self._load(bucket)
-            free = self._free_index(slots)
-            if free is not None:
-                slots[free] = entry
-                self._write_bucket(bucket, slots)
-                self.num_entries += 1
-                self._walk_hist.observe(0)
-                return
-        self._insert_with_eviction(entry, self._rng.choice((b1, b2)))
+        digest, b1, b2 = self._address(key)
+        entry = self._slot(digest, lid)
+        if self._swap(b1, b2, self._empty, entry) is None:
+            self._insert_with_eviction(entry, self._rng.choice((b1, b2)))
+        else:
+            self.num_entries += 1
+            self._walk_hist.observe(0)
 
     def _insert_with_eviction(self, entry: Slot, bucket: int) -> None:
         """Random-walk eviction; falls back to the AHT (paper's entry-
-        overflow handling, section 4.5) when the walk fails."""
+        overflow handling, section 4.5) when the walk fails. The walk
+        evicts from the bucket it has just loaded, so it cannot go
+        through :meth:`_swap` (a second load would be counted)."""
+        empty = self._empty
         for step in range(1, _MAX_EVICTIONS + 1):
             slots = self._load(bucket)
-            free = self._free_index(slots)
-            if free is not None:
-                slots[free] = entry
+            if empty in slots:
+                slots[slots.index(empty)] = entry
                 self._write_bucket(bucket, slots)
                 self.num_entries += 1
                 self._walk_hist.observe(step - 1)
@@ -263,15 +277,14 @@ class CuckooLidFilterBase(ABC):
         Hashes once: every per-LID fingerprint is the digest shifted by
         the level's precomputed ``_fp_shifts`` entry, which is exactly
         what :meth:`fingerprint` computes slot by slot. A fingerprint is
-        never 0 (:meth:`_adjusted_digest`), so empty slots never match.
+        never 0 (:meth:`_address`), so empty slots never match.
 
         The AHT is consulted even when neither bucket is full *now*: a
         failed eviction walk files its homeless entry under the pair
         where the walk ended, and later removals of *other* keys can
         free slots in both buckets without repatriating it.
         """
-        digest = self._adjusted_digest(key)
-        b1, b2 = self._bucket_pair_from_digest(key, digest)
+        digest, b1, b2 = self._address(key)
         shifts = self._fp_shifts
         matches: set[int] = set()
         for bucket in (b1,) if b1 == b2 else (b1, b2):
@@ -295,64 +308,51 @@ class CuckooLidFilterBase(ABC):
         """
         if old_lid == new_lid:
             return True
-        self._check_lid(new_lid)
-        digest = self._adjusted_digest(key)
-        new_slot: Slot = (new_lid, digest >> self._fp_shifts[new_lid - 1])
-        old_slot: Slot = (old_lid, digest >> self._fp_shifts[old_lid - 1])
-        b1, b2 = self._bucket_pair_from_digest(key, digest)
-        for bucket in dict.fromkeys((b1, b2)):
-            slots = self._load(bucket)
-            if old_slot in slots:
-                slots[slots.index(old_slot)] = new_slot
-                self._write_bucket(bucket, slots)
-                return True
-        if self._update_in_aht(b1, b2, old_slot, new_slot):
-            return True
-        self.maintenance_misses += 1
-        self._m_maintenance_misses.inc()
-        return False
+        digest, b1, b2 = self._address(key)
+        old = self._slot(digest, old_lid)
+        new = self._slot(digest, new_lid)
+        return self._swap(b1, b2, old, new) is not None or self._swap_in_aht(
+            b1, b2, old, new
+        )
 
     def remove(self, key: int, lid: int) -> bool:
         """Delete one mapping of ``key`` at ``lid`` (compaction discarded
         an obsolete version) — the operation Bloom filters cannot do."""
-        digest = self._adjusted_digest(key)
-        old_slot: Slot = (lid, digest >> self._fp_shifts[lid - 1])
-        b1, b2 = self._bucket_pair_from_digest(key, digest)
-        for bucket in dict.fromkeys((b1, b2)):
-            slots = self._load(bucket)
-            if old_slot in slots:
-                slots[slots.index(old_slot)] = (self.empty_lid, 0)
-                self._write_bucket(bucket, slots)
-                self.num_entries -= 1
-                self._repatriate(self._pair_key(b1, b2), bucket)
+        digest, b1, b2 = self._address(key)
+        old = self._slot(digest, lid)
+        bucket = self._swap(b1, b2, old, self._empty)
+        if bucket is None:
+            if not self._swap_in_aht(b1, b2, old, None):
+                return False
+        elif self.aht:
+            self._repatriate(self._pair_key(b1, b2), bucket)
+        self.num_entries -= 1
+        return True
+
+    def _swap_in_aht(
+        self, b1: int, b2: int, old: Slot, new: Slot | None
+    ) -> bool:
+        """When no bucket of the pair holds ``old``: replace it (drop
+        it for ``None``) among the pair's homeless entries, or count the
+        maintenance miss."""
+        pair = self._pair_key(b1, b2)
+        entries = self.aht.get(pair)
+        if entries:
+            self.memory_ios.add("filter_aht", 1)
+            if old in entries:
+                entries.remove(old)
+                if new is not None:
+                    entries.append(new)
+                if not entries:
+                    del self.aht[pair]
                 return True
-        if self._update_in_aht(b1, b2, old_slot, None):
-            self.num_entries -= 1
-            return True
         self.maintenance_misses += 1
         self._m_maintenance_misses.inc()
         return False
 
-    def _update_in_aht(
-        self, b1: int, b2: int, old_slot: Slot, new_slot: Slot | None
-    ) -> bool:
-        pair = self._pair_key(b1, b2)
-        entries = self.aht.get(pair)
-        if not entries:
-            return False
-        self.memory_ios.add("filter_aht", 1)
-        if old_slot not in entries:
-            return False
-        entries.remove(old_slot)
-        if new_slot is not None:
-            entries.append(new_slot)
-        if not entries:
-            del self.aht[pair]
-        return True
-
     def _repatriate(self, pair: tuple[int, int], bucket: int) -> None:
-        """After a removal frees a slot, pull a homeless AHT entry of the
-        same bucket pair back into the table."""
+        """After a removal frees a slot in ``bucket``, pull a homeless
+        AHT entry of the same bucket pair back into it."""
         entries = self.aht.get(pair)
         if not entries:
             return
@@ -360,21 +360,8 @@ class CuckooLidFilterBase(ABC):
         entry = entries.pop()
         if not entries:
             del self.aht[pair]
-        slots = self._load(bucket)
-        free = self._free_index(slots)
-        if free is None:
+        if self._swap(bucket, bucket, self._empty, entry) is None:
             self.aht.setdefault(pair, []).append(entry)
-            return
-        slots[free] = entry
-        self._write_bucket(bucket, slots)
-
-    def _check_lid(self, lid: int) -> None:
-        if not 1 <= lid <= self._max_lid():
-            raise FilterError(f"LID {lid} out of range [1, {self._max_lid()}]")
-
-    @abstractmethod
-    def _max_lid(self) -> int:
-        """Largest representable sub-level number."""
 
     @property
     def load_factor(self) -> float:
@@ -385,9 +372,9 @@ class CuckooLidFilterBase(ABC):
         persistence helper; uncounted)."""
         out: list[Slot] = []
         for index in range(self.num_buckets):
-            for slot in self._read_bucket(index):
-                if not self._is_empty_slot(slot):
-                    out.append(slot)
+            out.extend(
+                slot for slot in self._read_bucket(index) if slot != self._empty
+            )
         for entries in self.aht.values():
             out.extend(entries)
         return out
@@ -450,9 +437,6 @@ class ChuckyFilter(CuckooLidFilterBase):
 
     def _fp_length(self, lid: int) -> int:
         return self.codebook.fp_length(lid)
-
-    def _max_lid(self) -> int:
-        return self.dist.num_sublevels
 
     def _read_bucket(self, index: int) -> list[Slot]:
         overflow_fps = self.overflow.get(index)
@@ -529,13 +513,15 @@ class ChuckyFilter(CuckooLidFilterBase):
         over_provision: float = 0.05,
         memory_ios: MemoryIOCounter | None = None,
         seed: int = 0,
+        codebook: ChuckyCodebook | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> "ChuckyFilter":
         """Rebuild a filter from :meth:`persist` output.
 
-        The codebook is deterministic in the geometry, so only the packed
-        buckets travel. Charges one memory I/O per restored bucket (the
-        'practically constant amortized cost per entry' of section 4.5).
+        The codebook is deterministic in the geometry (``codebook`` lends
+        one already built for it), so only the packed buckets travel.
+        Charges one memory I/O per restored bucket (the 'practically
+        constant amortized cost per entry' of section 4.5).
         """
         reader = BitReader.from_bytes(data)
         num_buckets = reader.read(32)
@@ -562,6 +548,7 @@ class ChuckyFilter(CuckooLidFilterBase):
             over_provision=0.0,
             memory_ios=memory_ios,
             seed=seed,
+            codebook=codebook,
             metrics=metrics,
         )
         filt.over_provision = over_provision
@@ -617,9 +604,6 @@ class UncompressedLidFilter(CuckooLidFilterBase):
 
     def _fp_length(self, lid: int) -> int:
         return self.fp_bits
-
-    def _max_lid(self) -> int:
-        return self.dist.num_sublevels
 
     def _read_bucket(self, index: int) -> list[Slot]:
         return self._buckets.read_bucket(index)

@@ -15,7 +15,6 @@ from the tree's flush/merge events:
 
 from __future__ import annotations
 
-from repro.coding.distributions import LidDistribution
 from repro.common.counters import IOCounters
 from repro.chucky.filter import ChuckyFilter, UncompressedLidFilter
 from repro.chucky.partitioned import PartitionedChuckyFilter
@@ -70,15 +69,6 @@ class ChuckyPolicy(FilterPolicy):
         super().attach(tree, subscribe=subscribe)
         self._build_filter()
 
-    def _distribution(self) -> LidDistribution:
-        tree = self.tree
-        return LidDistribution(
-            size_ratio=tree.config.size_ratio,
-            num_levels=tree.num_levels,
-            runs_per_level=tree.config.runs_per_level,
-            runs_at_last_level=tree.config.runs_at_last_level,
-        )
-
     def _tree_capacity(self) -> int:
         tree = self.tree
         return sum(
@@ -86,46 +76,38 @@ class ChuckyPolicy(FilterPolicy):
             for level in range(1, tree.num_levels + 1)
         )
 
-    def _build_filter(self) -> None:
+    def _build_filter(self, blob: bytes | None = None) -> None:
+        """(Re)place the filter for the tree's current geometry: empty,
+        or (compressed monolithic variant) restored from ``blob``. A
+        codebook is a pure function of the LID distribution and this
+        policy's S / B / NOV, so the filter being replaced lends its own
+        unless the tree grew (attach, then recovery or a rebuild)."""
         dist = self._distribution()
         capacity = self._tree_capacity()
-        metrics = self.obs.registry
+        shared = dict(
+            dist=dist,
+            bits_per_entry=self.bits_per_entry,
+            slots=self.slots,
+            over_provision=self.over_provision,
+            memory_ios=self.counters.memory,
+            seed=self.seed,
+            metrics=self.obs.registry,
+        )
         if self.partition_capacity is not None:
             self.filter = PartitionedChuckyFilter(
-                capacity=capacity,
-                dist=dist,
-                bits_per_entry=self.bits_per_entry,
-                partition_capacity=self.partition_capacity,
-                slots=self.slots,
-                nov=self.nov,
-                over_provision=self.over_provision,
-                memory_ios=self.counters.memory,
-                seed=self.seed,
-                metrics=metrics,
+                capacity, partition_capacity=self.partition_capacity,
+                nov=self.nov, **shared,
             )
         elif self.compressed:
-            self.filter = ChuckyFilter(
-                capacity=capacity,
-                dist=dist,
-                bits_per_entry=self.bits_per_entry,
-                slots=self.slots,
-                nov=self.nov,
-                over_provision=self.over_provision,
-                memory_ios=self.counters.memory,
-                seed=self.seed,
-                metrics=metrics,
-            )
+            old = self.filter
+            reuse = old is not None and old.dist == dist
+            shared.update(nov=self.nov, codebook=old.codebook if reuse else None)
+            if blob is None:
+                self.filter = ChuckyFilter(capacity, **shared)
+            else:
+                self.filter = ChuckyFilter.recover(blob, **shared)
         else:
-            self.filter = UncompressedLidFilter(
-                capacity=capacity,
-                dist=dist,
-                bits_per_entry=self.bits_per_entry,
-                slots=self.slots,
-                over_provision=self.over_provision,
-                memory_ios=self.counters.memory,
-                seed=self.seed,
-                metrics=metrics,
-            )
+            self.filter = UncompressedLidFilter(capacity, **shared)
         self._publish_codebook_stats()
 
     def _publish_codebook_stats(self) -> None:
@@ -183,48 +165,33 @@ class ChuckyPolicy(FilterPolicy):
         self.rebuild_from_tree(count_storage=False)
 
     def rebuild_from_tree(self, count_storage: bool = True) -> None:
-        """Rebuild the filter by scanning the tree's runs.
-
-        ``count_storage=False`` models the resize that piggybacks on a
-        major compaction (the compaction already reads the data —
-        section 4.5); recovery-style rebuilds leave counting on.
-        """
+        """A fresh filter for the tree's geometry, then the default
+        scan (uncounted when it piggybacks on the major compaction that
+        grew the tree — section 4.5)."""
         with self.obs.tracer.span(
             "codebook_rebuild",
             levels=self.tree.num_levels,
             counted_storage=count_storage,
         ):
             self._build_filter()
-            assert self.filter is not None
-            tree = self.tree
-            if count_storage:
-                for entry, sublevel in tree.iter_entries_with_sublevels():
-                    self.filter.insert(entry.key, sublevel)
-                return
-            with tree.storage.counting_suspended():
-                for entry, sublevel in tree.iter_entries_with_sublevels():
-                    self.filter.insert(entry.key, sublevel)
+            super().rebuild_from_tree(count_storage)
 
-    def recover_filter(self, blob: bytes) -> None:
-        """Restore the filter from persisted fingerprints (section 4.5:
-        recovery 'reads only the fingerprints from storage and thus
-        avoids a full scan over the data'). Only the compressed variant
-        persists; the uncompressed variant falls back to a scan."""
-        if not self.compressed or self.partition_capacity is not None:
+    def persist(self) -> bytes | None:
+        """The compressed monolithic filter's fingerprints (section
+        4.5); the other variants recover by scan."""
+        if isinstance(self.filter, ChuckyFilter):
+            return self.filter.persist()
+        return None
+
+    def recover(self, blob: bytes | None) -> None:
+        """Restore from persisted fingerprints when this variant
+        persists and there are any (section 4.5: recovery 'reads only
+        the fingerprints from storage and thus avoids a full scan over
+        the data'); otherwise rebuild from the runs."""
+        if blob is not None and isinstance(self.filter, ChuckyFilter):
+            self._build_filter(blob)
+        else:
             self.rebuild_from_tree()
-            return
-        self.filter = ChuckyFilter.recover(
-            blob,
-            self._distribution(),
-            bits_per_entry=self.bits_per_entry,
-            slots=self.slots,
-            nov=self.nov,
-            over_provision=self.over_provision,
-            memory_ios=self.counters.memory,
-            seed=self.seed,
-            metrics=self.obs.registry,
-        )
-        self._publish_codebook_stats()
 
     # ------------------------------------------------------------------
     # Queries

@@ -478,7 +478,6 @@ class KVStore:
         """
         if self.wal is None:
             raise RuntimeError("crash/recovery requires KVStore(durable=True)")
-        blob = None
         # The persisted fingerprints are only trustworthy when the tree
         # is at a committed state: mid-cascade the live filter already
         # reflects in-flight merge events, while recovery reopens the
@@ -490,9 +489,6 @@ class KVStore:
             self.tree._pending_free
             or self.tree.manifest() != self.tree.committed_manifest()
         )
-        persist = getattr(getattr(self.policy, "filter", None), "persist", None)
-        if callable(persist) and not mid_cascade:
-            blob = persist()
         return CrashState(
             storage=self.tree.storage,
             # The *committed* manifest: a crash mid-cascade must recover
@@ -500,7 +496,7 @@ class KVStore:
             # storage reclamation guarantees are still on the device.
             manifest=self.tree.committed_manifest(),
             wal_data=bytes(self.wal.data),
-            filter_blob=blob,
+            filter_blob=None if mid_cascade else self.policy.persist(),
             clock_ns=self.now_ns(),
         )
 
@@ -516,10 +512,10 @@ class KVStore:
     ) -> "KVStore":
         """Rebuild a store from a :class:`CrashState`.
 
-        Runs reopen from their manifests (no data scan); the filter
-        recovers from persisted fingerprints when available, else by
-        scanning the runs; the WAL replays into a fresh memtable with
-        the original sequence numbers.
+        Runs reopen from their manifests (no data scan); the policy
+        recovers its filter (from the persisted fingerprints when it can
+        use them, else by scanning the runs); the WAL replays into a
+        fresh memtable with the original sequence numbers.
         """
         counters = IOCounters()
         state.storage.counter = counters.storage
@@ -544,7 +540,7 @@ class KVStore:
             observability=observability,
             _tree=tree,
         )
-        store._recover_filter(state)
+        store.policy.recover(state.filter_blob)
         wal = WriteAheadLog(data=bytearray(state.wal_data))
         max_seqno = 0
         for kind, key, value, seqno in wal.replay():
@@ -558,28 +554,6 @@ class KVStore:
         # the clock monotone rather than exactly continuous.
         store._clock_floor = state.clock_ns
         return store
-
-    def _recover_filter(self, state: CrashState) -> None:
-        """Restore the filter: from persisted fingerprints if the policy
-        supports it, else by rebuilding from the runs (counted scan)."""
-        recover = getattr(self.policy, "recover_filter", None)
-        if state.filter_blob is not None and callable(recover):
-            recover(state.filter_blob)
-            return
-        rebuild = getattr(self.policy, "rebuild_from_tree", None)
-        if callable(rebuild):
-            rebuild()
-            return
-        # Per-run filter policies rebuild each run's filter by scanning
-        # it (real engines persist filter blocks inside the SSTs; the
-        # scan here is the conservative simulation).
-        from repro.lsm.tree import FlushEvent
-
-        for sublevel, run in self.tree.occupied_runs():
-            entries = run.read_all()
-            self.policy.handle_event(
-                FlushEvent(sublevel=sublevel, entries=tuple(entries))
-            )
 
     def _highest_stored_seqno(self) -> int:
         highest = 0

@@ -12,8 +12,21 @@ from __future__ import annotations
 
 import importlib.util
 from abc import ABC, abstractmethod
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
+from repro.analysis.cost_models import (
+    bloom_query_ios,
+    bloom_update_ios,
+    chucky_query_ios,
+    chucky_update_ios,
+)
+from repro.analysis.fpr_models import (
+    fpr_bloom_optimal,
+    fpr_bloom_uniform,
+    fpr_chucky_model,
+    fpr_cuckoo_integer_lids,
+)
 from repro.coding.distributions import LidDistribution
 from repro.common.counters import IOCounters
 from repro.filters.allocation import (
@@ -22,6 +35,7 @@ from repro.filters.allocation import (
 )
 from repro.filters.blocked_bloom import BlockedBloomFilter
 from repro.filters.bloom import BloomFilter
+from repro.lsm.run import Run
 from repro.lsm.tree import FlushEvent, LSMTree, MergeEvent, TreeEvent
 from repro.obs import NULL_OBS, Observability
 
@@ -45,6 +59,16 @@ class FilterPolicy(ABC):
         if self._tree is None:
             raise RuntimeError("policy is not attached to a tree")
         return self._tree
+
+    def _distribution(self) -> LidDistribution:
+        """The attached tree's current LID distribution."""
+        tree = self.tree
+        return LidDistribution(
+            size_ratio=tree.config.size_ratio,
+            num_levels=tree.num_levels,
+            runs_per_level=tree.config.runs_per_level,
+            runs_at_last_level=tree.config.runs_at_last_level,
+        )
 
     def attach(self, tree: LSMTree, *, subscribe: bool = True) -> None:
         """Bind to ``tree`` and (by default) subscribe to its maintenance
@@ -88,6 +112,37 @@ class FilterPolicy(ABC):
     def after_write(self) -> None:
         """Called once a write (and its whole merge cascade) completed;
         policies defer wholesale rebuilds to this point."""
+
+    def absorb_run(self, sublevel: int, run: Run, count_storage: bool = True) -> None:
+        """Take in the run already at ``sublevel`` as if it had just
+        been flushed there (recovery, live migration, a rebuilt tree).
+        ``count_storage=False`` rides data the engine reads anyway
+        (section 4.5): only the filter's memory I/Os are charged."""
+        if count_storage:
+            entries = run.read_all()
+        else:
+            with self.tree.storage.counting_suspended():
+                entries = run.read_all()
+        self.handle_event(FlushEvent(sublevel=sublevel, entries=tuple(entries)))
+
+    def rebuild_from_tree(self, count_storage: bool = True) -> None:
+        """Absorb every occupied run, youngest first (a policy holding
+        filters overrides this to drop them first)."""
+        for sublevel, run in self.tree.occupied_runs():
+            self.absorb_run(sublevel, run, count_storage)
+
+    def persist(self) -> bytes | None:
+        """What a crash preserves of the filter (asked only at a
+        committed tree state); ``None``: recovery rebuilds."""
+        return None
+
+    def recover(self, blob: bytes | None) -> None:
+        """Bring a freshly attached policy in line with a recovered
+        tree. ``blob`` is what the crashed store's policy persisted, if
+        anything; the default ignores it and rebuilds with a counted
+        scan (real engines keep per-run filter blocks in the SSTs; the
+        scan is the conservative simulation)."""
+        self.rebuild_from_tree()
 
     @abstractmethod
     def candidates(self, key: int) -> Iterable[int]:
@@ -161,13 +216,7 @@ class BloomFilterPolicy(FilterPolicy):
     # -- allocation ----------------------------------------------------
 
     def _bits_for_sublevel(self, sublevel: int) -> float:
-        tree = self.tree
-        dist = LidDistribution(
-            size_ratio=tree.config.size_ratio,
-            num_levels=tree.num_levels,
-            runs_per_level=tree.config.runs_per_level,
-            runs_at_last_level=tree.config.runs_at_last_level,
-        )
+        dist = self._distribution()
         if self.allocation == "uniform":
             table = uniform_bits_per_sublevel(dist, self.bits_per_entry)
         else:
@@ -192,6 +241,10 @@ class BloomFilterPolicy(FilterPolicy):
         return filt
 
     # -- maintenance ----------------------------------------------------
+
+    def rebuild_from_tree(self, count_storage: bool = True) -> None:
+        self._filters.clear()
+        super().rebuild_from_tree(count_storage)
 
     def handle_event(self, event: TreeEvent) -> None:
         if isinstance(event, FlushEvent):
@@ -277,38 +330,59 @@ class XorFilterPolicy(BloomFilterPolicy):
 
 
 # ----------------------------------------------------------------------
-# Policy registry: construct any filter policy by name
+# Policy registry: construct and cost any filter policy by name
 # ----------------------------------------------------------------------
 
 #: A factory takes the memory budget in bits per entry and returns a
 #: fresh, unattached policy.
 PolicyFactory = Callable[[float], FilterPolicy]
 
-_POLICY_REGISTRY: dict[str, PolicyFactory] = {}
+
+@dataclass(frozen=True)
+class PlannerModels:
+    """What the tuning planner scores a policy with (T = size ratio,
+    L = levels, K / Z = runs per inner / last level)."""
+
+    #: ``(bits_per_entry, T, L, K, Z)`` -> wasted probes per negative read.
+    fpr: Callable[[float, int, int, int, int], float]
+    #: ``(L, K, Z)`` -> memory I/Os to consult the filter(s) on one read.
+    probe_ios: Callable[[int, int, int], float]
+    #: ``(L, T, K, Z)`` -> amortized maintenance memory I/Os per write.
+    update_ios: Callable[[int, int, int, int], float]
+
+
+_POLICY_REGISTRY: dict[str, tuple[PolicyFactory, PlannerModels | None]] = {}
 
 
 def register_policy(
-    name: str, factory: PolicyFactory, *, replace: bool = False
+    name: str,
+    factory: PolicyFactory,
+    models: PlannerModels | None = None,
+    *,
+    replace: bool = False,
 ) -> None:
-    """Register ``factory`` under ``name`` for :func:`make_policy`.
+    """Register ``factory`` and the policy's planner ``models`` under
+    ``name``.
 
     Registration is how new filter families plug into the engine
     without touching construction call sites: the CLI's ``--policy``
-    choices and :class:`~repro.engine.config.EngineConfig` validation
-    both read this registry. Re-registering an existing name raises
-    unless ``replace=True`` (deliberate overrides, e.g. in tests).
+    choices, :class:`~repro.engine.config.EngineConfig` validation and
+    the tuning planner's cost models all read this registry (without
+    ``models`` the planner refuses to score the policy). Re-registering
+    an existing name raises unless ``replace=True`` (deliberate
+    overrides, e.g. in tests).
     """
     if not name:
         raise ValueError("policy name must be non-empty")
     if not replace and name in _POLICY_REGISTRY:
         raise ValueError(f"policy {name!r} is already registered")
-    _POLICY_REGISTRY[name] = factory
+    _POLICY_REGISTRY[name] = (factory, models)
 
 
 def make_policy(name: str, bits_per_entry: float = 10.0) -> FilterPolicy:
     """Build a fresh filter policy by registry name."""
     try:
-        factory = _POLICY_REGISTRY[name]
+        factory, _ = _POLICY_REGISTRY[name]
     except KeyError:
         raise ValueError(
             f"unknown filter policy {name!r}; available: "
@@ -317,23 +391,24 @@ def make_policy(name: str, bits_per_entry: float = 10.0) -> FilterPolicy:
     return factory(bits_per_entry)
 
 
+def planner_models(name: str) -> PlannerModels | None:
+    """The models ``name`` was registered with, if any."""
+    return _POLICY_REGISTRY.get(name, (None, None))[1]
+
+
 def available_policies() -> list[str]:
     """Registered policy names, sorted."""
     return sorted(_POLICY_REGISTRY)
 
 
-def _make_chucky(bits_per_entry: float) -> FilterPolicy:
-    # Imported lazily: repro.chucky.policy imports this module for the
-    # FilterPolicy base class.
-    from repro.chucky.policy import ChuckyPolicy
+def _chucky(**variant) -> PolicyFactory:
+    def make(bits_per_entry: float) -> FilterPolicy:
+        # Lazy: repro.chucky.policy imports this module for FilterPolicy.
+        from repro.chucky.policy import ChuckyPolicy
 
-    return ChuckyPolicy(bits_per_entry=bits_per_entry)
+        return ChuckyPolicy(bits_per_entry=bits_per_entry, **variant)
 
-
-def _make_chucky_uncompressed(bits_per_entry: float) -> FilterPolicy:
-    from repro.chucky.policy import ChuckyPolicy
-
-    return ChuckyPolicy(bits_per_entry=bits_per_entry, compressed=False)
+    return make
 
 
 def _make_vectorized(bits_per_entry: float) -> FilterPolicy:
@@ -344,18 +419,53 @@ def _make_vectorized(bits_per_entry: float) -> FilterPolicy:
     return VectorizedBloomPolicy(bits_per_entry)
 
 
-register_policy("chucky", _make_chucky)
-register_policy("chucky-uncompressed", _make_chucky_uncompressed)
-register_policy("bloom", lambda m: BloomFilterPolicy(m, "blocked", "optimal"))
-register_policy("blocked-bloom",
-                lambda m: BloomFilterPolicy(m, "blocked", "optimal"))
-register_policy("bloom-standard",
-                lambda m: BloomFilterPolicy(m, "standard", "uniform"))
-register_policy("xor", lambda m: XorFilterPolicy(m))
-register_policy("none", lambda m: NoFilterPolicy())
+def _unified(fpr) -> PlannerModels:
+    """Table 2: two bucket reads a probe, ~1.5 I/Os per level descended."""
+    return PlannerModels(
+        fpr,
+        lambda levels, k, z: chucky_query_ios(),
+        lambda levels, t, k, z: chucky_update_ios(levels),
+    )
+
+
+def _per_run(fpr) -> PlannerModels:
+    """Table 1: a probe per run, a filter insertion per rewrite."""
+    return PlannerModels(fpr, bloom_query_ios, bloom_update_ios)
+
+
+_MONKEY = _per_run(lambda m, t, levels, k, z: fpr_bloom_optimal(m, t, k, z))  # Eq 3
+
+register_policy(  # Eq 16
+    "chucky", _chucky(),
+    _unified(lambda m, t, levels, k, z: fpr_chucky_model(m, t, k, z)),
+)
+register_policy(  # Eq 6
+    "chucky-uncompressed", _chucky(compressed=False),
+    _unified(lambda m, t, levels, k, z: fpr_cuckoo_integer_lids(m, levels, k, z)),
+)
+for _name in ("bloom", "blocked-bloom"):
+    register_policy(
+        _name, lambda m: BloomFilterPolicy(m, "blocked", "optimal"), _MONKEY
+    )
+register_policy(  # Eq 2
+    "bloom-standard", lambda m: BloomFilterPolicy(m, "standard", "uniform"),
+    _per_run(lambda m, t, levels, k, z: fpr_bloom_uniform(m, levels, k, z)),
+)
+register_policy("xor", lambda m: XorFilterPolicy(m), PlannerModels(
+    # ~(M/1.23)-bit fingerprints in each run (``bloom_query_ios`` is the
+    # run count); a probe reads three slots.
+    lambda m, t, levels, k, z: bloom_query_ios(levels, k, z) * 2.0 ** (-m / 1.23),
+    lambda levels, k, z: 3.0 * bloom_query_ios(levels, k, z),
+    bloom_update_ios,
+))
+register_policy("none", lambda m: NoFilterPolicy(), PlannerModels(
+    lambda m, t, levels, k, z: float(bloom_query_ios(levels, k, z)),  # every run
+    lambda levels, k, z: 0.0,
+    lambda levels, t, k, z: 0.0,
+))
 
 # The numpy-backed policy exists only where numpy does; gating the
 # *registration* keeps ``--policy`` choices, EngineConfig validation and
 # the tuning planner's candidate space all consistent with one check.
 if importlib.util.find_spec("numpy") is not None:
-    register_policy("bloom-vectorized", _make_vectorized)
+    register_policy("bloom-vectorized", _make_vectorized, _MONKEY)

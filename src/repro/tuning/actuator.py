@@ -4,20 +4,25 @@ Three live mutations, each built on a safety argument rather than on
 locking (the engine is single-threaded per shard; the asyncio server
 serialises operations on the event loop):
 
+A policy is driven only through the lifecycle
+:class:`~repro.filters.policy.FilterPolicy` declares (``attach``,
+``absorb_run``, ``rebuild_from_tree``, ``subscribe`` / ``detach``), so
+any registered policy can be migrated to or switched under.
+
 **Incremental filter migration** (:class:`FilterMigration`). The new
-policy attaches to the tree *without subscribing*, absorbs one occupied
-sub-level per :meth:`~FilterMigration.step` by replaying a synthetic
-:class:`~repro.lsm.tree.FlushEvent` — exactly how recovery rebuilds
-per-run filters — and only at the end detaches the old policy,
-subscribes the new one and swaps ``shard.policy`` in one in-memory
-assignment. The old filter serves every read until that swap. If the
-tree's manifest changes under the build (a flush or merge landed
+policy attaches to the tree *without subscribing*, takes in one occupied
+sub-level per :meth:`~FilterMigration.step` through
+:meth:`~repro.filters.policy.FilterPolicy.absorb_run` — the same call
+recovery's rebuild makes per run — and only at the end detaches the old
+policy, subscribes the new one and swaps ``shard.policy`` in one
+in-memory assignment. The old filter serves every read until that swap.
+If the tree's manifest changes under the build (a flush or merge landed
 between steps), the build restarts from the new manifest. Storage reads
 during the build ride the same uncounted pass as Chucky's
-grow-triggered rebuild (``rebuild_from_tree(count_storage=False)``,
-paper section 4.5: the maintenance pass rides data the engine already
-reads); the new filter's *memory* I/Os are counted, so migrations are
-visible in modelled latency.
+grow-triggered rebuild (``count_storage=False``, paper section 4.5: the
+maintenance pass rides data the engine already reads); the new filter's
+*memory* I/Os are counted, so migrations are visible in modelled
+latency.
 
 Crash safety: filters are soft state — any policy can be rebuilt from
 the tree's runs, and recovery does exactly that when the persisted blob
@@ -37,10 +42,11 @@ so recovery returns to the configured buffer size.
 boundary, read every live run (counted — this *is* a major
 compaction), drop obsolete versions and tombstones, bulk-build runs
 under the new K/Z geometry on the same storage device, and swap the
-tree. The old manifest stays committed until the swap, so a crash
-mid-switch recovers the old tree and garbage-collects the half-built
-runs as orphans — the same write-new-before-delete-old ordering the
-tree's own cascades use.
+tree; the configured policy attaches to the new tree and fills itself
+with ``rebuild_from_tree(count_storage=False)``. The old manifest stays
+committed until the swap, so a crash mid-switch recovers the old tree
+and garbage-collects the half-built runs as orphans — the same
+write-new-before-delete-old ordering the tree's own cascades use.
 """
 
 from __future__ import annotations
@@ -52,7 +58,7 @@ from repro.faults.crashpoints import crash_point
 from repro.filters.policy import make_policy
 from repro.lsm.entry import Entry
 from repro.lsm.memtable import Memtable
-from repro.lsm.tree import FlushEvent, LSMTree
+from repro.lsm.tree import LSMTree
 from repro.tuning.sensor import store_shards
 
 
@@ -91,7 +97,7 @@ class FilterMigration:
         policy.attach(shard.tree, subscribe=False)
         self.new_policy = policy
         self._manifest = self._fingerprint()
-        self._pending = [sublevel for sublevel, _ in shard.tree.occupied_runs()]
+        self._pending = shard.tree.occupied_runs()
 
     def step(self) -> bool:
         """Absorb one sub-level, or swap if the build is complete."""
@@ -102,14 +108,8 @@ class FilterMigration:
             self.new_policy.detach()
             self._start()
         if self._pending:
-            sublevel = self._pending.pop(0)
-            run = self.shard.tree.run_at(sublevel)
-            if run is not None:
-                with self.shard.tree.storage.counting_suspended():
-                    entries = tuple(run.read_all())
-                self.new_policy.handle_event(
-                    FlushEvent(sublevel=sublevel, entries=entries)
-                )
+            # The manifest is unchanged, so every pending run still stands.
+            self.new_policy.absorb_run(*self._pending.pop(0), count_storage=False)
             crash_point("tuning.migrate.mid_build")
             if self._pending:
                 return False
@@ -223,16 +223,9 @@ def _switch_shard(shard: KVStore, new_config: EngineConfig) -> None:
     policy.obs = shard.obs
     shard.policy.detach()
     policy.attach(new_tree)
-    rebuild = getattr(policy, "rebuild_from_tree", None)
-    if callable(rebuild):
-        # The bulk placement above already emitted FlushEvents into the
-        # void (no listeners yet); rebuild rides that same data pass.
-        rebuild(count_storage=False)
-    else:
-        for sublevel, run in new_tree.occupied_runs():
-            with new_tree.storage.counting_suspended():
-                entries = tuple(run.read_all())
-            policy.handle_event(FlushEvent(sublevel=sublevel, entries=entries))
+    # The bulk placement above already emitted FlushEvents into the
+    # void (no listeners yet); the rebuild rides that same data pass.
+    policy.rebuild_from_tree(count_storage=False)
     shard.tree = new_tree
     shard.config = new_tree.config
     shard.policy = policy

@@ -4,9 +4,9 @@ Candidates are scored with the *same* analytical models the repo
 validates against the paper — FPR from :mod:`repro.analysis.fpr_models`
 (Eq 2 for uniform Bloom, Eq 3 for Monkey, Eq 6 for integer-LID cuckoo,
 Eq 16 for Chucky) and memory-I/O complexity from
-:mod:`repro.analysis.cost_models` (Tables 1 and 2) — combined with the
-sensed workload mix and priced by the store's
-:class:`~repro.common.cost.CostModel`. That is what makes the
+:mod:`repro.analysis.cost_models` (Tables 1 and 2), each registered with
+its policy — combined with the sensed workload mix and priced by the
+store's :class:`~repro.common.cost.CostModel`. That is what makes the
 Chucky-vs-Monkey crossover (~11 bits/entry; below it Bloom's
 ``2^{-M ln 2}`` decay wins, above it Chucky's ``2^{-M}`` with the
 constant ACL overhead wins, and uniform Bloom degrades with every new
@@ -28,19 +28,8 @@ import importlib.util
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any
 
-from repro.analysis.cost_models import (
-    bloom_query_ios,
-    bloom_update_ios,
-    chucky_query_ios,
-    chucky_update_ios,
-)
-from repro.analysis.fpr_models import (
-    fpr_bloom_optimal,
-    fpr_bloom_uniform,
-    fpr_chucky_model,
-    fpr_cuckoo_integer_lids,
-)
 from repro.engine.config import EngineConfig
+from repro.filters.policy import PlannerModels, planner_models
 from repro.tuning.sensor import WindowSummary
 
 #: Merge-policy presets the planner may propose, as (K, Z) factories of
@@ -52,6 +41,14 @@ MERGE_PRESETS: dict[str, Any] = {
 }
 
 
+def _models(policy: str) -> PlannerModels:
+    """The models ``policy`` was registered with."""
+    models = planner_models(policy)
+    if models is None:
+        raise ValueError(f"no FPR model for policy {policy!r}")
+    return models
+
+
 def model_fpr(
     policy: str,
     bits_per_entry: float,
@@ -60,43 +57,18 @@ def model_fpr(
     runs_per_level: int,
     runs_at_last_level: int,
 ) -> float:
-    """Expected wasted probes per negative lookup for a policy name,
-    routed to the matching paper equation."""
-    runs = runs_per_level * (num_levels - 1) + runs_at_last_level
-    if policy == "chucky":
-        return fpr_chucky_model(
-            bits_per_entry, size_ratio, runs_per_level, runs_at_last_level
-        )
-    if policy == "chucky-uncompressed":
-        return fpr_cuckoo_integer_lids(
-            bits_per_entry, num_levels, runs_per_level, runs_at_last_level
-        )
-    if policy in ("bloom", "blocked-bloom", "bloom-vectorized"):
-        return fpr_bloom_optimal(
-            bits_per_entry, size_ratio, runs_per_level, runs_at_last_level
-        )
-    if policy == "bloom-standard":
-        return fpr_bloom_uniform(
-            bits_per_entry, num_levels, runs_per_level, runs_at_last_level
-        )
-    if policy == "xor":
-        # ~(M/1.23)-bit fingerprints, one filter per run.
-        return runs * 2.0 ** (-bits_per_entry / 1.23)
-    if policy == "none":
-        return float(runs)
-    raise ValueError(f"no FPR model for policy {policy!r}")
+    """Expected wasted probes per negative lookup for a policy name, by
+    the paper equation the policy registered."""
+    return _models(policy).fpr(
+        bits_per_entry, size_ratio, num_levels, runs_per_level, runs_at_last_level
+    )
 
 
 def filter_probe_ios(
     policy: str, num_levels: int, runs_per_level: int, runs_at_last_level: int
 ) -> float:
     """Memory I/Os to consult the filter(s) on one point read."""
-    if policy.startswith("chucky"):
-        return chucky_query_ios()
-    if policy == "none":
-        return 0.0
-    probes = bloom_query_ios(num_levels, runs_per_level, runs_at_last_level)
-    return 3.0 * probes if policy == "xor" else probes
+    return _models(policy).probe_ios(num_levels, runs_per_level, runs_at_last_level)
 
 
 def filter_update_ios(
@@ -107,11 +79,7 @@ def filter_update_ios(
     runs_at_last_level: int,
 ) -> float:
     """Amortized filter-maintenance memory I/Os per application write."""
-    if policy.startswith("chucky"):
-        return chucky_update_ios(num_levels)
-    if policy == "none":
-        return 0.0
-    return bloom_update_ios(
+    return _models(policy).update_ios(
         num_levels, size_ratio, runs_per_level, runs_at_last_level
     )
 

@@ -16,6 +16,7 @@ from repro.chucky.filter import (
     partner_bucket,
     primary_bucket,
 )
+from repro.chucky.partitioned import PartitionedChuckyFilter
 
 
 DIST = LidDistribution(5, 6)
@@ -91,12 +92,29 @@ class TestInsertQuery:
             f.insert(k, draw())
         assert mem.get("filter") / n < 3.5
 
-    def test_out_of_range_lid_rejected(self):
-        f = ChuckyFilter(100, DIST)
-        with pytest.raises(FilterError):
-            f.insert(1, 99)
-        with pytest.raises(FilterError):
-            f.insert(1, 0)
+    @pytest.mark.parametrize(
+        "cls", [ChuckyFilter, UncompressedLidFilter, PartitionedChuckyFilter]
+    )
+    def test_out_of_range_lid_rejected_by_every_operation(self, cls):
+        """Every LID a caller passes is validated — also the one naming
+        the mapping to remove or move, which used to index the shift
+        table unchecked: ``A + 1`` escaped as a bare IndexError and
+        ``0`` sliced with the last level's shift and was booked as a
+        maintenance miss."""
+        f = cls(100, DIST)
+        top = DIST.num_sublevels
+        f.insert(1, top)
+        for bad in (0, -1, top + 1, 99):
+            for call in (
+                lambda: f.insert(2, bad),
+                lambda: f.remove(1, bad),
+                lambda: f.update_lid(1, bad, 1),
+                lambda: f.update_lid(1, top, bad),
+            ):
+                with pytest.raises(FilterError, match=rf"LID {bad} out of range"):
+                    call()
+        assert f.maintenance_misses == 0
+        assert (f.query(1), f.num_entries) == ([top], 1)
 
     def test_duplicate_versions_coexist(self):
         """Chucky maps obsolete versions until compaction (section 4.1):

@@ -26,6 +26,13 @@ from repro.analysis.fpr_models import (
 )
 from repro.engine.config import EngineConfig, build_store
 from repro.engine.kvstore import ReadResult
+from repro.filters import policy as policy_registry
+from repro.filters.policy import (
+    NoFilterPolicy,
+    available_policies,
+    make_policy,
+    register_policy,
+)
 from repro.obs import Observability
 from repro.tuning import (
     CostPlanner,
@@ -35,6 +42,7 @@ from repro.tuning import (
     TuningController,
     WorkloadSensor,
     filter_probe_ios,
+    filter_update_ios,
     migrate_filter,
     model_fpr,
     resize_memtable,
@@ -201,6 +209,41 @@ class TestPlannerModels:
         assert filter_probe_ios("chucky", 5, 1, 1) == 2.0
         assert filter_probe_ios("none", 5, 1, 1) == 0.0
         assert filter_probe_ios("bloom", 5, 1, 1) == 5.0  # (L-1)K + Z
+
+    def test_every_registered_policy_answers_all_three_models(self):
+        """The models ride the registration; the values are the ones the
+        planner's ``if policy == ...`` ladders gave at bits=10, T=3,
+        L=4, K=2, Z=1 before they became lookups."""
+        expected = {
+            "blocked-bloom": (0.02681725309079285, 7, 7.5),
+            "bloom": (0.02681725309079285, 7, 7.5),
+            "bloom-standard": (0.057347846277252715, 7, 7.5),
+            "bloom-vectorized": (0.02681725309079285, 7, 7.5),
+            "chucky": (0.027840584941885616, 2.0, 6.0),
+            "chucky-uncompressed": (0.0546875, 2.0, 6.0),
+            "none": (7.0, 0.0, 0.0),
+            "xor": (0.02498617062113509, 21.0, 7.5),
+        }
+        for name in available_policies():
+            assert (
+                model_fpr(name, 10.0, 3, 4, 2, 1),
+                filter_probe_ios(name, 4, 2, 1),
+                filter_update_ios(name, 4, 3, 2, 1),
+            ) == expected[name], name
+
+    def test_policy_registered_without_models_cannot_be_scored(self):
+        register_policy("test-unmodelled", lambda m: NoFilterPolicy())
+        try:
+            assert isinstance(make_policy("test-unmodelled"), NoFilterPolicy)
+            for call in (
+                lambda: model_fpr("test-unmodelled", 10, 3, 4, 1, 1),
+                lambda: filter_probe_ios("test-unmodelled", 4, 1, 1),
+                lambda: filter_update_ios("test-unmodelled", 4, 3, 1, 1),
+            ):
+                with pytest.raises(ValueError, match="no FPR model for policy"):
+                    call()
+        finally:
+            policy_registry._POLICY_REGISTRY.pop("test-unmodelled", None)
 
     def test_crossover_cost_flips_with_level_count(self):
         planner = CostPlanner()
