@@ -168,8 +168,8 @@ def crash_campaign() -> None:
     report = run_cluster_faultcheck(ClusterFaultcheckConfig(seeds=2))
     assert report.ok, report.as_dict()
     print(f"\ncrash campaign: {len(report.results)} schedules, "
-          f"{report.crashes_injected} crashes injected, "
-          f"{report.failovers} failovers, 0 acked writes lost")
+          f"{report.counters['crashes_injected']} crashes injected, "
+          f"{report.counters['failovers']} failovers, 0 acked writes lost")
 
 
 if __name__ == "__main__":

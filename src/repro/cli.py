@@ -78,7 +78,7 @@ from repro.coding.entropy import (
     huffman_acl,
     lid_entropy_exact,
 )
-from repro.common.errors import CodebookError
+from repro.common.errors import CodebookError, ReproError
 from repro.engine import EngineConfig, KVStore, ShardedKVStore, build_store
 from repro.filters.policy import available_policies
 from repro.obs import (
@@ -677,104 +677,78 @@ def cmd_serve(args) -> int:
         return 0
 
 
-def _cluster_loadgen(args) -> int:
-    from repro.cluster.launcher import read_spec
-    from repro.cluster.loadgen import (
-        ClusterLoadgenConfig,
-        run_cluster_loadgen,
-    )
-    from repro.server import write_artifact
+def _mode_flags(args, names: tuple[str, ...], other_mode: str) -> dict:
+    """The flags of one mode the user actually gave (their parser
+    default is SUPPRESS, so the config dataclass owns the defaults);
+    giving one in the mode it does not apply to is a usage error, not
+    a silently ignored flag."""
+    given = {name: getattr(args, name) for name in names if hasattr(args, name)}
+    if given and other_mode:
+        flag = "--" + next(iter(given)).replace("_", "-")
+        args.error(f"{flag} does not apply {other_mode}")
+    return given
 
-    try:
-        spec = read_spec(args.cluster)
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
-        print(f"cannot load cluster spec {args.cluster}: {exc}",
-              file=sys.stderr)
-        return 2
-    cfg = ClusterLoadgenConfig(
-        connections=args.connections,
-        ops=args.ops,
-        workload=args.workload,
-        key_space=args.key_space,
-        read_fraction=args.read_fraction,
-        theta=args.theta,
-        value_size=args.value_size,
-        seed=args.seed,
-        preload=not args.no_preload,
-        kill=args.kill,
-        kill_after_fraction=args.kill_after,
-    )
-    try:
-        summary = asyncio.run(run_cluster_loadgen(cfg, spec))
-    except (ConnectionRefusedError, OSError) as exc:
-        print(f"cannot reach the cluster: {exc}", file=sys.stderr)
-        return 1
-    killed = summary["killed"]
-    print(
-        f"{summary['total_ops']} ops over {cfg.connections} connections "
-        f"in {summary['elapsed_s']:.2f}s "
-        f"({summary['throughput_ops_per_s']:,.0f} ops/s, "
-        f"{summary['errors']} errors"
-        + (f", killed {killed}" if killed else "")
-        + f", {summary['failovers']} failovers, "
-        f"epoch {summary['final_epoch']})"
-    )
-    for op in ("read", "update"):
-        stats = summary["latency_us"][op]
-        if stats["count"]:
-            print(
-                f"  {op:6s}: n={stats['count']} p50={stats['p50_us']:.0f}us "
-                f"p95={stats['p95_us']:.0f}us p99={stats['p99_us']:.0f}us"
-            )
-    print(
-        f"  verified {summary['acked_writes']} acked writes: "
-        f"{summary['lost_acked']} lost"
-        + (f" (keys {summary['lost_keys']})" if summary["lost_acked"] else "")
-    )
-    out = args.out
-    if out == "BENCH_serve.json":
-        out = "BENCH_cluster.json"
-    try:
-        write_artifact(summary, out)
-    except OSError as exc:
-        print(f"cannot write {out}: {exc}", file=sys.stderr)
-        return 1
-    print(f"artifact written to {out}")
-    return 1 if summary["lost_acked"] else 0
+
+_LOADGEN_SERVER_FLAGS = (
+    "host", "port", "trace_every", "trace_slow_us", "traces_out",
+)
 
 
 def cmd_loadgen(args) -> int:
-    if args.cluster:
-        return _cluster_loadgen(args)
-    from repro.server import (
-        LoadgenConfig,
-        pop_traces,
-        run_loadgen,
-        write_artifact,
-        write_traces_artifact,
-    )
+    from repro.server import LoadgenConfig, run_loadgen, write_artifact
 
-    cfg = LoadgenConfig(
-        host=args.host,
-        port=args.port,
-        connections=args.connections,
-        ops=args.ops,
-        workload=args.workload,
-        key_space=args.key_space,
-        read_fraction=args.read_fraction,
-        theta=args.theta,
-        value_size=args.value_size,
-        seed=args.seed,
-        preload=not args.no_preload,
-        trace_every=args.trace_every,
-        trace_slow_us=args.trace_slow_us,
+    server = _mode_flags(
+        args, _LOADGEN_SERVER_FLAGS, "with --cluster" if args.cluster else ""
     )
+    if args.kill and not args.cluster:
+        args.error("--kill does not apply without --cluster")
+    traces_out = server.pop("traces_out", None)
     try:
-        summary = asyncio.run(run_loadgen(cfg))
-    except (ConnectionRefusedError, OSError) as exc:
-        print(f"cannot reach {args.host}:{args.port}: {exc}", file=sys.stderr)
+        cfg = LoadgenConfig(
+            connections=args.connections,
+            ops=args.ops,
+            workload=args.workload,
+            key_space=args.key_space,
+            read_fraction=args.read_fraction,
+            theta=args.theta,
+            value_size=args.value_size,
+            seed=args.seed,
+            preload=not args.no_preload,
+            **server,
+        )
+        if args.cluster:
+            from repro.cluster.launcher import read_spec
+            from repro.cluster.loadgen import (
+                ClusterLoadgenConfig,
+                kill_via_spec,
+                run_cluster_loadgen,
+            )
+
+            try:
+                spec = read_spec(args.cluster)
+            except (OSError, json.JSONDecodeError, KeyError) as exc:
+                print(f"cannot load cluster spec {args.cluster}: {exc}",
+                      file=sys.stderr)
+                return 2
+            where = "the cluster"
+            run = run_cluster_loadgen(
+                cfg,
+                ClusterLoadgenConfig(
+                    kill=args.kill, kill_after_fraction=args.kill_after
+                ),
+                spec.addresses(),
+                lambda name: kill_via_spec(spec, name),
+            )
+        else:
+            where = f"{cfg.host}:{cfg.port}"
+            run = run_loadgen(cfg)
+        summary = asyncio.run(run)
+    except ValueError as exc:
+        print(f"invalid load run: {exc}", file=sys.stderr)
+        return 2
+    except (OSError, ReproError) as exc:
+        print(f"cannot reach {where}: {exc}", file=sys.stderr)
         return 1
-    traces = pop_traces(summary)
     print(
         f"{summary['total_ops']} ops over {cfg.connections} connections "
         f"in {summary['elapsed_s']:.2f}s "
@@ -782,10 +756,9 @@ def cmd_loadgen(args) -> int:
         f"{summary['busy_retries']} busy retries, "
         f"{summary['errors']} errors)"
     )
-    for op in ("read", "update"):
-        stats = summary["latency_us"][op]
-        counters = summary["op_counters"][op]
-        if stats["count"]:
+    for op, stats in summary["latency_us"].items():
+        if op != "all" and stats["count"]:
+            counters = summary["op_counters"][op]
             print(
                 f"  {op:6s}: n={stats['count']} p50={stats['p50_us']:.0f}us "
                 f"p95={stats['p95_us']:.0f}us p99={stats['p99_us']:.0f}us "
@@ -799,20 +772,32 @@ def cmd_loadgen(args) -> int:
             f"{tracing['slow_upgrades']} slow upgrades, "
             f"{tracing['complete_traces']} combined trees collected"
         )
-    try:
-        write_artifact(summary, args.out)
-    except OSError as exc:
-        print(f"cannot write {args.out}: {exc}", file=sys.stderr)
-        return 1
-    print(f"artifact written to {args.out}")
-    if traces is not None and args.traces_out:
+    failed = summary["errors"]
+    if "lost_acked" in summary:
+        # A kill legitimately surfaces routed-request errors while the
+        # failover converges; losing *acked* data is the failure.
+        failed = summary["lost_acked"]
+        killed = summary["killed"]
+        print(
+            "  cluster: "
+            + (f"killed {killed}, " if killed else "")
+            + f"{summary['failovers']} failovers, "
+            f"epoch {summary['final_epoch']}\n"
+            f"  verified {summary['acked_writes']} acked writes: "
+            f"{failed} lost"
+            + (f" (keys {summary['lost_keys']})" if failed else "")
+        )
+    artifacts = [(summary, args.out or f"BENCH_{summary['bench']}.json")]
+    if traces_out and "_traces" in summary:
+        artifacts.append((summary["_traces"], traces_out))
+    for payload, path in artifacts:
         try:
-            write_traces_artifact(traces, args.traces_out)
+            write_artifact(payload, path)
         except OSError as exc:
-            print(f"cannot write {args.traces_out}: {exc}", file=sys.stderr)
+            print(f"cannot write {path}: {exc}", file=sys.stderr)
             return 1
-        print(f"traces artifact written to {args.traces_out}")
-    return 1 if summary["errors"] else 0
+        print(f"artifact written to {path}")
+    return 1 if failed else 0
 
 
 def cmd_cluster(args) -> int:
@@ -967,7 +952,16 @@ def cmd_benchdiff(args) -> int:
     return 0 if ok else 1
 
 
+_FAULTCHECK_ENGINE_FLAGS = (
+    "shards", "preset", "policy", "ops", "schedules_per_seed",
+    "transient_rate", "no_group_commit", "no_migration",
+)
+
+
 def cmd_faultcheck(args) -> int:
+    engine = _mode_flags(
+        args, _FAULTCHECK_ENGINE_FLAGS, "with --cluster" if args.cluster else ""
+    )
     if args.cluster:
         from repro.cluster.faultcheck import (
             ClusterFaultcheckConfig,
@@ -975,49 +969,32 @@ def cmd_faultcheck(args) -> int:
         )
 
         cfg = ClusterFaultcheckConfig(seeds=args.seeds)
-        print(
+        run = run_cluster_faultcheck
+        banner = (
             f"cluster-faultcheck: {cfg.seeds} seeds over "
             f"{cfg.nodes} nodes / {cfg.num_shards} shards "
-            "(kills mid-replication, mid-handoff, mid-promotion)",
-            flush=True,
+            "(kills mid-replication, mid-handoff, mid-promotion)"
         )
-        report = run_cluster_faultcheck(cfg)
-        print(report.summary())
-        for violation in report.violations:
-            print(f"  VIOLATION: {violation}", file=sys.stderr)
-        if args.report:
-            try:
-                with open(args.report, "w", encoding="utf-8") as fh:
-                    json.dump(report.as_dict(), fh, indent=2, default=repr)
-                    fh.write("\n")
-            except OSError as exc:
-                print(f"cannot write {args.report}: {exc}", file=sys.stderr)
-                return 1
-            print(f"schedule report written to {args.report}")
-        return 0 if report.ok else 1
-    from repro.faults.harness import FaultcheckConfig, run_faultcheck
+    else:
+        from repro.faults.harness import FaultcheckConfig, run_faultcheck
 
-    cfg = FaultcheckConfig(
-        seeds=args.seeds,
-        shards=args.shards,
-        preset=args.preset,
-        policy=args.policy,
-        ops=args.ops,
-        schedules_per_seed=args.schedules_per_seed,
-        transient_rate=args.transient_rate,
-        group_commit=not args.no_group_commit,
-        migration=not args.no_migration,
-    )
-    print(
-        f"faultcheck: {cfg.seeds} seeds x "
-        f"(1 trace + {cfg.schedules_per_seed} crash schedules"
-        f"{' + 1 group-commit schedule' if cfg.group_commit else ''}"
-        f"{' + 1 migration schedule' if cfg.migration else ''}), "
-        f"preset={cfg.preset} policy={cfg.policy} shards={cfg.shards} "
-        f"ops={cfg.ops} transient_rate={cfg.transient_rate:g}",
-        flush=True,
-    )
-    report = run_faultcheck(cfg)
+        cfg = FaultcheckConfig(
+            seeds=args.seeds,
+            group_commit=not engine.pop("no_group_commit", False),
+            migration=not engine.pop("no_migration", False),
+            **engine,
+        )
+        run = run_faultcheck
+        banner = (
+            f"faultcheck: {cfg.seeds} seeds x "
+            f"(1 trace + {cfg.schedules_per_seed} crash schedules"
+            f"{' + 1 group-commit schedule' if cfg.group_commit else ''}"
+            f"{' + 1 migration schedule' if cfg.migration else ''}), "
+            f"preset={cfg.preset} policy={cfg.policy} shards={cfg.shards} "
+            f"ops={cfg.ops} transient_rate={cfg.transient_rate:g}"
+        )
+    print(banner, flush=True)
+    report = run(cfg)
     print(report.summary())
     for violation in report.violations:
         print(f"  VIOLATION: {violation}", file=sys.stderr)
@@ -1198,8 +1175,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_lg = sub.add_parser(
         "loadgen", help="drive a running server and write BENCH_serve.json"
     )
-    p_lg.add_argument("--host", default="127.0.0.1")
-    p_lg.add_argument("--port", type=int, default=7411)
+    # Flags of one mode default to SUPPRESS: the config dataclasses own
+    # the defaults, and cmd_loadgen rejects a flag its mode ignores.
+    only = argparse.SUPPRESS
+    p_lg.add_argument("--host", default=only,
+                      help="server to drive (default 127.0.0.1)")
+    p_lg.add_argument("--port", type=int, default=only,
+                      help="server port (default 7411)")
     p_lg.add_argument("--connections", type=int, default=8)
     p_lg.add_argument("--ops", type=int, default=5000)
     p_lg.add_argument("--workload", choices=WORKLOAD_KINDS,
@@ -1211,15 +1193,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_lg.add_argument("--seed", type=int, default=0)
     p_lg.add_argument("--no-preload", action="store_true",
                       help="skip seeding the key population first")
-    p_lg.add_argument("--out", metavar="FILE", default="BENCH_serve.json",
-                      help="latency/throughput artifact path")
-    p_lg.add_argument("--trace-every", type=int, default=0,
+    p_lg.add_argument("--out", metavar="FILE", default=None,
+                      help="latency/throughput artifact path (default "
+                           "BENCH_serve.json, BENCH_cluster.json with "
+                           "--cluster)")
+    p_lg.add_argument("--trace-every", type=int, default=only,
                       help="head-sample 1 in N requests into the wire "
-                           "trace header (0 = tracing off)")
-    p_lg.add_argument("--trace-slow-us", type=float, default=0.0,
+                           "trace header (default 0 = tracing off)")
+    p_lg.add_argument("--trace-slow-us", type=float, default=only,
                       help="also record any request slower than this "
                            "(client-side spans only)")
-    p_lg.add_argument("--traces-out", metavar="FILE", default=None,
+    p_lg.add_argument("--traces-out", metavar="FILE", default=only,
                       help="write combined client+server span trees here")
     p_lg.add_argument("--cluster", metavar="SPEC", default=None,
                       help="drive a replicated cluster (spec JSON from "
@@ -1231,7 +1215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lg.add_argument("--kill-after", type=float, default=0.5,
                       help="cluster mode: fire the kill after this "
                            "fraction of ops (default 0.5)")
-    p_lg.set_defaults(func=cmd_loadgen)
+    p_lg.set_defaults(func=cmd_loadgen, error=p_lg.error)
 
     p_cluster = sub.add_parser(
         "cluster",
@@ -1307,24 +1291,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_fc.add_argument("--seeds", type=int, default=20,
                       help="independent workload seeds to explore")
-    p_fc.add_argument("--shards", type=int, default=1,
-                      help="hash-shard the store N ways")
+    # Single-node knobs default to SUPPRESS: FaultcheckConfig owns the
+    # defaults, and cmd_faultcheck rejects them with --cluster.
+    p_fc.add_argument("--shards", type=int, default=only,
+                      help="hash-shard the store N ways (default 1)")
     p_fc.add_argument("--preset", choices=("leveled", "tiered", "lazy"),
-                      default="leveled",
-                      help="merge-policy preset of the store under test")
+                      default=only,
+                      help="merge-policy preset of the store under test "
+                           "(default leveled)")
     p_fc.add_argument("--policy", choices=available_policies(),
-                      default="chucky")
-    p_fc.add_argument("--ops", type=int, default=40,
-                      help="operations per seeded workload")
-    p_fc.add_argument("--schedules-per-seed", type=int, default=3,
-                      help="crash schedules explored per seed (on top of "
-                           "the no-crash trace run)")
-    p_fc.add_argument("--transient-rate", type=float, default=0.05,
+                      default=only, help="filter policy (default chucky)")
+    p_fc.add_argument("--ops", type=int, default=only,
+                      help="operations per seeded workload (default 40)")
+    p_fc.add_argument("--schedules-per-seed", type=int, default=only,
+                      help="crash schedules explored per seed, on top of "
+                           "the no-crash trace run (default 3)")
+    p_fc.add_argument("--transient-rate", type=float, default=only,
                       help="per-I/O probability of an injected transient "
-                           "error (absorbed by retry-with-backoff)")
+                           "error, absorbed by retry-with-backoff "
+                           "(default 0.05)")
     p_fc.add_argument("--no-group-commit", action="store_true",
+                      default=only,
                       help="skip the per-seed asyncio group-commit schedule")
-    p_fc.add_argument("--no-migration", action="store_true",
+    p_fc.add_argument("--no-migration", action="store_true", default=only,
                       help="skip the per-seed crashed-filter-migration "
                            "schedule")
     p_fc.add_argument("--report", metavar="FILE", default=None,
@@ -1333,7 +1322,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="run the replicated-cluster kill campaign "
                            "instead (node kills mid-replication / "
                            "mid-handoff / mid-promotion)")
-    p_fc.set_defaults(func=cmd_faultcheck)
+    p_fc.set_defaults(func=cmd_faultcheck, error=p_fc.error)
     return parser
 
 

@@ -12,7 +12,10 @@ The pieces, bottom-up:
 * :mod:`repro.cluster.coordinator` — client-side routing, map refresh,
   and leader-failover election.
 * :mod:`repro.cluster.faultcheck` — the in-process crash campaign that
-  checks "acked ⇒ durable" across node kills.
+  checks "acked ⇒ durable" across node kills, and the loopback-cluster
+  fixture it runs on.
+* :mod:`repro.cluster.loadgen` — the cluster as a load-generation
+  target: mid-run kill plus an acked-write read-back.
 * :mod:`repro.cluster.launcher` — multi-process cluster bring-up for
   the CLI and CI.
 """
@@ -20,6 +23,7 @@ The pieces, bottom-up:
 from repro.cluster.coordinator import ClusterCoordinator
 from repro.cluster.faultcheck import (
     ClusterFaultcheckConfig,
+    LoopbackCluster,
     run_cluster_faultcheck,
 )
 from repro.cluster.launcher import (
@@ -29,7 +33,11 @@ from repro.cluster.launcher import (
     run_worker,
     write_spec,
 )
-from repro.cluster.loadgen import ClusterLoadgenConfig, run_cluster_loadgen
+from repro.cluster.loadgen import (
+    ClusterLoadgenConfig,
+    ClusterTarget,
+    run_cluster_loadgen,
+)
 from repro.cluster.node import ClusterError, ClusterNode, ClusterServer
 from repro.cluster.replication import (
     ReplicatedGroupCommitWriter,
@@ -48,6 +56,8 @@ __all__ = [
     "ClusterNode",
     "ClusterServer",
     "ClusterSpec",
+    "ClusterTarget",
+    "LoopbackCluster",
     "NotOwnedError",
     "ReplicatedGroupCommitWriter",
     "ReplicationError",

@@ -24,6 +24,13 @@ Each seed runs one schedule against a real 3-node loopback cluster
    acknowledged delete still dead — "acked ⇒ durable" across node
    kills.
 
+Verdicts land in the single-node campaign's own
+:class:`~repro.faults.harness.ScheduleResult` /
+:class:`~repro.faults.harness.FaultcheckReport`, and the expectations
+come from the same :func:`~repro.faults.invariants.merge_expected`.
+The cluster itself is :class:`LoopbackCluster`, a public fixture the
+cluster tests and the in-process load runs share.
+
 Crashes raised by the injector surface on the victim as ERROR
 responses (a request must never kill the server's *loop*), which the
 campaign treats as the moment of death; the arbiter is deactivated
@@ -35,7 +42,7 @@ from __future__ import annotations
 
 import asyncio
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.cluster.coordinator import ClusterCoordinator
@@ -43,8 +50,9 @@ from repro.cluster.node import ClusterError, ClusterNode
 from repro.cluster.shardmap import even_map
 from repro.engine.config import EngineConfig
 from repro.faults import crashpoints
+from repro.faults.harness import FaultcheckReport, ScheduleResult
 from repro.faults.injector import CRASH_AT_POINT, FaultInjector, FaultPlan
-from repro.faults.invariants import ABSENT, InvariantChecker
+from repro.faults.invariants import ABSENT, InvariantChecker, merge_expected
 
 #: The schedule rotation: which cluster crash point a seed provokes.
 CLUSTER_POINTS = (
@@ -91,82 +99,15 @@ class ClusterFaultcheckConfig:
         )
 
 
-@dataclass
-class ClusterScheduleResult:
-    """Verdict of one schedule."""
-
-    seed: int
-    point: str
-    occurrence: int
-    crashed: bool
-    victim: str = ""
-    acked_writes: int = 0
-    violations: list[str] = field(default_factory=list)
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "point": self.point,
-            "occurrence": self.occurrence,
-            "crashed": self.crashed,
-            "victim": self.victim,
-            "acked_writes": self.acked_writes,
-            "violations": list(self.violations),
-        }
-
-
-@dataclass
-class ClusterFaultcheckReport:
-    """Aggregate campaign outcome — the CI gate artifact."""
-
-    seeds: int
-    nodes: int
-    num_shards: int
-    results: list[ClusterScheduleResult] = field(default_factory=list)
-    crashes_injected: int = 0
-    failovers: int = 0
-
-    @property
-    def violations(self) -> list[str]:
-        return [
-            f"seed {r.seed} [{r.point}#{r.occurrence}]: {v}"
-            for r in self.results
-            for v in r.violations
-        ]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "seeds": self.seeds,
-            "nodes": self.nodes,
-            "num_shards": self.num_shards,
-            "schedules_run": len(self.results),
-            "crashes_injected": self.crashes_injected,
-            "failovers": self.failovers,
-            "ok": self.ok,
-            "violations": self.violations,
-            "results": [r.as_dict() for r in self.results],
-        }
-
-    def summary(self) -> str:
-        status = "OK" if self.ok else f"{len(self.violations)} VIOLATION(S)"
-        return (
-            f"cluster-faultcheck {status}: seeds={self.seeds} "
-            f"nodes={self.nodes} shards={self.num_shards} "
-            f"schedules={len(self.results)} "
-            f"crashes={self.crashes_injected} failovers={self.failovers}"
-        )
-
-
 # ----------------------------------------------------------------------
 # One live loopback cluster
 # ----------------------------------------------------------------------
 
-class _LiveCluster:
-    """A real multi-node cluster inside one event loop."""
+class LoopbackCluster:
+    """A real multi-node cluster inside one event loop — the fixture the
+    campaign, the cluster tests and the in-process load runs share.
+    ``cfg`` supplies ``nodes`` / ``num_shards`` / ``replication`` and
+    the per-shard ``engine_config()``."""
 
     def __init__(self, cfg: ClusterFaultcheckConfig) -> None:
         self.cfg = cfg
@@ -202,6 +143,19 @@ class _LiveCluster:
         await coordinator.refresh_map()
         return coordinator
 
+    def _abort_connections(self, name: str) -> None:
+        """Closing a listener is not enough: established connections
+        keep serving, so survivors would happily talk to the corpse.
+        Abort every open transport so peers see a connection reset; the
+        caller then yields so the connection_lost callbacks run and the
+        per-connection serve tasks unwind before the loop is torn down
+        (else asyncio logs cancelled-task noise)."""
+        for conn in list(self.nodes[name].server._connections):
+            conn.closed = True
+            transport = conn.writer.transport
+            if transport is not None:
+                transport.abort()
+
     async def kill(self, name: str) -> None:
         """Process death: stop serving, stop the commit task, sever
         peer links. The node's state is never consulted again."""
@@ -215,23 +169,13 @@ class _LiveCluster:
         task = node.server.commit._task
         if task is not None:
             task.cancel()
-        # Closing the listener is not enough: established connections
-        # keep serving, so survivors would happily talk to the corpse.
-        # Abort every open transport so peers see a connection reset.
-        for conn in list(node.server._connections):
-            conn.closed = True
-            transport = conn.writer.transport
-            if transport is not None:
-                transport.abort()
-        # Let connection_lost callbacks run so the per-connection serve
-        # tasks unwind before the schedule's loop is torn down.
+        self._abort_connections(name)
         await asyncio.sleep(0.01)
         await node.close_peers()
 
     async def stop(self) -> None:
-        for name in self.names:
-            if name in self.killed:
-                continue
+        alive = [name for name in self.names if name not in self.killed]
+        for name in alive:
             server = self.servers.get(name)
             if server is not None:
                 server.close()
@@ -240,16 +184,8 @@ class _LiveCluster:
             except Exception:  # noqa: BLE001 — teardown only
                 pass
             await self.nodes[name].close_peers()
-        # Abort lingering connections so their serve tasks unwind before
-        # the loop is torn down (else asyncio logs cancelled-task noise).
-        for name in self.names:
-            if name in self.killed:
-                continue
-            for conn in list(self.nodes[name].server._connections):
-                conn.closed = True
-                transport = conn.writer.transport
-                if transport is not None:
-                    transport.abort()
+        for name in alive:
+            self._abort_connections(name)
         await asyncio.sleep(0.01)
 
 
@@ -257,12 +193,12 @@ class _LiveCluster:
 # One schedule
 # ----------------------------------------------------------------------
 
-def _shard_keys(shard_id: int, num_shards: int, count: int, start: int = 0):
-    """The first ``count`` keys >= start hashing to ``shard_id``."""
+def _shard_keys(shard_id: int, num_shards: int, count: int):
+    """The first ``count`` keys hashing to ``shard_id``."""
     from repro.engine.sharded import shard_of
 
     found = []
-    key = start
+    key = 0
     while len(found) < count:
         if shard_of(key, num_shards) == shard_id:
             found.append(key)
@@ -286,11 +222,10 @@ async def _seeded_writes(
     rng: random.Random,
     seed: int,
     count: int,
-    keys: list[int] | None = None,
 ) -> None:
     """Acked ops enter the model; the caller ensures no crash is armed."""
-    for i in range(count):
-        key = keys[i % len(keys)] if keys else rng.randrange(_KEY_SPACE)
+    for _ in range(count):
+        key = rng.randrange(_KEY_SPACE)
         if model.get(key) is not None and rng.random() < 0.15:
             await coordinator.delete(key)
             model[key] = ABSENT
@@ -302,7 +237,7 @@ async def _seeded_writes(
 
 async def _run_schedule(
     cfg: ClusterFaultcheckConfig, seed: int
-) -> ClusterScheduleResult:
+) -> ScheduleResult:
     point = CLUSTER_POINTS[seed % len(CLUSTER_POINTS)]
     cycle = seed // len(CLUSTER_POINTS)
     # Occurrence schedules must be reachable: a promotion broadcast
@@ -314,11 +249,18 @@ async def _run_schedule(
         occurrence = 1 + cycle % 2
     else:
         occurrence = 1 + cycle % 3
-    result = ClusterScheduleResult(
-        seed=seed, point=point, occurrence=occurrence, crashed=False
+    result = ScheduleResult(
+        seed=seed,
+        schedule=f"{point}#{occurrence}",
+        detail={
+            "point": point,
+            "occurrence": occurrence,
+            "victim": "",
+            "acked_writes": 0,
+        },
     )
     rng = random.Random(f"cluster-faultcheck:{seed}")
-    cluster = _LiveCluster(cfg)
+    cluster = LoopbackCluster(cfg)
     coordinator = await cluster.start()
     plan = FaultPlan(
         seed=seed,
@@ -338,7 +280,6 @@ async def _run_schedule(
         # the window still joins the model; the op the crash interrupts
         # joins `touched` (before-or-after).
         touched: dict[int, Any] = {}
-        victim = ""
         if point.startswith("cluster.replicate."):
             victim, crashed = await _provoke_replicate(
                 cluster, coordinator, model, touched, rng, seed,
@@ -353,25 +294,19 @@ async def _run_schedule(
                 cluster, coordinator, injector, rng
             )
         result.crashed = crashed
-        result.victim = victim
+        result.detail["victim"] = victim
         if not crashed:
             result.violations.append(
-                f"[harness] scheduled crash never fired at {point}"
-                f"#{occurrence}"
+                f"[harness] scheduled crash never fired at "
+                f"{result.schedule}"
             )
             return result
         # Phase 3: the victim dies for real; the cluster must carry on.
         if victim and victim not in cluster.killed:
             await cluster.kill(victim)
         # Phase 4: read every touched key back through the survivors.
-        checker = InvariantChecker()
-        expectations: dict[int, tuple[Any, ...]] = {}
-        for key, value in model.items():
-            expectations[key] = (value,)
-        for key, new_value in touched.items():
-            old = expectations.get(key, (ABSENT,))
-            expectations[key] = tuple(dict.fromkeys((*old, new_value)))
-        result.acked_writes = len(model)
+        expectations = merge_expected(model, touched)
+        result.detail["acked_writes"] = len(model)
         actuals: dict[int, Any] = {}
         for key in expectations:
             try:
@@ -383,7 +318,9 @@ async def _run_schedule(
                 )
         result.violations.extend(
             str(v)
-            for v in checker.check_acked_reads(actuals, expectations)
+            for v in InvariantChecker().check_acked_reads(
+                actuals, expectations
+            )
         )
         # Writes must still flow after the kill.
         try:
@@ -405,7 +342,7 @@ async def _run_schedule(
 
 
 async def _provoke_replicate(
-    cluster: _LiveCluster,
+    cluster: LoopbackCluster,
     coordinator: ClusterCoordinator,
     model: dict[int, Any],
     touched: dict[int, Any],
@@ -436,7 +373,7 @@ async def _provoke_replicate(
 
 
 async def _provoke_handoff(
-    cluster: _LiveCluster,
+    cluster: LoopbackCluster,
     coordinator: ClusterCoordinator,
     injector: FaultInjector,
     rng: random.Random,
@@ -479,7 +416,7 @@ async def _provoke_handoff(
 
 
 async def _provoke_promote(
-    cluster: _LiveCluster,
+    cluster: LoopbackCluster,
     coordinator: ClusterCoordinator,
     injector: FaultInjector,
     rng: random.Random,
@@ -507,17 +444,20 @@ async def _provoke_promote(
 # Campaign driver
 # ----------------------------------------------------------------------
 
-def run_cluster_faultcheck(
-    cfg: ClusterFaultcheckConfig,
-) -> ClusterFaultcheckReport:
+def run_cluster_faultcheck(cfg: ClusterFaultcheckConfig) -> FaultcheckReport:
     """Run the whole campaign. Deterministic in ``cfg``."""
-    report = ClusterFaultcheckReport(
-        seeds=cfg.seeds, nodes=cfg.nodes, num_shards=cfg.num_shards
+    report = FaultcheckReport(
+        campaign="cluster-faultcheck",
+        params={
+            "seeds": cfg.seeds,
+            "nodes": cfg.nodes,
+            "num_shards": cfg.num_shards,
+        },
+        counters={"crashes_injected": 0, "failovers": 0},
     )
     for seed in range(cfg.seeds):
         result = asyncio.run(_run_schedule(cfg, seed))
         report.results.append(result)
-        if result.crashed:
-            report.crashes_injected += 1
-        report.failovers += 1 if result.victim else 0
+        report.counters["crashes_injected"] += result.crashed
+        report.counters["failovers"] += bool(result.detail["victim"])
     return report

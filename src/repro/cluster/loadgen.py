@@ -1,52 +1,54 @@
-"""Closed-loop load generation against a live cluster, with acked-write
-verification — the CI ``cluster-smoke`` gate.
+"""The cluster as a load-generation *target* — the CI ``cluster-smoke``
+gate.
 
-The crucial difference from :mod:`repro.server.loadgen`: every
-acknowledged write lands in a client-side reference model, and after
-the run (including an optional **mid-run leader kill**) a verification
-pass reads every modelled key back through the coordinator. A key that
-reads anything but its last acked value counts as ``lost_acked`` — the
-number the CI job gates on being exactly zero.
+:func:`repro.server.loadgen.run_loadgen` owns the closed loop; this
+target issues its ops through a :class:`ClusterCoordinator`, can **kill
+a node mid-run**, and keeps a client-side reference model of every
+write. After the run a verification pass reads every modelled key back
+through the coordinator; a key that reads anything its history does not
+allow counts as ``lost_acked`` — the number the CI job gates on being
+exactly zero.
 
-To keep the model exact under concurrency, each connection writes only
-keys of its own residue class (``key % connections == index``); reads
-roam the whole key space. Acked-but-racing writes to one key from two
-connections would otherwise make "last acked value" ill-defined.
+The rule is the crash campaigns' (:func:`merge_expected`): an
+acknowledged write must read back exactly; an *unacknowledged* one — a
+request that raised — may have been applied anyway (the leader can die
+between shipping a write and acking it), so its key may read before or
+after.
+
+To keep the model exact under concurrency, connection ``index`` of
+``C`` owns the residue class ``key % C == index``: its stream draws
+from ``range(key_space // C)`` and key ``j`` goes on the wire as
+``j * C + index`` — injective for every ``j``, so the fresh keys the
+insert-appending workloads mint stay owned too.
 """
 
 from __future__ import annotations
 
-import asyncio
+import inspect
 import os
 import signal
-import time
 from dataclasses import dataclass
 
 from repro.cluster.coordinator import ClusterCoordinator
 from repro.cluster.launcher import ClusterSpec
 from repro.cluster.node import ClusterError
-from repro.server.loadgen import _summarize_op
-from repro.workloads.bench import host_fingerprint
-from repro.workloads.generators import request_stream
+from repro.faults.invariants import ABSENT, InvariantChecker, merge_expected
+from repro.server.loadgen import (
+    OP_CLASSES,
+    LoadgenConfig,
+    owned_span,
+    run_loadgen,
+)
 
 
 @dataclass
 class ClusterLoadgenConfig:
-    """One verified cluster load-generation run, as plain data."""
+    """What a cluster run sets on top of :class:`LoadgenConfig`."""
 
-    connections: int = 4
-    ops: int = 2000
-    workload: str = "ycsb-b"  # uniform | zipf | ycsb-b
-    key_space: int = 1000
-    read_fraction: float = 0.8
-    theta: float = 0.99
-    value_size: int = 16
-    seed: int = 0
-    preload: bool = True
     #: "" = no kill; a node name; or "auto" (leader of shard 0 at the
     #: moment the kill triggers).
     kill: str = ""
-    #: Fire the kill when this fraction of total ops has completed.
+    #: Fire the kill when this fraction of total ops has been issued.
     kill_after_fraction: float = 0.5
     #: Read mode for the verification pass (leader = read-your-writes).
     verify_read_mode: str = "leader"
@@ -63,121 +65,161 @@ def kill_via_spec(spec: ClusterSpec, name: str) -> None:
         pass  # already gone — the point stands
 
 
-async def run_cluster_loadgen(
-    cfg: ClusterLoadgenConfig,
-    spec: ClusterSpec,
-    kill_fn=None,
-) -> dict:
-    """Drive the cluster, optionally kill a node mid-run, verify.
+class ClusterTarget:
+    """A replicated cluster behind one shared coordinator (which
+    already holds the shard map). ``kill_fn(name)`` is the kill mechanism (the CLI SIGKILLs the
+    spec-recorded pid; an in-process fixture passes its own, sync or
+    async)."""
 
-    ``kill_fn(name)`` overrides the kill mechanism (the in-process
-    harness passes its own; the CLI kills the spec-recorded pid).
-    """
-    coordinator = ClusterCoordinator(spec.addresses())
-    await coordinator.refresh_map()
-    model: dict[int, bytes] = {}
-    latencies: dict[str, list[float]] = {"read": [], "update": []}
-    errors = {"read": 0, "update": 0}
-    state = {"done": 0, "killed": ""}
-    kill_at = (
-        int(cfg.ops * cfg.kill_after_fraction) if cfg.kill else cfg.ops + 1
-    )
+    bench = "cluster"
+    ops = tuple(op for op in OP_CLASSES if op != "scan")
 
-    if cfg.preload:
+    def __init__(
+        self,
+        cfg: LoadgenConfig,
+        cluster: ClusterLoadgenConfig,
+        coordinator: ClusterCoordinator,
+        kill_fn,
+    ) -> None:
+        self.cfg = cfg
+        self.cluster = cluster
+        self.coordinator = coordinator
+        self.kill_fn = kill_fn
+        #: key -> value of the last acknowledged write (ABSENT: deleted).
+        self.model: dict[int, bytes | None] = {}
+        #: key -> value of an unacknowledged write since then.
+        self.touched: dict[int, bytes | None] = {}
+        self.issued = 0
+        self.killed = ""
+
+    async def preload(self) -> None:
         # Sequential, so the model is trivially exact.
-        for key in range(cfg.key_space):
-            value = f"pre-{key}".encode()
-            await coordinator.put(key, value.decode())
-            model[key] = value
+        for key in range(self.cfg.key_space):
+            value = f"pre-{key}"
+            await self.coordinator.put(key, value)
+            self.model[key] = value.encode()
 
-    async def _maybe_kill() -> None:
-        if state["killed"] or state["done"] < kill_at:
+    def keys(self, index: int) -> list[int]:
+        return list(range(owned_span(self.cfg, "a cluster run")))
+
+    async def connect(self, index: int) -> "_OwnedKeys":
+        return _OwnedKeys(self, index)
+
+    async def before_request(self) -> None:
+        """Fire the kill once the run is far enough along."""
+        self.issued += 1
+        after = self.cfg.ops * self.cluster.kill_after_fraction
+        if not self.cluster.kill or self.killed or self.issued <= after:
             return
-        victim = cfg.kill
+        victim = self.cluster.kill
         if victim == "auto":
-            victim = coordinator.map.leader_of(0)
-        state["killed"] = victim
-        (kill_fn or (lambda name: kill_via_spec(spec, name)))(victim)
+            victim = self.coordinator.map.leader_of(0)
+        self.killed = victim
+        done = self.kill_fn(victim)
+        if inspect.isawaitable(done):
+            await done
 
-    async def _worker(index: int, ops: int) -> None:
-        stream = request_stream(
-            cfg.workload,
-            list(range(cfg.key_space)),
-            ops,
-            read_fraction=cfg.read_fraction,
-            theta=cfg.theta,
-            seed=cfg.seed * 1_000_003 + index,
-        )
-        for i, (op, key) in enumerate(stream):
-            await _maybe_kill()
-            start = time.perf_counter_ns()
+    def unacked(self, key: int, value: bytes | None) -> None:
+        """Unacknowledged is not unapplied: ``key`` may now hold its
+        last acked value or this one. With no acked value to fall back
+        on, or a second unresolved write, no two-way expectation is
+        left — the key stays unverified until its next ack."""
+        if key in self.touched or key not in self.model:
+            self.model.pop(key, None)
+            self.touched.pop(key, None)
+        else:
+            self.touched[key] = value
+
+    async def finish(self, summary: dict) -> None:
+        """The verification pass: every key must read back one of the
+        values its acked / unacked history allows."""
+        coordinator = self.coordinator
+        coordinator.read_mode = self.cluster.verify_read_mode
+        await coordinator.refresh_map()
+        expectations = merge_expected(self.model, self.touched)
+        checker = InvariantChecker()
+        lost: list[int] = []
+        for key in sorted(expectations):
             try:
-                if op == "read":
-                    await coordinator.get(key)
-                else:
-                    # Own residue class: last acked value stays exact.
-                    key = key - key % cfg.connections + index
-                    if key >= cfg.key_space:
-                        key -= cfg.connections
-                    value = f"c{index}-{i}-" + "y" * max(
-                        0, cfg.value_size - 8
-                    )
-                    await coordinator.put(key, value)
-                    model[key] = value.encode()
-            except (ClusterError, OSError, ConnectionError):
-                errors[op] += 1
-            latencies[op].append((time.perf_counter_ns() - start) / 1_000)
-            state["done"] += 1
+                got = await coordinator.get(key)
+            except (ClusterError, OSError) as exc:
+                got = exc  # unreadable is lost, whatever it should hold
+            if checker.check_acked_reads({key: got}, {key: expectations[key]}):
+                lost.append(key)
+        summary["config"]["kill"] = self.cluster.kill
+        summary.update(
+            op_errors={
+                op: c["errors"] for op, c in summary["op_counters"].items()
+            },
+            killed=self.killed,
+            failovers=coordinator.failovers,
+            map_refreshes=coordinator.refreshes,
+            retries=coordinator.retries,
+            final_epoch=coordinator.map.epoch,
+            acked_writes=len(self.model),
+            lost_acked=len(lost),
+            lost_keys=lost[:20],
+        )
 
-    per = cfg.ops // cfg.connections
-    counts = [
-        per + (1 if i < cfg.ops % cfg.connections else 0)
-        for i in range(cfg.connections)
-    ]
-    start = time.perf_counter()
-    await asyncio.gather(
-        *(_worker(i, count) for i, count in enumerate(counts))
-    )
-    elapsed = time.perf_counter() - start
 
-    # Verification pass: every acked write must read back exactly.
-    coordinator.read_mode = cfg.verify_read_mode
-    await coordinator.refresh_map()
-    lost: list[int] = []
-    for key, want in sorted(model.items()):
+class _OwnedKeys:
+    """Connection ``index``'s view of the shared coordinator: its own
+    residue class of the key space, every write unique and recorded."""
+
+    def __init__(self, target: ClusterTarget, index: int) -> None:
+        self.target = target
+        self.index = index
+        self.writes = 0
+
+    def _own(self, key: int) -> int:
+        return key * self.target.cfg.connections + self.index
+
+    async def get(self, key: int) -> bytes | None:
+        await self.target.before_request()
+        return await self.target.coordinator.get(self._own(key))
+
+    async def put(self, key: int, value: str) -> None:
+        # Stamped so a stale earlier write can never pass for this one.
+        self.writes += 1
+        value = f"{value}-{self.writes}"
+        coordinator = self.target.coordinator
+        await self._write(
+            self._own(key), value.encode(), lambda k: coordinator.put(k, value)
+        )
+
+    async def delete(self, key: int) -> None:
+        await self._write(
+            self._own(key), ABSENT, self.target.coordinator.delete
+        )
+
+    async def _write(self, key: int, stored: bytes | None, send) -> None:
+        target = self.target
+        await target.before_request()
         try:
-            got = await coordinator.get(key)
-        except (ClusterError, OSError, ConnectionError):
-            got = None
-        if got != want:
-            lost.append(key)
-    summary = {
-        "config": {
-            "connections": cfg.connections,
-            "ops": cfg.ops,
-            "workload": cfg.workload,
-            "key_space": cfg.key_space,
-            "read_fraction": cfg.read_fraction,
-            "seed": cfg.seed,
-            "kill": cfg.kill,
-        },
-        "host": host_fingerprint(),
-        "total_ops": sum(counts),
-        "elapsed_s": elapsed,
-        "throughput_ops_per_s": sum(counts) / elapsed if elapsed else 0.0,
-        "latency_us": {
-            op: _summarize_op(values) for op, values in latencies.items()
-        },
-        "errors": errors["read"] + errors["update"],
-        "op_errors": dict(errors),
-        "killed": state["killed"],
-        "failovers": coordinator.failovers,
-        "map_refreshes": coordinator.refreshes,
-        "retries": coordinator.retries,
-        "final_epoch": coordinator.map.epoch,
-        "acked_writes": len(model),
-        "lost_acked": len(lost),
-        "lost_keys": lost[:20],
-    }
-    await coordinator.close()
-    return summary
+            await send(key)
+        except BaseException:
+            target.unacked(key, stored)
+            raise
+        target.model[key] = stored
+        target.touched.pop(key, None)
+
+    async def close(self) -> None:
+        pass  # the coordinator is shared and outlives the connection
+
+
+async def run_cluster_loadgen(
+    cfg: LoadgenConfig,
+    cluster: ClusterLoadgenConfig,
+    addresses: dict[str, tuple[str, int]],
+    kill_fn,
+) -> dict:
+    """Drive the cluster at ``addresses``, optionally kill a node
+    mid-run, verify — the structure written to ``BENCH_cluster.json``."""
+    coordinator = ClusterCoordinator(addresses)
+    try:
+        await coordinator.refresh_map()
+        return await run_loadgen(
+            cfg, ClusterTarget(cfg, cluster, coordinator, kill_fn)
+        )
+    finally:
+        await coordinator.close()

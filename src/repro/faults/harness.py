@@ -1,44 +1,48 @@
 """The crash-schedule explorer behind ``repro faultcheck``.
 
-For every seed the explorer runs a CrashMonkey-style two-phase search:
+Every schedule is one skeleton (:func:`_run_schedule`) around one
+*drive* function: build a store, arm the fault injector, drive it with
+the crash points active, crash, recover on a healthy machine, then run
+the full :class:`~repro.faults.invariants.InvariantChecker` battery —
+acknowledged writes durable, deleted keys dead, the interrupted
+operation in its before-or-after state, and the structural invariants.
+A recovery that *raises* on a legal crash state is a violation too:
+exactly the bug class this harness exists to catch.
 
-1. **Trace run** — the seeded workload executes against a store with
-   the fault injector installed but no crash scheduled, only transient
-   I/O errors (which the engine must absorb via bounded
-   retry-with-backoff). Reads are validated against a reference model
-   on the fly; at the end the store is crashed *clean* and recovered,
-   which must reproduce the model exactly — including ``bytes`` values
-   round-tripping through the WAL. The trace also counts how often
-   every crash point, WAL append and run write fired: the candidate
-   crash sites.
+For every seed the explorer runs a CrashMonkey-style two-phase search
+over the seeded workload (:func:`_drive_workload`):
+
+1. **Trace run** — no crash scheduled, only transient I/O errors (which
+   the engine must absorb via bounded retry-with-backoff). Reads are
+   validated against a reference model on the fly; at the end the store
+   is crashed *clean* and recovered, which must reproduce the model
+   exactly — including ``bytes`` values round-tripping through the WAL.
+   The trace also counts how often every crash point, WAL append and
+   run write fired: the candidate crash sites.
 
 2. **Crash schedules** — a deterministic sample of those candidates is
    re-run, each crashing at its chosen site (a registered crash point,
    a byte-granular torn WAL append, or a partial multi-block run
-   write). After each injected crash the surviving state is recovered
-   and the full :class:`~repro.faults.invariants.InvariantChecker`
-   battery runs: acknowledged writes durable, deleted keys dead, the
-   single in-flight operation in its before-or-after state, and the
-   structural invariants. Recovery failures (any exception) are
-   violations too — a recovery that *raises* on a legal crash state is
-   exactly the bug class this harness exists to catch.
+   write).
 
-Optionally each seed also runs one asyncio group-commit schedule:
-concurrent submissions through :class:`GroupCommitWriter`, a crash
-between WAL append and acknowledgement, and the check that every
-acknowledged submission survived recovery.
+Optionally each seed also runs one asyncio group-commit schedule
+(:func:`_drive_group_commit`): concurrent submissions through
+:class:`GroupCommitWriter`, a crash between WAL append and
+acknowledgement, and the check that every acknowledged submission
+survived recovery.
 
-And one **migration schedule** per seed: the workload runs to
-completion, then a live filter migration (the adaptive-tuning
-actuator's incremental rebuild + atomic swap) is crashed at one of the
-``tuning.migrate.*`` points, rotating with the seed. Filters are soft
-state, so recovery must succeed and match the model under the old
-config for a crash before the swap and under the new config after it —
-the blob-mismatch-falls-back-to-rebuild path is exactly what these
-schedules pin down.
+And one **migration schedule** per seed (:func:`_drive_migration`): the
+workload runs to completion, then a live filter migration (the
+adaptive-tuning actuator's incremental rebuild + atomic swap) is crashed
+at one of the ``tuning.migrate.*`` points, rotating with the seed.
+Filters are soft state, so recovery must succeed and match the model
+under the old config for a crash before the swap and under the new
+config after it — the blob-mismatch-falls-back-to-rebuild path is
+exactly what these schedules pin down.
 
-Everything is deterministic in (config, seed): same inputs, same
-workload, same faults, same verdict.
+The result and report types here also carry the cluster campaign
+(:mod:`repro.cluster.faultcheck`). Everything is deterministic in
+(config, seed): same inputs, same workload, same faults, same verdict.
 """
 
 from __future__ import annotations
@@ -46,6 +50,8 @@ from __future__ import annotations
 import asyncio
 import random
 from dataclasses import dataclass, field
+from dataclasses import replace as dc_replace
+from functools import partial
 from typing import Any
 
 from repro.common.errors import InjectedCrash
@@ -109,17 +115,21 @@ class FaultcheckConfig:
 
 @dataclass
 class ScheduleResult:
-    """Verdict of one explored schedule."""
+    """Verdict of one explored schedule. ``schedule`` labels it in
+    violation messages; a campaign that reports structured fields
+    instead of the label (the cluster campaign: point, occurrence,
+    victim, acked writes) supplies them as ``detail``."""
 
     seed: int
     schedule: str
-    crashed: bool
+    crashed: bool = False
     violations: list[str] = field(default_factory=list)
+    detail: dict[str, Any] = field(default_factory=dict)
 
     def as_dict(self) -> dict[str, Any]:
         return {
             "seed": self.seed,
-            "schedule": self.schedule,
+            **(self.detail or {"schedule": self.schedule}),
             "crashed": self.crashed,
             "violations": list(self.violations),
         }
@@ -127,23 +137,14 @@ class ScheduleResult:
 
 @dataclass
 class FaultcheckReport:
-    """Aggregate outcome of a campaign — the CI artifact."""
+    """Aggregate outcome of a campaign — the CI artifact. ``params``
+    (what was asked for) and ``counters`` (what the schedules did) are
+    the campaign's own; both are flattened into :meth:`as_dict`."""
 
-    preset: str
-    policy: str
-    shards: int
-    seeds: int
+    campaign: str
+    params: dict[str, Any]
+    counters: dict[str, Any]
     results: list[ScheduleResult] = field(default_factory=list)
-    crashes_injected: int = 0
-    transient_errors: int = 0
-    io_backoffs: int = 0
-    torn_wal_appends: int = 0
-    partial_run_writes: int = 0
-    crash_points_seen: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def schedules_run(self) -> int:
-        return len(self.results)
 
     @property
     def violations(self) -> list[str]:
@@ -157,19 +158,16 @@ class FaultcheckReport:
     def ok(self) -> bool:
         return not self.violations
 
+    def _totals(self) -> dict[str, Any]:
+        return {
+            **self.params,
+            "schedules_run": len(self.results),
+            **self.counters,
+        }
+
     def as_dict(self) -> dict[str, Any]:
         return {
-            "preset": self.preset,
-            "policy": self.policy,
-            "shards": self.shards,
-            "seeds": self.seeds,
-            "schedules_run": self.schedules_run,
-            "crashes_injected": self.crashes_injected,
-            "transient_errors": self.transient_errors,
-            "io_backoffs": self.io_backoffs,
-            "torn_wal_appends": self.torn_wal_appends,
-            "partial_run_writes": self.partial_run_writes,
-            "crash_points_seen": dict(sorted(self.crash_points_seen.items())),
+            **self._totals(),
             "ok": self.ok,
             "violations": self.violations,
             "results": [r.as_dict() for r in self.results],
@@ -177,14 +175,9 @@ class FaultcheckReport:
 
     def summary(self) -> str:
         status = "OK" if self.ok else f"{len(self.violations)} VIOLATION(S)"
-        points = len(self.crash_points_seen)
-        return (
-            f"faultcheck {status}: preset={self.preset} policy={self.policy} "
-            f"shards={self.shards} seeds={self.seeds} "
-            f"schedules={self.schedules_run} crashes={self.crashes_injected} "
-            f"crash_points={points} transient_io={self.transient_errors} "
-            f"torn_wal={self.torn_wal_appends} "
-            f"partial_writes={self.partial_run_writes}"
+        return f"{self.campaign} {status}: " + " ".join(
+            f"{name}={len(value) if isinstance(value, dict) else value}"
+            for name, value in self._totals().items()
         )
 
 
@@ -301,61 +294,65 @@ def _clear_faults(state) -> None:
 
 
 # ----------------------------------------------------------------------
-# Phase 1: trace run
+# The schedule skeleton
 # ----------------------------------------------------------------------
 
-@dataclass
-class _TraceInfo:
-    point_counts: dict[str, int]
-    wal_appends: int
-    run_writes: int
-
-
-def _trace_run(
-    cfg: FaultcheckConfig,
+def _run_schedule(
     econf: EngineConfig,
-    seed: int,
-    workload: list[tuple],
+    plan: FaultPlan,
+    label: str,
+    drive,
     obs: Observability,
-) -> tuple[ScheduleResult, _TraceInfo, FaultInjector]:
-    plan = FaultPlan(seed=seed, transient_rate=cfg.transient_rate)
+) -> tuple[ScheduleResult, FaultInjector]:
+    """Every schedule is this skeleton around one *drive* function.
+
+    Build a store, arm the injector, and call ``drive(store, injector,
+    violations)`` with the crash points active. It returns ``(model,
+    touched, crashed, recover_config)``: each key's value after the last
+    acknowledged operation, the would-be effects of whatever the crash
+    interrupted (those keys may read before *or* after), whether the
+    scheduled crash fired, and the config the survivor recovers under.
+    Then the store is crashed, recovered on a healthy machine and put
+    through the invariant battery; a recovery that *raises* on a legal
+    crash state is itself a violation.
+    """
     injector = FaultInjector(plan, obs)
     store = build_store(econf)
     injector.install(store)
-    result = ScheduleResult(seed=seed, schedule="trace", crashed=False)
-    model: dict[int, Any] = {}
+    result = ScheduleResult(seed=plan.seed, schedule=label)
     checker = InvariantChecker()
     with crashpoints.activated(injector):
-        for op in workload:
-            value = _apply_op(store, op)
-            if op[0] == "get":
-                expected = _model_value(model, op[1])
-                if value != expected or type(value) is not type(expected):
-                    result.violations.append(
-                        str(
-                            Violation(
-                                "read-your-writes",
-                                f"get({op[1]}) returned {value!r}, model "
-                                f"says {expected!r}",
-                            )
-                        )
-                    )
-            model.update(_op_effects(op))
-    # Live store must match the model before we even crash it.
-    result.violations.extend(
-        str(v) for v in checker.check_state(store, merge_expected(model))
-    )
-    # Clean crash + recovery: every op was acknowledged, so the
-    # recovered store must reproduce the model exactly — bytes values
-    # included (this is the schedule that catches the WAL replay
-    # value-coercion bug).
+        model, touched, result.crashed, recover_conf = drive(
+            store, injector, result.violations
+        )
+    if plan.crash_kind is None:
+        # A crash-free run: the live store must match the model before
+        # it is even crashed (cleanly — every op was acknowledged).
+        result.violations.extend(
+            str(v) for v in checker.check_state(store, merge_expected(model))
+        )
+    elif not result.crashed:
+        # Crash sites come from a trace's own counts (or fire on every
+        # run), so a schedule that never fires means the injector lost
+        # determinism.
+        result.violations.append(
+            str(
+                Violation(
+                    "harness",
+                    f"scheduled crash never fired ({plan.describe()})",
+                )
+            )
+        )
+        return result, injector
     state = store.crash()
     _clear_faults(state)
     try:
-        recovered = recover_store(state, econf)
+        recovered = recover_store(state, recover_conf)
         result.violations.extend(
             str(v)
-            for v in checker.check_state(recovered, merge_expected(model))
+            for v in checker.check_state(
+                recovered, merge_expected(model, touched)
+            )
         )
         result.violations.extend(
             str(v) for v in checker.check_structure(recovered)
@@ -365,58 +362,75 @@ def _trace_run(
             str(
                 Violation(
                     "recovery",
-                    f"recovery of a clean crash raised "
-                    f"{type(exc).__name__}: {exc}",
+                    f"recovery raised {type(exc).__name__}: {exc}",
                 )
             )
         )
-    info = _TraceInfo(
-        point_counts=dict(injector.point_counts),
-        wal_appends=injector.wal_appends,
-        run_writes=injector.run_writes,
-    )
-    return result, info, injector
+    return result, injector
 
 
 # ----------------------------------------------------------------------
-# Phase 2: crash schedules
+# Drive functions
 # ----------------------------------------------------------------------
+
+def _drive_workload(
+    econf: EngineConfig,
+    workload: list[tuple],
+    store,
+    injector: FaultInjector,
+    violations: list[str],
+):
+    """Replay the seeded workload, validating reads against the model
+    on the fly, until it ends or the scheduled crash interrupts an
+    operation. With no crash scheduled this is the **trace run**: only
+    transient I/O errors (absorbed by retry-with-backoff), after which
+    the injector's firing counts are the candidate crash sites."""
+    model: dict[int, Any] = {}
+    for op in workload:
+        effects = _op_effects(op)
+        try:
+            value = _apply_op(store, op)
+        except InjectedCrash:
+            return model, effects, True, econf
+        if op[0] == "get":
+            expected = _model_value(model, op[1])
+            if value != expected or type(value) is not type(expected):
+                violations.append(
+                    str(
+                        Violation(
+                            "read-your-writes",
+                            f"get({op[1]}) returned {value!r}, model "
+                            f"says {expected!r}",
+                        )
+                    )
+                )
+        model.update(effects)
+    return model, None, False, econf
+
 
 def _candidate_plans(
-    cfg: FaultcheckConfig, seed: int, info: _TraceInfo
+    cfg: FaultcheckConfig, seed: int, trace: FaultInjector
 ) -> list[FaultPlan]:
-    """Every crash site the trace observed, as a concrete plan."""
-    plans = []
-    for name in sorted(info.point_counts):
-        for occurrence in range(1, info.point_counts[name] + 1):
-            plans.append(
-                FaultPlan(
-                    seed=seed,
-                    crash_kind=CRASH_AT_POINT,
-                    crash_point_name=name,
-                    crash_occurrence=occurrence,
-                    transient_rate=cfg.transient_rate,
-                )
-            )
-    for occurrence in range(1, info.wal_appends + 1):
-        plans.append(
-            FaultPlan(
-                seed=seed,
-                crash_kind=CRASH_IN_WAL_APPEND,
-                crash_occurrence=occurrence,
-                transient_rate=cfg.transient_rate,
-            )
+    """Every crash site the trace run observed, as a concrete plan:
+    each firing of each crash point, then each WAL append (torn at a
+    byte), then each run write (cut at a block)."""
+    sites = [
+        (CRASH_AT_POINT, name, count)
+        for name, count in sorted(trace.point_counts.items())
+    ]
+    sites.append((CRASH_IN_WAL_APPEND, None, trace.wal_appends))
+    sites.append((CRASH_IN_RUN_WRITE, None, trace.run_writes))
+    return [
+        FaultPlan(
+            seed=seed,
+            crash_kind=kind,
+            crash_point_name=name,
+            crash_occurrence=occurrence,
+            transient_rate=cfg.transient_rate,
         )
-    for occurrence in range(1, info.run_writes + 1):
-        plans.append(
-            FaultPlan(
-                seed=seed,
-                crash_kind=CRASH_IN_RUN_WRITE,
-                crash_occurrence=occurrence,
-                transient_rate=cfg.transient_rate,
-            )
-        )
-    return plans
+        for kind, name, count in sites
+        for occurrence in range(1, count + 1)
+    ]
 
 
 def _choose_plans(
@@ -447,97 +461,19 @@ def _choose_plans(
     return chosen
 
 
-def _crash_run(
-    cfg: FaultcheckConfig,
-    econf: EngineConfig,
-    workload: list[tuple],
-    plan: FaultPlan,
-    obs: Observability,
-) -> tuple[ScheduleResult, FaultInjector]:
-    injector = FaultInjector(plan, obs)
-    store = build_store(econf)
-    injector.install(store)
-    result = ScheduleResult(
-        seed=plan.seed, schedule=plan.describe(), crashed=False
-    )
-    model: dict[int, Any] = {}
-    touched: dict[int, Any] | None = None
-    with crashpoints.activated(injector):
-        for op in workload:
-            effects = _op_effects(op)
-            try:
-                _apply_op(store, op)
-            except InjectedCrash:
-                result.crashed = True
-                touched = effects
-                break
-            model.update(effects)
-    if not result.crashed:
-        # Candidates come from the trace's own counts, so a schedule
-        # that never fires means the injector lost determinism.
-        result.violations.append(
-            str(
-                Violation(
-                    "harness",
-                    f"scheduled crash never fired ({plan.describe()})",
-                )
-            )
-        )
-        return result, injector
-    state = store.crash()
-    _clear_faults(state)
-    checker = InvariantChecker()
-    try:
-        recovered = recover_store(state, econf)
-        result.violations.extend(
-            str(v)
-            for v in checker.check_state(
-                recovered, merge_expected(model, touched)
-            )
-        )
-        result.violations.extend(
-            str(v) for v in checker.check_structure(recovered)
-        )
-    except Exception as exc:  # noqa: BLE001 — a raising recovery IS the bug
-        result.violations.append(
-            str(
-                Violation(
-                    "recovery",
-                    f"recovery raised {type(exc).__name__}: {exc}",
-                )
-            )
-        )
-    return result, injector
-
-
-# ----------------------------------------------------------------------
-# Group-commit schedule (asyncio)
-# ----------------------------------------------------------------------
-
-async def _group_commit_schedule(
-    cfg: FaultcheckConfig,
+def _drive_group_commit(
     econf: EngineConfig,
     seed: int,
-    obs: Observability,
-) -> tuple[ScheduleResult, FaultInjector]:
+    store,
+    injector: FaultInjector,
+    violations: list[str],
+):
     """Concurrent submissions through the group-commit writer with a
     crash between WAL append and acknowledgement. The contract under
     test: a submission whose future resolved cleanly is durable, full
     stop; one that got an exception may be in either state."""
     from repro.server.group_commit import GroupCommitWriter
 
-    plan = FaultPlan(
-        seed=seed,
-        crash_kind=CRASH_AT_POINT,
-        crash_point_name="group_commit.before_ack",
-        crash_occurrence=2,
-    )
-    injector = FaultInjector(plan, obs)
-    store = build_store(econf)
-    injector.install(store)
-    result = ScheduleResult(
-        seed=seed, schedule="group-commit " + plan.describe(), crashed=False
-    )
     rng = random.Random(f"group-commit:{seed}")
     first = [(key, f"gc{seed}-{key}") for key in range(6)]
     first.append((6, _raw_bytes(rng)))
@@ -546,60 +482,30 @@ async def _group_commit_schedule(
         (1, _raw_bytes(rng)),
         (7, f"late-{seed}"),
     ]
-    submissions = first + second
-    with crashpoints.activated(injector):
+
+    async def submit_all() -> list:
         writer = GroupCommitWriter(store)
         writer.start()
-        outcomes = list(
-            await asyncio.gather(
-                *(writer.submit([item]) for item in first),
-                return_exceptions=True,
+        outcomes = []
+        for wave in (first, second):
+            outcomes.extend(
+                await asyncio.gather(
+                    *(writer.submit([item]) for item in wave),
+                    return_exceptions=True,
+                )
             )
-        )
-        outcomes.extend(
-            await asyncio.gather(
-                *(writer.submit([item]) for item in second),
-                return_exceptions=True,
-            )
-        )
         await writer.close()
-    result.crashed = injector.crashed
+        return outcomes
+
     model: dict[int, Any] = {}
     touched: dict[int, Any] = {}
-    for (key, value), outcome in zip(submissions, outcomes):
+    for (key, value), outcome in zip(first + second, asyncio.run(submit_all())):
         if isinstance(outcome, BaseException):
             touched[key] = value
         else:
             model[key] = value
-    state = store.crash()
-    _clear_faults(state)
-    checker = InvariantChecker()
-    try:
-        recovered = recover_store(state, econf)
-        result.violations.extend(
-            str(v)
-            for v in checker.check_state(
-                recovered, merge_expected(model, touched)
-            )
-        )
-        result.violations.extend(
-            str(v) for v in checker.check_structure(recovered)
-        )
-    except Exception as exc:  # noqa: BLE001 — a raising recovery IS the bug
-        result.violations.append(
-            str(
-                Violation(
-                    "recovery",
-                    f"recovery raised {type(exc).__name__}: {exc}",
-                )
-            )
-        )
-    return result, injector
+    return model, touched, injector.crashed, econf
 
-
-# ----------------------------------------------------------------------
-# Migration schedule (crash during a live filter migration)
-# ----------------------------------------------------------------------
 
 _MIGRATION_POINTS = (
     "tuning.migrate.before_build",
@@ -610,111 +516,55 @@ _MIGRATION_POINTS = (
 )
 
 
-def _migration_schedule(
-    cfg: FaultcheckConfig,
+def _drive_migration(
     econf: EngineConfig,
-    seed: int,
     workload: list[tuple],
-    obs: Observability,
-) -> tuple[ScheduleResult, FaultInjector]:
+    point: str,
+    store,
+    injector: FaultInjector,
+    violations: list[str],
+):
     """Crash a live retune at one of the ``tuning.*`` crash points.
 
     The workload runs crash-free first (so the model is exact), then the
-    actuator performs a live change with a crash scheduled at the seed's
-    rotating point: a filter migration to the *other* filter family for
-    the four ``tuning.migrate.*`` points, or a merge-policy switch (the
+    actuator performs a live change with the crash scheduled at
+    ``point``: a filter migration to the *other* filter family for the
+    four ``tuning.migrate.*`` points, or a merge-policy switch (the
     store-wide major compaction) for ``tuning.switch.before_commit``. A
     crash strictly before the swap/commit must recover under the **old**
     config; after the swap under the **new** one — either way the filter
     is soft state and recovery falls back to rebuilding it from the
     runs, and the old manifest-plus-orphans ordering protects the merge
-    switch. Transient I/O is disabled here: the schedule isolates the
-    tuning crash points.
+    switch.
     """
-    from dataclasses import replace as dc_replace
-
     from repro.tuning.actuator import migrate_filter, switch_merge_policy
 
+    model, _, _, _ = _drive_workload(
+        econf, workload, store, injector, violations
+    )
     target = "bloom" if econf.policy.startswith("chucky") else "chucky"
-    point = _MIGRATION_POINTS[seed % len(_MIGRATION_POINTS)]
-    plan = FaultPlan(
-        seed=seed,
-        crash_kind=CRASH_AT_POINT,
-        crash_point_name=point,
-        crash_occurrence=1,
-        transient_rate=0.0,
-    )
-    injector = FaultInjector(plan, obs)
-    store = build_store(econf)
-    injector.install(store)
-    result = ScheduleResult(
-        seed=seed, schedule="migration " + plan.describe(), crashed=False
-    )
-    model: dict[int, Any] = {}
-    swapped = False
-    with crashpoints.activated(injector):
-        for op in workload:
-            _apply_op(store, op)
-            model.update(_op_effects(op))
-        try:
-            if point == "tuning.switch.before_commit":
-                # Flip K (and keep Z) so the switch rebuilds a genuinely
-                # different geometry; the crash fires before any shard's
-                # new manifest commits, so recovery stays on the old one.
-                switch_merge_policy(
-                    store,
-                    dc_replace(
-                        econf,
-                        runs_per_level=(
-                            1 if econf.runs_per_level > 1 else 2
-                        ),
-                    ),
-                )
-            else:
-                migrate_filter(store, target, econf.bits_per_entry)
-            swapped = True
-        except InjectedCrash:
-            result.crashed = True
-            # after_swap fires once shard 0's swap is already in
-            # memory; its durable state is still blob-compatible with
-            # either policy, but the "what crashed" config is the new
-            # one.
-            swapped = point == "tuning.migrate.after_swap"
-    if not result.crashed:
-        result.violations.append(
-            str(
-                Violation(
-                    "harness",
-                    f"scheduled migration crash never fired "
-                    f"({plan.describe()})",
-                )
-            )
-        )
-        return result, injector
-    recover_conf = dc_replace(econf, policy=target) if swapped else econf
-    state = store.crash()
-    _clear_faults(state)
-    checker = InvariantChecker()
     try:
-        recovered = recover_store(state, recover_conf)
-        result.violations.extend(
-            str(v)
-            for v in checker.check_state(recovered, merge_expected(model))
-        )
-        result.violations.extend(
-            str(v) for v in checker.check_structure(recovered)
-        )
-    except Exception as exc:  # noqa: BLE001 — a raising recovery IS the bug
-        result.violations.append(
-            str(
-                Violation(
-                    "recovery",
-                    f"recovery after migration crash raised "
-                    f"{type(exc).__name__}: {exc}",
-                )
+        if point == "tuning.switch.before_commit":
+            # Flip K (and keep Z) so the switch rebuilds a genuinely
+            # different geometry; the crash fires before any shard's
+            # new manifest commits, so recovery stays on the old one.
+            switch_merge_policy(
+                store,
+                dc_replace(
+                    econf,
+                    runs_per_level=1 if econf.runs_per_level > 1 else 2,
+                ),
             )
-        )
-    return result, injector
+        else:
+            migrate_filter(store, target, econf.bits_per_entry)
+    except InjectedCrash:
+        # after_swap fires once shard 0's swap is already in memory;
+        # its durable state is still blob-compatible with either
+        # policy, but the "what crashed" config is the new one.
+        if point == "tuning.migrate.after_swap":
+            return model, None, True, dc_replace(econf, policy=target)
+        return model, None, True, econf
+    return model, None, False, econf
 
 
 # ----------------------------------------------------------------------
@@ -725,53 +575,85 @@ def run_faultcheck(
     cfg: FaultcheckConfig, observability: Observability | None = None
 ) -> FaultcheckReport:
     """Run the whole campaign: for each seed, one trace run, up to
-    ``schedules_per_seed`` crash schedules, and (optionally) one
-    group-commit schedule and one crashed-filter-migration schedule.
-    Deterministic in ``cfg``."""
+    ``schedules_per_seed`` crash schedules replaying the same workload
+    into a crash site the trace observed, and (optionally) one
+    group-commit schedule and one crashed-retune schedule whose point
+    rotates with the seed (transient I/O off: it isolates the tuning
+    crash points). Deterministic in ``cfg``."""
     obs = observability if observability is not None else NULL_OBS
     report = FaultcheckReport(
-        preset=cfg.preset,
-        policy=cfg.policy,
-        shards=cfg.shards,
-        seeds=cfg.seeds,
+        campaign="faultcheck",
+        params={
+            "preset": cfg.preset,
+            "policy": cfg.policy,
+            "shards": cfg.shards,
+            "seeds": cfg.seeds,
+        },
+        counters={
+            "crashes_injected": 0,
+            "transient_errors": 0,
+            "io_backoffs": 0,
+            "torn_wal_appends": 0,
+            "partial_run_writes": 0,
+            "crash_points_seen": {},
+        },
     )
     econf = cfg.engine_config()
+
+    def explore(plan: FaultPlan, label: str, drive) -> FaultInjector:
+        result, injector = _run_schedule(econf, plan, label, drive, obs)
+        report.results.append(result)
+        _absorb(report.counters, injector)
+        return injector
+
     for seed in range(cfg.seeds):
         workload = make_workload(seed, cfg.ops)
-        trace_result, info, injector = _trace_run(
-            cfg, econf, seed, workload, obs
+        replay = partial(_drive_workload, econf, workload)
+        trace = explore(
+            FaultPlan(seed=seed, transient_rate=cfg.transient_rate),
+            "trace",
+            replay,
         )
-        report.results.append(trace_result)
-        _absorb(report, injector)
-        for plan in _choose_plans(cfg, seed, _candidate_plans(cfg, seed, info)):
-            result, injector = _crash_run(cfg, econf, workload, plan, obs)
-            report.results.append(result)
-            _absorb(report, injector)
+        for plan in _choose_plans(cfg, seed, _candidate_plans(cfg, seed, trace)):
+            explore(plan, plan.describe(), replay)
         if cfg.group_commit:
-            result, injector = asyncio.run(
-                _group_commit_schedule(cfg, econf, seed, obs)
+            plan = FaultPlan(
+                seed=seed,
+                crash_kind=CRASH_AT_POINT,
+                crash_point_name="group_commit.before_ack",
+                crash_occurrence=2,
             )
-            report.results.append(result)
-            _absorb(report, injector)
+            explore(
+                plan,
+                "group-commit " + plan.describe(),
+                partial(_drive_group_commit, econf, seed),
+            )
         if cfg.migration:
-            result, injector = _migration_schedule(
-                cfg, econf, seed, workload, obs
+            point = _MIGRATION_POINTS[seed % len(_MIGRATION_POINTS)]
+            plan = FaultPlan(
+                seed=seed,
+                crash_kind=CRASH_AT_POINT,
+                crash_point_name=point,
             )
-            report.results.append(result)
-            _absorb(report, injector)
+            explore(
+                plan,
+                "migration " + plan.describe(),
+                partial(_drive_migration, econf, workload, point),
+            )
+    report.counters["crash_points_seen"] = dict(
+        sorted(report.counters["crash_points_seen"].items())
+    )
     return report
 
 
-def _absorb(report: FaultcheckReport, injector: FaultInjector) -> None:
-    report.crashes_injected += 1 if injector.crashed else 0
-    report.transient_errors += injector.transient_errors
-    report.io_backoffs += injector.backoffs
-    plan = injector.plan
-    if injector.crashed and plan.crash_kind == CRASH_IN_WAL_APPEND:
-        report.torn_wal_appends += 1
-    if injector.crashed and plan.crash_kind == CRASH_IN_RUN_WRITE:
-        report.partial_run_writes += 1
+def _absorb(counters: dict[str, Any], injector: FaultInjector) -> None:
+    counters["transient_errors"] += injector.transient_errors
+    counters["io_backoffs"] += injector.backoffs
+    if injector.crashed:
+        counters["crashes_injected"] += 1
+        kind = injector.plan.crash_kind
+        counters["torn_wal_appends"] += kind == CRASH_IN_WAL_APPEND
+        counters["partial_run_writes"] += kind == CRASH_IN_RUN_WRITE
+    seen = counters["crash_points_seen"]
     for name, count in injector.point_counts.items():
-        report.crash_points_seen[name] = (
-            report.crash_points_seen.get(name, 0) + count
-        )
+        seen[name] = seen.get(name, 0) + count

@@ -34,6 +34,7 @@ import time
 from collections import deque
 from typing import Any, Callable
 
+from repro.common.quantile import nearest_rank
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 
 #: Histogram quantiles expanded into derived series.
@@ -89,17 +90,6 @@ class Series:
         if elapsed <= 0:
             return 0.0
         return (pts[-1][1] - pts[0][1]) / elapsed
-
-
-def _nearest_rank(values: list[float], q: float) -> float | None:
-    if not values:
-        return None
-    if not 0.0 < q <= 1.0:
-        raise ValueError(f"quantile must be in (0, 1], got {q}")
-    ordered = sorted(values)
-    # ceil(q * n), guarded against float drift on exact multiples.
-    rank = max(1, math.ceil(q * len(ordered) - 1e-9))
-    return ordered[min(rank, len(ordered)) - 1]
 
 
 class TimeSeriesStore:
@@ -192,7 +182,7 @@ class TimeSeriesStore:
         if series is None:
             return None
         values = [float(v) for _, v in series.points(window, now)]
-        return _nearest_rank(values, q)
+        return nearest_rank(values, q)
 
     def window_hist_quantile(
         self, name: str, q: float, window: float, now: float | None = None

@@ -24,10 +24,9 @@ from repro.server.client import (
 from repro.server.group_commit import GroupCommitWriter
 from repro.server.loadgen import (
     LoadgenConfig,
-    pop_traces,
+    ServerTarget,
     run_loadgen,
     write_artifact,
-    write_traces_artifact,
 )
 from repro.server.protocol import (
     MAX_FRAME_BYTES,
@@ -61,6 +60,7 @@ __all__ = [
     "ServerConfig",
     "ServerError",
     "ServerShuttingDown",
+    "ServerTarget",
     "Status",
     "SyncClient",
     "decode_request",
@@ -68,8 +68,6 @@ __all__ = [
     "encode_request",
     "encode_response",
     "frame",
-    "pop_traces",
     "run_loadgen",
     "write_artifact",
-    "write_traces_artifact",
 ]

@@ -1,18 +1,23 @@
 """Closed-loop load generator for the serving layer.
 
-Replays the repo's workload generators — uniform, Zipfian, YCSB-B —
-over N concurrent TCP connections against a running ``repro serve``
-endpoint. Closed loop means each connection issues its next request
-only after the previous response arrived, so offered load scales with
-the connection count and measured latency includes queueing at the
-server, exactly the regime the ROADMAP's "heavy traffic" goal cares
-about.
+Replays the repo's workload generators — uniform, Zipfian, the YCSB
+mixes, churn, denylist — over N concurrent connections. Closed loop
+means each connection issues its next request only after the previous
+response arrived, so offered load scales with the connection count and
+measured latency includes queueing at the server, exactly the regime
+the ROADMAP's "heavy traffic" goal cares about.
 
-Per-operation wall-clock latencies are recorded exactly (sorted lists,
-not histogram buckets — op counts here are small enough) and the run
-summary — throughput plus p50/p95/p99 per op type, with error and
-BUSY-retry counts broken out *per op class* so the SLO error-rate
-objective has a ground-truth field — is written as the
+:func:`run_loadgen` is the only loop; what it drives is a *target*
+(:class:`ServerTarget`: a running ``repro serve`` endpoint over TCP;
+:class:`repro.cluster.loadgen.ClusterTarget`: a replicated cluster
+through its coordinator, with a mid-run kill and an acked-write
+read-back).
+
+Per-operation wall-clock latencies are recorded exactly (lists, not
+histogram buckets — op counts here are small enough) and the run
+summary — throughput plus nearest-rank p50/p95/p99 per op type, with
+error and BUSY-retry counts broken out *per op class* so the SLO
+error-rate objective has a ground-truth field — is written as the
 ``BENCH_serve.json`` artifact that starts the repo's serving-perf
 trajectory.
 
@@ -20,12 +25,12 @@ trajectory.
 small exponential backoff and counted separately: a shed request is
 not an error, it is the backpressure mechanism working.
 
-With ``trace_every > 0`` each worker samples 1-in-N of its requests
-into the wire trace header (plus the ``trace_slow_us`` slow-upgrade
-threshold); after the run the generator pulls the server half of every
-sampled trace over the TRACE op and can write the combined span trees
-as a separate traces artifact — the end-to-end "one request, one
-causal tree" view ``repro trace --request`` renders.
+With ``trace_every > 0`` each server connection samples 1-in-N of its
+requests into the wire trace header (plus the ``trace_slow_us``
+slow-upgrade threshold); after the run the target pulls the server half
+of every sampled trace over the TRACE op and can write the combined
+span trees as a separate traces artifact — the end-to-end "one request,
+one causal tree" view ``repro trace --request`` renders.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ import json
 import time
 from dataclasses import asdict, dataclass
 
+from repro.common.quantile import nearest_rank
 from repro.server.client import AsyncClient, ClientTraceConfig, ServerBusy
 from repro.workloads.generators import WORKLOAD_KINDS, request_stream
 
@@ -46,6 +52,10 @@ MAX_TRACES_IN_ARTIFACT = 32
 
 #: The op classes the generator issues and accounts separately.
 OP_CLASSES = ("read", "update", "insert", "delete", "scan", "rmw")
+
+#: The op class a workload kind needs beyond the get / put / delete
+#: every target has; a target that cannot issue it rejects the run.
+WORKLOAD_NEEDS = {"ycsb-e": "scan"}
 
 #: Workload kinds whose reads the generator *verifies*: each connection
 #: owns a disjoint key slice, replays a per-connection membership model,
@@ -99,86 +109,146 @@ class LoadgenConfig:
             )
 
 
-def _percentile(sorted_values: list[float], q: float) -> float:
-    """Exact nearest-rank percentile of a pre-sorted list."""
-    if not sorted_values:
-        return 0.0
-    rank = max(1, min(len(sorted_values), round(q * len(sorted_values) + 0.5)))
-    return sorted_values[rank - 1]
-
-
 def _summarize_op(latencies_us: list[float]) -> dict:
-    ordered = sorted(latencies_us)
-    count = len(ordered)
+    count = len(latencies_us)
     return {
         "count": count,
-        "mean_us": sum(ordered) / count if count else 0.0,
-        "p50_us": _percentile(ordered, 0.50),
-        "p95_us": _percentile(ordered, 0.95),
-        "p99_us": _percentile(ordered, 0.99),
-        "max_us": ordered[-1] if ordered else 0.0,
+        "mean_us": sum(latencies_us) / count if count else 0.0,
+        "p50_us": nearest_rank(latencies_us, 0.50) or 0.0,
+        "p95_us": nearest_rank(latencies_us, 0.95) or 0.0,
+        "p99_us": nearest_rank(latencies_us, 0.99) or 0.0,
+        "max_us": max(latencies_us, default=0.0),
     }
 
 
-def _trace_config(cfg: LoadgenConfig) -> ClientTraceConfig | None:
-    if not cfg.trace_every and not cfg.trace_slow_us:
-        return None
-    return ClientTraceConfig(
-        sample_every=cfg.trace_every, slow_us=cfg.trace_slow_us
-    )
-
-
-async def _preload(cfg: LoadgenConfig) -> None:
-    """Seed the whole key population so reads have something to hit."""
-    client = await AsyncClient.connect(cfg.host, cfg.port)
-    try:
-        value = "x" * cfg.value_size
-        keys = list(range(cfg.key_space))
-        for start in range(0, len(keys), 500):
-            chunk = keys[start : start + 500]
-            await client.put_batch([(key, value) for key in chunk])
-    finally:
-        await client.close()
-
-
-def _worker_keys(cfg: LoadgenConfig, index: int) -> list[int]:
-    """This connection's key population. Verified workloads slice the
-    key space disjointly per connection so each worker's membership
-    model is authoritative for every key it reads; the other kinds
-    share the whole space (the historical behavior, draw-for-draw)."""
-    if cfg.workload not in VERIFIED_WORKLOADS:
-        return list(range(cfg.key_space))
+def owned_span(cfg: LoadgenConfig, who: str) -> int:
+    """Keys per connection when the key space is split disjointly."""
     span = cfg.key_space // cfg.connections
     if span < 1:
         raise ValueError(
-            f"verified workload {cfg.workload!r} needs key_space >= "
-            f"connections ({cfg.key_space} < {cfg.connections})"
+            f"{who} needs key_space >= connections "
+            f"({cfg.key_space} < {cfg.connections})"
         )
-    lo = index * span
-    return list(range(lo, lo + span))
+    return span
+
+
+class ServerTarget:
+    """What a load run drives — here one ``repro serve`` endpoint, a
+    socket per connection. A target names its artifact (``bench``), the
+    op classes it can issue (``ops``), seeds the key population
+    (``preload``), says which keys connection ``index`` draws from
+    (``keys``), opens that connection (``connect`` — anything with
+    ``get`` / ``put`` / ``delete`` / ``scan`` / ``close``) and adds its
+    own sections to the run summary (``finish``)."""
+
+    bench = "serve"
+    ops = OP_CLASSES
+
+    def __init__(self, cfg: LoadgenConfig) -> None:
+        self.cfg = cfg
+        self.clients: list[AsyncClient] = []
+
+    async def preload(self) -> None:
+        """Seed the whole key population so reads have something to hit."""
+        cfg = self.cfg
+        client = await AsyncClient.connect(cfg.host, cfg.port)
+        try:
+            value = "x" * cfg.value_size
+            keys = list(range(cfg.key_space))
+            for start in range(0, len(keys), 500):
+                chunk = keys[start : start + 500]
+                await client.put_batch([(key, value) for key in chunk])
+        finally:
+            await client.close()
+
+    def keys(self, index: int) -> list[int]:
+        """Verified workloads slice the key space disjointly per
+        connection so each worker's membership model is authoritative
+        for every key it reads; the other kinds share the whole space
+        (the historical behavior, draw-for-draw)."""
+        cfg = self.cfg
+        if cfg.workload not in VERIFIED_WORKLOADS:
+            return list(range(cfg.key_space))
+        span = owned_span(cfg, f"verified workload {cfg.workload!r}")
+        lo = index * span
+        return list(range(lo, lo + span))
+
+    async def connect(self, index: int) -> AsyncClient:
+        cfg = self.cfg
+        trace = None
+        if cfg.trace_every or cfg.trace_slow_us:
+            trace = ClientTraceConfig(
+                sample_every=cfg.trace_every, slow_us=cfg.trace_slow_us
+            )
+        client = await AsyncClient.connect(cfg.host, cfg.port, trace=trace)
+        self.clients.append(client)
+        return client
+
+    async def finish(self, summary: dict) -> None:
+        """With tracing on, fetch the server half of the sampled traces
+        and combine the trees."""
+        cfg = self.cfg
+        if not cfg.trace_every and not cfg.trace_slow_us:
+            return
+        spans_by_trace: dict[int, list[dict]] = {}
+        trace_ids: list[int] = []
+        for worker in self.clients:
+            trace_ids.extend(worker.sampled_trace_ids)
+            for span in worker.client_spans():
+                span = span.to_dict()
+                if span.get("trace_id"):
+                    spans_by_trace.setdefault(span["trace_id"], []).append(span)
+        traces = {
+            "sampled": sum(c.traces_sampled for c in self.clients),
+            "slow_upgrades": sum(c.slow_upgrades for c in self.clients),
+            "server": {},
+            "traces": [],
+        }
+        client = await AsyncClient.connect(cfg.host, cfg.port)
+        try:
+            sink = await client.fetch_trace(0)
+            if sink is not None:
+                traces["server"] = {
+                    "tracing_enabled": sink.get("tracing_enabled", False),
+                    "dropped_traces": sink.get("dropped_traces", 0),
+                    "dropped_spans": sink.get("dropped_spans", 0),
+                }
+            # Newest sampled ids first: the tail of the run is likeliest to
+            # still be resident in the server's bounded sink.
+            wanted = list(dict.fromkeys(reversed(trace_ids)))
+            for trace_id in wanted[:MAX_TRACES_IN_ARTIFACT]:
+                spans = list(spans_by_trace.get(trace_id, []))
+                payload = await client.fetch_trace(trace_id)
+                if payload is not None:
+                    spans.extend(payload.get("spans", []))
+                if spans:
+                    traces["traces"].append(
+                        {"trace_id": trace_id, "spans": spans}
+                    )
+        finally:
+            await client.close()
+        summary["tracing"] = {
+            "sampled": traces["sampled"],
+            "slow_upgrades": traces["slow_upgrades"],
+            "complete_traces": len(traces["traces"]),
+            "server": traces["server"],
+        }
+        summary["_traces"] = traces  # detached before the artifact
 
 
 async def _worker(
     cfg: LoadgenConfig,
+    target,
     index: int,
-    ops: int,
+    stream,
     latencies: dict[str, list[float]],
     counters: dict[str, dict[str, int]],
-    trace_state: dict,
     verify_state: dict,
 ) -> None:
-    client = await AsyncClient.connect(
-        cfg.host, cfg.port, trace=_trace_config(cfg)
-    )
+    """One closed-loop connection: the next request leaves only after
+    the previous response arrived."""
+    conn = await target.connect(index)
     value = f"c{index}-" + "y" * max(0, cfg.value_size - 4)
-    stream = request_stream(
-        cfg.workload,
-        _worker_keys(cfg, index),
-        ops,
-        read_fraction=cfg.read_fraction,
-        theta=cfg.theta,
-        seed=cfg.seed * 1_000_003 + index,
-    )
     verifying = cfg.workload in VERIFIED_WORKLOADS
     # Membership model: True = must read back live, False = must read
     # back absent, None = unknown (the op that would have set it
@@ -195,16 +265,16 @@ async def _worker(
             for attempt in range(MAX_BUSY_RETRIES + 1):
                 try:
                     if op == "read":
-                        result = await client.get(key)
+                        result = await conn.get(key)
                     elif op == "delete":
-                        await client.delete(key)
+                        await conn.delete(key)
                     elif op == "scan":
-                        await client.scan(key, key + SCAN_WIDTH)
+                        await conn.scan(key, key + SCAN_WIDTH)
                     elif op == "rmw":
-                        await client.get(key)
-                        await client.put(key, value)
+                        await conn.get(key)
+                        await conn.put(key, value)
                     else:  # update / insert
-                        await client.put(key, value)
+                        await conn.put(key, value)
                     ok = True
                     break
                 except ServerBusy:
@@ -235,85 +305,56 @@ async def _worker(
             elif op == "delete":
                 model[key] = False if ok else None
     finally:
-        # Harvest this connection's trace state before the socket goes.
-        trace_state["sampled"] += client.traces_sampled
-        trace_state["slow_upgrades"] += client.slow_upgrades
-        trace_state["trace_ids"].extend(client.sampled_trace_ids)
-        trace_state["client_spans"].extend(
-            span.to_dict() for span in client.client_spans()
+        await conn.close()
+
+
+async def run_loadgen(cfg: LoadgenConfig, target=None) -> dict:
+    """Run the configured load — the one closed loop, against
+    ``target`` (default: the ``repro serve`` endpoint ``cfg`` names) —
+    and return the summary dict, the exact structure written to
+    ``BENCH_serve.json``. Raises :class:`ValueError` before any traffic
+    when the workload needs an op class the target cannot issue."""
+    if target is None:
+        target = ServerTarget(cfg)
+    needed = WORKLOAD_NEEDS.get(cfg.workload)
+    if needed is not None and needed not in target.ops:
+        raise ValueError(
+            f"workload {cfg.workload!r} needs {needed!r} ops, which a "
+            f"{target.bench} target cannot issue"
         )
-        await client.close()
-
-
-async def _collect_traces(cfg: LoadgenConfig, trace_state: dict) -> dict:
-    """Fetch the server half of sampled traces and combine trees."""
-    spans_by_trace: dict[int, list[dict]] = {}
-    for span in trace_state["client_spans"]:
-        trace_id = span.get("trace_id")
-        if trace_id:
-            spans_by_trace.setdefault(trace_id, []).append(span)
-    out = {
-        "sampled": trace_state["sampled"],
-        "slow_upgrades": trace_state["slow_upgrades"],
-        "server": {},
-        "traces": [],
-    }
-    client = await AsyncClient.connect(cfg.host, cfg.port)
-    try:
-        summary = await client.fetch_trace(0)
-        if summary is not None:
-            out["server"] = {
-                "tracing_enabled": summary.get("tracing_enabled", False),
-                "dropped_traces": summary.get("dropped_traces", 0),
-                "dropped_spans": summary.get("dropped_spans", 0),
-            }
-        # Newest sampled ids first: the tail of the run is likeliest to
-        # still be resident in the server's bounded sink.
-        wanted = list(dict.fromkeys(reversed(trace_state["trace_ids"])))
-        for trace_id in wanted[:MAX_TRACES_IN_ARTIFACT]:
-            spans = list(spans_by_trace.get(trace_id, []))
-            payload = await client.fetch_trace(trace_id)
-            if payload is not None:
-                spans.extend(payload.get("spans", []))
-            if spans:
-                out["traces"].append({"trace_id": trace_id, "spans": spans})
-    finally:
-        await client.close()
-    return out
-
-
-async def run_loadgen(cfg: LoadgenConfig) -> dict:
-    """Run the configured load and return the summary dict
-    (the exact structure written to ``BENCH_serve.json``)."""
+    per_conn = [cfg.ops // cfg.connections] * cfg.connections
+    for i in range(cfg.ops % cfg.connections):
+        per_conn[i] += 1
+    streams = [
+        request_stream(
+            cfg.workload,
+            target.keys(index),
+            ops,
+            read_fraction=cfg.read_fraction,
+            theta=cfg.theta,
+            seed=cfg.seed * 1_000_003 + index,
+        )
+        for index, ops in enumerate(per_conn)
+    ]
     if cfg.preload and cfg.workload != "denylist":
         # The denylist scenario's whole point is an (almost) empty
         # store: admission checks must be negative lookups.
-        await _preload(cfg)
+        await target.preload()
     latencies: dict[str, list[float]] = {op: [] for op in OP_CLASSES}
     counters = {op: {"busy_retries": 0, "errors": 0} for op in OP_CLASSES}
-    trace_state: dict = {
-        "sampled": 0,
-        "slow_upgrades": 0,
-        "trace_ids": [],
-        "client_spans": [],
-    }
     verify_state: dict = {
         "verified_reads": 0,
         "false_negatives": 0,
         "stale_reads": 0,
     }
-    per_conn = [cfg.ops // cfg.connections] * cfg.connections
-    for i in range(cfg.ops % cfg.connections):
-        per_conn[i] += 1
     started = time.perf_counter()
     await asyncio.gather(
         *(
             _worker(
-                cfg, index, ops, latencies, counters, trace_state,
-                verify_state,
+                cfg, target, index, stream, latencies, counters, verify_state
             )
-            for index, ops in enumerate(per_conn)
-            if ops > 0
+            for index, stream in enumerate(streams)
+            if per_conn[index] > 0
         )
     )
     elapsed = time.perf_counter() - started
@@ -322,7 +363,7 @@ async def run_loadgen(cfg: LoadgenConfig) -> dict:
     from repro.workloads.bench import host_fingerprint
 
     summary = {
-        "bench": "serve",
+        "bench": target.bench,
         "config": asdict(cfg),
         "host": host_fingerprint(),
         "elapsed_s": elapsed,
@@ -348,36 +389,15 @@ async def run_loadgen(cfg: LoadgenConfig) -> dict:
     }
     if cfg.workload in VERIFIED_WORKLOADS:
         summary["verification"] = dict(verify_state)
-    if cfg.trace_every or cfg.trace_slow_us:
-        traces = await _collect_traces(cfg, trace_state)
-        summary["tracing"] = {
-            "sampled": traces["sampled"],
-            "slow_upgrades": traces["slow_upgrades"],
-            "complete_traces": len(traces["traces"]),
-            "server": traces["server"],
-        }
-        summary["_traces"] = traces  # stripped before BENCH_serve.json
+    await target.finish(summary)
     return summary
 
 
-def pop_traces(summary: dict) -> dict | None:
-    """Detach the (bulky) combined-trace payload from a run summary —
-    callers write it via :func:`write_traces_artifact`, keeping
-    BENCH_serve.json diffable."""
-    return summary.pop("_traces", None)
-
-
 def write_artifact(summary: dict, path: str) -> None:
-    """Write the run summary as a JSON artifact (traces detached)."""
+    """Write a run summary (or its detached ``_traces`` payload — kept
+    out of BENCH_serve.json so that stays diffable) as a JSON artifact."""
     summary = dict(summary)
     summary.pop("_traces", None)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def write_traces_artifact(traces: dict, path: str) -> None:
-    """Write the combined client+server span trees artifact."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(traces, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -136,7 +136,9 @@ class TestServeLoadgen:
     def test_loadgen_parser_defaults(self):
         args = build_parser().parse_args(["loadgen"])
         assert (args.connections, args.ops, args.workload) == (8, 5000, "ycsb-b")
-        assert args.out == "BENCH_serve.json"
+        # Resolved per mode: BENCH_serve.json, or BENCH_cluster.json
+        # with --cluster — an explicit --out is never rewritten.
+        assert args.out is None
 
     def test_serve_then_loadgen_end_to_end(self, tmp_path, capsys):
         """`repro serve` in a thread, `repro loadgen` against it: zero
@@ -191,3 +193,157 @@ class TestServeLoadgen:
             client.shutdown()
         server_thread.join(timeout=10)
         assert not server_thread.is_alive()
+
+
+class TestModeFlags:
+    """A flag of the mode that is not running is a usage error naming
+    the flag — never silently swallowed."""
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["faultcheck", "--cluster", "--shards", "4"], "--shards"),
+            (["faultcheck", "--cluster", "--preset", "lazy"], "--preset"),
+            (["faultcheck", "--cluster", "--policy", "bloom"], "--policy"),
+            (["faultcheck", "--cluster", "--ops", "9"], "--ops"),
+            (["faultcheck", "--cluster", "--schedules-per-seed", "1"],
+             "--schedules-per-seed"),
+            (["faultcheck", "--cluster", "--transient-rate", "0"],
+             "--transient-rate"),
+            (["faultcheck", "--cluster", "--no-group-commit"],
+             "--no-group-commit"),
+            (["faultcheck", "--cluster", "--no-migration"], "--no-migration"),
+            (["loadgen", "--cluster", "c.json", "--host", "h"], "--host"),
+            # Even when the value equals the single-server default.
+            (["loadgen", "--cluster", "c.json", "--port", "7411"], "--port"),
+            (["loadgen", "--cluster", "c.json", "--trace-every", "10"],
+             "--trace-every"),
+            (["loadgen", "--cluster", "c.json", "--trace-slow-us", "5"],
+             "--trace-slow-us"),
+            (["loadgen", "--cluster", "c.json", "--traces-out", "t.json"],
+             "--traces-out"),
+            (["loadgen", "--kill", "auto"], "--kill"),
+        ],
+    )
+    def test_other_modes_flag_is_a_usage_error(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert f"{flag} does not apply" in capsys.readouterr().err
+
+    def test_faultcheck_flags_reach_the_config(self, capsys, tmp_path):
+        report = tmp_path / "fc.json"
+        code = main(
+            ["faultcheck", "--seeds", "1", "--shards", "2", "--preset",
+             "tiered", "--policy", "bloom", "--ops", "20",
+             "--schedules-per-seed", "1", "--transient-rate", "0",
+             "--no-group-commit", "--no-migration", "--report", str(report)]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "(1 trace + 1 crash schedules), preset=tiered" in out
+        data = json.loads(report.read_text())
+        assert (data["preset"], data["policy"], data["shards"]) == (
+            "tiered", "bloom", 2
+        )
+        assert data["schedules_run"] == 2 and data["transient_errors"] == 0
+
+    def test_faultcheck_defaults_are_the_configs(self, capsys):
+        from repro.faults import FaultcheckConfig
+
+        cfg = FaultcheckConfig()
+        assert main(["faultcheck", "--seeds", "1"]) == 0
+        assert (
+            f"preset={cfg.preset} policy={cfg.policy} shards={cfg.shards} "
+            f"ops={cfg.ops} transient_rate={cfg.transient_rate:g}"
+        ) in capsys.readouterr().out
+
+
+class TestClusterLoadgen:
+    @pytest.fixture
+    def spec_path(self, tmp_path):
+        """A LoopbackCluster served from a background event loop, and
+        the spec file that points ``loadgen --cluster`` at it."""
+        import asyncio
+        import threading
+
+        from repro.cluster import (
+            ClusterFaultcheckConfig,
+            ClusterSpec,
+            LoopbackCluster,
+            write_spec,
+        )
+
+        loop = asyncio.new_event_loop()
+        thread = threading.Thread(target=loop.run_forever, daemon=True)
+        thread.start()
+
+        def call(coro):
+            return asyncio.run_coroutine_threadsafe(coro, loop).result(20)
+
+        cluster = LoopbackCluster(ClusterFaultcheckConfig())
+        coordinator = call(cluster.start())
+        path = tmp_path / "cluster.json"
+        write_spec(
+            ClusterSpec(
+                nodes={
+                    name: {"host": host, "port": port}
+                    for name, (host, port) in cluster.addrs.items()
+                },
+                map=cluster.map.to_dict(),
+            ),
+            str(path),
+        )
+        yield str(path)
+        call(coordinator.close())
+        call(cluster.stop())
+        loop.call_soon_threadsafe(loop.stop)
+        thread.join(timeout=10)
+
+    def test_explicit_out_is_honoured_and_churn_runs(
+        self, spec_path, tmp_path, monkeypatch, capsys
+    ):
+        """``--out BENCH_serve.json`` used to be rewritten to
+        BENCH_cluster.json (it was compared with the literal default),
+        and ``--workload churn`` died with ``KeyError: 'insert'``."""
+        monkeypatch.chdir(tmp_path)
+        code = main(
+            ["loadgen", "--cluster", spec_path, "--workload", "churn",
+             "--connections", "3", "--ops", "240", "--key-space", "90",
+             "--out", "BENCH_serve.json"]
+        )
+        printed = capsys.readouterr().out
+        assert code == 0, printed
+        assert "0 errors" in printed
+        assert "acked writes: 0 lost" in printed
+        assert "artifact written to BENCH_serve.json" in printed
+        assert not (tmp_path / "BENCH_cluster.json").exists()
+        summary = json.loads((tmp_path / "BENCH_serve.json").read_text())
+        assert summary["bench"] == "cluster"
+        assert summary["lost_acked"] == 0
+        assert summary["latency_us"]["delete"]["count"] > 0
+        assert summary["verification"]["false_negatives"] == 0
+
+    def test_default_out_is_resolved_per_mode(
+        self, spec_path, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        code = main(
+            ["loadgen", "--cluster", spec_path, "--connections", "2",
+             "--ops", "60", "--key-space", "40"]
+        )
+        assert code == 0, capsys.readouterr().out
+        assert (tmp_path / "BENCH_cluster.json").exists()
+        assert not (tmp_path / "BENCH_serve.json").exists()
+
+    def test_unissuable_workload_and_bad_config_exit_2(
+        self, spec_path, capsys
+    ):
+        assert main(
+            ["loadgen", "--cluster", spec_path, "--workload", "ycsb-e"]
+        ) == 2
+        assert "needs 'scan' ops" in capsys.readouterr().err
+        assert main(
+            ["loadgen", "--cluster", spec_path, "--connections", "0"]
+        ) == 2
+        assert "connections must be >= 1" in capsys.readouterr().err

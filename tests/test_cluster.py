@@ -4,7 +4,7 @@ the crash campaign.
 
 The live tests run a real 3-node loopback cluster inside one event
 loop (actual sockets, actual frames — the same code production runs,
-via the faultcheck harness's ``_LiveCluster``); the bit-identity tests
+via the public ``LoopbackCluster`` fixture); the bit-identity tests
 work at the WAL-record layer, where replication actually operates.
 """
 
@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from repro.cluster import (
     ClusterFaultcheckConfig,
     ClusterSpec,
+    LoopbackCluster,
     NotOwnedError,
     ReplicationLog,
     ShardMap,
@@ -27,7 +28,6 @@ from repro.cluster import (
     run_cluster_faultcheck,
 )
 from repro.cluster.coordinator import ClusterCoordinator
-from repro.cluster.faultcheck import _LiveCluster
 from repro.cluster.node import ClusterNode, build_shard_store
 from repro.engine.config import EngineConfig
 from repro.engine.sharded import shard_of
@@ -335,7 +335,7 @@ class TestFollowerBitIdentity:
         double-apply (the leader resends from the follower's reported
         applied count after any hiccup)."""
         async def run():
-            cluster = _LiveCluster(_cluster_cfg())
+            cluster = LoopbackCluster(_cluster_cfg())
             coordinator = await cluster.start()
             try:
                 for key in range(20):
@@ -405,7 +405,7 @@ class TestStalenessBound:
         applied count equals the leader's log: staleness bound 0 at
         quiescence, and follower reads serve every acked write."""
         async def run():
-            cluster = _LiveCluster(_cluster_cfg())
+            cluster = LoopbackCluster(_cluster_cfg())
             coordinator = await cluster.start()
             try:
                 for key in range(30):
@@ -437,7 +437,7 @@ class TestStalenessBound:
 class TestClusterLive:
     def test_leader_kill_and_failover_keeps_acked_writes(self):
         async def run():
-            cluster = _LiveCluster(_cluster_cfg())
+            cluster = LoopbackCluster(_cluster_cfg())
             coordinator = await cluster.start()
             try:
                 for key in range(40):
@@ -459,7 +459,7 @@ class TestClusterLive:
 
     def test_live_handoff_moves_shard_without_losing_data(self):
         async def run():
-            cluster = _LiveCluster(_cluster_cfg())
+            cluster = LoopbackCluster(_cluster_cfg())
             coordinator = await cluster.start()
             try:
                 for key in range(40):
@@ -487,7 +487,7 @@ class TestClusterLive:
 
     def test_write_to_non_leader_bounces_with_refresh_signal(self):
         async def run():
-            cluster = _LiveCluster(_cluster_cfg())
+            cluster = LoopbackCluster(_cluster_cfg())
             coordinator = await cluster.start()
             try:
                 shard_id = 0
@@ -516,7 +516,7 @@ class TestPipelinedRouting:
 
     def test_burst_bounces_exactly_the_unhosted_keys(self):
         async def run():
-            cluster = _LiveCluster(_cluster_cfg())
+            cluster = LoopbackCluster(_cluster_cfg())
             coordinator = await cluster.start()
             try:
                 keys = list(range(24))  # one admissible run (< queue depth)
@@ -562,7 +562,7 @@ class TestPipelinedRouting:
 
     def test_get_many_follows_a_map_refresh(self):
         async def run():
-            cluster = _LiveCluster(_cluster_cfg())
+            cluster = LoopbackCluster(_cluster_cfg())
             coordinator = await cluster.start()
             operator = ClusterCoordinator(dict(cluster.addrs))
             try:
@@ -605,9 +605,9 @@ class TestClusterFaultcheck:
         cfg = ClusterFaultcheckConfig(seeds=8)
         report = run_cluster_faultcheck(cfg)
         assert report.ok, report.violations
-        assert report.crashes_injected == 8
-        assert report.failovers == 8
-        assert {r.point for r in report.results} == {
+        assert report.counters["crashes_injected"] == 8
+        assert report.counters["failovers"] == 8
+        assert {r.detail["point"] for r in report.results} == {
             "cluster.replicate.before_send",
             "cluster.replicate.before_ack",
             "cluster.handoff.before_snapshot",
@@ -659,7 +659,7 @@ class TestEpochFencing:
         untrusted): the leader pushes its map, the follower adopts,
         and replication resumes from the authoritative count."""
         async def run():
-            cluster = _LiveCluster(_cluster_cfg())
+            cluster = LoopbackCluster(_cluster_cfg())
             coordinator = await cluster.start()
             try:
                 for key in range(30):
@@ -760,7 +760,7 @@ class TestEpochFencing:
 class TestDegradedReplication:
     def test_last_follower_death_fails_the_observing_group(self):
         async def run():
-            cluster = _LiveCluster(_cluster_cfg())
+            cluster = LoopbackCluster(_cluster_cfg())
             coordinator = await cluster.start()
             try:
                 for key in range(20):

@@ -380,7 +380,7 @@ class TestFaultInjector:
                 )
             )
             assert report.ok, report.violations
-            seen.update(report.crash_points_seen)
+            seen.update(report.counters["crash_points_seen"])
         missing = set(CRASH_POINTS) - cluster_points - seen
         assert not missing, f"crash points never fired: {missing}"
 
@@ -556,16 +556,17 @@ class TestFaultcheckCampaigns:
     def test_single_shard_zero_violations(self):
         report = run_faultcheck(FaultcheckConfig(seeds=3, shards=1, ops=40))
         assert report.ok, report.violations
-        assert report.crashes_injected > 0
-        assert report.torn_wal_appends > 0
-        assert report.partial_run_writes > 0
+        assert report.counters["crashes_injected"] > 0
+        assert report.counters["torn_wal_appends"] > 0
+        assert report.counters["partial_run_writes"] > 0
 
     def test_multi_shard_zero_violations(self):
         report = run_faultcheck(
             FaultcheckConfig(seeds=3, shards=4, preset="lazy", ops=40)
         )
         assert report.ok, report.violations
-        assert "sharded.batch.between_shards" in report.crash_points_seen
+        seen = report.counters["crash_points_seen"]
+        assert "sharded.batch.between_shards" in seen
 
     def test_deterministic_reports(self):
         cfg = FaultcheckConfig(seeds=2, shards=1, ops=30)
@@ -604,7 +605,7 @@ class TestFaultcheckCampaigns:
             "tuning.migrate.after_swap",
             "tuning.switch.before_commit",
         ):
-            assert point in report.crash_points_seen, point
+            assert point in report.counters["crash_points_seen"], point
 
     def test_migration_schedules_sharded_bloom_start(self):
         report = run_faultcheck(

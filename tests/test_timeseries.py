@@ -10,8 +10,9 @@ import math
 
 import pytest
 
+from repro.common.quantile import nearest_rank
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.timeseries import SERIES_QUANTILES, TimeSeriesStore, _nearest_rank
+from repro.obs.timeseries import SERIES_QUANTILES, TimeSeriesStore
 
 
 def make_registry():
@@ -27,15 +28,15 @@ def make_registry():
 class TestNearestRank:
     def test_exact_multiples_do_not_round_up(self):
         # p50 of 4 values is the 2nd, not the 3rd.
-        assert _nearest_rank([1.0, 2.0, 3.0, 4.0], 0.5) == 2.0
+        assert nearest_rank([1.0, 2.0, 3.0, 4.0], 0.5) == 2.0
 
     def test_p99_of_small_sets_is_max(self):
-        assert _nearest_rank([5.0, 1.0, 3.0], 0.99) == 5.0
+        assert nearest_rank([5.0, 1.0, 3.0], 0.99) == 5.0
 
     def test_empty_is_none_and_bad_q_raises(self):
-        assert _nearest_rank([], 0.5) is None
+        assert nearest_rank([], 0.5) is None
         with pytest.raises(ValueError):
-            _nearest_rank([1.0], 1.5)
+            nearest_rank([1.0], 1.5)
 
 
 class TestSampling:
