@@ -2,9 +2,11 @@
 
 Every benchmark regenerates one table or figure of the paper: it builds
 the experiment, prints the same rows/series the paper reports, writes
-them to ``benchmarks/results/<name>.txt``, and asserts the qualitative
-*shape* (who wins, growth trends, crossovers) — absolute numbers differ
-because the substrate is a simulator (see DESIGN.md section 2).
+them to ``<results_dir>/<name>.txt`` (the ``--results-dir`` of the run,
+a temp dir by default — the pinned copies in ``benchmarks/results/`` are
+only ever diffed against), and asserts the qualitative *shape* (who
+wins, growth trends, crossovers) — absolute numbers differ because the
+substrate is a simulator (see DESIGN.md section 2).
 """
 
 from __future__ import annotations
@@ -15,14 +17,11 @@ from pathlib import Path
 
 from repro.coding.distributions import LidDistribution
 
-RESULTS_DIR = Path(__file__).parent / "results"
 
-
-def report(name: str, title: str, lines: list[str]) -> None:
-    """Print a result table and persist it under benchmarks/results/."""
-    RESULTS_DIR.mkdir(exist_ok=True)
+def report(results_dir: Path, name: str, title: str, lines: list[str]) -> None:
+    """Print a result table and persist it as ``results_dir/<name>.txt``."""
     text = "\n".join([f"== {title} ==", *lines, ""])
-    (RESULTS_DIR / f"{name}.txt").write_text(text)
+    (results_dir / f"{name}.txt").write_text(text)
     # Write to the real stdout so the table shows even under capture.
     sys.stdout.write(text + "\n")
 

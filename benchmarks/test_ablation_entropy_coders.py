@@ -52,12 +52,13 @@ def run():
     }
 
 
-def test_ablation_entropy_coders(benchmark):
+def test_ablation_entropy_coders(benchmark, results_dir):
     results = benchmark.pedantic(run, rounds=1, iterations=1)
     table = [fmt_row(["coder", "bits/LID"], widths=[24, 10])]
     for name, bits in results.items():
         table.append(fmt_row([name, bits], widths=[24, 10]))
     report(
+        results_dir,
         "ablation_entropy_coders",
         f"Ablation — the compression ladder (T={T}, L={L}, S={S}, B={B})",
         table,

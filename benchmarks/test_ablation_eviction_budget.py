@@ -48,7 +48,7 @@ def one_point(budget: int):
         chucky_filter._MAX_EVICTIONS = original
 
 
-def test_ablation_eviction_budget(benchmark):
+def test_ablation_eviction_budget(benchmark, results_dir):
     rows = benchmark.pedantic(
         lambda: [(b, *one_point(b)) for b in BUDGETS], rounds=1, iterations=1
     )
@@ -58,6 +58,7 @@ def test_ablation_eviction_budget(benchmark):
     for row in rows:
         table.append(fmt_row(list(row)))
     report(
+        results_dir,
         "ablation_eviction_budget",
         f"Ablation — eviction budget at {TARGET_LOAD:.0%} load (T={T}, L={L})",
         table,

@@ -37,7 +37,7 @@ def sweep():
     return rows
 
 
-def test_ablation_nov(benchmark):
+def test_ablation_nov(benchmark, results_dir):
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
     table = [
         fmt_row(
@@ -47,6 +47,7 @@ def test_ablation_nov(benchmark):
     for row in rows:
         table.append(fmt_row(list(row)))
     report(
+        results_dir,
         "ablation_nov",
         "Ablation — NOV vs cached-tree size / overflow / fingerprints "
         f"(T={T}, L={L}, S={S}, B={B})",

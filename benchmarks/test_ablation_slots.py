@@ -48,7 +48,7 @@ def sweep():
     return rows
 
 
-def test_ablation_slots_per_bucket(benchmark):
+def test_ablation_slots_per_bucket(benchmark, results_dir):
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
     table = [
         fmt_row(
@@ -58,6 +58,7 @@ def test_ablation_slots_per_bucket(benchmark):
     for row in rows:
         table.append(fmt_row(list(row)))
     report(
+        results_dir,
         "ablation_slots",
         f"Ablation — slots per bucket at M={M:.0f} bits/entry (T={T}, L={L})",
         table,

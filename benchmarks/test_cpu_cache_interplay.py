@@ -98,7 +98,7 @@ def run():
     return rows, num_runs
 
 
-def test_cpu_cache_interplay(benchmark):
+def test_cpu_cache_interplay(benchmark, results_dir):
     rows, num_runs = benchmark.pedantic(run, rounds=1, iterations=1)
     table = [
         fmt_row(
@@ -109,6 +109,7 @@ def test_cpu_cache_interplay(benchmark):
     for row in rows:
         table.append(fmt_row(list(row), widths=[12, 20, 24]))
     report(
+        results_dir,
         "cpu_cache_interplay",
         f"Section 4.1 — filter cache-line misses per query, Zipfian reads "
         f"(lazy leveling, A={num_runs} runs)",

@@ -50,13 +50,14 @@ def experiment():
     return rows
 
 
-def test_fig11_fpr_by_target_level(benchmark):
+def test_fig11_fpr_by_target_level(benchmark, results_dir):
     rows = benchmark.pedantic(experiment, rounds=1, iterations=1)
     model = fpr_chucky_model(M, T)
     table = [fmt_row(["target level", "false positives/query", "Eq16 model"])]
     for level, fpr in rows:
         table.append(fmt_row([level, fpr, model]))
     report(
+        results_dir,
         "fig11_fpr_by_level",
         "Figure 11 — FPR by target level (T=5, L=6, M=10)",
         table,

@@ -38,12 +38,13 @@ def sweep():
     return rows
 
 
-def test_fig12_structure_sizes(benchmark):
+def test_fig12_structure_sizes(benchmark, results_dir):
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
     table = [fmt_row(["L", "CF bytes", "Huffman tree", "DT bytes", "RT bytes"])]
     for row in rows:
         table.append(fmt_row(list(row)))
     report(
+        results_dir,
         "fig12_structure_sizes",
         "Figure 12 — structure sizes vs levels (T=5, S=4, B=40)",
         table,

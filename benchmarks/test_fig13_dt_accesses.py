@@ -48,7 +48,7 @@ def one_curve(l: int):
     return curve
 
 
-def test_fig13_dt_accesses(benchmark):
+def test_fig13_dt_accesses(benchmark, results_dir):
     curves = benchmark.pedantic(
         lambda: {l: one_curve(l) for l in LEVEL_SWEEP}, rounds=1, iterations=1
     )
@@ -60,6 +60,7 @@ def test_fig13_dt_accesses(benchmark):
         ]
         table.append(fmt_row(row))
     report(
+        results_dir,
         "fig13_dt_accesses",
         "Figure 13 — DT accesses per query by target level (T=5, S=4, B=40)",
         table,

@@ -73,7 +73,7 @@ def sweep():
     return rows
 
 
-def test_fig14a_latency_scaling(benchmark):
+def test_fig14a_latency_scaling(benchmark, results_dir):
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
     names = list(POLICIES)
     table = [
@@ -94,6 +94,7 @@ def test_fig14a_latency_scaling(benchmark):
             )
         )
     report(
+        results_dir,
         "fig14a_latency_scaling",
         "Figure 14A — filter latency (ns/op) vs data size (lazy leveling, T=3)",
         table,

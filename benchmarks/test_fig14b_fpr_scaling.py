@@ -44,7 +44,7 @@ def sweep():
     return rows
 
 
-def test_fig14b_fpr_scaling(benchmark):
+def test_fig14b_fpr_scaling(benchmark, results_dir):
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
     table = [
         fmt_row(
@@ -54,6 +54,7 @@ def test_fig14b_fpr_scaling(benchmark):
     for row in rows:
         table.append(fmt_row(list(row)))
     report(
+        results_dir,
         "fig14b_fpr_scaling",
         "Figure 14B — FPR vs data size (lazy leveling, T=5, M=10)",
         table,

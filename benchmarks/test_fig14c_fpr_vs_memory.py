@@ -44,12 +44,13 @@ def sweep():
     return rows
 
 
-def test_fig14c_fpr_vs_memory(benchmark):
+def test_fig14c_fpr_vs_memory(benchmark, results_dir):
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
     table = [fmt_row(["M", "uniform BFs", "optimal BFs", "Chucky", "Eq16"])]
     for m, uni, opt, chucky, model in rows:
         table.append(fmt_row([m, uni, opt, chucky if chucky is not None else "n/a", model]))
     report(
+        results_dir,
         "fig14c_fpr_vs_memory",
         "Figure 14C — FPR vs memory budget (lazy leveling, T=5, L=6)",
         table,

@@ -43,7 +43,7 @@ def sweep():
     return rows
 
 
-def test_fig14d_fpr_variants(benchmark):
+def test_fig14d_fpr_variants(benchmark, results_dir):
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
     table = [
         fmt_row(
@@ -54,6 +54,7 @@ def test_fig14d_fpr_variants(benchmark):
     for row in rows:
         table.append(fmt_row(list(row), widths=[14, 12, 12, 12, 12, 12]))
     report(
+        results_dir,
         "fig14d_fpr_variants",
         "Figure 14D — FPR by LSM-tree variant (T=5, L=6, M=10)",
         table,

@@ -107,9 +107,10 @@ def _table(rows):
     return lines
 
 
-def test_fig14e_reads_from_storage(benchmark):
+def test_fig14e_reads_from_storage(benchmark, results_dir):
     rows = benchmark.pedantic(lambda: run_part(skewed=False), rounds=1, iterations=1)
     report(
+        results_dir,
         "fig14e_read_storage",
         "Figure 14E — read latency breakdown, uniform reads, data in storage (ns/op)",
         _table(rows),
@@ -126,9 +127,10 @@ def test_fig14e_reads_from_storage(benchmark):
         assert chucky.total_ns <= bloom.total_ns * 1.15
 
 
-def test_fig14f_reads_from_block_cache(benchmark):
+def test_fig14f_reads_from_block_cache(benchmark, results_dir):
     rows = benchmark.pedantic(lambda: run_part(skewed=True), rounds=1, iterations=1)
     report(
+        results_dir,
         "fig14f_read_cached",
         "Figure 14F — read latency breakdown, Zipfian reads, hot data cached (ns/op)",
         _table(rows),

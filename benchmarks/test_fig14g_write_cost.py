@@ -80,13 +80,14 @@ def sweep():
     return rows
 
 
-def test_fig14g_write_cost(benchmark):
+def test_fig14g_write_cost(benchmark, results_dir):
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
     names = list(POLICIES)
     table = [fmt_row(["T", "L"] + names, widths=[3, 3, 16, 16, 16, 16])]
     for row in rows:
         table.append(fmt_row(list(row), widths=[3, 3, 16, 16, 16, 16]))
     report(
+        results_dir,
         "fig14g_write_cost",
         "Figure 14G — end-to-end write cost (ns/update) vs size ratio, leveling",
         table,

@@ -68,13 +68,14 @@ def sweep():
     return rows
 
 
-def test_fig14h_throughput(benchmark):
+def test_fig14h_throughput(benchmark, results_dir):
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
     names = list(POLICIES)
     table = [fmt_row(["L"] + names, widths=[3, 16, 16, 16, 16])]
     for row in rows:
         table.append(fmt_row(list(row), widths=[3, 16, 16, 16, 16]))
     report(
+        results_dir,
         "fig14h_throughput",
         "Figure 14H — throughput (ops/s, modelled) vs data size, YCSB-B",
         table,

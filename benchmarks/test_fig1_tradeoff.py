@@ -89,7 +89,7 @@ def part_a():
     return rows
 
 
-def test_fig1_tradeoff(benchmark):
+def test_fig1_tradeoff(benchmark, results_dir):
     rows = benchmark.pedantic(part_a, rounds=1, iterations=1)
     table = [
         fmt_row(
@@ -113,6 +113,7 @@ def test_fig1_tradeoff(benchmark):
             )
         )
     report(
+        results_dir,
         "fig1_tradeoff",
         "Figure 1 — (A) query vs construction cost; (B) FPR vs data size",
         table,

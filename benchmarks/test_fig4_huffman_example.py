@@ -20,7 +20,7 @@ def build():
     return dist, lengths
 
 
-def test_fig4_worked_example(benchmark):
+def test_fig4_worked_example(benchmark, results_dir):
     dist, lengths = benchmark(build)
     probs = dist.probabilities()
 
@@ -40,7 +40,7 @@ def test_fig4_worked_example(benchmark):
     rows.append(f"Huffman ACL            : {acl:.4f} bits (paper: 1.52)")
     rows.append(f"integer encoding       : {integer_acl(dist)} bits (paper: 4)")
     rows.append(f"saving vs integer      : {1 - acl / 4:.1%} (paper: 62%)")
-    report("fig4_huffman_example", "Figure 4 — Huffman coding of level IDs", rows)
+    report(results_dir, "fig4_huffman_example", "Figure 4 — Huffman coding of level IDs", rows)
 
     # Paper ground truth.
     assert probs[5] == Fraction(5, 124)  # "LID 6 contains 5/124 ~ 4%"

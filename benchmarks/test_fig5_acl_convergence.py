@@ -39,7 +39,7 @@ def sweep():
     return rows
 
 
-def test_fig5_acl_convergence(benchmark):
+def test_fig5_acl_convergence(benchmark, results_dir):
     rows = benchmark(sweep)
     table = [fmt_row(["L", "binary", "Huffman ACL", "ACL_UB", "entropy H"])]
     for row in rows:
@@ -47,7 +47,7 @@ def test_fig5_acl_convergence(benchmark):
     table.append(
         f"asymptotes: ACL_UB={acl_upper_bound(T):.4f}  H={lid_entropy(T):.4f}"
     )
-    report("fig5_acl_convergence", "Figure 5 — ACL vs number of levels (T=5)", table)
+    report(results_dir, "fig5_acl_convergence", "Figure 5 — ACL vs number of levels (T=5)", table)
 
     binary = [r[1] for r in rows]
     huffman = [r[2] for r in rows]

@@ -33,12 +33,13 @@ def sweep():
     return rows
 
 
-def test_fig6_acl_vs_size_ratio(benchmark):
+def test_fig6_acl_vs_size_ratio(benchmark, results_dir):
     rows = benchmark(sweep)
     table = [fmt_row(["T", "entropy H", "ACL single", "ACL perm2", "ACL perm4"])]
     for row in rows:
         table.append(fmt_row(list(row)))
     report(
+        results_dir,
         "fig6_acl_vs_T",
         "Figure 6 — ACL vs size ratio, permutation group sizes (L=6)",
         table,

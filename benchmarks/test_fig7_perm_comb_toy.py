@@ -27,7 +27,7 @@ def build():
     )
 
 
-def test_fig7_toy_example(benchmark):
+def test_fig7_toy_example(benchmark, results_dir):
     d, single, perm, comb = benchmark(build)
     table = [
         fmt_row(["encoding", "ACL bits/LID", "paper"]),
@@ -35,7 +35,7 @@ def test_fig7_toy_example(benchmark):
         fmt_row(["perms (S=2)", perm, 0.63]),
         fmt_row(["combs (S=2)", comb, 0.58]),
     ]
-    report("fig7_perm_comb_toy", "Figure 7 — single vs perms vs combs (T=10, L=2)", table)
+    report(results_dir, "fig7_perm_comb_toy", "Figure 7 — single vs perms vs combs (T=10, L=2)", table)
 
     probs = d.probabilities()
     assert probs == [Fraction(1, 11), Fraction(10, 11)]

@@ -35,7 +35,7 @@ def sweep():
     return rows
 
 
-def test_fig8_perms_vs_combs(benchmark):
+def test_fig8_perms_vs_combs(benchmark, results_dir):
     rows = benchmark(sweep)
     table = [
         fmt_row(["group S", "perm ACL", "perm H", "comb ACL", "comb H (Eq13)"])
@@ -43,6 +43,7 @@ def test_fig8_perms_vs_combs(benchmark):
     for row in rows:
         table.append(fmt_row(list(row)))
     report(
+        results_dir,
         "fig8_perms_vs_combs",
         "Figure 8 — collectively encoded LIDs (T=10, L=6)",
         table,

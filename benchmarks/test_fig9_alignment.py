@@ -29,7 +29,7 @@ def sweep():
     return uniform_curve, mf, fac, theo
 
 
-def test_fig9_alignment(benchmark):
+def test_fig9_alignment(benchmark, results_dir):
     uniform_curve, mf, fac, theo = benchmark.pedantic(
         sweep, rounds=1, iterations=1
     )
@@ -42,6 +42,7 @@ def test_fig9_alignment(benchmark):
     )
     table.append(fmt_row(["theoretical max", theo, 0.0]))
     report(
+        results_dir,
         "fig9_alignment",
         "Figure 9 — fingerprint size vs bucket overflows (T=5, L=10, S=4, B=40)",
         table,

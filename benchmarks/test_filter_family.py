@@ -69,7 +69,7 @@ def build_all():
     return results
 
 
-def test_filter_family_comparison(benchmark):
+def test_filter_family_comparison(benchmark, results_dir):
     results = benchmark.pedantic(build_all, rounds=1, iterations=1)
     table = [
         fmt_row(
@@ -85,6 +85,7 @@ def test_filter_family_comparison(benchmark):
             )
         )
     report(
+        results_dir,
         "filter_family",
         f"Fingerprint-filter family at ~{BUDGET:.0f} bits/entry "
         f"(N={N}, negatives={NEGATIVES})",

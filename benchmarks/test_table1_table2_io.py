@@ -89,7 +89,7 @@ def sweep():
     return rows
 
 
-def test_tables_1_and_2_memory_io(benchmark):
+def test_tables_1_and_2_memory_io(benchmark, results_dir):
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
     table = [
         fmt_row(
@@ -104,6 +104,7 @@ def test_tables_1_and_2_memory_io(benchmark):
     for row in rows:
         table.append(fmt_row(list(row), widths=[14, 3, 11, 15, 13, 11, 14]))
     report(
+        results_dir,
         "table1_table2_io",
         "Tables 1-2 — filter memory I/Os per operation (measured vs model)",
         table,
