@@ -8,8 +8,6 @@ from repro.chucky.filter import (
     ChuckyFilter,
     CuckooLidFilterBase,
     UncompressedLidFilter,
-    partner_bucket,
-    primary_bucket,
 )
 from repro.chucky.malleable import (
     cumulative_fp_length,
@@ -34,6 +32,4 @@ __all__ = [
     "cumulative_fp_length",
     "level_count_vector",
     "maximize_fingerprints",
-    "partner_bucket",
-    "primary_bucket",
 ]

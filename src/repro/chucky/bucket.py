@@ -15,9 +15,7 @@ indistinguishable from data on purpose: they ride the same code.
 from __future__ import annotations
 
 from repro.coding.distributions import Combination
-from repro.common.bitio import BitReader, BitWriter
 from repro.common.errors import FilterError
-from repro.chucky import decode as _decode
 from repro.chucky.codebook import ChuckyCodebook
 from repro.chucky.tables import CodecTables
 
@@ -37,11 +35,9 @@ class BucketCodec:
             )
         self.codebook = codebook
         self.tables = tables
-        self._fast = codebook.fast
         self._bucket_bits = codebook.bucket_bits
-        self._decode_entry = self._fast.decode_table.decode_entry
-        self._pack_plan = self._fast.pack_plans.get
-        self._pack_fn = self._fast.pack_fns.get
+        self._decode_entry = codebook.fast.decode_table.decode_entry
+        self._pack_fn = codebook.fast.pack_fns.get
         self.empty_slot: Slot = (codebook.empty_lid, 0)
         self._empty_packed, _ = self.pack([self.empty_slot] * codebook.slots)
 
@@ -66,32 +62,16 @@ class BucketCodec:
             )
         ordered = sorted(slots)
         combo: Combination = tuple([lid for lid, _ in ordered])
-        if _decode.FAST_PATH:
-            fn = self._pack_fn(combo)
-            if fn is None:
-                # Rare combination: the escape code fills the bucket and
-                # the fingerprints spill (counts one filter_rt access,
-                # exactly like the reference path).
-                code, length = self.tables.encode(combo)
-                return code, [fp for _, fp in ordered]
-            # Frequent combination: the compiled per-combination pack
-            # function is one straight-line OR expression with a single
-            # fused fingerprint-width guard (byte-identical FilterError
-            # to the reference loop when it fires).
-            return fn(ordered), None
-        code, length = self.tables.encode(combo)
-        if length == self.codebook.bucket_bits:
+        fn = self._pack_fn(combo)
+        if fn is None:
+            # Rare combination: the escape code fills the bucket and the
+            # fingerprints spill (counts one filter_rt access).
+            code, _length = self.tables.encode(combo)
             return code, [fp for _, fp in ordered]
-        writer = BitWriter()
-        writer.write(code, length)
-        for lid, fp in ordered:
-            writer.write(fp, self.codebook.fp_length(lid))
-        if writer.bit_length != self.codebook.bucket_bits:
-            raise FilterError(
-                f"bucket misaligned: packed {writer.bit_length} bits into a "
-                f"{self.codebook.bucket_bits}-bit bucket for combo {combo}"
-            )
-        return writer.getvalue(), None
+        # Frequent combination: the compiled per-combination pack
+        # function is one straight-line OR expression with a single
+        # fused fingerprint-width guard.
+        return fn(ordered), None
 
     def unpack(
         self, packed: int, overflow_fps: list[int] | None = None
@@ -102,24 +82,16 @@ class BucketCodec:
         combination (the caller looks it up in the overflow hash table
         keyed by bucket index).
         """
-        if _decode.FAST_PATH:
-            # One fused table walk resolves the combination, the bits
-            # consumed, rarity (plan is None) and the field layout.
-            _used, combo, plan = self._decode_entry(packed, self._bucket_bits)
-            if plan is None:
-                self.tables.charge_rare_decode()
-                return self._overflow_slots(combo, overflow_fps)
-            # Shift/mask the fingerprint fields straight out of the word:
-            # FAC buckets fill exactly, so every field position is
-            # precomputed as an absolute shift in the plan.
-            return [(lid, (packed >> shift) & mask) for lid, shift, mask in plan]
-        bucket_bits = self.codebook.bucket_bits
-        combo, used = self.tables.decode_prefix(packed, bucket_bits)
-        if used == bucket_bits:
+        # One fused table walk resolves the combination, the bits
+        # consumed, rarity (plan is None) and the field layout.
+        _used, combo, plan = self._decode_entry(packed, self._bucket_bits)
+        if plan is None:
+            self.tables.charge_rare_decode()
             return self._overflow_slots(combo, overflow_fps)
-        reader = BitReader(packed, bucket_bits)
-        reader.skip(used)
-        return [(lid, reader.read(self.codebook.fp_length(lid))) for lid in combo]
+        # Shift/mask the fingerprint fields straight out of the word:
+        # FAC buckets fill exactly, so every field position is
+        # precomputed as an absolute shift in the plan.
+        return [(lid, (packed >> shift) & mask) for lid, shift, mask in plan]
 
     def _overflow_slots(
         self, combo: Combination, overflow_fps: list[int] | None
@@ -140,10 +112,5 @@ class BucketCodec:
     def is_rare(self, packed: int) -> bool:
         """True when the packed bucket holds a rare-combination escape
         code (its fingerprints are in the overflow hash table)."""
-        if _decode.FAST_PATH:
-            # Under FAC only rare combinations lack an unpack plan.
-            return self._decode_entry(packed, self._bucket_bits)[2] is None
-        _combo, used = self.codebook.code.decode_prefix(
-            packed, self.codebook.bucket_bits
-        )
-        return used == self.codebook.bucket_bits
+        # Under FAC only rare combinations lack an unpack plan.
+        return self._decode_entry(packed, self._bucket_bits)[2] is None

@@ -19,15 +19,12 @@ module makes that assumption real for the Python implementation:
 
 Everything here is *derived* state, built once per codebook rebuild
 (i.e. once per LSM-tree geometry change) and bit-identical to the
-reference paths by construction — a property the test suite asserts
-exhaustively. The module-level :data:`FAST_PATH` switch lets those tests
-(and doubters) run the original code paths on the same data.
+bit-serial reference codec by construction — a property the test suite
+asserts exhaustively (``tests/reference_codec.py`` holds the reference
+and installs it under the same workloads).
 """
 
 from __future__ import annotations
-
-from contextlib import contextmanager
-from typing import Iterator
 
 from repro.coding.kraft import CanonicalCode
 from repro.common.errors import FilterError
@@ -42,24 +39,6 @@ ROOT_BITS = 16
 #: 256-entry subtables stay cheap however many prefixes that block spans.
 SUB_BITS = 8
 _SUB_SIZE = 1 << SUB_BITS
-
-#: When True (the default) BucketCodec and CodecTables use the
-#: precomputed tables below; when False they fall back to the seed's
-#: reference implementations. Flip via :func:`legacy_codec` — it exists
-#: so the bit-identity property tests can run both paths on one build.
-FAST_PATH = True
-
-
-@contextmanager
-def legacy_codec() -> Iterator[None]:
-    """Run the enclosed block on the seed's reference codec paths."""
-    global FAST_PATH
-    previous = FAST_PATH
-    FAST_PATH = False
-    try:
-        yield
-    finally:
-        FAST_PATH = previous
 
 
 class PrefixDecodeTable:
@@ -152,11 +131,11 @@ class PrefixDecodeTable:
 
 
 def _pack_overflow(fields, ordered):
-    """Raise the reference path's FilterError for an overflowing slot.
+    """Raise the FilterError that names the overflowing slot.
 
     The specialized pack functions guard all fingerprints with one
     combined check; only when it fires do we pay this per-slot walk to
-    identify the offender and produce the byte-identical message."""
+    identify the offender."""
     for (lid, _shift, flen), (_, fp) in zip(fields, ordered):
         if fp >> flen:
             raise FilterError(
@@ -175,7 +154,7 @@ def _compile_pack(base, fields):
     ``[(lid, fp), ...]`` slot list and returns the packed bucket as one
     straight-line OR expression — no loop, no per-slot branch; all
     fingerprint-width checks fuse into a single combined guard that
-    falls back to :func:`_pack_overflow` for the reference error."""
+    falls back to :func:`_pack_overflow` for the error."""
     n = len(fields)
     loads = "".join(f"    fp{i} = ordered[{i}][1]\n" for i in range(n))
     guard = (
@@ -198,26 +177,19 @@ def _compile_pack(base, fields):
 
 
 class BucketFastTables:
-    """Derived hot-path state for one codebook: the decode table plus
-    per-frequent-combination pack/unpack field plans."""
+    """Derived hot-path state for one codebook: the decode table, whose
+    frequent terminals carry their unpack field plan, and one compiled
+    pack function per frequent combination."""
 
-    __slots__ = (
-        "decode_table",
-        "bucket_bits",
-        "unpack_plans",
-        "pack_plans",
-        "pack_fns",
-    )
+    __slots__ = ("decode_table", "pack_fns")
 
     def __init__(self, codebook) -> None:
-        self.bucket_bits = codebook.bucket_bits
         # Per frequent combo: the exact field layout of its bucket, with
         # *absolute* shifts — under FAC, code + fingerprints fill the
         # bucket exactly, so every field's position is fixed.
-        # unpack: ((lid, shift, fp_mask), ...);
-        # pack: (codeword << c_FP, ((lid, shift, fp_len), ...)).
+        # unpack plan: ((lid, shift, fp_mask), ...);
+        # pack fields: ((lid, shift, fp_len), ...) over codeword << c_FP.
         unpack_plans: dict = {}
-        pack_plans: dict = {}
         pack_fns: dict = {}
         if codebook.mode == "mf_fac":
             for combo in codebook.frequent:
@@ -232,19 +204,15 @@ class BucketFastTables:
                     upk.append((lid, rem, (1 << flen) - 1))
                     pk.append((lid, rem, flen))
                 unpack_plans[combo] = tuple(upk)
-                fields = tuple(pk)
-                pack_plans[combo] = (base, fields)
                 # Insert-path specialization: one compiled straight-line
                 # pack function per frequent combination, with the
                 # per-slot width checks fused into a single guard.
-                pack_fns[combo] = _compile_pack(base, fields)
+                pack_fns[combo] = _compile_pack(base, tuple(pk))
         else:
             # Analysis-only modes have no exact-fill layout; keep only
             # the frequent/rare distinction for the decode accounting.
             for combo in codebook.frequent:
                 unpack_plans[combo] = True
-        self.unpack_plans = unpack_plans
-        self.pack_plans = pack_plans
         self.pack_fns = pack_fns
         # Frequent terminals carry their unpack plan (rare ones carry
         # None — that *is* the rare test on the decode hot path, since

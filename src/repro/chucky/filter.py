@@ -38,7 +38,7 @@ from repro.coding.distributions import LidDistribution
 from repro.common.bitio import BitReader, BitWriter
 from repro.common.counters import MemoryIOCounter
 from repro.common.errors import FilterError
-from repro.common.hashing import FP_MIN, fingerprint_bits, key_digest, splitmix64
+from repro.common.hashing import FP_MIN, fp_digest, seeded, splitmix64
 from repro.obs.metrics import (
     EVICTION_WALK_BUCKETS,
     NULL_REGISTRY,
@@ -49,8 +49,11 @@ from repro.chucky.codebook import ChuckyCodebook
 from repro.chucky.slots import PackedBucketStore, SlotStore
 from repro.chucky.tables import CodecTables
 
-_PRIMARY_SEED = 4000
+#: Digest the key's first candidate bucket is reduced from.
+_primary_digest = seeded(4000)
 _ANCHOR_SALT = 0x9E3779B97F4A7C15
+#: Shift that leaves the ``FP_MIN``-bit prefix of a 64-bit digest.
+_PREFIX_SHIFT = 64 - FP_MIN
 #: Eviction-walk budget. Kept short: near peak occupancy the marginal
 #: cost of a random walk explodes, and Chucky has a second-chance home —
 #: the AHT — that a plain Cuckoo filter lacks. Bounding the walk keeps
@@ -59,26 +62,13 @@ _ANCHOR_SALT = 0x9E3779B97F4A7C15
 _MAX_EVICTIONS = 12
 
 
-def primary_bucket(key: int, num_buckets: int) -> int:
-    """The key's first candidate bucket."""
-    return key_digest(key, seed=_PRIMARY_SEED) % num_buckets
-
-
-def partner_bucket(
-    bucket: int, fp: int, fp_length: int, num_buckets: int, fp_min: int = FP_MIN
-) -> int:
-    """The other candidate bucket, from the fingerprint's shared prefix.
+def _partner(bucket: int, prefix: int, num_buckets: int) -> int:
+    """The other candidate bucket, from the ``FP_MIN``-bit prefix every
+    fingerprint of the key shares.
 
     ``partner(partner(b)) == b`` for any bucket count (subtraction
     involution), replacing Eq 4's xor which needs a power of two.
     """
-    if fp_length < fp_min:
-        raise ValueError(f"fingerprint has {fp_length} bits, need >= {fp_min}")
-    return _partner(bucket, fp >> (fp_length - fp_min), num_buckets)
-
-
-def _partner(bucket: int, prefix: int, num_buckets: int) -> int:
-    """:func:`partner_bucket` from the shared prefix itself."""
     anchor = splitmix64(prefix ^ _ANCHOR_SALT) % num_buckets
     return (anchor - bucket) % num_buckets
 
@@ -89,8 +79,8 @@ class CuckooLidFilterBase(ABC):
     deletion, AHT handling, and I/O accounting.
 
     Subclasses define the bucket *representation* (bit-packed vs plain)
-    via ``_read_bucket`` / ``_write_bucket`` and the per-LID fingerprint
-    length.
+    via ``_read_bucket`` / ``_write_bucket`` and fill ``_fp_shifts``,
+    the per-LID fingerprint lengths.
     """
 
     def __init__(
@@ -100,7 +90,6 @@ class CuckooLidFilterBase(ABC):
         empty_lid: int,
         memory_ios: MemoryIOCounter | None = None,
         seed: int = 0,
-        fp_min: int = FP_MIN,
         metrics: MetricsRegistry | None = None,
     ) -> None:
         if num_buckets < 2:
@@ -109,16 +98,16 @@ class CuckooLidFilterBase(ABC):
         self.slots = slots
         self.empty_lid = empty_lid
         #: What an unoccupied slot reads as. A stored fingerprint is
-        #: never 0 (:meth:`_address`), so no live entry equals it.
+        #: never 0 (:func:`fp_digest`), so no live entry equals it.
         self._empty: Slot = (empty_lid, 0)
-        self.fp_min = fp_min
         self.memory_ios = (
             memory_ios if memory_ios is not None else MemoryIOCounter()
         )
         self._rng = random.Random(seed)
         #: ``64 - fp_length(lid)`` per LID (index ``lid - 1``): the shift
-        #: that slices a fingerprint out of the shared adjusted digest.
-        #: Subclasses fill this right after construction.
+        #: that slices a fingerprint out of :func:`fp_digest` — the one
+        #: per-LID length table. Subclasses fill it right after
+        #: construction; no length is below ``FP_MIN``.
         self._fp_shifts: list[int] = []
         #: Homeless entries: normalized bucket pair -> [(lid, fp), ...].
         self.aht: dict[tuple[int, int], list[Slot]] = {}
@@ -144,10 +133,6 @@ class CuckooLidFilterBase(ABC):
     # -- representation hooks (no I/O accounting inside) -----------------
 
     @abstractmethod
-    def _fp_length(self, lid: int) -> int:
-        """Fingerprint length for entries at sub-level ``lid``."""
-
-    @abstractmethod
     def _read_bucket(self, index: int) -> list[Slot]:
         """Decode bucket ``index`` into S logical slots."""
 
@@ -160,24 +145,18 @@ class CuckooLidFilterBase(ABC):
     def _address(self, key: int) -> tuple[int, int, int]:
         """``(digest, b1, b2)``: the 64-bit digest every fingerprint
         length of ``key`` is sliced from (Malleable Fingerprinting) and
-        both candidate buckets, which its first ``fp_min`` bits fix.
-
-        One hash replaces the per-slot :func:`fingerprint_bits` calls
-        of the seed: ``fingerprint(key, lid) == digest >> (64 -
-        fp_length(lid))`` by construction, bit for bit.
-        """
-        shift = 64 - self.fp_min
-        digest = key_digest(key, 1)  # seed 1: fingerprint_bits' digest
-        prefix = digest >> shift
-        if prefix == 0:
-            prefix = 1
-            digest |= 1 << shift
-        b1 = primary_bucket(key, self.num_buckets)
-        return digest, b1, _partner(b1, prefix, self.num_buckets)
+        both candidate buckets, which its first ``FP_MIN`` bits fix.
+        ``% num_buckets`` happens here, not in the digests, because
+        growth changes it."""
+        digest = fp_digest(key)
+        n = self.num_buckets
+        b1 = _primary_digest(key) % n
+        return digest, b1, _partner(b1, digest >> _PREFIX_SHIFT, n)
 
     def _slot(self, digest: int, lid: int) -> Slot:
         """The ``(lid, fingerprint)`` slot of the key behind ``digest``
-        at sub-level ``lid`` — the one place a caller's LID is checked."""
+        at sub-level ``lid`` — the one place a fingerprint is sliced and
+        a caller's LID is checked."""
         if lid > 0:  # a negative index would slice with another level's shift
             try:
                 return lid, digest >> self._fp_shifts[lid - 1]
@@ -186,17 +165,19 @@ class CuckooLidFilterBase(ABC):
         raise FilterError(f"LID {lid} out of range [1, {len(self._fp_shifts)}]")
 
     def fingerprint(self, key: int, lid: int) -> int:
-        return fingerprint_bits(key, self._fp_length(lid), fp_min=self.fp_min)
+        """The fingerprint stored for ``key`` at sub-level ``lid``."""
+        return self._slot(fp_digest(key), lid)[1]
 
     def bucket_pair(self, key: int) -> tuple[int, int]:
         """Both candidate buckets of a key (same for all its versions)."""
         return self._address(key)[1:]
 
     def _partner_of_slot(self, bucket: int, slot: Slot) -> int:
+        """Where a stored slot's entry may move: its fingerprint's
+        leading ``FP_MIN`` bits are the key's shared prefix."""
         lid, fp = slot
-        return partner_bucket(
-            bucket, fp, self._fp_length(lid), self.num_buckets, self.fp_min
-        )
+        prefix = fp >> (_PREFIX_SHIFT - self._fp_shifts[lid - 1])
+        return _partner(bucket, prefix, self.num_buckets)
 
     def _pair_key(self, b1: int, b2: int) -> tuple[int, int]:
         return (b1, b2) if b1 <= b2 else (b2, b1)
@@ -274,10 +255,11 @@ class CuckooLidFilterBase(ABC):
         """The one bucket probe: two bucket loads, plus one AHT lookup
         whenever the AHT holds anything.
 
-        Hashes once: every per-LID fingerprint is the digest shifted by
-        the level's precomputed ``_fp_shifts`` entry, which is exactly
-        what :meth:`fingerprint` computes slot by slot. A fingerprint is
-        never 0 (:meth:`_address`), so empty slots never match.
+        Hashes once and compares each stored slot against the digest
+        shifted by that slot's own ``_fp_shifts`` entry (a stored LID
+        needs no range check, unlike a caller's in :meth:`_slot`). A
+        fingerprint is never 0 (:func:`fp_digest`), so empty slots
+        never match.
 
         The AHT is consulted even when neither bucket is full *now*: a
         failed eviction walk files its homeless entry under the pair
@@ -306,11 +288,11 @@ class CuckooLidFilterBase(ABC):
         Fingerprinting): all lengths share their leading bits, so the
         bucket pair is unchanged.
         """
-        if old_lid == new_lid:
-            return True
         digest, b1, b2 = self._address(key)
         old = self._slot(digest, old_lid)
         new = self._slot(digest, new_lid)
+        if old == new:
+            return True
         return self._swap(b1, b2, old, new) is not None or self._swap_in_aht(
             b1, b2, old, new
         )
@@ -434,9 +416,6 @@ class ChuckyFilter(CuckooLidFilterBase):
         self.overflow: dict[int, list[int]] = {}
 
     # -- representation -----------------------------------------------------
-
-    def _fp_length(self, lid: int) -> int:
-        return self.codebook.fp_length(lid)
 
     def _read_bucket(self, index: int) -> list[Slot]:
         overflow_fps = self.overflow.get(index)
@@ -601,9 +580,6 @@ class UncompressedLidFilter(CuckooLidFilterBase):
         )
         self._buckets = SlotStore(self.num_buckets, slots, self.empty_lid)
         self._fp_shifts = [64 - self.fp_bits] * dist.num_sublevels
-
-    def _fp_length(self, lid: int) -> int:
-        return self.fp_bits
 
     def _read_bucket(self, index: int) -> list[Slot]:
         return self._buckets.read_bucket(index)

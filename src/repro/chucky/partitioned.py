@@ -23,12 +23,12 @@ import math
 
 from repro.coding.distributions import LidDistribution
 from repro.common.counters import MemoryIOCounter
-from repro.common.hashing import key_digest
+from repro.common.hashing import seeded
 from repro.obs.metrics import MetricsRegistry
 from repro.chucky.codebook import ChuckyCodebook
 from repro.chucky.filter import ChuckyFilter
 
-_PARTITION_SEED = 5000
+_partition_digest = seeded(5000)
 
 
 class PartitionedChuckyFilter:
@@ -87,7 +87,7 @@ class PartitionedChuckyFilter:
 
     def partition_index(self, key: int) -> int:
         """Which partition owns ``key`` (stable across restarts)."""
-        return key_digest(key, seed=_PARTITION_SEED) % len(self.partitions)
+        return _partition_digest(key) % len(self.partitions)
 
     def _partition_of(self, key: int) -> ChuckyFilter:
         return self.partitions[self.partition_index(key)]

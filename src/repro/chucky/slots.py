@@ -77,14 +77,6 @@ class PackedBucketStore:
             return iter(self._words)
         return (self[i] for i in range(self.num_buckets))
 
-    def words(self) -> memoryview:
-        """Read-only view of the raw word buffer (zero-copy)."""
-        return memoryview(self._words).toreadonly()
-
-    @property
-    def nbytes(self) -> int:
-        return len(self._words) * self._words.itemsize
-
 
 class SlotStore:
     """Uncompressed (LID, fingerprint) slots as two parallel flat arrays.
@@ -116,13 +108,3 @@ class SlotStore:
         for offset, (lid, fp) in enumerate(slot_list):
             lids[base + offset] = lid
             fps[base + offset] = fp
-
-    def lid_words(self) -> memoryview:
-        return memoryview(self._lids).toreadonly()
-
-    def fp_words(self) -> memoryview:
-        return memoryview(self._fps).toreadonly()
-
-    @property
-    def nbytes(self) -> int:
-        return len(self._lids) * self._lids.itemsize + len(self._fps) * self._fps.itemsize

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from repro.coding.distributions import Combination
 from repro.common.counters import MemoryIOCounter
-from repro.chucky import decode as _decode
 from repro.chucky.codebook import ChuckyCodebook
 
 #: Bytes per Decoding-Table entry (paper: "each DT entry is eight bytes").
@@ -46,7 +45,6 @@ class CodecTables:
             memory_ios if memory_ios is not None else MemoryIOCounter()
         )
         self.dt_accesses = 0
-        self.rt_accesses = 0
 
     # -- decoding --------------------------------------------------------
 
@@ -56,28 +54,20 @@ class CodecTables:
         Frequent codes resolve through the cached Huffman tree (no
         memory I/O); rare codes cost one Decoding-Table access
         (category ``filter_dt``). The byte-at-a-time table in
-        :mod:`repro.chucky.decode` plays the cached tree's role; the
-        accounting is identical either way.
+        :mod:`repro.chucky.decode` plays the cached tree's role.
         """
-        if _decode.FAST_PATH:
-            used, combo, plan = self.codebook.fast.decode_table.decode_entry(
-                packed, bit_length
-            )
-            # Only rare combinations lack an unpack plan, so ``plan is
-            # None`` is exactly ``not is_frequent(combo)``.
-            if plan is None:
-                self.dt_accesses += 1
-                self._memory_ios.add("filter_dt", 1)
-            return combo, used
-        combo, used = self.codebook.code.decode_prefix(packed, bit_length)
-        if not self.codebook.is_frequent(combo):
-            self.dt_accesses += 1
-            self._memory_ios.add("filter_dt", 1)
+        used, combo, plan = self.codebook.fast.decode_table.decode_entry(
+            packed, bit_length
+        )
+        # Only rare combinations lack an unpack plan, so ``plan is
+        # None`` is exactly ``not is_frequent(combo)``.
+        if plan is None:
+            self.charge_rare_decode()
         return combo, used
 
     def charge_rare_decode(self) -> None:
-        """Account one Decoding-Table access (used by the codec's fused
-        decode path, which learns rarity from the table entry itself)."""
+        """Account one Decoding-Table access (also used by the codec's
+        fused decode, which learns rarity from the table entry itself)."""
         self.dt_accesses += 1
         self._memory_ios.add("filter_dt", 1)
 
@@ -90,7 +80,6 @@ class CodecTables:
         rare rows cost one memory I/O (category ``filter_rt``).
         """
         if not self.codebook.is_frequent(combo):
-            self.rt_accesses += 1
             self._memory_ios.add("filter_rt", 1)
         return self.codebook.code.encode(combo)
 
@@ -108,7 +97,3 @@ class CodecTables:
     @property
     def recoding_table_bytes(self) -> int:
         return len(self.codebook.probabilities) * RT_ENTRY_BYTES
-
-    def reset_counters(self) -> None:
-        self.dt_accesses = 0
-        self.rt_accesses = 0

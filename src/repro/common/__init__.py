@@ -15,9 +15,10 @@ from repro.common.errors import (
     ReproError,
 )
 from repro.common.hashing import (
-    bucket_pair,
     fingerprint_bits,
+    fp_digest,
     key_digest,
+    seeded,
     splitmix64,
 )
 
@@ -34,8 +35,9 @@ __all__ = [
     "MemoryIOCounter",
     "ReproError",
     "StorageIOCounter",
-    "bucket_pair",
     "fingerprint_bits",
+    "fp_digest",
     "key_digest",
+    "seeded",
     "splitmix64",
 ]

@@ -11,6 +11,8 @@ partial-key bucket computation (Eq 4) uses only those shared bits.
 
 from __future__ import annotations
 
+from typing import Callable
+
 _MASK64 = (1 << 64) - 1
 
 #: Minimum fingerprint length in bits (paper section 4.3 sets this to 5,
@@ -49,63 +51,67 @@ def key_digest(key: int | str | bytes, seed: int = 0) -> int:
     return acc
 
 
-def fingerprint_bits(
-    key: int | str | bytes, length: int, fp_min: int = FP_MIN, seed: int = 1
-) -> int:
-    """Derive a ``length``-bit fingerprint as the top bits of the key digest.
+def seeded(seed: int) -> Callable[[int | str | bytes], int]:
+    """:func:`key_digest` bound to ``seed``: ``seeded(s)(k) ==
+    key_digest(k, s)`` for every key, with the seed's own mix paid here,
+    once, instead of on every call.
 
-    All lengths of the same key agree on their leading ``fp_min`` bits (a
-    prefix property required by Malleable Fingerprinting, which re-derives
-    the alternative bucket from those bits alone). The shared prefix is
-    forced non-zero — by setting its lowest bit when the digest's top
-    ``fp_min`` bits happen to be zero — so no fingerprint of length >=
-    ``fp_min`` can collide with the reserved all-zero empty-slot marker
-    (paper section 4.5), and the forcing is identical for every length.
+    Every module-constant seed binds its digest this way at import; a
+    seed that varies per index or per instance keeps :func:`key_digest`.
     """
-    if not fp_min <= length <= 64:
+    mix = splitmix64(seed)
+
+    def digest(key: int | str | bytes) -> int:
+        if isinstance(key, int):
+            return splitmix64((key & _MASK64) ^ mix)
+        return key_digest(key, seed)
+
+    return digest
+
+
+_fingerprint_digest = seeded(1)
+_PREFIX_SHIFT = 64 - FP_MIN
+
+
+def fp_digest(key: int | str | bytes) -> int:
+    """The 64-bit digest every fingerprint of ``key`` is a prefix of.
+
+    Its top ``FP_MIN`` bits — the prefix all fingerprint lengths share
+    and the only bits bucket addressing reads (Eq 4) — are forced
+    non-zero, by setting their lowest bit when they happen to be zero,
+    so no fingerprint of length >= ``FP_MIN`` can collide with the
+    reserved all-zero empty-slot marker (paper section 4.5), and the
+    forcing is identical for every length.
+    """
+    digest = _fingerprint_digest(key)
+    if digest >> _PREFIX_SHIFT == 0:
+        digest |= 1 << _PREFIX_SHIFT
+    return digest
+
+
+def fingerprint_bits(key: int | str | bytes, length: int) -> int:
+    """A ``length``-bit fingerprint: the top bits of :func:`fp_digest`,
+    so all lengths of one key agree on their leading ``FP_MIN`` bits
+    (the prefix property Malleable Fingerprinting requires)."""
+    if not FP_MIN <= length <= 64:
         raise ValueError(
-            f"fingerprint length must be in [{fp_min}, 64], got {length}"
+            f"fingerprint length must be in [{FP_MIN}, 64], got {length}"
         )
-    digest = key_digest(key, seed=seed)
-    if digest >> (64 - fp_min) == 0:
-        digest |= 1 << (64 - fp_min)
-    return digest >> (64 - length)
+    return fp_digest(key) >> (64 - length)
 
 
-def bucket_pair(
-    key: int | str | bytes,
-    num_buckets: int,
-    fp: int,
-    fp_length: int,
-    fp_min: int = FP_MIN,
-    seed: int = 2,
-) -> tuple[int, int]:
-    """The two candidate bucket indices for a key (Eq 4).
-
-    ``num_buckets`` must be a power of two (the xor trick requires it).
-    The alternative bucket is derived from the *first* ``fp_min`` bits of
-    the fingerprint only, so different-length fingerprints of one key map
-    to the same pair.
-    """
-    if num_buckets & (num_buckets - 1):
-        raise ValueError(f"num_buckets must be a power of two, got {num_buckets}")
-    mask = num_buckets - 1
-    b1 = key_digest(key, seed=seed) & mask
-    b2 = b1 ^ alt_offset(fp, fp_length, num_buckets, fp_min)
-    return b1, b2
-
-
-def alt_offset(fp: int, fp_length: int, num_buckets: int, fp_min: int = FP_MIN) -> int:
+def alt_offset(fp: int, fp_length: int, num_buckets: int) -> int:
     """The xor offset between a fingerprint's two buckets (Eq 4, partial-key).
 
-    Uses only the top ``fp_min`` bits of the fingerprint so that every
+    Uses only the top ``FP_MIN`` bits of the fingerprint so that every
     version of a key — whatever its malleable fingerprint length —
     computes the same offset. The offset is forced non-zero so the two
-    candidate buckets always differ.
+    candidate buckets always differ. ``num_buckets`` must be a power of
+    two (the xor trick requires it).
     """
-    if fp_length < fp_min:
-        raise ValueError(f"fingerprint has {fp_length} bits, need >= {fp_min}")
-    prefix = fp >> (fp_length - fp_min)
+    if fp_length < FP_MIN:
+        raise ValueError(f"fingerprint has {fp_length} bits, need >= {FP_MIN}")
+    prefix = fp >> (fp_length - FP_MIN)
     offset = splitmix64(prefix ^ 0xC2B2AE3D27D4EB4F) & (num_buckets - 1)
     if offset == 0:
         offset = 1

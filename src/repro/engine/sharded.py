@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.common.cost import CostModel, LatencyBreakdown
-from repro.common.hashing import key_digest
+from repro.common.hashing import seeded
 from repro.faults.crashpoints import crash_point
 from repro.engine.kvstore import CrashState, IOSnapshot, KVStore, ReadResult
 from repro.filters.policy import FilterPolicy
@@ -42,6 +42,7 @@ from repro.obs.trace import Span
 #: repo (filter fingerprints, bucket addressing, Bloom probes), so a
 #: shard's key population looks uniform to its own filter.
 SHARD_SEED = 0x53484152  # "SHAR"
+_shard_digest = seeded(SHARD_SEED)
 
 #: Per-shard instrument names produced by ``Observability.child``.
 _SHARD_METRIC = re.compile(r"^shard(\d+)_(.+)$")
@@ -52,7 +53,7 @@ def shard_of(key: int | str | bytes, num_shards: int) -> int:
     so the same key routes to the same shard across restarts."""
     if num_shards < 1:
         raise ValueError(f"num_shards must be >= 1, got {num_shards}")
-    return key_digest(key, seed=SHARD_SEED) % num_shards
+    return _shard_digest(key) % num_shards
 
 
 def aggregate_snapshots(snaps: Sequence[IOSnapshot]) -> IOSnapshot:

@@ -12,13 +12,15 @@ from __future__ import annotations
 import math
 
 from repro.common.counters import MemoryIOCounter
-from repro.common.hashing import key_digest
+from repro.common.hashing import key_digest, seeded
 
 #: One CPU cache line, in bits (64 bytes).
 BLOCK_BITS = 512
 
 _BLOCK_SEED = 2000
 _PROBE_SEED = 2100
+_block_digest = seeded(_BLOCK_SEED)
+_probe_digest = seeded(_PROBE_SEED)
 
 
 class BlockedBloomFilter:
@@ -53,8 +55,8 @@ class BlockedBloomFilter:
         return self._num_hashes
 
     def _block_and_bits(self, key: int) -> tuple[int, int]:
-        block = key_digest(key, seed=_BLOCK_SEED) % self._num_blocks
-        digest = key_digest(key, seed=_PROBE_SEED)
+        block = _block_digest(key) % self._num_blocks
+        digest = _probe_digest(key)
         mask = 0
         for i in range(self._num_hashes):
             # Carve 9-bit probe positions out of one digest; re-mix when

@@ -19,26 +19,16 @@ from array import array
 
 from repro.common.counters import MemoryIOCounter
 from repro.common.errors import CapacityError, FilterError
-from repro.common.hashing import (
-    alt_offset,
-    fingerprint_bits,
-    key_digest,
-    splitmix64,
-)
+from repro.common.hashing import alt_offset, fp_digest, seeded
 from repro.obs.metrics import (
     EVICTION_WALK_BUCKETS,
     NULL_REGISTRY,
     MetricsRegistry,
 )
 
-_BUCKET_SEED = 3000
+#: Digest the key's primary bucket is masked from.
+_bucket_digest = seeded(3000)
 _MAX_EVICTIONS = 500
-
-_MASK64 = (1 << 64) - 1
-# Pre-mixed seeds so the probe path can inline splitmix64:
-# key_digest(key, seed=s) == splitmix64((key & M) ^ splitmix64(s)).
-_FP_SEED_MIX = splitmix64(1)
-_BUCKET_SEED_MIX = splitmix64(_BUCKET_SEED)
 
 
 class CuckooFilter:
@@ -64,6 +54,7 @@ class CuckooFilter:
         if slots_per_bucket < 1:
             raise ValueError(f"slots_per_bucket must be >= 1, got {slots_per_bucket}")
         self._fp_bits = fingerprint_bits
+        self._fp_shift = 64 - fingerprint_bits
         self._slots = slots_per_bucket
         # Size for ~95% occupancy, rounded up to a power of two (the xor
         # trick needs it).
@@ -107,13 +98,13 @@ class CuckooFilter:
         return self.num_entries / (self._num_buckets * self._slots)
 
     def _fingerprint(self, key: int) -> int:
-        return fingerprint_bits(key, self._fp_bits, fp_min=5)
+        return fp_digest(key) >> self._fp_shift
 
     def _primary_bucket(self, key: int) -> int:
-        return key_digest(key, seed=_BUCKET_SEED) & (self._num_buckets - 1)
+        return _bucket_digest(key) & (self._num_buckets - 1)
 
     def _alternate(self, bucket: int, fp: int) -> int:
-        return bucket ^ alt_offset(fp, self._fp_bits, self._num_buckets, fp_min=5)
+        return bucket ^ alt_offset(fp, self._fp_bits, self._num_buckets)
 
     def add(self, key: int) -> None:
         """Insert a key's fingerprint, evicting as needed.
@@ -165,45 +156,16 @@ class CuckooFilter:
         return fp in self._fps[base : base + self._slots]
 
     def may_contain(self, key: int) -> bool:
-        """Membership test: at most two bucket reads (memory I/Os).
-
-        The digest/offset hashing is splitmix64 inlined (same arithmetic
-        as :func:`key_digest` / :func:`alt_offset`, asserted identical by
-        the property tests) — the probe path is hot enough that the
-        function-call chains dominate its cost in pure Python.
-        """
-        M = _MASK64
-        if type(key) is int:
-            x = (((key & M) ^ _FP_SEED_MIX) + 0x9E3779B97F4A7C15) & M
-            x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & M
-            x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & M
-            x ^= x >> 31
-            y = (((key & M) ^ _BUCKET_SEED_MIX) + 0x9E3779B97F4A7C15) & M
-            y = ((y ^ (y >> 30)) * 0xBF58476D1CE4E5B9) & M
-            y = ((y ^ (y >> 27)) * 0x94D049BB133111EB) & M
-            y ^= y >> 31
-        else:
-            x = key_digest(key, seed=1)
-            y = key_digest(key, seed=_BUCKET_SEED)
-        # FP_MIN=5 non-zero forcing, as in fingerprint_bits().
-        if x >> 59 == 0:
-            x |= 1 << 59
-        fp = x >> (64 - self._fp_bits)
-        b1 = y & (self._num_buckets - 1)
-        fps = self._fps
-        S = self._slots
-        base = b1 * S
+        """Membership test: at most two bucket reads (memory I/Os); the
+        alternate bucket is neither computed nor read after a hit in
+        the primary one."""
+        fp = self._fingerprint(key)
+        b1 = self._primary_bucket(key)
         self._memory_ios.add("filter", 1)
-        if fp in fps[base : base + S]:
+        if self._bucket_contains(b1, fp):
             return True
-        # alt_offset(): splitmix64 of the FP_MIN prefix, forced non-zero.
-        z = (((x >> 59) ^ 0xC2B2AE3D27D4EB4F) + 0x9E3779B97F4A7C15) & M
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & M
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & M
-        z ^= z >> 31
-        base = (b1 ^ ((z & (self._num_buckets - 1)) or 1)) * S
         self._memory_ios.add("filter", 1)
-        return fp in fps[base : base + S]
+        return self._bucket_contains(self._alternate(b1, fp), fp)
 
     def may_contain_many(self, keys: list[int]) -> list[bool]:
         """Batched :meth:`may_contain` with identical counted I/Os

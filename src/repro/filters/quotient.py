@@ -25,9 +25,10 @@ from __future__ import annotations
 
 from repro.common.counters import MemoryIOCounter
 from repro.common.errors import CapacityError
-from repro.common.hashing import key_digest
+from repro.common.hashing import seeded
 
-_FP_SEED = 8100
+#: Digest a key's quotient and remainder are cut from.
+_quotient_digest = seeded(8100)
 _LINE_BITS = 512
 
 
@@ -64,7 +65,7 @@ class QuotientFilter:
     # -- fingerprinting ----------------------------------------------------
 
     def _parts(self, key: int) -> tuple[int, int]:
-        digest = key_digest(key, seed=_FP_SEED)
+        digest = _quotient_digest(key)
         quotient = (digest >> self._r) & (self._size - 1)
         remainder = digest & ((1 << self._r) - 1)
         return quotient, remainder

@@ -15,8 +15,6 @@ planner only offer the ``bloom-vectorized`` policy when numpy resolves.
 
 from __future__ import annotations
 
-import math
-
 try:  # pragma: no cover - exercised by the no-numpy CI leg
     import numpy as _np
 except ImportError:  # pragma: no cover
@@ -24,7 +22,12 @@ except ImportError:  # pragma: no cover
 
 from repro.common.counters import MemoryIOCounter
 from repro.common.hashing import splitmix64
-from repro.filters.blocked_bloom import BLOCK_BITS, _BLOCK_SEED, _PROBE_SEED
+from repro.filters.blocked_bloom import (
+    BLOCK_BITS,
+    _BLOCK_SEED,
+    _PROBE_SEED,
+    BlockedBloomFilter,
+)
 from repro.filters.policy import BloomFilterPolicy
 
 #: True when numpy imported; construction guards on it.
@@ -48,8 +51,15 @@ def _splitmix64_vec(x):
         return x ^ (x >> _U64(31))
 
 
-class VectorizedBlockedBloomFilter:
-    """numpy-backed blocked Bloom filter, sized like the scalar one."""
+def _key_digest_vec(keys, seed: int):
+    """:func:`repro.common.hashing.key_digest` of integer keys, over a
+    uint64 ndarray."""
+    return _splitmix64_vec(keys ^ _U64(splitmix64(seed)))
+
+
+class VectorizedBlockedBloomFilter(BlockedBloomFilter):
+    """The scalar blocked Bloom filter — its argument checks, geometry
+    and FPP estimate — with the block array held in numpy."""
 
     def __init__(
         self,
@@ -62,26 +72,8 @@ class VectorizedBlockedBloomFilter:
                 "VectorizedBlockedBloomFilter requires numpy; use "
                 "BlockedBloomFilter instead"
             )
-        if num_entries < 1:
-            raise ValueError(f"num_entries must be >= 1, got {num_entries}")
-        if bits_per_entry <= 0:
-            raise ValueError(f"bits_per_entry must be > 0, got {bits_per_entry}")
-        total_bits = max(BLOCK_BITS, round(num_entries * bits_per_entry))
-        self._num_blocks = (total_bits + BLOCK_BITS - 1) // BLOCK_BITS
-        self._num_hashes = max(1, round(bits_per_entry * math.log(2)))
+        super().__init__(num_entries, bits_per_entry, memory_ios)
         self._blocks = _np.zeros((self._num_blocks, _WORDS_PER_BLOCK), dtype=_U64)
-        self._memory_ios = (
-            memory_ios if memory_ios is not None else MemoryIOCounter()
-        )
-        self.num_entries_added = 0
-
-    @property
-    def size_bits(self) -> int:
-        return self._num_blocks * BLOCK_BITS
-
-    @property
-    def num_hashes(self) -> int:
-        return self._num_hashes
 
     def _blocks_and_masks(self, keys):
         """(block indices, per-key 8-word probe masks) for a key batch.
@@ -91,18 +83,16 @@ class VectorizedBlockedBloomFilter:
         carved from the same re-mixed digests.
         """
         k = _np.asarray(keys, dtype=_U64)
-        blocks = _splitmix64_vec(k ^ _U64(splitmix64(_BLOCK_SEED)))
+        blocks = _key_digest_vec(k, _BLOCK_SEED)
         blocks = (blocks % _U64(self._num_blocks)).astype(_np.intp)
-        digest = _splitmix64_vec(k ^ _U64(splitmix64(_PROBE_SEED)))
+        digest = _key_digest_vec(k, _PROBE_SEED)
         masks = _np.zeros((len(k), _WORDS_PER_BLOCK), dtype=_U64)
         rows = _np.arange(len(k), dtype=_np.intp)
         flat = masks.reshape(-1)
         with _np.errstate(over="ignore"):
             for i in range(self._num_hashes):
                 if i and i % 7 == 0:
-                    digest = _splitmix64_vec(
-                        digest ^ _U64(splitmix64(_PROBE_SEED + i))
-                    )
+                    digest = _key_digest_vec(digest, _PROBE_SEED + i)
                 pos = (digest >> _U64(9 * (i % 7))) & _U64(BLOCK_BITS - 1)
                 word = (pos >> _U64(6)).astype(_np.intp)
                 # One (row, word) target per key per round, so a fancy
@@ -137,14 +127,6 @@ class VectorizedBlockedBloomFilter:
 
     def may_contain(self, key: int) -> bool:
         return self.may_contain_many([key])[0]
-
-    def expected_fpp(self) -> float:
-        n = self.num_entries_added
-        if n == 0:
-            return 0.0
-        h = self._num_hashes
-        m = self.size_bits
-        return (1.0 - math.exp(-h * n / m)) ** h
 
 
 class VectorizedBloomPolicy(BloomFilterPolicy):

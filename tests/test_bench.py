@@ -158,8 +158,8 @@ class TestMicrobench:
             "blocked_bloom_query",
         } <= names
         assert all(row["ns_per_op"] > 0 for row in report["cases"])
-        decode = next(r for r in report["cases"] if r["name"] == "decode_table")
-        assert decode["reference_ns_per_op"] > 0
+        fused = next(r for r in report["cases"] if r["name"] == "get_batch_fused")
+        assert fused["reference_ns_per_op"] > 0
         assert "host" in report
 
     def test_microbench_command_writes_artifact(self, tmp_path, capsys):

@@ -13,9 +13,9 @@ from repro.common.errors import FilterError
 from repro.chucky.filter import (
     ChuckyFilter,
     UncompressedLidFilter,
-    partner_bucket,
-    primary_bucket,
+    _partner,
 )
+from repro.common.hashing import FP_MIN, fp_digest
 from repro.chucky.partitioned import PartitionedChuckyFilter
 
 
@@ -41,22 +41,81 @@ def build_filter(n=4000, seed=3, cls=ChuckyFilter, **kw):
 class TestAddressing:
     def test_partner_is_involution_any_bucket_count(self):
         for n in (7, 100, 1000, 1 << 10):
+            f = ChuckyFilter(n * 4, DIST, over_provision=0.0)
+            assert f.num_buckets == n
             for key in range(50):
-                b = primary_bucket(key, n)
-                from repro.common.hashing import fingerprint_bits
-
-                fp = fingerprint_bits(key, 9)
-                p = partner_bucket(b, fp, 9, n)
-                assert partner_bucket(p, fp, 9, n) == b
+                b1, b2 = f.bucket_pair(key)
+                prefix = fp_digest(key) >> (64 - FP_MIN)
+                assert _partner(b1, prefix, n) == b2
+                assert _partner(b2, prefix, n) == b1
 
     def test_partner_requires_min_length(self):
+        """A stored fingerprint shorter than FP_MIN has no shared prefix
+        to re-derive its partner bucket from."""
+        f = ChuckyFilter(100, DIST)
+        assert all(64 - shift >= FP_MIN for shift in f._fp_shifts)
+        f._fp_shifts[0] = 64 - 3  # pretend LID 1 stores 3-bit fingerprints
         with pytest.raises(ValueError):
-            partner_bucket(0, 0b111, 3, 100)
+            f._partner_of_slot(0, (1, 0b111))
 
     def test_bucket_pair_shared_across_versions(self):
         f, _ = build_filter(64)
         for key in range(200):
             assert f.bucket_pair(key) == f.bucket_pair(key)
+
+
+def _one_filter(kind):
+    """A small filter of each kind that takes (key, lid) operations, and
+    the plain filter that answers ``fingerprint`` for ``key``."""
+    if kind == "partitioned":
+        f = PartitionedChuckyFilter(256, DIST, partition_capacity=64)
+        return f, f._partition_of
+    f = (ChuckyFilter if kind == "chucky" else UncompressedLidFilter)(100, DIST)
+    return f, lambda key: f
+
+
+FILTER_KINDS = ("chucky", "uncompressed", "partitioned")
+#: One below, one wrapping negative, one above the LID range [1, A].
+BAD_LIDS = (0, -1, DIST.num_sublevels + 1)
+
+
+class TestOneFingerprintRoute:
+    """``fingerprint()`` and the maintenance operations slice through
+    the same ``_slot``, so they agree on every LID and refuse the same
+    ones."""
+
+    @pytest.mark.parametrize("kind", FILTER_KINDS)
+    @settings(max_examples=40, deadline=None)
+    @given(key=st.integers(0, 2**60))
+    def test_fingerprint_is_slot_of_address(self, kind, key):
+        _, plain_of = _one_filter(kind)
+        plain = plain_of(key)
+        digest = plain._address(key)[0]
+        for lid in DIST.lids:
+            assert plain.fingerprint(key, lid) == plain._slot(digest, lid)[1]
+            assert plain.fingerprint(key, lid) != 0
+
+    @pytest.mark.parametrize("kind", FILTER_KINDS)
+    @pytest.mark.parametrize("lid", BAD_LIDS)
+    def test_out_of_range_lid_is_refused_everywhere(self, kind, lid):
+        """At the parent ``fingerprint(key, 0)`` / ``(key, -1)`` answered
+        with another level's length, ``(key, A+1)`` raised a bare
+        IndexError (or answered, uncompressed), and ``update_lid(key,
+        lid, lid)`` returned True before looking at the LID."""
+        f, plain_of = _one_filter(kind)
+        f.insert(5, 3)
+        with pytest.raises(FilterError):
+            plain_of(5).fingerprint(5, lid)
+        with pytest.raises(FilterError):
+            f.update_lid(5, lid, lid)
+        with pytest.raises(FilterError):
+            f.update_lid(5, 3, lid)
+        with pytest.raises(FilterError):
+            f.insert(5, lid)
+        with pytest.raises(FilterError):
+            f.remove(5, lid)
+        assert f.query(5) == [3]
+        assert f.num_entries == 1 and f.maintenance_misses == 0
 
 
 class TestInsertQuery:
@@ -154,8 +213,9 @@ class TestUpdateRemove:
         short = f.fingerprint(5, 1)
         f.update_lid(5, 1, 6)
         longer = f.fingerprint(5, 6)
-        assert f._fp_length(6) > f._fp_length(1)
-        assert longer >> (f._fp_length(6) - f._fp_length(1)) == short
+        fp_length = f.codebook.fp_length
+        assert fp_length(6) > fp_length(1)
+        assert longer >> (fp_length(6) - fp_length(1)) == short
 
     def test_remove_deletes_mapping(self):
         f = ChuckyFilter(100, DIST)

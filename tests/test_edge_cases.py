@@ -7,7 +7,7 @@ import pytest
 from repro.coding.distributions import LidDistribution
 from repro.common.errors import CodebookError, FilterError
 from repro.chucky.codebook import ChuckyCodebook
-from repro.chucky.filter import ChuckyFilter, partner_bucket
+from repro.chucky.filter import ChuckyFilter, _partner
 from repro.chucky.policy import ChuckyPolicy
 from repro.engine.kvstore import KVStore
 from repro.lsm.config import lazy_leveling, leveling
@@ -98,11 +98,8 @@ class TestFilterEdges:
     def test_partner_identity_composition(self):
         for n in (3, 10, 1000):
             for prefix in range(32):
-                fp = (prefix << 4) | 1
                 b = prefix % n
-                assert partner_bucket(
-                    partner_bucket(b, fp, 9, n), fp, 9, n
-                ) == b
+                assert _partner(_partner(b, prefix, n), prefix, n) == b
 
 
 class TestStoreEdges:

@@ -351,3 +351,28 @@ def test_cuckoo_no_false_negatives_property(keys):
     for k in keys:
         f.add(k)
     assert all(f.may_contain(k) for k in keys)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(st.integers(0, 2**40), min_size=1, max_size=150, unique=True),
+    st.lists(st.integers(0, 2**40), max_size=150),
+)
+def test_cuckoo_probe_is_the_shared_composition(inserted, probes):
+    """``may_contain`` is ``_fingerprint`` / ``_primary_bucket`` /
+    ``_alternate`` composed — same answers and, because it stops after a
+    hit in the primary bucket, the same counted I/Os."""
+    counter = MemoryIOCounter()
+    f = CuckooFilter(
+        max(64, len(inserted) * 2), fingerprint_bits=12, memory_ios=counter
+    )
+    for k in inserted:
+        f.add(k)
+    for key in inserted + probes:
+        fp = f._fingerprint(key)
+        b1 = f._primary_bucket(key)
+        in_primary = f._bucket_contains(b1, fp)
+        expected = in_primary or f._bucket_contains(f._alternate(b1, fp), fp)
+        before = counter.total
+        assert f.may_contain(key) == expected
+        assert counter.total - before == (1 if in_primary else 2)

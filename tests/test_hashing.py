@@ -8,10 +8,17 @@ from hypothesis import strategies as st
 from repro.common.hashing import (
     FP_MIN,
     alt_offset,
-    bucket_pair,
     fingerprint_bits,
+    fp_digest,
     key_digest,
+    seeded,
     splitmix64,
+)
+
+#: Keys of every kind a digest accepts: ints (negative, >= 2^64, bool),
+#: str and bytes.
+KEYS = st.one_of(
+    st.integers(-(2**70), 2**70), st.booleans(), st.text(), st.binary()
 )
 
 
@@ -46,6 +53,62 @@ class TestKeyDigest:
         assert a != b
 
 
+def _bound_digests():
+    """Every seed constant ``src/`` binds at import, beside the closure
+    it bound — so a seed that drifts fails here before it moves a golden
+    digest."""
+    from repro.chucky import filter as chucky_filter
+    from repro.chucky import partitioned
+    from repro.common import hashing
+    from repro.engine import sharded
+    from repro.filters import blocked_bloom, cuckoo, quotient
+
+    return [
+        (1, hashing._fingerprint_digest),
+        (4000, chucky_filter._primary_digest),
+        (3000, cuckoo._bucket_digest),
+        (sharded.SHARD_SEED, sharded._shard_digest),
+        (5000, partitioned._partition_digest),
+        (blocked_bloom._BLOCK_SEED, blocked_bloom._block_digest),
+        (blocked_bloom._PROBE_SEED, blocked_bloom._probe_digest),
+        (8100, quotient._quotient_digest),
+    ]
+
+
+class TestSeeded:
+    """``seeded(s)`` is ``key_digest(., s)`` with the seed's mix hoisted:
+    an identity, not a new hash."""
+
+    @given(KEYS, st.integers(0, 2**64))
+    def test_equals_key_digest_for_any_seed(self, key, seed):
+        assert seeded(seed)(key) == key_digest(key, seed)
+
+    @given(KEYS)
+    def test_every_bound_seed_constant(self, key):
+        for seed, bound in _bound_digests():
+            assert bound(key) == key_digest(key, seed), seed
+
+    @given(KEYS)
+    def test_fp_digest_is_the_forced_seed_1_digest(self, key):
+        digest = key_digest(key, seed=1)
+        if digest >> (64 - FP_MIN) == 0:
+            digest |= 1 << (64 - FP_MIN)
+        assert fp_digest(key) == digest
+        assert fp_digest(key) >> (64 - FP_MIN) != 0
+
+    @given(KEYS, st.integers(FP_MIN, 64))
+    def test_fingerprint_bits_is_a_prefix_of_fp_digest(self, key, length):
+        assert fingerprint_bits(key, length) == fp_digest(key) >> (64 - length)
+
+    def test_forcing_fires_on_a_zero_prefix(self, monkeypatch):
+        """No small key has an all-zero prefix, so pin the branch with a
+        digest that does."""
+        from repro.common import hashing
+
+        monkeypatch.setattr(hashing, "_fingerprint_digest", lambda key: 0x7FF)
+        assert fp_digest(0) == (1 << (64 - FP_MIN)) | 0x7FF
+
+
 class TestFingerprintPrefixProperty:
     @given(st.integers(0, 2**62), st.integers(FP_MIN, 30), st.integers(FP_MIN, 30))
     def test_all_lengths_share_fp_min_prefix(self, key, len_a, len_b):
@@ -76,33 +139,28 @@ class TestFingerprintPrefixProperty:
 
 
 class TestBucketPair:
-    def test_requires_power_of_two(self):
-        fp = fingerprint_bits(7, 12)
-        with pytest.raises(ValueError):
-            bucket_pair(7, 100, fp, 12)
+    """Eq 4's xor pair, over :func:`alt_offset` (the plain Cuckoo
+    filter's ``b2 = b1 ^ alt_offset(fp)``)."""
 
-    @given(st.integers(0, 2**62))
-    def test_xor_alternative_is_involution(self, key):
+    @given(st.integers(0, 2**62), st.integers(0, (1 << 10) - 1))
+    def test_xor_alternative_is_involution(self, key, b1):
         num_buckets = 1 << 10
-        fp = fingerprint_bits(key, 12)
-        b1, b2 = bucket_pair(key, num_buckets, fp, 12)
-        off = alt_offset(fp, 12, num_buckets)
-        assert b2 == b1 ^ off
+        off = alt_offset(fingerprint_bits(key, 12), 12, num_buckets)
+        b2 = b1 ^ off
+        assert 0 <= b2 < num_buckets
         assert b2 ^ off == b1
 
     @given(st.integers(0, 2**62))
     def test_buckets_differ(self, key):
-        fp = fingerprint_bits(key, 12)
-        b1, b2 = bucket_pair(key, 1 << 8, fp, 12)
-        assert b1 != b2
+        assert alt_offset(fingerprint_bits(key, 12), 12, 1 << 8) != 0
 
     @given(st.integers(0, 2**62), st.integers(FP_MIN, 20), st.integers(FP_MIN, 20))
     def test_pair_independent_of_fp_length(self, key, len_a, len_b):
         """Different malleable lengths of one key map to the same pair."""
         n = 1 << 9
-        pa = bucket_pair(key, n, fingerprint_bits(key, len_a), len_a)
-        pb = bucket_pair(key, n, fingerprint_bits(key, len_b), len_b)
-        assert pa == pb
+        off_a = alt_offset(fingerprint_bits(key, len_a), len_a, n)
+        off_b = alt_offset(fingerprint_bits(key, len_b), len_b, n)
+        assert off_a == off_b
 
     def test_alt_offset_requires_min_length(self):
         with pytest.raises(ValueError):
