@@ -64,11 +64,13 @@ def main() -> None:
     print(f"  scan [100, 120] merged across shards: {len(window)} keys, "
           f"sorted and tombstone-free")
 
-    # Skew diagnosis: per-shard latency breakdowns from one snapshot.
+    # Skew diagnosis: the store's snapshot is the sum of its shards',
+    # and per-shard latency breakdowns come from the shards' own.
     snap = store.snapshot()
+    shard_snaps = [shard.snapshot() for shard in store.shards]
     for _ in range(2_000):
         store.get(rng.randrange(3_000))
-    per_shard = store.shard_latencies(snap)
+    per_shard = store.shard_latencies(shard_snaps)
     agg = store.latency_since(snap, operations=2_000)
     print(f"\nreads: {agg.total_ns:.0f} ns/read modelled; per-shard totals:")
     for index, lat in enumerate(per_shard):

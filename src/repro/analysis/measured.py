@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Any, Mapping
 
 from repro.engine.kvstore import KVStore
+from repro.engine.sharded import shards_of
 
 
 @dataclass(frozen=True)
@@ -85,15 +86,12 @@ class StoreMetrics:
 def collect_metrics(store, fast: bool = False) -> StoreMetrics:
     """Compute the metrics bundle for a store's current state.
 
-    Accepts a :class:`KVStore` or anything exposing a ``shards`` list
-    of them (the sharded store); the latter aggregates. ``fast=True``
+    Accepts any store shape; a router's metrics aggregate over
+    :func:`~repro.engine.sharded.shards_of` it. ``fast=True``
     skips the O(N) liveness scan (``live_entries`` and
     ``space_amplification`` come back ``None``) so hot paths — the
     server's STATS op, periodic metric sampling — can poll cheaply.
     """
-    shards = getattr(store, "shards", None)
-    if shards is None:
-        shards = [store]
     num_levels = 0
     num_runs = 0
     live = 0
@@ -102,7 +100,7 @@ def collect_metrics(store, fast: bool = False) -> StoreMetrics:
     entries_written = 0
     filter_bits = 0
     blocks = 0
-    for shard in shards:
+    for shard in shards_of(store):
         tree = shard.tree
         stored += tree.num_entries
         if not fast:

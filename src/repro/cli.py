@@ -79,8 +79,16 @@ from repro.coding.entropy import (
     lid_entropy_exact,
 )
 from repro.common.errors import CodebookError, ReproError
-from repro.engine import EngineConfig, KVStore, ShardedKVStore, build_store
+from repro.engine import (
+    EngineConfig,
+    KVStore,
+    ShardedKVStore,
+    aggregate_snapshots,
+    build_store,
+    shards_of,
+)
 from repro.filters.policy import available_policies
+from repro.lsm.config import PRESETS
 from repro.obs import (
     Observability,
     registry_to_dict,
@@ -158,57 +166,75 @@ def cmd_codebook(args) -> int:
     return 0
 
 
-def _engine_config(args) -> EngineConfig:
-    """The workload commands' store configuration, from parsed flags."""
-    return EngineConfig(
-        size_ratio=args.size_ratio,
-        runs_per_level=args.runs_per_level,
-        runs_at_last_level=args.runs_at_last,
-        buffer_entries=args.buffer,
-        block_entries=16,
-        policy=args.policy,
-        bits_per_entry=args.bits,
-        cache_blocks=args.cache_blocks,
-        shards=args.shards,
-    )
+#: Store flags a command may carry: argparse dest -> EngineConfig field.
+_STORE_FLAGS = {
+    "size_ratio": "size_ratio",
+    "runs_per_level": "runs_per_level",
+    "runs_at_last": "runs_at_last_level",
+    "buffer": "buffer_entries",
+    "policy": "policy",
+    "bits": "bits_per_entry",
+    "cache_blocks": "cache_blocks",
+    "shards": "shards",
+}
+
+
+def _engine_config(args, **fixed) -> EngineConfig:
+    """The store a command's flags describe (K and Z from ``--preset``
+    when the command has one; 16-entry blocks; ``fixed`` on top, e.g. a
+    durable server). An invalid store is a usage error, exit 2 — so
+    every command calls this before it prints anything."""
+    fields = {
+        field: getattr(args, flag)
+        for flag, field in _STORE_FLAGS.items()
+        if hasattr(args, flag)
+    }
+    fields.update(block_entries=16, **fixed)
+    try:
+        if hasattr(args, "preset"):
+            return EngineConfig.preset(args.preset, **fields)
+        return EngineConfig(**fields)
+    except ValueError as exc:
+        args.error(str(exc))
 
 
 def _drive_workload(
-    args, observability: Observability | None
-) -> tuple[KVStore | ShardedKVStore, int, "object"]:
+    config: EngineConfig, args, observability: Observability | None
+) -> tuple[KVStore | ShardedKVStore, int, list]:
     """Build a store and run the standard mixed workload.
 
-    Returns (store, hits, window snapshot taken before the reads).
+    Returns (store, hits, per-shard snapshots taken before the reads).
     """
-    store = build_store(_engine_config(args), observability=observability)
+    store = build_store(config, observability=observability)
     rng = random.Random(args.seed)
     universe = max(16, args.ops // 2)
     for i in range(args.ops):
         store.put(rng.randrange(universe), f"v{i}")
-    snap = store.snapshot()
+    snaps = [shard.snapshot() for shard in shards_of(store)]
     hits = 0
     for _ in range(args.reads):
         hits += store.get(rng.randrange(universe)) is not None
-    return store, hits, snap
+    return store, hits, snaps
 
 
 def cmd_workload(args) -> int:
+    config = _engine_config(args)
     obs = Observability() if args.metrics_out else None
     shard_note = f", {args.shards} shards" if args.shards > 1 else ""
     print(f"running {args.ops} writes + {args.reads} reads "
           f"({args.policy}, T={args.size_ratio}{shard_note}) ...")
-    store, hits, snap = _drive_workload(args, obs)
-    lat = store.latency_since(snap, operations=args.reads)
+    store, hits, snaps = _drive_workload(config, args, obs)
+    lat = store.latency_since(aggregate_snapshots(snaps), operations=args.reads)
     print(f"reads: {hits}/{args.reads} hits, "
           f"{lat.total_ns:.0f} ns/read modelled "
           f"(filter {lat.filter_ns:.0f}, fence {lat.fence_ns:.0f}, "
           f"storage {lat.storage_ns:.0f})")
-    if isinstance(store, ShardedKVStore):
+    if config.shards > 1:
         entries = store.entries_per_shard()
         print(f"  shards: {store.num_shards}, entries per shard "
               f"{min(entries)}-{max(entries)} "
               f"(imbalance {store.imbalance:.3f})")
-        for index, shard_lat in enumerate(store.shard_latencies(snap)):
+        for index, shard_lat in enumerate(store.shard_latencies(snaps)):
             print(f"    shard {index}: {shard_lat.total_ns:,.0f} ns total "
                   f"(storage {shard_lat.storage_ns:,.0f})")
     metrics = collect_metrics(store)
@@ -229,6 +255,7 @@ def cmd_stats(args) -> int:
     from repro.obs.slo import SLOEngine, default_store_slos
     from repro.obs.timeseries import TimeSeriesStore
 
+    config = _engine_config(args)
     obs = Observability()
     # Two synthetic-time samples bracket the workload so the SLO
     # engine's windowed burn rates have a before/after delta to work
@@ -238,7 +265,7 @@ def cmd_stats(args) -> int:
         default_store_slos(), timeseries, registry=obs.registry
     )
     timeseries.sample(now=0.0)
-    store, _, _ = _drive_workload(args, obs)
+    store, _, _ = _drive_workload(config, args, obs)
     del store
     timeseries.sample(now=60.0)
     statuses = slo_engine.evaluate(now=60.0)
@@ -390,9 +417,10 @@ def _cmd_trace_remote(args) -> int:
 def cmd_trace(args) -> int:
     if args.request or args.list:
         return _cmd_trace_remote(args)
+    config = _engine_config(args)
     obs = Observability(trace_ring=max(args.last, 1))
-    store, _, _ = _drive_workload(args, obs)
-    if isinstance(store, ShardedKVStore):
+    store, _, _ = _drive_workload(config, args, obs)
+    if config.shards > 1:
         spans = store.recent_spans(args.last)
     else:
         spans = obs.tracer.recent(args.last)
@@ -404,16 +432,10 @@ def cmd_trace(args) -> int:
     return 0
 
 
-_TUNE_PRESETS = {
-    "leveled": EngineConfig.leveled,
-    "tiered": EngineConfig.tiered,
-    "lazy": EngineConfig.lazy_leveled,
-}
-
-
 def cmd_bench(args) -> int:
     from repro.workloads.bench import run_bench, write_artifact
 
+    _engine_config(args)  # every case's store takes --policy / --bits
     print(
         f"bench: core suite, {args.ops} ops/case over {args.preload} keys "
         f"(policy={args.policy}, M={args.bits:g} bits/entry, "
@@ -465,19 +487,10 @@ def cmd_tune(args) -> int:
     from repro.obs.slo import SLOEngine, default_store_slos
     from repro.obs.timeseries import TimeSeriesStore
     from repro.tuning import PlannerConfig, TuningConfig, TuningController
-    from repro.tuning.sensor import aggregate_snapshot
     from repro.workloads.drift import apply_ops, scenario, total_ops
 
+    config = _engine_config(args)
     phases = scenario(args.scenario, seed=args.seed)
-    config = _TUNE_PRESETS[args.preset](
-        size_ratio=args.size_ratio,
-        buffer_entries=args.buffer,
-        block_entries=16,
-        cache_blocks=args.cache_blocks,
-        policy=args.policy,
-        bits_per_entry=args.bits,
-        shards=args.shards,
-    )
     obs = Observability()
     store = build_store(config, observability=obs)
     controller = TuningController(
@@ -510,9 +523,9 @@ def cmd_tune(args) -> int:
     )
     phase_rows = []
     for phase_index, phase in enumerate(phases):
-        before = aggregate_snapshot(store)
+        before = store.snapshot()
         apply_ops(store, phase.ops)
-        after = aggregate_snapshot(store)
+        after = store.snapshot()
         phase_now = (phase_index + 1) * 30.0
         timeseries.sample(now=phase_now)
         statuses = slo_engine.evaluate(now=phase_now)
@@ -567,28 +580,10 @@ def cmd_tune(args) -> int:
     return 0
 
 
-def _serve_config(args) -> EngineConfig:
-    """The server's store: like the workload store, but durable — the
-    WAL is what makes group commit and crash recovery meaningful."""
-    return EngineConfig(
-        size_ratio=args.size_ratio,
-        runs_per_level=args.runs_per_level,
-        runs_at_last_level=args.runs_at_last,
-        buffer_entries=args.buffer,
-        block_entries=16,
-        policy=args.policy,
-        bits_per_entry=args.bits,
-        cache_blocks=args.cache_blocks,
-        durable=True,
-        shards=args.shards,
-    )
-
-
-async def _serve_main(args) -> int:
+async def _serve_main(args, engine_config: EngineConfig) -> int:
     from repro.server import ReproServer, ServerConfig
 
     obs = Observability()
-    engine_config = _serve_config(args)
     store = build_store(engine_config, observability=obs)
     controller = None
     adapt_task = None
@@ -671,8 +666,10 @@ async def _serve_main(args) -> int:
 
 
 def cmd_serve(args) -> int:
+    # Durable: the WAL is what makes group commit and recovery meaningful.
+    config = _engine_config(args, durable=True)
     try:
-        return asyncio.run(_serve_main(args))
+        return asyncio.run(_serve_main(args, config))
     except KeyboardInterrupt:  # pragma: no cover — signal handler races
         return 0
 
@@ -964,27 +961,28 @@ def cmd_faultcheck(args) -> int:
     )
     if args.cluster:
         from repro.cluster.faultcheck import (
-            ClusterFaultcheckConfig,
-            run_cluster_faultcheck,
+            ClusterFaultcheckConfig as Config,
+            run_cluster_faultcheck as run,
+        )
+    else:
+        from repro.faults.harness import (
+            FaultcheckConfig as Config,
+            run_faultcheck as run,
         )
 
-        cfg = ClusterFaultcheckConfig(seeds=args.seeds)
-        run = run_cluster_faultcheck
+        engine["group_commit"] = not engine.pop("no_group_commit", False)
+        engine["migration"] = not engine.pop("no_migration", False)
+    try:
+        cfg = Config(seeds=args.seeds, **engine)
+    except ValueError as exc:
+        args.error(str(exc))
+    if args.cluster:
         banner = (
             f"cluster-faultcheck: {cfg.seeds} seeds over "
             f"{cfg.nodes} nodes / {cfg.num_shards} shards "
             "(kills mid-replication, mid-handoff, mid-promotion)"
         )
     else:
-        from repro.faults.harness import FaultcheckConfig, run_faultcheck
-
-        cfg = FaultcheckConfig(
-            seeds=args.seeds,
-            group_commit=not engine.pop("no_group_commit", False),
-            migration=not engine.pop("no_migration", False),
-            **engine,
-        )
-        run = run_faultcheck
         banner = (
             f"faultcheck: {cfg.seeds} seeds x "
             f"(1 trace + {cfg.schedules_per_seed} crash schedules"
@@ -1148,7 +1146,7 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=("grow-n", "phase-shift", "skew-shift",
                                  "delete-churn"),
                         default="grow-n")
-    p_tune.add_argument("--preset", choices=("leveled", "tiered", "lazy"),
+    p_tune.add_argument("--preset", choices=tuple(PRESETS),
                         default="leveled",
                         help="initial merge-policy preset")
     p_tune.add_argument("--policy", choices=available_policies(),
@@ -1215,7 +1213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lg.add_argument("--kill-after", type=float, default=0.5,
                       help="cluster mode: fire the kill after this "
                            "fraction of ops (default 0.5)")
-    p_lg.set_defaults(func=cmd_loadgen, error=p_lg.error)
+    p_lg.set_defaults(func=cmd_loadgen)
 
     p_cluster = sub.add_parser(
         "cluster",
@@ -1295,7 +1293,7 @@ def build_parser() -> argparse.ArgumentParser:
     # defaults, and cmd_faultcheck rejects them with --cluster.
     p_fc.add_argument("--shards", type=int, default=only,
                       help="hash-shard the store N ways (default 1)")
-    p_fc.add_argument("--preset", choices=("leveled", "tiered", "lazy"),
+    p_fc.add_argument("--preset", choices=tuple(PRESETS),
                       default=only,
                       help="merge-policy preset of the store under test "
                            "(default leveled)")
@@ -1322,7 +1320,10 @@ def build_parser() -> argparse.ArgumentParser:
                       help="run the replicated-cluster kill campaign "
                            "instead (node kills mid-replication / "
                            "mid-handoff / mid-promotion)")
-    p_fc.set_defaults(func=cmd_faultcheck, error=p_fc.error)
+    p_fc.set_defaults(func=cmd_faultcheck)
+    for command in sub.choices.values():
+        # A bad flag value is a usage error of the command's own parser.
+        command.set_defaults(error=command.error)
     return parser
 
 

@@ -37,8 +37,7 @@ from repro.cluster.replication import (
 )
 from repro.cluster.shardmap import ShardMap, ShardMapError
 from repro.cluster.store import ShardSubsetStore
-from repro.engine.config import EngineConfig
-from repro.engine.kvstore import KVStore
+from repro.engine.config import EngineConfig, build_shard
 from repro.faults.crashpoints import crash_point
 from repro.obs import NULL_OBS, Observability
 from repro.server.client import AsyncClient
@@ -63,22 +62,6 @@ class ClusterError(ReproError):
     """An illegal cluster operation (bad role, unknown peer, ...)."""
 
 
-def build_shard_store(
-    config: EngineConfig, observability: Observability | None = None
-) -> KVStore:
-    """One durable per-shard store with the cluster's engine geometry
-    (replication requires a WAL regardless of ``config.durable``)."""
-    config = replace(config, durable=True, shards=1)
-    return KVStore(
-        config.lsm_config(),
-        filter_policy=config.make_policy(),
-        cache_blocks=config.cache_blocks,
-        cost_model=config.cost_model,
-        durable=True,
-        observability=observability,
-    )
-
-
 class ClusterNode:
     """State and protocol handlers of one cluster member."""
 
@@ -98,15 +81,16 @@ class ClusterNode:
             )
         self.name = name
         self.map = shard_map
+        # Replication requires a WAL whatever the caller configured.
         self.engine_config = replace(engine_config, durable=True, shards=1)
         self.peers = dict(peers or {})
         self.obs = observability if observability is not None else NULL_OBS
-        shards: dict[int, KVStore] = {}
-        for shard_id in shard_map.shards_hosted_by(name):
-            child = None
-            if self.obs.enabled:
-                child = self.obs.child(f"shard{shard_id}_")
-            shards[shard_id] = build_shard_store(self.engine_config, child)
+        shards = {
+            shard_id: build_shard(
+                self.engine_config, self.obs, f"shard{shard_id}_"
+            )
+            for shard_id in shard_map.shards_hosted_by(name)
+        }
         self.store = ShardSubsetStore(
             shards, num_global=shard_map.num_shards, observability=self.obs
         )
@@ -407,11 +391,10 @@ class ClusterNode:
         shard_id = request.shard
         if phase == HANDOFF_BEGIN:
             self.staging.pop(shard_id, None)
-            child = None
-            if self.obs.enabled:
-                child = self.obs.child(f"staging{shard_id}_")
             self.staging[shard_id] = {
-                "store": build_shard_store(self.engine_config, child),
+                "store": build_shard(
+                    self.engine_config, self.obs, f"staging{shard_id}_"
+                ),
                 "applied": 0,
             }
             return Response(rid, op, Status.OK, count=0)

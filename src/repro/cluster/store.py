@@ -4,7 +4,7 @@
 whose routing is **global**: keys hash over ``num_global`` shards (the
 cluster-wide count) but only the shards this node hosts are present.
 Everything the base class provides over its shard list — flush, scan
-merge, crash/recover per shard, snapshot aggregation, metric rollup —
+merge, per-shard crash, snapshot aggregation, metric rollup —
 works unchanged because the list simply holds fewer stores (``scan``
 merges the *hosted* shards only; a cluster-wide scan is the
 coordinator's job); only the two routing hooks (``shard_id_of`` /

@@ -7,7 +7,9 @@ share a single construction path instead of hand-wired copies.
 :func:`build_store` turns a config into a :class:`KVStore` (``shards ==
 1``, wired exactly as the pre-factory call sites were, so counted I/Os
 stay bit-identical) or a :class:`ShardedKVStore` (``shards > 1``);
-:func:`recover_store` is the matching crash-recovery entry point.
+:func:`recover_store` is the matching crash-recovery entry point. Both
+build every shard — and the cluster builds every hosted or staged one —
+through :func:`build_shard`.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from repro.common.cost import CostModel
 from repro.engine.kvstore import CrashState, KVStore
 from repro.engine.sharded import ShardedCrashState, ShardedKVStore
 from repro.filters.policy import FilterPolicy, available_policies, make_policy
-from repro.lsm.config import LSMConfig
+from repro.lsm.config import LSMConfig, preset_shape
 from repro.obs import Observability
 
 
@@ -74,38 +76,30 @@ class EngineConfig:
         # Fail fast on bad geometry (LSMConfig validates T/K/Z/P).
         self.lsm_config()
 
-    # -- presets mirroring the classic merge policies -------------------
+    # -- presets: the classic merge policies (repro.lsm.config.PRESETS) --
+
+    @classmethod
+    def preset(cls, name: str, size_ratio: int = 5, **kwargs) -> "EngineConfig":
+        """Merge-policy preset ``name`` (``leveled`` / ``tiered`` /
+        ``lazy``) at size ratio T; ``kwargs`` set the other fields."""
+        shape = preset_shape(name, size_ratio)
+        return cls(size_ratio=size_ratio, **shape, **kwargs)
 
     @classmethod
     def leveled(cls, size_ratio: int = 5, **kwargs) -> "EngineConfig":
         """Leveling: one run per level (read & space optimized)."""
-        return cls(
-            size_ratio=size_ratio,
-            runs_per_level=1,
-            runs_at_last_level=1,
-            **kwargs,
-        )
+        return cls.preset("leveled", size_ratio, **kwargs)
 
     @classmethod
     def tiered(cls, size_ratio: int = 5, **kwargs) -> "EngineConfig":
         """Tiering: up to T-1 runs everywhere (write optimized)."""
-        return cls(
-            size_ratio=size_ratio,
-            runs_per_level=max(1, size_ratio - 1),
-            runs_at_last_level=max(1, size_ratio - 1),
-            **kwargs,
-        )
+        return cls.preset("tiered", size_ratio, **kwargs)
 
     @classmethod
     def lazy_leveled(cls, size_ratio: int = 5, **kwargs) -> "EngineConfig":
         """Lazy leveling: tiered inner levels, leveled largest level
         (the paper's default setup)."""
-        return cls(
-            size_ratio=size_ratio,
-            runs_per_level=max(1, size_ratio - 1),
-            runs_at_last_level=1,
-            **kwargs,
-        )
+        return cls.preset("lazy", size_ratio, **kwargs)
 
     # -- derived pieces -------------------------------------------------
 
@@ -141,19 +135,41 @@ def build_store(
     observability registry.
     """
     if config.shards == 1:
-        return _build_shard(config, observability)
-    shards = []
-    for index in range(config.shards):
-        child = None
-        if observability is not None and observability.enabled:
-            child = observability.child(f"shard{index}_")
-        shards.append(_build_shard(config, child))
-    return ShardedKVStore(shards, observability=observability)
+        return build_shard(config, observability)
+    return ShardedKVStore(
+        [
+            build_shard(config, observability, f"shard{index}_")
+            for index in range(config.shards)
+        ],
+        observability=observability,
+    )
 
 
-def _build_shard(
-    config: EngineConfig, observability: Observability | None
+def build_shard(
+    config: EngineConfig,
+    observability: Observability | None = None,
+    prefix: str | None = None,
+    state: CrashState | None = None,
 ) -> KVStore:
+    """One plain store of ``config``'s per-shard geometry — fresh, or
+    recovered from ``state`` — the one place a shard is built.
+
+    With ``prefix`` its instruments go to ``observability.child(prefix)``
+    (none at all when observability is off); without, straight into
+    ``observability``. ``config.shards`` is not consulted.
+    """
+    if prefix is not None:
+        enabled = observability is not None and observability.enabled
+        observability = observability.child(prefix) if enabled else None
+    if state is not None:
+        return KVStore.recover(
+            state,
+            config.lsm_config(),
+            filter_policy=config.make_policy(),
+            cache_blocks=config.cache_blocks,
+            cost_model=config.cost_model,
+            observability=observability,
+        )
     return KVStore(
         config.lsm_config(),
         filter_policy=config.make_policy(),
@@ -180,12 +196,11 @@ def recover_store(
                 f"config has {config.shards} shards but the crash state "
                 f"holds {len(state.shards)}"
             )
-        return ShardedKVStore.recover(
-            state,
-            config.lsm_config(),
-            policy_factory=config.make_policy,
-            cache_blocks=config.cache_blocks,
-            cost_model=config.cost_model,
+        return ShardedKVStore(
+            [
+                build_shard(config, observability, f"shard{index}_", shard)
+                for index, shard in enumerate(state.shards)
+            ],
             observability=observability,
         )
     if config.shards != 1:
@@ -193,11 +208,4 @@ def recover_store(
             f"config expects {config.shards} shards but the crash state "
             f"is unsharded"
         )
-    return KVStore.recover(
-        state,
-        config.lsm_config(),
-        filter_policy=config.make_policy(),
-        cache_blocks=config.cache_blocks,
-        cost_model=config.cost_model,
-        observability=observability,
-    )
+    return build_shard(config, observability, state=state)

@@ -109,8 +109,78 @@ class IOSnapshot:
             cache_misses=int(data.get("cache_misses", 0)),
         )
 
+    def since(self, earlier: "IOSnapshot") -> "IOSnapshot":
+        """The window from ``earlier`` to this snapshot: every count's
+        difference (memory categories key-wise, over both snapshots'
+        categories)."""
+        mine, theirs = self.memory, earlier.memory
+        return IOSnapshot(
+            memory={
+                category: mine.get(category, 0) - theirs.get(category, 0)
+                for category in set(mine) | set(theirs)
+            },
+            storage_reads=self.storage_reads - earlier.storage_reads,
+            storage_writes=self.storage_writes - earlier.storage_writes,
+            queries=self.queries - earlier.queries,
+            updates=self.updates - earlier.updates,
+            false_positives=self.false_positives - earlier.false_positives,
+            cache_hits=self.cache_hits - earlier.cache_hits,
+            cache_misses=self.cache_misses - earlier.cache_misses,
+        )
 
-class KVStore:
+    def price(
+        self, model: CostModel, operations: int | None = None
+    ) -> LatencyBreakdown:
+        """These counts (a window, from :meth:`since`) priced by
+        ``model`` into a Figure-14 breakdown; divided by ``operations``
+        when given (per-op averages). Counts are integers and the model
+        multiplies them by constants, so pricing a sum of windows equals
+        summing their prices."""
+        mem = self.memory
+        filter_ns = model.memory_cost(
+            sum(mem.get(cat, 0) for cat in _FILTER_CATEGORIES)
+        )
+        memtable_ns = model.memory_cost(mem.get("memtable", 0))
+        fence_ns = model.memory_cost(mem.get("fence", 0))
+        storage_ns = model.storage_cost(
+            self.storage_reads, self.storage_writes
+        ) + model.memory_cost(mem.get("cache", 0))
+        known = {"memtable", "fence", "cache", *_FILTER_CATEGORIES}
+        other_ns = model.memory_cost(
+            sum(v for k, v in mem.items() if k not in known)
+        )
+        breakdown = LatencyBreakdown(
+            filter_ns=filter_ns,
+            memtable_ns=memtable_ns,
+            fence_ns=fence_ns,
+            storage_ns=storage_ns,
+            other_ns=other_ns,
+        )
+        if operations:
+            breakdown = breakdown.scaled(1.0 / operations)
+        return breakdown
+
+
+class CountedWindow:
+    """The counted-window surface every store shape shares. A store
+    supplies ``snapshot()`` and ``cost_model``; a window of operations is
+    ``snapshot().since(snap)``, priced by :meth:`IOSnapshot.price`."""
+
+    def latency_since(
+        self, snap: IOSnapshot, operations: int | None = None
+    ) -> LatencyBreakdown:
+        """Modelled latency accumulated since ``snap``; divided by
+        ``operations`` when given (per-op averages, Figure 14 style)."""
+        return self.snapshot().since(snap).price(self.cost_model, operations)
+
+    def memory_ios_since(self, snap: IOSnapshot) -> dict[str, int]:
+        return self.snapshot().since(snap).memory
+
+    def false_positives_since(self, snap: IOSnapshot) -> int:
+        return self.snapshot().since(snap).false_positives
+
+
+class KVStore(CountedWindow):
     """A complete LSM-tree key-value store with pluggable filtering."""
 
     def __init__(
@@ -167,8 +237,9 @@ class KVStore:
     # ------------------------------------------------------------------
 
     def attach_tuning(self, hook) -> None:
-        """Install a tuning observer (``on_read``/``on_write``/``on_scan``
-        methods, e.g. :class:`repro.tuning.TuningController`). The hook
+        """Install a tuning observer (``on_read`` / ``on_write`` /
+        ``on_delete`` / ``on_scan`` methods, e.g.
+        :class:`repro.tuning.TuningController`). The hook
         fires *after* each operation's counted work, so it can mutate the
         store (flush, migrate filters) without perturbing the operation
         that triggered it."""
@@ -313,11 +384,7 @@ class KVStore:
             self._m_writes.inc()
             self._m_write_latency.observe(self._modelled_ns() - start)
         if self._tuning is not None:
-            hook = getattr(self._tuning, "on_delete", None)
-            if hook is not None:
-                hook(1)
-            else:
-                self._tuning.on_write(1)
+            self._tuning.on_delete(1)
 
     def _delete_impl(self, key: int) -> None:
         if self.memtable.is_full:
@@ -735,43 +802,6 @@ class KVStore:
             cache_hits=cache.hits if cache is not None else 0,
             cache_misses=cache.misses if cache is not None else 0,
         )
-
-    def latency_since(
-        self, snap: IOSnapshot, operations: int | None = None
-    ) -> LatencyBreakdown:
-        """Modelled latency accumulated since ``snap``; divided by
-        ``operations`` when given (per-op averages, Figure 14 style)."""
-        mem = self.counters.memory.diff(snap.memory)
-        model = self.cost_model
-        filter_ns = model.memory_cost(
-            sum(mem.get(cat, 0) for cat in _FILTER_CATEGORIES)
-        )
-        memtable_ns = model.memory_cost(mem.get("memtable", 0))
-        fence_ns = model.memory_cost(mem.get("fence", 0))
-        storage_ns = model.storage_cost(
-            self.counters.storage.reads - snap.storage_reads,
-            self.counters.storage.writes - snap.storage_writes,
-        ) + model.memory_cost(mem.get("cache", 0))
-        known = {"memtable", "fence", "cache", *_FILTER_CATEGORIES}
-        other_ns = model.memory_cost(
-            sum(v for k, v in mem.items() if k not in known)
-        )
-        breakdown = LatencyBreakdown(
-            filter_ns=filter_ns,
-            memtable_ns=memtable_ns,
-            fence_ns=fence_ns,
-            storage_ns=storage_ns,
-            other_ns=other_ns,
-        )
-        if operations:
-            breakdown = breakdown.scaled(1.0 / operations)
-        return breakdown
-
-    def memory_ios_since(self, snap: IOSnapshot) -> dict[str, int]:
-        return self.counters.memory.diff(snap.memory)
-
-    def false_positives_since(self, snap: IOSnapshot) -> int:
-        return self.false_positives - snap.false_positives
 
     @property
     def num_entries(self) -> int:

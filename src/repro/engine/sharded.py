@@ -15,11 +15,14 @@ that shard's data would pay. :class:`ShardedKVStore` is the router:
 * ``scan`` k-way-merges the per-shard sorted iterators — shards
   partition the key space disjointly, so each shard's own tombstone
   suppression is final and the merge never sees a key twice;
-* ``crash`` / ``recover`` round-trip every shard's manifest, WAL and
-  persisted filter blob;
-* ``snapshot`` / ``latency_since`` aggregate the per-shard
-  :class:`IOSnapshot`s and latency breakdowns, and keep the per-shard
-  view available for skew diagnosis.
+* ``crash`` captures every shard's manifest, WAL and persisted filter
+  blob (:func:`repro.engine.config.recover_store` rebuilds them);
+* ``snapshot`` is the sum of the per-shard :class:`IOSnapshot`\\ s, so a
+  router prices a window exactly like a plain store does, and
+  ``shard_latencies`` keeps the per-shard view for skew diagnosis.
+
+:func:`shards_of` is the one answer, for any store or crash state, to
+"which plain stores (or crash states) stand behind this one".
 """
 
 from __future__ import annotations
@@ -27,14 +30,18 @@ from __future__ import annotations
 import heapq
 import re
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
 from repro.common.cost import CostModel, LatencyBreakdown
 from repro.common.hashing import seeded
 from repro.faults.crashpoints import crash_point
-from repro.engine.kvstore import CrashState, IOSnapshot, KVStore, ReadResult
-from repro.filters.policy import FilterPolicy
-from repro.lsm.config import LSMConfig
+from repro.engine.kvstore import (
+    CountedWindow,
+    CrashState,
+    IOSnapshot,
+    KVStore,
+    ReadResult,
+)
 from repro.obs import NULL_OBS, Histogram, Observability
 from repro.obs.trace import Span
 
@@ -83,18 +90,17 @@ class ShardedCrashState:
     shards: tuple[CrashState, ...]
 
 
-@dataclass(frozen=True)
-class ShardedIOSnapshot:
-    """Per-shard snapshots plus the aggregate view."""
+def shards_of(store):
+    """The plain :class:`KVStore`\\ s behind ``store`` — a router's shards,
+    or a plain store itself — and likewise the per-shard
+    :class:`CrashState`\\ s behind a crash state. The one place that
+    tells the two shapes apart."""
+    if isinstance(store, (ShardedKVStore, ShardedCrashState)):
+        return list(store.shards)
+    return [store]
 
-    shards: tuple[IOSnapshot, ...]
 
-    @property
-    def aggregate(self) -> IOSnapshot:
-        return aggregate_snapshots(self.shards)
-
-
-class ShardedKVStore:
+class ShardedKVStore(CountedWindow):
     """N independent :class:`KVStore` shards behind the KVStore surface.
 
     The shards are plain stores — same geometry, own filter, own
@@ -177,11 +183,7 @@ class ShardedKVStore:
     def delete(self, key: int) -> None:
         self.shard_for(key).delete(key)
         if self._tuning is not None:
-            hook = getattr(self._tuning, "on_delete", None)
-            if hook is not None:
-                hook(1)
-            else:
-                self._tuning.on_write(1)
+            self._tuning.on_delete(1)
 
     def put_batch(self, items: list[tuple[int, Any]]) -> None:
         """Buffer a batch, grouped so each shard's memtable and WAL are
@@ -250,7 +252,7 @@ class ShardedKVStore:
         )
 
     # ------------------------------------------------------------------
-    # Crash & recovery
+    # Crash (recover_store rebuilds the shards)
     # ------------------------------------------------------------------
 
     def crash(self) -> ShardedCrashState:
@@ -260,78 +262,30 @@ class ShardedKVStore:
             shards=tuple(shard.crash() for shard in self.shards)
         )
 
-    @classmethod
-    def recover(
-        cls,
-        state: ShardedCrashState,
-        config: LSMConfig,
-        policy_factory: Callable[[], FilterPolicy] | None = None,
-        cache_blocks: int = 0,
-        cost_model: CostModel | None = None,
-        observability: Observability | None = None,
-    ) -> "ShardedKVStore":
-        """Rebuild every shard from its crash state. ``policy_factory``
-        is called once per shard (each needs its own filter policy)."""
-        shards = []
-        for index, shard_state in enumerate(state.shards):
-            child = None
-            if observability is not None and observability.enabled:
-                child = observability.child(f"shard{index}_")
-            shards.append(
-                KVStore.recover(
-                    shard_state,
-                    config,
-                    filter_policy=(
-                        policy_factory() if policy_factory is not None else None
-                    ),
-                    cache_blocks=cache_blocks,
-                    cost_model=cost_model,
-                    observability=child,
-                )
-            )
-        return cls(shards, observability=observability)
-
     # ------------------------------------------------------------------
     # Instrumentation
     # ------------------------------------------------------------------
 
-    def snapshot(self) -> ShardedIOSnapshot:
-        return ShardedIOSnapshot(
-            shards=tuple(shard.snapshot() for shard in self.shards)
-        )
+    def snapshot(self) -> IOSnapshot:
+        """The sum of the shards' snapshots."""
+        return aggregate_snapshots([shard.snapshot() for shard in self.shards])
 
-    def latency_since(
-        self, snap: ShardedIOSnapshot, operations: int | None = None
-    ) -> LatencyBreakdown:
-        """Store-wide modelled latency since ``snap`` (component-wise
-        sum of the per-shard breakdowns)."""
-        total = LatencyBreakdown()
-        for breakdown in self.shard_latencies(snap):
-            total.add(breakdown)
-        if operations:
-            total = total.scaled(1.0 / operations)
-        return total
+    @property
+    def cost_model(self) -> CostModel:
+        """The shards' I/O pricing (every shard :func:`build_store` makes
+        carries the config's one model)."""
+        return self.shards[0].cost_model if self.shards else CostModel()
 
-    def shard_latencies(self, snap: ShardedIOSnapshot) -> list[LatencyBreakdown]:
-        """Per-shard breakdowns since ``snap`` — the skew-diagnosis
-        view: a hot shard shows up as one outsized breakdown."""
+    def shard_latencies(
+        self, shard_snaps: Sequence[IOSnapshot]
+    ) -> list[LatencyBreakdown]:
+        """Per-shard breakdowns since ``shard_snaps`` (each shard's own
+        ``snapshot()``, in shard order) — the skew-diagnosis view: a hot
+        shard shows up as one outsized breakdown."""
         return [
-            shard.latency_since(shard_snap)
-            for shard, shard_snap in zip(self.shards, snap.shards)
+            shard.latency_since(snap)
+            for shard, snap in zip(self.shards, shard_snaps)
         ]
-
-    def memory_ios_since(self, snap: ShardedIOSnapshot) -> dict[str, int]:
-        merged: dict[str, int] = {}
-        for shard, shard_snap in zip(self.shards, snap.shards):
-            for category, count in shard.memory_ios_since(shard_snap).items():
-                merged[category] = merged.get(category, 0) + count
-        return merged
-
-    def false_positives_since(self, snap: ShardedIOSnapshot) -> int:
-        return sum(
-            shard.false_positives_since(shard_snap)
-            for shard, shard_snap in zip(self.shards, snap.shards)
-        )
 
     @property
     def num_entries(self) -> int:

@@ -56,6 +56,7 @@ from typing import Any
 
 from repro.common.errors import InjectedCrash
 from repro.engine.config import EngineConfig, build_store, recover_store
+from repro.engine.sharded import shards_of
 from repro.faults import crashpoints
 from repro.faults.injector import (
     CRASH_AT_POINT,
@@ -67,8 +68,6 @@ from repro.faults.injector import (
 from repro.faults.invariants import InvariantChecker, Violation, merge_expected
 from repro.lsm.entry import TOMBSTONE
 from repro.obs import NULL_OBS, Observability
-
-_PRESETS = ("leveled", "tiered", "lazy")
 
 
 @dataclass(frozen=True)
@@ -86,23 +85,17 @@ class FaultcheckConfig:
     migration: bool = True
 
     def __post_init__(self) -> None:
-        if self.preset not in _PRESETS:
-            raise ValueError(
-                f"unknown preset {self.preset!r}; choose from "
-                f"{', '.join(_PRESETS)}"
-            )
+        # Fail fast on a store that cannot be built (preset, shards,
+        # policy), before a campaign prints anything.
+        self.engine_config()
         if self.seeds < 1:
             raise ValueError(f"seeds must be >= 1, got {self.seeds}")
 
     def engine_config(self) -> EngineConfig:
         """A deliberately tiny geometry: a few dozen ops must exercise
         flushes, merge cascades, spills and cache traffic."""
-        factory = {
-            "leveled": EngineConfig.leveled,
-            "tiered": EngineConfig.tiered,
-            "lazy": EngineConfig.lazy_leveled,
-        }[self.preset]
-        return factory(
+        return EngineConfig.preset(
+            self.preset,
             size_ratio=3,
             buffer_entries=8,
             block_entries=4,
@@ -289,7 +282,7 @@ def _model_value(model: dict[int, Any], key: int) -> Any:
 def _clear_faults(state) -> None:
     """Detach the injector from the surviving storage so recovery runs
     on a healthy machine (the crash is over; the device rebooted)."""
-    for shard_state in getattr(state, "shards", (state,)):
+    for shard_state in shards_of(state):
         shard_state.storage.faults = None
 
 

@@ -29,6 +29,7 @@ import random
 from dataclasses import dataclass
 
 from repro.common.errors import InjectedCrash, TransientIOError
+from repro.engine.sharded import shards_of
 from repro.lsm.wal import WriteAheadLog
 from repro.obs import NULL_OBS, Observability
 
@@ -222,7 +223,7 @@ class FaultInjector:
         :class:`~repro.engine.kvstore.KVStore` or
         :class:`~repro.engine.sharded.ShardedKVStore`): the storage
         device's fault hook plus a tearable WAL."""
-        for shard in getattr(store, "shards", [store]):
+        for shard in shards_of(store):
             shard.tree.storage.faults = self
             if shard.wal is not None:
                 shard.wal = FaultyWriteAheadLog.adopt(shard.wal, self)

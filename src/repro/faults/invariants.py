@@ -12,8 +12,7 @@ reference model. Two families of checks:
   each other: every entry's sub-level is among its filter's candidate
   sub-levels, sequence numbers never exceed the allocator, every
   committed run exists on the device with the manifest's block count,
-  no orphan runs leak storage, and the sharded snapshot aggregation
-  sums to its parts.
+  and no orphan runs leak storage.
 """
 
 from __future__ import annotations
@@ -22,6 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Any
 
+from repro.engine.sharded import shards_of
 from repro.lsm.entry import TOMBSTONE
 
 
@@ -107,10 +107,8 @@ class InvariantChecker:
         """Structural agreement between tree, filter, manifest, storage
         and counters, per shard."""
         violations = []
-        shards = getattr(store, "shards", [store])
-        for index, shard in enumerate(shards):
+        for index, shard in enumerate(shards_of(store)):
             violations.extend(self._check_shard(index, shard))
-        violations.extend(self._check_snapshot(store))
         violations.extend(self.check_filter_exactness(store))
         return violations
 
@@ -125,8 +123,7 @@ class InvariantChecker:
         ``maintenance_misses`` stayed 0. No-op for per-run policies
         whose filter has no iterable slots."""
         violations = []
-        shards = getattr(store, "shards", [store])
-        for index, shard in enumerate(shards):
+        for index, shard in enumerate(shards_of(store)):
             filt = getattr(shard.policy, "filter", None)
             if filt is None:
                 continue
@@ -285,29 +282,6 @@ class InvariantChecker:
                     f"blocks but the manifests account for {expected_blocks}",
                 )
             )
-        return violations
-
-    def _check_snapshot(self, store) -> list[Violation]:
-        """Sharded snapshot aggregation must sum its parts exactly."""
-        snap = store.snapshot()
-        if not hasattr(snap, "shards"):
-            return []
-        violations = []
-        aggregate = snap.aggregate
-        for field_name in (
-            "storage_reads", "storage_writes", "queries", "updates",
-            "false_positives", "cache_hits", "cache_misses",
-        ):
-            total = sum(getattr(s, field_name) for s in snap.shards)
-            if getattr(aggregate, field_name) != total:
-                violations.append(
-                    Violation(
-                        "io-consistency",
-                        f"aggregate {field_name} is "
-                        f"{getattr(aggregate, field_name)} but the shards "
-                        f"sum to {total}",
-                    )
-                )
         return violations
 
 

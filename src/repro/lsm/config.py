@@ -13,6 +13,28 @@ entries. The three classic merge policies are corner points:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Callable
+
+#: The three classic merge policies by preset name: ``(label, T -> (K,
+#: Z))``. The one table the preset constructors here and in
+#: :class:`repro.engine.config.EngineConfig`, :attr:`LSMConfig.policy_name`,
+#: the CLI's ``--preset`` choices and the benchmark suite read.
+PRESETS: dict[str, tuple[str, Callable[[int], tuple[int, int]]]] = {
+    "leveled": ("leveling", lambda t: (1, 1)),
+    "tiered": ("tiering", lambda t: (t - 1, t - 1)),
+    "lazy": ("lazy-leveling", lambda t: (t - 1, 1)),
+}
+
+
+def preset_shape(name: str, size_ratio: int) -> dict[str, int]:
+    """``runs_per_level`` / ``runs_at_last_level`` of preset ``name`` at
+    size ratio ``size_ratio``, as constructor keywords."""
+    if name not in PRESETS:
+        raise ValueError(
+            f"unknown preset {name!r}; choose from {', '.join(PRESETS)}"
+        )
+    k, z = PRESETS[name][1](size_ratio)
+    return {"runs_per_level": k, "runs_at_last_level": z}
 
 
 @dataclass(frozen=True)
@@ -86,39 +108,24 @@ class LSMConfig:
     @property
     def policy_name(self) -> str:
         """Human label for the merge policy this config encodes."""
-        k, z, t = self.runs_per_level, self.runs_at_last_level, self.size_ratio
-        if k == 1 and z == 1:
-            return "leveling"
-        if k == t - 1 and z == t - 1:
-            return "tiering"
-        if k == t - 1 and z == 1:
-            return "lazy-leveling"
+        k, z = self.runs_per_level, self.runs_at_last_level
+        for label, shape in PRESETS.values():
+            if shape(self.size_ratio) == (k, z):
+                return label
         return f"custom(K={k},Z={z})"
 
 
 def leveling(size_ratio: int = 5, **kwargs) -> LSMConfig:
     """Leveled merge policy: one run per level (RocksDB default style)."""
-    return LSMConfig(
-        size_ratio=size_ratio, runs_per_level=1, runs_at_last_level=1, **kwargs
-    )
+    return LSMConfig(size_ratio, **preset_shape("leveled", size_ratio), **kwargs)
 
 
 def tiering(size_ratio: int = 5, **kwargs) -> LSMConfig:
     """Tiered merge policy: up to T-1 runs everywhere (write optimized)."""
-    return LSMConfig(
-        size_ratio=size_ratio,
-        runs_per_level=max(1, size_ratio - 1),
-        runs_at_last_level=max(1, size_ratio - 1),
-        **kwargs,
-    )
+    return LSMConfig(size_ratio, **preset_shape("tiered", size_ratio), **kwargs)
 
 
 def lazy_leveling(size_ratio: int = 5, **kwargs) -> LSMConfig:
     """Lazy leveling: tiered small levels, leveled largest level
     (point-read optimized; the paper's default setup)."""
-    return LSMConfig(
-        size_ratio=size_ratio,
-        runs_per_level=max(1, size_ratio - 1),
-        runs_at_last_level=1,
-        **kwargs,
-    )
+    return LSMConfig(size_ratio, **preset_shape("lazy", size_ratio), **kwargs)

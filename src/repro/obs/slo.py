@@ -310,47 +310,6 @@ def default_server_slos(
     ]
 
 
-def default_cluster_slos(
-    staleness_target: float = 0.10,
-    replication_failure_target: float = 0.001,
-) -> list[SLO]:
-    """Replication objectives for a cluster node, on top of the
-    serving-layer set.
-
-    Follower staleness is bounded by construction (a leader acks only
-    after a live follower covers the log tail), so the *objective* is a
-    ratio over ship rounds: a round that leaves a live follower behind
-    the tail is a "stale" event. Sustained lagged rounds mean follower
-    reads are serving older data than the bound intends — the signal
-    the tuning controller's rebalance hook consumes.
-    """
-    return [
-        *default_server_slos(),
-        SLO(
-            name="replication-staleness",
-            kind="ratio",
-            bad_series="cluster_repl_lagged_rounds_total",
-            total_series="cluster_repl_ship_rounds_total",
-            target=staleness_target,
-            description=(
-                f"at most {staleness_target:.0%} of replication ship "
-                "rounds may leave a live follower behind the log tail"
-            ),
-        ),
-        SLO(
-            name="replication-durability",
-            kind="ratio",
-            bad_series="cluster_repl_failures_total",
-            total_series="cluster_repl_records_total",
-            target=replication_failure_target,
-            description=(
-                f"at most {replication_failure_target:.1%} of replicated "
-                "records may fail to reach an ack quorum"
-            ),
-        ),
-    ]
-
-
 def default_store_slos(
     read_p99_ns: float = 40_000.0,
     fp_target: float = 0.02,

@@ -26,7 +26,6 @@ from repro.tuning.actuator import (
 )
 from repro.tuning.controller import TuningConfig, TuningController
 from repro.tuning.planner import (
-    MERGE_PRESETS,
     CostPlanner,
     PlannerConfig,
     TuningDecision,
@@ -39,7 +38,6 @@ from repro.tuning.sensor import WindowSummary, WorkloadSensor
 __all__ = [
     "CostPlanner",
     "FilterMigration",
-    "MERGE_PRESETS",
     "PlannerConfig",
     "TuningConfig",
     "TuningController",

@@ -53,13 +53,12 @@ from __future__ import annotations
 
 from repro.engine.config import EngineConfig
 from repro.engine.kvstore import KVStore
-from repro.engine.sharded import ShardedKVStore
+from repro.engine.sharded import ShardedKVStore, shards_of
 from repro.faults.crashpoints import crash_point
 from repro.filters.policy import make_policy
 from repro.lsm.entry import Entry
 from repro.lsm.memtable import Memtable
 from repro.lsm.tree import LSMTree
-from repro.tuning.sensor import store_shards
 
 
 class FilterMigration:
@@ -136,7 +135,7 @@ def migrate_filter(
     """Migrate every shard's filter to ``policy_name`` at
     ``bits_per_entry``; returns the total number of build restarts."""
     restarts = 0
-    for shard in store_shards(store):
+    for shard in shards_of(store):
         migration = FilterMigration(shard, policy_name, bits_per_entry)
         migration.run()
         restarts += migration.restarts
@@ -152,7 +151,7 @@ def resize_memtable(store: KVStore | ShardedKVStore, capacity: int) -> int:
     untouched (recovery restores the configured buffer size).
     """
     clamped = 1
-    for shard in store_shards(store):
+    for shard in shards_of(store):
         limit = shard.tree.sublevel_capacity(1)
         clamped = max(1, min(capacity, limit))
         shard.flush()
@@ -171,7 +170,7 @@ def switch_merge_policy(
     bulk-placed into a fresh tree on the same storage device. The swap
     commits per shard at ``tuning.switch.before_commit``.
     """
-    for shard in store_shards(store):
+    for shard in shards_of(store):
         _switch_shard(shard, new_config)
 
 

@@ -23,29 +23,15 @@ runs, the safety net ``repro faultcheck`` exercises).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable
+from typing import Any
 
 from repro.engine.config import EngineConfig
 from repro.engine.kvstore import KVStore, ReadResult
-from repro.engine.sharded import ShardedKVStore
+from repro.engine.sharded import ShardedKVStore, shards_of
 from repro.obs import NULL_OBS, Observability
-from repro.tuning.actuator import (
-    migrate_filter,
-    resize_memtable,
-    switch_merge_policy,
-)
-from repro.tuning.planner import (
-    MERGE_PRESETS,
-    CostPlanner,
-    PlannerConfig,
-    TuningDecision,
-)
-from repro.tuning.sensor import WindowSummary, WorkloadSensor, store_shards
-
-#: Objectives whose alerts may trigger a cluster shard rebalance via
-#: :attr:`TuningController.rebalance_hook` (see repro.obs.slo's
-#: ``default_cluster_slos``).
-REBALANCE_SLOS = ("replication-staleness",)
+from repro.tuning.actuator import migrate_filter, resize_memtable
+from repro.tuning.planner import CostPlanner, PlannerConfig, TuningDecision
+from repro.tuning.sensor import WindowSummary, WorkloadSensor
 
 
 @dataclass(frozen=True)
@@ -88,12 +74,6 @@ class TuningController:
         self._busy = False
         #: Last SLO statuses pushed via :meth:`on_slo` (JSON-ready).
         self.last_slo: list[dict[str, Any]] = []
-        #: Cluster seam: called with the alerting status dict when an
-        #: SLO named in :data:`REBALANCE_SLOS` *transitions into*
-        #: alerting (edge-triggered — a persistent alert fires once).
-        #: A cluster operator wires this to a shard rebalance.
-        self.rebalance_hook: Callable[[dict[str, Any]], None] | None = None
-        self._slo_alerting: set[str] = set()
         registry = self.obs.registry
         self._m_windows = registry.counter(
             "tuning_windows_total", "sensing windows closed"
@@ -107,15 +87,8 @@ class TuningController:
         self._m_resizes = registry.counter(
             "tuning_memtable_resizes_total", "memtable resizes applied"
         )
-        self._m_switches = registry.counter(
-            "tuning_merge_switches_total", "merge-policy switches applied"
-        )
         self._g_win = registry.gauge(
             "tuning_last_win", "modelled win of the last non-hold decision"
-        )
-        self._m_rebalance = registry.counter(
-            "tuning_rebalance_requests_total",
-            "shard rebalances requested off SLO pressure",
         )
 
     # -- lifecycle ------------------------------------------------------
@@ -138,9 +111,8 @@ class TuningController:
         self._maybe_close_window()
 
     def on_delete(self, count: int = 1) -> None:
-        """Stores that distinguish deletes call this instead of
-        :meth:`on_write`; the sensor keeps them inside the write mix
-        but also surfaces the delete-rate to the planner."""
+        """Deletes: the sensor keeps them inside the write mix but also
+        surfaces the delete-rate to the planner."""
         self.sensor.record_delete(count)
         self._maybe_close_window()
 
@@ -155,28 +127,10 @@ class TuningController:
         the latest objective statuses so planning context (and
         ``status()`` consumers) can see objective pressure, not just
         workload shape. Accepts :class:`~repro.obs.slo.SLOStatus`
-        objects or ready-made dicts.
-
-        Cluster deployments may set :attr:`rebalance_hook`; when a
-        rebalance-eligible objective (:data:`REBALANCE_SLOS`, i.e.
-        replication staleness) transitions into alerting, the hook is
-        called once with the status dict — the operator's cue to move
-        a hot shard to a less loaded node."""
+        objects or ready-made dicts."""
         self.last_slo = [
             s if isinstance(s, dict) else s.as_dict() for s in statuses
         ]
-        for status in self.last_slo:
-            name = status.get("name", "")
-            if name not in REBALANCE_SLOS:
-                continue
-            if status.get("alerting"):
-                if name not in self._slo_alerting:
-                    self._slo_alerting.add(name)
-                    self._m_rebalance.inc()
-                    if self.rebalance_hook is not None:
-                        self.rebalance_hook(status)
-            else:
-                self._slo_alerting.discard(name)
 
     # -- the loop -------------------------------------------------------
 
@@ -195,7 +149,7 @@ class TuningController:
         del self.summaries[: -self.config.max_summaries]
         self._m_windows.inc()
         num_levels = max(
-            shard.tree.num_levels for shard in store_shards(self.store)
+            shard.tree.num_levels for shard in shards_of(self.store)
         )
         with self.obs.tracer.span(
             "tuning_plan", window=summary.index, levels=num_levels
@@ -240,18 +194,6 @@ class TuningController:
                     bits_per_entry=decision.target_bits,
                 )
                 self._m_migrations.inc()
-            elif decision.action == "switch-merge":
-                k, z = MERGE_PRESETS[decision.target_preset](
-                    self.effective_config.size_ratio
-                )
-                new_config = replace(
-                    self.effective_config,
-                    runs_per_level=k,
-                    runs_at_last_level=z,
-                )
-                switch_merge_policy(self.store, new_config)
-                self.effective_config = new_config
-                self._m_switches.inc()
             elif decision.action == "resize-memtable":
                 self.memtable_capacity = resize_memtable(
                     self.store, decision.target_memtable

@@ -25,20 +25,12 @@ Two dampers keep the loop from thrashing:
 from __future__ import annotations
 
 import importlib.util
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Any
 
 from repro.engine.config import EngineConfig
 from repro.filters.policy import PlannerModels, planner_models
 from repro.tuning.sensor import WindowSummary
-
-#: Merge-policy presets the planner may propose, as (K, Z) factories of
-#: the size ratio T.
-MERGE_PRESETS: dict[str, Any] = {
-    "leveled": lambda t: (1, 1),
-    "tiered": lambda t: (max(1, t - 1), max(1, t - 1)),
-    "lazy-leveled": lambda t: (max(1, t - 1), 1),
-}
 
 
 def _models(policy: str) -> PlannerModels:
@@ -112,10 +104,7 @@ class PlannerConfig:
     )
     #: Extra bits/entry candidates beyond the current allocation.
     bits_options: tuple[float, ...] = ()
-    #: Merge-policy candidates (keys of :data:`MERGE_PRESETS`).
-    presets: tuple[str, ...] = ()
     allow_filter_migration: bool = True
-    allow_merge_switch: bool = False
     allow_memtable_resize: bool = False
     #: Write fraction above which the memtable is grown (and below
     #: which, once reads dominate, it shrinks back).
@@ -128,14 +117,13 @@ class TuningDecision:
     """One planner verdict, also the decision-log record."""
 
     window: int
-    action: str  # "hold" | "migrate-filter" | "switch-merge" | "resize-memtable"
+    action: str  # "hold" | "migrate-filter" | "resize-memtable"
     reason: str
     current_cost_ns: float
     best_cost_ns: float
     win: float
     target_policy: str | None = None
     target_bits: float | None = None
-    target_preset: str | None = None
     target_memtable: int | None = None
     applied: bool = False
 
@@ -255,29 +243,6 @@ class CostPlanner:
                             target_policy=policy,
                             target_bits=bits,
                         )
-        if cfg.allow_merge_switch:
-            for preset in cfg.presets:
-                k, z = MERGE_PRESETS[preset](current.size_ratio)
-                if (k, z) == (current.runs_per_level, current.runs_at_last_level):
-                    continue
-                candidate = replace(
-                    current, runs_per_level=k, runs_at_last_level=z
-                )
-                cost = self.modelled_cost_ns(summary, candidate, num_levels)
-                win = (current_cost - cost) / current_cost if current_cost else 0.0
-                if win > best.win:
-                    best = TuningDecision(
-                        window=summary.index,
-                        action="switch-merge",
-                        reason=(
-                            f"model prefers {preset} (K={k}, Z={z}) for this "
-                            f"mix ({win:.1%} modelled win)"
-                        ),
-                        current_cost_ns=current_cost,
-                        best_cost_ns=cost,
-                        win=win,
-                        target_preset=preset,
-                    )
         if best.action != "hold" and best.win > cfg.hysteresis:
             return best
 

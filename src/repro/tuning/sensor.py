@@ -21,22 +21,9 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Any
 
-from repro.engine.kvstore import IOSnapshot, KVStore, ReadResult
-from repro.engine.sharded import ShardedKVStore
+from repro.engine.kvstore import KVStore, ReadResult
+from repro.engine.sharded import ShardedKVStore, shards_of
 from repro.obs.metrics import Histogram, SUBLEVELS_BUCKETS
-
-
-def store_shards(store: KVStore | ShardedKVStore) -> list[KVStore]:
-    """The underlying plain stores, whichever facade we were handed."""
-    if isinstance(store, ShardedKVStore):
-        return list(store.shards)
-    return [store]
-
-
-def aggregate_snapshot(store: KVStore | ShardedKVStore) -> IOSnapshot:
-    """One store-wide :class:`IOSnapshot` for either store shape."""
-    snap = store.snapshot()
-    return snap.aggregate if hasattr(snap, "aggregate") else snap
 
 
 @dataclass(frozen=True)
@@ -112,7 +99,7 @@ class WorkloadSensor:
         self._begin_window()
 
     def _begin_window(self) -> None:
-        self._snap = aggregate_snapshot(self.store)
+        self._snap = self.store.snapshot()
         self._reads = 0
         self._writes = 0
         self._deletes = 0
@@ -167,18 +154,13 @@ class WorkloadSensor:
         """Summarise the current window and start a fresh one."""
         ops = max(1, self.window_ops_so_far)
         reads, writes, scans = self._reads, self._writes, self._scans
-        now = aggregate_snapshot(self.store)
-        storage_reads = now.storage_reads - self._snap.storage_reads
-        storage_writes = now.storage_writes - self._snap.storage_writes
-        memory_ios = sum(now.memory.values()) - sum(self._snap.memory.values())
-        hits = now.cache_hits - self._snap.cache_hits
-        misses = now.cache_misses - self._snap.cache_misses
-        lookups = hits + misses
-        shards = store_shards(self.store)
+        window = self.store.snapshot().since(self._snap)
+        memory_ios = sum(window.memory.values())
+        lookups = window.cache_hits + window.cache_misses
+        shards = shards_of(self.store)
         filter_bits = sum(shard.policy.size_bits for shard in shards)
         entries = sum(shard.num_entries for shard in shards)
         stored = sum(shard.tree.num_entries for shard in shards)
-        model = shards[0].cost_model
         summary = WindowSummary(
             index=self.windows_closed,
             ops=ops,
@@ -194,10 +176,10 @@ class WorkloadSensor:
             ),
             key_skew=self._key_skew(),
             distinct_keys=len(self._key_counts),
-            storage_reads_per_op=storage_reads / ops,
-            storage_writes_per_op=storage_writes / ops,
+            storage_reads_per_op=window.storage_reads / ops,
+            storage_writes_per_op=window.storage_writes / ops,
             memory_ios_per_op=memory_ios / ops,
-            cache_hit_ratio=hits / lookups if lookups else 0.0,
+            cache_hit_ratio=window.cache_hits / lookups if lookups else 0.0,
             probes_p50=self._probes.p50,
             probes_p95=self._probes.p95,
             probes_p99=self._probes.p99,
@@ -207,8 +189,8 @@ class WorkloadSensor:
             filter_size_bits=filter_bits,
             filter_bits_per_entry=filter_bits / stored if stored else 0.0,
             memtable_capacity=sum(shard.memtable.capacity for shard in shards),
-            modelled_ns_per_op=model.total_cost(
-                memory_ios, storage_reads, storage_writes
+            modelled_ns_per_op=self.store.cost_model.total_cost(
+                memory_ios, window.storage_reads, window.storage_writes
             )
             / ops,
             deletes=self._deletes,

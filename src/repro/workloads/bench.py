@@ -84,16 +84,11 @@ CANONICAL_CASES: tuple[tuple[str, str], ...] = tuple(
     )
 )
 
-_PRESETS = {
-    "leveled": EngineConfig.leveled,
-    "tiered": EngineConfig.tiered,
-    "lazy-leveled": EngineConfig.lazy_leveled,
-}
-
 
 @dataclass(frozen=True)
 class BenchCase:
-    """One benchmark cell: a preset, a workload, and its mix."""
+    """One benchmark cell: a merge preset (a key of
+    :data:`repro.lsm.config.PRESETS`), a workload, and its mix."""
 
     preset: str
     workload: str
@@ -116,7 +111,8 @@ def run_case(
     bits_per_entry: float = 10.0,
 ) -> dict[str, Any]:
     """Run one case on a fresh store; returns its JSON-ready row."""
-    config = _PRESETS[case.preset](
+    config = EngineConfig.preset(
+        case.preset,
         size_ratio=4,
         buffer_entries=64,
         block_entries=16,

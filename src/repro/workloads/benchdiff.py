@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 #: Keys that must match between baseline and current for a core diff
 #: to be meaningful at all.
@@ -267,43 +267,34 @@ def _config_mismatches(
     return out
 
 
-def diff_core(
-    baseline: dict[str, Any], current: dict[str, Any]
+def _diff(
+    artifact: str,
+    baseline: dict[str, Any],
+    current: dict[str, Any],
+    config_keys: tuple[str, ...],
+    compare: Callable[
+        [dict[str, Any], dict[str, Any]],
+        tuple[list[dict[str, Any]], list[dict[str, Any]]],
+    ],
+    config: Callable[[dict[str, Any]], dict[str, Any]] = (
+        lambda art: art.get("config", {})
+    ),
 ) -> dict[str, Any]:
-    """Diff two BENCH_core.json reports case-by-case.
-
-    Cases are matched by ``name``; a case present in the baseline but
-    absent from the current run (or vice versa) is a violation —
-    coverage must not silently shrink.
-    """
-    mismatches = _config_mismatches(baseline, current, CORE_CONFIG_KEYS)
+    """The one diff skeleton: refuse on a config mismatch, else
+    ``compare(baseline, current) -> (checks, violations)``, then relax
+    wall bands on a host mismatch. ``config`` finds an artifact's run
+    config (nested under ``config`` by default)."""
+    mismatches = _config_mismatches(
+        config(baseline), config(current), config_keys
+    )
     host_mismatches = _host_mismatches(baseline, current)
     checks: list[dict[str, Any]] = []
     violations: list[dict[str, Any]] = []
     if not mismatches:
-        base_cases = {row["name"]: row for row in baseline.get("cases", [])}
-        cur_cases = {row["name"]: row for row in current.get("cases", [])}
-        for name in sorted(set(base_cases) | set(cur_cases)):
-            if name not in base_cases or name not in cur_cases:
-                entry = {
-                    "where": name,
-                    "metric": "(case)",
-                    "baseline": None,
-                    "current": None,
-                    "problem": "case missing from "
-                    + ("current run" if name not in cur_cases else "baseline"),
-                }
-                checks.append(entry)
-                violations.append(entry)
-                continue
-            case_checks, case_violations = _diff_tree(
-                base_cases[name], cur_cases[name], CORE_BANDS, name
-            )
-            checks.extend(case_checks)
-            violations.extend(case_violations)
+        checks, violations = compare(baseline, current)
     violations, warnings = _relax_wall(violations, host_mismatches)
     return {
-        "artifact": "core",
+        "artifact": artifact,
         "ok": not mismatches and not violations,
         "config_mismatches": mismatches,
         "host_mismatches": host_mismatches,
@@ -311,60 +302,68 @@ def diff_core(
         "violations": violations,
         "warnings": warnings,
     }
+
+
+def _diff_cases(
+    baseline: dict[str, Any], current: dict[str, Any]
+) -> tuple[list[dict[str, Any]], list[dict[str, Any]]]:
+    """Core reports case by case, matched by ``name``; a case present
+    on one side only is a violation — coverage must not silently
+    shrink."""
+    checks: list[dict[str, Any]] = []
+    violations: list[dict[str, Any]] = []
+    base_cases = {row["name"]: row for row in baseline.get("cases", [])}
+    cur_cases = {row["name"]: row for row in current.get("cases", [])}
+    for name in sorted(set(base_cases) | set(cur_cases)):
+        if name not in base_cases or name not in cur_cases:
+            entry = {
+                "where": name,
+                "metric": "(case)",
+                "baseline": None,
+                "current": None,
+                "problem": "case missing from "
+                + ("current run" if name not in cur_cases else "baseline"),
+            }
+            checks.append(entry)
+            violations.append(entry)
+            continue
+        case_checks, case_violations = _diff_tree(
+            base_cases[name], cur_cases[name], CORE_BANDS, name
+        )
+        checks.extend(case_checks)
+        violations.extend(case_violations)
+    return checks, violations
+
+
+def diff_core(
+    baseline: dict[str, Any], current: dict[str, Any]
+) -> dict[str, Any]:
+    """Diff two BENCH_core.json reports case-by-case (run config at the
+    top level)."""
+    return _diff(
+        "core", baseline, current, CORE_CONFIG_KEYS, _diff_cases,
+        config=lambda art: art,
+    )
 
 
 def diff_serve(
     baseline: dict[str, Any], current: dict[str, Any]
 ) -> dict[str, Any]:
     """Diff two BENCH_serve.json summaries."""
-    mismatches = _config_mismatches(
-        baseline.get("config", {}), current.get("config", {}),
-        SERVE_CONFIG_KEYS,
+    return _diff(
+        "serve", baseline, current, SERVE_CONFIG_KEYS,
+        lambda base, cur: _diff_tree(base, cur, SERVE_BANDS, "serve"),
     )
-    host_mismatches = _host_mismatches(baseline, current)
-    checks: list[dict[str, Any]] = []
-    violations: list[dict[str, Any]] = []
-    if not mismatches:
-        checks, violations = _diff_tree(
-            baseline, current, SERVE_BANDS, "serve"
-        )
-    violations, warnings = _relax_wall(violations, host_mismatches)
-    return {
-        "artifact": "serve",
-        "ok": not mismatches and not violations,
-        "config_mismatches": mismatches,
-        "host_mismatches": host_mismatches,
-        "checks": checks,
-        "violations": violations,
-        "warnings": warnings,
-    }
 
 
 def diff_cluster(
     baseline: dict[str, Any], current: dict[str, Any]
 ) -> dict[str, Any]:
     """Diff two BENCH_cluster.json summaries (loadgen ``--cluster``)."""
-    mismatches = _config_mismatches(
-        baseline.get("config", {}), current.get("config", {}),
-        CLUSTER_CONFIG_KEYS,
+    return _diff(
+        "cluster", baseline, current, CLUSTER_CONFIG_KEYS,
+        lambda base, cur: _diff_tree(base, cur, CLUSTER_BANDS, "cluster"),
     )
-    host_mismatches = _host_mismatches(baseline, current)
-    checks: list[dict[str, Any]] = []
-    violations: list[dict[str, Any]] = []
-    if not mismatches:
-        checks, violations = _diff_tree(
-            baseline, current, CLUSTER_BANDS, "cluster"
-        )
-    violations, warnings = _relax_wall(violations, host_mismatches)
-    return {
-        "artifact": "cluster",
-        "ok": not mismatches and not violations,
-        "config_mismatches": mismatches,
-        "host_mismatches": host_mismatches,
-        "checks": checks,
-        "violations": violations,
-        "warnings": warnings,
-    }
 
 
 def load_artifact(path: str) -> dict[str, Any]:

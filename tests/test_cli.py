@@ -259,6 +259,34 @@ class TestModeFlags:
         ) in capsys.readouterr().out
 
 
+class TestStoreFlagErrors:
+    """An invalid store flag is a usage error (exit 2) raised before the
+    command prints anything — never a ValueError traceback."""
+
+    CASES = [
+        (["workload", "--shards", "0"], "shards must be >= 1"),
+        (["stats", "--bits", "-1"], "bits_per_entry must be >= 0"),
+        (["trace", "--size-ratio", "1"], "size ratio T must be >= 2"),
+        (["serve", "--runs-per-level", "9", "-t", "5", "--port", "0"],
+         "K must be in [1, T]"),
+        (["tune", "--shards", "0"], "shards must be >= 1"),
+        (["bench", "--bits", "-1"], "bits_per_entry must be >= 0"),
+        (["faultcheck", "--shards", "0"], "shards must be >= 1"),
+    ]
+
+    @pytest.mark.parametrize(
+        "argv,message", CASES, ids=[argv[0] for argv, _ in CASES]
+    )
+    def test_bad_store_flag_is_a_usage_error(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"repro {argv[0]}: error: " in captured.err
+        assert message in captured.err
+
+
 class TestClusterLoadgen:
     @pytest.fixture
     def spec_path(self, tmp_path):

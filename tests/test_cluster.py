@@ -28,8 +28,8 @@ from repro.cluster import (
     run_cluster_faultcheck,
 )
 from repro.cluster.coordinator import ClusterCoordinator
-from repro.cluster.node import ClusterNode, build_shard_store
-from repro.engine.config import EngineConfig
+from repro.cluster.node import ClusterNode
+from repro.engine.config import EngineConfig, build_shard
 from repro.engine.sharded import shard_of
 from repro.obs import Observability, registry_to_dict
 from repro.server.group_commit import GroupCommitWriter
@@ -202,7 +202,7 @@ class TestClusterProtocol:
 class TestShardSubsetStore:
     def _store(self, shard_ids, num_global=6):
         return ShardSubsetStore(
-            {i: build_shard_store(_tiny_engine()) for i in shard_ids},
+            {i: build_shard(_tiny_engine()) for i in shard_ids},
             num_global=num_global,
         )
 
@@ -226,7 +226,7 @@ class TestShardSubsetStore:
     def test_add_remove_shard(self):
         store = self._store({0})
         assert store.shard_ids == (0,)
-        fresh = build_shard_store(_tiny_engine())
+        fresh = build_shard(_tiny_engine())
         store.add_shard(3, fresh)
         assert store.owns(3)
         key = next(k for k in range(100) if shard_of(k, 6) == 3)
@@ -251,7 +251,7 @@ class TestShardSubsetStore:
         break metrics export; ``kv_shards`` tracks live membership."""
         obs = Observability()
         store = ShardSubsetStore(
-            {0: build_shard_store(_tiny_engine())}, 2, observability=obs
+            {0: build_shard(_tiny_engine())}, 2, observability=obs
         )
         assert registry_to_dict(obs.registry)["gauges"]["kv_shards"] == 1
         store.remove_shard(0)
@@ -264,7 +264,7 @@ class TestShardSubsetStore:
         obs = Observability()
         store = ShardSubsetStore({}, 2, observability=obs)
         assert registry_to_dict(obs.registry)["gauges"]["kv_shards"] == 0
-        store.add_shard(1, build_shard_store(_tiny_engine()))
+        store.add_shard(1, build_shard(_tiny_engine()))
         key = next(k for k in range(100) if shard_of(k, 2) == 1)
         store.put(key, "v")
         gauges = registry_to_dict(obs.registry)["gauges"]
@@ -294,9 +294,9 @@ class TestFollowerBitIdentity:
         identical — including non-UTF-8 bytes values, which replication
         must carry verbatim at the record layer."""
         econf = _tiny_engine()
-        leader = build_shard_store(econf)
-        standalone = build_shard_store(econf)
-        follower = build_shard_store(econf)
+        leader = build_shard(econf)
+        standalone = build_shard(econf)
+        follower = build_shard(econf)
         shipped: list[bytes] = []
         leader.wal.record_sink = (
             lambda record, count, batch: shipped.append(record)

@@ -9,6 +9,7 @@ from repro.engine import (
     EngineConfig,
     KVStore,
     ShardedKVStore,
+    build_shard,
     build_store,
     recover_store,
 )
@@ -21,6 +22,7 @@ from repro.filters.policy import (
     register_policy,
 )
 from repro.lsm.config import LSMConfig
+from repro.obs import Observability, registry_to_dict
 
 
 class TestPolicyRegistry:
@@ -100,6 +102,44 @@ class TestEngineConfig:
         assert (tier.runs_per_level, tier.runs_at_last_level) == (4, 4)
         level = EngineConfig.leveled(size_ratio=5)
         assert (level.runs_per_level, level.runs_at_last_level) == (1, 1)
+
+    def test_one_preset_table(self):
+        """Every preset spelling reads repro.lsm.config.PRESETS: the lsm
+        constructors, EngineConfig's, the policy_name labels and the CLI
+        --preset choices."""
+        from repro.cli import build_parser
+        from repro.lsm.config import PRESETS, lazy_leveling, leveling, tiering
+
+        assert tuple(PRESETS) == ("leveled", "tiered", "lazy")
+        makers = {"leveled": leveling, "tiered": tiering, "lazy": lazy_leveling}
+        for size_ratio in (3, 5, 8):
+            for name, (label, _) in PRESETS.items():
+                lsm = makers[name](size_ratio)
+                assert EngineConfig.preset(name, size_ratio).lsm_config() == lsm
+                assert lsm.policy_name == label
+        assert EngineConfig.lazy_leveled(5) == EngineConfig.preset("lazy", 5)
+        with pytest.raises(ValueError, match="unknown preset 'lazy-leveled'"):
+            EngineConfig.preset("lazy-leveled")
+        for command in ("tune", "faultcheck"):
+            for name in PRESETS:
+                args = build_parser().parse_args([command, "--preset", name])
+                assert args.preset == name
+
+    def test_build_shard_fresh_or_recovered_with_prefixed_obs(self):
+        cfg = EngineConfig(size_ratio=3, buffer_entries=8, block_entries=4,
+                           durable=True, shards=4)
+        obs = Observability()
+        shard = build_shard(cfg, obs, "shard7_")
+        assert isinstance(shard, KVStore) and shard.wal is not None
+        shard.put(1, "a")
+        assert shard.get(1) == "a"
+        back = build_shard(cfg, obs, "staging7_", state=shard.crash())
+        assert back.get(1) == "a"
+        counters = registry_to_dict(obs.registry)["counters"]
+        assert counters["shard7_kv_reads_total"] == 1
+        assert counters["staging7_kv_reads_total"] == 1
+        assert not build_shard(cfg, None, "shard0_").obs.enabled
+        assert not build_shard(cfg, Observability(enabled=False), "s_").obs.enabled
 
     def test_with_shards(self):
         cfg = EngineConfig().with_shards(4)

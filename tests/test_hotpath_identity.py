@@ -185,10 +185,7 @@ def _store_workload(preset: str, shards: int, seed: int = 3):
     batch = [rng.randrange(300) for _ in range(64)]
     reads.append(("batch", store.get_batch(batch)))
     store.flush()
-    snap = store.snapshot()
-    if shards > 1:
-        snap = snap.aggregate
-    return reads, snap.as_dict()
+    return reads, store.snapshot().as_dict()
 
 
 class TestEngineIdentity:

@@ -6,6 +6,7 @@ import random
 from repro.chucky.policy import ChuckyPolicy
 from repro.engine import (
     EngineConfig,
+    IOSnapshot,
     KVStore,
     ShardedCrashState,
     ShardedKVStore,
@@ -13,6 +14,7 @@ from repro.engine import (
     build_store,
     recover_store,
     shard_of,
+    shards_of,
 )
 from repro.lsm.config import LSMConfig
 from repro.obs import Observability, registry_to_dict
@@ -184,6 +186,20 @@ class TestBatches:
         assert sharded.get(7) == "second"
 
 
+class TestShardsOf:
+    def test_stores_and_crash_states(self):
+        cfg = small_config(durable=True)
+        sharded = build_store(cfg)
+        single = build_store(cfg.with_shards(1))
+        assert shards_of(sharded) == sharded.shards
+        assert shards_of(single) == [single]
+        assert not hasattr(single, "shards")
+        state = sharded.crash()
+        assert shards_of(state) == list(state.shards)
+        lone = single.crash()
+        assert shards_of(lone) == [lone]
+
+
 class TestCrashRecover:
     def test_round_trip_all_shards(self):
         cfg = small_config(durable=True)
@@ -228,34 +244,85 @@ class TestCrashRecover:
 
 class TestAggregation:
     def test_aggregate_equals_sum_of_shards(self):
+        """A router's snapshot is one IOSnapshot: the field-wise sum of
+        its shards' (memory categories key-wise)."""
         sharded = build_store(small_config())
         apply_ops(sharded, mixed_ops())
         for key in range(300):
             sharded.get(key)
-        snap = sharded.snapshot()
-        agg = snap.aggregate
-        assert agg == aggregate_snapshots(snap.shards)
-        assert agg.queries == sum(s.queries for s in snap.shards) == 300
-        assert agg.updates == sum(s.updates for s in snap.shards)
-        assert agg.storage_reads == sum(s.storage_reads for s in snap.shards)
-        assert agg.storage_writes == sum(s.storage_writes for s in snap.shards)
+        agg = sharded.snapshot()
+        shard_snaps = [shard.snapshot() for shard in sharded.shards]
+        assert type(agg) is IOSnapshot
+        assert agg == aggregate_snapshots(shard_snaps)
+        assert agg.queries == sum(s.queries for s in shard_snaps) == 300
+        for field_name in (
+            "storage_reads", "storage_writes", "queries", "updates",
+            "false_positives", "cache_hits", "cache_misses",
+        ):
+            assert getattr(agg, field_name) == sum(
+                getattr(s, field_name) for s in shard_snaps
+            )
+        assert set(agg.memory) == {c for s in shard_snaps for c in s.memory}
         for category, count in agg.memory.items():
             assert count == sum(
-                s.memory.get(category, 0) for s in snap.shards
+                s.memory.get(category, 0) for s in shard_snaps
             )
 
     def test_latency_since_sums_shards(self):
         sharded = build_store(small_config())
         apply_ops(sharded, mixed_ops())
         snap = sharded.snapshot()
+        shard_snaps = [shard.snapshot() for shard in sharded.shards]
         for key in range(200):
             sharded.get(key)
-        per_shard = sharded.shard_latencies(snap)
+        per_shard = sharded.shard_latencies(shard_snaps)
         agg = sharded.latency_since(snap)
         assert agg.total_ns > 0
         assert agg.total_ns == sum(lat.total_ns for lat in per_shard)
         per_op = sharded.latency_since(snap, operations=200)
         assert per_op.total_ns * 200 == agg.total_ns
+
+    def test_summed_window_prices_exactly_as_the_shards(self):
+        """Counts are integers and the model multiplies them by
+        constants, so pricing the summed window is bit-identical to
+        summing per-shard prices, component by component — as are the
+        window's memory I/Os and false positives."""
+        sharded = build_store(small_config(cache_blocks=4))
+        apply_ops(sharded, mixed_ops())
+        snap = sharded.snapshot()
+        shard_snaps = [shard.snapshot() for shard in sharded.shards]
+        apply_ops(sharded, mixed_ops(ops=400, seed=5))
+        for key in range(300):
+            sharded.get(key)
+        agg = sharded.latency_since(snap)
+        per_shard = sharded.shard_latencies(shard_snaps)
+        for name in (
+            "filter_ns", "memtable_ns", "fence_ns", "storage_ns", "other_ns"
+        ):
+            assert getattr(agg, name) == sum(
+                getattr(lat, name) for lat in per_shard
+            )
+        assert agg.storage_ns > 0 and agg.filter_ns > 0
+        memory: dict = {}
+        for shard, shard_snap in zip(sharded.shards, shard_snaps):
+            for category, count in shard.memory_ios_since(shard_snap).items():
+                memory[category] = memory.get(category, 0) + count
+        assert sharded.memory_ios_since(snap) == memory
+        assert sharded.false_positives_since(snap) == sum(
+            shard.false_positives_since(shard_snap)
+            for shard, shard_snap in zip(sharded.shards, shard_snaps)
+        )
+
+    def test_one_shard_router_reads_like_its_store(self):
+        store = build_store(small_config(shards=1))
+        router = ShardedKVStore([store])
+        router.put(1, "a")
+        router.flush()
+        assert router.snapshot() == store.snapshot()
+        assert router.snapshot().storage_writes > 0
+        assert router.snapshot().updates == 1
+        assert router.shard_for(1) is store
+        assert router.cost_model is store.cost_model
 
     def test_counters_sum(self):
         sharded = build_store(small_config())

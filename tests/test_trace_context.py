@@ -305,7 +305,7 @@ class TestBitIdentity:
         hits = 0
         for i in range(self.OPS):
             hits += store.get((i * 7) % 80) is not None
-        snap = store.snapshot().aggregate
+        snap = store.snapshot()
         return store, hits, snap
 
     def test_counted_ios_identical_with_and_without_observability(self):
@@ -338,7 +338,7 @@ class TestBitIdentity:
                     await client.put(key, f"v{key}")
                 for key in range(60):
                     await client.get(key % 45)
-                snap = store.snapshot().aggregate
+                snap = store.snapshot()
                 await client.close()
                 await server.drain()
                 return snap.storage_reads, snap.storage_writes

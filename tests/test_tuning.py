@@ -48,7 +48,6 @@ from repro.tuning import (
     resize_memtable,
     switch_merge_policy,
 )
-from repro.tuning.sensor import aggregate_snapshot
 from repro.workloads.drift import apply_ops, grow_n_scenario, scenario
 
 
@@ -72,7 +71,7 @@ def _load_even(store, n):
 
 
 def _snapshot_tuple(store):
-    snap = aggregate_snapshot(store)
+    snap = store.snapshot()
     return (
         snap.storage_reads,
         snap.storage_writes,
@@ -360,9 +359,9 @@ class TestFilterMigration:
     def test_migration_reads_ride_uncounted_storage_pass(self):
         store = build_store(_config())
         _load_even(store, 300)
-        before = aggregate_snapshot(store)
+        before = store.snapshot()
         migrate_filter(store, "chucky", 10.0)
-        after = aggregate_snapshot(store)
+        after = store.snapshot()
         assert after.storage_reads == before.storage_reads
         # ... but the new filter's construction memory I/Os are counted.
         assert sum(after.memory.values()) > sum(before.memory.values())
@@ -454,9 +453,9 @@ class TestController:
                 controller.attach()
             cost = 0.0
             for phase in phases:
-                before = aggregate_snapshot(store)
+                before = store.snapshot()
                 apply_ops(store, phase.ops)
-                after = aggregate_snapshot(store)
+                after = store.snapshot()
                 if phase.name.startswith("read"):
                     cost += cfg.cost_model.total_cost(
                         sum(after.memory.values())
