@@ -7,8 +7,9 @@ verbatim to followers *before* acking (acked => durable beyond the
 leader), and a :class:`ClusterCoordinator` routes by the map — chasing
 epoch bumps, electing the most-caught-up follower when a leader dies,
 and driving live shard handoffs. This example boots a real 3-node
-cluster inside one event loop (actual sockets, actual frames — the
-same code paths ``repro cluster`` runs across processes), writes
+cluster inside one event loop with :class:`LoopbackCluster` (actual
+sockets, actual frames — the same code paths ``repro cluster`` runs
+across processes, on the fixture the cluster tests share), writes
 through the coordinator, inspects the replication logs, reads from
 followers, migrates a shard live, kills the leader of shard 0 and
 fails over, then proves every acknowledged write survived. A tiny
@@ -21,64 +22,34 @@ Run with::
 
 import asyncio
 
-from repro import EngineConfig
 from repro.cluster import (
     ClusterCoordinator,
     ClusterFaultcheckConfig,
-    ClusterNode,
-    even_map,
+    LoopbackCluster,
     run_cluster_faultcheck,
 )
-from repro.server import ServerConfig
 
-NODES = ["n0", "n1", "n2"]
 NUM_SHARDS = 6
 
 
-async def boot() -> tuple[dict[str, ClusterNode], ClusterCoordinator]:
-    """Start every node on an ephemeral port, wire the peer links,
-    and point a coordinator at the result."""
-    shard_map = even_map(NODES, NUM_SHARDS, replication=2)
-    econf = EngineConfig.leveled(
-        size_ratio=3, buffer_entries=16, block_entries=4,
-        cache_blocks=16, durable=True, shards=1,
-    )
-    nodes = {
-        name: ClusterNode(
-            name, shard_map, econf, server_config=ServerConfig(port=0)
-        )
-        for name in NODES
-    }
-    addrs: dict[str, tuple[str, int]] = {}
-    for name, node in nodes.items():
-        port = await node.server.start()
-        addrs[name] = ("127.0.0.1", port)
-    for name, node in nodes.items():
-        node.peers = {k: v for k, v in addrs.items() if k != name}
-    coordinator = ClusterCoordinator(addrs)
-    await coordinator.refresh_map()
-    return nodes, coordinator
-
-
-async def kill(node: ClusterNode) -> None:
-    """Simulate a process kill: stop serving, cancel the commit task,
-    abort every open connection. The node is never consulted again."""
-    server = node.server
-    if server._server is not None:
-        server._server.close()
-        await server._server.wait_closed()
-    if server.commit._task is not None:
-        server.commit._task.cancel()
-    for conn in list(server._connections):
-        conn.closed = True
-        if conn.writer.transport is not None:
-            conn.writer.transport.abort()
-    await asyncio.sleep(0.01)
-    await node.close_peers()
-
-
 async def main() -> None:
-    nodes, coordinator = await boot()
+    # LoopbackCluster boots every node on an ephemeral port, wires each
+    # node's peer pool and hands back a coordinator pointed at them.
+    cluster = LoopbackCluster(
+        ClusterFaultcheckConfig(nodes=3, num_shards=NUM_SHARDS, replication=2)
+    )
+    coordinator = await cluster.start()
+    try:
+        await tour(cluster, coordinator)
+    finally:
+        await coordinator.close()
+        await cluster.stop()
+
+
+async def tour(
+    cluster: LoopbackCluster, coordinator: ClusterCoordinator
+) -> None:
+    nodes = cluster.nodes
     shard_map = coordinator.map
     print(f"3-node cluster up: {NUM_SHARDS} shards, replication 2, "
           f"epoch {shard_map.epoch}")
@@ -122,7 +93,7 @@ async def main() -> None:
     # one epoch bump flips routing — writes keep flowing throughout.
     victim_shard = 2
     old_leader = coordinator.map.leader_of(victim_shard)
-    target = next(n for n in NODES
+    target = next(n for n in cluster.names
                   if n not in coordinator.map.replicas[victim_shard])
     new_map = await coordinator.rebalance(victim_shard, target)
     assert new_map.leader_of(victim_shard) == target
@@ -137,7 +108,7 @@ async def main() -> None:
     # most-caught-up live follower; because acks waited for
     # replication, no acknowledged write can be lost.
     dead = coordinator.map.leader_of(0)
-    await kill(nodes[dead])
+    await cluster.kill(dead)  # listener, commit task, connections
     promoted_map = await coordinator.failover(dead)
     assert dead not in promoted_map.nodes()
     print(f"\nkilled {dead}; shard 0 promoted to "
@@ -151,13 +122,6 @@ async def main() -> None:
     assert await coordinator.get(999) == b"post-failover"
     print(f"all {len(survivors)} acked writes (and the delete) survived; "
           f"new writes flow")
-
-    # -- teardown ------------------------------------------------------
-    await coordinator.close()
-    for name, node in nodes.items():
-        if name == dead:
-            continue
-        await kill(node)
 
 
 def crash_campaign() -> None:

@@ -714,18 +714,14 @@ def cmd_loadgen(args) -> int:
             **server,
         )
         if args.cluster:
-            from repro.cluster.launcher import read_spec
             from repro.cluster.loadgen import (
                 ClusterLoadgenConfig,
                 kill_via_spec,
                 run_cluster_loadgen,
             )
 
-            try:
-                spec = read_spec(args.cluster)
-            except (OSError, json.JSONDecodeError, KeyError) as exc:
-                print(f"cannot load cluster spec {args.cluster}: {exc}",
-                      file=sys.stderr)
+            spec = _load_cluster_spec(args.cluster)
+            if spec is None:
                 return 2
             where = "the cluster"
             run = run_cluster_loadgen(
@@ -797,23 +793,28 @@ def cmd_loadgen(args) -> int:
     return 1 if failed else 0
 
 
+def _load_cluster_spec(path: str):
+    """The cluster spec at ``path``, or None once stderr says why it
+    cannot be loaded (the caller exits 2)."""
+    from repro.cluster.launcher import read_spec
+
+    try:
+        return read_spec(path)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        print(f"cannot load cluster spec {path}: {exc}", file=sys.stderr)
+        return None
+
+
 def cmd_cluster(args) -> int:
-    from repro.cluster.launcher import (
-        ClusterLauncher,
-        read_spec,
-        run_worker,
-    )
+    from repro.cluster.launcher import ClusterLauncher, run_worker
     from repro.cluster.node import ClusterError
 
     if args.worker:
         if not args.name:
             print("--worker requires --name", file=sys.stderr)
             return 2
-        try:
-            spec = read_spec(args.spec)
-        except (OSError, json.JSONDecodeError, KeyError) as exc:
-            print(f"cannot load cluster spec {args.spec}: {exc}",
-                  file=sys.stderr)
+        spec = _load_cluster_spec(args.spec)
+        if spec is None:
             return 2
         try:
             return asyncio.run(run_worker(args.name, spec))
@@ -861,14 +862,10 @@ def cmd_cluster(args) -> int:
 
 def cmd_rebalance(args) -> int:
     from repro.cluster import ClusterCoordinator
-    from repro.cluster.launcher import read_spec
     from repro.cluster.node import ClusterError
 
-    try:
-        spec = read_spec(args.cluster)
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
-        print(f"cannot load cluster spec {args.cluster}: {exc}",
-              file=sys.stderr)
+    spec = _load_cluster_spec(args.cluster)
+    if spec is None:
         return 2
 
     async def _run() -> int:

@@ -7,8 +7,10 @@ The pieces, bottom-up:
   shards behind the ordinary KVStore surface.
 * :mod:`repro.cluster.replication` — per-shard record logs and the
   group-commit writer whose acks wait for follower replication.
+* :mod:`repro.cluster.peers` — the one connection pool nodes and
+  coordinators reach members through, and the one map push.
 * :mod:`repro.cluster.node` — one member: server, follower apply,
-  promotion, live shard handoff.
+  the one map fence, promotion, live shard handoff.
 * :mod:`repro.cluster.coordinator` — client-side routing, map refresh,
   and leader-failover election.
 * :mod:`repro.cluster.faultcheck` — the in-process crash campaign that
@@ -39,6 +41,7 @@ from repro.cluster.loadgen import (
     run_cluster_loadgen,
 )
 from repro.cluster.node import ClusterError, ClusterNode, ClusterServer
+from repro.cluster.peers import PeerPool
 from repro.cluster.replication import (
     ReplicatedGroupCommitWriter,
     ReplicationError,
@@ -59,6 +62,7 @@ __all__ = [
     "ClusterTarget",
     "LoopbackCluster",
     "NotOwnedError",
+    "PeerPool",
     "ReplicatedGroupCommitWriter",
     "ReplicationError",
     "ReplicationLog",

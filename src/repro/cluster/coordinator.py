@@ -37,12 +37,10 @@ import asyncio
 import json
 from typing import Any
 
-from repro.cluster.node import ClusterError
+from repro.cluster.peers import ClusterError, PeerPool
 from repro.cluster.shardmap import ShardMap
 from repro.engine.sharded import shard_of
-from repro.server.client import AsyncClient
 from repro.server.protocol import (
-    HANDOFF_PROMOTE,
     HANDOFF_START,
     KIND_DELETE,
     KIND_PUT,
@@ -71,12 +69,11 @@ class ClusterCoordinator:
     ) -> None:
         if read_mode not in ("leader", "follower", "any"):
             raise ValueError(f"unknown read_mode {read_mode!r}")
-        self.addresses = dict(addresses)
+        self.peers = PeerPool(addresses)
         self.map = shard_map
         self.read_mode = read_mode
         self.max_attempts = max_attempts
         self.retry_delay = retry_delay
-        self._clients: dict[str, AsyncClient] = {}
         self._failover_lock = asyncio.Lock()
         self._rr = 0
         #: Lifetime event counts, surfaced by the CLI.
@@ -88,57 +85,45 @@ class ClusterCoordinator:
     # Connections and the map
     # ------------------------------------------------------------------
 
-    async def client(self, name: str) -> AsyncClient:
-        client = self._clients.get(name)
-        if client is not None and not client._closed:
-            return client
-        addr = self.addresses.get(name)
-        if addr is None:
-            raise ClusterError(f"no address for node {name!r}")
-        client = await AsyncClient.connect(addr[0], addr[1])
-        self._clients[name] = client
-        return client
-
-    def _drop(self, name: str) -> None:
-        client = self._clients.pop(name, None)
-        if client is not None:
-            try:
-                client._writer.close()
-            except Exception:  # noqa: BLE001 — already dead is fine
-                pass
-
     async def close(self) -> None:
-        for name in list(self._clients):
-            client = self._clients.pop(name)
-            try:
-                await client.close()
-            except Exception:  # noqa: BLE001
-                pass
+        await self.peers.close()
 
     async def refresh_map(self) -> ShardMap:
         """Adopt the highest-epoch map any reachable node reports."""
-        best = self.map
-        for name in list(self.addresses):
-            status = await self._probe(name)
-            if status is None:
-                continue
-            candidate = ShardMap.from_dict(status["map"])
-            if best is None or candidate.epoch > best.epoch:
-                best = candidate
-        if best is None:
+        newest, _ = await self._newest_map()
+        if newest is None:
             raise ClusterError("no node answered a status probe")
-        self.map = best
+        self.map = newest
         self.refreshes += 1
-        return best
+        return newest
+
+    async def _newest_map(
+        self, skip: str | None = None
+    ) -> tuple[ShardMap | None, dict[str, dict]]:
+        """Probe every node but ``skip``: the highest-epoch map among
+        ours and the reported ones, and the statuses that answered."""
+        statuses: dict[str, dict] = {}
+        for name in list(self.peers.addresses):
+            if name == skip:
+                continue
+            status = await self._probe(name)
+            if status is not None:
+                statuses[name] = status
+        newest = self.map
+        for status in statuses.values():
+            candidate = ShardMap.from_dict(status["map"])
+            if newest is None or candidate.epoch > newest.epoch:
+                newest = candidate
+        return newest, statuses
 
     async def _probe(self, name: str) -> dict | None:
         try:
-            client = await self.client(name)
+            client = await self.peers.get(name)
             resp = await client.request(
                 Request(client._rid(), Op.CLUSTER_STATUS)
             )
         except _NET_ERRORS:
-            self._drop(name)
+            self.peers.drop(name)
             return None
         if resp.status is not Status.OK:
             return None
@@ -174,11 +159,11 @@ class ClusterCoordinator:
                 await self.refresh_map()
             name = pick_node(self.map)
             try:
-                client = await self.client(name)
+                client = await self.peers.get(name)
                 resp = await client.request(make_request(client))
             except (*_NET_ERRORS, ClusterError):
                 # Unreachable (or address-less) node: treat as dead.
-                self._drop(name)
+                self.peers.drop(name)
                 last = f"node {name!r} unreachable"
                 await self.failover(name)
                 continue
@@ -286,23 +271,11 @@ class ClusterCoordinator:
                     pass
             if self.map is not None and dead not in self.map.nodes():
                 return self.map
-            statuses: dict[str, dict] = {}
-            for name in self.addresses:
-                if name == dead:
-                    continue
-                status = await self._probe(name)
-                if status is not None:
-                    statuses[name] = status
+            base, statuses = await self._newest_map(skip=dead)
             if not statuses:
                 raise ClusterError(
                     f"failover from {dead!r}: no surviving node reachable"
                 )
-            base = self.map
-            for status in statuses.values():
-                candidate = ShardMap.from_dict(status["map"])
-                if base is None or candidate.epoch > base.epoch:
-                    base = candidate
-            assert base is not None
             replicas = [list(names) for names in base.replicas]
             winners: set[str] = set()
             for shard_id in range(base.num_shards):
@@ -349,22 +322,14 @@ class ClusterCoordinator:
                 num_shards=base.num_shards,
                 replicas=tuple(tuple(names) for names in replicas),
             )
-            blob = new_map.to_json().encode("utf-8")
             for name in sorted(
                 new_map.nodes(), key=lambda n: (n not in winners, n)
             ):
                 try:
-                    client = await self.client(name)
-                    resp = await client.request(
-                        Request(
-                            client._rid(), Op.HANDOFF,
-                            phase=HANDOFF_PROMOTE,
-                            epoch=new_map.epoch, value=blob,
-                        )
-                    )
+                    resp = await self.peers.push_map(name, new_map)
                     ok = resp.status is Status.OK
                 except _NET_ERRORS:
-                    self._drop(name)
+                    self.peers.drop(name)
                     ok = False
                 if not ok and name in winners:
                     raise ClusterError(
@@ -376,7 +341,7 @@ class ClusterCoordinator:
             return new_map
 
     # ------------------------------------------------------------------
-    # Operations: rebalance + status
+    # Operations: rebalance
     # ------------------------------------------------------------------
 
     async def rebalance(self, shard_id: int, target: str) -> ShardMap:
@@ -384,12 +349,12 @@ class ClusterCoordinator:
         name) and return the refreshed map."""
         if self.map is None:
             await self.refresh_map()
-        if target not in self.addresses:
+        if target not in self.peers.addresses:
             raise ClusterError(f"unknown target node {target!r}")
         source = self.map.leader_of(shard_id)
         if source == target:
             return self.map
-        client = await self.client(source)
+        client = await self.peers.get(source)
         resp = await client.request(
             Request(
                 client._rid(), Op.HANDOFF, phase=HANDOFF_START,
@@ -402,10 +367,3 @@ class ClusterCoordinator:
                 f"{resp.message or resp.status.name}"
             )
         return await self.refresh_map()
-
-    async def status(self) -> dict[str, dict | None]:
-        """Every node's CLUSTER_STATUS payload (None if unreachable)."""
-        out: dict[str, dict | None] = {}
-        for name in sorted(self.addresses):
-            out[name] = await self._probe(name)
-        return out

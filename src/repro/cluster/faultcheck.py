@@ -133,11 +133,11 @@ class LoopbackCluster:
                 "127.0.0.1", server.sockets[0].getsockname()[1]
             )
         for name, node in self.nodes.items():
-            node.peers = {
-                other: addr
+            node.peers.addresses.update(
+                (other, addr)
                 for other, addr in self.addrs.items()
                 if other != name
-            }
+            )
             node.server.commit.start()
         coordinator = ClusterCoordinator(dict(self.addrs))
         await coordinator.refresh_map()
@@ -171,7 +171,7 @@ class LoopbackCluster:
             task.cancel()
         self._abort_connections(name)
         await asyncio.sleep(0.01)
-        await node.close_peers()
+        await node.peers.close()
 
     async def stop(self) -> None:
         alive = [name for name in self.names if name not in self.killed]
@@ -183,7 +183,7 @@ class LoopbackCluster:
                 await self.nodes[name].server.commit.close()
             except Exception:  # noqa: BLE001 — teardown only
                 pass
-            await self.nodes[name].close_peers()
+            await self.nodes[name].peers.close()
         for name in alive:
             self._abort_connections(name)
         await asyncio.sleep(0.01)

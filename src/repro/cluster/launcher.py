@@ -147,7 +147,7 @@ async def run_worker(name: str, spec: ClusterSpec) -> int:
         except (NotImplementedError, RuntimeError, ValueError):
             pass  # non-unix loop; SHUTDOWN over the wire still drains
     await node.server.serve_until_drained()
-    await node.close_peers()
+    await node.peers.close()
     print(
         f"repro cluster[{name}]: drained "
         f"({node.server.requests} requests, epoch {node.map.epoch})",

@@ -29,7 +29,7 @@ import asyncio
 import json
 from dataclasses import replace
 
-from repro.common.errors import ReproError
+from repro.cluster.peers import ClusterError, PeerPool
 from repro.cluster.replication import (
     ReplicatedGroupCommitWriter,
     ReplicationError,
@@ -58,10 +58,6 @@ from repro.server.server import ReproServer, ServerConfig
 from repro.lsm.wal import encode_batch_record
 
 
-class ClusterError(ReproError):
-    """An illegal cluster operation (bad role, unknown peer, ...)."""
-
-
 class ClusterNode:
     """State and protocol handlers of one cluster member."""
 
@@ -83,7 +79,7 @@ class ClusterNode:
         self.map = shard_map
         # Replication requires a WAL whatever the caller configured.
         self.engine_config = replace(engine_config, durable=True, shards=1)
-        self.peers = dict(peers or {})
+        self.peers = PeerPool(peers)
         self.obs = observability if observability is not None else NULL_OBS
         shards = {
             shard_id: build_shard(
@@ -112,7 +108,6 @@ class ClusterNode:
         #: Followers marked unreachable (excluded from ack quorums and
         #: lag accounting until an operator re-adds them via handoff).
         self.dead: set[str] = set()
-        self._peer_clients: dict[str, AsyncClient] = {}
         #: Staleness accounting: ship rounds, and rounds that ended
         #: with a live follower still behind the log tail.
         self.ship_rounds = 0
@@ -170,37 +165,6 @@ class ClusterNode:
         ).set(len(self.dead))
 
     # ------------------------------------------------------------------
-    # Peer connections
-    # ------------------------------------------------------------------
-
-    async def peer(self, name: str) -> AsyncClient:
-        client = self._peer_clients.get(name)
-        if client is not None and not client._closed:
-            return client
-        addr = self.peers.get(name)
-        if addr is None:
-            raise ClusterError(f"unknown peer {name!r}")
-        client = await AsyncClient.connect(addr[0], addr[1])
-        self._peer_clients[name] = client
-        return client
-
-    def _drop_peer(self, name: str) -> None:
-        client = self._peer_clients.pop(name, None)
-        if client is not None:
-            try:
-                client._writer.close()
-            except Exception:  # noqa: BLE001 — already dead is fine
-                pass
-
-    async def close_peers(self) -> None:
-        for name in list(self._peer_clients):
-            client = self._peer_clients.pop(name)
-            try:
-                await client.close()
-            except Exception:  # noqa: BLE001
-                pass
-
-    # ------------------------------------------------------------------
     # Leader side: shipping
     # ------------------------------------------------------------------
 
@@ -225,7 +189,7 @@ class ClusterNode:
                 asyncio.IncompleteReadError,
             ):
                 self.dead.add(follower)
-                self._drop_peer(follower)
+                self.peers.drop(follower)
                 continue
             if applied >= target:
                 acks += 1
@@ -241,7 +205,7 @@ class ClusterNode:
     async def _ship_to(
         self, follower: str, shard_id: int, log: ReplicationLog
     ) -> int:
-        client = await self.peer(follower)
+        client = await self.peers.get(follower)
         applied = log.acked.get(follower, 0)
         rounds = 0
         pushed_map = False
@@ -292,13 +256,7 @@ class ClusterNode:
     ) -> int:
         """Hand a behind follower the current map, then return its
         authoritative applied count for ``shard_id`` at that epoch."""
-        blob = self.map.to_json().encode("utf-8")
-        resp = await client.request(
-            Request(
-                client._rid(), Op.HANDOFF, phase=HANDOFF_PROMOTE,
-                epoch=self.map.epoch, value=blob,
-            )
-        )
+        resp = await self.peers.push_map(follower, self.map)
         if resp.status is not Status.OK:
             raise ReplicationError(
                 f"follower {follower!r} refused map epoch "
@@ -390,7 +348,6 @@ class ClusterNode:
         phase = request.phase
         shard_id = request.shard
         if phase == HANDOFF_BEGIN:
-            self.staging.pop(shard_id, None)
             self.staging[shard_id] = {
                 "store": build_shard(
                     self.engine_config, self.obs, f"staging{shard_id}_"
@@ -398,83 +355,58 @@ class ClusterNode:
                 "applied": 0,
             }
             return Response(rid, op, Status.OK, count=0)
+        if phase == HANDOFF_ABORT:
+            self.staging.pop(shard_id, None)
+            return Response(rid, op, Status.OK, count=0)
+        new_map = None
+        if phase in (HANDOFF_COMMIT, HANDOFF_PROMOTE):
+            try:
+                new_map = ShardMap.from_json(bytes(request.value))
+                if phase == HANDOFF_PROMOTE:
+                    # Adopt the coordinator's post-election map (or a
+                    # peer's committed one).
+                    crash_point("cluster.promote.before_adopt")
+                    self.adopt_map(new_map)
+                    crash_point("cluster.promote.after_adopt")
+                    return Response(rid, op, Status.OK, count=0)
+                self._fence(new_map, commit=True)
+            except ShardMapError as exc:
+                return Response(rid, op, Status.ERROR, message=str(exc))
+        stage = self.staging.get(shard_id)
+        if stage is None and (
+            new_map is None or new_map.leader_of(shard_id) == self.name
+        ):
+            # For a COMMIT: without a staged store, adopting this map
+            # would seize leadership of a shard we hold no data for —
+            # exactly what a COMMIT that raced an ABORT (torn-commit
+            # resolution at the source) would otherwise do.
+            return Response(
+                rid, op, Status.ERROR,
+                message=f"no staging for shard {shard_id}",
+            )
         if phase == HANDOFF_CHUNK:
-            stage = self.staging.get(shard_id)
-            if stage is None:
-                return Response(
-                    rid, op, Status.ERROR,
-                    message=f"no staging for shard {shard_id}",
-                )
             if request.seq == stage["applied"] + 1:
                 stage["store"].apply_wal_record(bytes(request.value))
                 stage["applied"] += 1
             return Response(rid, op, Status.OK, count=stage["applied"])
         if phase == HANDOFF_TAIL_DONE:
-            stage = self.staging.get(shard_id)
-            if stage is None:
-                return Response(
-                    rid, op, Status.ERROR,
-                    message=f"no staging for shard {shard_id}",
-                )
             return Response(rid, op, Status.OK, count=stage["applied"])
-        if phase == HANDOFF_ABORT:
-            self.staging.pop(shard_id, None)
-            return Response(rid, op, Status.OK, count=0)
-        if phase == HANDOFF_COMMIT:
-            try:
-                new_map = ShardMap.from_json(bytes(request.value))
-            except ShardMapError as exc:
-                return Response(rid, op, Status.ERROR, message=str(exc))
-            if (
-                new_map.epoch <= self.map.epoch
-                or new_map.num_shards != self.map.num_shards
-            ):
-                return Response(
-                    rid, op, Status.ERROR,
-                    message=(
-                        f"refusing commit map epoch {new_map.epoch} "
-                        f"(at {self.map.epoch})"
-                    ),
-                )
-            if (
-                new_map.leader_of(shard_id) == self.name
-                and shard_id not in self.staging
-            ):
-                # Without a staged store, adopting this map would seize
-                # leadership of a shard we hold no data for — exactly
-                # what a COMMIT that raced an ABORT (torn-commit
-                # resolution at the source) would otherwise do.
-                return Response(
-                    rid, op, Status.ERROR,
-                    message=f"no staging for shard {shard_id}",
-                )
-            stage = self.staging.pop(shard_id, None)
-            if stage is not None and new_map.leader_of(shard_id) == self.name:
-                # Build-then-swap lands: the caught-up staging store
-                # becomes the live shard in one swap. If this node was
-                # already following the shard, its follower copy is
-                # superseded (the staging store holds snapshot + full
-                # tail, i.e. at least as much).
-                if self.store.owns(shard_id):
-                    old = self.store.remove_shard(shard_id)
-                    if old.wal is not None:
-                        old.wal.record_sink = None
-                self.store.add_shard(shard_id, stage["store"])
-            applied = stage["applied"] if stage is not None else 0
-            self.adopt_map(new_map)
-            return Response(rid, op, Status.OK, count=applied)
-        # HANDOFF_PROMOTE: adopt the coordinator's post-election map.
-        try:
-            new_map = ShardMap.from_json(bytes(request.value))
-        except ShardMapError as exc:
-            return Response(rid, op, Status.ERROR, message=str(exc))
-        try:
-            crash_point("cluster.promote.before_adopt")
-            self.adopt_map(new_map)
-            crash_point("cluster.promote.after_adopt")
-        except ShardMapError as exc:
-            return Response(rid, op, Status.ERROR, message=str(exc))
-        return Response(rid, op, Status.OK, count=0)
+        # HANDOFF_COMMIT
+        self.staging.pop(shard_id, None)
+        if stage is not None and new_map.leader_of(shard_id) == self.name:
+            # Build-then-swap lands: the caught-up staging store
+            # becomes the live shard in one swap. If this node was
+            # already following the shard, its follower copy is
+            # superseded (the staging store holds snapshot + full
+            # tail, i.e. at least as much).
+            if self.store.owns(shard_id):
+                self.store.remove_shard(shard_id)
+            self.store.add_shard(shard_id, stage["store"])
+        self.adopt_map(new_map)
+        return Response(
+            rid, op, Status.OK,
+            count=stage["applied"] if stage is not None else 0,
+        )
 
     async def handle_handoff_start(self, request: Request) -> Response:
         """The operator trigger (HANDOFF_START): run a full handoff of
@@ -492,35 +424,44 @@ class ClusterNode:
     # Map adoption
     # ------------------------------------------------------------------
 
+    def _fence(self, new_map: ShardMap, commit: bool = False) -> None:
+        """The one map fence — every adoption and every HANDOFF_COMMIT
+        goes through it: raise :class:`ShardMapError` unless
+        ``new_map`` may replace the local map. Epochs only move forward
+        and the global shard count is immutable. A same-epoch map is
+        accepted only when identical (an idempotent retried PROMOTE),
+        and never by a COMMIT, whose ``with_moved`` map must advance."""
+        at = self.map
+        if new_map.epoch < at.epoch or (
+            new_map.epoch == at.epoch
+            and (commit or new_map.replicas != at.replicas)
+        ):
+            what = "commit map" if commit else "map"
+            raise ShardMapError(
+                f"refusing {what} epoch {new_map.epoch} (at {at.epoch})"
+            )
+        if new_map.num_shards != at.num_shards:
+            raise ShardMapError(
+                ("refusing commit: " if commit else "")
+                + "the global shard count is immutable "
+                f"({at.num_shards} != {new_map.num_shards})"
+            )
+
     def adopt_map(self, new_map: ShardMap) -> None:
-        """Switch to a newer shard map, reconciling local roles.
+        """Switch to a newer shard map (past :meth:`_fence`),
+        reconciling local roles.
 
         Per shard: dropped from the replica list → detach and discard
         the local copy; newly leading → fresh :class:`ReplicationLog`
         (replication seqs are epoch-scoped); newly following (or the
-        shard's leader changed) → applied counter resets. An older (or
-        same-epoch different) map is rejected — epochs only move
-        forward.
+        shard's leader changed) → applied counter resets.
         """
-        if new_map.epoch < self.map.epoch or (
-            new_map.epoch == self.map.epoch
-            and new_map.replicas != self.map.replicas
-        ):
-            raise ShardMapError(
-                f"refusing map epoch {new_map.epoch} (at {self.map.epoch})"
-            )
-        if new_map.num_shards != self.map.num_shards:
-            raise ShardMapError(
-                "the global shard count is immutable "
-                f"({self.map.num_shards} != {new_map.num_shards})"
-            )
+        self._fence(new_map)
         old_map = self.map
         self.map = new_map
         for shard_id in list(self.store.local):
             if self.name not in new_map.replicas[shard_id]:
-                dropped = self.store.remove_shard(shard_id)
-                if dropped.wal is not None:
-                    dropped.wal.record_sink = None
+                self.store.remove_shard(shard_id)
                 self.logs.pop(shard_id, None)
                 self.applied.pop(shard_id, None)
         for shard_id in self.store.local:
@@ -554,7 +495,7 @@ class ClusterNode:
             )
         if target == self.name:
             raise ClusterError("cannot hand a shard to its current leader")
-        client = await self.peer(target)
+        client = await self.peers.get(target)
         log = self.logs[shard_id]
         await self._handoff_req(
             client, HANDOFF_BEGIN, shard_id, epoch=self.map.epoch
@@ -595,52 +536,50 @@ class ClusterNode:
                 client, HANDOFF_COMMIT, shard_id,
                 epoch=new_map.epoch, value=blob,
             )
-        except ClusterError:
-            # The target *answered* (a rejection is an answer), so even
-            # a bounced COMMIT provably did not land: safe to abort the
-            # staging and resume leadership.
-            self.migrating_out.discard(shard_id)
-            try:
-                await self._handoff_req(client, HANDOFF_ABORT, shard_id)
-            except Exception:  # noqa: BLE001 — target may be gone
-                pass
-            raise
         except BaseException as exc:
-            if in_commit:
-                # The COMMIT send died without an answer: the target
-                # may already be authoritative. Resuming blindly here
-                # would let this node keep acking writes the cluster
-                # routes to the target once anyone sees its higher
-                # epoch — resolve the outcome instead.
-                committed = await self._torn_commit_outcome(
-                    shard_id, target, new_map
-                )
-                if committed:
-                    self.migrating_out.discard(shard_id)
-                    self.adopt_map(new_map)
-                    await self.broadcast_map(new_map, exclude=(target,))
-                    return new_map
-                if committed is None:
-                    # Unknown: the shard stays parked (writes keep
-                    # bouncing BUSY — never falsely acked) until a
-                    # retried handoff or an operator resolves it.
-                    raise ClusterError(
-                        f"handoff of shard {shard_id} torn at commit: "
-                        f"target {target!r} unreachable, outcome unknown "
-                        f"— shard stays parked"
-                    ) from exc
-                # Provably not committed (and, staging destroyed, it
-                # never can be): resume leadership.
+            if not in_commit or isinstance(exc, ClusterError):
+                # Nothing landed: the COMMIT was never sent, or the
+                # target *answered* it (a rejection is an answer, so
+                # even a bounced COMMIT provably did not land). Abort
+                # the staging and resume leadership.
                 self.migrating_out.discard(shard_id)
+                try:
+                    await self._handoff_req(client, HANDOFF_ABORT, shard_id)
+                except Exception:  # noqa: BLE001 — target may be gone
+                    pass
                 raise
+            # The COMMIT send died without an answer: the target may
+            # already be authoritative. Resuming blindly here would let
+            # this node keep acking writes the cluster routes to the
+            # target once anyone sees its higher epoch — resolve the
+            # outcome instead.
+            committed = await self._torn_commit_outcome(
+                shard_id, target, new_map
+            )
+            if committed:
+                return await self._finish_handoff(shard_id, target, new_map)
+            if committed is None:
+                # Unknown: the shard stays parked (writes keep bouncing
+                # BUSY — never falsely acked) until a retried handoff
+                # or an operator resolves it.
+                raise ClusterError(
+                    f"handoff of shard {shard_id} torn at commit: "
+                    f"target {target!r} unreachable, outcome unknown "
+                    f"— shard stays parked"
+                ) from exc
+            # Provably not committed (and, staging destroyed, it never
+            # can be): resume leadership.
             self.migrating_out.discard(shard_id)
-            try:
-                await self._handoff_req(client, HANDOFF_ABORT, shard_id)
-            except Exception:  # noqa: BLE001 — target may be gone
-                pass
             raise
         crash_point("cluster.handoff.after_commit")
-        # The target is authoritative from here; our copy is garbage.
+        return await self._finish_handoff(shard_id, target, new_map)
+
+    async def _finish_handoff(
+        self, shard_id: int, target: str, new_map: ShardMap
+    ) -> ShardMap:
+        """The target is authoritative from here; our copy is garbage.
+        Adopt before un-parking: a map the fence refuses leaves the
+        shard parked, never acking beside the target."""
         self.adopt_map(new_map)
         self.migrating_out.discard(shard_id)
         await self.broadcast_map(new_map, exclude=(target,))
@@ -692,9 +631,9 @@ class ClusterNode:
         for attempt in range(5):
             if attempt:
                 await asyncio.sleep(0.05)
-            self._drop_peer(target)
+            self.peers.drop(target)
             try:
-                client = await self.peer(target)
+                client = await self.peers.get(target)
                 await client.request(
                     Request(
                         client._rid(), Op.HANDOFF,
@@ -708,7 +647,7 @@ class ClusterNode:
                     continue
                 status = json.loads(bytes(resp.value))
             except Exception:  # noqa: BLE001 — any failure = retry
-                self._drop_peer(target)
+                self.peers.drop(target)
                 continue
             if status["epoch"] < new_map.epoch:
                 return False
@@ -749,18 +688,11 @@ class ClusterNode:
     ) -> None:
         """Best-effort map push to every other peer (anyone missed
         learns from routing errors / status probes instead)."""
-        blob = new_map.to_json().encode("utf-8")
         for peer_name in new_map.nodes():
             if peer_name == self.name or peer_name in exclude:
                 continue
             try:
-                client = await self.peer(peer_name)
-                await client.request(
-                    Request(
-                        client._rid(), Op.HANDOFF, phase=HANDOFF_PROMOTE,
-                        epoch=new_map.epoch, value=blob,
-                    )
-                )
+                await self.peers.push_map(peer_name, new_map)
             except Exception:  # noqa: BLE001 — gossip is best-effort
                 continue
 

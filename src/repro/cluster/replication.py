@@ -37,6 +37,7 @@ acked), not by cross-term log arithmetic.
 
 from __future__ import annotations
 
+import time
 from typing import Awaitable, Callable
 
 from repro.common.errors import ReproError
@@ -180,28 +181,7 @@ class ReplicatedGroupCommitWriter(GroupCommitWriter):
         if touched:
             try:
                 crash_point("cluster.replicate.before_send")
-                with self.obs.tracer.span(
-                    "repl_group", shards=len(touched), records=len(captured)
-                ):
-                    pass
-                for shard_id in touched:
-                    # Snapshot the live set *before* shipping: the ship
-                    # round that discovers the last follower's death
-                    # must fail this group (its waiters were promised
-                    # "durable beyond the leader" against that set),
-                    # not resolve OK because the set it emptied is now
-                    # consulted empty.
-                    live_before = self._followers_of(shard_id)
-                    acks = await self._ship(shard_id)
-                    if not acks and live_before:
-                        # The "replication unavailable" prefix is the
-                        # coordinator's retry cue (like BUSY): the next
-                        # round runs against the post-death live set.
-                        raise ReplicationError(
-                            f"replication unavailable: no live follower "
-                            f"of shard {shard_id} acknowledged the group "
-                            f"(had {list(live_before)})"
-                        )
+                await self._ship_round(touched, len(captured))
                 crash_point("cluster.replicate.before_ack")
             except Exception as exc:  # noqa: BLE001 — waiters must learn
                 self.replication_failures += 1
@@ -211,3 +191,44 @@ class ReplicatedGroupCommitWriter(GroupCommitWriter):
             self.replicated_records += len(captured)
             self._m_repl_records.inc(len(captured))
         self._resolve(group)
+
+    async def _ship_round(self, touched: list[int], records: int) -> None:
+        """Ship every touched shard's log, traced as one ``repl_group``
+        span. The round awaits follower acks and the tracer's stack is
+        never held across an await, so the span is measured here and
+        filed finished."""
+        tracer = self.obs.tracer
+        start_ns = tracer.clock()
+        wall0 = time.perf_counter_ns()
+        error = None
+        try:
+            for shard_id in touched:
+                # Snapshot the live set *before* shipping: the ship
+                # round that discovers the last follower's death must
+                # fail this group (its waiters were promised "durable
+                # beyond the leader" against that set), not resolve OK
+                # because the set it emptied is now consulted empty.
+                live_before = self._followers_of(shard_id)
+                acks = await self._ship(shard_id)
+                if not acks and live_before:
+                    # The "replication unavailable" prefix is the
+                    # coordinator's retry cue (like BUSY): the next
+                    # round runs against the post-death live set.
+                    raise ReplicationError(
+                        f"replication unavailable: no live follower "
+                        f"of shard {shard_id} acknowledged the group "
+                        f"(had {list(live_before)})"
+                    )
+        except BaseException as exc:
+            error = type(exc).__name__
+            raise
+        finally:
+            tracer.record(
+                "repl_group",
+                start_ns=start_ns,
+                duration_ns=tracer.clock() - start_ns,
+                wall_ns=float(time.perf_counter_ns() - wall0),
+                error=error,
+                shards=len(touched),
+                records=records,
+            )

@@ -81,27 +81,7 @@ class ShardMap:
             if node in self.replicas[shard]
         )
 
-    # -- transitions (all bump the epoch) -------------------------------
-
-    def with_leader(self, shard: int, node: str) -> "ShardMap":
-        """Promote an existing replica of ``shard`` to leader."""
-        names = self.replicas[shard]
-        if node not in names:
-            raise ShardMapError(
-                f"cannot promote {node!r}: not a replica of shard {shard} "
-                f"({names})"
-            )
-        reordered = (node,) + tuple(n for n in names if n != node)
-        return self._replace_shard(shard, reordered)
-
-    def without_node(self, shard: int, node: str) -> "ShardMap":
-        """Drop a (dead) replica from ``shard``."""
-        names = tuple(n for n in self.replicas[shard] if n != node)
-        if not names:
-            raise ShardMapError(
-                f"dropping {node!r} would leave shard {shard} unreplicated"
-            )
-        return self._replace_shard(shard, names)
+    # -- the handoff transition (bumps the epoch) -----------------------
 
     def with_moved(self, shard: int, source: str, target: str) -> "ShardMap":
         """Hand leadership of ``shard`` from ``source`` to ``target``
@@ -120,11 +100,8 @@ class ShardMap:
         new = (target,) + rest
         if len(new) < len(names):
             new = new + (source,)
-        return self._replace_shard(shard, new)
-
-    def _replace_shard(self, shard: int, names: tuple[str, ...]) -> "ShardMap":
         replicas = list(self.replicas)
-        replicas[shard] = names
+        replicas[shard] = new
         return ShardMap(
             epoch=self.epoch + 1,
             num_shards=self.num_shards,

@@ -75,11 +75,13 @@ class ShardSubsetStore(ShardedKVStore):
 
     def remove_shard(self, shard_id: int) -> KVStore:
         """Detach a hosted shard (after a handoff committed elsewhere)
-        and return its store."""
+        and return its store, its WAL no longer feeding replication."""
         store = self.local.pop(shard_id, None)
         if store is None:
             raise ValueError(f"shard {shard_id} is not hosted here")
         self.shards = [self.local[i] for i in sorted(self.local)]
+        if store.wal is not None:
+            store.wal.record_sink = None
         return store
 
     @property

@@ -204,6 +204,7 @@ class Tracer:
         start_ns: float | None = None,
         duration_ns: float = 0.0,
         wall_ns: float = 0.0,
+        error: str | None = None,
         **attrs: Any,
     ) -> Span:
         """File an already-finished span.
@@ -220,6 +221,7 @@ class Tracer:
         span.parent_id = parent_id
         span.duration_ns = duration_ns
         span.wall_ns = wall_ns
+        span.error = error
         if self._stack:
             self._stack[-1].children.append(span)
         else:

@@ -375,3 +375,31 @@ class TestClusterLoadgen:
             ["loadgen", "--cluster", spec_path, "--connections", "0"]
         ) == 2
         assert "connections must be >= 1" in capsys.readouterr().err
+
+
+class TestClusterSpecErrors:
+    """Every command that reads a cluster spec refuses an unreadable one
+    the same way: exit 2 and ``cannot load cluster spec`` on stderr."""
+
+    COMMANDS = {
+        "loadgen": lambda spec: ["loadgen", "--cluster", spec],
+        "cluster-worker": lambda spec: [
+            "cluster", "--worker", "--name", "n0", "--spec", spec
+        ],
+        "rebalance": lambda spec: [
+            "rebalance", "--cluster", spec, "--shard", "0", "--target", "n1"
+        ],
+    }
+
+    @pytest.mark.parametrize("spec_kind", ["missing", "malformed"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_unloadable_spec_exits_2(
+        self, command, spec_kind, tmp_path, capsys
+    ):
+        spec = tmp_path / "cluster.json"
+        if spec_kind == "malformed":
+            spec.write_text('{"nodes": {"n0": ')
+        assert main(self.COMMANDS[command](str(spec))) == 2
+        captured = capsys.readouterr()
+        assert f"cannot load cluster spec {spec}" in captured.err
+        assert captured.out == ""

@@ -20,6 +20,8 @@ from repro.cluster import (
     ClusterSpec,
     LoopbackCluster,
     NotOwnedError,
+    ReplicatedGroupCommitWriter,
+    ReplicationError,
     ReplicationLog,
     ShardMap,
     ShardMapError,
@@ -90,15 +92,6 @@ class TestShardMap:
         m = even_map(["a", "b"], 2, replication=5)
         assert all(len(names) == 2 for names in m.replicas)
 
-    def test_transitions_bump_epoch(self):
-        m = even_map(["a", "b", "c"], 3, replication=3)
-        m2 = m.with_leader(0, "c")
-        assert m2.epoch == m.epoch + 1
-        assert m2.replicas[0] == ("c", "a", "b")
-        m3 = m2.without_node(0, "a")
-        assert m3.epoch == m2.epoch + 1
-        assert m3.replicas[0] == ("c", "b")
-
     def test_with_moved_three_replicas(self):
         m = even_map(["a", "b", "c"], 3, replication=3)
         moved = m.with_moved(0, "a", "c")
@@ -127,10 +120,6 @@ class TestShardMap:
 
     def test_illegal_transitions(self):
         m = even_map(["a", "b"], 2, replication=1)
-        with pytest.raises(ShardMapError):
-            m.with_leader(0, "b")  # not a replica
-        with pytest.raises(ShardMapError):
-            m.without_node(0, "a")  # would unreplicate
         with pytest.raises(ShardMapError):
             m.with_moved(1, "a", "b")  # a does not lead shard 1
 
@@ -351,7 +340,7 @@ class TestFollowerBitIdentity:
                 follower = node.map.followers_of(shard_id)[0]
                 fnode = cluster.nodes[follower]
                 before = fnode.applied[shard_id]
-                client = await node.peer(follower)
+                client = await node.peers.get(follower)
                 resp = await client.request(
                     Request(
                         client._rid(), Op.REPLICATE, shard=shard_id,
@@ -653,6 +642,85 @@ class TestEpochFencing:
         assert resp.message.startswith("stale epoch")
         assert node.applied[shard_id] == 3  # nothing applied either way
 
+    # Every map-carrying request against a node at epoch e: which maps
+    # the one fence lets replace the local map, and with what refusal.
+    # A COMMIT must advance the epoch; a PROMOTE also accepts a
+    # same-epoch identical map (an idempotent retried failover).
+    FENCE_TABLE = [
+        ("replicate", "e-1", "stale epoch"),
+        ("replicate", "e", None),
+        ("replicate", "e+1", "behind epoch"),
+        ("commit", "e-1", "refusing commit"),
+        ("commit", "e same", "refusing commit"),
+        ("commit", "e other replicas", "refusing commit"),
+        ("commit", "e+1", None),
+        ("commit", "e+1 other num_shards", "refusing commit"),
+        ("promote", "e-1", "refusing map epoch"),
+        ("promote", "e same", None),
+        ("promote", "e other replicas", "refusing map epoch"),
+        ("promote", "e+1", None),
+        ("promote", "e+1 other num_shards",
+         "the global shard count is immutable"),
+    ]
+
+    @pytest.mark.parametrize(
+        "kind,case,refusal",
+        FENCE_TABLE,
+        ids=[f"{kind}-{case}" for kind, case, _ in FENCE_TABLE],
+    )
+    def test_fence_table(self, kind, case, refusal):
+        e = 3
+        base = ShardMap(
+            epoch=e, num_shards=2,
+            replicas=even_map(["a", "b"], 2, replication=2).replicas,
+        )
+        node = ClusterNode("b", base, _tiny_engine())
+        shard_id = base.shards_led_by("a")[0]
+        moved = base.with_moved(shard_id, "a", "b")  # epoch e + 1
+        maps = {
+            "e-1": ShardMap(e - 1, 2, moved.replicas),
+            "e same": base,
+            "e other replicas": ShardMap(e, 2, moved.replicas),
+            "e+1": moved,
+            "e+1 other num_shards": ShardMap(
+                e + 1, 3, moved.replicas + (("a", "b"),)
+            ),
+        }
+        if kind == "replicate":
+            node.applied[shard_id] = 3
+            epoch = {"e-1": e - 1, "e": e, "e+1": e + 1}[case]
+            # seq 1 <= applied: an idempotent re-ship, applies nothing.
+            resp = node.handle_replicate(
+                Request(
+                    1, Op.REPLICATE, shard=shard_id, seq=1, epoch=epoch,
+                    value=b"",
+                )
+            )
+            new_map = base
+        else:
+            phase = HANDOFF_PROMOTE
+            if kind == "commit":
+                phase = HANDOFF_COMMIT
+                assert node.handle_handoff(
+                    Request(1, Op.HANDOFF, phase=HANDOFF_BEGIN,
+                            shard=shard_id)
+                ).status is Status.OK
+            new_map = maps[case]
+            resp = node.handle_handoff(
+                Request(
+                    2, Op.HANDOFF, phase=phase, shard=shard_id,
+                    epoch=new_map.epoch,
+                    value=new_map.to_json().encode("utf-8"),
+                )
+            )
+        if refusal is None:
+            assert resp.status is Status.OK, resp.message
+            assert node.map == new_map
+        else:
+            assert resp.status is Status.ERROR
+            assert resp.message.startswith(refusal), resp.message
+            assert node.map == base
+
     def test_leader_heals_behind_follower_by_pushing_its_map(self):
         """A follower left behind by a best-effort map broadcast must
         not be silently acked against (old-epoch counts are
@@ -741,7 +809,7 @@ class TestEpochFencing:
                 return _FakeClient()
 
             coordinator._probe = probe
-            coordinator.client = client
+            coordinator.peers.get = client
             new_map = await coordinator.failover("a")
             assert new_map.epoch == 5
             # b wins despite the far smaller seq: c's 99 was reported
@@ -787,6 +855,57 @@ class TestDegradedReplication:
                 await cluster.stop()
 
         asyncio.run(run())
+
+
+class TestReplGroupSpan:
+    """The ``repl_group`` span covers the ship round it names: its wall
+    time includes the follower round trip, and a failed round stamps
+    the error."""
+
+    def _round(self, ship) -> tuple[list, BaseException | None]:
+        async def run():
+            obs = Observability()
+            store = ShardSubsetStore(
+                {0: build_shard(_tiny_engine(), obs, "shard0_")},
+                num_global=1, observability=obs,
+            )
+            writer = ReplicatedGroupCommitWriter(
+                store, {0: ReplicationLog(0)}, ship, lambda shard: ("f",),
+                observability=obs,
+            )
+            writer.start()
+            error = None
+            try:
+                await writer.submit([(1, "v")])
+            except ReplicationError as exc:
+                error = exc
+            await writer.close()
+            spans = [
+                s for s in obs.tracer.recent() if s.name == "repl_group"
+            ]
+            return spans, error
+
+        return asyncio.run(run())
+
+    def test_span_measures_the_ship_round(self):
+        async def slow_ship(shard_id):
+            await asyncio.sleep(0.005)
+            return 1
+
+        spans, error = self._round(slow_ship)
+        assert error is None
+        assert len(spans) == 1
+        assert spans[0].wall_ns >= 5e6
+        assert spans[0].error is None
+
+    def test_failed_round_stamps_the_error(self):
+        async def failing_ship(shard_id):
+            raise ReplicationError("follower gone")
+
+        spans, error = self._round(failing_ship)
+        assert isinstance(error, ReplicationError)
+        assert len(spans) == 1
+        assert spans[0].error == "ReplicationError"
 
 
 # ----------------------------------------------------------------------

@@ -1,12 +1,15 @@
 """Every example script runs clean end to end (release smoke tests)."""
 
+import asyncio
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-EXAMPLES = sorted((Path(__file__).parent.parent / "examples").glob("*.py"))
+EXAMPLES_DIR = Path(__file__).parent.parent / "examples"
+EXAMPLES = sorted(EXAMPLES_DIR.glob("*.py"))
 
 
 @pytest.mark.parametrize("script", EXAMPLES, ids=lambda p: p.stem)
@@ -31,4 +34,20 @@ def test_examples_exist():
         "store_recovery",
         "sharded_store",
         "server_quickstart",
+        "cluster_quickstart",
     } <= names
+
+
+def test_cluster_quickstart_in_process(capsys):
+    """The cluster example's entry points, imported and run on the
+    shared ``LoopbackCluster`` fixture: the tour, then the campaign."""
+    spec = importlib.util.spec_from_file_location(
+        "cluster_quickstart", EXAMPLES_DIR / "cluster_quickstart.py"
+    )
+    example = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(example)
+    asyncio.run(example.main())
+    example.crash_campaign()
+    out = capsys.readouterr().out
+    assert "acked writes (and the delete) survived" in out
+    assert "0 acked writes lost" in out
