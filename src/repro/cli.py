@@ -953,42 +953,28 @@ _FAULTCHECK_ENGINE_FLAGS = (
 
 
 def cmd_faultcheck(args) -> int:
+    from repro.cluster.faultcheck import (
+        ClusterFaultcheckConfig,
+        run_cluster_faultcheck,
+    )
+    from repro.faults.harness import FaultcheckConfig, run_faultcheck
+
+    Config, run = (
+        (ClusterFaultcheckConfig, run_cluster_faultcheck)
+        if args.cluster
+        else (FaultcheckConfig, run_faultcheck)
+    )
     engine = _mode_flags(
         args, _FAULTCHECK_ENGINE_FLAGS, "with --cluster" if args.cluster else ""
     )
-    if args.cluster:
-        from repro.cluster.faultcheck import (
-            ClusterFaultcheckConfig as Config,
-            run_cluster_faultcheck as run,
-        )
-    else:
-        from repro.faults.harness import (
-            FaultcheckConfig as Config,
-            run_faultcheck as run,
-        )
-
-        engine["group_commit"] = not engine.pop("no_group_commit", False)
-        engine["migration"] = not engine.pop("no_migration", False)
+    for name in ("group_commit", "migration"):
+        if engine.pop(f"no_{name}", False):
+            engine[name] = False
     try:
         cfg = Config(seeds=args.seeds, **engine)
     except ValueError as exc:
         args.error(str(exc))
-    if args.cluster:
-        banner = (
-            f"cluster-faultcheck: {cfg.seeds} seeds over "
-            f"{cfg.nodes} nodes / {cfg.num_shards} shards "
-            "(kills mid-replication, mid-handoff, mid-promotion)"
-        )
-    else:
-        banner = (
-            f"faultcheck: {cfg.seeds} seeds x "
-            f"(1 trace + {cfg.schedules_per_seed} crash schedules"
-            f"{' + 1 group-commit schedule' if cfg.group_commit else ''}"
-            f"{' + 1 migration schedule' if cfg.migration else ''}), "
-            f"preset={cfg.preset} policy={cfg.policy} shards={cfg.shards} "
-            f"ops={cfg.ops} transient_rate={cfg.transient_rate:g}"
-        )
-    print(banner, flush=True)
+    print(cfg.banner(), flush=True)
     report = run(cfg)
     print(report.summary())
     for violation in report.violations:

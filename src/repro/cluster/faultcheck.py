@@ -2,40 +2,31 @@
 prove no acknowledged write was lost.
 
 Each seed runs one schedule against a real 3-node loopback cluster
-(actual sockets, actual frames — the same code paths production runs):
+(actual sockets, actual frames — the same code paths production runs)
+on the single-node campaign's skeleton,
+:func:`repro.faults.harness._run_schedule`, with
+:class:`_ClusterUnderTest` as the system under test:
 
-1. a seeded workload of puts/deletes (str *and* non-UTF-8 bytes
-   values) is driven through a :class:`ClusterCoordinator` and every
-   acknowledged operation recorded in a reference model;
-2. the fault injector is armed at one of the ``cluster.*`` crash
-   points (rotating point and occurrence with the seed) and the
-   schedule provokes it — more writes for the ``replicate`` points, a
-   live rebalance for the ``handoff`` points, a leader kill plus
-   failover for the ``promote`` points. Whatever operation the crash
-   interrupts is *unacknowledged* (its keys join the in-flight
-   ``touched`` set, allowed before-or-after);
-3. the victim node is killed for real — its server closes, its commit
-   task dies, its in-memory state is never consulted again (exactly a
-   process kill, since all surviving state lives in other nodes);
-4. the coordinator fails over and the checker reads **every key the
-   model ever touched** back through the surviving cluster:
-   :meth:`InvariantChecker.check_acked_reads` demands each
-   acknowledged write durable with its exact value and each
-   acknowledged delete still dead — "acked ⇒ durable" across node
-   kills.
-
-Verdicts land in the single-node campaign's own
-:class:`~repro.faults.harness.ScheduleResult` /
-:class:`~repro.faults.harness.FaultcheckReport`, and the expectations
-come from the same :func:`~repro.faults.invariants.merge_expected`.
-The cluster itself is :class:`LoopbackCluster`, a public fixture the
-cluster tests and the in-process load runs share.
+1. *start* boots the cluster and drives seeded puts/deletes through a
+   :class:`ClusterCoordinator` with no crash armed; every acknowledged
+   operation enters the reference model;
+2. the drive provokes the armed ``cluster.*`` point (point and
+   occurrence rotate with the seed): more writes for ``replicate``, a
+   live rebalance for ``handoff``, a leader kill plus failover for
+   ``promote``. The operation the crash interrupts is unacknowledged:
+   its keys may read before-or-after;
+3. *recover* kills the victim for real — its server closes, its commit
+   task dies, its state is never consulted again — and fails over;
+4. the skeleton reads **every key the model ever touched** back through
+   the survivors with the campaigns' one oracle ("acked ⇒ durable"
+   across node kills); the post-failover probe write is the cluster's
+   structure check.
 
 Crashes raised by the injector surface on the victim as ERROR
 responses (a request must never kill the server's *loop*), which the
-campaign treats as the moment of death; the arbiter is deactivated
-immediately after so survivors run healthy. Deterministic in
-(config, seed).
+drive treats as the moment of death. The cluster itself is
+:class:`LoopbackCluster`, a public fixture the cluster tests and the
+in-process load runs share. Deterministic in (config, seed).
 """
 
 from __future__ import annotations
@@ -48,11 +39,13 @@ from typing import Any
 from repro.cluster.coordinator import ClusterCoordinator
 from repro.cluster.node import ClusterError, ClusterNode
 from repro.cluster.shardmap import even_map
-from repro.engine.config import EngineConfig
-from repro.faults import crashpoints
-from repro.faults.harness import FaultcheckReport, ScheduleResult
+from repro.faults.harness import (
+    FaultcheckConfig,
+    FaultcheckReport,
+    _run_schedule,
+)
 from repro.faults.injector import CRASH_AT_POINT, FaultInjector, FaultPlan
-from repro.faults.invariants import ABSENT, InvariantChecker, merge_expected
+from repro.faults.invariants import ABSENT, Violation
 
 #: The schedule rotation: which cluster crash point a seed provokes.
 CLUSTER_POINTS = (
@@ -81,21 +74,16 @@ class ClusterFaultcheckConfig:
     writes_during: int = 30
 
     def __post_init__(self) -> None:
-        if self.seeds < 1:
-            raise ValueError(f"seeds must be >= 1, got {self.seeds}")
+        FaultcheckConfig(seeds=self.seeds)  # the campaigns' one seeds check
         if self.nodes < 2:
             raise ValueError("a cluster campaign needs >= 2 nodes")
 
-    def engine_config(self) -> EngineConfig:
-        """Tiny per-shard geometry: a few dozen ops must cross flushes
-        and WAL batch records on every node."""
-        return EngineConfig.leveled(
-            size_ratio=3,
-            buffer_entries=8,
-            block_entries=4,
-            cache_blocks=8,
-            durable=True,
-            shards=1,
+    def banner(self) -> str:
+        """The line ``repro faultcheck --cluster`` prints first."""
+        return (
+            f"cluster-faultcheck: {self.seeds} seeds over "
+            f"{self.nodes} nodes / {self.num_shards} shards "
+            "(kills mid-replication, mid-handoff, mid-promotion)"
         )
 
 
@@ -106,8 +94,8 @@ class ClusterFaultcheckConfig:
 class LoopbackCluster:
     """A real multi-node cluster inside one event loop — the fixture the
     campaign, the cluster tests and the in-process load runs share.
-    ``cfg`` supplies ``nodes`` / ``num_shards`` / ``replication`` and
-    the per-shard ``engine_config()``."""
+    ``cfg`` supplies ``nodes`` / ``num_shards`` / ``replication``; every
+    shard has the single-node campaign's tiny geometry."""
 
     def __init__(self, cfg: ClusterFaultcheckConfig) -> None:
         self.cfg = cfg
@@ -115,7 +103,7 @@ class LoopbackCluster:
         self.map = even_map(
             self.names, cfg.num_shards, replication=cfg.replication
         )
-        econf = cfg.engine_config()
+        econf = FaultcheckConfig().engine_config()
         self.nodes = {
             name: ClusterNode(name, self.map, econf) for name in self.names
         }
@@ -190,7 +178,7 @@ class LoopbackCluster:
 
 
 # ----------------------------------------------------------------------
-# One schedule
+# One schedule: the system under test and its three drives
 # ----------------------------------------------------------------------
 
 def _shard_keys(shard_id: int, num_shards: int, count: int):
@@ -216,169 +204,82 @@ def _value_for(rng: random.Random, seed: int, key: int) -> bytes:
     return f"s{seed}-{key}-{rng.randrange(1000)}".encode("utf-8")
 
 
-async def _seeded_writes(
-    coordinator: ClusterCoordinator,
-    model: dict[int, Any],
-    rng: random.Random,
-    seed: int,
-    count: int,
+class _ClusterUnderTest:
+    """A :class:`LoopbackCluster` behind the shared schedule skeleton.
+    ``victim`` is the node the drive condemns; ``rng`` draws the whole
+    schedule (warm-up writes, drive, probe key) in that order."""
+
+    def __init__(self, cfg: ClusterFaultcheckConfig, seed: int) -> None:
+        self.cfg = cfg
+        self.seed = seed
+        self.rng = random.Random(f"cluster-faultcheck:{seed}")
+        self.cluster = LoopbackCluster(cfg)
+        self.coordinator: ClusterCoordinator | None = None
+        self.model: dict[int, Any] = {}
+        self.touched: dict[int, Any] = {}
+        self.victim = ""
+
+    async def start(self, injector: FaultInjector) -> None:
+        """Boot, then healthy acked traffic before the armed window."""
+        self.coordinator = await self.cluster.start()
+        for _ in range(self.cfg.writes_before):
+            key = self.rng.randrange(_KEY_SPACE)
+            if self.model.get(key) is not None and self.rng.random() < 0.15:
+                await self.coordinator.delete(key)
+                self.model[key] = ABSENT
+            else:
+                value = _value_for(self.rng, self.seed, key)
+                await self.coordinator.put(key, value)
+                self.model[key] = value
+
+    async def recover(self) -> None:
+        """The victim dies for real; the cluster must carry on."""
+        await self.cluster.kill(self.victim)
+        await self.coordinator.failover(self.victim)
+
+    async def get(self, key: int) -> bytes | None:
+        return await self.coordinator.get(key)
+
+    async def check_structure(self) -> list[Violation]:
+        """Writes must still flow after the kill."""
+        probe, value = self.rng.randrange(_KEY_SPACE), f"post-{self.seed}"
+        await self.coordinator.put(probe, value)
+        got = await self.coordinator.get(probe)
+        if got == value.encode("utf-8"):
+            return []
+        return [Violation("post-failover", f"probe write read back {got!r}")]
+
+    async def close(self) -> None:
+        if self.coordinator is not None:
+            await self.coordinator.close()
+        await self.cluster.stop()
+
+
+async def _drive_replicate(
+    sut: _ClusterUnderTest, injector: FaultInjector, violations: list[str]
 ) -> None:
-    """Acked ops enter the model; the caller ensures no crash is armed."""
-    for _ in range(count):
-        key = rng.randrange(_KEY_SPACE)
-        if model.get(key) is not None and rng.random() < 0.15:
-            await coordinator.delete(key)
-            model[key] = ABSENT
-        else:
-            value = _value_for(rng, seed, key)
-            await coordinator.put(key, value)
-            model[key] = value
-
-
-async def _run_schedule(
-    cfg: ClusterFaultcheckConfig, seed: int
-) -> ScheduleResult:
-    point = CLUSTER_POINTS[seed % len(CLUSTER_POINTS)]
-    cycle = seed // len(CLUSTER_POINTS)
-    # Occurrence schedules must be reachable: a promotion broadcast
-    # touches at most the two survivors of a 3-node cluster, so its
-    # points cap at occurrence 2; handoff points fire once per
-    # migration, so later occurrences shuttle the shard through that
-    # many migrations before the crash lands.
-    if point.startswith("cluster.promote."):
-        occurrence = 1 + cycle % 2
-    else:
-        occurrence = 1 + cycle % 3
-    result = ScheduleResult(
-        seed=seed,
-        schedule=f"{point}#{occurrence}",
-        detail={
-            "point": point,
-            "occurrence": occurrence,
-            "victim": "",
-            "acked_writes": 0,
-        },
-    )
-    rng = random.Random(f"cluster-faultcheck:{seed}")
-    cluster = LoopbackCluster(cfg)
-    coordinator = await cluster.start()
-    plan = FaultPlan(
-        seed=seed,
-        crash_kind=CRASH_AT_POINT,
-        crash_point_name=point,
-        crash_occurrence=occurrence,
-        transient_rate=0.0,
-    )
-    injector = FaultInjector(plan)
-    try:
-        # Phase 1: healthy acked traffic.
-        model: dict[int, Any] = {}
-        await _seeded_writes(
-            coordinator, model, rng, seed, cfg.writes_before
-        )
-        # Phase 2: provoke the armed crash point. Every op acked inside
-        # the window still joins the model; the op the crash interrupts
-        # joins `touched` (before-or-after).
-        touched: dict[int, Any] = {}
-        if point.startswith("cluster.replicate."):
-            victim, crashed = await _provoke_replicate(
-                cluster, coordinator, model, touched, rng, seed,
-                injector, cfg,
-            )
-        elif point.startswith("cluster.handoff."):
-            victim, crashed = await _provoke_handoff(
-                cluster, coordinator, injector, rng, occurrence
-            )
-        else:
-            victim, crashed = await _provoke_promote(
-                cluster, coordinator, injector, rng
-            )
-        result.crashed = crashed
-        result.detail["victim"] = victim
-        if not crashed:
-            result.violations.append(
-                f"[harness] scheduled crash never fired at "
-                f"{result.schedule}"
-            )
-            return result
-        # Phase 3: the victim dies for real; the cluster must carry on.
-        if victim and victim not in cluster.killed:
-            await cluster.kill(victim)
-        # Phase 4: read every touched key back through the survivors.
-        expectations = merge_expected(model, touched)
-        result.detail["acked_writes"] = len(model)
-        actuals: dict[int, Any] = {}
-        for key in expectations:
-            try:
-                actuals[key] = await coordinator.get(key)
-            except ClusterError as exc:
-                result.violations.append(
-                    f"[acked-durable] key {key}: post-failover read "
-                    f"failed: {exc}"
-                )
-        result.violations.extend(
-            str(v)
-            for v in InvariantChecker().check_acked_reads(
-                actuals, expectations
-            )
-        )
-        # Writes must still flow after the kill.
-        try:
-            probe = rng.randrange(_KEY_SPACE)
-            await coordinator.put(probe, f"post-{seed}")
-            got = await coordinator.get(probe)
-            if got != f"post-{seed}".encode("utf-8"):
-                result.violations.append(
-                    f"[post-failover] probe write read back {got!r}"
-                )
-        except ClusterError as exc:
-            result.violations.append(
-                f"[post-failover] probe write failed: {exc}"
-            )
-        return result
-    finally:
-        await coordinator.close()
-        await cluster.stop()
-
-
-async def _provoke_replicate(
-    cluster: LoopbackCluster,
-    coordinator: ClusterCoordinator,
-    model: dict[int, Any],
-    touched: dict[int, Any],
-    rng: random.Random,
-    seed: int,
-    injector: FaultInjector,
-    cfg: ClusterFaultcheckConfig,
-) -> tuple[str, bool]:
-    """Crash a leader mid-replication: arm the point, then hammer one
-    chosen shard until the leader's ship path fires it."""
+    """Crash a leader mid-replication: hammer one chosen shard until the
+    leader's ship path fires the armed point. Every write acked inside
+    the window joins the model; the one the crash interrupts was never
+    acked, so it may read before-or-after."""
+    cfg, rng = sut.cfg, sut.rng
     shard_id = rng.randrange(cfg.num_shards)
-    victim = coordinator.map.leader_of(shard_id)
+    sut.victim = sut.coordinator.map.leader_of(shard_id)
     keys = _shard_keys(shard_id, cfg.num_shards, 8)
-    crashed = False
-    with crashpoints.activated(injector):
-        for i in range(cfg.writes_during):
-            key = keys[i % len(keys)]
-            value = _value_for(rng, seed, key)
-            try:
-                await coordinator.put(key, value)
-            except ClusterError:
-                # The interrupted write was never acked: before-or-after.
-                touched[key] = value
-                crashed = injector.crashed
-                break
-            model[key] = value
-    return victim, crashed
+    for i in range(cfg.writes_during):
+        key = keys[i % len(keys)]
+        value = _value_for(rng, sut.seed, key)
+        try:
+            await sut.coordinator.put(key, value)
+        except ClusterError:
+            sut.touched[key] = value
+            return
+        sut.model[key] = value
 
 
-async def _provoke_handoff(
-    cluster: LoopbackCluster,
-    coordinator: ClusterCoordinator,
-    injector: FaultInjector,
-    rng: random.Random,
-    occurrence: int,
-) -> tuple[str, bool]:
+async def _drive_handoff(
+    sut: _ClusterUnderTest, injector: FaultInjector, violations: list[str]
+) -> None:
     """Crash a live handoff on the source leader. No writes are in
     flight, so the model is exact; whether the map flip landed decides
     who serves the shard afterwards — either answer must read clean.
@@ -386,58 +287,50 @@ async def _provoke_handoff(
     Each migration passes every handoff point once, so occurrence N
     shuttles the shard through N migrations; the crash lands on the
     last one's source leader."""
-    shard_id = rng.randrange(coordinator.map.num_shards)
-    victim = ""
-    crashed = False
-    with crashpoints.activated(injector):
-        for _ in range(occurrence):
-            await coordinator.refresh_map()
-            victim = coordinator.map.leader_of(shard_id)
-            others = [
-                n
-                for n in cluster.names
-                if n != victim and n not in cluster.killed
-            ]
-            target = others[rng.randrange(len(others))]
-            try:
-                await coordinator.rebalance(shard_id, target)
-            except ClusterError:
-                crashed = injector.crashed
-                break
-            if injector.crashed:
-                # after_commit fires outside the request's error path:
-                # the rebalance RPC may have succeeded while the
-                # injector still crashed the source.
-                crashed = True
-                break
-    if not crashed:
-        crashed = injector.crashed
-    return victim, crashed
-
-
-async def _provoke_promote(
-    cluster: LoopbackCluster,
-    coordinator: ClusterCoordinator,
-    injector: FaultInjector,
-    rng: random.Random,
-) -> tuple[str, bool]:
-    """Kill a leader cold, then crash the *promotion* on the winner.
-    The retried failover must converge (map adoption is idempotent
-    forward: same-epoch identical maps are accepted)."""
-    first = cluster.names[rng.randrange(len(cluster.names))]
-    await cluster.kill(first)
-    crashed = False
-    with crashpoints.activated(injector):
+    coordinator, cluster = sut.coordinator, sut.cluster
+    shard_id = sut.rng.randrange(coordinator.map.num_shards)
+    for _ in range(injector.plan.crash_occurrence):
+        await coordinator.refresh_map()
+        sut.victim = coordinator.map.leader_of(shard_id)
+        others = [
+            n
+            for n in cluster.names
+            if n != sut.victim and n not in cluster.killed
+        ]
+        target = others[sut.rng.randrange(len(others))]
         try:
-            await coordinator.failover(first)
+            await coordinator.rebalance(shard_id, target)
         except ClusterError:
-            crashed = injector.crashed
-    if not crashed:
-        crashed = injector.crashed
-    # The winner survived (only its promotion RPC crashed); the
-    # campaign's "victim" is the cold-killed leader, already dead.
-    await coordinator.failover(first)
-    return first, crashed
+            return
+        if injector.crashed:
+            # after_commit fires outside the request's error path: the
+            # rebalance RPC may have succeeded while the injector still
+            # crashed the source.
+            return
+
+
+async def _drive_promote(
+    sut: _ClusterUnderTest, injector: FaultInjector, violations: list[str]
+) -> None:
+    """Kill a leader cold, then crash the *promotion* on the winner.
+    The winner survives (only its promotion RPC crashed); the victim is
+    the cold-killed leader, and the failover that brings the survivor
+    back retries the promotion, which must converge (map adoption is
+    idempotent forward: same-epoch identical maps are accepted)."""
+    names = sut.cluster.names
+    sut.victim = names[sut.rng.randrange(len(names))]
+    await sut.cluster.kill(sut.victim)
+    try:
+        await sut.coordinator.failover(sut.victim)
+    except ClusterError:
+        pass  # the crashed promotion
+
+
+_DRIVES = {
+    "replicate": _drive_replicate,
+    "handoff": _drive_handoff,
+    "promote": _drive_promote,
+}
 
 
 # ----------------------------------------------------------------------
@@ -456,8 +349,33 @@ def run_cluster_faultcheck(cfg: ClusterFaultcheckConfig) -> FaultcheckReport:
         counters={"crashes_injected": 0, "failovers": 0},
     )
     for seed in range(cfg.seeds):
-        result = asyncio.run(_run_schedule(cfg, seed))
+        point = CLUSTER_POINTS[seed % len(CLUSTER_POINTS)]
+        kind = point.split(".")[1]
+        # Occurrence schedules must be reachable: a promotion broadcast
+        # touches at most the two survivors of a 3-node cluster, so its
+        # points cap at occurrence 2; handoff points fire once per
+        # migration, so later occurrences shuttle the shard through that
+        # many migrations before the crash lands.
+        cycle = seed // len(CLUSTER_POINTS)
+        occurrence = 1 + cycle % (2 if kind == "promote" else 3)
+        plan = FaultPlan(
+            seed=seed,
+            crash_kind=CRASH_AT_POINT,
+            crash_point_name=point,
+            crash_occurrence=occurrence,
+        )
+        sut = _ClusterUnderTest(cfg, seed)
+        label = f"{point}#{occurrence}"
+        result, _ = asyncio.run(
+            _run_schedule(sut, plan, label, _DRIVES[kind])
+        )
+        result.detail = {
+            "point": point,
+            "occurrence": occurrence,
+            "victim": sut.victim,
+            "acked_writes": len(sut.model),
+        }
         report.results.append(result)
         report.counters["crashes_injected"] += result.crashed
-        report.counters["failovers"] += bool(result.detail["victim"])
+        report.counters["failovers"] += bool(sut.victim)
     return report

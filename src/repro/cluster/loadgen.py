@@ -9,7 +9,8 @@ through the coordinator; a key that reads anything its history does not
 allow counts as ``lost_acked`` — the number the CI job gates on being
 exactly zero.
 
-The rule is the crash campaigns' (:func:`merge_expected`): an
+The rule and the oracle are the crash campaigns' (:func:`merge_expected`,
+:meth:`InvariantChecker.check_reads`): an
 acknowledged write must read back exactly; an *unacknowledged* one — a
 request that raised — may have been applied anyway (the leader can die
 between shipping a write and acking it), so its key may read before or
@@ -144,7 +145,7 @@ class ClusterTarget:
                 got = await coordinator.get(key)
             except (ClusterError, OSError) as exc:
                 got = exc  # unreadable is lost, whatever it should hold
-            if checker.check_acked_reads({key: got}, {key: expectations[key]}):
+            if checker.check_reads({key: got}, {key: expectations[key]}):
                 lost.append(key)
         summary["config"]["kill"] = self.cluster.kill
         summary.update(

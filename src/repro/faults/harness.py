@@ -1,13 +1,15 @@
-"""The crash-schedule explorer behind ``repro faultcheck``.
+"""The crash-schedule explorer behind ``repro faultcheck``, and the one
+schedule skeleton both crash campaigns run.
 
-Every schedule is one skeleton (:func:`_run_schedule`) around one
-*drive* function: build a store, arm the fault injector, drive it with
-the crash points active, crash, recover on a healthy machine, then run
-the full :class:`~repro.faults.invariants.InvariantChecker` battery —
-acknowledged writes durable, deleted keys dead, the interrupted
-operation in its before-or-after state, and the structural invariants.
-A recovery that *raises* on a legal crash state is a violation too:
-exactly the bug class this harness exists to catch.
+Every schedule is :func:`_run_schedule` around one *drive* function and
+one system under test: start it, arm the injector, drive with the crash
+points active, bring the survivor back on a healthy machine, judge its
+reads of every expected key with the one oracle
+(:meth:`~repro.faults.invariants.InvariantChecker.check_reads`), then
+run its structure check. A recovery that *raises* on a legal crash
+state is a violation too: exactly the bug class this harness exists to
+catch. The store adapter is :class:`_StoreUnderTest`; the cluster's is
+in :mod:`repro.cluster.faultcheck` (this package never imports it).
 
 For every seed the explorer runs a CrashMonkey-style two-phase search
 over the seeded workload (:func:`_drive_workload`):
@@ -40,9 +42,9 @@ under the old config for a crash before the swap and under the new
 config after it — the blob-mismatch-falls-back-to-rebuild path is
 exactly what these schedules pin down.
 
-The result and report types here also carry the cluster campaign
-(:mod:`repro.cluster.faultcheck`). Everything is deterministic in
-(config, seed): same inputs, same workload, same faults, same verdict.
+The result and report types here also carry the cluster campaign.
+Everything is deterministic in (config, seed): same inputs, same
+workload, same faults, same verdict.
 """
 
 from __future__ import annotations
@@ -86,14 +88,23 @@ class FaultcheckConfig:
 
     def __post_init__(self) -> None:
         # Fail fast on a store that cannot be built (preset, shards,
-        # policy), before a campaign prints anything.
+        # policy) or a campaign whose gate would be vacuous, before it
+        # prints anything. The cluster campaign's seeds are checked here
+        # too.
         self.engine_config()
-        if self.seeds < 1:
-            raise ValueError(f"seeds must be >= 1, got {self.seeds}")
+        for name, low in (("seeds", 1), ("ops", 1), ("schedules_per_seed", 0)):
+            value = getattr(self, name)
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
+        if not 0.0 <= self.transient_rate <= 1.0:
+            raise ValueError(
+                f"transient_rate must be in [0, 1], got {self.transient_rate}"
+            )
 
     def engine_config(self) -> EngineConfig:
         """A deliberately tiny geometry: a few dozen ops must exercise
-        flushes, merge cascades, spills and cache traffic."""
+        flushes, merge cascades, spills and cache traffic. Every cluster
+        node's shards use it too."""
         return EngineConfig.preset(
             self.preset,
             size_ratio=3,
@@ -103,6 +114,17 @@ class FaultcheckConfig:
             policy=self.policy,
             durable=True,
             shards=self.shards,
+        )
+
+    def banner(self) -> str:
+        """The line ``repro faultcheck`` prints before the campaign."""
+        return (
+            f"faultcheck: {self.seeds} seeds x "
+            f"(1 trace + {self.schedules_per_seed} crash schedules"
+            f"{' + 1 group-commit schedule' if self.group_commit else ''}"
+            f"{' + 1 migration schedule' if self.migration else ''}), "
+            f"preset={self.preset} policy={self.policy} shards={self.shards} "
+            f"ops={self.ops} transient_rate={self.transient_rate:g}"
         )
 
 
@@ -279,114 +301,135 @@ def _model_value(model: dict[int, Any], key: int) -> Any:
     return None if value is TOMBSTONE else value
 
 
-def _clear_faults(state) -> None:
-    """Detach the injector from the surviving storage so recovery runs
-    on a healthy machine (the crash is over; the device rebooted)."""
-    for shard_state in shards_of(state):
-        shard_state.storage.faults = None
-
-
 # ----------------------------------------------------------------------
 # The schedule skeleton
 # ----------------------------------------------------------------------
 
-def _run_schedule(
-    econf: EngineConfig,
+class _StoreUnderTest:
+    """A single-node store (one shard or hash-sharded) behind the
+    skeleton. ``config`` builds it and is the config the survivor
+    recovers under: a drive that crashes a live retune after its swap
+    moves it to the new one."""
+
+    def __init__(self, config: EngineConfig) -> None:
+        self.config = config
+        self.model: dict[int, Any] = {}
+        self.touched: dict[int, Any] = {}
+        self.store = None
+
+    async def start(self, injector: FaultInjector) -> None:
+        self.store = build_store(self.config)
+        injector.install(self.store)
+
+    async def recover(self) -> None:
+        """Crash, then recover on a healthy machine: the injector is
+        detached from the surviving storage (the device rebooted)."""
+        state = self.store.crash()
+        for shard_state in shards_of(state):
+            shard_state.storage.faults = None
+        self.store = recover_store(state, self.config)
+
+    async def get(self, key: int) -> Any:
+        return self.store.get(key)
+
+    async def check_structure(self) -> list[Violation]:
+        return InvariantChecker().check_structure(self.store)
+
+    async def close(self) -> None:
+        pass
+
+
+async def _run_schedule(
+    sut,
     plan: FaultPlan,
     label: str,
     drive,
-    obs: Observability,
+    obs: Observability = NULL_OBS,
 ) -> tuple[ScheduleResult, FaultInjector]:
-    """Every schedule is this skeleton around one *drive* function.
+    """Every schedule of both campaigns is this skeleton.
 
-    Build a store, arm the injector, and call ``drive(store, injector,
-    violations)`` with the crash points active. It returns ``(model,
-    touched, crashed, recover_config)``: each key's value after the last
-    acknowledged operation, the would-be effects of whatever the crash
-    interrupted (those keys may read before *or* after), whether the
-    scheduled crash fired, and the config the survivor recovers under.
-    Then the store is crashed, recovered on a healthy machine and put
-    through the invariant battery; a recovery that *raises* on a legal
-    crash state is itself a violation.
+    ``sut`` is the system under test: ``start(injector)``, ``recover()``
+    (bring the survivor back on a healthy machine), ``get(key)``,
+    ``check_structure()`` and ``close()``, all awaitable, plus the
+    ``model`` / ``touched`` reference model the drive fills in.
+    ``drive(sut, injector, violations)`` runs with the crash points
+    active until it ends or the scheduled crash interrupts it; the
+    injector decides whether the crash fired.
     """
     injector = FaultInjector(plan, obs)
-    store = build_store(econf)
-    injector.install(store)
     result = ScheduleResult(seed=plan.seed, schedule=label)
-    checker = InvariantChecker()
-    with crashpoints.activated(injector):
-        model, touched, result.crashed, recover_conf = drive(
-            store, injector, result.violations
-        )
-    if plan.crash_kind is None:
-        # A crash-free run: the live store must match the model before
-        # it is even crashed (cleanly — every op was acknowledged).
-        result.violations.extend(
-            str(v) for v in checker.check_state(store, merge_expected(model))
-        )
-    elif not result.crashed:
-        # Crash sites come from a trace's own counts (or fire on every
-        # run), so a schedule that never fires means the injector lost
-        # determinism.
-        result.violations.append(
-            str(
-                Violation(
-                    "harness",
-                    f"scheduled crash never fired ({plan.describe()})",
-                )
-            )
-        )
-        return result, injector
-    state = store.crash()
-    _clear_faults(state)
     try:
-        recovered = recover_store(state, recover_conf)
-        result.violations.extend(
-            str(v)
-            for v in checker.check_state(
-                recovered, merge_expected(model, touched)
+        await sut.start(injector)
+        with crashpoints.activated(injector):
+            await drive(sut, injector, result.violations)
+        result.crashed = injector.crashed
+        if plan.crash_kind is None:
+            # A crash-free run: the live system must match the model
+            # before it is even crashed (every op was acknowledged).
+            result.violations += await _check_reads(
+                sut, merge_expected(sut.model)
             )
-        )
-        result.violations.extend(
-            str(v) for v in checker.check_structure(recovered)
-        )
-    except Exception as exc:  # noqa: BLE001 — a raising recovery IS the bug
-        result.violations.append(
-            str(
-                Violation(
-                    "recovery",
-                    f"recovery raised {type(exc).__name__}: {exc}",
-                )
+        elif not result.crashed:
+            # Crash sites come from a trace's own counts (or fire on
+            # every run), so a schedule that never fires means the
+            # injector lost determinism.
+            never = f"scheduled crash never fired ({plan.describe()})"
+            result.violations.append(str(Violation("harness", never)))
+            return result, injector
+        try:
+            await sut.recover()
+            result.violations += await _check_reads(
+                sut, merge_expected(sut.model, sut.touched)
             )
-        )
-    return result, injector
+            result.violations.extend(
+                str(v) for v in await sut.check_structure()
+            )
+        except Exception as exc:  # noqa: BLE001 — a raising recovery IS the bug
+            raised = f"recovery raised {type(exc).__name__}: {exc}"
+            result.violations.append(str(Violation("recovery", raised)))
+        return result, injector
+    finally:
+        await sut.close()
+
+
+async def _check_reads(sut, expectations: dict) -> list[str]:
+    """Read every expected key back through ``sut`` and judge the reads
+    with the one oracle. A read that raises is that key's violation."""
+    reads: dict[int, Any] = {}
+    for key in expectations:
+        try:
+            reads[key] = await sut.get(key)
+        except Exception as exc:  # noqa: BLE001 — unreadable is lost
+            reads[key] = exc
+    return [
+        str(v) for v in InvariantChecker().check_reads(reads, expectations)
+    ]
 
 
 # ----------------------------------------------------------------------
 # Drive functions
 # ----------------------------------------------------------------------
 
-def _drive_workload(
-    econf: EngineConfig,
+async def _drive_workload(
     workload: list[tuple],
-    store,
+    sut: _StoreUnderTest,
     injector: FaultInjector,
     violations: list[str],
-):
+) -> None:
     """Replay the seeded workload, validating reads against the model
     on the fly, until it ends or the scheduled crash interrupts an
     operation. With no crash scheduled this is the **trace run**: only
     transient I/O errors (absorbed by retry-with-backoff), after which
     the injector's firing counts are the candidate crash sites."""
-    model: dict[int, Any] = {}
     for op in workload:
         effects = _op_effects(op)
         try:
-            value = _apply_op(store, op)
+            value = _apply_op(sut.store, op)
         except InjectedCrash:
-            return model, effects, True, econf
+            sut.touched.update(effects)
+            return
         if op[0] == "get":
-            expected = _model_value(model, op[1])
+            expected = _model_value(sut.model, op[1])
             if value != expected or type(value) is not type(expected):
                 violations.append(
                     str(
@@ -397,8 +440,7 @@ def _drive_workload(
                         )
                     )
                 )
-        model.update(effects)
-    return model, None, False, econf
+        sut.model.update(effects)
 
 
 def _candidate_plans(
@@ -454,13 +496,12 @@ def _choose_plans(
     return chosen
 
 
-def _drive_group_commit(
-    econf: EngineConfig,
+async def _drive_group_commit(
     seed: int,
-    store,
+    sut: _StoreUnderTest,
     injector: FaultInjector,
     violations: list[str],
-):
+) -> None:
     """Concurrent submissions through the group-commit writer with a
     crash between WAL append and acknowledgement. The contract under
     test: a submission whose future resolved cleanly is durable, full
@@ -475,29 +516,22 @@ def _drive_group_commit(
         (1, _raw_bytes(rng)),
         (7, f"late-{seed}"),
     ]
-
-    async def submit_all() -> list:
-        writer = GroupCommitWriter(store)
-        writer.start()
-        outcomes = []
-        for wave in (first, second):
-            outcomes.extend(
-                await asyncio.gather(
-                    *(writer.submit([item]) for item in wave),
-                    return_exceptions=True,
-                )
+    writer = GroupCommitWriter(sut.store)
+    writer.start()
+    outcomes = []
+    for wave in (first, second):
+        outcomes.extend(
+            await asyncio.gather(
+                *(writer.submit([item]) for item in wave),
+                return_exceptions=True,
             )
-        await writer.close()
-        return outcomes
-
-    model: dict[int, Any] = {}
-    touched: dict[int, Any] = {}
-    for (key, value), outcome in zip(first + second, asyncio.run(submit_all())):
+        )
+    await writer.close()
+    for (key, value), outcome in zip(first + second, outcomes):
         if isinstance(outcome, BaseException):
-            touched[key] = value
+            sut.touched[key] = value
         else:
-            model[key] = value
-    return model, touched, injector.crashed, econf
+            sut.model[key] = value
 
 
 _MIGRATION_POINTS = (
@@ -509,14 +543,13 @@ _MIGRATION_POINTS = (
 )
 
 
-def _drive_migration(
-    econf: EngineConfig,
+async def _drive_migration(
     workload: list[tuple],
     point: str,
-    store,
+    sut: _StoreUnderTest,
     injector: FaultInjector,
     violations: list[str],
-):
+) -> None:
     """Crash a live retune at one of the ``tuning.*`` crash points.
 
     The workload runs crash-free first (so the model is exact), then the
@@ -532,9 +565,8 @@ def _drive_migration(
     """
     from repro.tuning.actuator import migrate_filter, switch_merge_policy
 
-    model, _, _, _ = _drive_workload(
-        econf, workload, store, injector, violations
-    )
+    await _drive_workload(workload, sut, injector, violations)
+    econf = sut.config
     target = "bloom" if econf.policy.startswith("chucky") else "chucky"
     try:
         if point == "tuning.switch.before_commit":
@@ -542,22 +574,20 @@ def _drive_migration(
             # different geometry; the crash fires before any shard's
             # new manifest commits, so recovery stays on the old one.
             switch_merge_policy(
-                store,
+                sut.store,
                 dc_replace(
                     econf,
                     runs_per_level=1 if econf.runs_per_level > 1 else 2,
                 ),
             )
         else:
-            migrate_filter(store, target, econf.bits_per_entry)
+            migrate_filter(sut.store, target, econf.bits_per_entry)
     except InjectedCrash:
         # after_swap fires once shard 0's swap is already in memory;
         # its durable state is still blob-compatible with either
         # policy, but the "what crashed" config is the new one.
         if point == "tuning.migrate.after_swap":
-            return model, None, True, dc_replace(econf, policy=target)
-        return model, None, True, econf
-    return model, None, False, econf
+            sut.config = dc_replace(econf, policy=target)
 
 
 # ----------------------------------------------------------------------
@@ -594,14 +624,16 @@ def run_faultcheck(
     econf = cfg.engine_config()
 
     def explore(plan: FaultPlan, label: str, drive) -> FaultInjector:
-        result, injector = _run_schedule(econf, plan, label, drive, obs)
+        result, injector = asyncio.run(
+            _run_schedule(_StoreUnderTest(econf), plan, label, drive, obs)
+        )
         report.results.append(result)
         _absorb(report.counters, injector)
         return injector
 
     for seed in range(cfg.seeds):
         workload = make_workload(seed, cfg.ops)
-        replay = partial(_drive_workload, econf, workload)
+        replay = partial(_drive_workload, workload)
         trace = explore(
             FaultPlan(seed=seed, transient_rate=cfg.transient_rate),
             "trace",
@@ -619,7 +651,7 @@ def run_faultcheck(
             explore(
                 plan,
                 "group-commit " + plan.describe(),
-                partial(_drive_group_commit, econf, seed),
+                partial(_drive_group_commit, seed),
             )
         if cfg.migration:
             point = _MIGRATION_POINTS[seed % len(_MIGRATION_POINTS)]
@@ -631,7 +663,7 @@ def run_faultcheck(
             explore(
                 plan,
                 "migration " + plan.describe(),
-                partial(_drive_migration, econf, workload, point),
+                partial(_drive_migration, workload, point),
             )
     report.counters["crash_points_seen"] = dict(
         sorted(report.counters["crash_points_seen"].items())

@@ -4,10 +4,12 @@ The checker is deliberately black-box: it inspects a recovered store
 through (mostly) public surfaces and compares it against the harness's
 reference model. Two families of checks:
 
-* **state** — every acknowledged write is durable with its exact value
+* **reads** — every acknowledged write reads back with its exact value
   (``bytes`` stay ``bytes``), deleted keys stay dead, and only the
   single in-flight operation may be in either its before or after
-  state;
+  state. The checker judges reads, not a store, so the same oracle
+  serves a single-node store, a cluster read through its coordinator
+  and the cluster load run's verification pass;
 * **structure** — the tree, filters, manifests and storage agree with
   each other: every entry's sub-level is among its filter's candidate
   sub-levels, sequence numbers never exceed the allocator, every
@@ -43,20 +45,22 @@ ABSENT = None
 class InvariantChecker:
     """Checks a (recovered) store against the harness's expectations."""
 
-    def check_state(
+    def check_reads(
         self,
-        store,
+        reads: dict[int, Any],
         expectations: dict[int, tuple[Any, ...]],
     ) -> list[Violation]:
-        """``expectations`` maps each key the workload ever touched to
-        the tuple of values a correct store may return for it —
-        normally one value, two for keys touched by the in-flight
-        operation (before-or-after). :data:`ABSENT` (``None``) means
-        the key must not be readable."""
+        """The one read oracle. ``reads`` maps each key to what reading
+        it back returned (an exception if the read raised: an unreadable
+        key is lost, whatever it should hold); ``expectations`` maps
+        each key the workload ever touched to the tuple of values a
+        correct system may return for it — normally one value, two for
+        keys touched by the in-flight operation (before-or-after).
+        :data:`ABSENT` (``None``) means the key must not be readable."""
         violations = []
         for key in sorted(expectations):
             allowed = expectations[key]
-            actual = store.get(key)
+            actual = reads.get(key)
             if not any(
                 actual == want and type(actual) is type(want)
                 if want is not ABSENT
@@ -68,37 +72,6 @@ class InvariantChecker:
                     Violation(
                         "acked-durable",
                         f"key {key}: got {actual!r}, expected {wanted}",
-                    )
-                )
-        return violations
-
-    def check_acked_reads(
-        self,
-        actuals: dict[int, Any],
-        expectations: dict[int, tuple[Any, ...]],
-    ) -> list[Violation]:
-        """The cluster-wide form of :meth:`check_state`: ``actuals``
-        holds what post-failover reads (through whatever node survived
-        a kill) actually returned per key. Same contract — every key
-        must read one of its allowed values, :data:`ABSENT` meaning
-        not-readable — but decoupled from a store handle because
-        cluster reads are async and may traverse several nodes."""
-        violations = []
-        for key in sorted(expectations):
-            allowed = expectations[key]
-            actual = actuals.get(key)
-            if not any(
-                actual == want and type(actual) is type(want)
-                if want is not ABSENT
-                else actual is None
-                for want in allowed
-            ):
-                wanted = " or ".join(repr(want) for want in allowed)
-                violations.append(
-                    Violation(
-                        "acked-durable",
-                        f"key {key}: cluster read returned {actual!r}, "
-                        f"expected {wanted}",
                     )
                 )
         return violations

@@ -259,6 +259,14 @@ class TestModeFlags:
         ) in capsys.readouterr().out
 
 
+def _case_ids(cases) -> list[str]:
+    """The command names a case; a repeated command adds its flag."""
+    ids: list[str] = []
+    for argv, _ in cases:
+        ids.append(argv[0] if argv[0] not in ids else argv[0] + argv[1])
+    return ids
+
+
 class TestStoreFlagErrors:
     """An invalid store flag is a usage error (exit 2) raised before the
     command prints anything — never a ValueError traceback."""
@@ -272,11 +280,15 @@ class TestStoreFlagErrors:
         (["tune", "--shards", "0"], "shards must be >= 1"),
         (["bench", "--bits", "-1"], "bits_per_entry must be >= 0"),
         (["faultcheck", "--shards", "0"], "shards must be >= 1"),
+        # Flags that would make the campaign's gate vacuous.
+        (["faultcheck", "--schedules-per-seed", "-3"],
+         "schedules_per_seed must be >= 0"),
+        (["faultcheck", "--transient-rate", "7"],
+         "transient_rate must be in [0, 1]"),
+        (["faultcheck", "--ops", "0"], "ops must be >= 1"),
     ]
 
-    @pytest.mark.parametrize(
-        "argv,message", CASES, ids=[argv[0] for argv, _ in CASES]
-    )
+    @pytest.mark.parametrize("argv,message", CASES, ids=_case_ids(CASES))
     def test_bad_store_flag_is_a_usage_error(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(argv)

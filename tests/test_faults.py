@@ -10,7 +10,9 @@ writes, crash points across the whole engine stack, and the
 re-introducing the old replay bug makes the explorer fail.
 """
 
+import asyncio
 import random
+from functools import partial
 
 import pytest
 
@@ -22,6 +24,9 @@ from repro.faults import crashpoints
 from repro.faults.crashpoints import CRASH_POINTS, activated, crash_point
 from repro.faults.harness import (
     FaultcheckConfig,
+    _drive_workload,
+    _run_schedule,
+    _StoreUnderTest,
     make_workload,
     run_faultcheck,
 )
@@ -365,7 +370,7 @@ class TestFaultInjector:
         sharded smoke campaigns between them must fire each single-node
         point. The ``cluster.*`` points need a live multi-node cluster
         and are covered by the cluster campaign instead
-        (tests/test_cluster.py asserts each one fires there)."""
+        (tests/test_campaign_golden.py asserts each one fires there)."""
         from repro.cluster.faultcheck import CLUSTER_POINTS
 
         cluster_points = {
@@ -466,7 +471,8 @@ class TestMidCascadeCrash:
             recovered = recover_store(state, cfg)
             checker = InvariantChecker()
             expectations = merge_expected(acked, touched)
-            violations = checker.check_state(recovered, expectations)
+            reads = {key: recovered.get(key) for key in expectations}
+            violations = checker.check_reads(reads, expectations)
             violations += checker.check_structure(recovered)
             assert not violations, [str(v) for v in violations]
 
@@ -660,6 +666,42 @@ class TestFaultcheckCampaigns:
         )
         assert not report.ok
         assert any("acked-durable" in v for v in report.violations)
+
+    @pytest.mark.parametrize("system", ["store", "cluster"])
+    def test_crash_that_never_fires_is_one_harness_violation(self, system):
+        """The shared skeleton's "scheduled crash never fired" verdict,
+        for both systems under test: the drive reaches the crash point,
+        but never the scheduled occurrence, so the schedule is one
+        ``[harness]`` violation and nothing is recovered or read."""
+        if system == "store":
+            sut = _StoreUnderTest(FaultcheckConfig().engine_config())
+            point = "kvstore.put.after_wal"
+            drive = partial(_drive_workload, make_workload(0, 20))
+        else:
+            from repro.cluster.faultcheck import (
+                ClusterFaultcheckConfig,
+                _ClusterUnderTest,
+                _drive_replicate,
+            )
+
+            sut = _ClusterUnderTest(ClusterFaultcheckConfig(), seed=0)
+            point = "cluster.replicate.before_send"
+            drive = _drive_replicate
+        plan = FaultPlan(
+            seed=0,
+            crash_kind=CRASH_AT_POINT,
+            crash_point_name=point,
+            crash_occurrence=10_000,
+        )
+        result, injector = asyncio.run(
+            _run_schedule(sut, plan, "unreachable", drive)
+        )
+        assert injector.point_counts[point] > 0
+        assert result.crashed is False
+        assert len(result.violations) == 1, result.violations
+        assert result.violations[0].startswith(
+            "[harness] scheduled crash never fired"
+        )
 
     def test_canary_strict_decode_bug_is_caught(self, monkeypatch):
         """The harsher variant: a strict decode raises during replay —
