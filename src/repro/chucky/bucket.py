@@ -36,7 +36,11 @@ class BucketCodec:
         self.codebook = codebook
         self.tables = tables
         self._bucket_bits = codebook.bucket_bits
-        self._decode_entry = codebook.fast.decode_table.decode_entry
+        table = codebook.fast.decode_table
+        self._decode_entry = table.decode_entry
+        self._root = table.root
+        # FAC codes are at most B bits, so the root index never pads.
+        self._root_shift = codebook.bucket_bits - table.root_bits
         self._pack_fn = codebook.fast.pack_fns.get
         self.empty_slot: Slot = (codebook.empty_lid, 0)
         self._empty_packed, _ = self.pack([self.empty_slot] * codebook.slots)
@@ -91,7 +95,27 @@ class BucketCodec:
         # Shift/mask the fingerprint fields straight out of the word:
         # FAC buckets fill exactly, so every field position is
         # precomputed as an absolute shift in the plan.
-        return [(lid, (packed >> shift) & mask) for lid, shift, mask in plan]
+        return [(lid, (packed >> shift) & mask) for lid, shift, mask, _ in plan]
+
+    def matching_lids(self, packed: int, digest: int) -> list[int] | None:
+        """LIDs of the slots whose fingerprint is the same-length prefix
+        of the 64-bit ``digest`` (duplicates kept, LID-sorted), or
+        ``None`` when the bucket is not a frequent combination resolved
+        by one root-table index — a rare escape code or a subtable chain
+        — and the caller must decode it in full.
+
+        Matches each inline field straight from the plan, so the common
+        probe builds no slot list and charges nothing (a frequent code
+        decodes through the cache-resident tree, section 4.4). Empty
+        slots hold fingerprint 0, which no digest prefix equals."""
+        entry = self._root[packed >> self._root_shift]
+        if type(entry) is not tuple or entry[2] is None:
+            return None
+        lids = []  # a loop, not a comprehension: no extra frame per call
+        for lid, shift, mask, fp_shift in entry[2]:
+            if (packed >> shift) & mask == digest >> fp_shift:
+                lids.append(lid)
+        return lids
 
     def _overflow_slots(
         self, combo: Combination, overflow_fps: list[int] | None

@@ -13,9 +13,10 @@ module makes that assumption real for the Python implementation:
   chunk chain through subtables. Frequent combination codes are short,
   so almost every bucket decodes in a single list index.
 * :class:`BucketFastTables` — per-frequent-combination pack/unpack
-  plans: the codeword, its length, and the (LID, fingerprint-length,
-  mask) field layout, so packing/unpacking is pure shift/mask arithmetic
-  with no BitReader/BitWriter objects.
+  plans: the codeword, its length, and the (LID, shift, mask, digest
+  shift) field layout, so packing/unpacking — and matching a probe's
+  digest against a bucket — is pure shift/mask arithmetic with no
+  BitReader/BitWriter objects.
 
 Everything here is *derived* state, built once per codebook rebuild
 (i.e. once per LSM-tree geometry change) and bit-identical to the
@@ -53,18 +54,21 @@ class PrefixDecodeTable:
     (the bucket codec stores its per-combination unpack plan there).
     """
 
-    __slots__ = ("_root", "_root_bits", "_root_mask", "max_length")
+    __slots__ = ("root", "root_bits", "_root_mask", "max_length")
 
     def __init__(self, code: CanonicalCode, payloads=None) -> None:
         self.max_length = code.max_length
-        self._root_bits = min(ROOT_BITS, code.max_length)
-        self._root_mask = (1 << self._root_bits) - 1
+        #: Width of the root index; ``root[value >> (bit_length -
+        #: root_bits)]`` is a terminal tuple for every codeword of at
+        #: most ``root_bits`` bits, a subtable (list) or ``None``.
+        self.root_bits = min(ROOT_BITS, code.max_length)
+        self._root_mask = (1 << self.root_bits) - 1
         get_payload = (payloads or {}).get
-        root: list = [None] * (1 << self._root_bits)
+        root: list = [None] * (1 << self.root_bits)
         for sym, (codeword, length) in code.codewords().items():
             entry = (length, sym, get_payload(sym))
-            self._insert(root, entry, codeword, length, self._root_bits)
-        self._root = root
+            self._insert(root, entry, codeword, length, self.root_bits)
+        self.root = root
 
     @staticmethod
     def _insert(
@@ -95,8 +99,8 @@ class PrefixDecodeTable:
         """The full terminal entry ``(length, symbol, payload)`` for the
         codeword at the front of ``value`` (MSB-first, ``bit_length``
         bits). Raises ``ValueError`` when nothing matches."""
-        table = self._root
-        bits = self._root_bits
+        table = self.root
+        bits = self.root_bits
         mask = self._root_mask
         consumed = 0
         while True:
@@ -187,7 +191,9 @@ class BucketFastTables:
         # Per frequent combo: the exact field layout of its bucket, with
         # *absolute* shifts — under FAC, code + fingerprints fill the
         # bucket exactly, so every field's position is fixed.
-        # unpack plan: ((lid, shift, fp_mask), ...);
+        # unpack plan: ((lid, shift, fp_mask, 64 - fp_len), ...) — the
+        # last field slices the same-length prefix of a 64-bit digest,
+        # so a probe compares fields without unpacking the bucket;
         # pack fields: ((lid, shift, fp_len), ...) over codeword << c_FP.
         unpack_plans: dict = {}
         pack_fns: dict = {}
@@ -201,7 +207,7 @@ class BucketFastTables:
                 for lid in combo:
                     flen = codebook.fp_length(lid)
                     rem -= flen
-                    upk.append((lid, rem, (1 << flen) - 1))
+                    upk.append((lid, rem, (1 << flen) - 1, 64 - flen))
                     pk.append((lid, rem, flen))
                 unpack_plans[combo] = tuple(upk)
                 # Insert-path specialization: one compiled straight-line

@@ -79,7 +79,8 @@ class CuckooLidFilterBase(ABC):
     deletion, AHT handling, and I/O accounting.
 
     Subclasses define the bucket *representation* (bit-packed vs plain)
-    via ``_read_bucket`` / ``_write_bucket`` and fill ``_fp_shifts``,
+    via ``_read_bucket`` / ``_write_bucket`` (and may match a probe
+    without decoding, in ``_match_bucket``) and fill ``_fp_shifts``,
     the per-LID fingerprint lengths.
     """
 
@@ -95,6 +96,12 @@ class CuckooLidFilterBase(ABC):
         if num_buckets < 2:
             raise ValueError(f"num_buckets must be >= 2, got {num_buckets}")
         self.num_buckets = num_buckets
+        #: ``_partner(0, prefix, num_buckets)`` per ``FP_MIN``-bit prefix:
+        #: the partner rule reduced once for this bucket count, since
+        #: ``_partner(b, p, n) == (_partner(0, p, n) - b) % n``.
+        self._anchors = [
+            _partner(0, prefix, num_buckets) for prefix in range(1 << FP_MIN)
+        ]
         self.slots = slots
         self.empty_lid = empty_lid
         #: What an unoccupied slot reads as. A stored fingerprint is
@@ -140,6 +147,18 @@ class CuckooLidFilterBase(ABC):
     def _write_bucket(self, index: int, slots: list[Slot]) -> None:
         """Encode S logical slots into bucket ``index``."""
 
+    def _match_bucket(self, index: int, digest: int) -> list[int]:
+        """LIDs of bucket ``index`` whose stored fingerprint is the
+        same-length prefix of ``digest``. A stored LID needs no range
+        check, unlike a caller's in :meth:`_slot`, and a fingerprint is
+        never 0 (:func:`fp_digest`), so empty slots never match."""
+        shifts = self._fp_shifts
+        return [
+            lid
+            for lid, fp in self._read_bucket(index)
+            if fp == digest >> shifts[lid - 1]
+        ]
+
     # -- addressing -------------------------------------------------------
 
     def _address(self, key: int) -> tuple[int, int, int]:
@@ -151,7 +170,7 @@ class CuckooLidFilterBase(ABC):
         digest = fp_digest(key)
         n = self.num_buckets
         b1 = _primary_digest(key) % n
-        return digest, b1, _partner(b1, digest >> _PREFIX_SHIFT, n)
+        return digest, b1, (self._anchors[digest >> _PREFIX_SHIFT] - b1) % n
 
     def _slot(self, digest: int, lid: int) -> Slot:
         """The ``(lid, fingerprint)`` slot of the key behind ``digest``
@@ -177,7 +196,7 @@ class CuckooLidFilterBase(ABC):
         leading ``FP_MIN`` bits are the key's shared prefix."""
         lid, fp = slot
         prefix = fp >> (_PREFIX_SHIFT - self._fp_shifts[lid - 1])
-        return _partner(bucket, prefix, self.num_buckets)
+        return (self._anchors[prefix] - bucket) % self.num_buckets
 
     def _pair_key(self, b1: int, b2: int) -> tuple[int, int]:
         return (b1, b2) if b1 <= b2 else (b2, b1)
@@ -244,41 +263,49 @@ class CuckooLidFilterBase(ABC):
     def query(self, key: int) -> list[int]:
         """All sub-levels whose stored fingerprint matches ``key``, in
         young-to-old order — the sub-levels a point read must search."""
-        return self._probe(key)
+        return self._probe_many((key,))[0]
 
     def query_many(self, keys: list[int]) -> list[list[int]]:
         """:meth:`query` for each key: same answers, same counted I/Os."""
-        probe = self._probe
-        return [probe(key) for key in keys]
+        return self._probe_many(keys)
 
-    def _probe(self, key: int) -> list[int]:
-        """The one bucket probe: two bucket loads, plus one AHT lookup
-        whenever the AHT holds anything.
+    def _probe_many(self, keys) -> list[list[int]]:
+        """The one bucket probe: per key, one hash, two bucket loads
+        (one when both candidates coincide) matched through
+        :meth:`_match_bucket`, plus one AHT lookup whenever the AHT
+        holds anything.
 
-        Hashes once and compares each stored slot against the digest
-        shifted by that slot's own ``_fp_shifts`` entry (a stored LID
-        needs no range check, unlike a caller's in :meth:`_slot`). A
-        fingerprint is never 0 (:func:`fp_digest`), so empty slots
-        never match.
-
-        The AHT is consulted even when neither bucket is full *now*: a
-        failed eviction walk files its homeless entry under the pair
-        where the walk ended, and later removals of *other* keys can
-        free slots in both buckets without repatriating it.
+        The loads are charged once per call, as their sum. The AHT is
+        consulted even when neither bucket is full *now*: a failed
+        eviction walk files its homeless entry under the pair where the
+        walk ended, and later removals of *other* keys can free slots
+        in both buckets without repatriating it.
         """
-        digest, b1, b2 = self._address(key)
+        address = self._address
+        match = self._match_bucket
+        aht = self.aht
+        pair_key = self._pair_key
         shifts = self._fp_shifts
-        matches: set[int] = set()
-        for bucket in (b1,) if b1 == b2 else (b1, b2):
-            for lid, fp in self._load(bucket):
-                if fp == digest >> shifts[lid - 1]:
-                    matches.add(lid)
-        if self.aht:
-            self.memory_ios.add("filter_aht", 1)
-            for lid, fp in self.aht.get(self._pair_key(b1, b2), ()):
-                if fp == digest >> shifts[lid - 1]:
-                    matches.add(lid)
-        return sorted(matches)
+        charge = self.memory_ios.add
+        loads = 0
+        answers = []
+        for key in keys:
+            digest, b1, b2 = address(key)
+            lids = match(b1, digest)
+            if b1 == b2:
+                loads += 1
+            else:
+                loads += 2
+                lids += match(b2, digest)
+            if aht:
+                charge("filter_aht", 1)
+                for lid, fp in aht.get(pair_key(b1, b2), ()):
+                    if fp == digest >> shifts[lid - 1]:
+                        lids.append(lid)
+            answers.append(sorted(set(lids)) if len(lids) > 1 else lids)
+        if loads:
+            charge("filter", loads)
+        return answers
 
     def update_lid(self, key: int, old_lid: int, new_lid: int) -> bool:
         """Move one mapping of ``key`` from ``old_lid`` to ``new_lid``
@@ -407,10 +434,12 @@ class ChuckyFilter(CuckooLidFilterBase):
         self.codebook = codebook
         self.tables = CodecTables(codebook, self.memory_ios)
         self.codec = BucketCodec(codebook, self.tables)
+        self._matching_lids = self.codec.matching_lids
         self._empty_packed = self.codec.empty_packed
         self._buckets = PackedBucketStore(
             self.num_buckets, codebook.bucket_bits, fill=self._empty_packed
         )
+        self._packed = self._buckets.reader
         self._fp_shifts = [64 - codebook.fp_length(lid) for lid in dist.lids]
         #: Fingerprints of rare-combination buckets (FAC escape codes).
         self.overflow: dict[int, list[int]] = {}
@@ -422,14 +451,23 @@ class ChuckyFilter(CuckooLidFilterBase):
         if overflow_fps is not None:
             # One extra memory I/O to fetch the spilled fingerprints.
             self.memory_ios.add("filter_ovf", 1)
-            return self.codec.unpack(self._buckets[index], overflow_fps)
-        packed = self._buckets[index]
+            return self.codec.unpack(self._packed[index], overflow_fps)
+        packed = self._packed[index]
         if packed == self._empty_packed:
             # Empty buckets decode to the all-empty slot list without
             # touching the codec; the empty combination is frequent, so
             # the reference decode counts nothing here either.
             return [self.codec.empty_slot] * self.slots
         return self.codec.unpack(packed, None)
+
+    def _match_bucket(self, index: int, digest: int) -> list[int]:
+        # A frequent combination matches straight from its decode-table
+        # plan; anything else decodes in full through _read_bucket,
+        # which charges its overflow / Decoding-Table I/Os.
+        lids = self._matching_lids(self._packed[index], digest)
+        if lids is None:
+            return super()._match_bucket(index, digest)
+        return lids
 
     def _write_bucket(self, index: int, slots: list[Slot]) -> None:
         packed, overflow_fps = self.codec.pack(slots)

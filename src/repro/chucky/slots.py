@@ -64,6 +64,13 @@ class PackedBucketStore:
             value = (value << 64) | self._words[i]
         return value
 
+    @property
+    def reader(self) -> "array | PackedBucketStore":
+        """Indexes a bucket to its packed value, for hot reads: the word
+        array itself when a bucket is one word (no Python-level
+        ``__getitem__``), the store otherwise."""
+        return self._words if self.words_per_bucket == 1 else self
+
     def __setitem__(self, index: int, value: int) -> None:
         if self.words_per_bucket == 1:
             self._words[index] = value

@@ -27,8 +27,8 @@ import time
 from dataclasses import dataclass
 from typing import Any
 
+from repro.common.quantile import nearest_rank
 from repro.engine.config import EngineConfig, build_store
-from repro.obs.metrics import Histogram, WIRE_LATENCY_US_BUCKETS
 from repro.workloads.generators import request_stream
 
 
@@ -126,7 +126,7 @@ def run_case(
         store.put(key, f"v{key}")
     store.flush()
 
-    wall = Histogram("bench_wall_us", WIRE_LATENCY_US_BUCKETS)
+    wall_us: list[float] = []
     snap = store.snapshot()
     requests = request_stream(
         case.workload, keys, ops, read_fraction=case.read_fraction, seed=seed
@@ -152,7 +152,7 @@ def run_case(
             for _ in store.scan(lo, lo + case.scan_width):
                 pass
             scans += 1
-        wall.observe((time.perf_counter_ns() - op_start) / 1_000)
+        wall_us.append((time.perf_counter_ns() - op_start) / 1_000)
     elapsed = time.perf_counter() - start
 
     total_ops = ops + scans
@@ -189,10 +189,10 @@ def run_case(
         "modelled_ns_per_op": breakdown.total_ns,
         "modelled_breakdown_ns": breakdown.as_dict(),
         "wall_latency_us": {
-            "p50": wall.p50,
-            "p95": wall.p95,
-            "p99": wall.p99,
-            "mean": round(wall.mean, 2),
+            "p50": nearest_rank(wall_us, 0.50),
+            "p95": nearest_rank(wall_us, 0.95),
+            "p99": nearest_rank(wall_us, 0.99),
+            "mean": round(statistics.fmean(wall_us), 2),
         },
     }
 

@@ -15,6 +15,9 @@ reference codec they used to be timed against left the runtime for
 holds the table decode to >= 2x of it. The comparative cases that remain
 report a speedup alongside the ns/op:
 
+* ``chucky_query_many`` — per-key ns of one 64-key ``query_many`` call
+  against the same keys through per-key ``query`` (both run the one
+  probe loop; the batch shares its setup and its counted-I/O charge);
 * ``get_batch_fused`` — one ``store.get_batch`` pass (how the server
   executes a run of pipelined GETs) against the per-key ``store.get``
   loop (the same GETs as runs of one);
@@ -95,6 +98,16 @@ def run_micro(inner: int = 256, rounds: int = 5) -> dict[str, Any]:
     keys = [k for k, _ in pairs[:512]]
     case("chucky_query", time_op(
         lambda i: filt.query(keys[i % 512]), inner, rounds))
+
+    # A 64-key batch through the one probe loop against the same keys
+    # queried one by one (same answers and counted I/Os by contract).
+    many_keys = keys[:64]
+    many_ns = time_op(lambda i: filt.query_many(many_keys), 16, rounds) / 64
+    each_ns = time_op(
+        lambda i: [filt.query(k) for k in many_keys], 16, rounds) / 64
+    case("chucky_query_many", many_ns,
+         reference_ns_per_op=round(each_ns, 1),
+         speedup=round(each_ns / many_ns, 2) if many_ns else None)
 
     fresh = ChuckyFilter(10**6, DIST, bits_per_entry=10.0)
     counter = iter(range(10**9))

@@ -75,6 +75,12 @@ class ReferenceBucketCodec(BucketCodec):
         reader.skip(used)
         return [(lid, reader.read(self.codebook.fp_length(lid))) for lid in combo]
 
+    def matching_lids(self, packed: int, digest: int) -> None:
+        """Never match from a plan: every probe decodes the whole bucket
+        through :meth:`unpack`, so the identity tests hold the runtime's
+        plan matching to this bit-serial decode."""
+        return None
+
     def is_rare(self, packed: int) -> bool:
         _combo, used = self.codebook.code.decode_prefix(
             packed, self.codebook.bucket_bits

@@ -3,6 +3,7 @@
 import json
 
 from repro.cli import main
+from repro.common.quantile import nearest_rank
 from repro.workloads.bench import (
     CANONICAL_CASES,
     BenchCase,
@@ -39,6 +40,31 @@ class TestBenchSuite:
         assert row["modelled_ns_per_op"] > 0
         assert set(row["wall_latency_us"]) == {"p50", "p95", "p99", "mean"}
         assert row["wall_latency_us"]["p99"] >= row["wall_latency_us"]["p50"]
+
+    def test_wall_percentiles_are_nearest_rank_of_the_ops(self, monkeypatch):
+        """The percentiles are ranks of the recorded per-op latencies,
+        not the bounds of histogram buckets whose first edge (50 us) sits
+        above a typical in-process op — which made every row's p50 and
+        p95 read 50.0 whatever the engine did."""
+        from repro.workloads import bench
+
+        seen = []
+
+        def recording(values, q):
+            seen.append((list(values), q))
+            return nearest_rank(values, q)
+
+        monkeypatch.setattr(bench, "nearest_rank", recording)
+        row = run_case(
+            BenchCase(preset="leveled", workload="uniform"), ops=300, preload=150
+        )
+        latencies = seen[0][0]
+        assert len(latencies) == 300
+        assert [q for _, q in seen] == [0.50, 0.95, 0.99]
+        wall = row["wall_latency_us"]
+        assert wall["p50"] == nearest_rank(latencies, 0.50) < 50.0
+        assert wall["p95"] == nearest_rank(latencies, 0.95)
+        assert wall["p99"] == nearest_rank(latencies, 0.99)
 
     def test_scans_can_be_disabled(self):
         row = run_case(
@@ -153,13 +179,15 @@ class TestMicrobench:
         report = run_micro(inner=8, rounds=1)
         names = {row["name"] for row in report["cases"]}
         assert {
-            "chucky_query", "chucky_insert", "bucket_pack",
+            "chucky_query", "chucky_query_many", "chucky_insert", "bucket_pack",
             "bucket_unpack", "decode_table", "cuckoo_query",
             "blocked_bloom_query",
         } <= names
         assert all(row["ns_per_op"] > 0 for row in report["cases"])
         fused = next(r for r in report["cases"] if r["name"] == "get_batch_fused")
         assert fused["reference_ns_per_op"] > 0
+        many = next(r for r in report["cases"] if r["name"] == "chucky_query_many")
+        assert many["reference_ns_per_op"] > 0 and many["speedup"] > 0
         assert "host" in report
 
     def test_microbench_command_writes_artifact(self, tmp_path, capsys):

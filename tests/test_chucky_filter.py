@@ -1,6 +1,7 @@
 """The Chucky filter: correctness, maintenance, overflows, persistence,
 and I/O accounting (paper sections 4.1, 4.4, 4.5)."""
 
+import functools
 import random
 
 import pytest
@@ -62,6 +63,37 @@ class TestAddressing:
         f, _ = build_filter(64)
         for key in range(200):
             assert f.bucket_pair(key) == f.bucket_pair(key)
+
+
+def _assert_anchor_table_is_partner(f):
+    """Every prefix's anchor is ``_partner`` at bucket 0, and the
+    partner a stored slot moves to is ``_partner`` for any bucket."""
+    n = f.num_buckets
+    assert len(f._anchors) == 1 << FP_MIN
+    for prefix in range(1 << FP_MIN):
+        assert f._anchors[prefix] == _partner(0, prefix, n)
+        for bucket in {0, 1 % n, n // 2, n - 1}:
+            for lid in DIST.lids:
+                tail = 64 - f._fp_shifts[lid - 1] - FP_MIN
+                slot = (lid, (prefix << tail) | ((1 << tail) - 1))
+                assert f._partner_of_slot(bucket, slot) == _partner(bucket, prefix, n)
+
+
+class TestAnchorTable:
+    """The 32-entry anchor table is ``_partner`` reduced once per bucket
+    count; addressing and the eviction walk read only the table."""
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 100, 1 << 10])
+    def test_table_matches_partner(self, n):
+        f = ChuckyFilter(n * 4, DIST, over_provision=0.0)
+        assert f.num_buckets == n
+        _assert_anchor_table_is_partner(f)
+
+    def test_recovered_filter_rebuilds_the_table(self):
+        f, _ = build_filter(300)
+        g = ChuckyFilter.recover(f.persist(), DIST, bits_per_entry=10.0)
+        assert g.num_buckets == f.num_buckets and g.num_buckets % 2 == 1
+        _assert_anchor_table_is_partner(g)
 
 
 def _one_filter(kind):
@@ -440,3 +472,95 @@ def test_random_maintenance_sequence(data):
         for lid in lids:
             assert lid in got
     assert f.maintenance_misses == 0
+
+
+@functools.cache
+def _probe_state(state):
+    """A loaded filter in one state the probe treats specially, and the
+    keys that reach that state. Probes never mutate, so one instance
+    serves every example."""
+    if state == "uncompressed":
+        f, pairs = build_filter(600, cls=UncompressedLidFilter)
+        for _ in range(12):  # > 2S versions of one key: the AHT fills
+            f.insert(42, 6)
+        return f, [42] + [k for k, _ in pairs[:40]]
+    if state == "overflow":
+        # Rare-combination buckets: every slot a version of one key, at
+        # the LIDs of the most probable rare combination.
+        f, pairs = build_filter(600)
+        rare = f.codebook.rare[0]
+        keys = [k for k, _ in pairs[:40]]
+        for key in keys[:12]:
+            digest, b1, _ = f._address(key)
+            f._write_bucket(b1, [f._slot(digest, lid) for lid in rare])
+        assert f.overflow
+        return f, keys
+    if state == "aht":
+        f, pairs = build_filter(600)
+        for _ in range(12):
+            f.insert(42, 6)
+        assert f.aht
+        return f, [42] + [k for k, _ in pairs[:40]]
+    # Self-paired buckets (b1 == b2), in test_edge_cases' geometry.
+    dist = LidDistribution(3, 3)
+    f = ChuckyFilter(200, dist, bits_per_entry=10.0)
+    keys = [k for k in range(5000) if len(set(f.bucket_pair(k))) == 1][:20]
+    for i, key in enumerate(keys):
+        for lid in range(1, 2 + i % 3):
+            f.insert(key, lid)
+    return f, keys
+
+
+def _probe_oracle(f, key):
+    """Decode both buckets and the AHT entry in full and match them."""
+    digest, b1, b2 = f._address(key)
+    slots = f._read_bucket(b1) + f._read_bucket(b2)
+    slots += f.aht.get(f._pair_key(b1, b2), [])
+    return sorted({lid for lid, fp in slots if fp == digest >> f._fp_shifts[lid - 1]})
+
+
+def _spent(before, after):
+    """Counted memory I/Os per category between two snapshots."""
+    return {
+        category: count - before.get(category, 0)
+        for category, count in after.items()
+        if count != before.get(category, 0)
+    }
+
+
+class TestOneProbe:
+    """``query`` and ``query_many`` are one probe loop: the same answers
+    and the same counted I/Os, category by category, in every state."""
+
+    @pytest.mark.parametrize("state", ["overflow", "aht", "self-paired", "uncompressed"])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_query_many_is_query_per_key(self, state, data):
+        f, reaching = _probe_state(state)
+        keys = data.draw(st.lists(
+            st.one_of(st.sampled_from(reaching), st.integers(0, 2**60)),
+            max_size=64,
+        ))
+        snapshot = f.memory_ios.snapshot
+        start = snapshot()
+        many = f.query_many(keys)
+        mid = snapshot()
+        each = [f.query(key) for key in keys]
+        end = snapshot()
+        assert many == each
+        assert _spent(start, mid) == _spent(mid, end)
+        assert many == [_probe_oracle(f, key) for key in keys]
+
+    def test_states_reach_their_paths(self):
+        """Each state's reaching keys really take the special path."""
+        f, keys = _probe_state("overflow")
+        mem = f.memory_ios
+        before = mem.get("filter_ovf"), mem.get("filter_dt")
+        f.query_many(keys[:12])
+        assert mem.get("filter_ovf") > before[0] and mem.get("filter_dt") > before[1]
+        f, keys = _probe_state("self-paired")
+        loads = f.memory_ios.get("filter")
+        f.query_many(keys)
+        assert f.memory_ios.get("filter") - loads == len(keys)
+        for i, key in enumerate(keys):
+            assert set(range(1, 2 + i % 3)) <= set(f.query(key))

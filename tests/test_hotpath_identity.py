@@ -16,6 +16,7 @@ crash/recovery faultcheck harness).
 """
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -147,6 +148,28 @@ class TestFilterIdentity:
         assert fast[0] == ref[0], "membership answers diverged"
         assert fast[1] == ref[1], "counted memory I/Os diverged"
         assert fast[2] == ref[2], "persisted filter blob diverged"
+
+    def test_skewed_match_plan_is_caught(self):
+        """Canary: the comparison above sees the probe's plan matching.
+        One frequent plan whose digest shift is off by one — the field
+        a probe compares and ``unpack`` ignores — must make the fast
+        filter's answers leave the reference decode's."""
+        from repro.chucky import decode
+
+        class Skewed(decode.PrefixDecodeTable):
+            def __init__(self, code, payloads=None):
+                # The shortest code is the all-empty-LID combination;
+                # its last field holds the bucket's largest fingerprint,
+                # a live entry whenever the bucket holds any.
+                lengths = code.codewords()
+                combo = min(payloads, key=lambda c: lengths[c][1])
+                *head, (lid, shift, mask, fp_shift) = payloads[combo]
+                plan = (*head, (lid, shift, mask, fp_shift + 1))
+                super().__init__(code, payloads={**payloads, combo: plan})
+
+        with mock.patch.object(decode, "PrefixDecodeTable", Skewed):
+            with pytest.raises(AssertionError, match="answers diverged"):
+                self.test_workload_observables_match_reference(0)
 
     def test_recover_matches_reference(self):
         _, _, blob = _filter_workload(42)

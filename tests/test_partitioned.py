@@ -1,10 +1,12 @@
 """Vacuum-style partitioned Chucky filter (section 4.5 extension)."""
 
 import random
+from unittest import mock
 
 import pytest
 
 from repro.coding.distributions import LidDistribution
+from repro.chucky.filter import ChuckyFilter
 from repro.chucky.partitioned import PartitionedChuckyFilter
 
 DIST = LidDistribution(5, 5)
@@ -74,6 +76,33 @@ class TestOperations:
         fpr = sum(len(filt.query(k)) for k in negatives) / len(negatives)
         model = filt.codebook.expected_fpr() * filt.load_factor
         assert fpr == pytest.approx(model, rel=0.5)
+
+    def test_query_many_probes_each_partition_once(self):
+        """The batch is grouped by partition and each group is probed by
+        one ``query_many``; answers come back in key order with the same
+        counted I/Os, category by category, as the per-key loop."""
+        filt, pairs = build(n=3000, partition_capacity=512)
+        rng = random.Random(4)
+        keys = [key for key, _ in rng.sample(pairs, 100)]
+        keys += [rng.getrandbits(60) for _ in range(100)]
+        rng.shuffle(keys)
+        mem = filt.memory_ios
+        start = mem.snapshot()
+        with mock.patch.object(
+            ChuckyFilter, "query_many", autospec=True,
+            side_effect=ChuckyFilter.query_many,
+        ) as batches:
+            many = filt.query_many(keys)
+        mid = mem.snapshot()
+        each = [filt.query(key) for key in keys]
+        assert many == each
+        assert mem.diff(start) == {
+            category: 2 * (count - start.get(category, 0))
+            for category, count in mid.items()
+        }
+        touched = {filt.partition_index(key) for key in keys}
+        assert batches.call_count == len(touched) == filt.num_partitions
+        assert filt.query_many([]) == []
 
     def test_load_balanced(self):
         filt, _ = build(n=20000)
