@@ -40,7 +40,8 @@ Fifteen commands for poking at the system without writing code:
 * ``rebalance`` — drive a live shard handoff to another node through
   the current leader (reads the cluster spec file to route)
 * ``dash``      — live terminal dashboard over a running server's
-  STATS payload: counters, telemetry sparklines, SLO burn rates
+  STATS payload: counters, and sparklines over its own polls (counters
+  as per-second rates)
 * ``benchdiff`` — regression gate: diff fresh BENCH artifacts against
   the pinned baselines with per-metric tolerance bands; exits
   non-zero when any metric leaves its band
@@ -89,12 +90,7 @@ from repro.engine import (
 )
 from repro.filters.policy import available_policies
 from repro.lsm.config import PRESETS
-from repro.obs import (
-    Observability,
-    registry_to_dict,
-    render_json,
-    render_prometheus,
-)
+from repro.obs import Observability, render_json, render_prometheus
 from repro.workloads.generators import WORKLOAD_KINDS
 
 
@@ -252,35 +248,13 @@ def cmd_workload(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    from repro.obs.slo import SLOEngine, default_store_slos
-    from repro.obs.timeseries import TimeSeriesStore
-
     config = _engine_config(args)
     obs = Observability()
-    # Two synthetic-time samples bracket the workload so the SLO
-    # engine's windowed burn rates have a before/after delta to work
-    # with; the slo_* gauges then ride along in the rendered registry.
-    timeseries = TimeSeriesStore(obs.registry)
-    slo_engine = SLOEngine(
-        default_store_slos(), timeseries, registry=obs.registry
-    )
-    timeseries.sample(now=0.0)
-    store, _, _ = _drive_workload(config, args, obs)
-    del store
-    timeseries.sample(now=60.0)
-    statuses = slo_engine.evaluate(now=60.0)
+    _drive_workload(config, args, obs)
     if args.format == "json":
         print(render_json(obs.registry))
     else:
         sys.stdout.write(render_prometheus(obs.registry))
-    alerting = [s.name for s in statuses if s.alerting]
-    print(
-        "# slo: " + (
-            "ALERTING " + ",".join(alerting) if alerting
-            else f"{len(statuses)} objectives ok"
-        ),
-        file=sys.stderr,
-    )
     return 0
 
 
@@ -484,8 +458,6 @@ def cmd_microbench(args) -> int:
 
 
 def cmd_tune(args) -> int:
-    from repro.obs.slo import SLOEngine, default_store_slos
-    from repro.obs.timeseries import TimeSeriesStore
     from repro.tuning import PlannerConfig, TuningConfig, TuningController
     from repro.workloads.drift import apply_ops, scenario, total_ops
 
@@ -502,15 +474,6 @@ def cmd_tune(args) -> int:
         ),
         observability=obs,
     )
-    # Telemetry + SLO ride along: one snapshot per phase (synthetic
-    # 30s spacing so the burn windows see deltas), statuses fed to the
-    # controller's on_slo hook and reported in its status() output.
-    timeseries = TimeSeriesStore(obs.registry)
-    slo_engine = SLOEngine(
-        default_store_slos(), timeseries, registry=obs.registry
-    )
-    slo_engine.add_listener(controller.on_slo)
-    timeseries.sample(now=0.0)
     mode = "static (controller detached)" if args.static else "adaptive"
     if not args.static:
         controller.attach()
@@ -522,31 +485,23 @@ def cmd_tune(args) -> int:
         flush=True,
     )
     phase_rows = []
-    for phase_index, phase in enumerate(phases):
+    for phase in phases:
         before = store.snapshot()
         apply_ops(store, phase.ops)
         after = store.snapshot()
-        phase_now = (phase_index + 1) * 30.0
-        timeseries.sample(now=phase_now)
-        statuses = slo_engine.evaluate(now=phase_now)
         row = {
             "phase": phase.name,
             "ops": len(phase.ops),
             "storage_reads": after.storage_reads - before.storage_reads,
             "storage_writes": after.storage_writes - before.storage_writes,
             "policy_after": controller.effective_config.policy,
-            "slo_alerting": [s.name for s in statuses if s.alerting],
         }
         phase_rows.append(row)
-        alert_note = (
-            f"  SLO! {','.join(row['slo_alerting'])}"
-            if row["slo_alerting"] else ""
-        )
         print(
             f"  {phase.name:10s}: {row['ops']:>5d} ops  "
             f"{row['storage_reads']:>6d} storage reads  "
             f"{row['storage_writes']:>6d} storage writes  "
-            f"[policy={row['policy_after']}]{alert_note}"
+            f"[policy={row['policy_after']}]"
         )
     status = controller.status()
     applied = [d for d in status["decisions"] if d["applied"]]
@@ -620,8 +575,6 @@ async def _serve_main(args, engine_config: EngineConfig) -> int:
             max_inflight=args.max_inflight,
             max_queue_depth=args.queue_depth,
             group_commit_batch=args.commit_batch,
-            telemetry_interval=args.telemetry_interval,
-            telemetry_capacity=args.telemetry_capacity,
         ),
         observability=obs,
     )
@@ -689,6 +642,7 @@ def _mode_flags(args, names: tuple[str, ...], other_mode: str) -> dict:
 _LOADGEN_SERVER_FLAGS = (
     "host", "port", "trace_every", "trace_slow_us", "traces_out",
 )
+_LOADGEN_CLUSTER_FLAGS = ("kill", "kill_after")
 
 
 def cmd_loadgen(args) -> int:
@@ -697,8 +651,11 @@ def cmd_loadgen(args) -> int:
     server = _mode_flags(
         args, _LOADGEN_SERVER_FLAGS, "with --cluster" if args.cluster else ""
     )
-    if args.kill and not args.cluster:
-        args.error("--kill does not apply without --cluster")
+    cluster = _mode_flags(
+        args, _LOADGEN_CLUSTER_FLAGS, "" if args.cluster else "without --cluster"
+    )
+    if "kill_after" in cluster:
+        cluster["kill_after_fraction"] = cluster.pop("kill_after")
     traces_out = server.pop("traces_out", None)
     try:
         cfg = LoadgenConfig(
@@ -720,15 +677,21 @@ def cmd_loadgen(args) -> int:
                 run_cluster_loadgen,
             )
 
+            try:
+                cluster_cfg = ClusterLoadgenConfig(**cluster)
+            except ValueError as exc:
+                args.error(str(exc))
             spec = _load_cluster_spec(args.cluster)
             if spec is None:
                 return 2
+            if cluster_cfg.kill not in ("", "auto", *spec.addresses()):
+                args.error(
+                    f"--kill {cluster_cfg.kill}: no such node in {args.cluster}"
+                )
             where = "the cluster"
             run = run_cluster_loadgen(
                 cfg,
-                ClusterLoadgenConfig(
-                    kill=args.kill, kill_after_fraction=args.kill_after
-                ),
+                cluster_cfg,
                 spec.addresses(),
                 lambda name: kill_via_spec(spec, name),
             )
@@ -780,6 +743,12 @@ def cmd_loadgen(args) -> int:
             f"{failed} lost"
             + (f" (keys {summary['lost_keys']})" if failed else "")
         )
+        wanted = summary["config"]["kill"]
+        if wanted and not killed:
+            # The kill raised: the run never saw the failover it was
+            # asked to survive, so it cannot pass the gate.
+            print(f"  cluster: --kill {wanted} never fired", file=sys.stderr)
+            failed = True
     artifacts = [(summary, args.out or f"BENCH_{summary['bench']}.json")]
     if traces_out and "_traces" in summary:
         artifacts.append((summary["_traces"], traces_out))
@@ -1085,11 +1054,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="tuning sensor window, in operations")
     p_serve.add_argument("--adapt-interval", type=float, default=0.25,
                          help="seconds between queued-decision sweeps")
-    p_serve.add_argument("--telemetry-interval", type=float, default=1.0,
-                         help="seconds between telemetry snapshots / SLO "
-                              "evaluations (0 disables both)")
-    p_serve.add_argument("--telemetry-capacity", type=int, default=512,
-                         help="ring capacity per telemetry series")
     p_serve.set_defaults(func=cmd_serve)
 
     p_bench = sub.add_parser(
@@ -1190,12 +1154,12 @@ def build_parser() -> argparse.ArgumentParser:
                       help="drive a replicated cluster (spec JSON from "
                            "`repro cluster`) with acked-write "
                            "verification; writes BENCH_cluster.json")
-    p_lg.add_argument("--kill", metavar="NODE", default="",
+    p_lg.add_argument("--kill", metavar="NODE", default=only,
                       help="cluster mode: SIGKILL this node mid-run "
                            "('auto' = leader of shard 0)")
-    p_lg.add_argument("--kill-after", type=float, default=0.5,
+    p_lg.add_argument("--kill-after", type=float, default=only,
                       help="cluster mode: fire the kill after this "
-                           "fraction of ops (default 0.5)")
+                           "fraction of ops, in [0, 1) (default 0.5)")
     p_lg.set_defaults(func=cmd_loadgen)
 
     p_cluster = sub.add_parser(

@@ -54,6 +54,15 @@ class ClusterLoadgenConfig:
     #: Read mode for the verification pass (leader = read-your-writes).
     verify_read_mode: str = "leader"
 
+    def __post_init__(self) -> None:
+        # At 1 or more the kill would never fire, and the run would
+        # pass the gate without the failover it was asked to survive.
+        if not 0.0 <= self.kill_after_fraction < 1.0:
+            raise ValueError(
+                f"kill_after_fraction must be in [0, 1), got "
+                f"{self.kill_after_fraction}"
+            )
+
 
 def kill_via_spec(spec: ClusterSpec, name: str) -> None:
     """SIGKILL a worker by the pid recorded in the spec file."""
@@ -91,6 +100,8 @@ class ClusterTarget:
         #: key -> value of an unacknowledged write since then.
         self.touched: dict[int, bytes | None] = {}
         self.issued = 0
+        self._kill_fired = False
+        #: The node whose kill returned ("" until one did).
         self.killed = ""
 
     async def preload(self) -> None:
@@ -107,18 +118,20 @@ class ClusterTarget:
         return _OwnedKeys(self, index)
 
     async def before_request(self) -> None:
-        """Fire the kill once the run is far enough along."""
+        """Fire the kill, once, when the run is far enough along. A kill
+        that raises is not retried, and ``killed`` stays empty."""
         self.issued += 1
         after = self.cfg.ops * self.cluster.kill_after_fraction
-        if not self.cluster.kill or self.killed or self.issued <= after:
+        if not self.cluster.kill or self._kill_fired or self.issued <= after:
             return
+        self._kill_fired = True
         victim = self.cluster.kill
         if victim == "auto":
             victim = self.coordinator.map.leader_of(0)
-        self.killed = victim
         done = self.kill_fn(victim)
         if inspect.isawaitable(done):
             await done
+        self.killed = victim
 
     def unacked(self, key: int, value: bytes | None) -> None:
         """Unacknowledged is not unapplied: ``key`` may now hold its

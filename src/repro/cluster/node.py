@@ -7,7 +7,7 @@ it acks) and ships every group-commit WAL record to the shard's
 followers before acknowledging; for shards it follows it applies
 replicated records in strict sequence order and serves bounded-staleness
 reads (stale by at most the records currently in flight, a lag the
-``cluster_repl_*`` metrics and the staleness SLO watch). Writes that
+``cluster_repl_*`` metrics export). Writes that
 arrive at a non-leader bounce with an ``ERROR`` naming the epoch — the
 coordinator's cue to refresh its shard map and retry — never silently
 proxied, so a deposed leader cannot acknowledge anything.
@@ -813,9 +813,8 @@ class ClusterServer(ReproServer):
         )
 
     async def _execute(self, request: Request) -> Response:
-        # The cluster ops MUST be intercepted here: the base class's
-        # op chain treats anything it does not know as SHUTDOWN (the
-        # final drain branch).
+        # The cluster ops are intercepted here: the base class answers
+        # them ERROR ("not served here").
         op = request.op
         if op is Op.REPLICATE:
             return self.node.handle_replicate(request)

@@ -1,5 +1,5 @@
-"""The one exact quantile definition the telemetry and the load
-generator share."""
+"""The one exact quantile definition over raw samples (the load
+generator's and the bench suite's per-op latencies)."""
 
 from __future__ import annotations
 

@@ -1,5 +1,9 @@
 """End-to-end observability: metrics registry, trace spans, exporters,
-trace context, telemetry time-series, and SLOs.
+and trace context.
+
+The registry is a *now* view; no history is kept here. The one reader
+that wants history, ``repro dash`` (:mod:`repro.obs.dash`), keeps its
+own from successive STATS polls.
 
 Usage with the store::
 

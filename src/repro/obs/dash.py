@@ -2,14 +2,18 @@
 
 ``repro dash`` polls the STATS op once per interval and redraws a
 compact single-screen panel: the server's request/error/shed counters,
-group-commit health, Unicode sparklines over the telemetry
-time-series the server snapshots (``PANEL_SERIES``), and the SLO
-engine's current burn-rate verdicts.
+group-commit health, and Unicode sparklines over ``PANEL_ROWS``.
+
+The dashboard keeps the metrics history itself: the server exports only
+its registry as it is *now* (the STATS ``metrics`` block), and
+:func:`run_dash` keeps its last :data:`HISTORY` polls, each stamped with
+its own monotonic clock. A counter row is the per-second rate between
+consecutive polls; any other row is the value at each poll.
 
 Rendering is deliberately split from polling: :func:`render_dashboard`
-is a pure function of one STATS dict, so tests (and ``--once`` CI
-smoke runs) exercise the full layout without a TTY, timers, or ANSI
-escapes. Only :func:`run_dash` touches the network and the screen.
+is a pure function of the kept polls, so tests (and ``--once`` CI smoke
+runs) exercise the full layout without a TTY, timers, or ANSI escapes.
+Only :func:`run_dash` touches the network and the screen.
 
 The dashboard is a *read-only* client of the serving layer — it costs
 the server exactly one STATS request per frame and touches no counted
@@ -19,12 +23,20 @@ I/O anywhere.
 from __future__ import annotations
 
 import time
-from typing import Any, Callable
+from collections import deque
+from typing import Any, Callable, Sequence
 
 #: Eight vertical-bar glyphs, lowest to highest.
 SPARK_CHARS = "▁▂▃▄▅▆▇█"
 
+#: Polls the dashboard keeps (the sparkline shows the newest that fit).
+HISTORY = 64
+
 #: Series drawn as sparkline rows, in panel order, with short labels.
+#: A name is an instrument in the STATS ``metrics`` block; ``name.stat``
+#: reads one field (``p50``, ``p99``, ``mean``) of histogram ``name``.
+#: Names a server does not export (single-shard vs sharded cache gauges,
+#: observability off) drop out silently.
 PANEL_ROWS: tuple[tuple[str, str], ...] = (
     ("server_requests_total", "requests"),
     ("server_errors_total", "errors"),
@@ -42,15 +54,8 @@ PANEL_ROWS: tuple[tuple[str, str], ...] = (
     ("trace_spans_dropped", "spans dropped"),
 )
 
-#: Counter-kind series shown as per-sample deltas, not running totals.
-_RATE_SERIES = frozenset(
-    {
-        "server_requests_total",
-        "server_errors_total",
-        "server_shed_total",
-        "trace_spans_dropped",
-    }
-)
+#: One poll: (monotonic seconds when it was taken, the STATS payload).
+Poll = tuple[float, dict[str, Any]]
 
 
 def sparkline(values: list[float], width: int = 24) -> str:
@@ -89,21 +94,47 @@ def _fmt(value: float) -> str:
     return str(int(value))
 
 
-def _series_values(points: list) -> list[float]:
-    """Extract values from the ``[[ts, value], ...]`` tail shape."""
-    return [float(p[1]) for p in points if isinstance(p, (list, tuple))]
+def _read(metrics: dict[str, Any], name: str) -> tuple[float, bool] | None:
+    """Series ``name`` in one ``metrics`` block: (value, is a counter),
+    or None when the block does not carry it."""
+    if name in metrics.get("counters", {}):
+        return float(metrics["counters"][name]), True
+    if name in metrics.get("gauges", {}):
+        return float(metrics["gauges"][name]), False
+    base, _, stat = name.rpartition(".")
+    entry = metrics.get("histograms", {}).get(base)
+    if entry is None or stat not in entry:
+        return None
+    return float(entry[stat]), False
 
 
-def _deltas(values: list[float]) -> list[float]:
-    return [
-        max(0.0, b - a) for a, b in zip(values, values[1:])
-    ] or values[:1]
+def _history(polls: Sequence[Poll], name: str) -> tuple[list[float], str]:
+    """The row for series ``name``: its values across the polls and a
+    unit suffix. A counter becomes its per-second rate between
+    consecutive polls (a reset — a restarted server — reads as 0)."""
+    points: list[tuple[float, float]] = []
+    counter = False
+    for ts, stats in polls:
+        read = _read(stats.get("metrics", {}), name)
+        if read is not None:
+            points.append((ts, read[0]))
+            counter = read[1]
+    if not counter:
+        return [value for _, value in points], ""
+    rates = [
+        max(0.0, (b - a) / (tb - ta))
+        for (ta, a), (tb, b) in zip(points, points[1:])
+        if tb > ta
+    ]
+    return rates, "/s"
 
 
-def render_dashboard(stats: dict[str, Any], width: int = 78) -> str:
-    """Render one STATS payload as the full dashboard frame (no ANSI)."""
+def render_dashboard(polls: Sequence[Poll], width: int = 78) -> str:
+    """Render the kept polls, oldest first, as one dashboard frame (no
+    ANSI). The counter header is the newest poll's."""
     lines: list[str] = []
     bar = "─" * width
+    stats = polls[-1][1]
     server = stats.get("server", {})
     lines.append("repro dash".ljust(width - 19) + time.strftime("%H:%M:%S"))
     lines.append(bar)
@@ -135,52 +166,26 @@ def render_dashboard(stats: dict[str, Any], width: int = 78) -> str:
             )
         )
 
-    telemetry = stats.get("telemetry")
-    series = telemetry.get("series", {}) if telemetry else {}
-    if series:
-        lines.append(bar)
-        lines.append(
-            "telemetry ({} samples, capacity {})".format(
-                telemetry.get("samples_taken", 0),
-                telemetry.get("capacity", 0),
-            )
-        )
-        spark_width = max(8, width - 34)
-        for name, label in PANEL_ROWS:
-            points = series.get(name)
-            if not points:
-                continue
-            values = _series_values(points)
-            shown = _deltas(values) if name in _RATE_SERIES else values
-            suffix = "/s" if name in _RATE_SERIES else ""
-            latest = shown[-1] if shown else 0.0
-            lines.append(
+    spark_width = max(8, width - 34)
+    rows = []
+    for name, label in PANEL_ROWS:
+        values, unit = _history(polls, name)
+        if values:
+            rows.append(
                 "  {:<14}{:>8}{} {}".format(
                     label[:14],
-                    _fmt(latest),
-                    suffix.ljust(2),
-                    sparkline(shown, spark_width),
+                    _fmt(values[-1]),
+                    unit.ljust(2),
+                    sparkline(values, spark_width),
                 )
             )
-
-    slo = stats.get("slo")
-    if slo and slo.get("objectives"):
+    if rows:
         lines.append(bar)
-        alerting = slo.get("alerting", [])
-        verdict = (
-            "ALERT: " + ", ".join(alerting) if alerting else "all objectives ok"
+        lines.append(
+            f"history ({len(polls)} polls over "
+            f"{polls[-1][0] - polls[0][0]:.1f}s)"
         )
-        lines.append(f"slo — {verdict}")
-        for objective in slo["objectives"]:
-            flag = "!!" if objective.get("alerting") else "ok"
-            lines.append(
-                "  [{}] {:<24} burn {:>8}  value {:>10}".format(
-                    flag,
-                    str(objective.get("name", "?"))[:24],
-                    _fmt(float(objective.get("burn_rate", 0.0))),
-                    _fmt(float(objective.get("value", 0.0))),
-                )
-            )
+        lines.extend(rows)
     lines.append(bar)
     return "\n".join(lines)
 
@@ -196,19 +201,21 @@ def run_dash(
     """Poll STATS and redraw the dashboard until interrupted.
 
     ``iterations=0`` runs until Ctrl-C; ``once`` prints a single frame
-    with no screen clearing (the CI smoke mode). Import of the client
+    with no screen clearing (the CI smoke mode; a counter row needs two
+    polls, so it shows gauges and latencies only). Import of the client
     is deferred so the pure renderer stays dependency-free.
     """
     from repro.server.client import SyncClient
 
     if once:
         iterations = 1
+    polls: deque[Poll] = deque(maxlen=HISTORY)
     frame = 0
     try:
         while True:
             with SyncClient(host, port) as client:
-                stats = client.stats()
-            text = render_dashboard(stats)
+                polls.append((time.monotonic(), client.stats()))
+            text = render_dashboard(polls)
             if once:
                 out(text)
             else:

@@ -8,16 +8,14 @@ reads that dialect back — enough for a scrape-shaped round-trip test,
 not a full PromQL client.
 
 The JSON exporter is the machine-readable artifact ``repro workload
---metrics-out`` writes: every instrument, with derived quantiles
-(p50/p95/p99) precomputed for histograms so downstream analysis does
-not need to re-implement bucket interpolation.
+--metrics-out`` writes and the ``metrics`` block of a server's STATS
+payload: every instrument, with p50/p95/p99 and the mean precomputed
+for histograms so a reader (``repro dash``) needs no bucket math.
 
 Both exporters publish the nearest-rank quantiles
-(:meth:`~repro.obs.metrics.Histogram.quantile_nearest`) as the
-headline ``p50/p95/p99`` — they are monotone, stable under bucket
-refinement, and match what the tuning sensor and SLO engine compare
-thresholds against. The JSON export keeps the interpolated estimates
-alongside under ``pXX_interp`` for continuity with earlier artifacts.
+(:meth:`~repro.obs.metrics.Histogram.quantile_nearest`) — monotone,
+stable under bucket refinement, and what the tuning sensor compares
+thresholds against.
 """
 
 from __future__ import annotations
@@ -112,7 +110,6 @@ def registry_to_dict(registry: MetricsRegistry) -> dict[str, Any]:
             }
             for q in EXPORT_QUANTILES:
                 entry[f"p{int(q * 100)}"] = instrument.quantile_nearest(q)
-                entry[f"p{int(q * 100)}_interp"] = instrument.quantile(q)
             histograms[instrument.name] = entry
     return {"counters": counters, "gauges": gauges, "histograms": histograms}
 

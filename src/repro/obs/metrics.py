@@ -126,36 +126,14 @@ class Histogram:
         self.sum += value
         self.count += 1
 
-    def quantile(self, q: float) -> float:
-        """Estimate the q-quantile by linear interpolation inside the
-        bucket holding the target rank. Values in the overflow bucket
-        clamp to the largest finite bound (the standard Prometheus
-        behaviour for ``histogram_quantile``)."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        if self.count == 0:
-            return 0.0
-        target = q * self.count
-        cumulative = 0
-        for i, bucket_count in enumerate(self.counts):
-            cumulative += bucket_count
-            if cumulative >= target and bucket_count > 0:
-                if i == len(self.bounds):  # +Inf bucket
-                    return self.bounds[-1]
-                lower = 0.0 if i == 0 else self.bounds[i - 1]
-                upper = self.bounds[i]
-                within = (target - (cumulative - bucket_count)) / bucket_count
-                return lower + (upper - lower) * min(max(within, 0.0), 1.0)
-        return self.bounds[-1]
-
     def quantile_nearest(self, q: float) -> float:
         """Nearest-rank q-quantile: the upper bound of the bucket holding
-        the ``ceil(q * count)``-th observation. Unlike :meth:`quantile`
-        this never interpolates, so it is monotone in ``q``, stable under
-        bucket refinement, and returns an actual bucket boundary — the
-        form the tuning sensor and bench suite want for threshold
-        comparisons. Overflow-bucket ranks clamp to the largest finite
-        bound, matching :meth:`quantile`."""
+        the ``ceil(q * count)``-th observation. It never interpolates,
+        so it is monotone in ``q``, stable under bucket refinement, and
+        returns an actual bucket boundary — the form the tuning sensor
+        wants for threshold comparisons. Overflow-bucket ranks clamp to
+        the largest finite bound (as Prometheus' ``histogram_quantile``
+        does); an empty histogram answers 0.0."""
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile must be in [0, 1], got {q}")
         if self.count == 0:

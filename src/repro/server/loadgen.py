@@ -16,9 +16,8 @@ read-back).
 Per-operation wall-clock latencies are recorded exactly (lists, not
 histogram buckets — op counts here are small enough) and the run
 summary — throughput plus nearest-rank p50/p95/p99 per op type, with
-error and BUSY-retry counts broken out *per op class* so the SLO
-error-rate objective has a ground-truth field — is written as the
-``BENCH_serve.json`` artifact that starts the repo's serving-perf
+error and BUSY-retry counts broken out *per op class* — is written as
+the ``BENCH_serve.json`` artifact that starts the repo's serving-perf
 trajectory.
 
 ``BUSY`` responses (admission-control shedding) are retried with a
@@ -369,8 +368,8 @@ async def run_loadgen(cfg: LoadgenConfig, target=None) -> dict:
         "elapsed_s": elapsed,
         "total_ops": total_ops,
         "throughput_ops_per_s": total_ops / elapsed if elapsed > 0 else 0.0,
-        # Totals kept for artifact compatibility; per-class breakdown
-        # below is what the SLO error-rate objective validates against.
+        # Totals kept for artifact compatibility; the per-class
+        # breakdown is below.
         "busy_retries": sum(c["busy_retries"] for c in counters.values()),
         "errors": sum(c["errors"] for c in counters.values()),
         "op_counters": {op: dict(c) for op, c in counters.items()},

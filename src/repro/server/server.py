@@ -48,8 +48,6 @@ from repro.obs import (
     new_span_id,
     registry_to_dict,
 )
-from repro.obs.slo import SLOEngine, default_server_slos
-from repro.obs.timeseries import TimeSeriesStore
 from repro.server.group_commit import GroupCommitWriter
 from repro.server.protocol import (
     KIND_DELETE,
@@ -62,28 +60,6 @@ from repro.server.protocol import (
     encode_response,
     frame,
     read_frame,
-)
-
-
-#: Series tails the STATS payload ships for the dashboard. Missing
-#: names (e.g. single-shard vs sharded cache gauges) drop out silently.
-PANEL_SERIES: tuple[str, ...] = (
-    "server_requests_total",
-    "server_errors_total",
-    "server_shed_total",
-    "server_inflight",
-    "server_connections",
-    "server_commit_queue_depth",
-    "server_commit_items_total",
-    "server_commit_batch_size.mean",
-    "server_get_latency_us.p50",
-    "server_get_latency_us.p99",
-    "server_put_latency_us.p99",
-    "cache_hit_ratio",
-    "agg_cache_hit_ratio",
-    "store_entries",
-    "agg_store_entries",
-    "trace_spans_dropped",
 )
 
 
@@ -105,12 +81,6 @@ class ServerConfig:
             ``put_batch`` call.
         scan_limit: hard cap on pairs returned by one SCAN (a request
             may ask for less, never more).
-        stats_full_metrics: include the whole metrics registry in
-            STATS responses (the store health block is always there).
-        telemetry_interval: seconds between telemetry samples (0
-            disables the time-series store and the SLO engine; needs
-            observability enabled to do anything).
-        telemetry_capacity: ring size of each telemetry series.
     """
 
     host: str = "127.0.0.1"
@@ -119,16 +89,8 @@ class ServerConfig:
     max_queue_depth: int = 32
     group_commit_batch: int = 512
     scan_limit: int = 65536
-    stats_full_metrics: bool = False
-    telemetry_interval: float = 0.0
-    telemetry_capacity: int = 512
 
     def __post_init__(self) -> None:
-        if self.telemetry_interval < 0:
-            raise ValueError(
-                f"telemetry_interval must be >= 0, got "
-                f"{self.telemetry_interval}"
-            )
         if self.max_inflight < 1:
             raise ValueError(
                 f"max_inflight must be >= 1, got {self.max_inflight}"
@@ -228,18 +190,6 @@ class ReproServer:
         }
         if self.obs.enabled:
             registry.add_collector(self._collect_gauges)
-        #: Telemetry: created when configured *and* observability is on
-        #: (a time series over the null registry would record nothing).
-        self.telemetry: TimeSeriesStore | None = None
-        self.slo: SLOEngine | None = None
-        self._telemetry_task: asyncio.Task | None = None
-        if self.config.telemetry_interval > 0 and self.obs.enabled:
-            self.telemetry = TimeSeriesStore(
-                registry, capacity=self.config.telemetry_capacity
-            )
-            self.slo = SLOEngine(
-                default_server_slos(), self.telemetry, registry=registry
-            )
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -248,23 +198,11 @@ class ReproServer:
     async def start(self) -> int:
         """Bind, start accepting, and return the bound port."""
         self.commit.start()
-        if self.telemetry is not None:
-            self._telemetry_task = asyncio.get_running_loop().create_task(
-                self._telemetry_loop(), name="repro-telemetry"
-            )
         self._server = await asyncio.start_server(
             self._on_connect, host=self.config.host, port=self.config.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
         return self.port
-
-    async def _telemetry_loop(self) -> None:
-        """Sample the registry and evaluate SLOs until cancelled."""
-        interval = self.config.telemetry_interval
-        while True:
-            self.telemetry.sample()
-            self.slo.evaluate()
-            await asyncio.sleep(interval)
 
     async def serve_until_drained(self) -> None:
         """Block until :meth:`drain` completes (the normal run mode)."""
@@ -277,13 +215,6 @@ class ReproServer:
             await self._drained.wait()
             return
         self._draining = True
-        if self._telemetry_task is not None:
-            self._telemetry_task.cancel()
-            try:
-                await self._telemetry_task
-            except asyncio.CancelledError:
-                pass
-            self._telemetry_task = None
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -561,10 +492,17 @@ class ReproServer:
                 return Response(rid, op, Status.NOT_FOUND)
             payload = json.dumps(payload_dict, sort_keys=True)
             return Response(rid, op, Status.OK, value=payload.encode("utf-8"))
-        # SHUTDOWN: acknowledge, then drain in the background so the
-        # response still reaches the requester.
-        asyncio.get_running_loop().create_task(self.drain("SHUTDOWN op"))
-        return Response(rid, op, Status.OK)
+        if op is Op.SHUTDOWN:
+            # Acknowledge, then drain in the background so the response
+            # still reaches the requester.
+            asyncio.get_running_loop().create_task(self.drain("SHUTDOWN op"))
+            return Response(rid, op, Status.OK)
+        # An op of a richer server (the cluster ops on a plain one).
+        self.errors += 1
+        self._m_errors.inc()
+        return Response(
+            rid, op, Status.ERROR, message=f"op {op.name} is not served here"
+        )
 
     async def _commit(
         self, name: str, request: Request, items: list, **attrs
@@ -646,9 +584,10 @@ class ReproServer:
         return str(value).encode("utf-8")
 
     def stats(self) -> dict:
-        """The STATS payload: server counters plus a cheap (``fast``)
-        store health block; the full metrics registry rides along when
-        ``stats_full_metrics`` is set."""
+        """The STATS payload: server counters, a cheap (``fast``) store
+        health block and, with observability on, the trace-sink summary
+        and the metrics registry as it is now (``metrics``). History is
+        the reader's to keep (``repro dash`` keeps its own polls)."""
         store_block = collect_metrics(self.store, fast=True).as_dict()
         store_block["num_entries"] = self.store.num_entries
         store_block["wal_batch_records"] = self.store.wal_batch_records
@@ -670,15 +609,10 @@ class ReproServer:
             },
             "store": store_block,
         }
-        if self.obs.enabled and self.obs.trace_sink is not None:
+        if self.obs.enabled:
             tracing = self.obs.trace_sink.summary()
             tracing.pop("trace_ids", None)  # ids live behind the TRACE op
             tracing["spans_dropped_total"] = self.obs.dropped_spans_total()
             out["tracing"] = tracing
-        if self.telemetry is not None:
-            out["telemetry"] = self.telemetry.to_payload(PANEL_SERIES)
-        if self.slo is not None and self.slo.last_statuses:
-            out["slo"] = self.slo.as_dict()
-        if self.config.stats_full_metrics and self.obs.enabled:
             out["metrics"] = registry_to_dict(self.obs.registry)
         return out

@@ -72,8 +72,6 @@ class TuningController:
         self._pending: list[TuningDecision] = []
         self._windows_since_change = self.config.planner.cooldown_windows
         self._busy = False
-        #: Last SLO statuses pushed via :meth:`on_slo` (JSON-ready).
-        self.last_slo: list[dict[str, Any]] = []
         registry = self.obs.registry
         self._m_windows = registry.counter(
             "tuning_windows_total", "sensing windows closed"
@@ -119,18 +117,6 @@ class TuningController:
     def on_scan(self) -> None:
         self.sensor.record_scan()
         self._maybe_close_window()
-
-    # -- the SLO-engine hook -------------------------------------------
-
-    def on_slo(self, statuses) -> None:
-        """Listener for :meth:`repro.obs.slo.SLOEngine.evaluate`: keep
-        the latest objective statuses so planning context (and
-        ``status()`` consumers) can see objective pressure, not just
-        workload shape. Accepts :class:`~repro.obs.slo.SLOStatus`
-        objects or ready-made dicts."""
-        self.last_slo = [
-            s if isinstance(s, dict) else s.as_dict() for s in statuses
-        ]
 
     # -- the loop -------------------------------------------------------
 
@@ -226,5 +212,4 @@ class TuningController:
             "last_summary": (
                 self.summaries[-1].as_dict() if self.summaries else None
             ),
-            "slo": self.last_slo,
         }

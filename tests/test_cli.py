@@ -223,6 +223,7 @@ class TestModeFlags:
             (["loadgen", "--cluster", "c.json", "--traces-out", "t.json"],
              "--traces-out"),
             (["loadgen", "--kill", "auto"], "--kill"),
+            (["loadgen", "--kill-after", "0.3"], "--kill-after"),
         ],
     )
     def test_other_modes_flag_is_a_usage_error(self, argv, flag, capsys):
@@ -286,6 +287,9 @@ class TestStoreFlagErrors:
         (["faultcheck", "--transient-rate", "7"],
          "transient_rate must be in [0, 1]"),
         (["faultcheck", "--ops", "0"], "ops must be >= 1"),
+        # A kill that could never fire would pass the cluster gate.
+        (["loadgen", "--cluster", "c.json", "--kill-after", "1.5"],
+         "kill_after_fraction must be in [0, 1)"),
     ]
 
     @pytest.mark.parametrize("argv,message", CASES, ids=_case_ids(CASES))
@@ -375,6 +379,33 @@ class TestClusterLoadgen:
         assert code == 0, capsys.readouterr().out
         assert (tmp_path / "BENCH_cluster.json").exists()
         assert not (tmp_path / "BENCH_serve.json").exists()
+
+    def test_unknown_kill_target_exits_2_before_traffic(
+        self, spec_path, capsys
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["loadgen", "--cluster", spec_path, "--kill", "nosuchnode"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--kill nosuchnode: no such node" in captured.err
+
+    def test_kill_that_raises_fails_the_run(
+        self, spec_path, tmp_path, monkeypatch, capsys
+    ):
+        """This spec records no pids, so the kill raises. The run used
+        to report the node as killed, 0 lost, and exit 0."""
+        monkeypatch.chdir(tmp_path)
+        with open(spec_path, encoding="utf-8") as fh:
+            node = next(iter(json.load(fh)["nodes"]))
+        code = main(
+            ["loadgen", "--cluster", spec_path, "--kill", node,
+             "--connections", "2", "--ops", "60", "--key-space", "40"]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert f"--kill {node} never fired" in captured.err
+        assert "killed" not in captured.out
 
     def test_unissuable_workload_and_bad_config_exit_2(
         self, spec_path, capsys

@@ -158,6 +158,34 @@ class TestClusterTarget:
         with pytest.raises(ValueError, match="key_space >= connections"):
             asyncio.run(run_loadgen(cfg, target))
 
+    @pytest.mark.parametrize("fraction", [-0.1, 1.0, 1.5])
+    def test_kill_that_cannot_fire_is_rejected(self, fraction):
+        with pytest.raises(ValueError, match=r"kill_after_fraction .* \[0, 1\)"):
+            ClusterLoadgenConfig(kill="auto", kill_after_fraction=fraction)
+
+    def test_kill_that_raises_names_no_victim_and_is_not_retried(self):
+        calls = []
+
+        def kill_fn(name):
+            calls.append(name)
+            raise ClusterError(f"spec has no pid for node {name!r}")
+
+        target = ClusterTarget(
+            LoadgenConfig(ops=4),
+            ClusterLoadgenConfig(kill="n1", kill_after_fraction=0.0),
+            None,
+            kill_fn,
+        )
+
+        async def drive():
+            with pytest.raises(ClusterError):
+                await target.before_request()
+            await target.before_request()
+
+        asyncio.run(drive())
+        assert calls == ["n1"]
+        assert target.killed == ""
+
 
 class _AppliesThenRaises:
     """A coordinator whose every ``fail_every``-th PUT lands and *then*

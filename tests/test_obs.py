@@ -51,18 +51,8 @@ class TestHistogram:
         h.observe(50)
         assert h.count == 2 and h.sum == 55 and h.mean == 27.5
 
-    def test_quantiles_interpolate_and_clamp(self):
-        h = Histogram("h", (10, 20, 30))
-        for _ in range(90):
-            h.observe(5)
-        for _ in range(10):
-            h.observe(100)  # overflow
-        assert 0 < h.quantile(0.5) <= 10
-        assert h.quantile(0.99) == 30  # overflow clamps to last bound
-        assert h.quantile(0.0) == 0.0 or h.quantile(0.0) <= 10
-
     def test_empty_histogram_quantile_zero(self):
-        assert Histogram("h", (1,)).quantile(0.5) == 0.0
+        assert Histogram("h", (1,)).quantile_nearest(0.5) == 0.0
 
     def test_unsorted_bounds_rejected(self):
         with pytest.raises(ValueError):

@@ -25,6 +25,7 @@ from repro.server import (
     Status,
     SyncClient,
 )
+from repro.server.protocol import HANDOFF_BEGIN
 
 HOST = "127.0.0.1"
 
@@ -100,6 +101,38 @@ class TestBasicOps:
             assert stats["store"]["space_amplification"] is None
             assert stats["store"]["num_entries"] == 1
             assert stats["store"]["wal_batch_records"] >= 1
+            await client.close()
+            await server.drain()
+
+        asyncio.run(main())
+
+    @pytest.mark.parametrize(
+        "request_fields",
+        [
+            dict(op=Op.CLUSTER_STATUS),
+            dict(op=Op.REPLICATE, shard=0, seq=1, epoch=1, value=b"x"),
+            dict(op=Op.REPL_ACK, shard=0),
+            dict(op=Op.HANDOFF, phase=HANDOFF_BEGIN, shard=0, epoch=1),
+        ],
+        ids=lambda fields: fields["op"].name,
+    )
+    def test_cluster_op_on_a_plain_server_is_an_error(self, request_fields):
+        """An op only a cluster node serves is refused with ERROR; it
+        used to fall through to the SHUTDOWN branch and drain the
+        server."""
+
+        async def main():
+            server, store, port = await start_server()
+            client = await AsyncClient.connect(HOST, port)
+            await client.put(1, "one")
+            response = await client.request(Request(99, **request_fields))
+            assert response.status is Status.ERROR
+            assert response.message == (
+                f"op {request_fields['op'].name} is not served here"
+            )
+            assert not server.draining
+            assert server.errors == 1
+            assert await client.get(1) == b"one"
             await client.close()
             await server.drain()
 
@@ -427,10 +460,7 @@ class TestObservability:
     def test_metrics_and_spans_recorded(self):
         async def main():
             obs = Observability()
-            server, store, port = await start_server(
-                obs=obs,
-                server_config=ServerConfig(stats_full_metrics=True),
-            )
+            server, store, port = await start_server(obs=obs)
             client = await AsyncClient.connect(HOST, port)
             await client.put(1, "one")
             await client.get(1)

@@ -7,6 +7,7 @@ runs its own loop via ``asyncio.run`` and binds port 0.
 """
 
 import asyncio
+import json
 
 import pytest
 
@@ -28,7 +29,6 @@ from repro.server import (
     ProtocolError,
     ReproServer,
     Request,
-    ServerConfig,
     decode_request,
     encode_request,
 )
@@ -45,9 +45,9 @@ def small_config(**overrides):
     return EngineConfig(**fields)
 
 
-async def start_server(obs=None, server_config=None):
-    store = build_store(small_config(), obs)
-    server = ReproServer(store, server_config, observability=obs)
+async def start_server(obs=None, shards=2):
+    store = build_store(small_config(shards=shards), obs)
+    server = ReproServer(store, observability=obs)
     port = await server.start()
     return server, store, port
 
@@ -348,41 +348,57 @@ class TestBitIdentity:
         assert run(trace=True) == run(trace=False)
 
 
-class TestTelemetryOffByDefault:
-    def test_server_without_interval_has_no_telemetry_blocks(self):
-        async def main():
-            obs = Observability()
-            server, _, port = await start_server(obs=obs)
-            client = await AsyncClient.connect(HOST, port)
-            await client.put(1, "one")
-            stats = await client.stats()
-            await client.close()
-            await server.drain()
-            return stats
+#: The STATS ``server`` and ``store`` keys. The served benchmark reads
+#: several of them, so they are pinned exactly.
+STATS_SERVER_KEYS = {
+    "bad_frames", "batched_gets", "commit_batches", "commit_failed_items",
+    "commit_items", "commit_queue_depth", "connections", "draining",
+    "errors", "get_batches", "inflight", "requests", "shed",
+}
+STATS_STORE_KEYS = {
+    "blocks_in_storage", "filter_bits_per_entry", "live_entries",
+    "num_entries", "num_levels", "num_runs", "space_amplification",
+    "stored_entries", "wal_batch_records", "write_amplification",
+}
 
-        stats = asyncio.run(main())
-        assert "telemetry" not in stats
-        assert "slo" not in stats
 
-    def test_server_telemetry_loop_populates_stats(self):
-        async def main():
-            obs = Observability()
-            server, _, port = await start_server(
-                obs=obs,
-                server_config=ServerConfig(telemetry_interval=0.02),
-            )
-            client = await AsyncClient.connect(HOST, port)
-            for key in range(10):
-                await client.put(key, "x")
-                await client.get(key)
-            await asyncio.sleep(0.1)
-            stats = await client.stats()
-            await client.close()
-            await server.drain()
-            return stats
+async def _stats_after_load(obs, shards=2, keys=10):
+    server, _, port = await start_server(obs, shards)
+    client = await AsyncClient.connect(HOST, port)
+    for key in range(keys):
+        await client.put(key, "x")
+        await client.get(key)
+    stats = await client.stats()
+    await client.close()
+    await server.drain()
+    return stats
 
-        stats = asyncio.run(main())
-        assert stats["telemetry"]["samples_taken"] >= 2
-        assert "server_requests_total" in stats["telemetry"]["series"]
-        assert stats["slo"]["objectives"]
-        assert stats["slo"]["alerting"] == []
+
+class TestStatsBlocks:
+    """STATS is the server as it is now: counters, store health, and —
+    with observability on — the registry export. No history block."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_metrics_block_iff_observability(self, enabled):
+        obs = Observability() if enabled else None
+        stats = asyncio.run(_stats_after_load(obs))
+        assert ("metrics" in stats) is enabled
+        assert ("tracing" in stats) is enabled
+        assert "telemetry" not in stats and "slo" not in stats
+        assert set(stats["server"]) == STATS_SERVER_KEYS
+        assert set(stats["store"]) == STATS_STORE_KEYS
+        if enabled:
+            metrics = stats["metrics"]
+            assert metrics["counters"]["server_requests_total"] >= 20
+            get = metrics["histograms"]["server_get_latency_us"]
+            assert {"p50", "p95", "p99", "mean"} <= set(get)
+            assert not any(key.endswith("_interp") for key in get)
+
+    def test_registry_block_fits_well_under_the_frame_cap(self):
+        # A 16-shard store exports every shard's instruments; the whole
+        # payload must stay far from the 1 MiB frame cap.
+        stats = asyncio.run(
+            _stats_after_load(Observability(), shards=16, keys=500)
+        )
+        size = len(json.dumps(stats, sort_keys=True).encode("utf-8"))
+        assert size < 128 * 1024, size
