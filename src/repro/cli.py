@@ -310,11 +310,8 @@ def _print_span_tree(node: dict, depth: int = 0) -> None:
 
 
 def _trace_sink_warnings(summary: dict) -> None:
-    """Satellite: capacity / drop warnings for the server's trace sink.
-
-    Distinguishes sink evictions (sampled traces actually lost) from
-    ring churn (``spans_dropped_total`` also counts untraced spans
-    rotating out of the bounded recent-span ring, which is normal)."""
+    """Capacity / drop warnings for the server's trace sink: evicted
+    traces and dropped spans are sampled spans actually lost."""
     evicted_traces = summary.get("dropped_traces", 0)
     evicted_spans = summary.get("dropped_spans", 0)
     if evicted_traces or evicted_spans:
@@ -538,7 +535,9 @@ def cmd_tune(args) -> int:
 async def _serve_main(args, engine_config: EngineConfig) -> int:
     from repro.server import ReproServer, ServerConfig
 
-    obs = Observability()
+    # No untraced ring: nothing reads one here, so an unsampled request
+    # builds no spans; sampled ones still reach the sink (TRACE op).
+    obs = Observability(trace_ring=0)
     store = build_store(engine_config, observability=obs)
     controller = None
     adapt_task = None

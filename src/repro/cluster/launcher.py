@@ -128,7 +128,8 @@ async def run_worker(name: str, spec: ClusterSpec) -> int:
         server_config=ServerConfig(
             host=host, port=port, group_commit_batch=spec.commit_batch
         ),
-        observability=Observability(),
+        # Like ``repro serve``: sampled traces only, no untraced ring.
+        observability=Observability(trace_ring=0),
     )
     bound = await node.server.start()
     print(

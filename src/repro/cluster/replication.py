@@ -181,7 +181,7 @@ class ReplicatedGroupCommitWriter(GroupCommitWriter):
         if touched:
             try:
                 crash_point("cluster.replicate.before_send")
-                await self._ship_round(touched, len(captured))
+                await self._ship_round(group, touched, len(captured))
                 crash_point("cluster.replicate.before_ack")
             except Exception as exc:  # noqa: BLE001 — waiters must learn
                 self.replication_failures += 1
@@ -192,11 +192,13 @@ class ReplicatedGroupCommitWriter(GroupCommitWriter):
             self._m_repl_records.inc(len(captured))
         self._resolve(group)
 
-    async def _ship_round(self, touched: list[int], records: int) -> None:
+    async def _ship_round(self, group, touched: list[int], records: int) -> None:
         """Ship every touched shard's log, traced as one ``repl_group``
         span. The round awaits follower acks and the tracer's stack is
         never held across an await, so the span is measured here and
-        filed finished."""
+        filed finished — under the group's traced contexts the way
+        ``group_commit`` is (the first hosts it, the rest get mirrors),
+        so a sampled write's tree shows the replication it waited on."""
         tracer = self.obs.tracer
         start_ns = tracer.clock()
         wall0 = time.perf_counter_ns()
@@ -223,8 +225,7 @@ class ReplicatedGroupCommitWriter(GroupCommitWriter):
             error = type(exc).__name__
             raise
         finally:
-            tracer.record(
-                "repl_group",
+            fields = dict(
                 start_ns=start_ns,
                 duration_ns=tracer.clock() - start_ns,
                 wall_ns=float(time.perf_counter_ns() - wall0),
@@ -232,3 +233,10 @@ class ReplicatedGroupCommitWriter(GroupCommitWriter):
                 shards=len(touched),
                 records=records,
             )
+            ctxs = [ctx for _, _, _, ctx in group if ctx]
+            trace_id, parent_id = ctxs[0] if ctxs else (0, 0)
+            tracer.record(
+                "repl_group", trace_id=trace_id, parent_id=parent_id, **fields
+            )
+            if ctxs:
+                self._file_mirrors("repl_group", ctxs, **fields)

@@ -649,12 +649,16 @@ class KVStore(CountedWindow):
         search whose run turned out not to hold the key — each one costs
         a wasted fence search + storage I/O, the quantity Figures 11 and
         14 B-D measure.
+
+        A read whose span would be kept (:meth:`Tracer.sampling`) takes
+        the traced walk; every other read — obs off, or an unsampled
+        request on a served store — runs the same ``_find``.
         """
-        if not self._obs_on:
-            result = self._result(*self._find(key))
-        else:
+        obs_on = self._obs_on
+        if obs_on:
             start = self._modelled_ns()
             tracer = self.obs.tracer
+        if obs_on and tracer.sampling():
             with tracer.span("read", key=key) as span:
                 # The same lookup as ``_find``, with the per-hop child
                 # spans one traced read shows. Spans never touch the I/O
@@ -674,6 +678,9 @@ class KVStore(CountedWindow):
                     false_positives=result.false_positives,
                     sublevels_probed=result.sublevels_probed,
                 )
+        else:
+            result = self._result(*self._find(key))
+        if obs_on:
             self._m_reads.inc()
             self._m_read_latency.observe(self._modelled_ns() - start)
             self._m_sublevels_probed.observe(result.sublevels_probed)

@@ -33,7 +33,10 @@ Sampling is *head-based*: the client decides at request start
 (deterministic 1-in-N, plus an always-sample-on-slow upgrade for
 requests that blow past a wall threshold) and the decision rides the
 wire. An unsampled request carries no header and costs nothing beyond
-one modulo on the client.
+one modulo on the client — and, on a server whose bundle keeps no
+untraced ring (``Observability(trace_ring=0)``, what ``repro serve`` and
+cluster workers run), nothing downstream either: with no carrier active
+and no ring to keep them, its tracers build no span.
 """
 
 from __future__ import annotations

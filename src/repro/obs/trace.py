@@ -26,6 +26,12 @@ ring churn. The one discipline that makes all of this safe: a span is
 never held open across an ``await`` — asynchronous completions are
 stamped with :meth:`Tracer.record` instead.
 
+A span is built only when something will keep it (:meth:`Tracer.sampling`):
+inside an open span, under an active carrier trace, or on a tracer whose
+ring keeps untraced roots. ``Tracer(ring=0)`` keeps none, so on it an
+unsampled operation gets the shared inert context — the head sampler's
+"no" then costs no span downstream either.
+
 ``NULL_TRACER`` is the no-op twin: ``span()`` returns a shared inert
 context manager, so disabled tracing costs one call and no allocation.
 """
@@ -143,6 +149,10 @@ class _SpanContext:
 class Tracer:
     """Produces spans and keeps the last ``ring`` finished root spans.
 
+    ``ring == 0`` keeps no root spans at all: untraced work records
+    nothing and traced roots go to the sink only (a served store's
+    tracers, whose rings no one reads).
+
     ``carrier``/``sink`` are optional family-shared objects (see
     :class:`~repro.obs.Observability`): the carrier supplies cross-
     tracer parentage for traced spans, the sink preserves sampled trees
@@ -156,8 +166,8 @@ class Tracer:
         carrier: TraceCarrier | None = None,
         sink: TraceBuffer | None = None,
     ) -> None:
-        if ring < 1:
-            raise ValueError(f"ring size must be >= 1, got {ring}")
+        if ring < 0:
+            raise ValueError(f"ring size must be >= 0, got {ring}")
         #: Modelled-time source; rebound by the store that owns the
         #: counters. Defaults to a frozen clock so spans still nest
         #: correctly (with zero durations) before binding.
@@ -169,21 +179,36 @@ class Tracer:
         self.dropped = 0
         self._stack: list[Span] = []
         self._ring: deque[Span] = deque(maxlen=ring)
+        self._keeps_roots = ring > 0
 
-    def span(self, name: str, **attrs: Any) -> _SpanContext:
-        span = Span(name, attrs, self.clock())
+    def sampling(self) -> bool:
+        """Whether a span opened now would be kept: inside an open span,
+        under an active carrier trace, or on a tracer that keeps
+        untraced roots."""
+        if self._keeps_roots or self._stack:
+            return True
+        carrier = self.carrier
+        return carrier is not None and carrier.trace_id != 0
+
+    def span(self, name: str, **attrs: Any) -> _SpanContext | _NullSpanContext:
+        carrier = self.carrier
         if self._stack:
             top = self._stack[-1]
-            span.trace_id = top.trace_id
-            span.parent_id = top.span_id
-        elif self.carrier is not None and self.carrier.trace_id:
-            span.trace_id = self.carrier.trace_id
-            span.parent_id = self.carrier.span_id
+            trace_id, parent_id = top.trace_id, top.span_id
+        elif carrier is not None and carrier.trace_id:
+            trace_id, parent_id = carrier.trace_id, carrier.span_id
+        elif self._keeps_roots:
+            trace_id = parent_id = 0
+        else:
+            return _NULL_CONTEXT
+        span = Span(name, attrs, self.clock())
+        span.trace_id = trace_id
+        span.parent_id = parent_id
         return _SpanContext(self, span)
 
     def span_for(
         self, name: str, trace_id: int, parent_id: int, **attrs: Any
-    ) -> _SpanContext:
+    ) -> _SpanContext | _NullSpanContext:
         """A span with *explicit* trace linkage — the entry point for a
         context that arrived over the wire (``trace_id == 0`` degrades
         to a plain :meth:`span`)."""
@@ -212,8 +237,11 @@ class Tracer:
         This is how asynchronous completions are traced without holding
         a span across an ``await``: allocate a span id up front (so
         children created meanwhile can parent to it), measure, then
-        record the finished span here.
+        record the finished span here. An untraced root on a tracer
+        that keeps no roots is discarded (the shared null span).
         """
+        if not (trace_id or self._stack or self._keeps_roots):
+            return _NULL_SPAN
         span = Span(name, attrs, self.clock() if start_ns is None else start_ns)
         if span_id is not None:
             span.span_id = span_id
@@ -229,10 +257,11 @@ class Tracer:
         return span
 
     def _finish_root(self, span: Span) -> None:
-        ring = self._ring
-        if len(ring) == ring.maxlen:
-            self.dropped += 1
-        ring.append(span)
+        if self._keeps_roots:
+            ring = self._ring
+            if len(ring) == ring.maxlen:
+                self.dropped += 1
+            ring.append(span)
         if span.trace_id and self.sink is not None:
             self.sink.add(span)
 
@@ -242,7 +271,8 @@ class Tracer:
         return len(self._stack)
 
     def recent(self, n: int | None = None) -> list[Span]:
-        """The last ``n`` finished root spans, oldest first."""
+        """The last ``n`` finished root spans, oldest first (always
+        empty on a ``ring == 0`` tracer)."""
         spans = list(self._ring)
         if n is None:
             return spans
@@ -277,6 +307,9 @@ _NULL_CONTEXT = _NullSpanContext()
 
 class NullTracer(Tracer):
     """No-op tracer: span() hands back one shared inert context."""
+
+    def sampling(self) -> bool:
+        return False
 
     def span(self, name: str, **attrs: Any) -> _NullSpanContext:  # type: ignore[override]
         return _NULL_CONTEXT

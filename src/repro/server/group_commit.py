@@ -201,27 +201,37 @@ class GroupCommitWriter:
             self._fail(group, exc)
             return False
         if primary is not None:
-            seen = {primary[0]}
-            for trace_id, parent_id in ctxs[1:]:
-                if trace_id in seen:
-                    continue
-                seen.add(trace_id)
-                tracer.record(
-                    "group_commit",
-                    trace_id=trace_id,
-                    parent_id=parent_id,
-                    start_ns=span.start_ns,
-                    duration_ns=span.duration_ns,
-                    wall_ns=span.wall_ns,
-                    size=len(group),
-                    shared_with=primary[0],
-                )
+            self._file_mirrors(
+                "group_commit", ctxs,
+                start_ns=span.start_ns,
+                duration_ns=span.duration_ns,
+                wall_ns=span.wall_ns,
+                size=len(group),
+            )
         self.batches += 1
         self.items += len(group)
         self._m_batches.inc()
         self._m_items.inc(len(group))
         self._m_batch_size.observe(len(group))
         return True
+
+    def _file_mirrors(
+        self, name: str, ctxs: list[tuple[int, int]], **fields: Any
+    ) -> None:
+        """File a finished ``name`` span — group work hosted by the first
+        traced context ``ctxs[0]`` — once more under every other trace in
+        ``ctxs``, so each sampled write's tree shows the work it waited
+        on."""
+        primary = ctxs[0][0]
+        seen = {primary}
+        for trace_id, parent_id in ctxs[1:]:
+            if trace_id in seen:
+                continue
+            seen.add(trace_id)
+            self.obs.tracer.record(
+                name, trace_id=trace_id, parent_id=parent_id,
+                shared_with=primary, **fields,
+            )
 
     async def _finish(self, group: list[Pending]) -> None:
         """Acknowledge an applied group. The seam a replicated writer

@@ -190,6 +190,12 @@ class TestServeLoadgen:
             summary["latency_us"]["all"]["p50_us"]
 
         with SyncClient("127.0.0.1", port) as client:
+            # The loadgen sampled nothing: a served store keeps no
+            # untraced spans, so there is no ring churn to report as
+            # lost spans, and no trace.
+            tracing = client.stats()["tracing"]
+            assert tracing["spans_dropped_total"] == 0
+            assert tracing["traces"] == 0
             client.shutdown()
         server_thread.join(timeout=10)
         assert not server_thread.is_alive()

@@ -34,6 +34,7 @@ from repro.cluster.node import ClusterError, ClusterNode
 from repro.engine.config import EngineConfig, build_shard
 from repro.engine.sharded import shard_of
 from repro.obs import Observability, registry_to_dict
+from repro.server import AsyncClient, ClientTraceConfig
 from repro.server.group_commit import GroupCommitWriter
 from repro.server.protocol import (
     HANDOFF_ABORT,
@@ -911,6 +912,75 @@ class TestReplGroupSpan:
         assert isinstance(error, ReplicationError)
         assert len(spans) == 1
         assert spans[0].error == "ReplicationError"
+
+    def test_every_traced_write_in_a_group_gets_the_round(self):
+        """Two sampled writes coalesced into one group: the first
+        context hosts ``repl_group``, the second gets a mirror."""
+
+        async def run():
+            obs = Observability(trace_ring=0)
+            store = ShardSubsetStore(
+                {0: build_shard(_tiny_engine(), obs, "shard0_")},
+                num_global=1, observability=obs,
+            )
+
+            async def ship(shard_id):
+                return 1
+
+            writer = ReplicatedGroupCommitWriter(
+                store, {0: ReplicationLog(0)}, ship, lambda shard: ("f",),
+                observability=obs,
+            )
+            writer.start()
+            await asyncio.gather(
+                writer.submit([(1, "a")], trace=(111, 5)),
+                writer.submit([(2, "b")], trace=(222, 6)),
+            )
+            await writer.close()
+            return writer.batches, obs
+
+        batches, obs = asyncio.run(run())
+        assert batches == 1
+        assert obs.tracer.recent() == []
+        for trace_id, parent_id in ((111, 5), (222, 6)):
+            (repl,) = [
+                s for s in obs.trace_sink.get(trace_id)
+                if s.name == "repl_group"
+            ]
+            assert repl.parent_id == parent_id
+        assert repl.attrs["shared_with"] == 111
+
+    def test_sampled_cluster_write_shows_its_replication_round(self):
+        async def run():
+            cluster = LoopbackCluster(_cluster_cfg())
+            cluster.nodes = {
+                name: ClusterNode(
+                    name, cluster.map, node.engine_config,
+                    observability=Observability(trace_ring=0),
+                )
+                for name, node in cluster.nodes.items()
+            }
+            coordinator = await cluster.start()
+            key = 7
+            leader = cluster.map.leader_of(shard_of(key, cluster.map.num_shards))
+            client = await AsyncClient.connect(
+                *cluster.addrs[leader], trace=ClientTraceConfig(sample_every=1)
+            )
+            try:
+                await client.put(key, "traced")
+                (trace_id,) = client.sampled_trace_ids
+                return await client.fetch_trace(trace_id)
+            finally:
+                await client.close()
+                await coordinator.close()
+                await cluster.stop()
+
+        spans = asyncio.run(run())["spans"]
+        by_name = {s["name"]: s for s in spans}
+        assert {"serve_put", "group_commit", "repl_group"} <= set(by_name)
+        serve_put = by_name["serve_put"]
+        assert by_name["repl_group"]["parent_id"] == serve_put["span_id"]
+        assert by_name["group_commit"]["parent_id"] == serve_put["span_id"]
 
 
 # ----------------------------------------------------------------------

@@ -8,20 +8,23 @@ runs its own loop via ``asyncio.run`` and binds port 0.
 
 import asyncio
 import json
+from contextlib import contextmanager, nullcontext
 
 import pytest
 
+from repro.cli import _span_forest
 from repro.engine import EngineConfig, build_store
-from repro.obs import Observability
+from repro.obs import Observability, registry_to_dict
 from repro.obs.context import (
     HeadSampler,
     TraceBuffer,
+    TraceCarrier,
     format_trace_id,
     new_span_id,
     new_trace_id,
     parse_trace_id,
 )
-from repro.obs.trace import Span
+from repro.obs.trace import NULL_TRACER, Span, Tracer
 from repro.server import (
     AsyncClient,
     ClientTraceConfig,
@@ -295,26 +298,62 @@ class TestDroppedAccounting:
         assert stats["tracing"]["dropped_traces"] > 0
 
 
-class TestBitIdentity:
-    OPS = 300
+@contextmanager
+def sampled_request(obs):
+    """What a sampled request's server span does for the engine under
+    it: activate the family carrier with a fresh trace."""
+    saved = obs.carrier.activate(new_trace_id(), new_span_id())
+    try:
+        yield
+    finally:
+        obs.carrier.restore(saved)
 
-    def drive_store(self, obs):
-        store = build_store(small_config(durable=False), obs)
-        for i in range(self.OPS):
-            store.put(i % 50, f"v{i}")
-        hits = 0
-        for i in range(self.OPS):
-            hits += store.get((i * 7) % 80) is not None
-        snap = store.snapshot()
-        return store, hits, snap
+
+def drive_store(obs, ops=300, sampled=False):
+    """A fixed put/get stream, every op under its own sampled trace when
+    ``sampled``; returns (store, hits, snapshot)."""
+    store = build_store(small_config(durable=False), obs)
+
+    def op(fn, *args):
+        with sampled_request(obs) if sampled else nullcontext():
+            return fn(*args)
+
+    for i in range(ops):
+        op(store.put, i % 50, f"v{i}")
+    hits = 0
+    for i in range(ops):
+        hits += op(store.get, (i * 7) % 80) is not None
+    return store, hits, store.snapshot()
+
+
+def tree_shapes(spans):
+    """Each stitched tree as ``(name, sorted child shapes)``."""
+
+    def shape(node):
+        return node["name"], sorted(shape(c) for c in node["children"])
+
+    return sorted(shape(root) for root in _span_forest(spans))
+
+
+class TestBitIdentity:
+    def test_snapshot_identical_across_tracing_setups(self):
+        """Obs off, obs with a ring, a ring-less bundle unsampled and
+        the same sampled 1-in-1: four runs, one snapshot."""
+        snaps = [
+            drive_store(None)[2],
+            drive_store(Observability())[2],
+            drive_store(Observability(trace_ring=0))[2],
+            drive_store(Observability(trace_ring=0), sampled=True)[2],
+        ]
+        assert all(snap == snaps[0] for snap in snaps[1:])
 
     def test_counted_ios_identical_with_and_without_observability(self):
         """The whole observability stack — spans, probes, sink — must
         never touch a counter: counted I/Os are bit-identical whether
         instrumentation is on or off."""
-        _, hits_plain, plain = self.drive_store(None)
+        _, hits_plain, plain = drive_store(None)
         obs = Observability()
-        store, hits_traced, traced = self.drive_store(obs)
+        store, hits_traced, traced = drive_store(obs)
         assert hits_plain == hits_traced
         assert traced.storage_reads == plain.storage_reads
         assert traced.storage_writes == plain.storage_writes
@@ -346,6 +385,108 @@ class TestBitIdentity:
             return asyncio.run(main())
 
         assert run(trace=True) == run(trace=False)
+
+
+class TestRingLessBundle:
+    """``Observability(trace_ring=0)``, what ``repro serve`` runs: a
+    sampled request builds the same tree as with a ring, an unsampled
+    one builds no span, and the read metrics do not care which."""
+
+    def test_tracer_builds_only_what_it_keeps(self):
+        carrier, sink = TraceCarrier(), TraceBuffer()
+        tracer = Tracer(ring=0, carrier=carrier, sink=sink)
+        assert not tracer.sampling() and not NULL_TRACER.sampling()
+        assert Tracer(ring=1).sampling()
+        with tracer.span("untraced") as span:
+            assert span is NULL_TRACER.record("x")
+        assert tracer.record("untraced") is span
+        assert tracer.span_for("untraced", 0, 0) is NULL_TRACER.span("x")
+        saved = carrier.activate(77, 3)
+        assert tracer.sampling()
+        with tracer.span("traced"):
+            tracer.record("child")
+        carrier.restore(saved)
+        (root,) = sink.get(77)
+        assert (root.name, root.parent_id) == ("traced", 3)
+        assert [c.name for c in root.children] == ["child"]
+        assert tracer.record("filed", trace_id=78) in sink.get(78)
+        assert tracer.recent() == [] and tracer.dropped == 0
+        with pytest.raises(ValueError):
+            Tracer(ring=-1)
+
+    def test_sampled_trees_keep_their_shape(self):
+        async def main():
+            obs = Observability(trace_ring=0)
+            server, _, port = await start_server(obs=obs)
+            traced = await AsyncClient.connect(
+                HOST, port, trace=ClientTraceConfig(sample_every=1)
+            )
+            plain = await AsyncClient.connect(HOST, port)
+            await traced.put(1000, "fresh")  # empty memtables: no flush
+            for key in range(100):
+                await plain.put(key, f"v{key}")
+            await traced.get(0)  # long since flushed into a run
+            put_id, get_id = traced.sampled_trace_ids
+            trees = [
+                (await traced.fetch_trace(trace_id))["spans"]
+                for trace_id in (put_id, get_id)
+            ]
+            await traced.close()
+            await plain.close()
+            await server.drain()
+            return trees
+
+        put_spans, get_spans = asyncio.run(main())
+        assert tree_shapes(put_spans) == [
+            ("serve_put", [("group_commit", [("put_batch", [])])]),
+        ]
+        assert tree_shapes(get_spans) == [
+            ("serve_get", [
+                ("read", [
+                    ("filter_probe", [("run_probe", [])]),
+                    ("memtable_probe", []),
+                ]),
+            ]),
+        ]
+
+    def test_unsampled_traffic_records_nothing(self):
+        async def main():
+            obs = Observability(trace_ring=0)
+            server, store, port = await start_server(obs=obs)
+            client = await AsyncClient.connect(HOST, port)
+            for key in range(100):  # enough to flush and merge
+                await client.put(key, "x")
+                await client.get(key // 2)
+            await client.close()
+            await server.drain()
+            return obs, store
+
+        obs, store = asyncio.run(main())
+        tracers = [obs.tracer] + [shard.obs.tracer for shard in store.shards]
+        assert all(tracer.recent() == [] for tracer in tracers)
+        assert len(obs.trace_sink) == 0
+        assert obs.dropped_spans_total() == 0
+
+    def test_read_metrics_equal_sampled_or_not(self):
+        def read_metrics(sampled):
+            obs = Observability(trace_ring=0)
+            drive_store(obs, sampled=sampled)
+            exported = registry_to_dict(obs.registry)
+            reads = {
+                name: value
+                for name, value in exported["counters"].items()
+                if name.endswith("kv_reads_total")
+            }
+            latency = {
+                name: (hist["count"], hist["sum"])
+                for name, hist in exported["histograms"].items()
+                if name.endswith("kv_read_latency_ns")
+            }
+            return reads, latency
+
+        unsampled = read_metrics(sampled=False)
+        assert unsampled[0] and unsampled[1]
+        assert read_metrics(sampled=True) == unsampled
 
 
 #: The STATS ``server`` and ``store`` keys. The served benchmark reads
