@@ -117,6 +117,18 @@ class BucketCodec:
                 lids.append(lid)
         return lids
 
+    def root_entry(self, packed: int) -> tuple | None:
+        """The decode-table terminal ``(length, combination, plan)`` of
+        a frequent bucket resolved by one root-table index — its slots
+        are ``(lid, (packed >> shift) & mask)`` for each plan field, what
+        :meth:`unpack` returns for it with no decode charge — or
+        ``None`` for a rare escape code or a subtable chain, which the
+        caller decodes in full."""
+        entry = self._root[packed >> self._root_shift]
+        if type(entry) is not tuple or entry[2] is None:
+            return None
+        return entry
+
     def _overflow_slots(
         self, combo: Combination, overflow_fps: list[int] | None
     ) -> list[Slot]:

@@ -18,6 +18,11 @@ xor form.) Both buckets derive from the fingerprint's first ``FP_MIN``
 bits only, so every Malleable-Fingerprinting length of one key shares a
 bucket pair (section 4.3).
 
+Maintenance is one loop, :meth:`CuckooLidFilterBase._maintain_many`: a
+flush or merge event arrives as one list of edits, and ``insert`` /
+``update_lid`` / ``remove`` are one-edit calls of it, the way ``query``
+is a one-key call of the probe loop.
+
 Structures beyond the bucket array (paper sections 4.4-4.5):
 
 * overflow hash table — fingerprints of buckets holding *rare* LID
@@ -33,12 +38,13 @@ from __future__ import annotations
 import math
 import random
 from abc import ABC, abstractmethod
+from operator import itemgetter
 
 from repro.coding.distributions import LidDistribution
 from repro.common.bitio import BitReader, BitWriter
 from repro.common.counters import MemoryIOCounter
 from repro.common.errors import FilterError
-from repro.common.hashing import FP_MIN, fp_digest, seeded, splitmix64
+from repro.common.hashing import FP_MIN, digest_pair, fp_digest, splitmix64
 from repro.obs.metrics import (
     EVICTION_WALK_BUCKETS,
     NULL_REGISTRY,
@@ -49,8 +55,6 @@ from repro.chucky.codebook import ChuckyCodebook
 from repro.chucky.slots import PackedBucketStore, SlotStore
 from repro.chucky.tables import CodecTables
 
-#: Digest the key's first candidate bucket is reduced from.
-_primary_digest = seeded(4000)
 _ANCHOR_SALT = 0x9E3779B97F4A7C15
 #: Shift that leaves the ``FP_MIN``-bit prefix of a 64-bit digest.
 _PREFIX_SHIFT = 64 - FP_MIN
@@ -60,6 +64,12 @@ _PREFIX_SHIFT = 64 - FP_MIN
 #: the paper's "~2 memory I/Os per insertion" true at the 95% design
 #: load; the few spilled entries are repatriated as removals free slots.
 _MAX_EVICTIONS = 12
+
+#: One maintenance edit, ``(key, old_lid, new_lid)``: an insert has no
+#: old LID, a removal no new one (``None``), an LID update both.
+Edit = tuple[int, "int | None", "int | None"]
+_old_lid = itemgetter(1)
+_new_lid = itemgetter(2)
 
 
 def _partner(bucket: int, prefix: int, num_buckets: int) -> int:
@@ -79,9 +89,10 @@ class CuckooLidFilterBase(ABC):
     deletion, AHT handling, and I/O accounting.
 
     Subclasses define the bucket *representation* (bit-packed vs plain)
-    via ``_read_bucket`` / ``_write_bucket`` (and may match a probe
-    without decoding, in ``_match_bucket``) and fill ``_fp_shifts``,
-    the per-LID fingerprint lengths.
+    via ``_read_bucket`` / ``_write_bucket`` (and may match a probe or
+    edit a bucket without a full decode, in ``_match_bucket`` /
+    ``_edit_bucket``) and fill ``_fp_shifts``, the per-LID fingerprint
+    lengths.
     """
 
     def __init__(
@@ -159,6 +170,17 @@ class CuckooLidFilterBase(ABC):
             if fp == digest >> shifts[lid - 1]
         ]
 
+    def _edit_bucket(self, index: int, old: Slot, new: Slot) -> bool:
+        """Overwrite the first slot of bucket ``index`` equal to ``old``
+        with ``new``; False (nothing written) when none is. The caller
+        counts the bucket load."""
+        slots = self._read_bucket(index)
+        if old not in slots:
+            return False
+        slots[slots.index(old)] = new
+        self._write_bucket(index, slots)
+        return True
+
     # -- addressing -------------------------------------------------------
 
     def _address(self, key: int) -> tuple[int, int, int]:
@@ -167,21 +189,26 @@ class CuckooLidFilterBase(ABC):
         both candidate buckets, which its first ``FP_MIN`` bits fix.
         ``% num_buckets`` happens here, not in the digests, because
         growth changes it."""
-        digest = fp_digest(key)
+        digest, primary = digest_pair(key)
         n = self.num_buckets
-        b1 = _primary_digest(key) % n
+        b1 = primary % n
         return digest, b1, (self._anchors[digest >> _PREFIX_SHIFT] - b1) % n
 
-    def _slot(self, digest: int, lid: int) -> Slot:
-        """The ``(lid, fingerprint)`` slot of the key behind ``digest``
-        at sub-level ``lid`` — the one place a fingerprint is sliced and
-        a caller's LID is checked."""
+    def _shift(self, lid: int) -> int:
+        """``64 - fp_length(lid)``, the shift that slices sub-level
+        ``lid``'s fingerprint out of a digest — the one place a caller's
+        LID is checked."""
         if lid > 0:  # a negative index would slice with another level's shift
             try:
-                return lid, digest >> self._fp_shifts[lid - 1]
+                return self._fp_shifts[lid - 1]
             except IndexError:
                 pass
         raise FilterError(f"LID {lid} out of range [1, {len(self._fp_shifts)}]")
+
+    def _slot(self, digest: int, lid: int) -> Slot:
+        """The ``(lid, fingerprint)`` slot of the key behind ``digest``
+        at sub-level ``lid``."""
+        return lid, digest >> self._shift(lid)
 
     def fingerprint(self, key: int, lid: int) -> int:
         """The fingerprint stored for ``key`` at sub-level ``lid``."""
@@ -201,51 +228,124 @@ class CuckooLidFilterBase(ABC):
     def _pair_key(self, b1: int, b2: int) -> tuple[int, int]:
         return (b1, b2) if b1 <= b2 else (b2, b1)
 
-    # -- bucket access with accounting ------------------------------------
-
-    def _load(self, index: int) -> list[Slot]:
-        """One counted bucket read (one memory I/O, category ``filter``)."""
-        self.memory_ios.add("filter", 1)
-        return self._read_bucket(index)
-
     # -- core operations ----------------------------------------------------
-
-    def _swap(self, b1: int, b2: int, old: Slot, new: Slot) -> int | None:
-        """The one filter edit: scan the pair's distinct buckets in
-        order, one counted load each, and overwrite the first slot equal
-        to ``old`` with ``new``. Returns the bucket edited, if any."""
-        for bucket in (b1,) if b1 == b2 else (b1, b2):
-            slots = self._load(bucket)
-            if old in slots:
-                slots[slots.index(old)] = new
-                self._write_bucket(bucket, slots)
-                return bucket
-        return None
 
     def insert(self, key: int, lid: int) -> None:
         """Map ``key`` to sub-level ``lid`` (one mapping per version)."""
-        digest, b1, b2 = self._address(key)
-        entry = self._slot(digest, lid)
-        if self._swap(b1, b2, self._empty, entry) is None:
-            self._insert_with_eviction(entry, self._rng.choice((b1, b2)))
-        else:
-            self.num_entries += 1
-            self._walk_hist.observe(0)
+        self._maintain_many(((key, None, lid),))
 
-    def _insert_with_eviction(self, entry: Slot, bucket: int) -> None:
+    def update_lid(self, key: int, old_lid: int, new_lid: int) -> bool:
+        """Move one mapping of ``key`` from ``old_lid`` to ``new_lid``
+        (compaction moved the entry down the tree). ~1.5 memory I/Os.
+        False when no mapping of ``key`` at ``old_lid`` was found.
+
+        The fingerprint is re-sliced to the new level's length (Malleable
+        Fingerprinting): all lengths share their leading bits, so the
+        bucket pair is unchanged.
+        """
+        return self._maintain_many(((key, old_lid, new_lid),)) == 0
+
+    def remove(self, key: int, lid: int) -> bool:
+        """Delete one mapping of ``key`` at ``lid`` (compaction discarded
+        an obsolete version) — the operation Bloom filters cannot do.
+        False when there was none."""
+        return self._maintain_many(((key, lid, None),)) == 0
+
+    def maintain_many(self, edits: "list[Edit]") -> int:
+        """Apply a flush's or a merge's edits in order, as
+        :meth:`insert` / :meth:`update_lid` / :meth:`remove` would one at
+        a time: same contents, same counted I/Os, same eviction draws.
+        Returns how many updates and removals found no mapping."""
+        return self._maintain_many(edits)
+
+    def _maintain_many(self, edits) -> int:
+        """The one maintenance loop. Per edit: one hash, then the pair's
+        distinct buckets in order, one counted load and one
+        :meth:`_edit_bucket` each, until one holds the old slot (the
+        empty slot, for an insert).
+
+        * an insert that found no free slot walks
+          (:meth:`_insert_with_eviction`);
+        * an update or removal that found no slot tries the pair's AHT
+          entries, else counts a maintenance miss;
+        * a removal that freed a slot while the AHT holds anything pulls
+          a homeless entry of the pair back into it (:meth:`_repatriate`).
+
+        Each distinct LID is range-checked once, before any edit lands.
+        The bucket loads are charged once per call, as their sum; every
+        other charge (overflow, Decoding / Recoding Table, AHT) is made
+        where it happens, so every category total equals the per-entry
+        accounting of section 4.1.
+        """
+        lids = {*map(_old_lid, edits), *map(_new_lid, edits)}
+        lids.discard(None)
+        for lid in lids:
+            self._shift(lid)
+        shifts = self._fp_shifts
+        anchors = self._anchors
+        n = self.num_buckets
+        edit = self._edit_bucket
+        empty = self._empty
+        choice = self._rng.choice
+        observe = self._walk_hist.observe
+        misses = self.maintenance_misses
+        loads = 0
+        for key, old_lid, new_lid in edits:
+            if old_lid == new_lid:
+                continue  # an update in place moves nothing
+            digest, primary = digest_pair(key)  # as _address does
+            b1 = primary % n
+            b2 = (anchors[digest >> _PREFIX_SHIFT] - b1) % n
+            if old_lid is None:
+                old = empty
+            else:
+                old = old_lid, digest >> shifts[old_lid - 1]
+            if new_lid is None:
+                new = empty
+            else:
+                new = new_lid, digest >> shifts[new_lid - 1]
+            loads += 1
+            if edit(b1, old, new):
+                bucket = b1
+            elif b1 == b2:
+                bucket = None
+            else:
+                loads += 1
+                bucket = b2 if edit(b2, old, new) else None
+            if old_lid is None:
+                if bucket is None:
+                    loads += self._insert_with_eviction(new, choice((b1, b2)))
+                else:
+                    self.num_entries += 1
+                    observe(0)
+            elif new_lid is not None:
+                if bucket is None:
+                    self._swap_in_aht(b1, b2, old, new)
+            elif bucket is not None:
+                if self.aht:
+                    loads += self._repatriate(self._pair_key(b1, b2), bucket)
+                self.num_entries -= 1
+            elif self._swap_in_aht(b1, b2, old, None):
+                self.num_entries -= 1
+        if loads:
+            self.memory_ios.add("filter", loads)
+        return self.maintenance_misses - misses
+
+    def _insert_with_eviction(self, entry: Slot, bucket: int) -> int:
         """Random-walk eviction; falls back to the AHT (paper's entry-
         overflow handling, section 4.5) when the walk fails. The walk
-        evicts from the bucket it has just loaded, so it cannot go
-        through :meth:`_swap` (a second load would be counted)."""
+        evicts from the bucket it has just read, so it cannot go
+        through :meth:`_edit_bucket` (a second load would be counted).
+        Returns the bucket loads, for the caller to charge."""
         empty = self._empty
         for step in range(1, _MAX_EVICTIONS + 1):
-            slots = self._load(bucket)
+            slots = self._read_bucket(bucket)
             if empty in slots:
                 slots[slots.index(empty)] = entry
                 self._write_bucket(bucket, slots)
                 self.num_entries += 1
                 self._walk_hist.observe(step - 1)
-                return
+                return step
             victim_index = self._rng.randrange(self.slots)
             victim = slots[victim_index]
             slots[victim_index] = entry
@@ -259,6 +359,7 @@ class CuckooLidFilterBase(ABC):
         self.num_entries += 1
         self._walk_hist.observe(_MAX_EVICTIONS)
         self._m_aht_spills.inc()
+        return _MAX_EVICTIONS
 
     def query(self, key: int) -> list[int]:
         """All sub-levels whose stored fingerprint matches ``key``, in
@@ -307,37 +408,6 @@ class CuckooLidFilterBase(ABC):
             charge("filter", loads)
         return answers
 
-    def update_lid(self, key: int, old_lid: int, new_lid: int) -> bool:
-        """Move one mapping of ``key`` from ``old_lid`` to ``new_lid``
-        (compaction moved the entry down the tree). ~1.5 memory I/Os.
-
-        The fingerprint is re-sliced to the new level's length (Malleable
-        Fingerprinting): all lengths share their leading bits, so the
-        bucket pair is unchanged.
-        """
-        digest, b1, b2 = self._address(key)
-        old = self._slot(digest, old_lid)
-        new = self._slot(digest, new_lid)
-        if old == new:
-            return True
-        return self._swap(b1, b2, old, new) is not None or self._swap_in_aht(
-            b1, b2, old, new
-        )
-
-    def remove(self, key: int, lid: int) -> bool:
-        """Delete one mapping of ``key`` at ``lid`` (compaction discarded
-        an obsolete version) — the operation Bloom filters cannot do."""
-        digest, b1, b2 = self._address(key)
-        old = self._slot(digest, lid)
-        bucket = self._swap(b1, b2, old, self._empty)
-        if bucket is None:
-            if not self._swap_in_aht(b1, b2, old, None):
-                return False
-        elif self.aht:
-            self._repatriate(self._pair_key(b1, b2), bucket)
-        self.num_entries -= 1
-        return True
-
     def _swap_in_aht(
         self, b1: int, b2: int, old: Slot, new: Slot | None
     ) -> bool:
@@ -359,18 +429,20 @@ class CuckooLidFilterBase(ABC):
         self._m_maintenance_misses.inc()
         return False
 
-    def _repatriate(self, pair: tuple[int, int], bucket: int) -> None:
+    def _repatriate(self, pair: tuple[int, int], bucket: int) -> int:
         """After a removal frees a slot in ``bucket``, pull a homeless
-        AHT entry of the same bucket pair back into it."""
+        AHT entry of the same bucket pair back into it. Returns the
+        bucket loads (0 or 1), for the caller to charge."""
         entries = self.aht.get(pair)
         if not entries:
-            return
+            return 0
         self.memory_ios.add("filter_aht", 1)
         entry = entries.pop()
         if not entries:
             del self.aht[pair]
-        if self._swap(bucket, bucket, self._empty, entry) is None:
+        if not self._edit_bucket(bucket, self._empty, entry):
             self.aht.setdefault(pair, []).append(entry)
+        return 1
 
     @property
     def load_factor(self) -> float:
@@ -435,6 +507,8 @@ class ChuckyFilter(CuckooLidFilterBase):
         self.tables = CodecTables(codebook, self.memory_ios)
         self.codec = BucketCodec(codebook, self.tables)
         self._matching_lids = self.codec.matching_lids
+        self._root_entry = self.codec.root_entry
+        self._pack_fn = codebook.fast.pack_fns.get
         self._empty_packed = self.codec.empty_packed
         self._buckets = PackedBucketStore(
             self.num_buckets, codebook.bucket_bits, fill=self._empty_packed
@@ -468,6 +542,36 @@ class ChuckyFilter(CuckooLidFilterBase):
         if lids is None:
             return super()._match_bucket(index, digest)
         return lids
+
+    def _edit_bucket(self, index: int, old: Slot, new: Slot) -> bool:
+        # A frequent combination decodes straight from its decode-table
+        # plan and, when the edited bucket is frequent too, re-encodes
+        # through its compiled pack function: neither touches the
+        # overflow table or a Decoding / Recoding Table row, so neither
+        # charges anything. Anything else goes through _read_bucket /
+        # _write_bucket, which charge as they always have.
+        packed = self._packed[index]
+        if packed == self._empty_packed:
+            slots = [self._empty] * self.slots  # as _read_bucket's shortcut
+        else:
+            entry = self._root_entry(packed)
+            if entry is None:
+                return super()._edit_bucket(index, old, new)
+            if old[0] not in entry[1]:
+                return False  # the combination alone rules the bucket out
+            slots = [
+                (lid, (packed >> shift) & mask) for lid, shift, mask, _ in entry[2]
+            ]
+        if old not in slots:
+            return False
+        slots[slots.index(old)] = new
+        slots.sort()
+        pack = self._pack_fn(tuple([lid for lid, _ in slots]))
+        if pack is None:
+            self._write_bucket(index, slots)
+        else:
+            self._packed[index] = pack(slots)
+        return True
 
     def _write_bucket(self, index: int, slots: list[Slot]) -> None:
         packed, overflow_fps = self.codec.pack(slots)

@@ -120,6 +120,20 @@ class PartitionedChuckyFilter:
     def remove(self, key: int, lid: int) -> bool:
         return self._partition_of(key).remove(key, lid)
 
+    def maintain_many(self, edits) -> int:
+        """``maintain_many`` for each partition's share of ``edits``, in
+        their order — one maintenance loop per touched partition. Edits
+        of different partitions touch disjoint state, so splitting them
+        changes no outcome (an out-of-range LID refuses its partition's
+        share, after earlier partitions' have landed)."""
+        groups: dict[int, list] = {}
+        for edit in edits:
+            groups.setdefault(self.partition_index(edit[0]), []).append(edit)
+        return sum(
+            self.partitions[index]._maintain_many(group)
+            for index, group in groups.items()
+        )
+
     # -- stats ---------------------------------------------------------------
 
     @property

@@ -128,27 +128,36 @@ class ChuckyPolicy(FilterPolicy):
     # ------------------------------------------------------------------
 
     def handle_event(self, event: TreeEvent) -> None:
+        """Apply a flush or a merge to the filter as one
+        ``maintain_many`` call: its drops that left a run become
+        removals, then its survivors in order — an insert for a fresh
+        buffer entry, an LID update for one that moved."""
         if self._pending_rebuild:
             # The geometry changed mid-cascade; everything is recaptured
             # by the wholesale rebuild in after_write().
             return
         assert self.filter is not None
         if isinstance(event, FlushEvent):
-            for entry in event.entries:
-                self.filter.insert(entry.key, event.sublevel)
+            lid = event.sublevel
+            self.filter.maintain_many(
+                [(entry.key, None, lid) for entry in event.entries]
+            )
             return
         assert isinstance(event, MergeEvent)
-        for entry, old_sublevel in event.drops:
-            if old_sublevel != BUFFER_ORIGIN:
-                self.filter.remove(entry.key, old_sublevel)
         out = event.output_sublevel
-        for entry, old_sublevel in event.survivors:
-            if old_sublevel == BUFFER_ORIGIN:
-                self.filter.insert(entry.key, out)
-            elif old_sublevel != out:
-                self.filter.update_lid(entry.key, old_sublevel, out)
-            # else: the entry stayed at its sub-level — no work, the
-            # advantage over rebuild-from-scratch Bloom filters.
+        edits = [
+            (entry.key, old, None)
+            for entry, old in event.drops
+            if old != BUFFER_ORIGIN
+        ]
+        # An entry that stayed at its sub-level needs no edit — the
+        # advantage over rebuild-from-scratch Bloom filters.
+        edits += [
+            (entry.key, None if old == BUFFER_ORIGIN else old, out)
+            for entry, old in event.survivors
+            if old != out
+        ]
+        self.filter.maintain_many(edits)
 
     def handle_grow(self, new_num_levels: int) -> None:
         self._pending_rebuild = True

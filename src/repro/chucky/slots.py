@@ -66,9 +66,10 @@ class PackedBucketStore:
 
     @property
     def reader(self) -> "array | PackedBucketStore":
-        """Indexes a bucket to its packed value, for hot reads: the word
-        array itself when a bucket is one word (no Python-level
-        ``__getitem__``), the store otherwise."""
+        """Indexes (and assigns) a bucket's packed value on the hot
+        paths: the word array itself when a bucket is one word (no
+        Python-level ``__getitem__`` / ``__setitem__``), the store
+        otherwise."""
         return self._words if self.words_per_bucket == 1 else self
 
     def __setitem__(self, index: int, value: int) -> None:

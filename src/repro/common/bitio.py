@@ -12,11 +12,21 @@ form a canonical Huffman code can be decoded by peeking at its prefix.
 from __future__ import annotations
 
 
+#: Bits a :class:`BitWriter` accumulates in one int before it starts
+#: the next: shifting one ever-growing int would copy it on every write.
+_CHUNK_BITS = 4096
+
+
 class BitWriter:
-    """Accumulates bits MSB-first into an unbounded integer buffer."""
+    """Accumulates bits MSB-first into a list of fixed-size int chunks,
+    joined pairwise only when the value is asked for — linear in the
+    bits written, however many there are."""
 
     def __init__(self) -> None:
+        #: Full chunks, oldest first, as ``(value, bits)``.
+        self._chunks: list[tuple[int, int]] = []
         self._value = 0
+        self._bits = 0
         self._length = 0
 
     def __len__(self) -> int:
@@ -38,7 +48,12 @@ class BitWriter:
         if value < 0 or (width < value.bit_length()):
             raise ValueError(f"value {value} does not fit in {width} bits")
         self._value = (self._value << width) | value
+        self._bits += width
         self._length += width
+        if self._bits >= _CHUNK_BITS:
+            self._chunks.append((self._value, self._bits))
+            self._value = 0
+            self._bits = 0
 
     def write_unary(self, count: int) -> None:
         """Append ``count`` one-bits followed by a terminating zero-bit."""
@@ -58,18 +73,31 @@ class BitWriter:
     def getvalue(self) -> int:
         """The packed bits as a non-negative integer (left-aligned at bit
         ``bit_length - 1``)."""
-        return self._value
+        parts = [*self._chunks, (self._value, self._bits)]
+        while len(parts) > 1:
+            # Neighbours pairwise: each round halves the list, so every
+            # bit is shifted O(log chunks) times, not once per write.
+            joined = [
+                ((hi << lo_bits) | lo, hi_bits + lo_bits)
+                for (hi, hi_bits), (lo, lo_bits) in zip(parts[::2], parts[1::2])
+            ]
+            if len(parts) % 2:
+                joined.append(parts[-1])
+            parts = joined
+        return parts[0][0]
 
     def to_bytes(self) -> bytes:
         """The packed bits as bytes, zero-padded on the right to a byte
         boundary."""
         nbytes = (self._length + 7) // 8
         pad = nbytes * 8 - self._length
-        return (self._value << pad).to_bytes(nbytes, "big") if nbytes else b""
+        return (self.getvalue() << pad).to_bytes(nbytes, "big") if nbytes else b""
 
 
 class BitReader:
-    """Reads bits MSB-first from an integer produced by :class:`BitWriter`."""
+    """Reads bits MSB-first from an integer produced by :class:`BitWriter`
+    (or its bytes). Each field is cut from the few bytes it spans, so a
+    read costs its width, not the length of the whole buffer."""
 
     def __init__(self, value: int, bit_length: int) -> None:
         if value < 0:
@@ -78,13 +106,17 @@ class BitReader:
             raise ValueError(
                 f"value needs {value.bit_length()} bits but bit_length={bit_length}"
             )
-        self._value = value
+        nbytes = (bit_length + 7) // 8
+        self._data = (value << (nbytes * 8 - bit_length)).to_bytes(nbytes, "big")
         self._length = bit_length
         self._pos = 0
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "BitReader":
-        return cls(int.from_bytes(data, "big"), len(data) * 8)
+        reader = cls(0, 0)
+        reader._data = bytes(data)
+        reader._length = len(data) * 8
+        return reader
 
     @property
     def position(self) -> int:
@@ -96,16 +128,22 @@ class BitReader:
         """Number of bits left to read."""
         return self._length - self._pos
 
+    def _window(self, start: int, width: int) -> int:
+        """The ``width`` bits at bit offset ``start`` (all in range)."""
+        end = start + width
+        hi = (end + 7) >> 3
+        window = int.from_bytes(self._data[start >> 3 : hi], "big")
+        return (window >> ((hi << 3) - end)) & ((1 << width) - 1)
+
     def read(self, width: int) -> int:
         """Consume and return the next ``width`` bits as an integer."""
         if width < 0:
             raise ValueError(f"width must be >= 0, got {width}")
         if width > self.remaining:
             raise EOFError(f"asked for {width} bits, only {self.remaining} left")
-        shift = self._length - self._pos - width
-        mask = (1 << width) - 1
-        self._pos += width
-        return (self._value >> shift) & mask
+        start = self._pos
+        self._pos = start + width
+        return self._window(start, width)
 
     def read_unary(self) -> int:
         """Consume a unary code (ones terminated by a zero); return the
@@ -125,9 +163,7 @@ class BitReader:
         if width < 0:
             raise ValueError(f"width must be >= 0, got {width}")
         available = min(width, self.remaining)
-        shift = self._length - self._pos - available
-        bits = (self._value >> shift) & ((1 << available) - 1)
-        return bits << (width - available)
+        return self._window(self._pos, available) << (width - available)
 
     def skip(self, width: int) -> None:
         """Advance the cursor by ``width`` bits."""

@@ -11,9 +11,13 @@ partial-key bucket computation (Eq 4) uses only those shared bits.
 
 from __future__ import annotations
 
+import struct
 from typing import Callable
 
 _MASK64 = (1 << 64) - 1
+#: The little-endian 64-bit words of a buffer whose length is a
+#: multiple of 8.
+_words = struct.Struct("<Q").iter_unpack
 
 #: Minimum fingerprint length in bits (paper section 4.3 sets this to 5,
 #: following the original Cuckoo-filter paper, so that the two candidate
@@ -33,22 +37,39 @@ def splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
+def fold64(acc: int, data: bytes) -> int:
+    """``acc = splitmix64(acc ^ word)`` for each little-endian 64-bit
+    word of ``data``, a short tail read as its zero-padded word (which
+    is what ``int.from_bytes(tail, "little")`` reads it as).
+
+    The one byte-string fold: string and bytes keys and the WAL record
+    checksum both go through it, with the mix inlined so a word costs no
+    call.
+    """
+    tail = len(data) & 7
+    if tail:
+        data = bytes(data) + bytes(8 - tail)
+    for (word,) in _words(data):
+        x = ((acc ^ word) + 0x9E3779B97F4A7C15) & _MASK64
+        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+        acc = x ^ (x >> 31)
+    return acc
+
+
 def key_digest(key: int | str | bytes, seed: int = 0) -> int:
     """A stable 64-bit digest of a key.
 
     Integer keys are mixed directly; strings/bytes are folded 8 bytes at
-    a time through splitmix64. The ``seed`` decorrelates independent hash
-    uses (e.g. the h probes of a Bloom filter).
+    a time through splitmix64 (:func:`fold64`). The ``seed``
+    decorrelates independent hash uses (e.g. the h probes of a Bloom
+    filter).
     """
     if isinstance(key, int):
         return splitmix64((key & _MASK64) ^ splitmix64(seed))
     if isinstance(key, str):
         key = key.encode("utf-8")
-    acc = splitmix64(seed ^ len(key))
-    for i in range(0, len(key), 8):
-        chunk = int.from_bytes(key[i : i + 8], "little")
-        acc = splitmix64(acc ^ chunk)
-    return acc
+    return fold64(splitmix64(seed ^ len(key)), key)
 
 
 def seeded(seed: int) -> Callable[[int | str | bytes], int]:
@@ -69,7 +90,13 @@ def seeded(seed: int) -> Callable[[int | str | bytes], int]:
     return digest
 
 
+#: Seed of the digest a Chucky key's first candidate bucket is reduced
+#: from (the fingerprint digest is seed 1).
+BUCKET_SEED = 4000
 _fingerprint_digest = seeded(1)
+_bucket_digest = seeded(BUCKET_SEED)
+_FP_MIX = splitmix64(1)
+_BUCKET_MIX = splitmix64(BUCKET_SEED)
 _PREFIX_SHIFT = 64 - FP_MIN
 
 
@@ -87,6 +114,32 @@ def fp_digest(key: int | str | bytes) -> int:
     if digest >> _PREFIX_SHIFT == 0:
         digest |= 1 << _PREFIX_SHIFT
     return digest
+
+
+def digest_pair(key: int | str | bytes) -> tuple[int, int]:
+    """``(fp_digest(key), seeded(BUCKET_SEED)(key))``: both digests a
+    Chucky filter addresses a key by — the one every fingerprint length
+    is sliced from and the one its first candidate bucket is reduced
+    from — in one call.
+
+    The one way a Chucky filter hashes a key: the probe and maintenance
+    loops both reach it through ``_address``. An int key (the hot case)
+    runs both SplitMix64 mixes inline; any other key takes the two
+    seeded digests.
+    """
+    if isinstance(key, int):
+        k = key & _MASK64
+        x = ((k ^ _FP_MIX) + 0x9E3779B97F4A7C15) & _MASK64
+        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+        fp = x ^ (x >> 31)
+        if fp >> _PREFIX_SHIFT == 0:
+            fp |= 1 << _PREFIX_SHIFT
+        x = ((k ^ _BUCKET_MIX) + 0x9E3779B97F4A7C15) & _MASK64
+        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return fp, x ^ (x >> 31)
+    return fp_digest(key), _bucket_digest(key)
 
 
 def fingerprint_bits(key: int | str | bytes, length: int) -> int:

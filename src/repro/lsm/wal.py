@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
 from repro.common.errors import ReproError
-from repro.common.hashing import splitmix64
+from repro.common.hashing import fold64
 from repro.lsm.entry import Expiring, TOMBSTONE
 
 _PUT = 0
@@ -52,10 +52,7 @@ class WalCorruption(ReproError):
 
 
 def _checksum(payload: bytes) -> int:
-    acc = 0xCBF29CE484222325
-    for i in range(0, len(payload), 8):
-        acc = splitmix64(acc ^ int.from_bytes(payload[i : i + 8], "little"))
-    return acc & 0xFFFFFFFF
+    return fold64(0xCBF29CE484222325, payload) & 0xFFFFFFFF
 
 
 def _encode_value(value: Any) -> tuple[int, bytes]:

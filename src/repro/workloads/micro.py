@@ -18,6 +18,10 @@ report a speedup alongside the ns/op:
 * ``chucky_query_many`` — per-key ns of one 64-key ``query_many`` call
   against the same keys through per-key ``query`` (both run the one
   probe loop; the batch shares its setup and its counted-I/O charge);
+* ``chucky_maintain_many`` — per-edit ns of a 256-edit merge event
+  through one ``maintain_many`` call against the same edits as
+  per-entry ``insert`` / ``update_lid`` / ``remove`` calls (one-edit
+  calls of the same maintenance loop);
 * ``get_batch_fused`` — one ``store.get_batch`` pass (how the server
   executes a run of pipelined GETs) against the per-key ``store.get``
   loop (the same GETs as runs of one);
@@ -108,6 +112,37 @@ def run_micro(inner: int = 256, rounds: int = 5) -> dict[str, Any]:
     case("chucky_query_many", many_ns,
          reference_ns_per_op=round(each_ns, 1),
          speedup=round(each_ns / many_ns, 2) if many_ns else None)
+
+    # A 256-edit merge event through the one maintenance loop against
+    # the same edits as per-entry insert / update_lid / remove calls
+    # (both run the loop; the event shares its setup and its charge):
+    # 192 entries move one sub-level down and 64 fresh buffer entries
+    # land. The inverse event restores the mappings, so every round
+    # starts from the same contents.
+    moved = [(k, lid) for k, lid in pairs if lid < DIST.num_sublevels][:192]
+    fresh_keys = [k | 1 << 50 for k, _ in pairs[:64]]
+    merge = [(k, lid, lid + 1) for k, lid in moved]
+    merge += [(k, None, 1) for k in fresh_keys]
+    undo = [(k, lid + 1, lid) for k, lid in moved]
+    undo += [(k, 1, None) for k in fresh_keys]
+
+    def per_entry(edits) -> None:
+        for key, old, new in edits:
+            if old is None:
+                filt.insert(key, new)
+            elif new is None:
+                filt.remove(key, old)
+            else:
+                filt.update_lid(key, old, new)
+
+    event_ns = time_op(
+        lambda i: (filt.maintain_many(merge), filt.maintain_many(undo)),
+        8, rounds) / 512
+    entry_ns = time_op(
+        lambda i: (per_entry(merge), per_entry(undo)), 8, rounds) / 512
+    case("chucky_maintain_many", event_ns,
+         reference_ns_per_op=round(entry_ns, 1),
+         speedup=round(entry_ns / event_ns, 2) if event_ns else None)
 
     fresh = ChuckyFilter(10**6, DIST, bits_per_entry=10.0)
     counter = iter(range(10**9))

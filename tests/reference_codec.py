@@ -81,6 +81,13 @@ class ReferenceBucketCodec(BucketCodec):
         plan matching to this bit-serial decode."""
         return None
 
+    def root_entry(self, packed: int) -> None:
+        """Never edit from a plan: every maintenance edit decodes
+        the bucket through :meth:`unpack` and re-encodes it through
+        :meth:`pack`, so the identity tests hold the runtime's plan
+        edits to this bit-serial codec."""
+        return None
+
     def is_rare(self, packed: int) -> bool:
         _combo, used = self.codebook.code.decode_prefix(
             packed, self.codebook.bucket_bits

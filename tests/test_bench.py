@@ -179,15 +179,17 @@ class TestMicrobench:
         report = run_micro(inner=8, rounds=1)
         names = {row["name"] for row in report["cases"]}
         assert {
-            "chucky_query", "chucky_query_many", "chucky_insert", "bucket_pack",
-            "bucket_unpack", "decode_table", "cuckoo_query",
-            "blocked_bloom_query",
+            "chucky_query", "chucky_query_many", "chucky_maintain_many",
+            "chucky_insert", "bucket_pack", "bucket_unpack", "decode_table",
+            "cuckoo_query", "blocked_bloom_query",
         } <= names
         assert all(row["ns_per_op"] > 0 for row in report["cases"])
         fused = next(r for r in report["cases"] if r["name"] == "get_batch_fused")
         assert fused["reference_ns_per_op"] > 0
         many = next(r for r in report["cases"] if r["name"] == "chucky_query_many")
         assert many["reference_ns_per_op"] > 0 and many["speedup"] > 0
+        event = next(r for r in report["cases"] if r["name"] == "chucky_maintain_many")
+        assert event["reference_ns_per_op"] > 0 and event["speedup"] > 0
         assert "host" in report
 
     def test_microbench_command_writes_artifact(self, tmp_path, capsys):

@@ -158,3 +158,61 @@ def test_bytes_roundtrip(value, extra_pad):
     w.write(0, extra_pad)
     r = BitReader.from_bytes(w.to_bytes())
     assert r.read(64) == value
+
+
+#: One writer or reader call: (op, value, width). Widths up to 80 cross
+#: the writer's chunk boundary and the reader's byte windows at every
+#: alignment; enough fields fill several 4096-bit chunks.
+FIELDS = st.lists(
+    st.tuples(
+        st.sampled_from(["write", "unary", "pad"]),
+        st.integers(0, 2**80 - 1),
+        st.integers(0, 80),
+    ),
+    max_size=160,
+)
+
+
+def _drive_writer(writer, fields):
+    for op, value, width in fields:
+        if op == "write":
+            writer.write(value & ((1 << width) - 1), width)
+        elif op == "unary":
+            writer.write_unary(width)
+        else:
+            writer.pad_to(writer.bit_length + width)
+    return writer
+
+
+class TestAgainstTheReference:
+    """The chunked writer and the windowed reader are the one-int
+    reference (``tests/reference_bitio.py``), bit for bit."""
+
+    @given(FIELDS)
+    def test_writer_output_matches(self, fields):
+        from tests.reference_bitio import ReferenceBitWriter
+
+        fast = _drive_writer(BitWriter(), fields)
+        ref = _drive_writer(ReferenceBitWriter(), fields)
+        assert fast.bit_length == ref.bit_length
+        assert fast.getvalue() == ref.getvalue()
+        assert fast.to_bytes() == ref.to_bytes()
+
+    @given(st.binary(max_size=200), st.lists(
+        st.tuples(st.sampled_from(["read", "peek", "skip"]), st.integers(0, 90)),
+        max_size=60,
+    ))
+    def test_reader_matches(self, data, ops):
+        from tests.reference_bitio import ReferenceBitReader
+
+        fast, ref = BitReader.from_bytes(data), ReferenceBitReader.from_bytes(data)
+        for op, width in ops:
+            if op == "peek":
+                assert fast.peek(width) == ref.peek(width)
+                continue
+            if width > ref.remaining:
+                with pytest.raises(EOFError):
+                    getattr(fast, op)(width)
+                continue
+            assert getattr(fast, op)(width) == getattr(ref, op)(width)
+            assert fast.remaining == ref.remaining

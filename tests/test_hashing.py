@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from repro.common.hashing import (
     FP_MIN,
     alt_offset,
+    digest_pair,
     fingerprint_bits,
+    fold64,
     fp_digest,
     key_digest,
     seeded,
@@ -57,7 +59,6 @@ def _bound_digests():
     """Every seed constant ``src/`` binds at import, beside the closure
     it bound — so a seed that drifts fails here before it moves a golden
     digest."""
-    from repro.chucky import filter as chucky_filter
     from repro.chucky import partitioned
     from repro.common import hashing
     from repro.engine import sharded
@@ -65,7 +66,7 @@ def _bound_digests():
 
     return [
         (1, hashing._fingerprint_digest),
-        (4000, chucky_filter._primary_digest),
+        (4000, hashing._bucket_digest),
         (3000, cuckoo._bucket_digest),
         (sharded.SHARD_SEED, sharded._shard_digest),
         (5000, partitioned._partition_digest),
@@ -107,6 +108,47 @@ class TestSeeded:
 
         monkeypatch.setattr(hashing, "_fingerprint_digest", lambda key: 0x7FF)
         assert fp_digest(0) == (1 << (64 - FP_MIN)) | 0x7FF
+
+
+class TestDigestPair:
+    """``digest_pair`` inlines SplitMix64 for int keys: it must stay the
+    pair of seeded digests it replaced, for every kind of key."""
+
+    @given(KEYS)
+    def test_equals_fp_digest_and_the_bucket_digest(self, key):
+        assert digest_pair(key) == (fp_digest(key), seeded(4000)(key))
+
+    def test_forced_prefix_matches_fp_digest(self):
+        """An int key whose seed-1 digest has a zero ``FP_MIN`` prefix
+        is forced the same way on both paths."""
+        key = next(
+            k for k in range(200_000) if key_digest(k, 1) >> (64 - FP_MIN) == 0
+        )
+        assert digest_pair(key)[0] == fp_digest(key) != key_digest(key, 1)
+
+
+def _fold_per_slice(acc: int, data: bytes) -> int:
+    """The fold ``fold64`` replaced: one ``int.from_bytes`` slice and one
+    ``splitmix64`` call per 8 bytes (the WAL checksum's old loop)."""
+    for i in range(0, len(data), 8):
+        acc = splitmix64(acc ^ int.from_bytes(data[i : i + 8], "little"))
+    return acc
+
+
+class TestFold64:
+    @given(st.binary(max_size=300), st.integers(0, 2**64 - 1))
+    def test_equals_the_per_slice_fold(self, data, acc):
+        """A short tail folds as its zero-padded word, so the word-wise
+        fold equals the slice-wise one on every length."""
+        assert fold64(acc, data) == _fold_per_slice(acc, data)
+
+    @given(st.binary(max_size=300))
+    def test_wal_checksum_is_unchanged(self, payload):
+        from repro.lsm.wal import _checksum
+
+        assert _checksum(payload) == (
+            _fold_per_slice(0xCBF29CE484222325, payload) & 0xFFFFFFFF
+        )
 
 
 class TestFingerprintPrefixProperty:

@@ -12,9 +12,12 @@ deterministic workloads both ways and demand equality — at the codec
 level (hypothesis-generated buckets), the filter level
 (insert/query/update/remove/persist/recover), and the engine level
 (whole stores across presets and shard counts, including the
-crash/recovery faultcheck harness).
+crash/recovery faultcheck harness). ``TestOneMaintenanceLoop`` holds
+the one maintenance loop to the per-entry path it replaced
+(:mod:`tests.reference_maintenance`) the same way.
 """
 
+import functools
 import random
 from unittest import mock
 
@@ -24,12 +27,15 @@ from hypothesis import strategies as st
 
 from repro.chucky.bucket import BucketCodec
 from repro.chucky.codebook import ChuckyCodebook
-from repro.chucky.filter import ChuckyFilter
+from repro.chucky.filter import ChuckyFilter, UncompressedLidFilter
+from repro.chucky.partitioned import PartitionedChuckyFilter
 from repro.chucky.tables import CodecTables
 from repro.coding.distributions import LidDistribution
 from repro.common.counters import MemoryIOCounter
 from repro.common.hashing import fingerprint_bits
 from repro.engine.config import EngineConfig, build_store
+from repro.obs.metrics import MetricsRegistry
+from tests import reference_maintenance as per_entry
 from tests.reference_codec import (
     ReferenceBucketCodec,
     ReferenceCodecTables,
@@ -181,6 +187,211 @@ class TestFilterIdentity:
                 key = rng.getrandbits(48)
                 assert fast.query(key) == ref.query(key)
         assert fast.persist() == ref.persist() == blob
+
+
+MAINTENANCE_KINDS = ("chucky", "uncompressed", "partitioned")
+#: loaded: ~60 % full; overflow: rare-combination buckets planted;
+#: full: filled past its slots, so walks spill into the AHT and removals
+#: repatriate; self_paired: every key's two candidates coincide.
+MAINTENANCE_STATES = ("loaded", "overflow", "full", "self_paired")
+
+
+def _parts(filt):
+    return filt.partitions if isinstance(filt, PartitionedChuckyFilter) else [filt]
+
+
+def _owner(filt, key):
+    if isinstance(filt, PartitionedChuckyFilter):
+        return filt._partition_of(key)
+    return filt
+
+
+@functools.lru_cache(maxsize=None)
+def _self_paired_keys(kind: str) -> tuple[int, ...]:
+    """Keys whose two candidate buckets coincide in the self_paired
+    state's geometry (bucket pairs depend on the geometry alone)."""
+    filt = _maintenance_state(kind, "self_paired", fill=False)[0]
+    return tuple(
+        k for k in range(20000) if len(set(_owner(filt, k).bucket_pair(k))) == 1
+    )[:24]
+
+
+def _maintenance_state(kind: str, state: str, fill: bool = True):
+    """A filter of ``kind`` in ``state`` — deterministic, so two calls
+    build two identical filters — with its counter, its registry, the
+    ``(key, lid)`` mappings it holds and the keys new inserts draw from
+    (``None``: fresh random keys)."""
+    counter = MemoryIOCounter()
+    registry = MetricsRegistry()
+    dist = LidDistribution(3, 3) if state == "self_paired" else DIST
+    capacity = {"loaded": 160, "overflow": 160, "full": 64, "self_paired": 200}[state]
+    shared = dict(
+        bits_per_entry=10.0, memory_ios=counter, seed=11, metrics=registry
+    )
+    if kind == "partitioned":
+        filt = PartitionedChuckyFilter(
+            max(capacity, 128), dist, partition_capacity=64, **shared
+        )
+    elif kind == "chucky":
+        filt = ChuckyFilter(capacity, dist, **shared)
+    else:
+        filt = UncompressedLidFilter(capacity, dist, **shared)
+    rng = random.Random(5)
+    probs = [float(p) for p in dist.probabilities()]
+    lids = list(dist.lids)
+    live: list[tuple[int, int]] = []
+    if not fill:
+        return filt, counter, registry, live, None
+    pool = _self_paired_keys(kind) if state == "self_paired" else None
+    slots = sum(part.num_buckets * part.slots for part in _parts(filt))
+    count = {"loaded": 100, "overflow": 90, "self_paired": 30}.get(
+        state, slots + slots // 8
+    )
+    for i in range(count):
+        key = pool[i % len(pool)] if pool else rng.getrandbits(48)
+        lid = rng.choices(lids, weights=probs)[0]
+        filt.insert(key, lid)
+        live.append((key, lid))
+    if state == "overflow":
+        for part in _parts(filt):
+            if not isinstance(part, ChuckyFilter):
+                break
+            rare = part.codebook.rare[0]
+            for _ in range(3):
+                key = rng.getrandbits(48)
+                while _owner(filt, key) is not part:
+                    key = rng.getrandbits(48)
+                digest, b1, _ = part._address(key)
+                # Replaces whatever b1 held: those mappings now miss.
+                part._write_bucket(b1, [part._slot(digest, lid) for lid in rare])
+                live.extend((key, lid) for lid in rare)
+            assert part.overflow
+    if state == "full":
+        assert any(part.aht for part in _parts(filt))
+    return filt, counter, registry, live, pool
+
+
+def _event(filt, live, pool, lids, seed: int):
+    """A flush / merge-like list of edits over ``filt``'s state:
+    inserts (fresh keys or new versions), LID updates (some in place),
+    removals that favour keys whose pair has homeless AHT entries (so
+    they repatriate), and updates and removals of absent mappings."""
+    rng = random.Random(seed)
+    live = list(live)
+    edits = []
+    for _ in range(rng.randint(1, 48)):
+        roll = rng.random()
+        if roll < 0.3 or not live:
+            key = rng.choice(pool) if pool else rng.getrandbits(48)
+            lid = rng.choice(lids)
+            edits.append((key, None, lid))
+            live.append((key, lid))
+        elif roll < 0.6:
+            idx = rng.randrange(len(live))
+            key, lid = live[idx]
+            new = rng.choice(lids)
+            edits.append((key, lid, new))
+            live[idx] = (key, new)
+        elif roll < 0.85:
+            homeless = [
+                i for i, (key, _) in enumerate(live)
+                if _owner(filt, key)._pair_key(*_owner(filt, key).bucket_pair(key))
+                in _owner(filt, key).aht
+            ]
+            idx = rng.choice(homeless) if homeless and rng.random() < 0.7 else (
+                rng.randrange(len(live))
+            )
+            key, lid = live.pop(idx)
+            edits.append((key, lid, None))
+        else:
+            key, lid = rng.getrandbits(48), rng.choice(lids)
+            new = None if rng.random() < 0.5 else lid % len(lids) + 1
+            edits.append((key, lid, new))
+    return edits
+
+
+def _maintenance_observables(filt, counter, registry):
+    walks = registry.get("chucky_eviction_walk_length")
+    spills = registry.get("chucky_aht_spills_total")
+    return (
+        sorted(counter.snapshot().items()),
+        [
+            part.persist() if isinstance(part, ChuckyFilter)
+            else (part._buckets._lids.tolist(), part._buckets._fps.tolist())
+            for part in _parts(filt)
+        ],
+        [(part.num_entries, part.maintenance_misses) for part in _parts(filt)],
+        [sorted(part.aht.items()) for part in _parts(filt)],
+        [part._rng.getstate() for part in _parts(filt)],
+        (walks.counts, walks.sum, walks.count) if walks else None,
+        spills.value if spills else None,
+    )
+
+
+def _event_both_ways(kind: str, state: str, seed: int):
+    """Apply one event at once and entry by entry to two identically
+    built filters; return both sides' misses and observables."""
+    fast, counter, registry, live, pool = _maintenance_state(kind, state)
+    lids = list(_parts(fast)[0].dist.lids)
+    edits = _event(fast, live, pool, lids, seed)
+    fast_misses = fast.maintain_many(edits)
+    fast_obs = _maintenance_observables(fast, counter, registry)
+    ref, counter, registry, _, _ = _maintenance_state(kind, state)
+    ref_misses = sum(
+        not per_entry.apply(_owner(ref, edit[0]), edit) for edit in edits
+    )
+    ref_obs = _maintenance_observables(ref, counter, registry)
+    return (fast_misses, fast_obs), (ref_misses, ref_obs)
+
+
+class TestOneMaintenanceLoop:
+    """An event applied at once through ``maintain_many`` equals the
+    same edits applied one at a time by the per-entry path the loop
+    replaced, on every observable: the persisted bytes (bucket and slot
+    arrays, uncompressed), every counted I/O category, entry and miss
+    counts, the AHT, the eviction RNG's state, the walk histogram."""
+
+    @pytest.mark.parametrize("codec", ["table", "reference"])
+    @pytest.mark.parametrize("state", MAINTENANCE_STATES)
+    @pytest.mark.parametrize("kind", MAINTENANCE_KINDS)
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_event_at_once_equals_entry_by_entry(self, kind, state, codec, seed):
+        if codec == "reference":
+            with reference_codec():
+                fast, ref = _event_both_ways(kind, state, seed)
+        else:
+            fast, ref = _event_both_ways(kind, state, seed)
+        assert fast == ref
+
+    @pytest.mark.parametrize("kind", MAINTENANCE_KINDS)
+    def test_removals_repatriate_and_misses_count(self, kind):
+        """The full state's events really pull homeless entries back
+        and really miss — the paths the identity above must cover."""
+        repatriated = missed = 0
+        for seed in range(40):
+            (misses, obs), ref = _event_both_ways(kind, "full", seed)
+            assert (misses, obs) == ref
+            missed += misses
+            filt, *_ = _maintenance_state(kind, "full")
+            before = sum(len(v) for part in _parts(filt) for v in part.aht.values())
+            after = sum(len(v) for aht in obs[3] for _, v in aht)
+            repatriated += after < before
+        assert missed > 0
+        assert repatriated > 0
+
+    @pytest.mark.parametrize("kind", ["chucky", "uncompressed"])
+    def test_a_bad_lid_refuses_the_whole_event(self, kind):
+        """Each distinct LID is checked once, before any edit of the
+        call lands (a partitioned filter makes one call per partition)."""
+        from repro.common.errors import FilterError
+
+        filt, counter, registry, *_ = _maintenance_state(kind, "loaded")
+        before = _maintenance_observables(filt, counter, registry)
+        edits = [(12345, None, 1), (12346, None, DIST.num_sublevels + 1)]
+        with pytest.raises(FilterError, match="out of range"):
+            filt.maintain_many(edits)
+        assert _maintenance_observables(filt, counter, registry) == before
 
 
 def _store_workload(preset: str, shards: int, seed: int = 3):
