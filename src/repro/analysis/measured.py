@@ -26,6 +26,7 @@ from typing import Any, Mapping
 
 from repro.engine.kvstore import KVStore
 from repro.engine.sharded import shards_of
+from repro.lsm.entry import is_tombstone
 
 
 @dataclass(frozen=True)
@@ -109,9 +110,10 @@ def collect_metrics(store, fast: bool = False) -> StoreMetrics:
             with tree.storage.counting_suspended():
                 live_keys: dict[int, tuple[int, bool]] = {}
                 for entry, _ in tree.iter_entries_with_sublevels():
-                    seen = live_keys.get(entry.key)
-                    if seen is None or entry.seqno > seen[0]:
-                        live_keys[entry.key] = (entry.seqno, entry.is_tombstone)
+                    key, _, seqno, _ = entry
+                    seen = live_keys.get(key)
+                    if seen is None or seqno > seen[0]:
+                        live_keys[key] = (seqno, is_tombstone(entry))
                 live += sum(1 for _, dead in live_keys.values() if not dead)
         writes += shard.updates
         entries_written += shard.counters.storage.writes * shard.config.block_entries

@@ -177,7 +177,11 @@ def _compile_pack(base, fields):
     )
     namespace = {"_overflow": _pack_overflow, "_fields": fields}
     exec(source, namespace)
-    return namespace["_pack"]
+    # ``_pack.__globals__`` is ``namespace``: popping the function out
+    # breaks the function <-> dict cycle, so a codebook rebuild frees
+    # the old tables by refcount instead of leaving them to the cyclic
+    # collector.
+    return namespace.pop("_pack")
 
 
 class BucketFastTables:

@@ -19,6 +19,7 @@ from repro.common.counters import IOCounters
 from repro.chucky.filter import ChuckyFilter, UncompressedLidFilter
 from repro.chucky.partitioned import PartitionedChuckyFilter
 from repro.filters.policy import FilterPolicy
+from repro.lsm.entry import KEY
 from repro.lsm.tree import BUFFER_ORIGIN, FlushEvent, LSMTree, MergeEvent, TreeEvent
 
 
@@ -140,20 +141,20 @@ class ChuckyPolicy(FilterPolicy):
         if isinstance(event, FlushEvent):
             lid = event.sublevel
             self.filter.maintain_many(
-                [(entry.key, None, lid) for entry in event.entries]
+                [(entry[KEY], None, lid) for entry in event.entries]
             )
             return
         assert isinstance(event, MergeEvent)
         out = event.output_sublevel
         edits = [
-            (entry.key, old, None)
+            (entry[KEY], old, None)
             for entry, old in event.drops
             if old != BUFFER_ORIGIN
         ]
         # An entry that stayed at its sub-level needs no edit — the
         # advantage over rebuild-from-scratch Bloom filters.
         edits += [
-            (entry.key, None if old == BUFFER_ORIGIN else old, out)
+            (entry[KEY], None if old == BUFFER_ORIGIN else old, out)
             for entry, old in event.survivors
             if old != out
         ]

@@ -25,7 +25,7 @@ from repro.faults.crashpoints import crash_point
 from repro.filters.policy import FilterPolicy, NoFilterPolicy
 from repro.lsm.block_cache import BlockCache
 from repro.lsm.config import LSMConfig
-from repro.lsm.entry import TOMBSTONE, Entry, Expiring
+from repro.lsm.entry import KEY, SEQNO, TOMBSTONE, Entry, Expiring
 from repro.lsm.memtable import Memtable
 from repro.lsm.storage import StorageDevice
 from repro.lsm.tree import LSMTree, RunManifest
@@ -493,13 +493,15 @@ class KVStore(CountedWindow):
         with self.tree.storage.counting_suspended():
             for _sublevel, run in self.tree.occupied_runs():
                 for entry in run.read_all():
-                    cur = best.get(entry.key)
-                    if cur is None or entry.seqno > cur[1]:
-                        best[entry.key] = (self._export_value(entry), entry.seqno)
+                    key, _, seqno, _ = entry
+                    cur = best.get(key)
+                    if cur is None or seqno > cur[1]:
+                        best[key] = (self._export_value(entry), seqno)
         for entry in self.memtable.sorted_entries():
-            cur = best.get(entry.key)
-            if cur is None or entry.seqno > cur[1]:
-                best[entry.key] = (self._export_value(entry), entry.seqno)
+            key, _, seqno, _ = entry
+            cur = best.get(key)
+            if cur is None or seqno > cur[1]:
+                best[key] = (self._export_value(entry), seqno)
         return [
             (key, value, seqno)
             for key, (value, seqno) in sorted(best.items())
@@ -510,9 +512,10 @@ class KVStore(CountedWindow):
         """Re-wrap a TTL entry for the wire: the handoff snapshot rides
         the WAL batch codec, whose Expiring kind carries the stamp, so
         the importing shard's ``memtable.put`` restores it exactly."""
-        if entry.expires_at is not None and not entry.is_tombstone:
-            return Expiring(entry.value, entry.expires_at)
-        return entry.value
+        _, value, _, expires_at = entry
+        if expires_at is not None and value is not TOMBSTONE:
+            return Expiring(value, expires_at)
+        return value
 
     def flush(self) -> None:
         """Force the memtable into the tree (normally automatic)."""
@@ -627,8 +630,8 @@ class KVStore(CountedWindow):
         for _, run in self.tree.occupied_runs():
             with self.tree.storage.counting_suspended():
                 for entry in run.read_all():
-                    if entry.seqno > highest:
-                        highest = entry.seqno
+                    if entry[SEQNO] > highest:
+                        highest = entry[SEQNO]
         return highest
 
     # ------------------------------------------------------------------
@@ -771,10 +774,11 @@ class KVStore(CountedWindow):
     def _scan_impl(self, lo: int, hi: int) -> Iterator[tuple[int, Any]]:
         best: dict[int, Entry] = {}
         for entry in self.memtable.scan(lo, hi):
-            best[entry.key] = entry
+            best[entry[KEY]] = entry
         for entry in self.tree.scan(lo, hi):
-            if entry.key not in best or entry.seqno > best[entry.key].seqno:
-                best[entry.key] = entry
+            key = entry[KEY]
+            if key not in best or entry[SEQNO] > best[key][SEQNO]:
+                best[key] = entry
         for key in sorted(best):
             entry = best[key]
             value = self._value_of(entry)
@@ -786,11 +790,12 @@ class KVStore(CountedWindow):
         tombstone *or* an expired TTL version (both shadow anything
         older). The expiry check reads the modelled clock only — it
         counts no I/Os, and entries without a stamp never consult it."""
-        if entry.is_tombstone:
+        _, value, _, expires_at = entry
+        if value is TOMBSTONE:
             return None
-        if entry.expires_at is not None and entry.expires_at <= self.now_ns():
+        if expires_at is not None and expires_at <= self.now_ns():
             return None
-        return entry.value
+        return value
 
     # ------------------------------------------------------------------
     # Instrumentation

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.engine.sharded import shards_of
-from repro.lsm.entry import TOMBSTONE
+from repro.lsm.entry import KEY, SEQNO, TOMBSTONE
 
 
 @dataclass(frozen=True)
@@ -143,8 +143,8 @@ class InvariantChecker:
             with tree.storage.counting_suspended():
                 for sublevel, run in tree.occupied_runs():
                     for entry in run.read_all():
-                        pi = filt.partition_index(entry.key)
-                        fp = partitions[pi].fingerprint(entry.key, sublevel)
+                        pi = filt.partition_index(entry[KEY])
+                        fp = partitions[pi].fingerprint(entry[KEY], sublevel)
                         expected[(pi, sublevel, fp)] += 1
             return expected, actual
         if not hasattr(filt, "iter_slots") or not hasattr(filt, "fingerprint"):
@@ -154,7 +154,7 @@ class InvariantChecker:
         with tree.storage.counting_suspended():
             for sublevel, run in tree.occupied_runs():
                 for entry in run.read_all():
-                    expected[(sublevel, filt.fingerprint(entry.key, sublevel))] += 1
+                    expected[(sublevel, filt.fingerprint(entry[KEY], sublevel))] += 1
         return expected, actual
 
     # ------------------------------------------------------------------
@@ -171,12 +171,12 @@ class InvariantChecker:
         with storage.counting_suspended():
             for sublevel, run in occupied:
                 for entry in run.read_all():
-                    candidates = list(shard.policy.candidates(entry.key))
+                    candidates = list(shard.policy.candidates(entry[KEY]))
                     if sublevel not in candidates:
                         violations.append(
                             Violation(
                                 "filter-agreement",
-                                f"shard {index}: key {entry.key} lives at "
+                                f"shard {index}: key {entry[KEY]} lives at "
                                 f"sub-level {sublevel} but the filter only "
                                 f"proposes {candidates}",
                             )
@@ -189,9 +189,9 @@ class InvariantChecker:
         with storage.counting_suspended():
             for _, run in occupied:
                 for entry in run.read_all():
-                    highest = max(highest, entry.seqno)
+                    highest = max(highest, entry[SEQNO])
         for entry in shard.memtable.sorted_entries():
-            highest = max(highest, entry.seqno)
+            highest = max(highest, entry[SEQNO])
         if highest > shard._seqno:
             violations.append(
                 Violation(

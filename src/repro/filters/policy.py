@@ -35,6 +35,7 @@ from repro.filters.allocation import (
 )
 from repro.filters.blocked_bloom import BlockedBloomFilter
 from repro.filters.bloom import BloomFilter
+from repro.lsm.entry import KEY
 from repro.lsm.run import Run
 from repro.lsm.tree import FlushEvent, LSMTree, MergeEvent, TreeEvent
 from repro.obs import NULL_OBS, Observability
@@ -248,13 +249,13 @@ class BloomFilterPolicy(FilterPolicy):
 
     def handle_event(self, event: TreeEvent) -> None:
         if isinstance(event, FlushEvent):
-            keys = [e.key for e in event.entries]
+            keys = [e[KEY] for e in event.entries]
             self._filters[event.sublevel] = self._build_filter(event.sublevel, keys)
         elif isinstance(event, MergeEvent):
             for sublevel in event.input_sublevels:
                 self._filters.pop(sublevel, None)
             if event.survivors:
-                keys = [e.key for e, _ in event.survivors]
+                keys = [e[KEY] for e, _ in event.survivors]
                 self._filters[event.output_sublevel] = self._build_filter(
                     event.output_sublevel, keys
                 )

@@ -6,23 +6,13 @@ from dataclasses import dataclass
 from typing import Any
 
 
-class _Tombstone:
-    """Sentinel value marking a deleted key (paper section 2: deletes are
-    out-of-place inserts of a tombstone)."""
-
-    _instance: "_Tombstone | None" = None
-
-    def __new__(cls) -> "_Tombstone":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "TOMBSTONE"
-
-
-#: The singleton tombstone value.
-TOMBSTONE = _Tombstone()
+#: The singleton tombstone value (paper section 2: deletes are
+#: out-of-place inserts of a tombstone); test it with ``is``. A bare
+#: ``object()`` rather than an instance of a class of its own: every
+#: instance of a Python class is tracked by the cyclic collector, and
+#: one tracked item keeps the entry holding it -- and that entry's
+#: block -- tracked for good.
+TOMBSTONE = object()
 
 
 @dataclass(frozen=True, slots=True)
@@ -32,7 +22,7 @@ class Expiring:
     The TTL write path wraps the user's value in one of these so the
     expiry travels through the WAL and the memtable without changing
     either surface's signature; :meth:`Memtable.put` unwraps it into
-    the :class:`Entry` it buffers. User code never sees the wrapper on
+    the entry it buffers. User code never sees the wrapper on
     reads — an expired entry simply answers ``None``.
     """
 
@@ -40,29 +30,34 @@ class Expiring:
     expires_at: int
 
 
-@dataclass(frozen=True, slots=True)
-class Entry:
-    """One key-value version.
+#: One key-value version: the exact tuple ``(key, value, seqno,
+#: expires_at)``. ``seqno`` is a global monotonically increasing
+#: sequence number that orders versions of one key during merges
+#: (younger wins). ``expires_at`` (absolute modelled ns, ``None`` =
+#: never) marks a TTL write: past the stamp the version reads as absent
+#: and is reclaimed lazily at merge time, exactly like a purged
+#: tombstone.
+#:
+#: It is a plain tuple, not a class, on purpose: CPython's cyclic
+#: collector untracks an *exact* tuple whose items are all untracked
+#: the first time it survives a collection, so the versions the runs
+#: keep alive (and the tuple blocks holding them) drop out of every
+#: later pass. A dataclass, a ``__slots__`` class, a NamedTuple or
+#: any tuple subclass stays tracked forever.
+Entry = tuple[int, Any, int, int | None]
 
-    ``seqno`` is a global monotonically increasing sequence number used
-    to order versions of the same key during merges (younger wins).
-    ``expires_at`` (absolute modelled ns, ``None`` = never) marks a TTL
-    write: past the stamp the version reads as absent and is reclaimed
-    lazily at merge time, exactly like a purged tombstone.
-    """
+#: Field positions, for reading one field; unpack all four as
+#: ``key, value, seqno, expires_at = entry``.
+KEY, VALUE, SEQNO, EXPIRES_AT = range(4)
 
-    key: int
-    value: Any
-    seqno: int
-    expires_at: int | None = None
 
-    @property
-    def is_tombstone(self) -> bool:
-        return self.value is TOMBSTONE
+def make_entry(
+    key: int, value: Any, seqno: int, expires_at: int | None = None
+) -> Entry:
+    """Build one key-value version."""
+    return (key, value, seqno, expires_at)
 
-    def __lt__(self, other: "Entry") -> bool:
-        """Orders by key, then by *descending* seqno so the newest version
-        of a key sorts first — the order merge iterators rely on."""
-        if self.key != other.key:
-            return self.key < other.key
-        return self.seqno > other.seqno
+
+def is_tombstone(entry: Entry) -> bool:
+    """Whether the version is a delete marker."""
+    return entry[VALUE] is TOMBSTONE

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Any, Iterator
 
 from repro.common.counters import MemoryIOCounter
-from repro.lsm.entry import Entry, Expiring, TOMBSTONE
+from repro.lsm.entry import TOMBSTONE, Entry, Expiring, make_entry
 
 
 class Memtable:
@@ -46,9 +46,9 @@ class Memtable:
         and replication apply TTL writes without special-casing them."""
         self._memory_ios.add("memtable")
         if type(value) is Expiring:
-            self._entries[key] = Entry(key, value.value, seqno, value.expires_at)
+            self._entries[key] = make_entry(key, value.value, seqno, value.expires_at)
         else:
-            self._entries[key] = Entry(key, value, seqno)
+            self._entries[key] = make_entry(key, value, seqno)
 
     def delete(self, key: int, seqno: int) -> None:
         self.put(key, TOMBSTONE, seqno)

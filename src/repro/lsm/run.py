@@ -6,11 +6,12 @@ split into fixed-size blocks in storage, with fence pointers in memory.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterator
 
 from repro.common.counters import MemoryIOCounter
 from repro.lsm.block_cache import BlockCache
-from repro.lsm.entry import Entry
+from repro.lsm.entry import KEY, Entry
 from repro.lsm.fence import FencePointers
 from repro.lsm.storage import Block, StorageDevice
 
@@ -37,7 +38,7 @@ class Run:
         """Write a key-sorted entry list to storage as a new run."""
         if not entries:
             raise ValueError("cannot build an empty run")
-        keys = [e.key for e in entries]
+        keys = [e[KEY] for e in entries]
         if sorted(keys) != keys:
             raise ValueError("entries must be sorted by key")
         if len(set(keys)) != len(keys):
@@ -47,7 +48,7 @@ class Run:
             for i in range(0, len(entries), block_entries)
         ]
         run_id = storage.write_run(blocks)
-        fences = FencePointers([b[0].key for b in blocks], entries[-1].key)
+        fences = FencePointers([b[0][KEY] for b in blocks], entries[-1][KEY])
         return cls(run_id, storage, fences, len(entries))
 
     @property
@@ -72,15 +73,11 @@ class Run:
         block = self._fetch_block(index, memory_ios, cache)
         # Binary search within the block is intra-cache-line work once the
         # block is resident; the block fetch itself carried the I/O cost.
-        lo, hi = 0, len(block) - 1
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            if block[mid].key == key:
-                return block[mid]
-            if block[mid].key < key:
-                lo = mid + 1
-            else:
-                hi = mid - 1
+        # The 1-tuple ``(key,)`` sorts before every version of ``key``,
+        # so the search never compares values.
+        pos = bisect_left(block, (key,))
+        if pos < len(block) and block[pos][KEY] == key:
+            return block[pos]
         return None
 
     def scan(
@@ -94,9 +91,9 @@ class Run:
         for index in self.fences.block_range(lo, hi):
             block = self._fetch_block(index, memory_ios, cache)
             for entry in block:
-                if entry.key > hi:
+                if entry[KEY] > hi:
                     return
-                if entry.key >= lo:
+                if entry[KEY] >= lo:
                     yield entry
 
     def read_all(self) -> list[Entry]:

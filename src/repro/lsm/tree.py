@@ -35,7 +35,7 @@ from repro.lsm.block_cache import BlockCache
 from repro.obs import NULL_OBS, Observability
 from repro.obs.metrics import MERGE_INPUT_BUCKETS
 from repro.lsm.config import LSMConfig
-from repro.lsm.entry import Entry
+from repro.lsm.entry import EXPIRES_AT, KEY, SEQNO, Entry, is_tombstone
 from repro.lsm.run import Run
 from repro.lsm.storage import StorageDevice
 
@@ -367,7 +367,7 @@ class LSMTree:
             kept: list[Entry] = []
             kept_origin: list[int] = []
             for entry, src in zip(entries, origin):
-                if entry.is_tombstone or self._expired(entry):
+                if is_tombstone(entry) or self._expired(entry):
                     drops.append((entry, src))
                 else:
                     kept.append(entry)
@@ -415,8 +415,8 @@ class LSMTree:
         assert target is not None
         with self.storage.counting_suspended():
             target_entries = target.read_all()
-        merged_size = len({e.key for e in target_entries}
-                          | {e.key for e in entries})
+        merged_size = len({e[KEY] for e in target_entries}
+                          | {e[KEY] for e in entries})
         if merged_size > self.sublevel_capacity(level.number):
             return False
         # Commit: charge the reads the trial performed, then merge.
@@ -511,7 +511,7 @@ class LSMTree:
         tombstones purge (the oldest sub-level) — dropping an expired
         version any earlier could resurrect an older, shadowed version
         of the same key on the query path."""
-        exp = entry.expires_at
+        exp = entry[EXPIRES_AT]
         if exp is None or self.clock is None:
             return False
         return exp <= self.clock()
@@ -653,15 +653,20 @@ class LSMTree:
         4.5, Range Reads. Memory stays O(runs), not O(range width)."""
         import heapq
 
+        memory, cache = self.counters.memory, self.cache
+
+        def ranked(run: Run, age: int) -> Iterator[tuple[int, int, Entry]]:
+            # A function, not a generator expression, so each stream
+            # binds its own ``age`` rather than the loop's last value.
+            for entry in run.scan(lo, hi, memory, cache):
+                yield entry[KEY], age, entry
+
         streams = [
-            (
-                (entry.key, age, entry)
-                for entry in run.scan(lo, hi, self.counters.memory, self.cache)
-            )
-            for age, (_, run) in enumerate(self.occupied_runs())
+            ranked(run, age) for age, (_, run) in enumerate(self.occupied_runs())
         ]
         # Ties on key break by age rank: the youngest run's version
-        # arrives first and wins; later duplicates are skipped.
+        # arrives first and wins; later duplicates are skipped. Ranks are
+        # distinct, so two entries are never compared.
         previous_key: int | None = None
         for key, _, entry in heapq.merge(*streams):
             if key == previous_key:
@@ -697,12 +702,13 @@ def _merge_sorted(
         if len(entries) != len(origins):
             raise ValueError("each entry needs exactly one origin")
         for entry, origin in zip(entries, origins):
-            current = best.get(entry.key)
+            key = entry[KEY]
+            current = best.get(key)
             if current is None:
-                best[entry.key] = (entry, origin)
-            elif entry.seqno > current[0].seqno:
+                best[key] = (entry, origin)
+            elif entry[SEQNO] > current[0][SEQNO]:
                 drops.append(current)
-                best[entry.key] = (entry, origin)
+                best[key] = (entry, origin)
             else:
                 drops.append((entry, origin))
     survivors: list[Entry] = []
@@ -710,7 +716,7 @@ def _merge_sorted(
     for key in sorted(best):
         entry, origin = best[key]
         if purge_tombstones and (
-            entry.is_tombstone or (is_expired is not None and is_expired(entry))
+            is_tombstone(entry) or (is_expired is not None and is_expired(entry))
         ):
             drops.append((entry, origin))
             continue

@@ -56,7 +56,7 @@ from repro.engine.kvstore import KVStore
 from repro.engine.sharded import ShardedKVStore, shards_of
 from repro.faults.crashpoints import crash_point
 from repro.filters.policy import make_policy
-from repro.lsm.entry import Entry
+from repro.lsm.entry import KEY, SEQNO, Entry, is_tombstone
 from repro.lsm.memtable import Memtable
 from repro.lsm.tree import LSMTree
 
@@ -180,11 +180,12 @@ def _switch_shard(shard: KVStore, new_config: EngineConfig) -> None:
     newest: dict[int, Entry] = {}
     for _, run in old_tree.occupied_runs():
         for entry in run.read_all():  # counted: this is a major compaction
-            cur = newest.get(entry.key)
-            if cur is None or entry.seqno > cur.seqno:
-                newest[entry.key] = entry
+            key = entry[KEY]
+            cur = newest.get(key)
+            if cur is None or entry[SEQNO] > cur[SEQNO]:
+                newest[key] = entry
     survivors = [
-        newest[key] for key in sorted(newest) if not newest[key].is_tombstone
+        newest[key] for key in sorted(newest) if not is_tombstone(newest[key])
     ]
 
     lsm = new_config.lsm_config()

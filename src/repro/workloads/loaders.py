@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 
 from repro.engine.kvstore import KVStore
-from repro.lsm.entry import Entry
+from repro.lsm.entry import make_entry
 
 
 def fill_tree_to_levels(
@@ -54,7 +54,7 @@ def fill_tree_to_levels(
             keys = _fresh_keys(rng, capacity, used)
             keys.sort()
             entries = [
-                Entry(key, f"v{sublevel}:{key}", store._bump_seqno())
+                make_entry(key, f"v{sublevel}:{key}", store._bump_seqno())
                 for key in keys
             ]
             tree.install_run(sublevel, entries)

@@ -1,5 +1,8 @@
 """Bit-packed bucket codec: pack/unpack round-trips under FAC."""
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +13,7 @@ from repro.common.errors import FilterError
 from repro.common.hashing import fingerprint_bits
 from repro.chucky.bucket import BucketCodec
 from repro.chucky.codebook import ChuckyCodebook
+from repro.chucky.decode import BucketFastTables
 from repro.chucky.tables import CodecTables
 
 
@@ -29,6 +33,25 @@ def make_slots(codec, lids, key_base=1000):
     while len(slots) < codec.codebook.slots:
         slots.append(codec.empty_slot)
     return slots
+
+
+class TestCompiledPackFreedByRefcount:
+    def test_pack_function_dies_with_its_tables(self):
+        """A compiled pack function must not keep itself alive through
+        its own globals: dropping a rebuilt codebook's tables frees them
+        with the cyclic collector off."""
+        cb = ChuckyCodebook(LidDistribution(5, 6), slots=4, bucket_bits=40)
+        tables = BucketFastTables(cb)
+        assert tables.pack_fns
+        pack = weakref.ref(next(iter(tables.pack_fns.values())))
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del tables
+            assert pack() is None
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 class TestPackUnpack:

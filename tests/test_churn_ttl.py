@@ -19,6 +19,7 @@ from repro.engine.kvstore import KVStore
 from repro.faults.invariants import InvariantChecker
 from repro.filters.policy import available_policies, make_policy
 from repro.lsm.config import leveling, tiering
+from repro.lsm.entry import KEY
 from repro.obs import Observability
 
 CYCLES = 12
@@ -208,7 +209,7 @@ class TestTtlExpiry:
         kv.flush()
         with kv.tree.storage.counting_suspended():
             stored = {
-                entry.key
+                entry[KEY]
                 for _, run in kv.tree.occupied_runs()
                 for entry in run.read_all()
             }

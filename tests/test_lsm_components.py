@@ -1,11 +1,15 @@
 """Unit tests for the LSM building blocks: memtable, storage device,
 fence pointers, runs, and the block cache."""
 
+import gc
+
 import pytest
 
 from repro.common.counters import MemoryIOCounter, StorageIOCounter
 from repro.lsm.block_cache import BlockCache
-from repro.lsm.entry import Entry, TOMBSTONE
+from repro.lsm.entry import (
+    EXPIRES_AT, KEY, SEQNO, TOMBSTONE, VALUE, is_tombstone, make_entry,
+)
 from repro.lsm.fence import FencePointers
 from repro.lsm.memtable import Memtable
 from repro.lsm.run import Run
@@ -13,43 +17,58 @@ from repro.lsm.storage import StorageDevice
 
 
 def make_entries(keys, seq_start=1):
-    return [Entry(k, f"v{k}", seq_start + i) for i, k in enumerate(sorted(keys))]
+    return [make_entry(k, f"v{k}", seq_start + i) for i, k in enumerate(sorted(keys))]
 
 
 class TestEntry:
     def test_tombstone_flag(self):
-        assert Entry(1, TOMBSTONE, 1).is_tombstone
-        assert not Entry(1, "x", 1).is_tombstone
+        assert is_tombstone(make_entry(1, TOMBSTONE, 1))
+        assert not is_tombstone(make_entry(1, "x", 1))
 
     def test_tombstone_singleton(self):
-        from repro.lsm.entry import _Tombstone
+        from repro.lsm import TOMBSTONE as exported
 
-        assert _Tombstone() is TOMBSTONE
+        assert exported is TOMBSTONE
+        # Untracked, so a tombstone entry drops out of the collector
+        # like any other version.
+        assert not gc.is_tracked(TOMBSTONE)
 
-    def test_ordering_newest_first_within_key(self):
-        older, newer = Entry(5, "a", 1), Entry(5, "b", 2)
-        assert newer < older
-        assert Entry(4, "c", 9) < older
+    def test_exact_tuple_layout(self):
+        entry = make_entry(5, "a", 7, expires_at=99)
+        assert type(entry) is tuple
+        assert entry == (5, "a", 7, 99)
+        assert (entry[KEY], entry[VALUE], entry[SEQNO], entry[EXPIRES_AT]) == (
+            5, "a", 7, 99,
+        )
+        assert make_entry(5, "a", 7)[EXPIRES_AT] is None
+
+    def test_key_probe_sorts_before_every_version(self):
+        # Run.get bisects a block with ``(key,)``: it must land on the
+        # key's version without ever comparing values.
+        versions = [make_entry(5, TOMBSTONE, 1), make_entry(5, "b", 2)]
+        for version in versions:
+            assert make_entry(4, TOMBSTONE, 9) < (5,) < version
+            assert (5,) < make_entry(6, "c", 0)
 
 
 class TestMemtable:
     def test_put_get(self):
         mt = Memtable(4)
         mt.put(1, "a", 1)
-        assert mt.get(1).value == "a"
+        assert mt.get(1)[VALUE] == "a"
         assert mt.get(2) is None
 
     def test_overwrite_same_key(self):
         mt = Memtable(4)
         mt.put(1, "a", 1)
         mt.put(1, "b", 2)
-        assert mt.get(1).value == "b"
+        assert mt.get(1)[VALUE] == "b"
         assert len(mt) == 1
 
     def test_delete_buffers_tombstone(self):
         mt = Memtable(4)
         mt.delete(7, 1)
-        assert mt.get(7).is_tombstone
+        assert is_tombstone(mt.get(7))
 
     def test_is_full(self):
         mt = Memtable(2)
@@ -62,13 +81,13 @@ class TestMemtable:
         mt = Memtable(4)
         for k in (3, 1, 2):
             mt.put(k, str(k), k)
-        assert [e.key for e in mt.sorted_entries()] == [1, 2, 3]
+        assert [e[KEY] for e in mt.sorted_entries()] == [1, 2, 3]
 
     def test_scan(self):
         mt = Memtable(8)
         for k in range(6):
             mt.put(k, str(k), k + 1)
-        assert [e.key for e in mt.scan(2, 4)] == [2, 3, 4]
+        assert [e[KEY] for e in mt.scan(2, 4)] == [2, 3, 4]
 
     def test_counts_memory_ios(self):
         mem = MemoryIOCounter()
@@ -171,7 +190,7 @@ class TestRun:
     def test_build_and_get(self):
         run, _ = self.build(range(10))
         mem = MemoryIOCounter()
-        assert run.get(7, mem).value == "v7"
+        assert run.get(7, mem)[VALUE] == "v7"
         assert run.get(99, mem) is None
 
     def test_get_counts_one_storage_io(self):
@@ -192,22 +211,22 @@ class TestRun:
 
     def test_scan(self):
         run, _ = self.build(range(10))
-        got = [e.key for e in run.scan(3, 7, MemoryIOCounter())]
+        got = [e[KEY] for e in run.scan(3, 7, MemoryIOCounter())]
         assert got == [3, 4, 5, 6, 7]
 
     def test_read_all(self):
         run, _ = self.build(range(5))
-        assert [e.key for e in run.read_all()] == list(range(5))
+        assert [e[KEY] for e in run.read_all()] == list(range(5))
 
     def test_unsorted_rejected(self):
         dev = StorageDevice()
-        entries = [Entry(2, "a", 1), Entry(1, "b", 2)]
+        entries = [make_entry(2, "a", 1), make_entry(1, "b", 2)]
         with pytest.raises(ValueError):
             Run.build(entries, dev, 2)
 
     def test_duplicate_keys_rejected(self):
         dev = StorageDevice()
-        entries = [Entry(1, "a", 1), Entry(1, "b", 2)]
+        entries = [make_entry(1, "a", 1), make_entry(1, "b", 2)]
         with pytest.raises(ValueError):
             Run.build(entries, dev, 2)
 

@@ -9,6 +9,7 @@ from repro.chucky.policy import ChuckyPolicy
 from repro.engine.kvstore import KVStore
 from repro.filters.policy import BloomFilterPolicy, NoFilterPolicy
 from repro.lsm.config import lazy_leveling, leveling, tiering
+from repro.lsm.entry import KEY
 
 
 def written_store(policy, cfg=None, n=600, universe=300, seed=0):
@@ -27,9 +28,9 @@ def filter_consistency(kv):
     """Invariant: for every live entry, the policy proposes its
     sub-level (no false negatives through the whole write history)."""
     for entry, sublevel in kv.tree.iter_entries_with_sublevels():
-        candidates = list(kv.policy.candidates(entry.key))
+        candidates = list(kv.policy.candidates(entry[KEY]))
         assert sublevel in candidates, (
-            f"key {entry.key} at sub-level {sublevel} missed by "
+            f"key {entry[KEY]} at sub-level {sublevel} missed by "
             f"{kv.policy.name}: {candidates}"
         )
 

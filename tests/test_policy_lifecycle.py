@@ -25,6 +25,7 @@ from repro.engine.config import EngineConfig, build_store, recover_store
 from repro.faults.invariants import InvariantChecker
 from repro.filters import policy as policy_registry
 from repro.filters.policy import available_policies, register_policy
+from repro.lsm.entry import KEY
 from repro.tuning.actuator import migrate_filter, switch_merge_policy
 
 PARTITIONED = "test-chucky-partitioned"
@@ -110,7 +111,7 @@ def _assert_consistent(store) -> None:
     violations = InvariantChecker().check_structure(store)
     assert not violations, [str(v) for v in violations]
     for entry, sublevel in store.tree.iter_entries_with_sublevels():
-        assert sublevel in list(store.policy.candidates(entry.key)), entry.key
+        assert sublevel in list(store.policy.candidates(entry[KEY])), entry[KEY]
 
 
 def _loaded_store(policy: str):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.lsm.config import LSMConfig, lazy_leveling, leveling, tiering
-from repro.lsm.entry import Entry, TOMBSTONE
+from repro.lsm.entry import KEY, SEQNO, TOMBSTONE, VALUE, is_tombstone, make_entry
 from repro.lsm.tree import BUFFER_ORIGIN, FlushEvent, LSMTree, MergeEvent
 
 
@@ -19,7 +19,7 @@ def drive(tree: LSMTree, ops, buffer_entries):
     seq = 0
     for key, value in ops:
         seq += 1
-        buf[key] = Entry(key, value, seq)
+        buf[key] = make_entry(key, value, seq)
         if value is TOMBSTONE:
             ref.pop(key, None)
         else:
@@ -40,7 +40,7 @@ def check_structure(tree: LSMTree):
         assert run.run_id not in seen_ids
         seen_ids.add(run.run_id)
         entries = run.read_all()
-        keys = [e.key for e in entries]
+        keys = [e[KEY] for e in entries]
         assert keys == sorted(keys), "runs must be key-sorted"
         assert len(set(keys)) == len(keys), "one version per key per run"
         level = (sublevel - 1) // tree.config.runs_per_level + 1
@@ -112,28 +112,52 @@ class TestQueries:
         for key in range(120):
             entry = tree.get_unfiltered(key)
             if key in ref:
-                assert entry is not None and entry.value == ref[key]
+                assert entry is not None and entry[VALUE] == ref[key]
             else:
-                assert entry is None or entry.is_tombstone
+                assert entry is None or is_tombstone(entry)
 
     def test_newest_version_wins(self, small_leveling):
         tree = LSMTree(small_leveling)
         ops = [(5, f"v{i}") for i in range(100)]
         drive(tree, ops, small_leveling.buffer_entries)
-        assert tree.get_unfiltered(5).value == "v99"
+        assert tree.get_unfiltered(5)[VALUE] == "v99"
 
     def test_scan_merges_versions(self, small_lazy, rng):
         tree = LSMTree(small_lazy)
         ops = [(rng.randrange(60), f"v{i}") for i in range(400)]
         ref = drive(tree, ops, small_lazy.buffer_entries)
-        got = {e.key: e.value for e in tree.scan(0, 59) if not e.is_tombstone}
+        got = {e[KEY]: e[VALUE] for e in tree.scan(0, 59) if not is_tombstone(e)}
         assert got == ref
+
+    def test_scan_ties_break_by_run_age(self, small_tiering, monkeypatch):
+        """Regression: each scan stream once read its age rank lazily
+        and so carried the last run's, leaving a same-key tie to compare
+        the versions themselves (a tombstone against a string)."""
+        import heapq
+
+        tree = LSMTree(small_tiering.with_levels(2))
+        tree.install_run(2, [make_entry(7, "old", 1), make_entry(8, "kept", 2)])
+        tree.install_run(1, [make_entry(7, TOMBSTONE, 3)])
+        ranks = []
+        real_merge = heapq.merge
+
+        def spy(*streams):
+            items = [list(stream) for stream in streams]
+            ranks.extend({age for _, age, _ in stream} for stream in items)
+            return real_merge(*items)
+
+        monkeypatch.setattr(heapq, "merge", spy)
+        got = list(tree.scan(0, 10))
+        assert ranks == [{0}, {1}]
+        assert [e[KEY] for e in got] == [7, 8]
+        assert is_tombstone(got[0])
+        assert [e[VALUE] for e in got if not is_tombstone(e)] == ["kept"]
 
     def test_get_from_sublevel(self, small_tiering):
         tree = LSMTree(small_tiering)
         drive(tree, [(i, i) for i in range(100)], small_tiering.buffer_entries)
         sublevel, run = tree.occupied_runs()[0]
-        key = run.read_all()[0].key
+        key = run.read_all()[0][KEY]
         assert tree.get_from_sublevel(sublevel, key) is not None
         empty = [
             s
@@ -158,7 +182,7 @@ class TestVersionOrderRegression:
         ops += [(k, f"b{k}") for k in range(4)]
         ops += [(0, "newest")]
         drive(tree, ops, cfg.buffer_entries)
-        assert tree.get_unfiltered(0).value == "newest"
+        assert tree.get_unfiltered(0)[VALUE] == "newest"
 
     def test_dedup_merge_only_at_single_slot_last_level(self):
         """Update-heavy writes dedup into a Z=1 largest level instead of
@@ -167,7 +191,7 @@ class TestVersionOrderRegression:
         tree = LSMTree(cfg)
         # Fill the largest level to capacity with distinct keys.
         cap = tree.sublevel_capacity(3)
-        base = [Entry(k, "base", k + 1) for k in range(cap)]
+        base = [make_entry(k, "base", k + 1) for k in range(cap)]
         tree.install_run(3, base)
         grew = []
         tree.grow_listeners.append(grew.append)
@@ -187,7 +211,7 @@ class TestTombstones:
         ]
         drive(tree, ops, small_leveling.buffer_entries)
         entry = tree.get_unfiltered(7)
-        assert entry is None or entry.is_tombstone
+        assert entry is None or is_tombstone(entry)
 
     def test_tombstones_purged_at_oldest_sublevel(self):
         """A tombstone merged into the oldest data is dropped for good."""
@@ -199,11 +223,11 @@ class TestTombstones:
         drive(tree, ops, cfg.buffer_entries)
         for key in range(8):
             entry = tree.get_unfiltered(key)
-            assert entry is None or entry.is_tombstone is False or True
+            assert entry is None or is_tombstone(entry)
         # The oldest sub-level must contain no tombstones at all.
         last = tree.occupied_runs()[-1]
         if last[0] == tree.config.total_sublevels(tree.num_levels):
-            assert not any(e.is_tombstone for e in last[1].read_all())
+            assert not any(is_tombstone(e) for e in last[1].read_all())
 
 
 class TestEvents:
@@ -220,7 +244,7 @@ class TestEvents:
         assert flushes
         for e in flushes:
             assert len(e.entries) > 0
-            assert all(isinstance(x, Entry) for x in e.entries)
+            assert all(type(x) is tuple for x in e.entries)
 
     def test_merge_events_conserve_entries(self, small_lazy):
         """survivors + drops of a merge account for every input entry."""
@@ -253,20 +277,20 @@ class TestEvents:
         def apply(event):
             if isinstance(event, FlushEvent):
                 for entry in event.entries:
-                    shadow[(entry.key, entry.seqno)] = event.sublevel
+                    shadow[(entry[KEY], entry[SEQNO])] = event.sublevel
             else:
                 for entry, src in event.drops:
                     if src != BUFFER_ORIGIN:
-                        del shadow[(entry.key, entry.seqno)]
+                        del shadow[(entry[KEY], entry[SEQNO])]
                     else:
-                        shadow.pop((entry.key, entry.seqno), None)
+                        shadow.pop((entry[KEY], entry[SEQNO]), None)
                 for entry, src in event.survivors:
-                    shadow[(entry.key, entry.seqno)] = event.output_sublevel
+                    shadow[(entry[KEY], entry[SEQNO])] = event.output_sublevel
 
         tree.listeners.append(apply)
         drive(tree, [(i % 64, i) for i in range(700)], small_lazy.buffer_entries)
         actual = {
-            (e.key, e.seqno): sub
+            (e[KEY], e[SEQNO]): sub
             for e, sub in tree.iter_entries_with_sublevels()
         }
         assert shadow == actual
@@ -287,7 +311,7 @@ class TestGrowth:
         tree = LSMTree(cfg)
         ref = drive(tree, [(i, f"v{i}") for i in range(200)], cfg.buffer_entries)
         for key, value in ref.items():
-            assert tree.get_unfiltered(key).value == value
+            assert tree.get_unfiltered(key)[VALUE] == value
 
     def test_num_sublevels_tracks_levels(self):
         cfg = tiering(3, buffer_entries=4, block_entries=2, initial_levels=1)
@@ -349,8 +373,8 @@ class TestRunTable:
     def test_tracks_install_run_and_from_manifest(self, small_tiering):
         cfg = small_tiering.with_levels(2)
         tree = LSMTree(cfg)
-        tree.install_run(4, [Entry(k, f"v{k}", k + 1) for k in range(10)])
-        tree.install_run(2, [Entry(k, f"w{k}", k + 20) for k in range(5)])
+        tree.install_run(4, [make_entry(k, f"v{k}", k + 1) for k in range(10)])
+        tree.install_run(2, [make_entry(k, f"w{k}", k + 20) for k in range(5)])
         check_run_table(tree)
         assert [s for s, _ in tree.occupied_runs()] == [2, 4]
         reopened = LSMTree.from_manifest(cfg, tree.storage, tree.manifest())
@@ -363,26 +387,26 @@ class TestRunTable:
 class TestInstallRun:
     def test_bulk_load_and_query(self, small_leveling):
         tree = LSMTree(small_leveling.with_levels(3))
-        entries = [Entry(k, f"v{k}", k + 1) for k in range(10)]
+        entries = [make_entry(k, f"v{k}", k + 1) for k in range(10)]
         tree.install_run(3, entries)
-        assert tree.get_from_sublevel(3, 4).value == "v4"
+        assert tree.get_from_sublevel(3, 4)[VALUE] == "v4"
 
     def test_occupied_slot_rejected(self, small_leveling):
         tree = LSMTree(small_leveling.with_levels(2))
-        tree.install_run(1, [Entry(1, "a", 1)])
+        tree.install_run(1, [make_entry(1, "a", 1)])
         with pytest.raises(ValueError):
-            tree.install_run(1, [Entry(2, "b", 2)])
+            tree.install_run(1, [make_entry(2, "b", 2)])
 
     def test_missing_sublevel_rejected(self, small_leveling):
         tree = LSMTree(small_leveling.with_levels(2))
         with pytest.raises(ValueError):
-            tree.install_run(99, [Entry(1, "a", 1)])
+            tree.install_run(99, [make_entry(1, "a", 1)])
 
     def test_emits_flush_event(self, small_leveling):
         tree = LSMTree(small_leveling.with_levels(2))
         events = []
         tree.listeners.append(events.append)
-        tree.install_run(2, [Entry(1, "a", 1)])
+        tree.install_run(2, [make_entry(1, "a", 1)])
         assert isinstance(events[0], FlushEvent)
         assert events[0].sublevel == 2
 
@@ -413,6 +437,6 @@ def test_random_workload_matches_reference(t, policy, ops):
         entry = tree.get_unfiltered(key)
         if key in ref:
             assert entry is not None
-            assert entry.value == ref[key]
+            assert entry[VALUE] == ref[key]
         else:
-            assert entry is None or entry.is_tombstone
+            assert entry is None or is_tombstone(entry)

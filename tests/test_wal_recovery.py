@@ -10,7 +10,7 @@ from repro.chucky.policy import ChuckyPolicy
 from repro.engine.kvstore import KVStore
 from repro.filters.policy import BloomFilterPolicy, NoFilterPolicy
 from repro.lsm.config import lazy_leveling
-from repro.lsm.entry import TOMBSTONE
+from repro.lsm.entry import KEY, TOMBSTONE
 from repro.lsm.wal import WalCorruption, WriteAheadLog
 
 
@@ -187,7 +187,7 @@ class TestCrashRecovery:
         assert recovered.counters.storage.reads == 0
         # And the recovered filter is exactly consistent with the tree.
         for entry, sublevel in recovered.tree.iter_entries_with_sublevels():
-            assert sublevel in recovered.policy.filter.query(entry.key)
+            assert sublevel in recovered.policy.filter.query(entry[KEY])
 
     def test_bloom_recovery_scans_runs(self):
         kv, ref, cfg = populated_store(BloomFilterPolicy(10, "blocked", "optimal"))

@@ -11,6 +11,7 @@ from repro.engine.kvstore import KVStore
 from repro.filters.policy import XorFilterPolicy
 from repro.filters.xor import XorFilter
 from repro.lsm.config import lazy_leveling
+from repro.lsm.entry import KEY
 
 
 KEYS = random.Random(11).sample(range(10**12), 12000)
@@ -83,7 +84,7 @@ class TestXorFilterPolicy:
             kv.put(k, f"v{i}")
             ref[k] = f"v{i}"
         for entry, sublevel in kv.tree.iter_entries_with_sublevels():
-            cands = list(kv.policy.candidates(entry.key))
+            cands = list(kv.policy.candidates(entry[KEY]))
             assert sublevel in cands
         for k, v in list(ref.items())[:100]:
             assert kv.get(k) == v
