@@ -112,9 +112,10 @@ class LoopbackCluster:
         self.killed: set[str] = set()
 
     async def start(self) -> ClusterCoordinator:
+        loop = asyncio.get_running_loop()
         for name, node in self.nodes.items():
-            server = await asyncio.start_server(
-                node.server._on_connect, "127.0.0.1", 0
+            server = await loop.create_server(
+                node.server.protocol_factory, "127.0.0.1", 0
             )
             self.servers[name] = server
             self.addrs[name] = (
@@ -134,15 +135,13 @@ class LoopbackCluster:
     def _abort_connections(self, name: str) -> None:
         """Closing a listener is not enough: established connections
         keep serving, so survivors would happily talk to the corpse.
-        Abort every open transport so peers see a connection reset; the
-        caller then yields so the connection_lost callbacks run and the
-        per-connection serve tasks unwind before the loop is torn down
-        (else asyncio logs cancelled-task noise)."""
+        Abort every open transport so peers see a connection reset and
+        nothing more is read or written; the caller then yields so the
+        connection_lost callbacks run and the serve tasks of ops still
+        in flight unwind before the loop is torn down (else asyncio
+        logs cancelled-task noise)."""
         for conn in list(self.nodes[name].server._connections):
-            conn.closed = True
-            transport = conn.writer.transport
-            if transport is not None:
-                transport.abort()
+            conn.transport.abort()
 
     async def kill(self, name: str) -> None:
         """Process death: stop serving, stop the commit task, sever

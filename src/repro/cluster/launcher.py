@@ -226,6 +226,7 @@ class ClusterLauncher:
     async def wait_ready(self, timeout: float = 15.0) -> None:
         """Block until every worker accepts TCP connections."""
         deadline = time.monotonic() + timeout
+        loop = asyncio.get_running_loop()
         for name, (host, port) in self.spec.addresses().items():
             while True:
                 proc = self.procs.get(name)
@@ -235,8 +236,10 @@ class ClusterLauncher:
                         "before becoming ready"
                     )
                 try:
-                    _, writer = await asyncio.open_connection(host, port)
-                    writer.close()
+                    transport, _ = await loop.create_connection(
+                        asyncio.Protocol, host, port
+                    )
+                    transport.close()
                     break
                 except OSError:
                     if time.monotonic() > deadline:

@@ -667,20 +667,12 @@ class ClusterNode:
         queue would stall the handoff for as long as other shards this
         node leads keep taking traffic. The shard's own write set is
         finite once parked (route_check rejects new ones), so this
-        terminates under sustained foreign load."""
+        terminates under sustained foreign load. A write clears
+        route_check and is enqueued in one synchronous step, so once
+        parked no write of the shard can still be on its way in."""
         commit = self.server.commit
         is_ours = lambda key: self.store.shard_id_of(key) == shard_id  # noqa: E731
-        empty_passes = 0
-        while empty_passes < 2:
-            waiters = commit.waiters_for(is_ours)
-            if not waiters:
-                # One extra scheduling round: a handler that cleared
-                # route_check just before the park may not have
-                # enqueued its write yet.
-                empty_passes += 1
-                await asyncio.sleep(0)
-                continue
-            empty_passes = 0
+        while waiters := commit.waiters_for(is_ours):
             await asyncio.wait(waiters)
 
     async def broadcast_map(

@@ -49,7 +49,7 @@ class PeerPool:
         client = self._clients.pop(name, None)
         if client is not None:
             try:
-                client._writer.close()
+                client._transport.close()
             except Exception:  # noqa: BLE001 — already dead is fine
                 pass
 

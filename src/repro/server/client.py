@@ -3,9 +3,10 @@
 Two clients over the same wire protocol:
 
 * :class:`AsyncClient` — asyncio, pipelined: many requests may be in
-  flight on one connection; a background dispatch task matches
-  responses to waiters by request id. This is what the load generator
-  and the server's own tests use.
+  flight on one connection. The client is the connection's
+  :class:`asyncio.Protocol`: the callback that reads a response
+  resolves its waiter by request id, with no task in between. This is
+  what the load generator, the cluster and the server's own tests use.
 * :class:`SyncClient` — plain blocking sockets, strictly one request
   at a time. Zero asyncio in sight, so scripts, REPL sessions and
   examples can talk to a server with no ceremony.
@@ -54,7 +55,6 @@ from repro.server.protocol import (
     decode_response,
     encode_request,
     frame,
-    read_frame,
 )
 
 
@@ -189,74 +189,99 @@ class _TraceMixin:
         return list(self.trace_log)
 
 
-class AsyncClient(_TraceMixin):
-    """Pipelined asyncio client. Create with :meth:`connect`."""
+class AsyncClient(_TraceMixin, asyncio.Protocol):
+    """Pipelined asyncio client, one protocol per connection. Create
+    with :meth:`connect`."""
 
-    def __init__(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        trace: ClientTraceConfig | None = None,
-    ) -> None:
-        self._reader = reader
-        self._writer = writer
+    def __init__(self, trace: ClientTraceConfig | None = None) -> None:
+        self._transport: asyncio.Transport | None = None
+        self._assembler = FrameAssembler()
         self._ids = itertools.count(1)
         self._waiters: dict[int, asyncio.Future] = {}
         self._closed = False
+        #: Set while the transport's write buffer is over its high-water
+        #: mark; requests wait on it before awaiting their response.
+        self._resumed: asyncio.Future | None = None
+        self._lost = asyncio.get_running_loop().create_future()
         self._init_trace(trace)
-        self._dispatch_task = asyncio.get_running_loop().create_task(
-            self._dispatch(), name="repro-client-dispatch"
-        )
 
     @classmethod
     async def connect(
         cls, host: str, port: int, trace: ClientTraceConfig | None = None
     ) -> "AsyncClient":
-        reader, writer = await asyncio.open_connection(host, port)
-        return cls(reader, writer, trace=trace)
+        _, client = await asyncio.get_running_loop().create_connection(
+            lambda: cls(trace), host, port
+        )
+        return client
 
-    async def _dispatch(self) -> None:
-        """Read frames forever, resolving waiters by request id."""
-        error: Exception | None = None
+    # -- protocol callbacks ---------------------------------------------
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self._transport = transport
+
+    def data_received(self, data: bytes) -> None:
+        """Resolve waiters by request id, in the callback that read
+        their responses."""
         try:
-            while True:
-                payload = await read_frame(self._reader)
-                if payload is None:
-                    break
+            for payload in self._assembler.feed(data):
                 resp = decode_response(payload)
                 waiter = self._waiters.pop(resp.request_id, None)
                 if waiter is not None and not waiter.done():
                     waiter.set_result(resp)
-        except (ProtocolError, ConnectionResetError, OSError) as exc:
-            error = exc
-        finally:
-            self._closed = True
-            for waiter in self._waiters.values():
-                if not waiter.done():
-                    waiter.set_exception(
-                        error
-                        if error is not None
-                        else ConnectionResetError("connection closed")
-                    )
-            self._waiters.clear()
+        except ProtocolError as exc:
+            self._fail(exc)
+            self._transport.close()
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        if exc is None and self._assembler.pending_bytes:
+            exc = ProtocolError("connection closed mid frame")
+        self._fail(exc or ConnectionResetError("connection closed"))
+        self.resume_writing()  # requests held by a full buffer move on
+        if not self._lost.done():
+            self._lost.set_result(None)
+
+    def pause_writing(self) -> None:
+        self._resumed = asyncio.get_running_loop().create_future()
+
+    def resume_writing(self) -> None:
+        resumed, self._resumed = self._resumed, None
+        if resumed is not None and not resumed.done():
+            resumed.set_result(None)
+
+    def _fail(self, error: Exception) -> None:
+        """The connection is done for: every waiter gets ``error``."""
+        self._closed = True
+        for waiter in self._waiters.values():
+            if not waiter.done():
+                waiter.set_exception(error)
+        self._waiters.clear()
+
+    # -- requests -------------------------------------------------------
 
     async def request(self, req: Request) -> Response:
         """Send one request and await its response (raw: no status
         checking, no sampling — callers that care use the typed
-        helpers below)."""
+        helpers below). Raises ``ValueError`` if a request with the
+        same id is still in flight on this connection."""
         if self._closed:
             raise ConnectionResetError("client is closed")
+        rid = req.request_id
+        if rid in self._waiters:
+            raise ValueError(f"request id {rid} is already in flight")
+        data = frame(encode_request(req))
         waiter: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._waiters[req.request_id] = waiter
+        self._waiters[rid] = waiter
         try:
-            self._writer.write(frame(encode_request(req)))
-            await self._writer.drain()
+            self._transport.write(data)
+            if self._resumed is not None:
+                await asyncio.shield(self._resumed)
             return await waiter
         except BaseException:
             # Don't orphan the waiter when the send (or this task) dies
-            # first — _dispatch would later set an exception nobody
+            # first — a later failure would set an exception nobody
             # retrieves, and asyncio warns at shutdown.
-            self._waiters.pop(req.request_id, None)
+            if self._waiters.get(rid) is waiter:
+                del self._waiters[rid]
             if waiter.cancelled():
                 pass
             elif waiter.done():
@@ -341,16 +366,9 @@ class AsyncClient(_TraceMixin):
 
     async def close(self) -> None:
         self._closed = True
-        self._dispatch_task.cancel()
-        try:
-            await self._dispatch_task
-        except (asyncio.CancelledError, Exception):  # noqa: BLE001
-            pass
-        try:
-            self._writer.close()
-            await self._writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError, OSError):
-            pass
+        if self._transport is not None:
+            self._transport.close()
+        await self._lost
 
 
 class SyncClient(_TraceMixin):

@@ -23,10 +23,13 @@ Ordering and durability contract:
   engine's batch is all-or-nothing per shard).
 
 The writer runs on the event loop like everything else; "concurrent"
-writes are ones whose handler tasks enqueued between two writer
-wake-ups. ``asyncio.sleep(0)`` after each wake deliberately yields one
-scheduling round so that ready handler tasks can pile their writes
-into the forming group.
+writes are ones enqueued between two writer wake-ups. The server
+enqueues a write straight from the connection callback that read it
+(:meth:`GroupCommitWriter.enqueue`) and acknowledges it from the
+future's callback, so no write has a task of its own.
+``asyncio.sleep(0)`` after each wake deliberately yields one
+scheduling round — one more poll of every socket — so that writes
+already on the wire can join the forming group.
 """
 
 from __future__ import annotations
@@ -111,13 +114,15 @@ class GroupCommitWriter:
             if not future.done() and pred(key)
         ]
 
-    async def submit(
+    def enqueue(
         self,
         items: list[tuple[int, Any]],
         trace: tuple[int, int] | None = None,
-    ) -> None:
+    ) -> asyncio.Future:
         """Enqueue ``(key, value)`` writes as one contiguous run and
-        wait until all of them are durably applied.
+        return the future that resolves once all of them are durably
+        applied — the server acknowledges a write from its callback,
+        with no task of its own.
 
         A single write is a one-item list; a delete carries
         :data:`~repro.lsm.entry.TOMBSTONE` as its value. Contiguity
@@ -125,10 +130,11 @@ class GroupCommitWriter:
         single ``put_batch`` call — i.e. it keeps the engine's
         per-shard crash atomicity. ``trace`` is an optional
         ``(trace_id, parent_span_id)`` context: the batch that applies
-        these writes will join that trace. Raises whatever
-        ``put_batch`` raised for a write's group, or
+        these writes will join that trace. The future fails with
+        whatever ``put_batch`` raised for a write's group, or with
         ``ConnectionResetError`` if the writer was closed before the
         writes could be applied (it never silently drops a submission).
+        Raises ``ConnectionResetError`` if the writer is already closed.
         """
         if self._closed:
             raise ConnectionResetError("group-commit writer is closed")
@@ -139,9 +145,17 @@ class GroupCommitWriter:
             self._pending.append((key, value, future, trace))
             futures.append(future)
         self._wake.set()
-        # A single write waits on its own future: through gather() the
-        # submitter would wake one event-loop pass after the ack.
-        await (futures[0] if len(futures) == 1 else asyncio.gather(*futures))
+        # A single write is its own future: through gather() its
+        # callbacks would run one event-loop pass after the ack.
+        return futures[0] if len(futures) == 1 else asyncio.gather(*futures)
+
+    async def submit(
+        self,
+        items: list[tuple[int, Any]],
+        trace: tuple[int, int] | None = None,
+    ) -> None:
+        """:meth:`enqueue` ``items`` and wait until they are applied."""
+        await self.enqueue(items, trace)
 
     async def _run(self) -> None:
         while True:
@@ -150,8 +164,8 @@ class GroupCommitWriter:
                     return
                 self._wake.clear()
                 await self._wake.wait()
-                # Yield one scheduling round: handler tasks that are
-                # already runnable get to join the forming group.
+                # Yield one scheduling round: writes that arrive in it
+                # join the forming group.
                 await asyncio.sleep(0)
             group = self._pending[: self.max_batch]
             del self._pending[: len(group)]

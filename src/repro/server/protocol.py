@@ -74,7 +74,6 @@ crashing.
 
 from __future__ import annotations
 
-import asyncio
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
@@ -482,24 +481,3 @@ class FrameAssembler:
         """Bytes buffered towards an incomplete frame."""
         return len(self._buf)
 
-
-async def read_frame(reader) -> bytes | None:
-    """Read one payload from an :class:`asyncio.StreamReader`.
-
-    Returns ``None`` on clean EOF at a frame boundary; raises
-    :class:`ProtocolError` on an oversized length prefix or EOF mid-
-    frame (a torn frame is a protocol violation, not a clean close).
-    """
-    try:
-        header = await reader.readexactly(_LEN.size)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None  # clean EOF between frames
-        raise ProtocolError("connection closed mid frame header") from None
-    (length,) = _LEN.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise ProtocolError(f"frame of {length} bytes exceeds MAX_FRAME_BYTES")
-    try:
-        return await reader.readexactly(length)
-    except asyncio.IncompleteReadError:
-        raise ProtocolError("connection closed mid frame body") from None

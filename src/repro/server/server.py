@@ -1,26 +1,38 @@
 """The asyncio TCP front-end over a (sharded) KVStore.
 
 One :class:`ReproServer` owns one store and serves the wire protocol
-of :mod:`repro.server.protocol` to any number of connections. The
-event loop is the store's serialization point: every store call runs
-synchronously on the loop thread, so the engine — which is not thread
-safe and whose I/O counters must never race — sees a strictly serial
-operation stream no matter how many clients are connected.
+of :mod:`repro.server.protocol` to any number of connections, each an
+:class:`asyncio.Protocol` fed by a
+:class:`~repro.server.protocol.FrameAssembler`. The event loop is the
+store's serialization point: every store call runs synchronously on
+the loop thread, so the engine — which is not thread safe and whose
+I/O counters must never race — sees a strictly serial operation stream
+no matter how many clients are connected.
 
 What earns this layer its keep beyond plumbing:
 
-* **Group commit** — PUT/DELETE submissions from concurrent handlers
-  coalesce into crash-atomic ``put_batch`` calls (one WAL batch record
-  per group per shard) via :class:`GroupCommitWriter`.
+* **One loop pass per GET** — ``data_received`` splits what arrived
+  into runs and answers a GET run (or a PING) before it returns, with
+  ``transport.write``: no task, no lock, no ``drain()``. A PUT, DELETE
+  or BATCH is enqueued into group commit and acknowledged from its
+  group's resolution. Only the ops served by the ``_execute``
+  coroutine (STATS, SCAN, TRACE, SHUTDOWN and a cluster server's ops)
+  get a task.
+* **Group commit** — writes from every connection coalesce into
+  crash-atomic ``put_batch`` calls (one WAL batch record per group per
+  shard) via :class:`GroupCommitWriter`.
 * **One request path** — a request is a run of one; the untraced GETs
-  a pipelining client already has buffered form a longer run, served
-  by one ``store.get_batch``. Reading, admission, routing, accounting
-  and responding are written once, for a run.
+  a pipelining client sent together form a longer run, served by one
+  ``store.get_batch``. Splitting, admission, routing, accounting and
+  responding are written once, for a run.
 * **Admission control** — at most ``max_inflight`` requests in flight
   server-wide and ``max_queue_depth`` pipelined per connection; the
   part of a run beyond either limit is *shed* with an immediate
   ``BUSY`` response (clients retry; an accepted write is never
   dropped).
+* **Backpressure** — while a connection's write buffer is over the
+  transport's high-water mark its socket is not read, and requests
+  already read wait until the buffer drains.
 * **Graceful drain** — on SIGINT or a SHUTDOWN op the server stops
   accepting, answers new requests with ``SHUTTING_DOWN``, finishes
   everything in flight, drains the group-commit queue, flushes every
@@ -37,6 +49,7 @@ import asyncio
 import json
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from repro.analysis.measured import collect_metrics
@@ -51,6 +64,7 @@ from repro.obs import (
 from repro.server.group_commit import GroupCommitWriter
 from repro.server.protocol import (
     KIND_DELETE,
+    FrameAssembler,
     Op,
     ProtocolError,
     Request,
@@ -59,7 +73,6 @@ from repro.server.protocol import (
     decode_request,
     encode_response,
     frame,
-    read_frame,
 )
 
 
@@ -74,9 +87,8 @@ class ServerConfig:
             arrivals beyond it are shed with ``BUSY``.
         max_queue_depth: per-connection cap on pipelined requests in
             flight; a client pipelining deeper gets ``BUSY`` for the
-            excess. Also the longest run of buffered GETs served as
-            one ``store.get_batch`` (a longer one could never be
-            admitted).
+            excess. Also the longest run of GETs served as one
+            ``store.get_batch`` (a longer one could never be admitted).
         group_commit_batch: most writes coalesced into one
             ``put_batch`` call.
         scan_limit: hard cap on pairs returned by one SCAN (a request
@@ -103,22 +115,82 @@ class ServerConfig:
             raise ValueError(f"scan_limit must be >= 1, got {self.scan_limit}")
 
 
+#: The writes, each with the name of its serve span.
+_WRITES = {
+    Op.PUT: "serve_put", Op.DELETE: "serve_delete", Op.BATCH: "serve_batch",
+}
+
+
 def _shares_a_run(request: Request) -> bool:
     """Only untraced GETs travel together: a traced one keeps its own
     serve span, anything else executes through its own op branch."""
     return request.op is Op.GET and not request.trace_id
 
 
-class _Connection:
-    """Per-connection bookkeeping: the write side and its queue depth."""
+class _Connection(asyncio.Protocol):
+    """One client connection: complete frames are decoded as they
+    arrive and handed to the server in the same callback; responses go
+    straight to the transport. While the transport's write buffer is
+    over its high-water mark the socket is not read, and requests
+    already read wait in ``backlog``."""
 
-    __slots__ = ("writer", "inflight", "lock", "closed")
+    __slots__ = (
+        "server", "transport", "assembler", "backlog", "inflight",
+        "paused", "lost",
+    )
 
-    def __init__(self, writer: asyncio.StreamWriter) -> None:
-        self.writer = writer
+    def __init__(self, server: "ReproServer") -> None:
+        self.server = server
+        self.transport: asyncio.Transport | None = None
+        self.assembler = FrameAssembler()
+        #: Requests read but not yet dispatched (only while paused).
+        self.backlog: list[Request] = []
+        #: Admitted requests not yet answered (writes, task-served ops).
         self.inflight = 0
-        self.lock = asyncio.Lock()
-        self.closed = False
+        self.paused = False
+        self.lost = asyncio.get_running_loop().create_future()
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport
+        self.server._connections.add(self)
+
+    def data_received(self, data: bytes) -> None:
+        try:
+            for payload in self.assembler.feed(data):
+                self.backlog.append(decode_request(payload))
+        except ProtocolError:
+            # Serve what was well formed, then error THIS connection
+            # and keep serving everyone else. No response is possible
+            # (the request id may itself be garbage).
+            self.server._serve_backlog(self)
+            self.server._bad_frame(self)
+            return
+        self.server._serve_backlog(self)
+
+    def eof_received(self) -> None:
+        if self.assembler.pending_bytes:
+            self.server._bad_frame(self)  # closed mid frame
+        # Returning None lets the transport close itself.
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self.server._connections.discard(self)
+        if not self.lost.done():
+            self.lost.set_result(None)
+
+    def pause_writing(self) -> None:
+        self.paused = True
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.paused = False
+        self.server._serve_backlog(self)
+        if not self.paused:
+            self.transport.resume_reading()
+
+    def send(self, response: Response) -> None:
+        transport = self.transport
+        if not transport.is_closing():
+            transport.write(frame(encode_response(response)))
 
 
 class ReproServer:
@@ -195,11 +267,16 @@ class ReproServer:
     # Lifecycle
     # ------------------------------------------------------------------
 
+    def protocol_factory(self) -> asyncio.Protocol:
+        """A protocol for one new connection to this server — what
+        ``loop.create_server`` binds (:meth:`start` does)."""
+        return _Connection(self)
+
     async def start(self) -> int:
         """Bind, start accepting, and return the bound port."""
         self.commit.start()
-        self._server = await asyncio.start_server(
-            self._on_connect, host=self.config.host, port=self.config.port
+        self._server = await asyncio.get_running_loop().create_server(
+            self.protocol_factory, host=self.config.host, port=self.config.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
         return self.port
@@ -224,7 +301,8 @@ class ReproServer:
         await self.commit.close()
         self.store.flush()
         for conn in list(self._connections):
-            await self._close_connection(conn)
+            conn.transport.close()
+            await conn.lost
         self._drained.set()
 
     @property
@@ -258,78 +336,38 @@ class ReproServer:
     # Connection handling
     # ------------------------------------------------------------------
 
-    async def _on_connect(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        conn = _Connection(writer)
-        self._connections.add(conn)
-        try:
-            request = None
-            while True:
-                if request is None:
-                    payload = await read_frame(reader)
-                    if payload is None:
-                        break
-                    request = decode_request(payload)
-                run, request = await self._read_run(reader, request)
-                await self._dispatch(conn, run)
-        except (ProtocolError, ConnectionResetError, BrokenPipeError):
-            # Malformed frame (or a dead peer): error THIS connection,
-            # keep serving everyone else. No response is possible (the
-            # request id may itself be garbage).
-            self.bad_frames += 1
-            self._m_bad_frames.inc()
-        finally:
-            self._connections.discard(conn)
-            await self._close_connection(conn)
-
-    @staticmethod
-    def _buffered_frame_ready(reader: asyncio.StreamReader) -> bool:
-        """True when a complete frame is already in the reader's buffer
-        (so ``read_frame`` completes without waiting). Peeks the
-        stream's internal buffer; on a reader without one, every run
-        is a run of one."""
-        buffer = getattr(reader, "_buffer", None)
-        if buffer is None or len(buffer) < 4:
-            return False
-        length = int.from_bytes(buffer[:4], "big")
-        return len(buffer) >= 4 + length
-
-    async def _read_run(
-        self, reader: asyncio.StreamReader, first: Request
-    ) -> tuple[list[Request], Request | None]:
-        """The run ``first`` starts. A request is a run of one; an
-        untraced GET is joined by the consecutive untraced GETs ALREADY
-        buffered behind it — a pipelining client; never wait for more
+    def _serve_backlog(self, conn: _Connection) -> None:
+        """Split what ``conn`` has read into runs and dispatch them in
+        order, until the backlog is empty or the transport pauses. A
+        request is a run of one; an untraced GET is joined by the
+        consecutive untraced GETs read with it — never waiting for more
         input — up to ``max_queue_depth``, the longest run that could
-        be admitted. Returns (run, the request popped while probing
-        that did not join — the next run's first — or None)."""
-        run = [first]
-        if _shares_a_run(first):
-            while (
-                len(run) < self.config.max_queue_depth
-                and self._buffered_frame_ready(reader)
-            ):
-                request = decode_request(await read_frame(reader))
-                if not _shares_a_run(request):
-                    return run, request
-                run.append(request)
-        return run, None
+        be admitted."""
+        backlog = conn.backlog
+        end = len(backlog)
+        depth = self.config.max_queue_depth
+        i = 0
+        while i < end and not conn.paused:
+            j = i + 1
+            if _shares_a_run(backlog[i]):
+                limit = min(end, i + depth)
+                while j < limit and _shares_a_run(backlog[j]):
+                    j += 1
+            self._dispatch(conn, backlog[i:j])
+            i = j
+        del backlog[:i]
 
-    async def _close_connection(self, conn: _Connection) -> None:
-        if conn.closed:
-            return
-        conn.closed = True
-        try:
-            conn.writer.close()
-            await conn.writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError, OSError):
-            pass
+    def _bad_frame(self, conn: _Connection) -> None:
+        self.bad_frames += 1
+        self._m_bad_frames.inc()
+        conn.backlog.clear()
+        conn.transport.close()
 
-    async def _dispatch(self, conn: _Connection, run: list[Request]) -> None:
+    def _dispatch(self, conn: _Connection, run: list[Request]) -> None:
         """Admission control: the prefix of ``run`` that fits both
-        budgets goes to one task; the rest is refused, each request
-        with its own response."""
+        budgets is served — a GET run or a PING right here, a write
+        through group commit, anything else by a task; the rest is
+        refused, each request with its own response."""
         room = 0 if self._draining else min(
             self.config.max_inflight - self._inflight,
             self.config.max_queue_depth - conn.inflight,
@@ -337,12 +375,22 @@ class ReproServer:
         admitted = run if len(run) <= room else run[:room]
         n = len(admitted)
         if n:
-            self._inflight += n
-            conn.inflight += n
-            self._idle.clear()
             self.requests += n
             self._m_requests.inc(n)
-            asyncio.get_running_loop().create_task(self._serve(conn, admitted))
+            op = admitted[0].op
+            if op is Op.GET or op is Op.PING:
+                # Answered before this returns: never in flight.
+                self._answer(conn, admitted)
+            else:
+                self._inflight += 1
+                conn.inflight += 1
+                self._idle.clear()
+                if op in _WRITES:
+                    self._write(conn, admitted[0])
+                else:
+                    asyncio.get_running_loop().create_task(
+                        self._serve(conn, admitted[0])
+                    )
             if n == len(run):
                 return
         refused = run[n:]
@@ -355,118 +403,189 @@ class ReproServer:
             self.shed += len(refused)
             self._m_shed.inc(len(refused))
         for request in refused:
-            await self._respond(
-                conn,
+            conn.send(
                 Response(
                     request.request_id, request.op, status, message=message
-                ),
+                )
             )
 
-    async def _serve(self, conn: _Connection, run: list[Request]) -> None:
-        # The run stays "in flight" until its responses have been
-        # written: drain() waits on that, so an acknowledged write's
-        # ack can never be dropped by a racing shutdown.
+    def _answer(self, conn: _Connection, run: list[Request]) -> None:
+        """Serve a GET run or a PING within this loop pass: routing
+        first, per request (a misrouted one is answered from there and
+        never reaches the store, pipelined or not), then one
+        ``store.get_batch`` for a run or one ``store.get``."""
         start = time.perf_counter_ns()
         n = len(run)
         responses: list[Response | None] = [None] * n
         try:
-            try:
-                # Routing first, per request: a misrouted one is
-                # answered here and never reaches the store, pipelined
-                # or not.
-                route = self._route_check
-                if route is not None:
-                    responses = [route(request) for request in run]
-                if n > 1:
-                    self._execute_gets(run, responses)
-                elif responses[0] is None:
-                    responses[0] = await self._execute(run[0])
-            except Exception as exc:  # noqa: BLE001 — a request must never kill the server
-                message = f"{type(exc).__name__}: {exc}"
-                failed = [i for i, r in enumerate(responses) if r is None]
-                self.errors += len(failed)
-                self._m_errors.inc(len(failed))
-                for i in failed:
-                    responses[i] = Response(
-                        run[i].request_id, run[i].op, Status.ERROR,
-                        message=message,
-                    )
-            elapsed_us = (time.perf_counter_ns() - start) / 1_000 / n
-            for request, response in zip(run, responses):
-                self._m_latency[request.op].observe(elapsed_us)
-                await self._respond(conn, response)
-        finally:
-            self._inflight -= n
-            conn.inflight -= n
-            if self._inflight == 0:
-                self._idle.set()
+            route = self._route_check
+            if route is not None:
+                responses = [route(request) for request in run]
+            if n > 1:
+                self._execute_gets(run, responses)
+            elif responses[0] is None:
+                responses[0] = self._execute_now(run[0])
+        except Exception as exc:  # noqa: BLE001 — a request must never kill the server
+            for i, response in enumerate(responses):
+                if response is None:
+                    responses[i] = self._error(run[i], exc)
+        elapsed_us = (time.perf_counter_ns() - start) / 1_000 / n
+        for request, response in zip(run, responses):
+            self._m_latency[request.op].observe(elapsed_us)
+            conn.send(response)
 
-    async def _respond(self, conn: _Connection, response: Response) -> None:
-        if conn.closed:
-            return
+    def _write(self, conn: _Connection, request: Request) -> None:
+        """Route one write and enqueue it into group commit; its ack is
+        written when its group resolves (:meth:`_acked`), with no task
+        of its own. A traced write allocates its serve span's id now
+        and hands (trace_id, span_id) to group commit — the batch span
+        parents there."""
+        start = time.perf_counter_ns()
         try:
-            async with conn.lock:
-                conn.writer.write(frame(encode_response(response)))
-                await conn.writer.drain()
-        except (ConnectionResetError, BrokenPipeError, OSError):
-            await self._close_connection(conn)
+            route = self._route_check
+            response = route(request) if route is not None else None
+            if response is None:
+                op = request.op
+                if op is Op.BATCH:
+                    items = [
+                        (
+                            key,
+                            TOMBSTONE
+                            if kind == KIND_DELETE
+                            else value.decode("utf-8", errors="replace"),
+                        )
+                        for kind, key, value in request.items
+                    ]
+                elif op is Op.DELETE:
+                    items = [(request.key, TOMBSTONE)]
+                else:
+                    items = [
+                        (
+                            request.key,
+                            request.value.decode("utf-8", errors="replace"),
+                        )
+                    ]
+                span_id = new_span_id() if request.trace_id else 0
+                # One submission: a BATCH's items stay contiguous in the
+                # commit queue, so a batch no larger than
+                # group_commit_batch lands in one crash-atomic put_batch.
+                acked = self.commit.enqueue(
+                    items, (request.trace_id, span_id) if span_id else None
+                )
+                acked.add_done_callback(
+                    partial(self._acked, conn, request, start, span_id)
+                )
+                return
+        except Exception as exc:  # noqa: BLE001
+            response = self._error(request, exc)
+        self._reply(conn, request, response, start)
+
+    def _acked(
+        self,
+        conn: _Connection,
+        request: Request,
+        start: int,
+        span_id: int,
+        acked: asyncio.Future,
+    ) -> None:
+        """A write's group resolved: emit its serve span — under the
+        wire trace context when it carries one, an instantaneous local
+        span otherwise — and write the ack (or the ERROR)."""
+        error = acked.exception()
+        if error is not None:
+            self._reply(conn, request, self._error(request, error), start)
+            return
+        op = request.op
+        rid = request.request_id
+        count = len(request.items) if op is Op.BATCH else 0
+        attrs = {"size": count} if op is Op.BATCH else {"key": request.key}
+        tracer = self.obs.tracer
+        if span_id:
+            tracer.record(
+                _WRITES[op],
+                trace_id=request.trace_id,
+                parent_id=request.parent_span_id,
+                span_id=span_id,
+                wall_ns=float(time.perf_counter_ns() - start),
+                request_id=rid,
+                **attrs,
+            )
+        else:
+            with tracer.span(_WRITES[op], request_id=rid, **attrs):
+                pass
+        response = Response(rid, op, Status.OK, count=count)
+        self._reply(conn, request, response, start)
+
+    async def _serve(self, conn: _Connection, request: Request) -> None:
+        """Serve one request through the :meth:`_execute` coroutine —
+        the only kind of request that gets a task."""
+        start = time.perf_counter_ns()
+        try:
+            route = self._route_check
+            response = route(request) if route is not None else None
+            if response is None:
+                response = await self._execute(request)
+        except Exception as exc:  # noqa: BLE001
+            response = self._error(request, exc)
+        self._reply(conn, request, response, start)
+
+    def _reply(
+        self,
+        conn: _Connection,
+        request: Request,
+        response: Response,
+        start: int,
+    ) -> None:
+        """Answer an in-flight request. It stays "in flight" until its
+        response has been written: drain() waits on that, so an
+        acknowledged write's ack can never be dropped by a racing
+        shutdown."""
+        self._m_latency[request.op].observe(
+            (time.perf_counter_ns() - start) / 1_000
+        )
+        conn.send(response)
+        self._inflight -= 1
+        conn.inflight -= 1
+        if self._inflight == 0:
+            self._idle.set()
+
+    def _error(self, request: Request, exc: BaseException) -> Response:
+        self.errors += 1
+        self._m_errors.inc()
+        return Response(
+            request.request_id, request.op, Status.ERROR,
+            message=f"{type(exc).__name__}: {exc}",
+        )
 
     # ------------------------------------------------------------------
     # Request execution
     # ------------------------------------------------------------------
 
+    def _execute_now(self, request: Request) -> Response:
+        """A PING, or one GET under its ``serve_get`` span (span_for
+        adopts the wire trace context when the request carries one; the
+        family carrier then parents shard-level spans under it)."""
+        rid = request.request_id
+        if request.op is Op.PING:
+            return Response(rid, Op.PING, Status.OK)
+        with self.obs.tracer.span_for(
+            "serve_get", request.trace_id, request.parent_span_id,
+            request_id=rid, key=request.key,
+        ):
+            value = self.store.get(request.key)
+        return self._get_response(rid, value)
+
     async def _execute(self, request: Request) -> Response:
         # Tracing discipline: the tracer's span stack assumes strictly
         # nested (synchronous) spans, so a span must NEVER be held
         # across an await — concurrent tasks would interleave on the
-        # stack. Read-path ops are fully synchronous and get a span
-        # around the store call (span_for adopts the wire trace
-        # context when the request carries one; the family carrier
-        # then parents shard-level spans under it). Write-path ops
-        # allocate their span id up front, hand (trace_id, span_id) to
-        # group commit — the batch span parents there — and record the
-        # finished serve span after the ack.
+        # stack. Every op here is synchronous on a plain server; a
+        # subclass's ops may await, outside any span.
         op = request.op
         rid = request.request_id
         tracer = self.obs.tracer
         trace_id = request.trace_id
         parent_id = request.parent_span_id
-        if op is Op.PING:
-            return Response(rid, op, Status.OK)
-        if op is Op.GET:
-            with tracer.span_for(
-                "serve_get", trace_id, parent_id, request_id=rid,
-                key=request.key,
-            ):
-                value = self.store.get(request.key)
-            return self._get_response(rid, value)
-        if op is Op.PUT:
-            decoded = request.value.decode("utf-8", errors="replace")
-            await self._commit(
-                "serve_put", request, [(request.key, decoded)], key=request.key
-            )
-            return Response(rid, op, Status.OK)
-        if op is Op.DELETE:
-            await self._commit(
-                "serve_delete", request, [(request.key, TOMBSTONE)],
-                key=request.key,
-            )
-            return Response(rid, op, Status.OK)
-        if op is Op.BATCH:
-            items = [
-                (
-                    key,
-                    TOMBSTONE
-                    if kind == KIND_DELETE
-                    else value.decode("utf-8", errors="replace"),
-                )
-                for kind, key, value in request.items
-            ]
-            # One submission: the items stay contiguous in the commit
-            # queue, so a batch no larger than group_commit_batch lands
-            # in a single crash-atomic put_batch call.
-            await self._commit("serve_batch", request, items, size=len(items))
-            return Response(rid, op, Status.OK, count=len(request.items))
         if op is Op.SCAN:
             limit = min(
                 request.limit or self.config.scan_limit, self.config.scan_limit
@@ -503,31 +622,6 @@ class ReproServer:
         return Response(
             rid, op, Status.ERROR, message=f"op {op.name} is not served here"
         )
-
-    async def _commit(
-        self, name: str, request: Request, items: list, **attrs
-    ) -> None:
-        """Group-commit ``items`` and emit the write's ``name`` serve
-        span: recorded after the ack under the wire trace context when
-        the request carries one, an instantaneous local span otherwise."""
-        tracer = self.obs.tracer
-        if request.trace_id:
-            span_id = new_span_id()
-            start = time.perf_counter_ns()
-            await self.commit.submit(items, trace=(request.trace_id, span_id))
-            tracer.record(
-                name,
-                trace_id=request.trace_id,
-                parent_id=request.parent_span_id,
-                span_id=span_id,
-                wall_ns=float(time.perf_counter_ns() - start),
-                request_id=request.request_id,
-                **attrs,
-            )
-        else:
-            await self.commit.submit(items)
-            with tracer.span(name, request_id=request.request_id, **attrs):
-                pass
 
     def _execute_gets(
         self, run: list[Request], responses: list[Response | None]

@@ -44,6 +44,7 @@ from repro.server.protocol import (
     HANDOFF_PROMOTE,
     HANDOFF_START,
     HANDOFF_TAIL_DONE,
+    FrameAssembler,
     Op,
     Request,
     Response,
@@ -53,7 +54,6 @@ from repro.server.protocol import (
     encode_request,
     encode_response,
     frame,
-    read_frame,
 )
 
 
@@ -527,10 +527,13 @@ class TestPipelinedRouting:
                     )
                 )
                 await writer.drain()
-                responses = {}
-                for _ in keys:
-                    resp = decode_response(await read_frame(reader))
-                    responses[resp.request_id - 100] = resp
+                assembler, responses = FrameAssembler(), {}
+                while len(responses) < len(keys):
+                    chunk = await reader.read(65536)
+                    assert chunk, "server closed the connection"
+                    for payload in assembler.feed(chunk):
+                        resp = decode_response(payload)
+                        responses[resp.request_id - 100] = resp
                 writer.close()
                 await writer.wait_closed()
                 assert sorted(responses) == keys

@@ -8,10 +8,13 @@ loop with ``asyncio.run`` and binds port 0 so runs never collide.
 import asyncio
 import queue
 import random
+import socket
 import struct
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine import EngineConfig, build_store, recover_store
 from repro.obs import Observability, registry_to_dict
@@ -25,7 +28,17 @@ from repro.server import (
     Status,
     SyncClient,
 )
-from repro.server.protocol import HANDOFF_BEGIN
+from repro.server.protocol import (
+    HANDOFF_BEGIN,
+    KIND_DELETE,
+    KIND_PUT,
+    MAX_FRAME_BYTES,
+    FrameAssembler,
+    Response,
+    decode_response,
+    encode_request,
+    frame,
+)
 
 HOST = "127.0.0.1"
 
@@ -37,6 +50,17 @@ def small_config(**overrides):
     )
     fields.update(overrides)
     return EngineConfig(**fields)
+
+
+async def read_responses(reader, count):
+    """Read ``count`` response frames off a raw connection."""
+    assembler, responses = FrameAssembler(), []
+    while len(responses) < count:
+        chunk = await reader.read(65536)
+        if not chunk:
+            raise ConnectionResetError("server closed the connection")
+        responses.extend(decode_response(p) for p in assembler.feed(chunk))
+    return responses
 
 
 async def start_server(cfg=None, server_config=None, obs=None):
@@ -488,20 +512,13 @@ class TestFusedGets:
     @staticmethod
     async def _burst(port, requests):
         """Write all frames at once, then collect one response each."""
-        from repro.server.protocol import (
-            decode_response,
-            encode_request,
-            frame,
-            read_frame,
-        )
-
         reader, writer = await asyncio.open_connection(HOST, port)
         writer.write(b"".join(frame(encode_request(r)) for r in requests))
         await writer.drain()
-        responses = {}
-        for _ in requests:
-            resp = decode_response(await read_frame(reader))
-            responses[resp.request_id] = resp
+        responses = {
+            resp.request_id: resp
+            for resp in await read_responses(reader, len(requests))
+        }
         writer.close()
         await writer.wait_closed()
         return responses
@@ -606,10 +623,13 @@ class TestFusedGets:
         asyncio.run(main())
 
     def test_burst_deeper_than_queue_depth_admits_a_prefix(self):
-        """More pipelined GETs than ``max_queue_depth``: each run admits
-        the prefix that fits and sheds the rest — every request gets
-        exactly one response, and the counters add up."""
-        burst = 40
+        """More pipelined GETs than the queue depth has room for: each
+        run admits the prefix that fits and sheds the rest — every
+        request gets exactly one response, and the counters add up. A
+        GET run is answered in the pass that read it and never holds
+        the depth, so pipelined PUTs waiting on group commit hold it
+        (sent ahead of the GETs, in the same write)."""
+        burst, puts = 40, 4
 
         async def main():
             server, store, port = await start_server(
@@ -619,13 +639,20 @@ class TestFusedGets:
             await client.put_batch([(k, f"v{k}") for k in range(32)])
             await client.close()
             accepted_before = server.requests
+            writes = [
+                Request(50 + i, Op.PUT, key=1000 + i, value=b"w")
+                for i in range(puts)
+            ]
             requests = [
                 Request(100 + i, Op.GET, key=(i * 7) % 40) for i in range(burst)
             ]
             responses = await asyncio.wait_for(
-                self._burst(port, requests), timeout=30
+                self._burst(port, writes + requests), timeout=30
             )
-            assert len(responses) == burst  # one response per request id
+            # one response per request id
+            assert len(responses) == burst + puts
+            for req in writes:
+                assert responses[req.request_id].status is Status.OK
             busy = 0
             for req in requests:
                 resp = responses[req.request_id]
@@ -638,10 +665,324 @@ class TestFusedGets:
                     assert resp.status is Status.NOT_FOUND
             assert 0 < busy < burst
             assert server.shed == busy
-            assert server.requests - accepted_before == burst - busy
+            assert server.requests - accepted_before == burst + puts - busy
             assert server.batched_gets >= 2
             assert server.inflight == 0
             assert server.errors == 0
             await server.drain()
+
+        asyncio.run(main())
+
+
+class RecordingTransport(asyncio.Transport):
+    """Stands in for a socket transport: keeps what the server writes,
+    and closes the way a real one does (connection_lost, one loop pass
+    later)."""
+
+    def __init__(self, protocol):
+        super().__init__()
+        self.protocol = protocol
+        self.written = bytearray()
+        self.closed = False
+        self.reading = True
+
+    def write(self, data):
+        self.written += data
+
+    def is_closing(self):
+        return self.closed
+
+    def close(self):
+        if not self.closed:
+            self.closed = True
+            asyncio.get_running_loop().call_soon(
+                self.protocol.connection_lost, None
+            )
+
+    abort = close
+
+    def pause_reading(self):
+        self.reading = False
+
+    def resume_reading(self):
+        self.reading = True
+
+    def is_reading(self):
+        return self.reading
+
+    def responses(self):
+        return {
+            resp.request_id: resp
+            for resp in map(
+                decode_response, FrameAssembler().feed(bytes(self.written))
+            )
+        }
+
+
+def attach(server):
+    """A server-side connection over a RecordingTransport."""
+    conn = server.protocol_factory()
+    transport = RecordingTransport(conn)
+    conn.connection_made(transport)
+    return conn, transport
+
+
+def comparable(resp):
+    return (
+        resp.op, resp.status, bytes(resp.value), resp.pairs, resp.count,
+        resp.message,
+    )
+
+
+class TestOnePassPath:
+    """Frames are read in protocol callbacks: a GET run (or a PING) is
+    answered in the callback that read it, a write is acknowledged from
+    its group's resolution, and only ops served by the ``_execute``
+    coroutine get a task."""
+
+    def test_get_response_is_in_the_transport_when_data_received_returns(self):
+        async def main():
+            store = build_store(small_config())
+            store.put_batch([(k, f"v{k}") for k in range(8)])
+            server = ReproServer(store)
+            conn, transport = attach(server)
+            get = Request(1, Op.GET, key=3)
+            conn.data_received(frame(encode_request(get)))
+            assert comparable(transport.responses()[1]) == comparable(
+                Response(1, Op.GET, Status.OK, value=b"v3")
+            )
+            # A pipelined run, then a PING: all answered before return.
+            conn.data_received(
+                b"".join(
+                    frame(encode_request(Request(10 + k, Op.GET, key=k)))
+                    for k in range(6)
+                )
+                + frame(encode_request(Request(20, Op.PING)))
+            )
+            responses = transport.responses()
+            assert sorted(responses) == [1, 10, 11, 12, 13, 14, 15, 20]
+            assert responses[20].status is Status.OK
+            assert server.get_batches == 1 and server.batched_gets == 6
+            assert server.inflight == 0 and conn.inflight == 0
+
+        asyncio.run(main())
+
+    def test_untraced_get_run_and_put_create_no_task(self):
+        async def main():
+            server, store, port = await start_server()
+            store.put_batch([(k, f"v{k}") for k in range(8)])
+            loop = asyncio.get_running_loop()
+            created = []
+
+            def factory(loop, coro, **kwargs):
+                created.append(coro.__qualname__)
+                return asyncio.Task(coro, loop=loop, **kwargs)
+
+            reader, writer = await asyncio.open_connection(HOST, port)
+            while not server.connections:  # accepting runs a task
+                await asyncio.sleep(0.001)
+            loop.set_task_factory(factory)
+            try:
+                requests = [Request(1 + k, Op.GET, key=k) for k in range(8)]
+                requests.append(Request(50, Op.PUT, key=100, value=b"w"))
+                writer.write(
+                    b"".join(frame(encode_request(r)) for r in requests)
+                )
+                responses = await read_responses(reader, len(requests))
+                assert {r.status for r in responses} == {Status.OK}
+                assert created == []
+                # The counting works: STATS is served by a task.
+                writer.write(frame(encode_request(Request(60, Op.STATS))))
+                (stats,) = await read_responses(reader, 1)
+                assert stats.status is Status.OK
+                assert created == ["ReproServer._serve"]
+                writer.close()
+                await writer.wait_closed()
+            finally:
+                loop.set_task_factory(None)
+            assert store.get(100) == "w"
+            await server.drain()
+
+        asyncio.run(main())
+
+    def test_full_write_buffer_pauses_reading_until_the_client_reads(self):
+        """A raw client pipelines large-value GETs and reads nothing:
+        the server stops reading its socket once the transport's write
+        buffer passes the high-water mark, and every response still
+        arrives once the client reads."""
+        gets, size = 64, 16 * 1024
+
+        async def main():
+            server, store, port = await start_server()
+            store.put_batch([(k, chr(ord("a") + k) * size) for k in range(4)])
+            sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.connect((HOST, port))
+            reader, writer = await asyncio.open_connection(sock=sock)
+            while not server.connections:
+                await asyncio.sleep(0.001)
+            (conn,) = server._connections
+            conn.transport.get_extra_info("socket").setsockopt(
+                socket.SOL_SOCKET, socket.SO_SNDBUF, 4096
+            )
+            requests = [Request(1 + i, Op.GET, key=i % 4) for i in range(gets)]
+            writer.write(b"".join(frame(encode_request(r)) for r in requests))
+            for _ in range(2000):
+                if conn.paused:
+                    break
+                await asyncio.sleep(0.001)
+            assert conn.paused
+            assert not conn.transport.is_reading()
+            high = conn.transport.get_write_buffer_limits()[1]
+            assert conn.transport.get_write_buffer_size() > high
+            assert conn.backlog  # read, waiting for the buffer to drain
+            responses = await asyncio.wait_for(
+                read_responses(reader, gets), timeout=30
+            )
+            assert sorted(r.request_id for r in responses) == list(
+                range(1, gets + 1)
+            )
+            for resp in responses:
+                key = (resp.request_id - 1) % 4
+                assert bytes(resp.value) == chr(ord("a") + key).encode() * size
+            assert not conn.paused and conn.transport.is_reading()
+            assert server.shed == 0 and server.errors == 0
+            writer.close()
+            await writer.wait_closed()
+            await server.drain()
+
+        asyncio.run(main())
+
+
+class TestAsyncClientIds:
+    def test_reused_inflight_request_id_raises_before_sending(self):
+        """Two raw requests with one id: the second used to overwrite
+        the first one's waiter, which then never resolved."""
+
+        async def main():
+            server, store, port = await start_server()
+            client = await AsyncClient.connect(HOST, port)
+            first = asyncio.ensure_future(
+                client.request(Request(7, Op.GET, key=1))
+            )
+            await asyncio.sleep(0)  # the first is sent and waiting
+            with pytest.raises(ValueError, match="already in flight"):
+                await client.request(Request(7, Op.GET, key=1))
+            resp = await asyncio.wait_for(first, timeout=10)
+            assert resp.status is Status.NOT_FOUND
+            assert server.requests == 1  # the second never went out
+            # Once answered, the id is free again.
+            assert (await client.request(Request(7, Op.PING))).status is (
+                Status.OK
+            )
+            await client.close()
+            await server.drain()
+
+        asyncio.run(main())
+
+
+def _mix_request(rid, op, key, items):
+    if op is Op.PUT:
+        return Request(rid, op, key=key, value=f"p{rid}".encode())
+    if op is Op.BATCH:
+        return Request(
+            rid, op,
+            items=tuple(
+                (KIND_DELETE, k, b"") if delete else (KIND_PUT, k, b"b%d" % k)
+                for k, delete in items
+            ),
+        )
+    return Request(rid, op, key=key)
+
+
+_MIX = st.lists(
+    st.tuples(
+        st.sampled_from(
+            [Op.PING, Op.GET, Op.GET, Op.PUT, Op.DELETE, Op.BATCH]
+        ),
+        st.integers(0, 15),
+        st.lists(st.tuples(st.integers(0, 15), st.booleans()), min_size=1,
+                 max_size=4),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+class TestChunkBoundaries:
+    """Wire fuzzing, first slice: where TCP cuts the byte stream must
+    not change what the server does."""
+
+    @staticmethod
+    async def _deliver(chunks, count):
+        store = build_store(small_config())
+        store.put_batch([(k, f"v{k}") for k in range(10)])
+        # Deep enough that no run is ever shed: a GET run's admission
+        # would otherwise depend on where the stream was cut.
+        server = ReproServer(store, ServerConfig(max_queue_depth=64))
+        server.commit.start()
+        conn, transport = attach(server)
+        for chunk in chunks:
+            conn.data_received(chunk)
+        for _ in range(1000):
+            if len(transport.responses()) == count:
+                break
+            await asyncio.sleep(0)
+        await server.commit.close()
+        responses = {
+            rid: comparable(resp)
+            for rid, resp in transport.responses().items()
+        }
+        return responses, store.snapshot().as_dict(), sorted(store.scan(0, 64))
+
+    @settings(max_examples=25, deadline=None)
+    @given(mix=_MIX, data=st.data())
+    def test_one_chunk_byte_by_byte_and_random_cuts_agree(self, mix, data):
+        requests = [
+            _mix_request(100 + i, op, key, items)
+            for i, (op, key, items) in enumerate(mix)
+        ]
+        stream = b"".join(frame(encode_request(r)) for r in requests)
+        cuts = sorted(
+            set(
+                data.draw(
+                    st.lists(st.integers(1, len(stream) - 1), max_size=12)
+                )
+            )
+        )
+        bounds = [0, *cuts, len(stream)]
+        deliveries = [
+            [stream],
+            [stream[i : i + 1] for i in range(len(stream))],
+            [stream[a:b] for a, b in zip(bounds, bounds[1:])],
+        ]
+        results = [
+            asyncio.run(self._deliver(chunks, len(requests)))
+            for chunks in deliveries
+        ]
+        responses = results[0][0]
+        assert sorted(responses) == [r.request_id for r in requests]
+        assert all(
+            status is not Status.ERROR for _, status, *_ in responses.values()
+        )
+        assert results[1] == results[0]
+        assert results[2] == results[0]
+
+    def test_oversized_length_prefix_errors_only_its_own_connection(self):
+        async def main():
+            store = build_store(small_config())
+            store.put_batch([(1, "one")])
+            server = ReproServer(store)
+            bad, bad_transport = attach(server)
+            good, good_transport = attach(server)
+            bad.data_received(struct.pack(">I", MAX_FRAME_BYTES + 1))
+            assert server.bad_frames == 1
+            assert bad_transport.closed and not bad_transport.written
+            get = Request(5, Op.GET, key=1)
+            good.data_received(frame(encode_request(get)))
+            assert bytes(good_transport.responses()[5].value) == b"one"
+            assert not good_transport.closed
+            await asyncio.sleep(0)  # connection_lost of the bad one
+            assert server.connections == 1
 
         asyncio.run(main())
