@@ -42,9 +42,9 @@ def fold64(acc: int, data: bytes) -> int:
     word of ``data``, a short tail read as its zero-padded word (which
     is what ``int.from_bytes(tail, "little")`` reads it as).
 
-    The one byte-string fold: string and bytes keys and the WAL record
-    checksum both go through it, with the mix inlined so a word costs no
-    call.
+    The one byte-string fold, behind every str and bytes key digest,
+    with the mix inlined so a word costs no call. (The WAL checksum is
+    not a fold: it is ``zlib.crc32``, see :mod:`repro.lsm.wal`.)
     """
     tail = len(data) & 7
     if tail:

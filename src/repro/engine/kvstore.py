@@ -29,7 +29,12 @@ from repro.lsm.entry import KEY, SEQNO, TOMBSTONE, Entry, Expiring
 from repro.lsm.memtable import Memtable
 from repro.lsm.storage import StorageDevice
 from repro.lsm.tree import LSMTree, RunManifest
-from repro.lsm.wal import WriteAheadLog, parse_wal_record, record_is_batch
+from repro.lsm.wal import (
+    WriteAheadLog,
+    check_loggable,
+    parse_wal_record,
+    record_is_batch,
+)
 from repro.obs import NULL_OBS, Observability
 from repro.obs.metrics import LATENCY_NS_BUCKETS, SUBLEVELS_BUCKETS
 from repro.obs.trace import Tracer
@@ -364,13 +369,15 @@ class KVStore(CountedWindow):
     def _put_impl(self, key: int, value: Any) -> None:
         if self.memtable.is_full:
             self.flush()
-        self._seqno += 1
+        seqno = self._seqno + 1
         if self.wal is not None:
-            self.wal.append_put(key, value, self._seqno)
+            # Raises (unloggable value) before the seqno is taken.
+            self.wal.append_put(key, value, seqno)
             crash_point("kvstore.put.after_wal")
             if type(value) is Expiring:
                 crash_point("kvstore.put_ttl.after_wal")
-        self.memtable.put(key, value, self._seqno)
+        self._seqno = seqno
+        self.memtable.put(key, value, seqno)
         self.updates += 1
 
     def delete(self, key: int) -> None:
@@ -405,11 +412,15 @@ class KVStore(CountedWindow):
         *first*, so a mid-batch flush can never split the batch across
         runs, and a crash can never surface a torn prefix of it. A
         batch larger than the whole buffer degrades to buffer-sized
-        groups, each individually atomic.
+        groups, each individually atomic. A durable store refuses a
+        batch holding a value it cannot log (:class:`TypeError`) before
+        any item of it is applied.
         """
         if not items:
             return
         capacity = self.memtable.capacity
+        if self.wal is not None and len(items) > capacity:
+            check_loggable(value for _, value in items)
         for start in range(0, len(items), capacity):
             self._put_group(items[start : start + capacity])
 
@@ -428,13 +439,16 @@ class KVStore(CountedWindow):
     def _put_group_impl(self, group: list[tuple[int, Any]]) -> None:
         if len(self.memtable) + len(group) > self.memtable.capacity:
             self.flush()
-        stamped = []
-        for key, value in group:
-            self._seqno += 1
-            stamped.append((key, value, self._seqno))
+        base = self._seqno
+        stamped = [
+            (key, value, seqno)
+            for seqno, (key, value) in enumerate(group, base + 1)
+        ]
         if self.wal is not None:
+            # Raises (unloggable value) before any item is applied.
             self.wal.append_batch(stamped)
             crash_point("kvstore.batch.after_wal")
+        self._seqno = base + len(group)
         for key, value, seqno in stamped:
             self.memtable.put(key, value, seqno)
         self.updates += len(group)

@@ -42,6 +42,7 @@ from repro.engine.kvstore import (
     KVStore,
     ReadResult,
 )
+from repro.lsm.wal import check_loggable
 from repro.obs import NULL_OBS, Histogram, Observability
 from repro.obs.trace import Span
 
@@ -188,8 +189,11 @@ class ShardedKVStore(CountedWindow):
     def put_batch(self, items: list[tuple[int, Any]]) -> None:
         """Buffer a batch, grouped so each shard's memtable and WAL are
         touched once. Per-shard groups keep the caller's relative order
-        and each group is atomic within its shard (one WAL record)."""
+        and each group is atomic within its shard (one WAL record); a
+        value a durable shard cannot log refuses the whole batch."""
         groups = self._by_shard([key for key, _ in items])
+        if len(groups) > 1 and self.shards[0].wal is not None:
+            check_loggable(value for _, value in items)
         for position, (shard, group) in enumerate(groups):
             if position:
                 # Atomicity is per shard: a crash here leaves earlier

@@ -8,24 +8,30 @@ rather than corrupting recovery.
 
 The log is a plain ``bytearray`` standing in for an append-only file —
 consistent with the repo's simulated-storage approach; the encoding is
-nevertheless a real, self-delimiting binary format.
+nevertheless a real, self-delimiting binary format: each record is
+``u32 length | u32 CRC-32 of the payload | payload``. The checksum is
+``zlib.crc32`` — computed in C, so an append costs one call instead of
+a Python loop over the payload's words, and any single flipped bit in a
+record is caught (a CRC detects every burst of up to 32 bits).
 
 Values carry an explicit kind byte (str / bytes / tombstone) so that a
 ``bytes`` payload — including non-UTF-8 ones — round-trips through
 crash and recovery exactly as written instead of being coerced to
-``str``. Any structural problem inside a checksum-valid record (a bad
-batch count, a truncated item, an unknown kind) raises
-:class:`WalCorruption` with the record's offset; replay never surfaces
-a bare ``IndexError`` or ``UnicodeDecodeError``.
+``str``; any other value type is refused with :class:`TypeError`
+before a byte is logged. Any structural problem inside a
+checksum-valid record (a bad batch count, a truncated item, an unknown
+kind) raises :class:`WalCorruption` with the record's offset; replay
+never surfaces a bare ``IndexError`` or ``UnicodeDecodeError``.
 """
 
 from __future__ import annotations
 
+import struct
+import zlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.common.errors import ReproError
-from repro.common.hashing import fold64
 from repro.lsm.entry import Expiring, TOMBSTONE
 
 _PUT = 0
@@ -43,8 +49,12 @@ _VK_TOMB = 2
 _VK_STR_TTL = 3
 _VK_BYTES_TTL = 4
 
-#: kind(1) + key(8) + seqno(8) + value-kind(1) + value-length(4)
-_ITEM_HEADER = 22
+#: Item header: kind | key | seqno | value-kind | value-length.
+_ITEM = struct.Struct("<BQQBI")
+#: Record frame header: payload length | payload checksum.
+_FRAME = struct.Struct("<II")
+#: Batch payload header: the _BATCH kind byte | item count.
+_BATCH_HEAD = struct.Struct("<BI")
 
 
 class WalCorruption(ReproError):
@@ -52,23 +62,43 @@ class WalCorruption(ReproError):
 
 
 def _checksum(payload: bytes) -> int:
-    return fold64(0xCBF29CE484222325, payload) & 0xFFFFFFFF
+    """The record checksum: CRC-32 of the payload."""
+    return zlib.crc32(payload)
 
 
 def _encode_value(value: Any) -> tuple[int, bytes]:
-    """(value-kind, payload bytes) for any storable value."""
+    """(value-kind, payload bytes) for a str, bytes, TTL or tombstone
+    value; any other type raises :class:`TypeError` (it could not come
+    back from replay as what was written)."""
+    if isinstance(value, str):
+        return _VK_STR, value.encode("utf-8")
+    if isinstance(value, bytes):
+        return _VK_BYTES, bytes(value)
     if value is TOMBSTONE:
         return _VK_TOMB, b""
     if type(value) is Expiring:
         if value.expires_at < 0 or value.expires_at >= 1 << 64:
             raise ValueError(f"expiry {value.expires_at} out of 64-bit range")
         stamp = value.expires_at.to_bytes(8, "little")
-        if isinstance(value.value, bytes):
-            return _VK_BYTES_TTL, stamp + value.value
-        return _VK_STR_TTL, stamp + str(value.value).encode("utf-8")
-    if isinstance(value, bytes):
-        return _VK_BYTES, value
-    return _VK_STR, str(value).encode("utf-8")
+        inner, encoded = _encode_value(value.value)
+        if inner == _VK_STR:
+            return _VK_STR_TTL, stamp + encoded
+        if inner == _VK_BYTES:
+            return _VK_BYTES_TTL, stamp + encoded
+        value = value.value
+    raise TypeError(
+        f"a logged value must be str or bytes, not {type(value).__name__}"
+    )
+
+
+def check_loggable(values: Iterable[Any]) -> None:
+    """Raise the :class:`TypeError` an append would raise if any of
+    ``values`` cannot be logged. A batch that spans several WAL records
+    (several memtable groups, several shards) checks its values with
+    this first, so a refused value refuses the whole batch."""
+    for value in values:
+        if type(value) is not str and type(value) is not bytes:
+            _encode_value(value)
 
 
 def _decode_value(vkind: int, raw: bytes, offset: int) -> Any:
@@ -98,23 +128,12 @@ def _encode_item(kind: int, key: int, value: Any, seqno: int) -> bytes:
     if not 0 <= key < 1 << 64:
         raise ValueError(f"key {key} out of 64-bit range")
     vkind, encoded = _encode_value(value)
-    return (
-        bytes([kind])
-        + key.to_bytes(8, "little")
-        + seqno.to_bytes(8, "little")
-        + bytes([vkind])
-        + len(encoded).to_bytes(4, "little")
-        + encoded
-    )
+    return _ITEM.pack(kind, key, seqno, vkind, len(encoded)) + encoded
 
 
 def _frame(payload: bytes) -> bytes:
     """Length-prefix and checksum one record payload."""
-    return (
-        len(payload).to_bytes(4, "little")
-        + _checksum(payload).to_bytes(4, "little")
-        + payload
-    )
+    return _FRAME.pack(len(payload), _checksum(payload)) + payload
 
 
 @dataclass
@@ -211,102 +230,100 @@ class WriteAheadLog:
         :class:`WalCorruption`.
         """
         view = bytes(self.data)
+        end = len(view)
         offset = 0
-        while offset < len(view):
-            start = offset
-            header = view[offset : offset + 8]
-            if len(header) < 8:
+        while offset < end:
+            if offset + _FRAME.size > end:
                 return  # torn tail
-            length = int.from_bytes(header[:4], "little")
-            checksum = int.from_bytes(header[4:8], "little")
-            payload = view[offset + 8 : offset + 8 + length]
-            if len(payload) < length:
+            length, checksum = _FRAME.unpack_from(view, offset)
+            stop = offset + _FRAME.size + length
+            if stop > end:
                 return  # torn tail
+            payload = view[offset + _FRAME.size : stop]
             if _checksum(payload) != checksum:
-                if offset + 8 + length >= len(view):
+                if stop == end:
                     return  # torn tail: checksum of a partial final write
-                raise WalCorruption(f"bad checksum at offset {start}")
-            if not payload:
-                raise WalCorruption(f"empty record at offset {start}")
-            kind = payload[0]
-            offset += 8 + length
-            if kind == _BATCH:
-                if len(payload) < 5:
-                    raise WalCorruption(
-                        f"truncated batch header at offset {start}"
-                    )
-                count = int.from_bytes(payload[1:5], "little")
-                pos = 5
-                for _ in range(count):
-                    item, pos = self._parse_item(payload, pos, start)
-                    yield item
-                if pos != len(payload):
-                    raise WalCorruption(
-                        f"{len(payload) - pos} trailing bytes after batch "
-                        f"at offset {start}"
-                    )
-                continue
-            if kind not in (_PUT, _DELETE):
-                raise WalCorruption(
-                    f"unknown record kind {kind} at offset {start}"
-                )
-            item, pos = self._parse_item(payload, 0, start)
-            if pos != len(payload):
-                raise WalCorruption(
-                    f"{len(payload) - pos} trailing bytes after record "
-                    f"at offset {start}"
-                )
-            yield item
+                raise WalCorruption(f"bad checksum at offset {offset}")
+            yield from _parse_payload(payload, offset)
+            offset = stop
 
-    @staticmethod
-    def _parse_item(
-        payload: bytes, pos: int, offset: int
-    ) -> tuple[tuple[str, int, Any, int], int]:
-        """Decode one bounds-checked item at ``pos``; returns (record,
-        next position). Any structural violation — an item header or
-        value running past the payload, an unknown kind — raises
-        :class:`WalCorruption` naming the record's ``offset``."""
-        if pos + _ITEM_HEADER > len(payload):
-            raise WalCorruption(
-                f"truncated item header at offset {offset} (pos {pos})"
-            )
-        kind = payload[pos]
-        if kind not in (_PUT, _DELETE):
-            raise WalCorruption(
-                f"unknown item kind {kind} at offset {offset} (pos {pos})"
-            )
-        key = int.from_bytes(payload[pos + 1 : pos + 9], "little")
-        seqno = int.from_bytes(payload[pos + 9 : pos + 17], "little")
-        vkind = payload[pos + 17]
-        vlen = int.from_bytes(payload[pos + 18 : pos + 22], "little")
-        if pos + _ITEM_HEADER + vlen > len(payload):
-            raise WalCorruption(
-                f"item value overruns record at offset {offset} (pos {pos})"
-            )
-        raw = payload[pos + _ITEM_HEADER : pos + _ITEM_HEADER + vlen]
-        next_pos = pos + _ITEM_HEADER + vlen
-        if kind == _DELETE:
-            return ("delete", key, TOMBSTONE, seqno), next_pos
-        return ("put", key, _decode_value(vkind, raw, offset), seqno), next_pos
+
+def _parse_item(
+    payload: bytes, pos: int, offset: int
+) -> tuple[tuple[str, int, Any, int], int]:
+    """Decode one bounds-checked item at ``pos``; returns (record,
+    next position). Any structural violation — an item header or
+    value running past the payload, an unknown kind — raises
+    :class:`WalCorruption` naming the record's ``offset``."""
+    if pos + _ITEM.size > len(payload):
+        raise WalCorruption(
+            f"truncated item header at offset {offset} (pos {pos})"
+        )
+    kind, key, seqno, vkind, vlen = _ITEM.unpack_from(payload, pos)
+    if kind not in (_PUT, _DELETE):
+        raise WalCorruption(
+            f"unknown item kind {kind} at offset {offset} (pos {pos})"
+        )
+    body = pos + _ITEM.size
+    next_pos = body + vlen
+    if next_pos > len(payload):
+        raise WalCorruption(
+            f"item value overruns record at offset {offset} (pos {pos})"
+        )
+    if kind == _DELETE:
+        return ("delete", key, TOMBSTONE, seqno), next_pos
+    raw = payload[body:next_pos]
+    return ("put", key, _decode_value(vkind, raw, offset), seqno), next_pos
+
+
+def _parse_payload(
+    payload: bytes, offset: int
+) -> list[tuple[str, int, Any, int]]:
+    """The items of one checksum-verified record payload; any
+    structural violation raises :class:`WalCorruption` naming the
+    record's ``offset``."""
+    if not payload:
+        raise WalCorruption(f"empty record at offset {offset}")
+    kind = payload[0]
+    if kind == _BATCH:
+        if len(payload) < _BATCH_HEAD.size:
+            raise WalCorruption(f"truncated batch header at offset {offset}")
+        _, count = _BATCH_HEAD.unpack_from(payload, 0)
+        pos, items = _BATCH_HEAD.size, []
+        for _ in range(count):
+            item, pos = _parse_item(payload, pos, offset)
+            items.append(item)
+        what = "batch"
+    elif kind in (_PUT, _DELETE):
+        item, pos = _parse_item(payload, 0, offset)
+        items = [item]
+        what = "record"
+    else:
+        raise WalCorruption(f"unknown record kind {kind} at offset {offset}")
+    if pos != len(payload):
+        raise WalCorruption(
+            f"{len(payload) - pos} trailing bytes after {what} "
+            f"at offset {offset}"
+        )
+    return items
 
 
 def encode_batch_record(items: list[tuple[int, Any, int]]) -> bytes:
     """One framed, checksummed batch record for ``items`` — the exact
     bytes :meth:`WriteAheadLog.append_batch` would append. The handoff
     path uses this to turn snapshot chunks into shippable records."""
-    payload = bytearray([_BATCH])
-    payload += len(items).to_bytes(4, "little")
-    for key, value, seqno in items:
-        payload += _encode_item(
-            _DELETE if value is TOMBSTONE else _PUT, key, value, seqno
-        )
-    return _frame(bytes(payload))
+    parts = [_BATCH_HEAD.pack(_BATCH, len(items))]
+    parts += [
+        _encode_item(_DELETE if value is TOMBSTONE else _PUT, key, value, seqno)
+        for key, value, seqno in items
+    ]
+    return _frame(b"".join(parts))
 
 
 def record_is_batch(record: bytes) -> bool:
     """Whether a framed record is a batch record (affects only the
     ``batch_records`` statistic when re-appending on a follower)."""
-    return len(record) > 8 and record[8] == _BATCH
+    return len(record) > _FRAME.size and record[_FRAME.size] == _BATCH
 
 
 def parse_wal_record(record: bytes) -> list[tuple[str, int, Any, int]]:
@@ -321,20 +338,19 @@ def parse_wal_record(record: bytes) -> list[tuple[str, int, Any, int]]:
     or damaged ships fail loudly instead of truncating silently.
     Returns ('put'|'delete', key, value, seqno) tuples.
     """
-    if len(record) < 8:
+    if len(record) < _FRAME.size:
         raise WalCorruption(
             f"replicated record header truncated ({len(record)} bytes)"
         )
-    length = int.from_bytes(record[:4], "little")
-    checksum = int.from_bytes(record[4:8], "little")
-    if len(record) != 8 + length:
+    length, checksum = _FRAME.unpack_from(record, 0)
+    if len(record) != _FRAME.size + length:
         raise WalCorruption(
             f"replicated record length {length} disagrees with "
-            f"{len(record) - 8} payload bytes"
+            f"{len(record) - _FRAME.size} payload bytes"
         )
-    payload = bytes(record[8:])
+    payload = bytes(record[_FRAME.size :])
     if _checksum(payload) != checksum:
         raise WalCorruption("replicated record failed its checksum")
-    # Structural decode via the one true replay path, so value-kind
+    # The structural decode is the one replay uses, so value-kind
     # fidelity and corruption semantics are literally the same code.
-    return list(WriteAheadLog(data=bytearray(record)).replay())
+    return _parse_payload(payload, 0)

@@ -142,14 +142,6 @@ class TestFold64:
         fold equals the slice-wise one on every length."""
         assert fold64(acc, data) == _fold_per_slice(acc, data)
 
-    @given(st.binary(max_size=300))
-    def test_wal_checksum_is_unchanged(self, payload):
-        from repro.lsm.wal import _checksum
-
-        assert _checksum(payload) == (
-            _fold_per_slice(0xCBF29CE484222325, payload) & 0xFFFFFFFF
-        )
-
 
 class TestFingerprintPrefixProperty:
     @given(st.integers(0, 2**62), st.integers(FP_MIN, 30), st.integers(FP_MIN, 30))

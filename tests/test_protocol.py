@@ -5,6 +5,8 @@ import random
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.server.protocol import (
     KIND_DELETE,
@@ -185,6 +187,69 @@ class TestMalformedPayloads:
                 decode_request(blob)
             except ProtocolError:
                 pass  # the only acceptable exception
+
+
+def _encodings(seed: int) -> list[bytes]:
+    rng = random.Random(seed)
+    return [encode_request(r) for r in sample_requests(rng)] + [
+        encode_response(r) for r in sample_responses(rng)
+    ]
+
+
+def _decode_or_refuse(decode, payload: bytes):
+    """The decoded message, or ``None`` on ProtocolError; any other
+    exception escapes and fails the caller."""
+    try:
+        return decode(payload)
+    except ProtocolError:
+        return None
+
+
+class TestHostilePayloads:
+    """Arbitrary bytes into either decoder give a message or
+    ProtocolError — never ``struct.error``, ``IndexError``,
+    ``ValueError`` or ``UnicodeDecodeError``."""
+
+    @settings(max_examples=500)
+    @given(st.binary(max_size=64))
+    def test_arbitrary_bytes(self, payload):
+        req = _decode_or_refuse(decode_request, payload)
+        if req is not None:
+            # Whatever parses is canonical: it re-encodes to its bytes.
+            assert encode_request(req) == payload
+        _decode_or_refuse(decode_response, payload)
+
+    @settings(max_examples=500)
+    @given(
+        st.integers(0, 2**64 - 1),
+        st.integers(0, 255),
+        st.integers(0, 255),
+        st.binary(max_size=48),
+    )
+    def test_every_op_and_status_with_an_arbitrary_body(
+        self, rid, op, status, body
+    ):
+        """A well-formed header reaches every op's body decoder."""
+        req = _decode_or_refuse(decode_request, struct.pack(">QB", rid, op) + body)
+        if req is not None:
+            assert encode_request(req) == struct.pack(">QB", rid, op) + body
+        _decode_or_refuse(
+            decode_response, struct.pack(">QBB", rid, op, status) + body
+        )
+
+    @settings(max_examples=300)
+    @given(st.integers(0, 2**32), st.data())
+    def test_mutated_encodings(self, seed, data):
+        for payload in _encodings(seed):
+            mutated = bytearray(payload)
+            for _ in range(data.draw(st.integers(0, 3))):
+                if mutated:
+                    mutated[data.draw(st.integers(0, len(mutated) - 1))] = (
+                        data.draw(st.integers(0, 255))
+                    )
+            mutated = bytes(mutated[: data.draw(st.integers(0, len(mutated)))])
+            _decode_or_refuse(decode_request, mutated)
+            _decode_or_refuse(decode_response, mutated)
 
 
 class TestFraming:

@@ -1,17 +1,24 @@
 """Write-ahead log and full-store crash recovery (paper section 4.5)."""
 
 import random
+import zlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chucky.policy import ChuckyPolicy
+from repro.engine import EngineConfig, build_store, recover_store
 from repro.engine.kvstore import KVStore
 from repro.filters.policy import BloomFilterPolicy, NoFilterPolicy
 from repro.lsm.config import lazy_leveling
 from repro.lsm.entry import KEY, TOMBSTONE
-from repro.lsm.wal import WalCorruption, WriteAheadLog
+from repro.lsm.wal import (
+    WalCorruption,
+    WriteAheadLog,
+    _checksum,
+    parse_wal_record,
+)
 
 
 class TestWal:
@@ -125,6 +132,277 @@ class TestWalBatch:
         wal.append_batch([])
         assert wal.size_bytes == 0
         assert list(wal.replay()) == []
+
+
+class TestWalFormat:
+    """A record is ``u32 length | u32 CRC-32(payload) | payload``; the
+    payload is the item header ``<BQQBI`` (kind, key, seqno,
+    value-kind, value-length) plus the value, a batch payload the
+    ``<BI`` header (kind 2, item count) plus its items."""
+
+    @given(st.binary(max_size=300))
+    def test_checksum_is_crc32(self, payload):
+        assert _checksum(payload) == zlib.crc32(payload)
+
+    def test_golden_put(self):
+        wal = WriteAheadLog()
+        wal.append_put(1, "hello", 10)
+        assert bytes(wal.data) == bytes.fromhex(
+            "1b000000" "7f254755"
+            "00" "0100000000000000" "0a00000000000000" "00" "05000000"
+            "68656c6c6f"
+        )
+
+    def test_golden_delete(self):
+        wal = WriteAheadLog()
+        wal.append_delete(2, 11)
+        assert bytes(wal.data) == bytes.fromhex(
+            "16000000" "9e38ccc6"
+            "01" "0200000000000000" "0b00000000000000" "02" "00000000"
+        )
+
+    def test_golden_batch(self):
+        wal = WriteAheadLog()
+        wal.append_batch([(3, b"\xff", 12), (4, TOMBSTONE, 13)])
+        assert bytes(wal.data) == bytes.fromhex(
+            "32000000" "f07f1013"
+            "02" "02000000"
+            "00" "0300000000000000" "0c00000000000000" "01" "01000000" "ff"
+            "01" "0400000000000000" "0d00000000000000" "02" "00000000"
+        )
+
+
+#: One logged operation: a put (str or bytes), a delete, or a batch.
+_values = st.one_of(st.text(max_size=12), st.binary(max_size=12))
+_ops = st.one_of(
+    st.tuples(st.just("put"), st.integers(0, 2**64 - 1), _values),
+    st.tuples(st.just("delete"), st.integers(0, 2**64 - 1)),
+    st.tuples(
+        st.just("batch"),
+        st.lists(
+            st.tuples(
+                st.integers(0, 2**64 - 1), st.one_of(_values, st.just(TOMBSTONE))
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+    ),
+)
+
+
+def _logged(ops) -> WriteAheadLog:
+    wal = WriteAheadLog()
+    seqno = 0
+    for op in ops:
+        if op[0] == "batch":
+            items = [(key, value, seqno + i) for i, (key, value) in
+                     enumerate(op[1], 1)]
+            wal.append_batch(items)
+            seqno += len(items)
+            continue
+        seqno += 1
+        if op[0] == "put":
+            wal.append_put(op[1], op[2], seqno)
+        else:
+            wal.append_delete(op[1], seqno)
+    return wal
+
+
+def _record_spans(data: bytes) -> list[tuple[int, int]]:
+    """(start, stop) of every framed record of a well-formed log."""
+    spans, offset = [], 0
+    while offset < len(data):
+        stop = offset + 8 + int.from_bytes(data[offset : offset + 4], "little")
+        spans.append((offset, stop))
+        offset = stop
+    return spans
+
+
+def _replay_or_corruption(data: bytes):
+    """Replay ``data``: its items, or ``None`` on WalCorruption. Any
+    other exception escapes and fails the caller."""
+    try:
+        items = list(WriteAheadLog(data=bytearray(data)).replay())
+    except WalCorruption:
+        return None
+    for kind, key, _value, seqno in items:
+        assert kind in ("put", "delete")
+        assert 0 <= key < 2**64 and 0 <= seqno < 2**64
+    return items
+
+
+def _parse_or_corruption(record: bytes):
+    try:
+        return parse_wal_record(record)
+    except WalCorruption:
+        return None
+
+
+class TestBitFlips:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_ops, min_size=2, max_size=6), st.data())
+    def test_any_single_bit_flip_before_the_tail_is_caught(self, ops, data):
+        """CRC-32 detects every single-bit error, so a flip in the
+        checksum or payload of any record but the last makes replay
+        raise instead of truncating or yielding a wrong item."""
+        log = bytes(_logged(ops).data)
+        spans = _record_spans(log)
+        start, stop = spans[data.draw(st.integers(0, len(spans) - 2))]
+        bit = data.draw(st.integers((start + 4) * 8, stop * 8 - 1))
+        flipped = bytearray(log)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        with pytest.raises(WalCorruption):
+            list(WriteAheadLog(data=flipped).replay())
+        with pytest.raises(WalCorruption):
+            parse_wal_record(bytes(flipped[start:stop]))
+
+
+class TestHostileLogs:
+    """Whatever the bytes, replay and the strict record parser answer
+    with items or :class:`WalCorruption` — never ``struct.error``,
+    ``IndexError``, ``OverflowError`` or ``UnicodeDecodeError``."""
+
+    @settings(max_examples=300)
+    @given(st.binary(max_size=200))
+    def test_arbitrary_bytes(self, data):
+        _replay_or_corruption(data)
+        _parse_or_corruption(data)
+
+    @settings(max_examples=300)
+    @given(st.binary(max_size=120))
+    def test_arbitrary_payload_under_a_valid_checksum(self, payload):
+        """A payload that passes its checksum reaches the structural
+        decoder, which must bound-check everything it reads."""
+        record = (
+            len(payload).to_bytes(4, "little")
+            + zlib.crc32(payload).to_bytes(4, "little")
+            + payload
+        )
+        assert _replay_or_corruption(record) == _parse_or_corruption(record)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_ops, min_size=1, max_size=5), st.data())
+    def test_truncated_and_mutated_logs(self, ops, data):
+        log = bytearray(_logged(ops).data)
+        intact = _replay_or_corruption(bytes(log))
+        cut = data.draw(st.integers(0, len(log)))
+        truncated = _replay_or_corruption(bytes(log[:cut]))
+        # A cut log replays a prefix of the intact one.
+        assert truncated == intact[: len(truncated)]
+        for _ in range(data.draw(st.integers(1, 4))):
+            log[data.draw(st.integers(0, len(log) - 1))] = data.draw(
+                st.integers(0, 255)
+            )
+        _replay_or_corruption(bytes(log))
+        for start, stop in _record_spans(bytes(_logged(ops).data)):
+            _parse_or_corruption(bytes(log[start:stop]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_ops, min_size=1, max_size=3), st.data())
+    def test_mutated_payloads_under_valid_checksums(self, ops, data):
+        """Mutate a record's payload and re-frame it with a correct
+        CRC, so the damage gets past the checksum into the decoder."""
+        log = bytes(_logged(ops).data)
+        start, stop = data.draw(st.sampled_from(_record_spans(log)))
+        payload = bytearray(log[start + 8 : stop])
+        for _ in range(data.draw(st.integers(1, 4))):
+            payload[data.draw(st.integers(0, len(payload) - 1))] = data.draw(
+                st.integers(0, 255)
+            )
+        payload = bytes(payload[: data.draw(st.integers(0, len(payload)))])
+        record = (
+            len(payload).to_bytes(4, "little")
+            + zlib.crc32(payload).to_bytes(4, "little")
+            + payload
+        )
+        assert _replay_or_corruption(record) == _parse_or_corruption(record)
+
+
+class TestUnloggableValues:
+    """A durable store logs str and bytes values only. Anything else
+    would come back from replay as something else (``5`` as ``'5'``,
+    ``None`` as ``'None'``), so the WAL encoder refuses it with
+    TypeError before the seqno, the WAL or the memtable changes."""
+
+    BAD = [5, None, 1.5, bytearray(b"x"), ("a",)]
+
+    def make_store(self):
+        cfg = lazy_leveling(3, buffer_entries=8, block_entries=4)
+        kv = KVStore(
+            cfg, filter_policy=ChuckyPolicy(bits_per_entry=10), durable=True
+        )
+        kv.put(1, "a")
+        kv.put(2, b"b")
+        return kv, cfg
+
+    @staticmethod
+    def state(kv):
+        return (
+            kv._seqno,
+            kv.updates,
+            bytes(kv.wal.data),
+            kv.wal.appended,
+            kv.memtable.sorted_entries(),
+        )
+
+    @pytest.mark.parametrize("bad", BAD, ids=repr)
+    def test_put_refuses_before_anything_changes(self, bad):
+        kv, cfg = self.make_store()
+        before = self.state(kv)
+        with pytest.raises(TypeError):
+            kv.put(3, bad)
+        with pytest.raises(TypeError):
+            kv.put(3, bad, ttl=1000)
+        assert self.state(kv) == before
+        kv.put(3, "c")
+        recovered = KVStore.recover(
+            kv.crash(), cfg, filter_policy=ChuckyPolicy(bits_per_entry=10)
+        )
+        assert [recovered.get(k) for k in (1, 2, 3)] == ["a", b"b", "c"]
+        assert recovered._seqno == 3
+
+    @pytest.mark.parametrize("bad", BAD, ids=repr)
+    def test_put_batch_refuses_the_whole_batch(self, bad):
+        kv, cfg = self.make_store()
+        before = self.state(kv)
+        with pytest.raises(TypeError):
+            kv.put_batch([(3, "c"), (4, bad), (5, "e")])
+        assert self.state(kv) == before
+        assert kv.get(3) is None
+        recovered = KVStore.recover(
+            kv.crash(), cfg, filter_policy=ChuckyPolicy(bits_per_entry=10)
+        )
+        assert [recovered.get(k) for k in (1, 2, 3, 5)] == ["a", b"b", None, None]
+
+    def test_put_batch_over_several_groups_refuses_every_group(self):
+        kv, cfg = self.make_store()
+        before = self.state(kv)
+        batch = [(10 + i, f"v{i}") for i in range(3 * 8)] + [(99, None)]
+        with pytest.raises(TypeError):
+            kv.put_batch(batch)
+        assert self.state(kv) == before
+        assert kv.get(10) is None
+
+    def test_sharded_store_reads_back_what_it_wrote(self):
+        """Before the check, ``put(1, 5)`` read ``5`` until a crash and
+        ``'5'`` after ``recover_store``."""
+        cfg = EngineConfig(
+            size_ratio=3, buffer_entries=8, block_entries=4, shards=2,
+            durable=True,
+        )
+        store = build_store(cfg)
+        store.put(7, "seven")
+        with pytest.raises(TypeError):
+            store.put(1, 5)
+        # 40 keys land in both shards: no shard's group may apply.
+        batch = [(100 + k, f"v{k}") for k in range(40)] + [(3, None)]
+        assert len({store.shard_for(k) for k, _ in batch}) == 2
+        with pytest.raises(TypeError):
+            store.put_batch(batch)
+        recovered = recover_store(store.crash(), cfg)
+        assert [recovered.get(k) for k in (1, 3, 7, 100, 139)] == [
+            None, None, "seven", None, None
+        ]
 
 
 def populated_store(policy, durable=True, n=500, seed=0):
