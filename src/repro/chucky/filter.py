@@ -44,7 +44,13 @@ from repro.coding.distributions import LidDistribution
 from repro.common.bitio import BitReader, BitWriter
 from repro.common.counters import MemoryIOCounter
 from repro.common.errors import FilterError
-from repro.common.hashing import FP_MIN, digest_pair, fp_digest, splitmix64
+from repro.common.hashing import (
+    FP_MIN,
+    digest_pair,
+    digest_pairs,
+    fp_digest,
+    splitmix64,
+)
 from repro.obs.metrics import (
     EVICTION_WALK_BUCKETS,
     NULL_REGISTRY,
@@ -64,10 +70,15 @@ _PREFIX_SHIFT = 64 - FP_MIN
 #: the paper's "~2 memory I/Os per insertion" true at the 95% design
 #: load; the few spilled entries are repatriated as removals free slots.
 _MAX_EVICTIONS = 12
+#: Edits :meth:`CuckooLidFilterBase._maintain_many` hashes per
+#: :func:`digest_pairs` call: a growth rebuild hands over 100k+ edits at
+#: once, and their digests are held only a chunk at a time.
+_HASH_CHUNK = 256
 
 #: One maintenance edit, ``(key, old_lid, new_lid)``: an insert has no
 #: old LID, a removal no new one (``None``), an LID update both.
 Edit = tuple[int, "int | None", "int | None"]
+_key = itemgetter(0)
 _old_lid = itemgetter(1)
 _new_lid = itemgetter(2)
 
@@ -205,6 +216,14 @@ class CuckooLidFilterBase(ABC):
                 pass
         raise FilterError(f"LID {lid} out of range [1, {len(self._fp_shifts)}]")
 
+    def _check_lids(self, edits) -> None:
+        """Range-check every distinct LID of ``edits`` once, so a bad
+        one refuses the whole event before any edit lands."""
+        lids = {*map(_old_lid, edits), *map(_new_lid, edits)}
+        lids.discard(None)
+        for lid in lids:
+            self._shift(lid)
+
     def _slot(self, digest: int, lid: int) -> Slot:
         """The ``(lid, fingerprint)`` slot of the key behind ``digest``
         at sub-level ``lid``."""
@@ -259,10 +278,11 @@ class CuckooLidFilterBase(ABC):
         return self._maintain_many(edits)
 
     def _maintain_many(self, edits) -> int:
-        """The one maintenance loop. Per edit: one hash, then the pair's
-        distinct buckets in order, one counted load and one
-        :meth:`_edit_bucket` each, until one holds the old slot (the
-        empty slot, for an insert).
+        """The one maintenance loop. The keys are hashed in chunks of
+        256 by :func:`digest_pairs`; then per edit, the pair's distinct
+        buckets in order, one counted load and one :meth:`_edit_bucket`
+        each, until one holds the old slot (the empty slot, for an
+        insert).
 
         * an insert that found no free slot walks
           (:meth:`_insert_with_eviction`);
@@ -277,10 +297,7 @@ class CuckooLidFilterBase(ABC):
         where it happens, so every category total equals the per-entry
         accounting of section 4.1.
         """
-        lids = {*map(_old_lid, edits), *map(_new_lid, edits)}
-        lids.discard(None)
-        for lid in lids:
-            self._shift(lid)
+        self._check_lids(edits)
         shifts = self._fp_shifts
         anchors = self._anchors
         n = self.num_buckets
@@ -290,43 +307,49 @@ class CuckooLidFilterBase(ABC):
         observe = self._walk_hist.observe
         misses = self.maintenance_misses
         loads = 0
-        for key, old_lid, new_lid in edits:
-            if old_lid == new_lid:
-                continue  # an update in place moves nothing
-            digest, primary = digest_pair(key)  # as _address does
-            b1 = primary % n
-            b2 = (anchors[digest >> _PREFIX_SHIFT] - b1) % n
-            if old_lid is None:
-                old = empty
-            else:
-                old = old_lid, digest >> shifts[old_lid - 1]
-            if new_lid is None:
-                new = empty
-            else:
-                new = new_lid, digest >> shifts[new_lid - 1]
-            loads += 1
-            if edit(b1, old, new):
-                bucket = b1
-            elif b1 == b2:
-                bucket = None
-            else:
-                loads += 1
-                bucket = b2 if edit(b2, old, new) else None
-            if old_lid is None:
-                if bucket is None:
-                    loads += self._insert_with_eviction(new, choice((b1, b2)))
+        for start in range(0, len(edits), _HASH_CHUNK):
+            chunk = edits[start : start + _HASH_CHUNK]
+            digests, primaries = digest_pairs(list(map(_key, chunk)))
+            for (_, old_lid, new_lid), digest, primary in zip(
+                chunk, digests, primaries
+            ):
+                if old_lid == new_lid:
+                    continue  # an update in place moves nothing
+                b1 = primary % n  # as _address does
+                b2 = (anchors[digest >> _PREFIX_SHIFT] - b1) % n
+                if old_lid is None:
+                    old = empty
                 else:
-                    self.num_entries += 1
-                    observe(0)
-            elif new_lid is not None:
-                if bucket is None:
-                    self._swap_in_aht(b1, b2, old, new)
-            elif bucket is not None:
-                if self.aht:
-                    loads += self._repatriate(self._pair_key(b1, b2), bucket)
-                self.num_entries -= 1
-            elif self._swap_in_aht(b1, b2, old, None):
-                self.num_entries -= 1
+                    old = old_lid, digest >> shifts[old_lid - 1]
+                if new_lid is None:
+                    new = empty
+                else:
+                    new = new_lid, digest >> shifts[new_lid - 1]
+                loads += 1
+                if edit(b1, old, new):
+                    bucket = b1
+                elif b1 == b2:
+                    bucket = None
+                else:
+                    loads += 1
+                    bucket = b2 if edit(b2, old, new) else None
+                if old_lid is None:
+                    if bucket is None:
+                        loads += self._insert_with_eviction(
+                            new, choice((b1, b2))
+                        )
+                    else:
+                        self.num_entries += 1
+                        observe(0)
+                elif new_lid is not None:
+                    if bucket is None:
+                        self._swap_in_aht(b1, b2, old, new)
+                elif bucket is not None:
+                    if self.aht:
+                        loads += self._repatriate(self._pair_key(b1, b2), bucket)
+                    self.num_entries -= 1
+                elif self._swap_in_aht(b1, b2, old, None):
+                    self.num_entries -= 1
         if loads:
             self.memory_ios.add("filter", loads)
         return self.maintenance_misses - misses

@@ -124,8 +124,12 @@ class PartitionedChuckyFilter:
         """``maintain_many`` for each partition's share of ``edits``, in
         their order — one maintenance loop per touched partition. Edits
         of different partitions touch disjoint state, so splitting them
-        changes no outcome (an out-of-range LID refuses its partition's
-        share, after earlier partitions' have landed)."""
+        changes no outcome. Every distinct LID is range-checked once
+        before any share lands (the partitions share one codebook, so
+        one partition's range is all of theirs): an out-of-range LID
+        refuses the whole event, as :meth:`ChuckyFilter.maintain_many`
+        does."""
+        self.partitions[0]._check_lids(edits)
         groups: dict[int, list] = {}
         for edit in edits:
             groups.setdefault(self.partition_index(edit[0]), []).append(edit)

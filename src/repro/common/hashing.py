@@ -12,7 +12,9 @@ partial-key bucket computation (Eq 4) uses only those shared bits.
 from __future__ import annotations
 
 import struct
-from typing import Callable
+import sys
+from array import array
+from typing import Callable, Sequence
 
 _MASK64 = (1 << 64) - 1
 #: The little-endian 64-bit words of a buffer whose length is a
@@ -140,6 +142,103 @@ def digest_pair(key: int | str | bytes) -> tuple[int, int]:
         x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
         return fp, x ^ (x >> 31)
     return fp_digest(key), _bucket_digest(key)
+
+
+#: Keys :func:`digest_pairs` hashes per big-int pass: bounds the pass's
+#: ints (256 keys are 8 KiB of lanes) whatever the caller hands over.
+_CHUNK = 256
+#: Below this many keys the per-pass packing costs more than it saves.
+_BULK_MIN = 8
+#: The lanes are read from native ``array("Q")`` words as little-endian.
+_LITTLE_ENDIAN = sys.byteorder == "little"
+
+
+def _lanes(fp_word: int, bucket_word: int) -> int:
+    """A full chunk's lane constant: per key, a 128-bit fp lane holding
+    ``fp_word`` and a 128-bit bucket lane holding ``bucket_word``."""
+    words = array("Q", [fp_word, 0, bucket_word, 0] * _CHUNK)
+    return int.from_bytes(words, "little")
+
+
+_LANE_MASK = _lanes(_MASK64, _MASK64)
+_LANE_MIX = _lanes(_FP_MIX, _BUCKET_MIX)
+_LANE_GAMMA = _lanes(0x9E3779B97F4A7C15, 0x9E3779B97F4A7C15)
+_LANE_PREFIX = _lanes((1 << FP_MIN) - 1, 0)
+_LANE_ONE = _lanes(1, 0)
+
+
+def digest_pairs(
+    keys: Sequence[int | str | bytes],
+) -> tuple[list[int], list[int]]:
+    """``(fp_digests, bucket_digests)``: :func:`digest_pair` of every key,
+    as two lists — ``list(zip(*digest_pairs(ks)))`` equals
+    ``[digest_pair(k) for k in ks]`` for any keys.
+
+    For int keys it runs SplitMix64 on 256 keys at once (SWAR): each key
+    gets two 128-bit lanes of one big int, fp then bucket, each holding
+    its 64-bit word, and every mix step is one whole-int operation. A
+    lane's upper 64 bits are headroom — a 64-bit sum or a 64x64-bit
+    product fits in 128 — and every shift is masked back to the low 64
+    before the next step, so no lane reads a neighbour's bits and each
+    lane computes exactly the scalar mix. The ``FP_MIN``-prefix forcing
+    of :func:`fp_digest` is done lane-wise: adding 31 to a 5-bit prefix
+    carries into bit 5 unless the prefix is 0. Fewer than 8 keys, any
+    key that is not an int, or a big-endian host take :func:`digest_pair`
+    per key. (An int-like object that is not an int — one with
+    ``__index__`` only — is read as its index here, where
+    :func:`digest_pair` refuses it.)
+    """
+    if len(keys) >= _BULK_MIN and _LITTLE_ENDIAN:
+        words = _key_words(keys)
+        if words is not None:
+            return _swar_pairs(words)
+    pairs = list(map(digest_pair, keys))
+    return [pair[0] for pair in pairs], [pair[1] for pair in pairs]
+
+
+def _key_words(keys: Sequence[int | str | bytes]) -> "array | None":
+    """Every key's 64-bit word as :func:`digest_pair` reads an int key
+    (``key & (2**64 - 1)``), or None when some key is not an int."""
+    try:
+        return array("Q", keys)
+    except OverflowError:  # a negative int or one >= 2^64
+        pass
+    except TypeError:
+        return None
+    try:
+        return array("Q", [key & _MASK64 for key in keys])
+    except TypeError:
+        return None
+
+
+def _swar_pairs(words: array) -> tuple[list[int], list[int]]:
+    """:func:`digest_pairs` of 64-bit key words, a chunk per pass."""
+    fps = array("Q")
+    buckets = array("Q")
+    for start in range(0, len(words), _CHUNK):
+        chunk = words[start : start + _CHUNK]
+        size = 32 * len(chunk)  # bytes of lanes: two 16-byte lanes a key
+        mask, mix, gamma = _LANE_MASK, _LANE_MIX, _LANE_GAMMA
+        prefix, one = _LANE_PREFIX, _LANE_ONE
+        if len(chunk) < _CHUNK:
+            cut = (1 << (8 * size)) - 1
+            mask, mix, gamma = mask & cut, mix & cut, gamma & cut
+            prefix, one = prefix & cut, one & cut
+        lanes = array("Q", bytes(size))
+        lanes[0::4] = chunk
+        lanes[2::4] = chunk
+        x = int.from_bytes(lanes, "little")
+        x = ((x ^ mix) + gamma) & mask
+        x = ((x ^ ((x >> 30) & mask)) * 0xBF58476D1CE4E5B9) & mask
+        x = ((x ^ ((x >> 27) & mask)) * 0x94D049BB133111EB) & mask
+        x ^= (x >> 31) & mask
+        top = (x >> _PREFIX_SHIFT) & prefix
+        x |= ((((top + prefix) >> FP_MIN) & one) ^ one) << _PREFIX_SHIFT
+        lanes = array("Q")
+        lanes.frombytes(x.to_bytes(size, "little"))
+        fps += lanes[0::4]
+        buckets += lanes[2::4]
+    return fps.tolist(), buckets.tolist()
 
 
 def fingerprint_bits(key: int | str | bytes, length: int) -> int:

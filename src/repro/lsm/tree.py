@@ -27,6 +27,8 @@ Origin sub-level 0 means "arrived from the write buffer".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress, islice, repeat
+from operator import eq, is_, is_not, itemgetter, not_
 from typing import Callable, Iterator
 
 from repro.common.counters import IOCounters
@@ -35,12 +37,16 @@ from repro.lsm.block_cache import BlockCache
 from repro.obs import NULL_OBS, Observability
 from repro.obs.metrics import MERGE_INPUT_BUCKETS
 from repro.lsm.config import LSMConfig
-from repro.lsm.entry import EXPIRES_AT, KEY, SEQNO, Entry, is_tombstone
+from repro.lsm.entry import EXPIRES_AT, KEY, SEQNO, TOMBSTONE, VALUE, Entry
 from repro.lsm.run import Run
 from repro.lsm.storage import StorageDevice
 
 #: Origin marker for entries arriving from the write buffer.
 BUFFER_ORIGIN = 0
+
+_key_of = itemgetter(KEY)
+_value_of = itemgetter(VALUE)
+_expires_at_of = itemgetter(EXPIRES_AT)
 
 
 @dataclass(frozen=True)
@@ -364,15 +370,8 @@ class LSMTree:
         purge = self._is_oldest_sublevel(sublevel)
         drops = list(pending_drops)
         if purge and origin is not None:
-            kept: list[Entry] = []
-            kept_origin: list[int] = []
-            for entry, src in zip(entries, origin):
-                if is_tombstone(entry) or self._expired(entry):
-                    drops.append((entry, src))
-                else:
-                    kept.append(entry)
-                    kept_origin.append(src)
-            entries, origin = kept, kept_origin
+            entries, origin, purged = _purge(entries, origin, self._expired)
+            drops += purged
         if not entries:
             if drops:
                 self._notify(
@@ -691,35 +690,107 @@ def _merge_sorted(
 
     ``sources`` pairs each entry list with its per-entry origin sub-level.
     Returns (survivors, survivor origins, dropped (entry, origin) pairs).
-    The newest version of each key (highest seqno) survives; with
-    ``purge_tombstones`` the newest version is dropped too when it is a
-    tombstone (the merge target is the oldest data in the tree) — or,
-    when ``is_expired`` says so, a TTL entry whose stamp has passed.
+    The newest version of each key (highest seqno; the earliest-listed
+    of equal seqnos) survives, in key order; with ``purge_tombstones``
+    the survivor is dropped too when it is a tombstone (the merge target
+    is the oldest data in the tree) — or, when ``is_expired`` says so, a
+    TTL entry whose stamp has passed. ``is_expired`` is asked only about
+    non-tombstone survivors whose ``expires_at`` is not ``None``, in key
+    order: a version without a stamp never expires.
+
+    Drops come in the order a walk over the sources, in the order they
+    are listed, would make them: each later version of a key drops
+    itself or the version it beat, then the purged survivors in key
+    order. The order matters — the filter applies drops as removals,
+    and a removal can repatriate an AHT entry.
+
+    The work is C-level except per repeated version: the sources are
+    concatenated and their indexes stable-sorted by key (so a key's
+    versions sit together, in listed order), and only keys with more
+    than one version are replayed in Python.
     """
-    best: dict[int, tuple[Entry, int]] = {}
-    drops: list[tuple[Entry, int]] = []
-    for entries, origins in sources:
-        if len(entries) != len(origins):
+    entries: list[Entry] = []
+    origins: list[int] = []
+    for source_entries, source_origins in sources:
+        if len(source_entries) != len(source_origins):
             raise ValueError("each entry needs exactly one origin")
-        for entry, origin in zip(entries, origins):
-            key = entry[KEY]
-            current = best.get(key)
-            if current is None:
-                best[key] = (entry, origin)
-            elif entry[SEQNO] > current[0][SEQNO]:
-                drops.append(current)
-                best[key] = (entry, origin)
-            else:
-                drops.append((entry, origin))
-    survivors: list[Entry] = []
-    survivor_origins: list[int] = []
-    for key in sorted(best):
-        entry, origin = best[key]
-        if purge_tombstones and (
-            is_tombstone(entry) or (is_expired is not None and is_expired(entry))
-        ):
-            drops.append((entry, origin))
-            continue
-        survivors.append(entry)
-        survivor_origins.append(origin)
+        entries += source_entries
+        origins += source_origins
+    # The temporaries go as soon as they are used: a large merge's
+    # working set is what sets the process's peak RSS.
+    keys = list(map(_key_of, entries))
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    sorted_keys = list(map(keys.__getitem__, order))
+    del keys
+    drops: list[tuple[Entry, int]] = []
+    if any(map(eq, islice(sorted_keys, 1, None), sorted_keys)):
+        order, drops = _replay_repeats(entries, origins, order, sorted_keys)
+    del sorted_keys
+    survivors = list(map(entries.__getitem__, order))
+    survivor_origins = list(map(origins.__getitem__, order))
+    if purge_tombstones:
+        survivors, survivor_origins, purged = _purge(
+            survivors, survivor_origins, is_expired
+        )
+        drops += purged
     return survivors, survivor_origins, drops
+
+
+def _purge(
+    entries: list[Entry],
+    origins: list[int],
+    is_expired: Callable[[Entry], bool] | None,
+) -> tuple[list[Entry], list[int], list[tuple[Entry, int]]]:
+    """Split versions bound for the oldest sub-level into the kept ones
+    and the purged ``(entry, origin)`` pairs, order kept: tombstones,
+    and stamped versions ``is_expired`` says have passed (it is asked
+    only about non-tombstones whose ``expires_at`` is not ``None``)."""
+    dead = list(map(is_, map(_value_of, entries), repeat(TOMBSTONE)))
+    if is_expired is not None:
+        stamped = map(is_not, map(_expires_at_of, entries), repeat(None))
+        for position in compress(range(len(entries)), stamped):
+            if not dead[position] and is_expired(entries[position]):
+                dead[position] = True
+    if not any(dead):
+        return entries, origins, []
+    alive = list(map(not_, dead))
+    return (
+        list(compress(entries, alive)),
+        list(compress(origins, alive)),
+        list(compress(zip(entries, origins), dead)),
+    )
+
+
+def _replay_repeats(
+    entries: list[Entry],
+    origins: list[int],
+    order: list[int],
+    sorted_keys: list[int],
+) -> tuple[list[int], list[tuple[Entry, int]]]:
+    """``order`` (indexes into ``entries`` stable-sorted by key) without
+    the versions a walk over the sources would drop, and those drops as
+    ``(entry, origin)`` pairs in the walk's order: each later version of
+    a key drops itself, or the version it beat on seqno."""
+    repeats = compress(
+        range(1, len(order)), map(eq, islice(sorted_keys, 1, None), sorted_keys)
+    )
+    # (index of the later version, index of the version it drops): the
+    # walk's order is the later version's index.
+    replayed: list[tuple[int, int]] = []
+    keep = [True] * len(order)
+    previous = best = -1
+    for position in repeats:
+        if position != previous + 1:
+            best = position - 1  # the first version of a new key
+        previous = position
+        later, current = order[position], order[best]
+        if entries[later][SEQNO] > entries[current][SEQNO]:
+            keep[best] = False
+            best = position
+            replayed.append((later, current))
+        else:
+            keep[position] = False
+            replayed.append((later, later))
+    replayed.sort()
+    drops = [(entries[dropped], origins[dropped]) for _, dropped in replayed]
+    return list(compress(order, keep)), drops

@@ -1,14 +1,17 @@
 """Hashing and fingerprint derivation — especially the prefix property
 Malleable Fingerprinting depends on."""
 
+from itertools import count, islice
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.common.hashing import (
     FP_MIN,
     alt_offset,
     digest_pair,
+    digest_pairs,
     fingerprint_bits,
     fold64,
     fp_digest,
@@ -125,6 +128,63 @@ class TestDigestPair:
             k for k in range(200_000) if key_digest(k, 1) >> (64 - FP_MIN) == 0
         )
         assert digest_pair(key)[0] == fp_digest(key) != key_digest(key, 1)
+
+
+#: Int keys whose seed-1 digest has an all-zero ``FP_MIN`` prefix: the
+#: ones ``fp_digest`` forces a prefix bit on.
+_ZERO_PREFIX_KEYS = list(
+    islice((k for k in count() if key_digest(k, 1) >> (64 - FP_MIN) == 0), 40)
+)
+
+
+def _pairs(keys):
+    return [digest_pair(key) for key in keys]
+
+
+class TestDigestPairs:
+    """``digest_pairs`` runs SplitMix64 on whole chunks of keys at once
+    (SWAR lanes of one big int): it must be ``digest_pair`` of every key,
+    whatever the keys and however many."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(st.integers(0, 2**64 - 1), st.integers(0, 2**20)),
+            max_size=600,
+        )
+    )
+    def test_int_keys_across_chunks(self, keys):
+        """Lengths 0-600 cross the 8-key fallback and the 256-key
+        chunk."""
+        assert list(zip(*digest_pairs(keys))) == _pairs(keys)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(KEYS, max_size=300))
+    @example([-1] * 9 + ["a"])  # masking is tried, then falls back
+    @example([2**64] * 9 + [b"x", True])
+    def test_any_keys(self, keys):
+        """Negative ints, ints >= 2^64, bools, str, bytes, mixed."""
+        assert list(zip(*digest_pairs(keys))) == _pairs(keys)
+
+    @given(st.lists(st.integers(-(2**70), 2**70), min_size=8, max_size=300))
+    def test_ints_outside_64_bits_are_masked(self, keys):
+        assert list(zip(*digest_pairs(keys))) == _pairs(keys)
+
+    @pytest.mark.parametrize("size", [8, 40])
+    def test_forced_prefix_lanes(self, size):
+        """Every fp lane with a zero prefix gets the forced bit, beside
+        lanes that do not."""
+        keys = [k for pair in zip(_ZERO_PREFIX_KEYS, range(40)) for k in pair]
+        keys = keys[:size]
+        fps, buckets = digest_pairs(keys)
+        assert list(zip(fps, buckets)) == _pairs(keys)
+        assert sum(fp >> (64 - FP_MIN) == 1 for fp in fps) >= size // 2
+
+    def test_returns_lists(self):
+        for keys in ([], [1, 2], list(range(300))):
+            fps, buckets = digest_pairs(keys)
+            assert type(fps) is list and type(buckets) is list
+            assert len(fps) == len(buckets) == len(keys)
 
 
 def _fold_per_slice(acc: int, data: bytes) -> int:

@@ -221,13 +221,13 @@ class TestRun:
     def test_unsorted_rejected(self):
         dev = StorageDevice()
         entries = [make_entry(2, "a", 1), make_entry(1, "b", 2)]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="sorted by key"):
             Run.build(entries, dev, 2)
 
     def test_duplicate_keys_rejected(self):
         dev = StorageDevice()
         entries = [make_entry(1, "a", 1), make_entry(1, "b", 2)]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="one version per key"):
             Run.build(entries, dev, 2)
 
     def test_empty_rejected(self):

@@ -8,6 +8,7 @@ import pytest
 from repro.coding.distributions import LidDistribution
 from repro.chucky.filter import ChuckyFilter
 from repro.chucky.partitioned import PartitionedChuckyFilter
+from repro.common.errors import FilterError
 
 DIST = LidDistribution(5, 5)
 
@@ -103,6 +104,26 @@ class TestOperations:
         touched = {filt.partition_index(key) for key in keys}
         assert batches.call_count == len(touched) == filt.num_partitions
         assert filt.query_many([]) == []
+
+    def test_out_of_range_lid_refuses_the_whole_event(self):
+        """A bad LID anywhere in an event lands none of its edits, in
+        any partition — as ``ChuckyFilter.maintain_many`` refuses it —
+        rather than only its own partition's share."""
+        filt = PartitionedChuckyFilter(2000, DIST, partition_capacity=512)
+        keys = random.Random(7).sample(range(1 << 60), 400)
+        edits = [(key, None, 1) for key in keys[:199]]
+        first = filt.partition_index(keys[0])
+        bad = next(k for k in keys[199:] if filt.partition_index(k) != first)
+        edits.append((bad, None, DIST.num_sublevels + 2))
+        start = filt.memory_ios.snapshot()
+        with pytest.raises(FilterError, match="out of range"):
+            filt.maintain_many(edits)
+        assert filt.num_entries == 0
+        assert filt.memory_ios.diff(start) == {}
+        single = ChuckyFilter(2000, DIST)
+        with pytest.raises(FilterError, match="out of range"):
+            single.maintain_many(edits)
+        assert single.num_entries == 0
 
     def test_load_balanced(self):
         filt, _ = build(n=20000)

@@ -7,8 +7,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.lsm.config import LSMConfig, lazy_leveling, leveling, tiering
-from repro.lsm.entry import KEY, SEQNO, TOMBSTONE, VALUE, is_tombstone, make_entry
-from repro.lsm.tree import BUFFER_ORIGIN, FlushEvent, LSMTree, MergeEvent
+from repro.lsm.entry import (
+    EXPIRES_AT,
+    KEY,
+    SEQNO,
+    TOMBSTONE,
+    VALUE,
+    is_tombstone,
+    make_entry,
+)
+from repro.lsm.tree import (
+    BUFFER_ORIGIN,
+    FlushEvent,
+    LSMTree,
+    MergeEvent,
+    _merge_sorted,
+)
+from tests.reference_merge import merge_sorted as reference_merge_sorted
 
 
 def drive(tree: LSMTree, ops, buffer_entries):
@@ -230,6 +245,54 @@ class TestTombstones:
             assert not any(is_tombstone(e) for e in last[1].read_all())
 
 
+    @staticmethod
+    def ttl_tree():
+        """A one-level tree (level 1 is the oldest sub-level, capacity
+        8) on a settable clock, recording every dropped key."""
+        tree = LSMTree(
+            leveling(2, buffer_entries=4, block_entries=2, initial_levels=1)
+        )
+        now = [0]
+        tree.clock = lambda: now[0]
+        dropped = []
+        tree.listeners.append(
+            lambda e: dropped.extend(x[KEY] for x, _ in getattr(e, "drops", ()))
+        )
+        return tree, now, dropped
+
+    @staticmethod
+    def flush_keys(tree, keys, seqno, expires_at=None):
+        tree.flush([
+            make_entry(key, f"v{key}", seqno + i, expires_at)
+            for i, key in enumerate(keys)
+        ])
+
+    def test_expired_versions_purged_when_merged_into_oldest(self):
+        """A TTL version past its stamp is dropped, like a tombstone,
+        by the merge into the oldest run."""
+        tree, now, dropped = self.ttl_tree()
+        now[0] = 100
+        self.flush_keys(tree, range(4), 1, expires_at=50)
+        self.flush_keys(tree, range(4, 8), 5)
+        assert tree.num_levels == 1
+        assert dropped == [0, 1, 2, 3]
+        (_, run), = tree.occupied_runs()
+        assert [e[KEY] for e in run.read_all()] == [4, 5, 6, 7]
+
+    def test_expired_versions_purged_when_spilled_into_oldest(self):
+        """Versions that expire while they sit in a full level are
+        dropped when a growth spills them into the new, empty oldest
+        level, and never written there."""
+        tree, now, dropped = self.ttl_tree()
+        self.flush_keys(tree, range(4), 1, expires_at=50)
+        self.flush_keys(tree, range(4, 8), 5, expires_at=50)
+        assert dropped == []  # not yet expired when merged
+        now[0] = 100
+        self.flush_keys(tree, range(8, 12), 9)
+        assert tree.num_levels == 2
+        assert sorted(dropped) == list(range(8))
+        assert [sub for sub, _ in tree.occupied_runs()] == [1]
+
 class TestEvents:
     def collect(self, cfg, num_writes):
         tree = LSMTree(cfg)
@@ -440,3 +503,80 @@ def test_random_workload_matches_reference(t, policy, ops):
             assert entry[VALUE] == ref[key]
         else:
             assert entry is None or is_tombstone(entry)
+
+
+#: One merge source: versions over a few keys (so keys repeat, within a
+#: source and across sources), few seqnos (so they tie), tombstones and
+#: TTL stamps, each version with its origin sub-level. Sources need not
+#: be sorted: the merge owes the reference its answer on any input.
+_VERSIONS = st.lists(
+    st.tuples(
+        st.integers(0, 12),
+        st.booleans(),
+        st.integers(0, 4),
+        st.one_of(st.none(), st.integers(0, 10)),
+        st.integers(0, 6),
+    ),
+    max_size=24,
+)
+
+
+class TestMergeOracle:
+    """``_merge_sorted`` (one stable index sort, duplicates replayed)
+    against the dict walk it replaced (``tests/reference_merge.py``):
+    same survivors, same origins, same drops in the same order."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        raw_sources=st.lists(_VERSIONS, min_size=1, max_size=4),
+        purge=st.booleans(),
+        now=st.one_of(st.none(), st.integers(0, 10)),
+    )
+    def test_matches_reference(self, raw_sources, purge, now):
+        counter = iter(range(10**6))
+        sources = [
+            (
+                [
+                    make_entry(
+                        key, TOMBSTONE if dead else f"v{next(counter)}", seqno, exp
+                    )
+                    for key, dead, seqno, exp, _ in versions
+                ],
+                [origin for *_, origin in versions],
+            )
+            for versions in raw_sources
+        ]
+        asked = []
+
+        def is_expired(entry):
+            exp = entry[EXPIRES_AT]
+            return exp is not None and exp <= now
+
+        def asking(entry):
+            asked.append(entry)
+            return is_expired(entry)
+
+        if now is None:
+            got = _merge_sorted(sources, purge)
+            want = reference_merge_sorted(sources, purge)
+        else:
+            got = _merge_sorted(sources, purge, asking)
+            want = reference_merge_sorted(sources, purge, is_expired)
+
+        def identities(result):
+            survivors, origins, drops = result
+            return (
+                [id(entry) for entry in survivors],
+                origins,
+                [(id(entry), origin) for entry, origin in drops],
+            )
+
+        assert identities(got) == identities(want)
+        # The contract: only stamped, non-tombstone survivors are asked.
+        assert all(
+            e[EXPIRES_AT] is not None and not is_tombstone(e) for e in asked
+        )
+
+    def test_origin_count_mismatch_refused(self):
+        with pytest.raises(ValueError, match="exactly one origin"):
+            _merge_sorted([([make_entry(1, "a", 1)], [])], False)
