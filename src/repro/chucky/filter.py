@@ -45,6 +45,7 @@ from repro.common.bitio import BitReader, BitWriter
 from repro.common.counters import MemoryIOCounter
 from repro.common.errors import FilterError
 from repro.common.hashing import (
+    _BULK_MIN,
     FP_MIN,
     digest_pair,
     digest_pairs,
@@ -399,13 +400,21 @@ class CuckooLidFilterBase(ABC):
         :meth:`_match_bucket`, plus one AHT lookup whenever the AHT
         holds anything.
 
+        A batch of ``_BULK_MIN`` keys or more is hashed in one
+        :func:`digest_pairs` call (SWAR); a smaller one — a lone
+        :meth:`query` — hashes per key and builds no digest lists.
         The loads are charged once per call, as their sum. The AHT is
         consulted even when neither bucket is full *now*: a failed
         eviction walk files its homeless entry under the pair where the
         walk ended, and later removals of *other* keys can free slots
         in both buckets without repatriating it.
         """
-        address = self._address
+        if len(keys) >= _BULK_MIN:
+            hashed = zip(*digest_pairs(keys))
+        else:
+            hashed = map(digest_pair, keys)
+        anchors = self._anchors
+        n = self.num_buckets
         match = self._match_bucket
         aht = self.aht
         pair_key = self._pair_key
@@ -413,8 +422,9 @@ class CuckooLidFilterBase(ABC):
         charge = self.memory_ios.add
         loads = 0
         answers = []
-        for key in keys:
-            digest, b1, b2 = address(key)
+        for digest, primary in hashed:
+            b1 = primary % n  # as _address does
+            b2 = (anchors[digest >> _PREFIX_SHIFT] - b1) % n
             lids = match(b1, digest)
             if b1 == b2:
                 loads += 1

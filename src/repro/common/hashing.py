@@ -11,6 +11,7 @@ partial-key bucket computation (Eq 4) uses only those shared bits.
 
 from __future__ import annotations
 
+import operator
 import struct
 import sys
 from array import array
@@ -63,15 +64,25 @@ def key_digest(key: int | str | bytes, seed: int = 0) -> int:
     """A stable 64-bit digest of a key.
 
     Integer keys are mixed directly; strings/bytes are folded 8 bytes at
-    a time through splitmix64 (:func:`fold64`). The ``seed``
-    decorrelates independent hash uses (e.g. the h probes of a Bloom
-    filter).
+    a time through splitmix64 (:func:`fold64`). Any other key is read as
+    ``operator.index(key)`` — the way :func:`digest_pairs` reads it — so
+    an int-like key (one with ``__index__`` only) hashes as its index on
+    every path; a key that is none of these raises ``TypeError``. The
+    ``seed`` decorrelates independent hash uses (e.g. the h probes of a
+    Bloom filter).
     """
-    if isinstance(key, int):
-        return splitmix64((key & _MASK64) ^ splitmix64(seed))
-    if isinstance(key, str):
-        key = key.encode("utf-8")
-    return fold64(splitmix64(seed ^ len(key)), key)
+    if not isinstance(key, int):
+        if isinstance(key, str):
+            key = key.encode("utf-8")
+        if isinstance(key, (bytes, bytearray, memoryview)):
+            return fold64(splitmix64(seed ^ len(key)), key)
+        try:
+            key = operator.index(key)
+        except TypeError:
+            raise TypeError(
+                f"cannot hash a key of type {type(key).__name__!r}"
+            ) from None
+    return splitmix64((key & _MASK64) ^ splitmix64(seed))
 
 
 def seeded(seed: int) -> Callable[[int | str | bytes], int]:
@@ -124,10 +135,10 @@ def digest_pair(key: int | str | bytes) -> tuple[int, int]:
     is sliced from and the one its first candidate bucket is reduced
     from — in one call.
 
-    The one way a Chucky filter hashes a key: the probe and maintenance
-    loops both reach it through ``_address``. An int key (the hot case)
-    runs both SplitMix64 mixes inline; any other key takes the two
-    seeded digests.
+    How a Chucky filter hashes a key, one at a time; a batch of
+    ``_BULK_MIN`` keys or more takes :func:`digest_pairs`. An int key
+    (the hot case) runs both SplitMix64 mixes inline; any other key
+    takes the two seeded digests.
     """
     if isinstance(key, int):
         k = key & _MASK64
@@ -147,7 +158,8 @@ def digest_pair(key: int | str | bytes) -> tuple[int, int]:
 #: Keys :func:`digest_pairs` hashes per big-int pass: bounds the pass's
 #: ints (256 keys are 8 KiB of lanes) whatever the caller hands over.
 _CHUNK = 256
-#: Below this many keys the per-pass packing costs more than it saves.
+#: Below this many keys the per-pass packing costs more than it saves;
+#: the Chucky probe loop picks :func:`digest_pair` below it too.
 _BULK_MIN = 8
 #: The lanes are read from native ``array("Q")`` words as little-endian.
 _LITTLE_ENDIAN = sys.byteorder == "little"
@@ -184,9 +196,7 @@ def digest_pairs(
     of :func:`fp_digest` is done lane-wise: adding 31 to a 5-bit prefix
     carries into bit 5 unless the prefix is 0. Fewer than 8 keys, any
     key that is not an int, or a big-endian host take :func:`digest_pair`
-    per key. (An int-like object that is not an int — one with
-    ``__index__`` only — is read as its index here, where
-    :func:`digest_pair` refuses it.)
+    per key.
     """
     if len(keys) >= _BULK_MIN and _LITTLE_ENDIAN:
         words = _key_words(keys)

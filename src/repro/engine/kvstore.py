@@ -715,8 +715,14 @@ class KVStore(CountedWindow):
         probe (:meth:`FilterPolicy.candidates_many`) and a run-probe
         phase. Counted I/Os and the cache access sequence are identical
         to the per-key loop — the memtable never touches the block cache
-        and run probes keep key order — only the per-call dispatch is
-        amortized.
+        and run probes keep key order — only the per-call dispatch and
+        the per-key hashing (one SWAR pass for the batch) are amortized.
+        A key the filter ruled out skips :meth:`_walk`, which would
+        charge nothing and count no false positive for it.
+
+        With observability on — every ``repro serve`` store — or tuning
+        attached, each key is answered through :meth:`get`, so its
+        per-read hooks fire.
         """
         if self._obs_on or self._tuning is not None:
             return [self.get(key) for key in keys]
@@ -726,7 +732,8 @@ class KVStore(CountedWindow):
         misses = [pos for pos, entry in enumerate(out) if entry is None]
         candidates = self.policy.candidates_many([keys[pos] for pos in misses])
         for pos, cands in zip(misses, candidates):
-            out[pos] = self._walk(keys[pos], cands)[0]
+            if cands:
+                out[pos] = self._walk(keys[pos], cands)[0]
         value_of = self._value_of
         return [None if entry is None else value_of(entry) for entry in out]
 

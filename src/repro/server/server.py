@@ -22,9 +22,12 @@ What earns this layer its keep beyond plumbing:
   crash-atomic ``put_batch`` calls (one WAL batch record per group per
   shard) via :class:`GroupCommitWriter`.
 * **One request path** — a request is a run of one; the untraced GETs
-  a pipelining client sent together form a longer run, served by one
-  ``store.get_batch``. Splitting, admission, routing, accounting and
-  responding are written once, for a run.
+  a pipelining client sent together form a longer run, handed to one
+  ``store.get_batch``. A served store has observability on, so that
+  call answers each key through ``get`` (its per-read hooks fire) and
+  never reaches the batched filter probe: a run saves the per-request
+  dispatch, not the per-key read. Splitting, admission, routing,
+  accounting and responding are written once, for a run.
 * **Admission control** — at most ``max_inflight`` requests in flight
   server-wide and ``max_queue_depth`` pipelined per connection; the
   part of a run beyond either limit is *shed* with an immediate
@@ -628,8 +631,10 @@ class ReproServer:
     ) -> None:
         """Answer the GETs of ``run`` that routing left open (a None in
         ``responses``) through one ``store.get_batch``: counted I/Os per
-        key are identical to serving them one by one, only Python-level
-        dispatch overhead is amortised."""
+        key are identical to serving them one by one. Only the server's
+        per-request dispatch is amortised — a served store has
+        observability on, so ``get_batch`` reads each key through
+        ``get`` rather than the batched filter probe."""
         live = [i for i, response in enumerate(responses) if response is None]
         if not live:
             return

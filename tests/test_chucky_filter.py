@@ -544,6 +544,19 @@ def _probe_state(state):
             f.insert(42, 6)
         assert f.aht
         return f, [42] + [k for k, _ in pairs[:40]]
+    if state == "partitioned":
+        # Eight partitions: a batch's per-partition groups straddle the
+        # bulk-hashing threshold, and one partition's AHT is non-empty.
+        f = PartitionedChuckyFilter(2000, DIST, partition_capacity=256)
+        rng = random.Random(5)
+        draw = lid_sampler(rng)
+        keys = rng.sample(range(10**12), 1500)
+        for key in keys:
+            f.insert(key, draw())
+        for _ in range(12):
+            f.insert(42, 6)
+        assert f._partition_of(42).aht
+        return f, [42] + keys[:40]
     # Self-paired buckets (b1 == b2), in test_edge_cases' geometry.
     dist = LidDistribution(3, 3)
     f = ChuckyFilter(200, dist, bits_per_entry=10.0)
@@ -556,6 +569,8 @@ def _probe_state(state):
 
 def _probe_oracle(f, key):
     """Decode both buckets and the AHT entry in full and match them."""
+    if isinstance(f, PartitionedChuckyFilter):
+        f = f._partition_of(key)
     digest, b1, b2 = f._address(key)
     slots = f._read_bucket(b1) + f._read_bucket(b2)
     slots += f.aht.get(f._pair_key(b1, b2), [])
@@ -571,19 +586,28 @@ def _spent(before, after):
     }
 
 
+#: Batch sizes on both sides of the bulk-hashing threshold (8 keys) and
+#: of ``digest_pairs``' 256-key chunk.
+_BATCH_SIZES = [0, 1, 7, 8, 9, 64, 256, 257]
+
+
 class TestOneProbe:
     """``query`` and ``query_many`` are one probe loop: the same answers
-    and the same counted I/Os, category by category, in every state."""
+    and the same counted I/Os, category by category, in every state,
+    whichever way the batch was hashed."""
 
-    @pytest.mark.parametrize("state", ["overflow", "aht", "self-paired", "uncompressed"])
+    @pytest.mark.parametrize(
+        "state", ["overflow", "aht", "self-paired", "uncompressed", "partitioned"]
+    )
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
     def test_query_many_is_query_per_key(self, state, data):
         f, reaching = _probe_state(state)
-        keys = data.draw(st.lists(
-            st.one_of(st.sampled_from(reaching), st.integers(0, 2**60)),
-            max_size=64,
-        ))
+        key = st.one_of(st.sampled_from(reaching), st.integers(-(2**70), 2**70))
+        if data.draw(st.booleans()):  # a non-int key: per-key hashing
+            key = st.one_of(key, st.text(), st.binary())
+        size = data.draw(st.sampled_from(_BATCH_SIZES))
+        keys = data.draw(st.lists(key, min_size=size, max_size=size))
         snapshot = f.memory_ios.snapshot
         start = snapshot()
         many = f.query_many(keys)
@@ -593,6 +617,26 @@ class TestOneProbe:
         assert many == each
         assert _spent(start, mid) == _spent(mid, end)
         assert many == [_probe_oracle(f, key) for key in keys]
+
+    def test_hashing_is_chosen_by_batch_size(self, monkeypatch):
+        """A lone ``query`` never enters the SWAR hashing; a batch of 8
+        or more keys is hashed by one ``digest_pairs`` call."""
+        import repro.chucky.filter as filter_module
+
+        f, keys = _probe_state("aht")
+        bulk = []
+        real = filter_module.digest_pairs
+        monkeypatch.setattr(
+            filter_module, "digest_pairs",
+            lambda batch: bulk.append(len(batch)) or real(batch),
+        )
+        for key in keys:
+            f.query(key)
+        f.query_many(keys[:7])
+        assert bulk == []
+        f.query_many(keys[:8])
+        f.query_many(keys)
+        assert bulk == [8, len(keys)]
 
     def test_states_reach_their_paths(self):
         """Each state's reaching keys really take the special path."""

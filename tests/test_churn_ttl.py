@@ -50,6 +50,11 @@ def _make_store(preset, policy, durable=False, observability=None):
     )
 
 
+#: Where ``test_get_batch_counted_ios_identical_to_scalar``'s batches
+#: start: 7, 8 and 65 keys, then the rest in one batch.
+BATCH_BOUNDS = [0, 7, 15, 80]
+
+
 def _churn_cycle(kv, live, rng, cycle):
     """One insert/delete/re-insert pass over the population; ``live``
     is the reference model (key -> expected value) and is kept exact."""
@@ -70,7 +75,10 @@ def _churn_cycle(kv, live, rng, cycle):
 def test_get_batch_counted_ios_identical_to_scalar(preset, policy):
     """``get``, ``get_batch`` and the traced ``get_with_stats`` are one
     read path: same values, same counted I/Os and false positives, for
-    every registered policy — and the traced read still shows its hops."""
+    every registered policy — and the traced read still shows its hops.
+    The batches straddle the bulk-hashing threshold (7, 8 and 65 keys)
+    and hold absent keys, which a Chucky filter gives no candidates, so
+    a batch read that skips their walk is shown to charge nothing."""
     obs = Observability()
     stores = [
         _make_store(preset, policy),
@@ -82,11 +90,18 @@ def test_get_batch_counted_ios_identical_to_scalar(preset, policy):
         live = {}
         for cycle in range(4):
             _churn_cycle(kv, live, rng, cycle)
-    probes = list(range(POPULATION)) + [POPULATION + 5, 1 << 30]
+    probes = []
+    for key in range(POPULATION):
+        probes.append(key)
+        if key % 3 == 0:
+            probes.append(POPULATION + 5 + key)
+    probes.append(1 << 30)
     before = [kv.snapshot() for kv in stores]
     scalar_kv, batch_kv, traced_kv = stores
     scalar = [scalar_kv.get(key) for key in probes]
-    batched = batch_kv.get_batch(probes)
+    batched = []
+    for start, stop in zip(BATCH_BOUNDS, BATCH_BOUNDS[1:] + [len(probes)]):
+        batched += batch_kv.get_batch(probes[start:stop])
     traced = []
     for key in probes:
         result = traced_kv.get_with_stats(key)
@@ -118,6 +133,10 @@ def test_get_batch_counted_ios_identical_to_scalar(preset, policy):
         ))
     assert deltas[0] == deltas[1] == deltas[2]
     assert deltas[0][0] > 0  # the reads really reached storage
+    if isinstance(batch_kv.policy, ChuckyPolicy):
+        ruled_out = [not batch_kv.policy.candidates(key) for key in probes]
+        for start, stop in zip(BATCH_BOUNDS, BATCH_BOUNDS[1:]):
+            assert any(ruled_out[start:stop])
 
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))

@@ -1,6 +1,8 @@
 """Hashing and fingerprint derivation — especially the prefix property
 Malleable Fingerprinting depends on."""
 
+import functools
+import operator
 from itertools import count, islice
 
 import pytest
@@ -25,6 +27,27 @@ from repro.common.hashing import (
 KEYS = st.one_of(
     st.integers(-(2**70), 2**70), st.booleans(), st.text(), st.binary()
 )
+
+
+@functools.total_ordering
+class IntLike:
+    """An int-like key that is not an int, as ``numpy.int64`` is: it
+    has ``__index__``, and orders and hashes as its index."""
+
+    def __init__(self, value: int) -> None:
+        self.value = value
+
+    def __index__(self) -> int:
+        return self.value
+
+    def __eq__(self, other) -> bool:
+        return self.value == operator.index(other)
+
+    def __lt__(self, other) -> bool:
+        return self.value < operator.index(other)
+
+    def __hash__(self) -> int:
+        return hash(self.value)
 
 
 class TestSplitmix:
@@ -56,6 +79,25 @@ class TestKeyDigest:
         a = key_digest(b"x" * 100)
         b = key_digest(b"x" * 99 + b"y")
         assert a != b
+
+    @given(st.lists(st.integers(-(2**70), 2**70), min_size=1, max_size=12))
+    def test_int_like_key_hashes_as_its_index(self, values):
+        """Every digest path reads an ``__index__``-only key as its
+        index — the scalar ones as the bulk ``digest_pairs`` does."""
+        keys = [IntLike(v) for v in values]
+        assert [key_digest(k, 7) for k in keys] == [key_digest(v, 7) for v in values]
+        assert _pairs(keys) == _pairs(values)
+        assert list(zip(*digest_pairs(keys))) == _pairs(values)
+
+    @pytest.mark.parametrize("key", [1.5, None, object()])
+    def test_other_key_types_are_refused_by_name(self, key):
+        name = type(key).__name__
+        with pytest.raises(TypeError, match=f"key of type '{name}'"):
+            key_digest(key)
+        with pytest.raises(TypeError, match=f"key of type '{name}'"):
+            digest_pair(key)
+        with pytest.raises(TypeError, match=f"key of type '{name}'"):
+            digest_pairs([key] * 9)
 
 
 def _bound_digests():

@@ -11,6 +11,7 @@ from repro.chucky.policy import ChuckyPolicy
 from repro.engine.kvstore import KVStore
 from repro.filters.policy import BloomFilterPolicy, NoFilterPolicy
 from repro.lsm.config import lazy_leveling, leveling
+from tests.test_hashing import IntLike
 
 
 def small_store(policy=None, cache_blocks=0):
@@ -53,6 +54,19 @@ class TestBasicOps:
         kv = small_store()
         kv.put_batch([(i, f"v{i}") for i in range(50)])
         assert all(kv.get(i) == f"v{i}" for i in range(50))
+
+    def test_int_like_keys_read_back(self):
+        """Keys with ``__index__`` only (``numpy.int64``, say) are
+        hashed as their index on the scalar and the bulk path alike, so
+        what a flush filed is found by a point read."""
+        cfg = leveling(3, buffer_entries=16, block_entries=4)
+        kv = KVStore(cfg, filter_policy=ChuckyPolicy(bits_per_entry=10.0))
+        for i in range(40):
+            kv.put(IntLike(i), f"v{i}")
+        assert [kv.get(IntLike(i)) for i in range(40)] == [f"v{i}" for i in range(40)]
+        assert kv.get_batch([IntLike(i) for i in range(40)]) == [
+            f"v{i}" for i in range(40)
+        ]
 
     def test_num_entries(self):
         kv = small_store()
