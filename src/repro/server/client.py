@@ -37,7 +37,7 @@ import json
 import socket
 import time
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Iterable
 
 from repro.common.errors import ReproError
@@ -140,9 +140,7 @@ class _TraceMixin:
         if self._sampler.decide():
             trace_id = new_trace_id()
             span_id = new_span_id()
-            req = replace(
-                req, trace_id=trace_id, parent_span_id=span_id
-            )
+            req = req._replace(trace_id=trace_id, parent_span_id=span_id)
             return req, (trace_id, span_id, start)
         return req, (0, 0, start)
 

@@ -67,6 +67,7 @@ from repro.obs import (
 from repro.server.group_commit import GroupCommitWriter
 from repro.server.protocol import (
     KIND_DELETE,
+    MAX_FRAME_BYTES,
     FrameAssembler,
     Op,
     ProtocolError,
@@ -192,8 +193,14 @@ class _Connection(asyncio.Protocol):
 
     def send(self, response: Response) -> None:
         transport = self.transport
-        if not transport.is_closing():
-            transport.write(frame(encode_response(response)))
+        if transport.is_closing():
+            return
+        try:
+            data = frame(encode_response(response))
+        except ProtocolError as exc:
+            error = self.server._unsendable(response, exc)
+            data = frame(encode_response(error))
+        transport.write(data)
 
 
 class ReproServer:
@@ -543,22 +550,34 @@ class ReproServer:
         response has been written: drain() waits on that, so an
         acknowledged write's ack can never be dropped by a racing
         shutdown."""
-        self._m_latency[request.op].observe(
-            (time.perf_counter_ns() - start) / 1_000
-        )
-        conn.send(response)
-        self._inflight -= 1
-        conn.inflight -= 1
-        if self._inflight == 0:
-            self._idle.set()
+        try:
+            self._m_latency[request.op].observe(
+                (time.perf_counter_ns() - start) / 1_000
+            )
+            conn.send(response)
+        finally:
+            self._inflight -= 1
+            conn.inflight -= 1
+            if self._inflight == 0:
+                self._idle.set()
 
-    def _error(self, request: Request, exc: BaseException) -> Response:
+    def _error(
+        self, request: Request | Response, exc: BaseException
+    ) -> Response:
         self.errors += 1
         self._m_errors.inc()
         return Response(
             request.request_id, request.op, Status.ERROR,
             message=f"{type(exc).__name__}: {exc}",
         )
+
+    def _unsendable(self, response: Response, exc: ProtocolError) -> Response:
+        """The ERROR sent instead of a response that cannot be encoded
+        or framed — a SCAN answer over ``MAX_FRAME_BYTES``, say."""
+        message = f"response not sent: {exc} (limit {MAX_FRAME_BYTES} bytes)"
+        if response.op is Op.SCAN:
+            message += "; narrow the range or pass a smaller limit"
+        return self._error(response, ProtocolError(message))
 
     # ------------------------------------------------------------------
     # Request execution

@@ -8,7 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.server import protocol
 from repro.server.protocol import (
+    HANDOFF_BEGIN,
+    HANDOFF_START,
     KIND_DELETE,
     KIND_PUT,
     MAX_FRAME_BYTES,
@@ -24,6 +27,7 @@ from repro.server.protocol import (
     encode_response,
     frame,
 )
+from tests import reference_protocol as reference
 
 
 def sample_requests(rng):
@@ -157,6 +161,11 @@ class TestMalformedPayloads:
         payload = struct.pack(">QB", 1, 200)
         with pytest.raises(ProtocolError):
             decode_request(payload)
+
+    def test_zero_trace_id_rejected(self):
+        payload = struct.pack(">QBQQ", 1, int(Op.GET) | 0x80, 0, 5)
+        with pytest.raises(ProtocolError, match="trace id is 0"):
+            decode_request(payload + struct.pack(">Q", 9))
 
     def test_unknown_status_rejected(self):
         payload = struct.pack(">QBB", 1, int(Op.GET), 99)
@@ -312,3 +321,353 @@ class TestFrameAssembler:
         assert asm.feed(framed[:7]) == []
         assert asm.pending_bytes == 7
         assert asm.feed(framed[7:]) == [b"abcdef"]
+
+
+class TestFrameAssemblerTail:
+    def test_whole_frames_plus_a_partial_tail_in_one_chunk(self):
+        payloads = [b"first", b"", b"third payload"]
+        tail = frame(b"fourth")
+        asm = FrameAssembler()
+        chunk = b"".join(frame(p) for p in payloads) + tail[:6]
+        assert asm.feed(chunk) == payloads
+        assert asm.pending_bytes == 6
+        assert asm.feed(tail[6:] + frame(b"fifth")[:2]) == [b"fourth"]
+        assert asm.pending_bytes == 2
+        assert asm.feed(frame(b"fifth")[2:]) == [b"fifth"]
+        assert asm.pending_bytes == 0
+
+    def test_oversize_prefix_in_the_tail_is_refused(self):
+        chunk = frame(b"fine") + struct.pack(">I", MAX_FRAME_BYTES + 1)
+        with pytest.raises(ProtocolError, match="MAX_FRAME_BYTES"):
+            FrameAssembler().feed(chunk + b"x" * 10)
+        # Also when the prefix completes a tail buffered by an earlier feed.
+        asm = FrameAssembler()
+        assert asm.feed(frame(b"fine") + b"\x7f\xff") == [b"fine"]
+        with pytest.raises(ProtocolError, match="MAX_FRAME_BYTES"):
+            asm.feed(b"\xff\xff")
+
+
+# ----------------------------------------------------------------------
+# The encoders refuse out-of-range integers by name
+# ----------------------------------------------------------------------
+
+#: The integer fields each op's request carries, with their wire widths.
+REQUEST_INT_FIELDS = {
+    Op.PING: (),
+    Op.GET: (("key", 64),),
+    Op.PUT: (("key", 64),),
+    Op.DELETE: (("key", 64),),
+    Op.BATCH: (),
+    Op.SCAN: (("lo", 64), ("hi", 64), ("limit", 32)),
+    Op.STATS: (),
+    Op.SHUTDOWN: (),
+    Op.TRACE: (("key", 64),),
+    Op.REPLICATE: (("shard", 32), ("seq", 64), ("epoch", 64)),
+    Op.REPL_ACK: (("shard", 32),),
+    Op.HANDOFF: (("shard", 32), ("seq", 64), ("epoch", 64)),
+    Op.CLUSTER_STATUS: (),
+}
+
+#: The integer fields each op's OK response carries.
+RESPONSE_INT_FIELDS = {op: () for op in Op} | {
+    Op.BATCH: (("count", 32),),
+    Op.REPLICATE: (("count", 64),),
+    Op.REPL_ACK: (("count", 64),),
+    Op.HANDOFF: (("count", 64),),
+}
+
+
+def _out_of_range(bits):
+    return (("neg", -1), ("wide", 1 << bits))
+
+
+REQUEST_RANGE_CASES = [
+    pytest.param(op, field, bad, id=f"{op.name}-{field}-{tag}")
+    for op in Op
+    for field, bits in (("request_id", 64),) + REQUEST_INT_FIELDS[op]
+    + (("trace_id", 64), ("parent_span_id", 64))
+    for tag, bad in _out_of_range(bits)
+]
+
+RESPONSE_RANGE_CASES = [
+    pytest.param(
+        op, status, field, bad, id=f"{op.name}-{status.name}-{field}-{tag}"
+    )
+    for op in Op
+    for status in Status
+    for field, bits in (("request_id", 64),)
+    + (RESPONSE_INT_FIELDS[op] if status is Status.OK else ())
+    for tag, bad in _out_of_range(bits)
+]
+
+
+def _field_pattern(field):
+    """A ProtocolError names its field (``trace_id`` as "trace id")."""
+    return field.replace("_", "[_ ]")
+
+
+class TestEncoderRanges:
+    @pytest.mark.parametrize("op,field,bad", REQUEST_RANGE_CASES)
+    def test_request_field_out_of_range(self, op, field, bad):
+        fields = {field: bad}
+        if field == "parent_span_id":
+            fields["trace_id"] = 1  # the span id travels only when traced
+        req = Request(1, op)._replace(**fields)
+        with pytest.raises(ProtocolError, match=_field_pattern(field)):
+            encode_request(req)
+
+    @pytest.mark.parametrize("op,status,field,bad", RESPONSE_RANGE_CASES)
+    def test_response_field_out_of_range(self, op, status, field, bad):
+        resp = Response(1, op, status)._replace(**{field: bad})
+        with pytest.raises(ProtocolError, match=_field_pattern(field)):
+            encode_response(resp)
+
+    @pytest.mark.parametrize("bad", [-1, 1 << 64])
+    def test_batch_item_and_scan_pair_keys(self, bad):
+        with pytest.raises(ProtocolError, match="key"):
+            encode_request(Request(1, Op.BATCH, items=((KIND_PUT, bad, b"v"),)))
+        with pytest.raises(ProtocolError, match="key"):
+            encode_response(Response(1, Op.SCAN, Status.OK, pairs=((bad, b"v"),)))
+
+
+# ----------------------------------------------------------------------
+# Differential oracle: the cursor-parser codec this one replaced
+# ----------------------------------------------------------------------
+
+U64 = st.integers(0, 2**64 - 1)
+U32 = st.integers(0, 2**32 - 1)
+BLOB = st.binary(max_size=24)
+BATCH_ITEM = st.one_of(
+    st.tuples(st.just(KIND_PUT), U64, BLOB),
+    st.tuples(st.just(KIND_DELETE), U64, st.just(b"")),
+)
+
+#: Each op's request fields, drawn over their whole wire range.
+REQUEST_FIELDS = {
+    Op.PING: {},
+    Op.GET: {"key": U64},
+    Op.PUT: {"key": U64, "value": BLOB},
+    Op.DELETE: {"key": U64},
+    Op.BATCH: {"items": st.lists(BATCH_ITEM, max_size=4).map(tuple)},
+    Op.SCAN: {"lo": U64, "hi": U64, "limit": U32},
+    Op.STATS: {},
+    Op.SHUTDOWN: {},
+    Op.TRACE: {"key": U64},
+    Op.REPLICATE: {"shard": U32, "seq": U64, "epoch": U64, "value": BLOB},
+    Op.REPL_ACK: {"shard": U32},
+    Op.HANDOFF: {
+        "phase": st.integers(HANDOFF_BEGIN, HANDOFF_START),
+        "shard": U32, "seq": U64, "epoch": U64, "value": BLOB,
+    },
+    Op.CLUSTER_STATUS: {},
+}
+TRACE_CONTEXT = st.one_of(
+    st.just({}),
+    st.fixed_dictionaries(
+        {"trace_id": st.integers(1, 2**64 - 1), "parent_span_id": U64}
+    ),
+)
+
+#: Each op's OK response fields.
+OK_FIELDS = {op: {} for op in Op} | {
+    Op.GET: {"value": BLOB},
+    Op.BATCH: {"count": U32},
+    Op.SCAN: {"pairs": st.lists(st.tuples(U64, BLOB), max_size=4).map(tuple)},
+    Op.STATS: {"value": BLOB},
+    Op.TRACE: {"value": BLOB},
+    Op.CLUSTER_STATUS: {"value": BLOB},
+    Op.REPLICATE: {"count": U64},
+    Op.REPL_ACK: {"count": U64},
+    Op.HANDOFF: {"count": U64},
+}
+MESSAGE = st.text(
+    alphabet=st.characters(blacklist_categories=("Cs",)), max_size=16
+)
+
+
+@st.composite
+def any_request(draw):
+    op = draw(st.sampled_from(list(Op)))
+    fields = draw(st.fixed_dictionaries(REQUEST_FIELDS[op]))
+    fields.update(draw(TRACE_CONTEXT))
+    return Request(draw(U64), op, **fields)
+
+
+@st.composite
+def any_response(draw):
+    op = draw(st.sampled_from(list(Op)))
+    status = draw(st.sampled_from(list(Status)))
+    if status is Status.OK:
+        fields = draw(st.fixed_dictionaries(OK_FIELDS[op]))
+    elif status is Status.NOT_FOUND:
+        fields = {}
+    else:
+        fields = {"message": draw(MESSAGE)}
+    return Response(draw(U64), op, status, **fields)
+
+
+def _outcome(decode, fields, payload):
+    """A decoder's verdict on ``payload``: its field values, or
+    ``ProtocolError``. Any other exception fails the caller."""
+    try:
+        record = decode(payload)
+    except ProtocolError:
+        return ProtocolError
+    return tuple(getattr(record, name) for name in fields)
+
+
+def _same_verdicts(payload):
+    assert _outcome(decode_request, Request._fields, payload) == _outcome(
+        reference.decode_request, Request._fields, payload
+    )
+    assert _outcome(decode_response, Response._fields, payload) == _outcome(
+        reference.decode_response, Response._fields, payload
+    )
+
+
+def _mutate(data, payload):
+    mutated = bytearray(payload)
+    for _ in range(data.draw(st.integers(0, 3))):
+        if mutated:
+            mutated[data.draw(st.integers(0, len(mutated) - 1))] = data.draw(
+                st.integers(0, 255)
+            )
+    return bytes(mutated[: data.draw(st.integers(0, len(mutated)))])
+
+
+class TestReferenceOracle:
+    """The table-driven codec against the cursor-parser codec it
+    replaced (``tests/reference_protocol.py``): identical bytes out of
+    every encoder, the same fields or the same refusal out of every
+    decoder."""
+
+    def test_field_tables_cover_every_op(self):
+        assert set(REQUEST_FIELDS) == set(OK_FIELDS) == set(Op)
+        assert set(REQUEST_INT_FIELDS) == set(RESPONSE_INT_FIELDS) == set(Op)
+
+    @settings(max_examples=600)
+    @given(any_request())
+    def test_request_bytes_are_the_reference_bytes(self, req):
+        payload = encode_request(req)
+        assert payload == reference.encode_request(reference.Request(*req))
+        assert decode_request(payload) == req
+        _same_verdicts(payload)
+
+    @settings(max_examples=600)
+    @given(any_response())
+    def test_response_bytes_are_the_reference_bytes(self, resp):
+        payload = encode_response(resp)
+        assert payload == reference.encode_response(reference.Response(*resp))
+        _same_verdicts(payload)
+
+    @settings(max_examples=500)
+    @given(st.binary(max_size=64))
+    def test_arbitrary_bytes(self, payload):
+        _same_verdicts(payload)
+
+    @settings(max_examples=500)
+    @given(any_request(), st.data())
+    def test_mutated_and_truncated_requests(self, req, data):
+        _same_verdicts(_mutate(data, encode_request(req)))
+
+    @settings(max_examples=500)
+    @given(any_response(), st.data())
+    def test_mutated_and_truncated_responses(self, resp, data):
+        _same_verdicts(_mutate(data, encode_response(resp)))
+
+
+def every_shape(rng):
+    """One encoding of every request op (untraced and traced) and of
+    every response op x status, with randomized fields. Batches and
+    scans carry one put and one delete item / two pairs."""
+    key = rng.randrange(1 << 64)
+    value = bytes(rng.randrange(256) for _ in range(rng.randrange(1, 6)))
+    fields = {
+        Op.GET: {"key": key},
+        Op.PUT: {"key": key, "value": value},
+        Op.DELETE: {"key": key},
+        Op.BATCH: {"items": ((KIND_PUT, key, value), (KIND_DELETE, key, b""))},
+        Op.SCAN: {"lo": key // 2, "hi": key, "limit": rng.randrange(1 << 32)},
+        Op.TRACE: {"key": key},
+        Op.REPLICATE: {"shard": 3, "seq": key, "epoch": 2, "value": value},
+        Op.REPL_ACK: {"shard": rng.randrange(1 << 32)},
+        Op.HANDOFF: {
+            "phase": rng.randrange(HANDOFF_START + 1), "shard": 1,
+            "seq": key, "epoch": 4, "value": value,
+        },
+    }
+    ok = {
+        Op.GET: {"value": value},
+        Op.BATCH: {"count": rng.randrange(1 << 32)},
+        Op.SCAN: {"pairs": ((key, value), (key // 3, b""))},
+        Op.STATS: {"value": b"{}"},
+        Op.TRACE: {"value": value},
+        Op.CLUSTER_STATUS: {"value": b"{}"},
+        Op.REPLICATE: {"count": key},
+        Op.REPL_ACK: {"count": key},
+        Op.HANDOFF: {"count": key},
+    }
+    rid = rng.randrange(1 << 64)
+    out = []
+    for op in Op:
+        req = Request(rid, op, **fields.get(op, {}))
+        out.append(encode_request(req))
+        traced = req._replace(trace_id=1, parent_span_id=key)
+        out.append(encode_request(traced))
+        for status in Status:
+            if status is Status.OK:
+                resp = Response(rid, op, status, **ok.get(op, {}))
+            else:
+                message = "é" if status != Status.NOT_FOUND else ""
+                resp = Response(rid, op, status, message=message)
+            out.append(encode_response(resp))
+    return out
+
+
+#: Byte values a one-byte edit writes: the opcode, status, kind and
+#: phase boundaries, the trace flag, and the extremes.
+EDIT_BYTES = (0, 1, 2, 3, 4, 5, 6, 7, 12, 13, 0x7F, 0x80, 0x81, 0xFF)
+
+
+class TestReferenceOracleEdits:
+    """Every encoding of every shape, edited at every byte: each of
+    :data:`EDIT_BYTES` written in place, truncated there, or one byte
+    appended. Random mutation seldom writes the one byte that turns a
+    put item into a delete carrying a value; this does, everywhere."""
+
+    def test_every_one_byte_edit(self):
+        for payload in every_shape(random.Random(43)):
+            _same_verdicts(payload + b"\x00")
+            for pos in range(len(payload)):
+                _same_verdicts(payload[:pos])
+                for byte in EDIT_BYTES:
+                    edited = bytearray(payload)
+                    edited[pos] = byte
+                    _same_verdicts(bytes(edited))
+
+
+class TestRecords:
+    def test_decoded_request_is_immutable_and_hashable(self):
+        sent = Request(5, Op.BATCH, items=((KIND_PUT, 1, b"v"),), trace_id=9)
+        req = decode_request(encode_request(sent))
+        assert req == sent and hash(req) == hash(sent)
+        with pytest.raises(AttributeError):
+            req.key = 3
+        resp = decode_response(
+            encode_response(Response(5, Op.BATCH, Status.OK, count=4))
+        )
+        assert resp.count == 4  # the field, not tuple.count
+        with pytest.raises(AttributeError):
+            resp.status = Status.ERROR
+
+    def test_every_op_and_status_has_a_decode_table_entry(self):
+        assert protocol._OPS == tuple(Op)
+        assert protocol._STATUSES == tuple(Status)
+        for op in Op:
+            assert protocol._OPS[op] is op
+            assert callable(protocol._REQUEST_DECODERS[op])
+            assert callable(protocol._OK_DECODERS[op])
+        for status in Status:
+            assert protocol._STATUSES[status] is status
+        assert len(protocol._REQUEST_DECODERS) == len(Op)
+        assert len(protocol._OK_DECODERS) == len(Op)

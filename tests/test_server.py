@@ -25,6 +25,7 @@ from repro.server import (
     Request,
     ServerBusy,
     ServerConfig,
+    ServerError,
     Status,
     SyncClient,
 )
@@ -359,6 +360,32 @@ class TestRobustness:
             await client.ping()  # connection and server still alive
             await client.close()
             await server.drain()
+
+        asyncio.run(main())
+
+    def test_scan_too_large_to_frame_is_answered_error(self):
+        """The default scan_limit lets a SCAN collect more than one frame
+        holds (40k pairs of 17-byte values is ~1.2 MB): the client gets
+        ERROR naming MAX_FRAME_BYTES, the in-flight slot is released and
+        drain completes. Every wait is bounded, so a lost answer fails
+        by timeout instead of hanging."""
+
+        async def main():
+            store = build_store(EngineConfig(buffer_entries=4096))
+            for key in range(40_000):
+                store.put(key, f"value-{key:011d}")
+            server = ReproServer(store)
+            port = await server.start()
+            client = await AsyncClient.connect(HOST, port)
+            with pytest.raises(ServerError, match="MAX_FRAME_BYTES"):
+                await asyncio.wait_for(client.scan(0, 10**9), 10)
+            assert server.inflight == 0
+            assert server.errors == 1
+            # The connection survives: a bounded SCAN is answered.
+            pairs = await asyncio.wait_for(client.scan(0, 10**9, limit=3), 10)
+            assert [key for key, _ in pairs] == [0, 1, 2]
+            await client.close()
+            await asyncio.wait_for(server.drain(), 10)
 
         asyncio.run(main())
 
