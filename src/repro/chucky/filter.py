@@ -102,10 +102,17 @@ class CuckooLidFilterBase(ABC):
 
     Subclasses define the bucket *representation* (bit-packed vs plain)
     via ``_read_bucket`` / ``_write_bucket`` (and may match a probe or
-    edit a bucket without a full decode, in ``_match_bucket`` /
+    edit a bucket without a full decode, through ``_matching_lids`` /
     ``_edit_bucket``) and fill ``_fp_shifts``, the per-LID fingerprint
     lengths.
     """
+
+    #: ``(word, digest) -> lids | None``: the probe's match of a bucket
+    #: from its stored word ``_packed[index]``, or ``None`` when that
+    #: bucket must be decoded in full (:meth:`_match_bucket`). ``None``
+    #: here: a filter without a plan matcher decodes every bucket.
+    _matching_lids = None
+    _packed = None
 
     def __init__(
         self,
@@ -396,9 +403,14 @@ class CuckooLidFilterBase(ABC):
 
     def _probe_many(self, keys) -> list[list[int]]:
         """The one bucket probe: per key, one hash, two bucket loads
-        (one when both candidates coincide) matched through
-        :meth:`_match_bucket`, plus one AHT lookup whenever the AHT
-        holds anything.
+        (one when both candidates coincide), plus one AHT lookup
+        whenever the AHT holds anything.
+
+        A bucket is matched by one call of ``_matching_lids`` on its
+        stored word (a frequent combination's plan match); only when
+        that answers ``None`` — or the filter has no plan matcher — does
+        :meth:`_match_bucket` decode it in full and charge what the
+        decode costs.
 
         A batch of ``_BULK_MIN`` keys or more is hashed in one
         :func:`digest_pairs` call (SWAR); a smaller one — a lone
@@ -415,6 +427,8 @@ class CuckooLidFilterBase(ABC):
             hashed = map(digest_pair, keys)
         anchors = self._anchors
         n = self.num_buckets
+        plan_match = self._matching_lids
+        words = self._packed
         match = self._match_bucket
         aht = self.aht
         pair_key = self._pair_key
@@ -425,12 +439,15 @@ class CuckooLidFilterBase(ABC):
         for digest, primary in hashed:
             b1 = primary % n  # as _address does
             b2 = (anchors[digest >> _PREFIX_SHIFT] - b1) % n
-            lids = match(b1, digest)
+            lids = plan_match(words[b1], digest) if plan_match else None
+            if lids is None:
+                lids = match(b1, digest)
             if b1 == b2:
                 loads += 1
             else:
                 loads += 2
-                lids += match(b2, digest)
+                more = plan_match(words[b2], digest) if plan_match else None
+                lids += match(b2, digest) if more is None else more
             if aht:
                 charge("filter_aht", 1)
                 for lid, fp in aht.get(pair_key(b1, b2), ()):
@@ -566,15 +583,6 @@ class ChuckyFilter(CuckooLidFilterBase):
             # the reference decode counts nothing here either.
             return [self.codec.empty_slot] * self.slots
         return self.codec.unpack(packed, None)
-
-    def _match_bucket(self, index: int, digest: int) -> list[int]:
-        # A frequent combination matches straight from its decode-table
-        # plan; anything else decodes in full through _read_bucket,
-        # which charges its overflow / Decoding-Table I/Os.
-        lids = self._matching_lids(self._packed[index], digest)
-        if lids is None:
-            return super()._match_bucket(index, digest)
-        return lids
 
     def _edit_bucket(self, index: int, old: Slot, new: Slot) -> bool:
         # A frequent combination decodes straight from its decode-table

@@ -24,24 +24,25 @@ class MemoryIOCounter:
 
     def __init__(self) -> None:
         self._counts: dict[str, int] = {}
+        #: Every category's count summed, kept up to date by :meth:`add`
+        #: and :meth:`reset` so the modelled clock reads one integer.
+        self.total = 0
 
     def add(self, category: str, count: int = 1) -> None:
         if count < 0:
             raise ValueError(f"count must be >= 0, got {count}")
         self._counts[category] = self._counts.get(category, 0) + count
+        self.total += count
 
     def get(self, category: str) -> int:
         return self._counts.get(category, 0)
-
-    @property
-    def total(self) -> int:
-        return sum(self._counts.values())
 
     def snapshot(self) -> dict[str, int]:
         return dict(self._counts)
 
     def reset(self) -> None:
         self._counts.clear()
+        self.total = 0
 
     def diff(self, earlier: dict[str, int]) -> dict[str, int]:
         """Per-category counts accumulated since ``earlier`` (a snapshot)."""

@@ -111,6 +111,11 @@ _bucket_digest = seeded(BUCKET_SEED)
 _FP_MIX = splitmix64(1)
 _BUCKET_MIX = splitmix64(BUCKET_SEED)
 _PREFIX_SHIFT = 64 - FP_MIN
+#: :func:`digest_pair`'s two-lane constants: the fp lane is bits 0-127,
+#: the bucket lane bits 128-255, each holding its 64-bit word.
+_PAIR_MASK = (_MASK64 << 128) | _MASK64
+_PAIR_MIX = (_BUCKET_MIX << 128) | _FP_MIX
+_PAIR_GAMMA = (0x9E3779B97F4A7C15 << 128) | 0x9E3779B97F4A7C15
 
 
 def fp_digest(key: int | str | bytes) -> int:
@@ -137,21 +142,22 @@ def digest_pair(key: int | str | bytes) -> tuple[int, int]:
 
     How a Chucky filter hashes a key, one at a time; a batch of
     ``_BULK_MIN`` keys or more takes :func:`digest_pairs`. An int key
-    (the hot case) runs both SplitMix64 mixes inline; any other key
+    (the hot case) runs both SplitMix64 mixes as one: the key's word
+    fills two 128-bit lanes of one int, each lane is mixed with its own
+    seed, and every shift is masked back to the low 64 bits of its lane,
+    as :func:`digest_pairs` does for a chunk of keys. Any other key
     takes the two seeded digests.
     """
     if isinstance(key, int):
         k = key & _MASK64
-        x = ((k ^ _FP_MIX) + 0x9E3779B97F4A7C15) & _MASK64
-        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-        fp = x ^ (x >> 31)
+        x = ((((k << 128) | k) ^ _PAIR_MIX) + _PAIR_GAMMA) & _PAIR_MASK
+        x = ((x ^ ((x >> 30) & _PAIR_MASK)) * 0xBF58476D1CE4E5B9) & _PAIR_MASK
+        x = ((x ^ ((x >> 27) & _PAIR_MASK)) * 0x94D049BB133111EB) & _PAIR_MASK
+        x ^= (x >> 31) & _PAIR_MASK
+        fp = x & _MASK64
         if fp >> _PREFIX_SHIFT == 0:
             fp |= 1 << _PREFIX_SHIFT
-        x = ((k ^ _BUCKET_MIX) + 0x9E3779B97F4A7C15) & _MASK64
-        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return fp, x ^ (x >> 31)
+        return fp, x >> 128
     return fp_digest(key), _bucket_digest(key)
 
 

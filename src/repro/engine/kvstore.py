@@ -655,7 +655,7 @@ class KVStore(CountedWindow):
     def get(self, key: int) -> Any:
         """Point read; returns the value or None."""
         if self._obs_on or self._tuning is not None:
-            return self.get_with_stats(key).value
+            return self._observed_read(key, False)
         entry = self._find(key)[0]
         return None if entry is None else self._value_of(entry)
 
@@ -666,14 +666,26 @@ class KVStore(CountedWindow):
         search whose run turned out not to hold the key — each one costs
         a wasted fence search + storage I/O, the quantity Figures 11 and
         14 B-D measure.
+        """
+        return self._observed_read(key, True)
 
-        A read whose span would be kept (:meth:`Tracer.sampling`) takes
+    def _observed_read(self, key: int, stats: bool) -> Any:
+        """The one observed read body of :meth:`get` and
+        :meth:`get_with_stats`: the value, or its :class:`ReadResult`
+        when ``stats``. A :class:`ReadResult` is built only for that or
+        for the tuning hook.
+
+        With observability on it records the read's instruments, its
+        modelled latency priced from the counters' integer deltas. A
+        read whose span would be kept (:meth:`Tracer.sampling`) takes
         the traced walk; every other read — obs off, or an unsampled
         request on a served store — runs the same ``_find``.
         """
         obs_on = self._obs_on
         if obs_on:
-            start = self._modelled_ns()
+            memory = self.counters.memory
+            storage = self.counters.storage
+            ios, reads, writes = memory.total, storage.reads, storage.writes
             tracer = self.obs.tracer
         if obs_on and tracer.sampling():
             with tracer.span("read", key=key) as span:
@@ -682,30 +694,43 @@ class KVStore(CountedWindow):
                 # counters, so the counted work is identical.
                 self.queries += 1
                 with tracer.span("memtable_probe"):
-                    found = self.memtable.get(key), 0, 0
-                if found[0] is None:
+                    entry, false_positives, probed = self.memtable.get(key), 0, 0
+                if entry is None:
                     with tracer.span("filter_probe") as fspan:
-                        found = self._walk(
+                        entry, false_positives, probed = self._walk(
                             key, self.policy.candidates(key), tracer
                         )
-                        fspan.set(false_positives=found[1], runs_probed=found[2])
-                result = self._result(*found)
+                        fspan.set(
+                            false_positives=false_positives, runs_probed=probed
+                        )
+                value = None if entry is None else self._value_of(entry)
                 span.set(
-                    found=result.found,
-                    false_positives=result.false_positives,
-                    sublevels_probed=result.sublevels_probed,
+                    found=value is not None,
+                    false_positives=false_positives,
+                    sublevels_probed=probed,
                 )
         else:
-            result = self._result(*self._find(key))
+            entry, false_positives, probed = self._find(key)
+            value = None if entry is None else self._value_of(entry)
         if obs_on:
             self._m_reads.inc()
-            self._m_read_latency.observe(self._modelled_ns() - start)
-            self._m_sublevels_probed.observe(result.sublevels_probed)
-            if result.false_positives:
-                self._m_false_positives.inc(result.false_positives)
-        if self._tuning is not None:
-            self._tuning.on_read(key, result)
-        return result
+            self._m_read_latency.observe(
+                self.cost_model.total_cost(
+                    memory.total - ios,
+                    storage.reads - reads,
+                    storage.writes - writes,
+                )
+            )
+            self._m_sublevels_probed.observe(probed)
+            if false_positives:
+                self._m_false_positives.inc(false_positives)
+        if stats or self._tuning is not None:
+            result = ReadResult(value, value is not None, false_positives, probed)
+            if self._tuning is not None:
+                self._tuning.on_read(key, result)
+            if stats:
+                return result
+        return value
 
     def get_batch(self, keys: list[int]) -> list[Any]:
         """Point-read many keys; values align with ``keys`` by index.
@@ -744,7 +769,12 @@ class KVStore(CountedWindow):
         entry = self.memtable.get(key)
         if entry is not None:
             return entry, 0, 0
-        return self._walk(key, self.policy.candidates(key))
+        candidates = self.policy.candidates(key)
+        if not candidates:
+            # The filter ruled the key out: _walk would charge nothing
+            # and count no false positive (a lazy iterator still walks).
+            return None, 0, 0
+        return self._walk(key, candidates)
 
     def _walk(
         self, key: int, candidates: Iterable[int], tracer: Tracer | None = None
@@ -779,12 +809,6 @@ class KVStore(CountedWindow):
             false_positives += 1
         self.false_positives += false_positives
         return found, false_positives, probed
-
-    def _result(
-        self, entry: Entry | None, false_positives: int, probed: int
-    ) -> ReadResult:
-        value = None if entry is None else self._value_of(entry)
-        return ReadResult(value, value is not None, false_positives, probed)
 
     def scan(self, lo: int, hi: int) -> Iterator[tuple[int, Any]]:
         """Range read over [lo, hi]; filters are bypassed (section 4.5)."""

@@ -586,15 +586,21 @@ class ReproServer:
     def _execute_now(self, request: Request) -> Response:
         """A PING, or one GET under its ``serve_get`` span (span_for
         adopts the wire trace context when the request carries one; the
-        family carrier then parents shard-level spans under it)."""
+        family carrier then parents shard-level spans under it). An
+        untraced GET on a tracer that would not keep its span opens
+        none."""
         rid = request.request_id
         if request.op is Op.PING:
             return Response(rid, Op.PING, Status.OK)
-        with self.obs.tracer.span_for(
-            "serve_get", request.trace_id, request.parent_span_id,
-            request_id=rid, key=request.key,
-        ):
+        tracer = self.obs.tracer
+        if not request.trace_id and not tracer.sampling():
             value = self.store.get(request.key)
+        else:
+            with tracer.span_for(
+                "serve_get", request.trace_id, request.parent_span_id,
+                request_id=rid, key=request.key,
+            ):
+                value = self.store.get(request.key)
         return self._get_response(rid, value)
 
     async def _execute(self, request: Request) -> Response:

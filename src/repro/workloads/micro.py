@@ -25,6 +25,10 @@ report a speedup alongside the ns/op:
 * ``get_batch_fused`` — one ``store.get_batch`` pass (how the server
   executes a run of pipelined GETs) against the per-key ``store.get``
   loop (the same GETs as runs of one);
+* ``kv_get_observed`` — a point read on a store with ``repro serve``'s
+  observability bundle, against the same store with observability off
+  (``reference_ns_per_op``); ``overhead`` is their ratio, the stated
+  wall cost of a read's metrics;
 * ``bloom_vectorized_*`` vs the scalar blocked-Bloom loop (only when
   numpy resolves; the suite runs without it, just shorter).
 """
@@ -176,6 +180,33 @@ def run_micro(inner: int = 256, rounds: int = 5) -> dict[str, Any]:
          reference_ns_per_op=round(loop_ns, 1),
          speedup=round(loop_ns / batch_ns, 2) if batch_ns else None)
 
+    # A point read on a store with `repro serve`'s observability bundle
+    # against the same store with observability off: the wall cost of a
+    # read's instruments (counter, latency and sub-level histograms).
+    # Half the keys are stored, half absent.
+    from repro.engine import EngineConfig, build_store
+    from repro.obs import Observability
+
+    def loaded(observability):
+        kv = build_store(EngineConfig(), observability=observability)
+        for k in range(0, 8192, 2):
+            kv.put(k, f"v{k}")
+        return kv
+
+    observed = loaded(Observability(trace_ring=0))
+    plain = loaded(None)
+    # Interleaved rounds, best of at least five: a ratio of two close
+    # timings must not rest on one noisy stretch of either side.
+    reads = [(i * 37) % 8192 for i in range(256)]
+    observed_ns = plain_ns = float("inf")
+    for _ in range(max(rounds, 5)):
+        observed_ns = min(
+            observed_ns, time_op(lambda i: observed.get(reads[i]), 256, 1))
+        plain_ns = min(plain_ns, time_op(lambda i: plain.get(reads[i]), 256, 1))
+    case("kv_get_observed", observed_ns,
+         reference_ns_per_op=round(plain_ns, 1),
+         overhead=round(observed_ns / plain_ns, 2) if plain_ns else None)
+
     cuckoo = CuckooFilter(20000, fingerprint_bits=12)
     for k in range(15000):
         cuckoo.add(k)
@@ -232,6 +263,8 @@ def format_micro(report: dict[str, Any]) -> str:
         line = f"  {row['name']:24s} {row['ns_per_op']:>10,.1f} ns/op"
         if "speedup" in row and row["speedup"] is not None:
             line += f"  ({row['speedup']:.2f}x vs scalar/reference)"
+        if row.get("overhead") is not None:
+            line += f"  ({row['overhead']:.2f}x the unobserved read)"
         lines.append(line)
     return "\n".join(lines)
 

@@ -192,6 +192,17 @@ class TestMicrobench:
         assert event["reference_ns_per_op"] > 0 and event["speedup"] > 0
         assert "host" in report
 
+    def test_micro_suite_states_the_observed_read_cost(self):
+        """``kv_get_observed`` times a point read on a store with
+        ``repro serve``'s observability bundle against the same store
+        with it off; recording a read's metrics is never free."""
+        from repro.workloads.micro import run_micro
+
+        report = run_micro(inner=8, rounds=1)
+        row = next(r for r in report["cases"] if r["name"] == "kv_get_observed")
+        assert row["ns_per_op"] > 0 and row["reference_ns_per_op"] > 0
+        assert row["overhead"] >= 1
+
     def test_microbench_command_writes_artifact(self, tmp_path, capsys):
         out = tmp_path / "micro.json"
         rc = main(

@@ -1,6 +1,8 @@
 """I/O counters and the latency cost model."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.common.cost import CostLedger, CostModel, LatencyBreakdown
 from repro.common.counters import IOCounters, MemoryIOCounter, StorageIOCounter
@@ -38,6 +40,45 @@ class TestMemoryIOCounter:
         c.add("a")
         c.reset()
         assert c.total == 0
+
+
+#: One counter operation: ``("add", category, count)`` (a negative
+#: count must be refused) or ``("reset",)``.
+COUNTER_OPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("add"),
+            st.sampled_from(["filter", "memtable", "fence", "cache"]),
+            st.integers(-3, 50),
+        ),
+        st.just(("reset",)),
+    ),
+    max_size=60,
+)
+
+
+class TestMaintainedTotal:
+    """``total`` is an attribute ``add`` and ``reset`` keep up to date
+    (the modelled clock reads it per read), never a stale sum."""
+
+    @given(COUNTER_OPS)
+    def test_total_is_the_sum_of_the_categories(self, ops):
+        c = MemoryIOCounter()
+        for op in ops:
+            if op[0] == "reset":
+                c.reset()
+                continue
+            _, category, count = op
+            before = c.total
+            if count < 0:
+                with pytest.raises(ValueError):
+                    c.add(category, count)
+                assert c.total == before
+            else:
+                c.add(category, count)
+                assert c.total == before + count
+            assert c.total == sum(c.snapshot().values())
+        assert c.total == sum(c.snapshot().values())
 
 
 class TestStorageIOCounter:

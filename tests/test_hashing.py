@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.common.hashing import (
+    BUCKET_SEED,
     FP_MIN,
     alt_offset,
     digest_pair,
@@ -181,6 +182,37 @@ _ZERO_PREFIX_KEYS = list(
 
 def _pairs(keys):
     return [digest_pair(key) for key in keys]
+
+
+class TestTwoLaneDigestPair:
+    """An int key's ``digest_pair`` runs both SplitMix64 mixes as two
+    128-bit lanes of one int: each lane must compute exactly its scalar
+    digest (no lane reads the other's bits), and the batched
+    ``digest_pairs`` must still agree with it."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(KEYS)
+    @example(True)
+    @example(False)
+    @example(0)
+    @example(2**64 - 1)
+    @example(2**64)
+    @example(-(2**70))
+    @example(2**70)
+    @example("")
+    @example(b"\xff" * 9)
+    def test_equals_the_two_seeded_digests(self, key):
+        assert digest_pair(key) == (fp_digest(key), seeded(BUCKET_SEED)(key))
+
+    @pytest.mark.parametrize("key", _ZERO_PREFIX_KEYS[:8])
+    def test_forced_prefix(self, key):
+        assert digest_pair(key) == (fp_digest(key), seeded(BUCKET_SEED)(key))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(KEYS, max_size=40))
+    @example([True, False, 0, 2**64 - 1, 2**64, -1, "a", b"b"] * 2)
+    def test_digest_pairs_agrees(self, keys):
+        assert list(zip(*digest_pairs(keys))) == list(map(digest_pair, keys))
 
 
 class TestDigestPairs:

@@ -349,3 +349,120 @@ class TestCli:
         span = json.loads(lines[-1])
         assert span["name"] in {"read", "write"}
         assert "duration_ns" in span
+
+
+def _scripted_store(shards: int) -> "tuple[object, Observability, list[int]]":
+    """A store with ``repro serve``'s observability bundle driven through
+    one fixed mix — puts, deletes, TTL puts already past expiry, flushes
+    — and the keys to read back: hits, misses, tombstones and expired
+    keys, in a fixed order."""
+    from repro.engine import EngineConfig, build_store
+
+    obs = Observability(trace_ring=0)
+    config = EngineConfig(
+        size_ratio=3, buffer_entries=16, block_entries=4, cache_blocks=8,
+        shards=shards, durable=True,
+    )
+    store = build_store(config, obs)
+    rng = random.Random(11)
+    for i in range(600):
+        key = rng.randrange(300)
+        roll = rng.random()
+        if roll < 0.15:
+            store.delete(key)
+        elif roll < 0.25:
+            store.put(key, f"t{i}", ttl=0)
+        else:
+            store.put(key, f"v{i}")
+        if i % 97 == 0:
+            store.flush()
+    reads = [rng.randrange(400) for _ in range(400)]
+    return store, obs, reads
+
+
+def _read_instruments(obs) -> dict:
+    """Every ``kv_read_*`` instrument, shard prefixes folded together:
+    counters as values, histograms as (counts, sum, count)."""
+    exported = registry_to_dict(obs.registry)
+    out: dict = {}
+    for name, value in exported["counters"].items():
+        if "kv_read" in name:
+            base = name[name.index("kv_read"):]
+            out[base] = out.get(base, 0) + value
+    for name, hist in exported["histograms"].items():
+        if "kv_read" in name:
+            base = name[name.index("kv_read"):]
+            counts, total, count = out.get(base, ([0] * len(hist["counts"]), 0, 0))
+            out[base] = (
+                [a + b for a, b in zip(counts, hist["counts"])],
+                total + hist["sum"],
+                count + hist["count"],
+            )
+    return out
+
+
+class TestOneObservedRead:
+    """``get``, ``get_with_stats`` and ``get_batch`` run one observed
+    read body: on a served store's bundle they return the same values,
+    count the same I/Os and record the same ``kv_read_*`` instruments,
+    and those instruments are the per-read counted windows priced by
+    the cost model."""
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_three_read_paths_record_the_same_read(self, shards):
+        from repro.obs.metrics import LATENCY_NS_BUCKETS, SUBLEVELS_BUCKETS
+
+        plain, plain_obs, reads = _scripted_store(shards)
+        stats, stats_obs, _ = _scripted_store(shards)
+        batch, batch_obs, _ = _scripted_store(shards)
+        assert _read_instruments(plain_obs) == _read_instruments(stats_obs)
+
+        latency = Histogram("latency", LATENCY_NS_BUCKETS)
+        probed = Histogram("probed", SUBLEVELS_BUCKETS)
+        queries = false_positives = 0
+        values = []
+        for key in reads:
+            before = plain.snapshot()
+            values.append(plain.get(key))
+            window = plain.snapshot().since(before)
+            latency.observe(window.price(plain.cost_model).total_ns)
+            queries += window.queries
+            false_positives += window.false_positives
+        results = [stats.get_with_stats(key) for key in reads]
+        for result in results:
+            probed.observe(result.sublevels_probed)
+
+        assert [r.value for r in results] == values == batch.get_batch(reads)
+        assert any(v is None for v in values) and any(values)
+        assert plain.snapshot() == stats.snapshot() == batch.snapshot()
+        recorded = _read_instruments(plain_obs)
+        assert recorded == _read_instruments(stats_obs)
+        assert recorded == _read_instruments(batch_obs)
+        assert recorded["kv_reads_total"] == queries == len(reads)
+        assert recorded["kv_read_false_positives_total"] == false_positives
+        assert recorded["kv_read_latency_ns"] == (
+            latency.counts, latency.sum, latency.count
+        )
+        assert recorded["kv_read_sublevels_probed"] == (
+            probed.counts, probed.sum, probed.count
+        )
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_read_under_an_active_carrier_emits_its_spans(self, shards):
+        from repro.obs.context import new_span_id, new_trace_id
+
+        store, obs, reads = _scripted_store(shards)
+        trace_id = new_trace_id()
+        saved = obs.carrier.activate(trace_id, new_span_id())
+        try:
+            for key in reads[:40]:
+                store.get(key)
+        finally:
+            obs.carrier.restore(saved)
+        names = set()
+        pending = list(obs.trace_sink.get(trace_id))
+        while pending:
+            span = pending.pop()
+            names.add(span.name)
+            pending += span.children
+        assert {"read", "memtable_probe", "filter_probe", "run_probe"} <= names

@@ -794,6 +794,41 @@ class TestOnePassPath:
 
         asyncio.run(main())
 
+    @pytest.mark.parametrize("ring", [0, 8])
+    def test_untraced_unsampled_get_opens_no_span(self, ring):
+        """On ``repro serve``'s bundle (no untraced ring) a GET without
+        a trace context calls ``store.get`` with no ``span_for``; a
+        traced GET, and any GET on a tracer that keeps roots, still
+        opens its ``serve_get`` span. Every GET is timed."""
+
+        async def main():
+            obs = Observability(trace_ring=ring)
+            store = build_store(small_config(), obs)
+            store.put_batch([(k, f"v{k}") for k in range(8)])
+            server = ReproServer(store, observability=obs)
+            conn, transport = attach(server)
+            opened = []
+            span_for = obs.tracer.span_for
+
+            def counting_span_for(name, *args, **attrs):
+                opened.append(name)
+                return span_for(name, *args, **attrs)
+
+            obs.tracer.span_for = counting_span_for
+            conn.data_received(frame(encode_request(Request(1, Op.GET, key=3))))
+            assert opened == ([] if ring == 0 else ["serve_get"])
+            traced = Request(2, Op.GET, key=4, trace_id=77, parent_span_id=5)
+            conn.data_received(frame(encode_request(traced)))
+            assert opened[-1] == "serve_get"
+            names = {span.name for span in obs.trace_sink.get(77)}
+            assert "serve_get" in names
+            responses = transport.responses()
+            assert responses[1].value == b"v3" and responses[2].value == b"v4"
+            latency = registry_to_dict(obs.registry)["histograms"]
+            assert latency["server_get_latency_us"]["count"] == 2
+
+        asyncio.run(main())
+
     def test_untraced_get_run_and_put_create_no_task(self):
         async def main():
             server, store, port = await start_server()
