@@ -19,7 +19,6 @@ setup(
     long_description_content_type="text/markdown",
     license="MIT",
     python_requires=">=3.10",
-    install_requires=["numpy>=1.24"],
     extras_require={"test": ["pytest", "pytest-benchmark", "hypothesis"]},
     package_dir={"": "src"},
     packages=find_packages(where="src"),

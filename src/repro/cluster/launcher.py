@@ -249,20 +249,6 @@ class ClusterLauncher:
                         ) from None
                     await asyncio.sleep(0.05)
 
-    def kill_node(self, name: str) -> None:
-        """SIGKILL one worker — the CI leader-kill primitive."""
-        proc = self.procs.get(name)
-        if proc is not None and proc.poll() is None:
-            proc.kill()
-            proc.wait()
-            return
-        pid = self.spec.pid_of(name)
-        if pid:
-            try:
-                os.kill(pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass
-
     def shutdown(self, timeout: float = 10.0) -> dict[str, int]:
         """SIGTERM every live worker and reap; returns exit codes."""
         codes: dict[str, int] = {}

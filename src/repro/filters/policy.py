@@ -10,7 +10,6 @@ every candidate with a single two-bucket lookup.
 
 from __future__ import annotations
 
-import importlib.util
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
@@ -412,14 +411,6 @@ def _chucky(**variant) -> PolicyFactory:
     return make
 
 
-def _make_vectorized(bits_per_entry: float) -> FilterPolicy:
-    # Imported lazily (and only registered when numpy resolves below):
-    # repro.filters.vectorized imports this module for BloomFilterPolicy.
-    from repro.filters.vectorized import VectorizedBloomPolicy
-
-    return VectorizedBloomPolicy(bits_per_entry)
-
-
 def _unified(fpr) -> PlannerModels:
     """Table 2: two bucket reads a probe, ~1.5 I/Os per level descended."""
     return PlannerModels(
@@ -444,10 +435,9 @@ register_policy(  # Eq 6
     "chucky-uncompressed", _chucky(compressed=False),
     _unified(lambda m, t, levels, k, z: fpr_cuckoo_integer_lids(m, levels, k, z)),
 )
-for _name in ("bloom", "blocked-bloom"):
-    register_policy(
-        _name, lambda m: BloomFilterPolicy(m, "blocked", "optimal"), _MONKEY
-    )
+register_policy(
+    "bloom", lambda m: BloomFilterPolicy(m, "blocked", "optimal"), _MONKEY
+)
 register_policy(  # Eq 2
     "bloom-standard", lambda m: BloomFilterPolicy(m, "standard", "uniform"),
     _per_run(lambda m, t, levels, k, z: fpr_bloom_uniform(m, levels, k, z)),
@@ -464,9 +454,3 @@ register_policy("none", lambda m: NoFilterPolicy(), PlannerModels(
     lambda levels, k, z: 0.0,
     lambda levels, t, k, z: 0.0,
 ))
-
-# The numpy-backed policy exists only where numpy does; gating the
-# *registration* keeps ``--policy`` choices, EngineConfig validation and
-# the tuning planner's candidate space all consistent with one check.
-if importlib.util.find_spec("numpy") is not None:
-    register_policy("bloom-vectorized", _make_vectorized, _MONKEY)

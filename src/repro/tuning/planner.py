@@ -24,7 +24,6 @@ Two dampers keep the loop from thrashing:
 
 from __future__ import annotations
 
-import importlib.util
 from dataclasses import asdict, dataclass, field
 from typing import Any
 
@@ -77,17 +76,8 @@ def filter_update_ios(
 
 
 def default_policy_candidates() -> tuple[str, ...]:
-    """The planner's default filter-policy candidate space.
-
-    The vectorized Bloom backend joins only when numpy resolves (its
-    registry entry is gated the same way); it models identically to
-    ``bloom``, so its presence never changes which *family* wins — it
-    gives the executor a faster backend to migrate onto when Bloom wins.
-    """
-    base = ("chucky", "bloom", "bloom-standard")
-    if importlib.util.find_spec("numpy") is not None:
-        return base + ("bloom-vectorized",)
-    return base
+    """The planner's default filter-policy candidate space."""
+    return ("chucky", "bloom", "bloom-standard")
 
 
 @dataclass(frozen=True)

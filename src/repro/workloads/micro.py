@@ -3,7 +3,7 @@
 Where ``repro bench`` measures whole-store behaviour (counted I/Os,
 modelled latency), this suite times the individual hot operations the
 PR-level refactors target — Chucky query/insert, bucket pack/unpack,
-prefix decode, cuckoo probe, Bloom batch ops — in plain Python
+prefix decode, cuckoo probe, blocked-Bloom probe — in plain Python
 ``perf_counter_ns`` loops, best-of-N so scheduler noise mostly cancels.
 ``repro microbench`` prints the table and can write it as a JSON
 artifact carrying the host fingerprint, making before/after comparisons
@@ -28,9 +28,7 @@ report a speedup alongside the ns/op:
 * ``kv_get_observed`` — a point read on a store with ``repro serve``'s
   observability bundle, against the same store with observability off
   (``reference_ns_per_op``); ``overhead`` is their ratio, the stated
-  wall cost of a read's metrics;
-* ``bloom_vectorized_*`` vs the scalar blocked-Bloom loop (only when
-  numpy resolves; the suite runs without it, just shorter).
+  wall cost of a read's metrics.
 """
 
 from __future__ import annotations
@@ -219,36 +217,10 @@ def run_micro(inner: int = 256, rounds: int = 5) -> dict[str, Any]:
     case("blocked_bloom_query", time_op(
         lambda i: bloom.may_contain(i), inner, rounds))
 
-    from repro.filters.vectorized import (
-        NUMPY_AVAILABLE,
-        VectorizedBlockedBloomFilter,
-    )
-
-    if NUMPY_AVAILABLE:
-        batch = list(range(inner))
-        vec = VectorizedBlockedBloomFilter(20000, 10.0)
-        add_ns = time_op(lambda i: vec.add_many(batch), 4, rounds) / inner
-        scalar_add = time_op(
-            lambda i: BlockedBloomFilter(20000, 10.0).add(i), inner, rounds)
-        case("bloom_vectorized_add", add_ns,
-             scalar_ns_per_op=round(scalar_add, 1),
-             speedup=round(scalar_add / add_ns, 2) if add_ns else None)
-
-        probed = VectorizedBlockedBloomFilter(20000, 10.0)
-        probed.add_many(list(range(15000)))
-        probe_ns = time_op(
-            lambda i: probed.may_contain_many(batch), 4, rounds) / inner
-        scalar_probe = time_op(
-            lambda i: bloom.may_contain(i), inner, rounds)
-        case("bloom_vectorized_probe", probe_ns,
-             scalar_ns_per_op=round(scalar_probe, 1),
-             speedup=round(scalar_probe / probe_ns, 2) if probe_ns else None)
-
     return {
         "suite": "micro",
         "inner": inner,
         "rounds": rounds,
-        "numpy": NUMPY_AVAILABLE,
         "host": host_fingerprint(),
         "cases": cases,
     }
@@ -262,7 +234,7 @@ def format_micro(report: dict[str, Any]) -> str:
     for row in report["cases"]:
         line = f"  {row['name']:24s} {row['ns_per_op']:>10,.1f} ns/op"
         if "speedup" in row and row["speedup"] is not None:
-            line += f"  ({row['speedup']:.2f}x vs scalar/reference)"
+            line += f"  ({row['speedup']:.2f}x vs reference)"
         if row.get("overhead") is not None:
             line += f"  ({row['overhead']:.2f}x the unobserved read)"
         lines.append(line)

@@ -27,8 +27,8 @@ from repro.obs import Observability, registry_to_dict
 
 class TestPolicyRegistry:
     def test_names_registered(self):
-        assert {"chucky", "chucky-uncompressed", "bloom", "blocked-bloom",
-                "bloom-standard", "xor", "none"} <= set(available_policies())
+        assert {"chucky", "chucky-uncompressed", "bloom", "bloom-standard",
+                "xor", "none"} <= set(available_policies())
 
     def test_make_policy_types(self):
         assert isinstance(make_policy("chucky"), ChuckyPolicy)

@@ -33,11 +33,6 @@ BITS = 10.0
 
 #: policy -> step -> (storage reads, memory I/Os) at the parent commit.
 PARENT: dict[str, dict[str, tuple[int, int]]] = {
-    "blocked-bloom": {
-        "grow": (297, 1718), "migrate_from": (0, 260),
-        "migrate_to": (0, 260), "recover_blob": (66, 260),
-        "recover_no_blob": (66, 260), "switch_merge": (66, 250),
-    },
     "bloom": {
         "grow": (297, 1718), "migrate_from": (0, 386),
         "migrate_to": (0, 260), "recover_blob": (66, 260),
@@ -47,11 +42,6 @@ PARENT: dict[str, dict[str, tuple[int, int]]] = {
         "grow": (297, 10292), "migrate_from": (0, 260),
         "migrate_to": (0, 1820), "recover_blob": (66, 1820),
         "recover_no_blob": (66, 1820), "switch_merge": (66, 1750),
-    },
-    "bloom-vectorized": {
-        "grow": (297, 1718), "migrate_from": (0, 260),
-        "migrate_to": (0, 260), "recover_blob": (66, 260),
-        "recover_no_blob": (66, 260), "switch_merge": (66, 250),
     },
     "chucky": {
         "grow": (297, 1264), "migrate_from": (0, 260),

@@ -214,10 +214,8 @@ class TestPlannerModels:
         planner's ``if policy == ...`` ladders gave at bits=10, T=3,
         L=4, K=2, Z=1 before they became lookups."""
         expected = {
-            "blocked-bloom": (0.02681725309079285, 7, 7.5),
             "bloom": (0.02681725309079285, 7, 7.5),
             "bloom-standard": (0.057347846277252715, 7, 7.5),
-            "bloom-vectorized": (0.02681725309079285, 7, 7.5),
             "chucky": (0.027840584941885616, 2.0, 6.0),
             "chucky-uncompressed": (0.0546875, 2.0, 6.0),
             "none": (7.0, 0.0, 0.0),
