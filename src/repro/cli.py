@@ -19,14 +19,14 @@ Fifteen commands for poking at the system without writing code:
   trace ids a server currently holds
 * ``serve``     — expose a (sharded) durable store over TCP: binary
   protocol, group commit, BUSY backpressure, graceful drain on SIGINT
-  (``--adapt`` attaches the adaptive-tuning controller; decisions are
-  applied by a background task between requests)
+  (``--adapt`` runs the adaptive-tuning controller: a background task
+  polls it between requests, and it applies its decisions there)
 * ``bench``     — run the canonical benchmark suite (uniform / zipf /
   ycsb-b over the leveled and tiered presets) and write the
   ``BENCH_core.json`` artifact
-* ``tune``      — replay a drift scenario with the adaptive-tuning
-  loop attached and print the decision log (``--static`` replays the
-  same ops untuned for comparison)
+* ``tune``      — replay a drift scenario, polling the adaptive-tuning
+  loop after every op, and print the decision log (``--static`` replays
+  the same ops unpolled for comparison)
 * ``loadgen``   — drive a running server closed-loop over N
   connections and write the ``BENCH_serve.json`` latency artifact
   (``--trace-every N`` head-samples requests into the wire trace
@@ -459,6 +459,8 @@ def cmd_tune(args) -> int:
     from repro.workloads.drift import apply_ops, scenario, total_ops
 
     config = _engine_config(args)
+    if args.window_ops < 1:
+        args.error(f"--window-ops must be >= 1, got {args.window_ops}")
     phases = scenario(args.scenario, seed=args.seed)
     obs = Observability()
     store = build_store(config, observability=obs)
@@ -471,9 +473,8 @@ def cmd_tune(args) -> int:
         ),
         observability=obs,
     )
-    mode = "static (controller detached)" if args.static else "adaptive"
-    if not args.static:
-        controller.attach()
+    mode = "static (never polled)" if args.static else "adaptive"
+    poll = None if args.static else controller.poll
     print(
         f"tune: scenario={args.scenario} ({len(phases)} phases, "
         f"{total_ops(phases)} ops), start policy={args.policy} "
@@ -484,7 +485,7 @@ def cmd_tune(args) -> int:
     phase_rows = []
     for phase in phases:
         before = store.snapshot()
-        apply_ops(store, phase.ops)
+        apply_ops(store, phase.ops, poll)
         after = store.snapshot()
         row = {
             "phase": phase.name,
@@ -544,24 +545,23 @@ async def _serve_main(args, engine_config: EngineConfig) -> int:
     if args.adapt:
         from repro.tuning import TuningConfig, TuningController
 
-        # Decisions are queued (auto_apply=False) so actuation happens
-        # on the event loop between requests, never inside one.
+        # Polled from a task on the event loop, so a window closes and a
+        # decision applies between requests, never inside one.
         controller = TuningController(
             store,
             engine_config,
-            TuningConfig(window_ops=args.adapt_window, auto_apply=False),
+            TuningConfig(window_ops=args.adapt_window),
             observability=obs,
         )
-        controller.attach()
 
         async def _adapt_loop() -> None:
             while True:
                 await asyncio.sleep(args.adapt_interval)
-                if controller.apply_pending():
-                    latest = controller.applied_decisions()[-1]
+                decision = controller.poll()
+                if decision is not None and decision.applied:
                     print(
-                        f"repro serve: tuning applied {latest.action} "
-                        f"(win {latest.win:.1%}) — {latest.reason}",
+                        f"repro serve: tuning applied {decision.action} "
+                        f"(win {decision.win:.1%}) — {decision.reason}",
                         flush=True,
                     )
 
@@ -598,8 +598,6 @@ async def _serve_main(args, engine_config: EngineConfig) -> int:
     await server.serve_until_drained()
     if adapt_task is not None:
         adapt_task.cancel()
-        controller.apply_pending()
-        controller.detach()
         status = controller.status()
         print(
             f"repro serve: tuning saw {status['windows']} windows, "
@@ -620,6 +618,10 @@ async def _serve_main(args, engine_config: EngineConfig) -> int:
 def cmd_serve(args) -> int:
     # Durable: the WAL is what makes group commit and recovery meaningful.
     config = _engine_config(args, durable=True)
+    if args.adapt_window < 1:
+        args.error(f"--adapt-window must be >= 1, got {args.adapt_window}")
+    if not args.adapt_interval > 0:
+        args.error(f"--adapt-interval must be > 0, got {args.adapt_interval}")
     try:
         return asyncio.run(_serve_main(args, config))
     except KeyboardInterrupt:  # pragma: no cover — signal handler races
@@ -1047,12 +1049,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--commit-batch", type=int, default=512,
                          help="max writes coalesced into one group commit")
     p_serve.add_argument("--adapt", action="store_true",
-                         help="attach the adaptive-tuning controller; "
-                              "decisions queue and apply between requests")
+                         help="run the adaptive-tuning controller, polled "
+                              "between requests")
     p_serve.add_argument("--adapt-window", type=int, default=512,
                          help="tuning sensor window, in operations")
     p_serve.add_argument("--adapt-interval", type=float, default=0.25,
-                         help="seconds between queued-decision sweeps")
+                         help="seconds between tuning polls")
     p_serve.set_defaults(func=cmd_serve)
 
     p_bench = sub.add_parser(
@@ -1110,7 +1112,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="minimum modelled win to act on")
     p_tune.add_argument("--seed", type=int, default=0)
     p_tune.add_argument("--static", action="store_true",
-                        help="replay the same ops without attaching the "
+                        help="replay the same ops without polling the "
                              "controller (baseline for comparison)")
     p_tune.add_argument("--json", metavar="FILE", default=None,
                         help="write phases + decision log as JSON")

@@ -57,7 +57,7 @@ class ShardSubsetStore(ShardedKVStore):
         # shards after handing its last one away.
         self.shards = [self.local[i] for i in sorted(self.local)]
         self.obs = observability if observability is not None else NULL_OBS
-        self._tuning = None
+        self.scans = 0
         if self.obs.enabled:
             self.obs.registry.add_collector(self._collect_aggregates)
 

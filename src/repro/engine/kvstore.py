@@ -80,6 +80,10 @@ class IOSnapshot:
     false_positives: int
     cache_hits: int = 0
     cache_misses: int = 0
+    #: Point reads that returned a value (a tombstoned or expired key
+    #: reads as a miss), and range scans served.
+    read_hits: int = 0
+    scans: int = 0
 
     @property
     def cache_hit_ratio(self) -> float:
@@ -98,6 +102,8 @@ class IOSnapshot:
             "false_positives": self.false_positives,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
+            "read_hits": self.read_hits,
+            "scans": self.scans,
         }
 
     @classmethod
@@ -112,6 +118,8 @@ class IOSnapshot:
             false_positives=int(data["false_positives"]),
             cache_hits=int(data.get("cache_hits", 0)),
             cache_misses=int(data.get("cache_misses", 0)),
+            read_hits=int(data.get("read_hits", 0)),
+            scans=int(data.get("scans", 0)),
         )
 
     def since(self, earlier: "IOSnapshot") -> "IOSnapshot":
@@ -131,6 +139,8 @@ class IOSnapshot:
             false_positives=self.false_positives - earlier.false_positives,
             cache_hits=self.cache_hits - earlier.cache_hits,
             cache_misses=self.cache_misses - earlier.cache_misses,
+            read_hits=self.read_hits - earlier.read_hits,
+            scans=self.scans - earlier.scans,
         )
 
     def price(
@@ -230,30 +240,10 @@ class KVStore(CountedWindow):
         self.queries = 0
         self.updates = 0
         self.false_positives = 0
-        #: Optional tuning hook (see :mod:`repro.tuning`). ``None`` means
-        #: tuning is off and every call site is a single ``is None``
-        #: check — counted I/Os stay bit-identical to the untuned store.
-        self._tuning = None
+        self.read_hits = 0
+        self.scans = 0
         if self._obs_on:
             self._register_instruments()
-
-    # ------------------------------------------------------------------
-    # Tuning hook
-    # ------------------------------------------------------------------
-
-    def attach_tuning(self, hook) -> None:
-        """Install a tuning observer (``on_read`` / ``on_write`` /
-        ``on_delete`` / ``on_scan`` methods, e.g.
-        :class:`repro.tuning.TuningController`). The hook
-        fires *after* each operation's counted work, so it can mutate the
-        store (flush, migrate filters) without perturbing the operation
-        that triggered it."""
-        if self._tuning is not None:
-            raise RuntimeError("a tuning hook is already attached")
-        self._tuning = hook
-
-    def detach_tuning(self) -> None:
-        self._tuning = None
 
     # ------------------------------------------------------------------
     # Observability wiring
@@ -363,8 +353,6 @@ class KVStore(CountedWindow):
                 self._put_impl(key, value)
             self._m_writes.inc()
             self._m_write_latency.observe(self._modelled_ns() - start)
-        if self._tuning is not None:
-            self._tuning.on_write(1)
 
     def _put_impl(self, key: int, value: Any) -> None:
         if self.memtable.is_full:
@@ -390,8 +378,6 @@ class KVStore(CountedWindow):
                 self._delete_impl(key)
             self._m_writes.inc()
             self._m_write_latency.observe(self._modelled_ns() - start)
-        if self._tuning is not None:
-            self._tuning.on_delete(1)
 
     def _delete_impl(self, key: int) -> None:
         if self.memtable.is_full:
@@ -433,8 +419,6 @@ class KVStore(CountedWindow):
                 self._put_group_impl(group)
             self._m_writes.inc(len(group))
             self._m_write_latency.observe(self._modelled_ns() - start)
-        if self._tuning is not None:
-            self._tuning.on_write(len(group))
 
     def _put_group_impl(self, group: list[tuple[int, Any]]) -> None:
         if len(self.memtable) + len(group) > self.memtable.capacity:
@@ -654,10 +638,15 @@ class KVStore(CountedWindow):
 
     def get(self, key: int) -> Any:
         """Point read; returns the value or None."""
-        if self._obs_on or self._tuning is not None:
+        if self._obs_on:
             return self._observed_read(key, False)
         entry = self._find(key)[0]
-        return None if entry is None else self._value_of(entry)
+        if entry is None:
+            return None
+        value = self._value_of(entry)
+        if value is not None:
+            self.read_hits += 1
+        return value
 
     def get_with_stats(self, key: int) -> ReadResult:
         """Point read with false-positive accounting.
@@ -672,8 +661,7 @@ class KVStore(CountedWindow):
     def _observed_read(self, key: int, stats: bool) -> Any:
         """The one observed read body of :meth:`get` and
         :meth:`get_with_stats`: the value, or its :class:`ReadResult`
-        when ``stats``. A :class:`ReadResult` is built only for that or
-        for the tuning hook.
+        when ``stats`` (the only case that builds one).
 
         With observability on it records the read's instruments, its
         modelled latency priced from the counters' integer deltas. A
@@ -712,6 +700,8 @@ class KVStore(CountedWindow):
         else:
             entry, false_positives, probed = self._find(key)
             value = None if entry is None else self._value_of(entry)
+        if value is not None:
+            self.read_hits += 1
         if obs_on:
             self._m_reads.inc()
             self._m_read_latency.observe(
@@ -724,32 +714,27 @@ class KVStore(CountedWindow):
             self._m_sublevels_probed.observe(probed)
             if false_positives:
                 self._m_false_positives.inc(false_positives)
-        if stats or self._tuning is not None:
-            result = ReadResult(value, value is not None, false_positives, probed)
-            if self._tuning is not None:
-                self._tuning.on_read(key, result)
-            if stats:
-                return result
+        if stats:
+            return ReadResult(value, value is not None, false_positives, probed)
         return value
 
     def get_batch(self, keys: list[int]) -> list[Any]:
         """Point-read many keys; values align with ``keys`` by index.
 
-        When no per-operation hook needs to fire (observability off, no
-        tuning), the batch runs a memtable phase, one batched filter
-        probe (:meth:`FilterPolicy.candidates_many`) and a run-probe
-        phase. Counted I/Os and the cache access sequence are identical
+        With observability off the batch runs a memtable phase, one
+        batched filter probe (:meth:`FilterPolicy.candidates_many`) and a
+        run-probe phase. Counted I/Os and the cache access sequence are identical
         to the per-key loop — the memtable never touches the block cache
         and run probes keep key order — only the per-call dispatch and
         the per-key hashing (one SWAR pass for the batch) are amortized.
         A key the filter ruled out skips :meth:`_walk`, which would
         charge nothing and count no false positive for it.
 
-        With observability on — every ``repro serve`` store — or tuning
-        attached, each key is answered through :meth:`get`, so its
-        per-read hooks fire.
+        With observability on — every ``repro serve`` store — each key
+        is answered through :meth:`get`, so its per-read instruments
+        record.
         """
-        if self._obs_on or self._tuning is not None:
+        if self._obs_on:
             return [self.get(key) for key in keys]
         self.queries += len(keys)
         memtable_get = self.memtable.get
@@ -760,7 +745,9 @@ class KVStore(CountedWindow):
             if cands:
                 out[pos] = self._walk(keys[pos], cands)[0]
         value_of = self._value_of
-        return [None if entry is None else value_of(entry) for entry in out]
+        values = [None if entry is None else value_of(entry) for entry in out]
+        self.read_hits += len(values) - values.count(None)
+        return values
 
     def _find(self, key: int) -> tuple[Entry | None, int, int]:
         """One point lookup — memtable, then the filter's candidates:
@@ -812,8 +799,7 @@ class KVStore(CountedWindow):
 
     def scan(self, lo: int, hi: int) -> Iterator[tuple[int, Any]]:
         """Range read over [lo, hi]; filters are bypassed (section 4.5)."""
-        if self._tuning is not None:
-            self._tuning.on_scan()
+        self.scans += 1
         return self._scan_impl(lo, hi)
 
     def _scan_impl(self, lo: int, hi: int) -> Iterator[tuple[int, Any]]:
@@ -858,6 +844,8 @@ class KVStore(CountedWindow):
             false_positives=self.false_positives,
             cache_hits=cache.hits if cache is not None else 0,
             cache_misses=cache.misses if cache is not None else 0,
+            read_hits=self.read_hits,
+            scans=self.scans,
         )
 
     @property

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import heapq
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Iterator, Sequence
 
 from repro.common.cost import CostModel, LatencyBreakdown
@@ -80,6 +80,8 @@ def aggregate_snapshots(snaps: Sequence[IOSnapshot]) -> IOSnapshot:
         false_positives=sum(s.false_positives for s in snaps),
         cache_hits=sum(s.cache_hits for s in snaps),
         cache_misses=sum(s.cache_misses for s in snaps),
+        read_hits=sum(s.read_hits for s in snaps),
+        scans=sum(s.scans for s in snaps),
     )
 
 
@@ -118,26 +120,11 @@ class ShardedKVStore(CountedWindow):
             raise ValueError("ShardedKVStore needs at least one shard")
         self.shards = list(shards)
         self.obs = observability if observability is not None else NULL_OBS
-        #: Optional tuning hook, mirrored from :class:`KVStore`: the
-        #: controller attaches at the router (shards stay unhooked), so
-        #: each logical operation is sensed exactly once.
-        self._tuning = None
+        #: Range scans served through the router (each visits every
+        #: shard, so the shards' own counts would multiply it).
+        self.scans = 0
         if self.obs.enabled:
             self.obs.registry.add_collector(self._collect_aggregates)
-
-    # ------------------------------------------------------------------
-    # Tuning hook
-    # ------------------------------------------------------------------
-
-    def attach_tuning(self, hook) -> None:
-        """Install a tuning observer at the router level (see
-        :meth:`repro.engine.kvstore.KVStore.attach_tuning`)."""
-        if self._tuning is not None:
-            raise RuntimeError("a tuning hook is already attached")
-        self._tuning = hook
-
-    def detach_tuning(self) -> None:
-        self._tuning = None
 
     @property
     def num_shards(self) -> int:
@@ -178,13 +165,9 @@ class ShardedKVStore(CountedWindow):
 
     def put(self, key: int, value: Any, ttl: int | None = None) -> None:
         self.shard_for(key).put(key, value, ttl=ttl)
-        if self._tuning is not None:
-            self._tuning.on_write(1)
 
     def delete(self, key: int) -> None:
         self.shard_for(key).delete(key)
-        if self._tuning is not None:
-            self._tuning.on_delete(1)
 
     def put_batch(self, items: list[tuple[int, Any]]) -> None:
         """Buffer a batch, grouped so each shard's memtable and WAL are
@@ -201,8 +184,6 @@ class ShardedKVStore(CountedWindow):
                 # because the batch has not been acknowledged yet.
                 crash_point("sharded.batch.between_shards")
             shard.put_batch([items[pos] for pos in group])
-        if self._tuning is not None:
-            self._tuning.on_write(len(items))
 
     def flush(self) -> None:
         """Flush every shard's memtable."""
@@ -214,23 +195,14 @@ class ShardedKVStore(CountedWindow):
     # ------------------------------------------------------------------
 
     def get(self, key: int) -> Any:
-        if self._tuning is None:
-            return self.shard_for(key).get(key)
-        return self.get_with_stats(key).value
+        return self.shard_for(key).get(key)
 
     def get_with_stats(self, key: int) -> ReadResult:
-        result = self.shard_for(key).get_with_stats(key)
-        if self._tuning is not None:
-            self._tuning.on_read(key, result)
-        return result
+        return self.shard_for(key).get_with_stats(key)
 
     def get_batch(self, keys: list[int]) -> list[Any]:
         """Point-read many keys, visiting each owning shard once with
         its whole group; values align with ``keys`` by index."""
-        if self._tuning is not None:
-            # Per-key routing so the hook senses each read. Grouping is
-            # pure routing sugar — the counted I/Os are identical.
-            return [self.get(key) for key in keys]
         out: list[Any] = [None] * len(keys)
         for shard, group in self._by_shard(keys):
             values = shard.get_batch([keys[pos] for pos in group])
@@ -245,12 +217,8 @@ class ShardedKVStore(CountedWindow):
         yields one key twice, and tombstone suppression inside each
         shard's scan is already final across the whole store.
         """
-        if self._tuning is not None:
-            self._tuning.on_scan()
-        return self._scan_impl(lo, hi)
-
-    def _scan_impl(self, lo: int, hi: int) -> Iterator[tuple[int, Any]]:
-        yield from heapq.merge(
+        self.scans += 1
+        return heapq.merge(
             *(shard.scan(lo, hi) for shard in self.shards),
             key=lambda item: item[0],
         )
@@ -271,8 +239,12 @@ class ShardedKVStore(CountedWindow):
     # ------------------------------------------------------------------
 
     def snapshot(self) -> IOSnapshot:
-        """The sum of the shards' snapshots."""
-        return aggregate_snapshots([shard.snapshot() for shard in self.shards])
+        """The sum of the shards' snapshots, except ``scans``: the
+        router's own count, one per scan however many shards it read."""
+        return replace(
+            aggregate_snapshots([shard.snapshot() for shard in self.shards]),
+            scans=self.scans,
+        )
 
     @property
     def cost_model(self) -> CostModel:
@@ -306,6 +278,10 @@ class ShardedKVStore(CountedWindow):
     @property
     def false_positives(self) -> int:
         return sum(shard.false_positives for shard in self.shards)
+
+    @property
+    def read_hits(self) -> int:
+        return sum(shard.read_hits for shard in self.shards)
 
     @property
     def wal_batch_records(self) -> int:

@@ -4,18 +4,20 @@ and live retuning of a running store.
 The loop (see docs/API.md, "Adaptive tuning"):
 
 * :class:`~repro.tuning.sensor.WorkloadSensor` — windowed summaries of
-  the live workload and the store's counted I/Os;
+  the live workload and the store's counted I/Os, read from the store's
+  counters;
 * :class:`~repro.tuning.planner.CostPlanner` — scores candidate
   configs with the paper's FPR/cost models, recommends a retune only
   past a hysteresis threshold;
 * :mod:`~repro.tuning.actuator` — applies decisions crash-safely:
   incremental filter migration with an atomic swap, memtable resizing
   and merge-policy switching at flush boundaries;
-* :class:`~repro.tuning.controller.TuningController` — wires the three
-  into the store's tuning hook.
+* :class:`~repro.tuning.controller.TuningController` — runs the three
+  each time its ``poll()`` finds a full window.
 
-Tuning disabled (no controller attached) leaves every counted I/O
-bit-identical to the untuned engine.
+The store never calls into this package, so a store nobody polls (or
+one whose planner always holds) counts every I/O exactly as the untuned
+engine does.
 """
 
 from repro.tuning.actuator import (

@@ -1,15 +1,15 @@
 """The tuning controller: sensor → planner → actuator, per window.
 
-:class:`TuningController` is the object stores attach via
-``store.attach_tuning(controller)``. Each operation's hook call feeds
-the :class:`~repro.tuning.sensor.WorkloadSensor`; when a window fills,
-the controller closes it, asks the
+:class:`TuningController` reads the store; the store never calls it.
+Its one entry point is :meth:`~TuningController.poll`: once the store's
+counters show ``window_ops`` operations since the last window, it closes
+the window (:class:`~repro.tuning.sensor.WorkloadSensor`), asks the
 :class:`~repro.tuning.planner.CostPlanner` for a verdict, appends it to
-the decision log, and either applies it immediately
-(``auto_apply=True``, the CLI/batch mode) or queues it for
-:meth:`apply_pending` (the asyncio server's background task calls that
-on the loop thread, so actuation is serialised with requests exactly
-like any other store operation).
+the decision log and applies a non-hold verdict at once. Whoever drives
+the store decides when to poll: ``repro tune`` after every operation it
+issues, ``repro serve --adapt`` from a task on the event loop between
+requests, so actuation is serialised with requests exactly like any
+other store operation.
 
 The controller also owns the **effective config**: the
 :class:`~repro.engine.config.EngineConfig` describing the store as
@@ -26,12 +26,17 @@ from dataclasses import dataclass, field, replace
 from typing import Any
 
 from repro.engine.config import EngineConfig
-from repro.engine.kvstore import KVStore, ReadResult
+from repro.engine.kvstore import KVStore
 from repro.engine.sharded import ShardedKVStore, shards_of
 from repro.obs import NULL_OBS, Observability
 from repro.tuning.actuator import migrate_filter, resize_memtable
 from repro.tuning.planner import CostPlanner, PlannerConfig, TuningDecision
 from repro.tuning.sensor import WindowSummary, WorkloadSensor
+
+
+#: Keep at most this many window summaries (the decision log is
+#: unbounded only in the sense that decisions are rare; summaries are not).
+MAX_SUMMARIES = 256
 
 
 @dataclass(frozen=True)
@@ -40,17 +45,11 @@ class TuningConfig:
 
     #: Operations per sensing window.
     window_ops: int = 512
-    #: Apply decisions synchronously from the hook (True) or queue them
-    #: for :meth:`TuningController.apply_pending` (False; server mode).
-    auto_apply: bool = True
     planner: PlannerConfig = field(default_factory=PlannerConfig)
-    #: Keep at most this many window summaries (decision log is unbounded
-    #: only in the sense that decisions are rare; summaries are not).
-    max_summaries: int = 256
 
 
 class TuningController:
-    """The closed loop. Attach with :meth:`attach`; detach to freeze."""
+    """The closed loop, advanced by :meth:`poll`; stop polling to freeze."""
 
     def __init__(
         self,
@@ -69,9 +68,7 @@ class TuningController:
         self.planner = CostPlanner(self.config.planner)
         self.decision_log: list[TuningDecision] = []
         self.summaries: list[WindowSummary] = []
-        self._pending: list[TuningDecision] = []
         self._windows_since_change = self.config.planner.cooldown_windows
-        self._busy = False
         registry = self.obs.registry
         self._m_windows = registry.counter(
             "tuning_windows_total", "sensing windows closed"
@@ -89,50 +86,17 @@ class TuningController:
             "tuning_last_win", "modelled win of the last non-hold decision"
         )
 
-    # -- lifecycle ------------------------------------------------------
-
-    def attach(self) -> "TuningController":
-        self.store.attach_tuning(self)
-        return self
-
-    def detach(self) -> None:
-        self.store.detach_tuning()
-
-    # -- the store-side hook -------------------------------------------
-
-    def on_read(self, key: int, result: ReadResult) -> None:
-        self.sensor.record_read(key, result)
-        self._maybe_close_window()
-
-    def on_write(self, count: int = 1) -> None:
-        self.sensor.record_write(count)
-        self._maybe_close_window()
-
-    def on_delete(self, count: int = 1) -> None:
-        """Deletes: the sensor keeps them inside the write mix but also
-        surfaces the delete-rate to the planner."""
-        self.sensor.record_delete(count)
-        self._maybe_close_window()
-
-    def on_scan(self) -> None:
-        self.sensor.record_scan()
-        self._maybe_close_window()
-
     # -- the loop -------------------------------------------------------
 
-    def _maybe_close_window(self) -> None:
-        if self._busy or not self.sensor.window_filled:
-            return
-        self._busy = True
-        try:
-            self._close_window()
-        finally:
-            self._busy = False
-
-    def _close_window(self) -> None:
+    def poll(self) -> TuningDecision | None:
+        """Close the window once it holds ``window_ops`` operations: plan
+        it and apply a non-hold decision. Returns the window's decision,
+        or ``None`` while the window is still open."""
+        if not self.sensor.window_filled:
+            return None
         summary = self.sensor.close_window()
         self.summaries.append(summary)
-        del self.summaries[: -self.config.max_summaries]
+        del self.summaries[:-MAX_SUMMARIES]
         self._m_windows.inc()
         num_levels = max(
             shard.tree.num_levels for shard in shards_of(self.store)
@@ -151,20 +115,10 @@ class TuningController:
         self.decision_log.append(decision)
         if decision.action == "hold":
             self._m_holds.inc()
-            return
-        self._g_win.set(decision.win)
-        if self.config.auto_apply:
-            self._apply(decision)
         else:
-            self._pending.append(decision)
-
-    def apply_pending(self) -> int:
-        """Apply queued decisions (server mode); returns how many."""
-        applied = 0
-        while self._pending:
-            self._apply(self._pending.pop(0))
-            applied += 1
-        return applied
+            self._g_win.set(decision.win)
+            self._apply(decision)
+        return decision
 
     def _apply(self, decision: TuningDecision) -> None:
         with self.obs.tracer.span(
@@ -201,7 +155,6 @@ class TuningController:
             "windows": self.sensor.windows_closed,
             "decisions": [d.as_dict() for d in self.decision_log],
             "applied": sum(1 for d in self.decision_log if d.applied),
-            "pending": len(self._pending),
             "effective_policy": self.effective_config.policy,
             "effective_bits_per_entry": self.effective_config.bits_per_entry,
             "effective_runs_per_level": self.effective_config.runs_per_level,

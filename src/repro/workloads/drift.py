@@ -13,11 +13,11 @@ static configurations run over the *same* ops.
 * :func:`phase_shift_scenario` — the read/write mix flips between
   phases (exercises memtable resizing and merge-policy planning).
 * :func:`skew_shift_scenario` — access skew jumps from uniform to
-  Zipfian (exercises the sensor's skew and cache statistics).
+  Zipfian (exercises the sensor's cache statistics).
 * :func:`delete_churn_scenario` — sustained delete/re-insert churn over
   a bounded key set with reads landing on both live and deleted keys
-  (exercises the sensor's delete-rate signal: the planner must see
-  tombstone pressure in the sensed mix, not infer it from writes).
+  (deletes count in the sensed write mix; reads of deleted keys are
+  negatives).
 """
 
 from __future__ import annotations
@@ -44,8 +44,10 @@ class DriftPhase:
     ops: tuple[Op, ...]
 
 
-def apply_ops(store, ops: tuple[Op, ...]) -> dict[str, int]:
-    """Replay a phase's ops against a store; returns op counts."""
+def apply_ops(store, ops: tuple[Op, ...], poll=None) -> dict[str, int]:
+    """Replay a phase's ops against a store; returns op counts. ``poll``
+    (e.g. :meth:`repro.tuning.TuningController.poll`) is called after
+    every op."""
     counts = {"put": 0, "get": 0, "delete": 0, "scan": 0}
     for op in ops:
         kind = op[0]
@@ -61,6 +63,8 @@ def apply_ops(store, ops: tuple[Op, ...]) -> dict[str, int]:
         else:
             raise ValueError(f"unknown drift op {kind!r}")
         counts[kind] += 1
+        if poll is not None:
+            poll()
     return counts
 
 
@@ -176,9 +180,8 @@ def delete_churn_scenario(
     through dead and alive states. Half the reads deliberately target
     currently-deleted keys — true negatives a filter must answer, the
     regime where stale fingerprints (a filter that missed its deletes)
-    turn directly into wasted storage reads. The point of the scenario:
-    the sensor's ``delete_fraction`` is materially nonzero, so the
-    planner sees delete-rate as a first-class part of the mix.
+    turn directly into wasted storage reads. Deletes enter the sensed
+    mix as writes (tombstone appends).
     """
     rng = random.Random(seed ^ 0xD317)
     preload = tuple(("put", key, f"v{key}") for key in range(population))

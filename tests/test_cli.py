@@ -200,6 +200,61 @@ class TestServeLoadgen:
         server_thread.join(timeout=10)
         assert not server_thread.is_alive()
 
+    def test_serve_adapt_migrates_between_requests(self, capsys):
+        """`repro serve --adapt` on uniform Bloom filters: once the tree
+        has three levels, negative GETs over the wire make the polling
+        task migrate the live store to chucky; reads stay correct and
+        the drain line counts the one applied action."""
+        import socket
+        import threading
+        import time
+
+        from repro.server import SyncClient
+
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+
+        server_thread = threading.Thread(
+            target=main,
+            args=(["serve", "--port", str(port), "--adapt",
+                   "--policy", "bloom-standard", "--adapt-window", "64",
+                   "--adapt-interval", "0.02", "--buffer", "16",
+                   "-t", "3"],),
+            daemon=True,
+        )
+        server_thread.start()
+        deadline = time.monotonic() + 10
+        while True:
+            try:
+                socket.create_connection(("127.0.0.1", port), 0.2).close()
+                break
+            except OSError:
+                if time.monotonic() > deadline:
+                    raise
+                time.sleep(0.05)
+
+        printed = ""
+        with SyncClient("127.0.0.1", port) as client:
+            for k in range(300):
+                client.put(k, f"v{k}")
+            deadline = time.monotonic() + 30
+            negative = 1 << 40
+            while "tuning applied migrate-filter" not in printed:
+                assert time.monotonic() < deadline, printed
+                for _ in range(64):
+                    assert client.get(negative) is None
+                    negative += 1
+                printed += capsys.readouterr().out
+            for k in range(300):
+                assert client.get(k) == f"v{k}".encode()
+            assert client.get(negative) is None
+            client.shutdown()
+        server_thread.join(timeout=10)
+        assert not server_thread.is_alive()
+        printed += capsys.readouterr().out
+        assert "applied 1 actions (effective policy chucky)" in printed
+
 
 class TestModeFlags:
     """A flag of the mode that is not running is a usage error naming
@@ -285,6 +340,12 @@ class TestStoreFlagErrors:
         (["serve", "--runs-per-level", "9", "-t", "5", "--port", "0"],
          "K must be in [1, T]"),
         (["tune", "--shards", "0"], "shards must be >= 1"),
+        # Tuning windows and polls that could never close or would spin.
+        (["tune", "--window-ops", "0"], "--window-ops must be >= 1"),
+        (["serve", "--adapt-window", "0", "--adapt", "--port", "0"],
+         "--adapt-window must be >= 1"),
+        (["serve", "--adapt-interval", "0", "--adapt", "--port", "0"],
+         "--adapt-interval must be > 0"),
         (["bench", "--bits", "-1"], "bits_per_entry must be >= 0"),
         (["faultcheck", "--shards", "0"], "shards must be >= 1"),
         # Flags that would make the campaign's gate vacuous.

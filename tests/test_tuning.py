@@ -14,6 +14,7 @@ the adaptive store's read cost lands within 10% of the best static
 config in hindsight and beats the worst static config by >= 25%.
 """
 
+import json
 import random
 from dataclasses import replace
 
@@ -25,7 +26,8 @@ from repro.analysis.fpr_models import (
     fpr_chucky_model,
 )
 from repro.engine.config import EngineConfig, build_store
-from repro.engine.kvstore import ReadResult
+from repro.engine.kvstore import IOSnapshot
+from repro.engine.sharded import aggregate_snapshots, shards_of
 from repro.filters import policy as policy_registry
 from repro.filters.policy import (
     NoFilterPolicy,
@@ -86,46 +88,132 @@ def _snapshot_tuple(store):
 # Sensor
 # ----------------------------------------------------------------------
 
+def _script(store, fp_oracle=None):
+    """One scripted mix over every read path: memtable hits, a key
+    tombstoned in a run and one in the memtable, a TTL-expired key,
+    ``get_with_stats``, a batched ``get_batch`` and two scans. Returns
+    the test's own count of it: reads, writes, scans, hits (reads that
+    returned a value) and, from ``fp_oracle`` (a twin store answering
+    every point read with ``get_with_stats``), false positives."""
+    count = dict(reads=0, writes=0, scans=0, hits=0, false_positives=0)
+
+    def read(keys, values):
+        count["reads"] += len(keys)
+        count["hits"] += sum(value is not None for value in values)
+        if fp_oracle is not None:
+            for key, value in zip(keys, values):
+                result = fp_oracle.get_with_stats(key)
+                assert result.value == value and result.found == (
+                    value is not None
+                )
+                count["false_positives"] += result.false_positives
+
+    def write(op, *args, **kwargs):
+        count["writes"] += 1
+        for target in (store, fp_oracle):
+            if target is not None:
+                getattr(target, op)(*args, **kwargs)
+
+    for k in range(0, 10, 2):
+        write("delete", k)  # tombstones that reach a run
+    for target in (store, fp_oracle):
+        if target is not None:
+            target.flush()
+    write("delete", 10)  # a tombstone still in the memtable
+    write("put", 1001, "gone", ttl=0)  # expired on arrival
+    write("put", 1003, "fresh")
+    singles = [1003, 0, 10, 1001, 12] + list(range(1, 40, 2))
+    for key in singles:
+        read([key], [store.get(key)])
+    for key in (14, 15):
+        result = store.get_with_stats(key)
+        assert result.found == (result.value is not None)
+        read([key], [result.value])
+    batch = list(range(16, 48)) + [0, 10, 1001, 1003]
+    read(batch, store.get_batch(batch))
+    for lo, hi in ((0, 50), (100, 120)):
+        count["scans"] += 1
+        assert [k for k, _ in store.scan(lo, hi)] == [
+            k for k in range(lo, hi + 1, 2) if k > 10
+        ]
+    return count
+
+
+def _script_store(shards, obs):
+    cfg = _config(bits_per_entry=3.0, shards=shards)
+    store = build_store(cfg, observability=Observability() if obs else None)
+    _load_even(store, 100)
+    return store
+
+
 class TestSensor:
+    @pytest.mark.parametrize("obs", [False, True], ids=["obs-off", "obs-on"])
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_counter_window_equals_a_hand_count(self, shards, obs):
+        store = _script_store(shards, obs)
+        oracle = _script_store(shards, False)
+        sensor = WorkloadSensor(store, window_ops=10_000)
+        start = store.snapshot()
+        count = _script(store, oracle)
+        assert count["false_positives"] > 0  # 3 bits/entry: not vacuous
+        assert sensor.window_ops_so_far == (
+            count["reads"] + count["writes"] + count["scans"]
+        )
+        s = sensor.close_window()
+        negatives = count["reads"] - count["hits"]
+        assert (s.reads, s.writes, s.scans) == (
+            count["reads"], count["writes"], count["scans"]
+        )
+        assert s.negative_fraction == negatives / count["reads"]
+        assert s.observed_fpr == count["false_positives"] / negatives
+
+        snap = store.snapshot()
+        window = snap.since(start)
+        assert (window.read_hits, window.scans) == (
+            count["hits"], count["scans"]
+        )
+        assert IOSnapshot.from_dict(
+            json.loads(json.dumps(snap.as_dict()))
+        ) == snap
+        doubled = aggregate_snapshots([snap, snap])
+        assert (doubled.read_hits, doubled.scans) == (
+            2 * snap.read_hits, 2 * snap.scans
+        )
+        # A router counts a scan once; each shard counts the scans it
+        # served, so the shards' sum holds one per shard.
+        per_shard = aggregate_snapshots(
+            [shard.snapshot() for shard in shards_of(store)]
+        )
+        assert per_shard.read_hits == snap.read_hits
+        assert per_shard.scans == shards * snap.scans
+
     def test_mix_negative_and_fpr_fractions(self):
-        store = build_store(_config())
+        store = build_store(_config(bits_per_entry=3.0))
+        _load_even(store, 100)
         sensor = WorkloadSensor(store, window_ops=10)
-        for _ in range(6):
-            sensor.record_read(
-                1, ReadResult(None, False, 1, 2)  # negative, 1 FP
-            )
-        for _ in range(2):
-            sensor.record_read(2, ReadResult("v", True, 0, 1))
-        sensor.record_write()
-        sensor.record_scan()
+        # Six negatives and two hits; a hit's wasted probes count too.
+        fps = sum(
+            store.get_with_stats(key).false_positives
+            for key in [*range(1, 13, 2), 2, 4]
+        )
+        store.put(7, "v7")
+        list(store.scan(0, 8))
         assert sensor.window_filled
         s = sensor.close_window()
         assert s.ops == 10 and s.reads == 8 and s.writes == 1 and s.scans == 1
         assert s.read_fraction == 0.8
         assert s.negative_fraction == pytest.approx(6 / 8)
-        assert s.observed_fpr == pytest.approx(1.0)  # 6 FPs / 6 negatives
-        assert s.distinct_keys == 2
-
-    def test_key_skew_hot_key(self):
-        store = build_store(_config())
-        sensor = WorkloadSensor(store, window_ops=100)
-        for _ in range(91):
-            sensor.record_read(7, ReadResult("v", True, 0, 1))
-        for key in range(9):
-            sensor.record_read(100 + key, ReadResult("v", True, 0, 1))
-        s = sensor.close_window()
-        # hottest 10% of 10 distinct keys = 1 key = 91% of read mass
-        assert s.key_skew == pytest.approx(0.91)
+        assert s.observed_fpr == pytest.approx(fps / 6)
 
     def test_snapshot_diffs_and_window_rollover(self):
         store = build_store(_config(policy="chucky"))
+        _load_even(store, 60)  # I/O before the window baseline
         sensor = WorkloadSensor(store, window_ops=4)
-        _load_even(store, 60)  # I/O before the window baseline resets
-        sensor._begin_window()
         for key in (0, 2, 4, 6):
-            sensor.record_read(key, store.get_with_stats(key))
+            store.get(key)
         s = sensor.close_window()
         assert s.index == 0 and sensor.windows_closed == 1
+        assert s.reads == 4 and s.negative_fraction == 0.0
         assert s.memory_ios_per_op > 0
         assert s.entries == 60 and s.num_levels >= 1
         assert s.filter_bits_per_entry > 0
@@ -137,9 +225,10 @@ class TestSensor:
         store = build_store(_config(policy="chucky"))
         _load_even(store, 40)
         sensor = WorkloadSensor(store, window_ops=8)
-        before = _snapshot_tuple(store)
         for _ in range(8):
-            sensor.record_read(1, ReadResult(None, False, 0, 1))
+            store.get(1)
+        before = _snapshot_tuple(store)
+        assert sensor.window_filled
         sensor.close_window()
         assert _snapshot_tuple(store) == before
 
@@ -162,15 +251,10 @@ def _summary(**overrides):
         scan_fraction=0.0,
         negative_fraction=1.0,
         observed_fpr=0.02,
-        key_skew=0.1,
-        distinct_keys=400,
         storage_reads_per_op=0.02,
         storage_writes_per_op=0.0,
         memory_ios_per_op=5.0,
         cache_hit_ratio=0.0,
-        probes_p50=0.0,
-        probes_p95=0.0,
-        probes_p99=1.0,
         entries=1000,
         num_levels=3,
         num_runs=3,
@@ -421,17 +505,17 @@ class TestController:
         plain = build_store(_config(policy="chucky"))
         sensed_cfg = _config(policy="chucky")
         sensed = build_store(sensed_cfg)
-        # hysteresis nothing can clear: the controller senses every op
-        # and plans every window but never actuates.
+        # hysteresis nothing can clear: the controller is polled after
+        # every op and plans every window but never actuates.
         controller = TuningController(
             sensed, sensed_cfg,
             TuningConfig(
                 window_ops=64, planner=PlannerConfig(hysteresis=1e9)
             ),
-        ).attach()
+        )
         for phase in phases:
             apply_ops(plain, phase.ops)
-            apply_ops(sensed, phase.ops)
+            apply_ops(sensed, phase.ops, controller.poll)
         assert _snapshot_tuple(plain) == _snapshot_tuple(sensed)
         assert controller.sensor.windows_closed > 10
         assert all(d.action == "hold" for d in controller.decision_log)
@@ -447,12 +531,11 @@ class TestController:
             controller = TuningController(
                 store, cfg, TuningConfig(window_ops=256)
             )
-            if adaptive:
-                controller.attach()
+            poll = controller.poll if adaptive else None
             cost = 0.0
             for phase in phases:
                 before = store.snapshot()
-                apply_ops(store, phase.ops)
+                apply_ops(store, phase.ops, poll)
                 after = store.snapshot()
                 if phase.name.startswith("read"):
                     cost += cfg.cost_model.total_cost(
@@ -488,23 +571,24 @@ class TestController:
         for k in range(0, 400, 2):
             assert store.get(k) == f"v{k}"
 
-    def test_apply_pending_defers_actuation(self):
+    def test_poll_decides_between_operations(self):
+        """Operations alone never plan or actuate; the next poll closes
+        the filled window and applies its decision at once."""
         cfg = _config()
         store = build_store(cfg)
-        controller = TuningController(
-            store, cfg, TuningConfig(window_ops=128, auto_apply=False)
-        ).attach()
         _load_even(store, 600)
+        controller = TuningController(store, cfg, TuningConfig(window_ops=128))
         rng = random.Random(2)
-        while not controller._pending:
+        for _ in range(1000):
             store.get(2 * rng.randrange(600) + 1)
-            assert controller.sensor.windows_closed < 60, "never planned"
+        assert controller.decision_log == []
         assert controller.effective_config.policy == "bloom-standard"
-        assert controller.status()["pending"] == 1
-        assert controller.apply_pending() == 1
+        decision = controller.poll()
+        assert decision.action == "migrate-filter" and decision.applied
+        assert decision.window == 0
         assert controller.effective_config.policy == "chucky"
-        assert controller.status()["pending"] == 0
-        assert controller.applied_decisions()[0].applied
+        assert controller.status()["applied"] == 1
+        assert controller.poll() is None  # the next window is empty
 
     def test_controller_metrics_and_spans(self):
         obs = Observability(trace_ring=20000)
@@ -512,27 +596,58 @@ class TestController:
         store = build_store(cfg, observability=obs)
         controller = TuningController(
             store, cfg, TuningConfig(window_ops=64), observability=obs
-        ).attach()
+        )
         _load_even(store, 400)
+        controller.poll()
         rng = random.Random(4)
         for _ in range(1200):
             store.get(2 * rng.randrange(400) + 1)
+            controller.poll()
         windows = obs.registry.counter("tuning_windows_total", "").value
         assert windows == controller.sensor.windows_closed > 0
         assert obs.registry.counter("tuning_migrations_total", "").value == 1
         names = {span.name for span in obs.tracer.recent(20000)}
         assert {"tuning_plan", "tuning_apply"} <= names
 
-    def test_detach_freezes_the_loop(self):
+    def test_unpolled_loop_stays_frozen(self):
         cfg = _config()
         store = build_store(cfg)
-        controller = TuningController(
-            store, cfg, TuningConfig(window_ops=8)
-        ).attach()
-        _load_even(store, 40)
+        controller = TuningController(store, cfg, TuningConfig(window_ops=8))
+        for k in range(0, 80, 2):
+            store.put(k, f"v{k}")
+            controller.poll()
         closed = controller.sensor.windows_closed
-        assert closed > 0
-        controller.detach()
+        assert closed == 5
         for k in range(0, 80, 2):
             store.get(k)
         assert controller.sensor.windows_closed == closed
+
+
+#: Applied decisions ``(window, action, target policy)`` per drift
+#: scenario, start policy and shard count (leveled, T=3, buffer 32,
+#: block 16, M=10, 256-op windows, seed 0), as measured when the loop
+#: was still fed by a per-operation hook inside the store. Counter
+#: windows close at the same operations with the same planner inputs,
+#: so the decisions may not move.
+_DECISIONS = {
+    ("grow-n", "bloom-standard", 1): [(9, "migrate-filter", "chucky")],
+    ("grow-n", "bloom-standard", 3): [(24, "migrate-filter", "chucky")],
+}
+
+
+@pytest.mark.parametrize("shards", [1, 3])
+@pytest.mark.parametrize("policy", ["bloom-standard", "chucky"])
+@pytest.mark.parametrize(
+    "name", ["grow-n", "phase-shift", "skew-shift", "delete-churn"]
+)
+def test_drift_decision_log_is_pinned(name, policy, shards):
+    cfg = _config(policy=policy, shards=shards)
+    store = build_store(cfg)
+    controller = TuningController(store, cfg, TuningConfig(window_ops=256))
+    for phase in scenario(name, seed=0):
+        apply_ops(store, phase.ops, controller.poll)
+    applied = [
+        (d.window, d.action, d.target_policy)
+        for d in controller.applied_decisions()
+    ]
+    assert applied == _DECISIONS.get((name, policy, shards), [])
