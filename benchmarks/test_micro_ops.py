@@ -9,7 +9,6 @@ import random
 
 import pytest
 
-from repro.coding.arithmetic import LidArithmeticCoder
 from repro.coding.distributions import LidDistribution
 from repro.coding.huffman import huffman_code_lengths
 from repro.common.hashing import fingerprint_bits
@@ -129,12 +128,3 @@ def test_huffman_construction(benchmark):
     weights = ChuckyCodebook(DIST, slots=4, bucket_bits=40).probabilities
     lengths = benchmark(lambda: huffman_code_lengths(weights))
     assert len(lengths) == len(weights)
-
-
-def test_arithmetic_encode(benchmark):
-    coder = LidArithmeticCoder(DIST)
-    rng = random.Random(1)
-    probs = [float(p) for p in DIST.probabilities()]
-    lids = rng.choices(list(DIST.lids), weights=probs, k=1000)
-    blob = benchmark(lambda: coder.encode(lids))
-    assert coder.decode(blob, len(lids)) == lids

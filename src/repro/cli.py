@@ -107,6 +107,24 @@ def _add_geometry(parser: argparse.ArgumentParser) -> None:
                         help="memory budget in bits per entry (default 10)")
 
 
+def _save(path: str, payload: object, what: str = "artifact") -> bool:
+    """Write ``payload`` to ``path`` — a str as it is, anything else as a
+    sorted JSON artifact — and say where it went, or on stderr why not."""
+    from repro.workloads.bench import write_artifact
+
+    try:
+        if isinstance(payload, str):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        else:
+            write_artifact(payload, path)
+    except OSError as exc:
+        print(f"cannot write {path}: {exc}", file=sys.stderr)
+        return False
+    print(f"{what} written to {path}")
+    return True
+
+
 def _dist(args) -> LidDistribution:
     return LidDistribution(
         args.size_ratio, args.levels, args.runs_per_level, args.runs_at_last
@@ -236,14 +254,10 @@ def cmd_workload(args) -> int:
     metrics = collect_metrics(store)
     for name, value in metrics.as_dict().items():
         print(f"  {name:24s}: {'n/a' if value is None else format(value, 'g')}")
-    if obs is not None:
-        try:
-            with open(args.metrics_out, "w", encoding="utf-8") as fh:
-                fh.write(render_json(obs.registry))
-        except OSError as exc:
-            print(f"cannot write {args.metrics_out}: {exc}", file=sys.stderr)
-            return 1
-        print(f"metrics artifact written to {args.metrics_out}")
+    if obs is not None and not _save(
+        args.metrics_out, render_json(obs.registry), "metrics artifact"
+    ):
+        return 1
     return 0
 
 
@@ -404,7 +418,7 @@ def cmd_trace(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    from repro.workloads.bench import run_bench, write_artifact
+    from repro.workloads.bench import run_bench
 
     _engine_config(args)  # every case's store takes --policy / --bits
     print(
@@ -430,27 +444,16 @@ def cmd_bench(args) -> int:
             f"{row['modelled_ns_per_op']:>8,.0f} ns/op modelled  "
             f"p99 {row['wall_latency_us']['p99']:g}us"
         )
-    try:
-        write_artifact(report, args.out)
-    except OSError as exc:
-        print(f"cannot write {args.out}: {exc}", file=sys.stderr)
-        return 1
-    print(f"artifact written to {args.out}")
-    return 0
+    return 0 if _save(args.out, report) else 1
 
 
 def cmd_microbench(args) -> int:
-    from repro.workloads.micro import format_micro, run_micro, write_artifact
+    from repro.workloads.micro import format_micro, run_micro
 
     report = run_micro(inner=args.inner, rounds=args.rounds)
     print(format_micro(report))
-    if args.out:
-        try:
-            write_artifact(report, args.out)
-        except OSError as exc:
-            print(f"cannot write {args.out}: {exc}", file=sys.stderr)
-            return 1
-        print(f"artifact written to {args.out}")
+    if args.out and not _save(args.out, report):
+        return 1
     return 0
 
 
@@ -522,14 +525,8 @@ def cmd_tune(args) -> int:
             "phases": phase_rows,
             "status": status,
         }
-        try:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                json.dump(artifact, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        except OSError as exc:
-            print(f"cannot write {args.json}: {exc}", file=sys.stderr)
+        if not _save(args.json, artifact, "decision log"):
             return 1
-        print(f"decision log written to {args.json}")
     return 0
 
 
@@ -647,7 +644,7 @@ _LOADGEN_CLUSTER_FLAGS = ("kill", "kill_after")
 
 
 def cmd_loadgen(args) -> int:
-    from repro.server import LoadgenConfig, run_loadgen, write_artifact
+    from repro.server import LoadgenConfig, run_loadgen
 
     server = _mode_flags(
         args, _LOADGEN_SERVER_FLAGS, "with --cluster" if args.cluster else ""
@@ -750,16 +747,15 @@ def cmd_loadgen(args) -> int:
             # asked to survive, so it cannot pass the gate.
             print(f"  cluster: --kill {wanted} never fired", file=sys.stderr)
             failed = True
+    # The traces ride detached, kept out of the summary artifact so that
+    # stays diffable.
+    traces = summary.pop("_traces", None)
     artifacts = [(summary, args.out or f"BENCH_{summary['bench']}.json")]
-    if traces_out and "_traces" in summary:
-        artifacts.append((summary["_traces"], traces_out))
+    if traces_out and traces is not None:
+        artifacts.append((traces, traces_out))
     for payload, path in artifacts:
-        try:
-            write_artifact(payload, path)
-        except OSError as exc:
-            print(f"cannot write {path}: {exc}", file=sys.stderr)
+        if not _save(path, payload):
             return 1
-        print(f"artifact written to {path}")
     return 1 if failed else 0
 
 
@@ -949,15 +945,13 @@ def cmd_faultcheck(args) -> int:
     print(report.summary())
     for violation in report.violations:
         print(f"  VIOLATION: {violation}", file=sys.stderr)
-    if args.report:
-        try:
-            with open(args.report, "w", encoding="utf-8") as fh:
-                json.dump(report.as_dict(), fh, indent=2, default=repr)
-                fh.write("\n")
-        except OSError as exc:
-            print(f"cannot write {args.report}: {exc}", file=sys.stderr)
-            return 1
-        print(f"schedule report written to {args.report}")
+    # The report keeps its unsorted keys and repr() of what JSON cannot say.
+    if args.report and not _save(
+        args.report,
+        json.dumps(report.as_dict(), indent=2, default=repr) + "\n",
+        "schedule report",
+    ):
+        return 1
     return 0 if report.ok else 1
 
 

@@ -34,12 +34,8 @@ from repro.cluster.coordinator import ClusterCoordinator
 from repro.cluster.launcher import ClusterSpec
 from repro.cluster.node import ClusterError
 from repro.faults.invariants import ABSENT, InvariantChecker, merge_expected
-from repro.server.loadgen import (
-    OP_CLASSES,
-    LoadgenConfig,
-    owned_span,
-    run_loadgen,
-)
+from repro.server.loadgen import LoadgenConfig, owned_span, run_loadgen
+from repro.workloads.generators import OP_KINDS
 
 
 @dataclass
@@ -82,7 +78,7 @@ class ClusterTarget:
     async)."""
 
     bench = "cluster"
-    ops = tuple(op for op in OP_CLASSES if op != "scan")
+    ops = tuple(op for op in OP_KINDS if op != "scan")
 
     def __init__(
         self,

@@ -2,11 +2,6 @@
 and the LID probability machinery of the paper (Eqs 7-13).
 """
 
-from repro.coding.arithmetic import (
-    LidArithmeticCoder,
-    decode_lids,
-    encode_lids,
-)
 from repro.coding.distributions import (
     LidDistribution,
     combination_probability,
@@ -28,11 +23,9 @@ from repro.coding.entropy import (
 )
 from repro.coding.golomb import (
     golomb_lid_code_lengths,
-    truncated_binary_decode,
-    truncated_binary_encode,
     truncated_binary_length,
 )
-from repro.coding.huffman import HuffmanCode, huffman_code_lengths
+from repro.coding.huffman import huffman_code_lengths
 from repro.coding.kraft import (
     CanonicalCode,
     kraft_sum,
@@ -41,11 +34,7 @@ from repro.coding.kraft import (
 
 __all__ = [
     "CanonicalCode",
-    "HuffmanCode",
-    "LidArithmeticCoder",
     "LidDistribution",
-    "decode_lids",
-    "encode_lids",
     "acl_upper_bound",
     "acl_upper_bound_exact",
     "average_code_length",
@@ -64,7 +53,5 @@ __all__ = [
     "lid_entropy",
     "lid_entropy_exact",
     "sublevel_probabilities",
-    "truncated_binary_decode",
-    "truncated_binary_encode",
     "truncated_binary_length",
 ]

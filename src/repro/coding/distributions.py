@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations_with_replacement
 
 #: A bucket combination: the multiset of the S slots' LIDs, kept as a
@@ -127,9 +126,6 @@ class LidDistribution:
             self.runs_at_last_level,
         )
 
-    def probability_of(self, lid: int) -> Fraction:
-        return self.probabilities()[lid - 1]
-
     def most_probable_lid(self) -> int:
         """The LID with the highest probability: the oldest sub-level of
         the largest level (used as the empty-slot LID, section 4.5)."""
@@ -138,11 +134,6 @@ class LidDistribution:
     def weights(self) -> dict[int, float]:
         """Float weights keyed by LID, ready for the Huffman encoder."""
         return {lid: float(f) for lid, f in zip(self.lids, self.probabilities())}
-
-
-@lru_cache(maxsize=None)
-def _log2_factorials(limit: int) -> tuple[float, ...]:
-    return tuple(math.log2(math.factorial(i)) for i in range(limit + 1))
 
 
 def enumerate_combinations(num_lids: int, slots: int) -> list[Combination]:

@@ -11,8 +11,6 @@ bound (``ACL_UB``) against the measured Huffman ACL.
 
 from __future__ import annotations
 
-from repro.common.bitio import BitReader, BitWriter
-
 
 def truncated_binary_length(index: int, alphabet_size: int) -> int:
     """Bits used by the truncated binary code for ``index`` among
@@ -26,45 +24,6 @@ def truncated_binary_length(index: int, alphabet_size: int) -> int:
     k = alphabet_size.bit_length() - 1
     short_count = (1 << (k + 1)) - alphabet_size
     return k if index < short_count else k + 1
-
-
-def truncated_binary_encode(index: int, alphabet_size: int, out: BitWriter) -> None:
-    """Append the truncated binary code for ``index`` to ``out``.
-
-    The first ``2^(k+1) - n`` symbols use ``k`` bits; the remainder use
-    ``k + 1`` bits, where ``k = floor(log2 n)``.
-    """
-    if alphabet_size < 1:
-        raise ValueError(f"alphabet_size must be >= 1, got {alphabet_size}")
-    if not 0 <= index < alphabet_size:
-        raise ValueError(f"index {index} out of range [0, {alphabet_size})")
-    if alphabet_size == 1:
-        return
-    k = alphabet_size.bit_length() - 1
-    if alphabet_size & (alphabet_size - 1) == 0:
-        out.write(index, k)
-        return
-    short_count = (1 << (k + 1)) - alphabet_size
-    if index < short_count:
-        out.write(index, k)
-    else:
-        out.write(index + short_count, k + 1)
-
-
-def truncated_binary_decode(reader: BitReader, alphabet_size: int) -> int:
-    """Read one truncated binary codeword and return the symbol index."""
-    if alphabet_size < 1:
-        raise ValueError(f"alphabet_size must be >= 1, got {alphabet_size}")
-    if alphabet_size == 1:
-        return 0
-    k = alphabet_size.bit_length() - 1
-    if alphabet_size & (alphabet_size - 1) == 0:
-        return reader.read(k)
-    short_count = (1 << (k + 1)) - alphabet_size
-    prefix = reader.read(k)
-    if prefix < short_count:
-        return prefix
-    return ((prefix << 1) | reader.read(1)) - short_count
 
 
 def golomb_lid_code_lengths(

@@ -18,8 +18,6 @@ import heapq
 from collections.abc import Hashable, Mapping
 from typing import TypeVar
 
-from repro.coding.kraft import CanonicalCode
-
 Symbol = TypeVar("Symbol", bound=Hashable)
 
 
@@ -67,43 +65,3 @@ def huffman_code_lengths(weights: Mapping[Symbol, float]) -> dict[Symbol, int]:
             lengths[symbols[node]] = depth
     return lengths
 
-
-class HuffmanCode:
-    """A ready-to-use canonical Huffman code built from symbol weights.
-
-    Thin convenience wrapper: computes optimal lengths with
-    :func:`huffman_code_lengths` and materializes them through
-    :class:`CanonicalCode` for encoding/decoding.
-    """
-
-    def __init__(self, weights: Mapping[Symbol, float]) -> None:
-        self._lengths = huffman_code_lengths(weights)
-        self._canonical = CanonicalCode(self._lengths)
-        total = sum(weights.values())
-        self._acl = (
-            sum(weights[s] * l for s, l in self._lengths.items()) / total
-            if total > 0
-            else 0.0
-        )
-
-    @property
-    def lengths(self) -> dict[Symbol, int]:
-        return dict(self._lengths)
-
-    @property
-    def canonical(self) -> CanonicalCode:
-        return self._canonical
-
-    @property
-    def average_code_length(self) -> float:
-        """Weight-averaged code length in bits per symbol."""
-        return self._acl
-
-    def encode(self, symbol: Symbol) -> tuple[int, int]:
-        """(codeword, length-in-bits) for ``symbol``."""
-        return self._canonical.encode(symbol)
-
-    def decode_prefix(self, value: int, bit_length: int) -> tuple[Symbol, int]:
-        """Decode the symbol at the front of a left-aligned bit string;
-        returns (symbol, bits consumed)."""
-        return self._canonical.decode_prefix(value, bit_length)

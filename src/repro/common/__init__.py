@@ -7,7 +7,7 @@ circular dependencies.
 
 from repro.common.bitio import BitReader, BitWriter
 from repro.common.counters import IOCounters, MemoryIOCounter, StorageIOCounter
-from repro.common.cost import CostLedger, CostModel, LatencyBreakdown
+from repro.common.cost import CostModel, LatencyBreakdown
 from repro.common.errors import (
     CapacityError,
     CodebookError,
@@ -27,7 +27,6 @@ __all__ = [
     "BitWriter",
     "CapacityError",
     "CodebookError",
-    "CostLedger",
     "CostModel",
     "FilterError",
     "IOCounters",

@@ -6,7 +6,7 @@ and by the persistence layer (to dump fingerprints compactly).
 
 Bits are emitted most-significant-first, which makes the packed integer
 directly comparable with a left-aligned code: a bucket whose first bits
-form a canonical Huffman code can be decoded by peeking at its prefix.
+form a canonical Huffman code can be decoded from its prefix.
 """
 
 from __future__ import annotations
@@ -54,21 +54,6 @@ class BitWriter:
             self._chunks.append((self._value, self._bits))
             self._value = 0
             self._bits = 0
-
-    def write_unary(self, count: int) -> None:
-        """Append ``count`` one-bits followed by a terminating zero-bit."""
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
-        self.write((1 << count) - 1, count)
-        self.write(0, 1)
-
-    def pad_to(self, total_bits: int) -> None:
-        """Right-pad with zero bits until the buffer is ``total_bits`` long."""
-        if total_bits < self._length:
-            raise ValueError(
-                f"cannot pad down: have {self._length} bits, asked for {total_bits}"
-            )
-        self.write(0, total_bits - self._length)
 
     def getvalue(self) -> int:
         """The packed bits as a non-negative integer (left-aligned at bit
@@ -144,26 +129,6 @@ class BitReader:
         start = self._pos
         self._pos = start + width
         return self._window(start, width)
-
-    def read_unary(self) -> int:
-        """Consume a unary code (ones terminated by a zero); return the
-        number of one-bits."""
-        count = 0
-        while self.read(1) == 1:
-            count += 1
-        return count
-
-    def peek(self, width: int) -> int:
-        """Return the next ``width`` bits without consuming them.
-
-        If fewer than ``width`` bits remain, the result is zero-padded on
-        the right (useful for fixed-width canonical-code table lookups
-        near the end of a bucket).
-        """
-        if width < 0:
-            raise ValueError(f"width must be >= 0, got {width}")
-        available = min(width, self.remaining)
-        return self._window(self._pos, available) << (width - available)
 
     def skip(self, width: int) -> None:
         """Advance the cursor by ``width`` bits."""

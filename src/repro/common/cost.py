@@ -10,7 +10,7 @@ counts, and the constants only set the scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -96,33 +96,3 @@ class LatencyBreakdown:
             "total_ns": self.total_ns,
         }
 
-
-@dataclass
-class CostLedger:
-    """Accumulates modelled time for a workload phase.
-
-    Components charge time via :meth:`charge`; benchmarks read
-    :attr:`breakdown` at the end. A fresh ledger costs nothing to create,
-    so callers make one per measured phase.
-    """
-
-    model: CostModel = field(default_factory=CostModel)
-    breakdown: LatencyBreakdown = field(default_factory=LatencyBreakdown)
-    operations: int = 0
-
-    def charge_memory(self, component: str, ios: int) -> None:
-        self._charge(component, self.model.memory_cost(ios))
-
-    def charge_storage(self, reads: int, writes: int = 0) -> None:
-        self._charge("storage", self.model.storage_cost(reads, writes))
-
-    def _charge(self, component: str, ns: float) -> None:
-        attr = f"{component}_ns"
-        if not hasattr(self.breakdown, attr):
-            attr = "other_ns"
-        setattr(self.breakdown, attr, getattr(self.breakdown, attr) + ns)
-
-    def per_operation(self) -> LatencyBreakdown:
-        if self.operations == 0:
-            return LatencyBreakdown()
-        return self.breakdown.scaled(1.0 / self.operations)

@@ -615,22 +615,13 @@ class KVStore(CountedWindow):
             store.memtable.put(key, value, seqno)
             max_seqno = max(max_seqno, seqno)
         store.wal = wal
-        store._seqno = max(max_seqno, store._highest_stored_seqno())
+        store._seqno = max([max_seqno] + [m.max_seqno for m in state.manifest])
         # Resume the TTL clock where the crashed incarnation left it —
         # recovery's own counted work (filter rebuild, WAL replay) has
         # already advanced _modelled_ns past zero, so the floor keeps
         # the clock monotone rather than exactly continuous.
         store._clock_floor = state.clock_ns
         return store
-
-    def _highest_stored_seqno(self) -> int:
-        highest = 0
-        for _, run in self.tree.occupied_runs():
-            with self.tree.storage.counting_suspended():
-                for entry in run.read_all():
-                    if entry[SEQNO] > highest:
-                        highest = entry[SEQNO]
-        return highest
 
     # ------------------------------------------------------------------
     # Reads

@@ -167,12 +167,6 @@ class CuckooFilter:
         self._memory_ios.add("filter", 1)
         return self._bucket_contains(self._alternate(b1, fp), fp)
 
-    def may_contain_many(self, keys: list[int]) -> list[bool]:
-        """Batched :meth:`may_contain` with identical counted I/Os
-        (short-circuits after the first bucket exactly like the scalar
-        path); saves only per-call dispatch."""
-        return [self.may_contain(key) for key in keys]
-
     def remove(self, key: int) -> bool:
         """Delete one copy of the key's fingerprint; True if found.
 

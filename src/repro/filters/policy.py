@@ -281,12 +281,6 @@ class BloomFilterPolicy(FilterPolicy):
     def size_bits(self) -> int:
         return sum(f.size_bits for f in self._filters.values() if f is not None)
 
-    def measured_fpp_sum(self) -> float:
-        """Sum of the per-filter expected FPPs (the Eq 2/3 'FPR')."""
-        return sum(
-            f.expected_fpp() for f in self._filters.values() if f is not None
-        )
-
 
 class XorFilterPolicy(BloomFilterPolicy):
     """One static xor filter per run (Graf & Lemire; the related-work

@@ -37,10 +37,6 @@ class FencePointers:
         return tuple(self._mins)
 
     @property
-    def min_key(self) -> int:
-        return self._mins[0]
-
-    @property
     def max_key(self) -> int:
         return self._max_key
 

@@ -13,11 +13,12 @@ from typing import Iterator
 
 from repro.common.counters import MemoryIOCounter
 from repro.lsm.block_cache import BlockCache
-from repro.lsm.entry import KEY, Entry
+from repro.lsm.entry import KEY, SEQNO, Entry
 from repro.lsm.fence import FencePointers
 from repro.lsm.storage import Block, StorageDevice
 
 _key_of = itemgetter(KEY)
+_seqno_of = itemgetter(SEQNO)
 
 
 class Run:
@@ -29,11 +30,15 @@ class Run:
         storage: StorageDevice,
         fences: FencePointers,
         num_entries: int,
+        max_seqno: int,
     ) -> None:
         self.run_id = run_id
         self._storage = storage
         self.fences = fences
         self.num_entries = num_entries
+        #: Highest sequence number among the run's entries, kept with its
+        #: metadata so recovery resumes the seqno without reading a block.
+        self.max_seqno = max_seqno
 
     @classmethod
     def build(
@@ -55,7 +60,9 @@ class Run:
         ]
         run_id = storage.write_run(blocks)
         fences = FencePointers([b[0][KEY] for b in blocks], entries[-1][KEY])
-        return cls(run_id, storage, fences, len(entries))
+        return cls(
+            run_id, storage, fences, len(entries), max(map(_seqno_of, entries))
+        )
 
     @property
     def num_blocks(self) -> int:

@@ -91,6 +91,9 @@ class RunManifest:
     num_entries: int
     block_min_keys: tuple[int, ...]
     max_key: int
+    #: Highest entry seqno in the run: recovery resumes numbering from
+    #: the manifests and the WAL without scanning any run.
+    max_seqno: int
 
 
 @dataclass
@@ -558,6 +561,7 @@ class LSMTree:
                         num_entries=run.num_entries,
                         block_min_keys=run.fences.block_min_keys,
                         max_key=run.fences.max_key,
+                        max_seqno=run.max_seqno,
                     )
                 )
         return result
@@ -588,7 +592,7 @@ class LSMTree:
         )
         for m in manifest:
             fences = FencePointers(list(m.block_min_keys), m.max_key)
-            run = Run(m.run_id, storage, fences, m.num_entries)
+            run = Run(m.run_id, storage, fences, m.num_entries, m.max_seqno)
             level = tree._levels[m.level - 1]
             if not 0 <= m.slot_index < len(level.slots):
                 raise ValueError(

@@ -22,12 +22,7 @@ from repro.server.client import (
     SyncClient,
 )
 from repro.server.group_commit import GroupCommitWriter
-from repro.server.loadgen import (
-    LoadgenConfig,
-    ServerTarget,
-    run_loadgen,
-    write_artifact,
-)
+from repro.server.loadgen import LoadgenConfig, ServerTarget, run_loadgen
 from repro.server.protocol import (
     MAX_FRAME_BYTES,
     FrameAssembler,
@@ -69,5 +64,4 @@ __all__ = [
     "encode_response",
     "frame",
     "run_loadgen",
-    "write_artifact",
 ]

@@ -35,22 +35,18 @@ one causal tree" view ``repro trace --request`` renders.
 from __future__ import annotations
 
 import asyncio
-import json
 import time
 from dataclasses import asdict, dataclass
 
 from repro.common.quantile import nearest_rank
 from repro.server.client import AsyncClient, ClientTraceConfig, ServerBusy
-from repro.workloads.generators import WORKLOAD_KINDS, request_stream
+from repro.workloads.generators import OP_KINDS, WORKLOAD_KINDS, request_stream
 
 #: How many times one op retries BUSY before counting as an error.
 MAX_BUSY_RETRIES = 50
 
 #: Cap on combined trace trees kept in the traces artifact.
 MAX_TRACES_IN_ARTIFACT = 32
-
-#: The op classes the generator issues and accounts separately.
-OP_CLASSES = ("read", "update", "insert", "delete", "scan", "rmw")
 
 #: The op class a workload kind needs beyond the get / put / delete
 #: every target has; a target that cannot issue it rejects the run.
@@ -141,7 +137,7 @@ class ServerTarget:
     own sections to the run summary (``finish``)."""
 
     bench = "serve"
-    ops = OP_CLASSES
+    ops = OP_KINDS
 
     def __init__(self, cfg: LoadgenConfig) -> None:
         self.cfg = cfg
@@ -339,8 +335,8 @@ async def run_loadgen(cfg: LoadgenConfig, target=None) -> dict:
         # The denylist scenario's whole point is an (almost) empty
         # store: admission checks must be negative lookups.
         await target.preload()
-    latencies: dict[str, list[float]] = {op: [] for op in OP_CLASSES}
-    counters = {op: {"busy_retries": 0, "errors": 0} for op in OP_CLASSES}
+    latencies: dict[str, list[float]] = {op: [] for op in OP_KINDS}
+    counters = {op: {"busy_retries": 0, "errors": 0} for op in OP_KINDS}
     verify_state: dict = {
         "verified_reads": 0,
         "false_negatives": 0,
@@ -381,7 +377,7 @@ async def run_loadgen(cfg: LoadgenConfig, target=None) -> dict:
             "update": _summarize_op(latencies["update"]),
             **{
                 op: _summarize_op(latencies[op])
-                for op in OP_CLASSES
+                for op in OP_KINDS
                 if op not in ("read", "update") and latencies[op]
             },
         },
@@ -390,13 +386,3 @@ async def run_loadgen(cfg: LoadgenConfig, target=None) -> dict:
         summary["verification"] = dict(verify_state)
     await target.finish(summary)
     return summary
-
-
-def write_artifact(summary: dict, path: str) -> None:
-    """Write a run summary (or its detached ``_traces`` payload — kept
-    out of BENCH_serve.json so that stays diffable) as a JSON artifact."""
-    summary = dict(summary)
-    summary.pop("_traces", None)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -18,7 +18,6 @@ from repro.workloads.drift import (
     grow_n_scenario,
     phase_shift_scenario,
     scenario,
-    scenario_summary,
     skew_shift_scenario,
     total_ops,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "run_bench",
     "run_case",
     "scenario",
-    "scenario_summary",
     "skew_shift_scenario",
     "sublevel_sample_keys",
     "total_ops",

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any
 
 from repro.workloads.generators import zipf_over
 
@@ -218,12 +217,3 @@ def delete_churn_scenario(
 def total_ops(phases: list[DriftPhase]) -> int:
     return sum(len(phase.ops) for phase in phases)
 
-
-def scenario_summary(phases: list[DriftPhase]) -> dict[str, Any]:
-    """JSON-ready phase listing (the CLI prints this)."""
-    return {
-        "phases": [
-            {"name": phase.name, "ops": len(phase.ops)} for phase in phases
-        ],
-        "total_ops": total_ops(phases),
-    }

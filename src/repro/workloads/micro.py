@@ -33,7 +33,6 @@ report a speedup alongside the ns/op:
 
 from __future__ import annotations
 
-import json
 import random
 import time
 from typing import Any, Callable
@@ -239,9 +238,3 @@ def format_micro(report: dict[str, Any]) -> str:
             line += f"  ({row['overhead']:.2f}x the unobserved read)"
         lines.append(line)
     return "\n".join(lines)
-
-
-def write_artifact(report: dict[str, Any], path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")

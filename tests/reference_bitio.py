@@ -27,13 +27,6 @@ class ReferenceBitWriter:
         self._value = (self._value << width) | value
         self._length += width
 
-    def write_unary(self, count: int) -> None:
-        self.write((1 << count) - 1, count)
-        self.write(0, 1)
-
-    def pad_to(self, total_bits: int) -> None:
-        self.write(0, total_bits - self._length)
-
     def getvalue(self) -> int:
         return self._value
 
@@ -63,12 +56,6 @@ class ReferenceBitReader:
         shift = self._length - self._pos - width
         self._pos += width
         return (self._value >> shift) & ((1 << width) - 1)
-
-    def peek(self, width: int) -> int:
-        available = min(width, self.remaining)
-        shift = self._length - self._pos - available
-        bits = (self._value >> shift) & ((1 << available) - 1)
-        return bits << (width - available)
 
     def skip(self, width: int) -> None:
         if width > self.remaining:

@@ -47,31 +47,6 @@ class TestBitWriter:
         with pytest.raises(ValueError):
             w.write(0, -1)
 
-    def test_unary(self):
-        w = BitWriter()
-        w.write_unary(3)
-        assert w.getvalue() == 0b1110
-        assert w.bit_length == 4
-
-    def test_unary_zero(self):
-        w = BitWriter()
-        w.write_unary(0)
-        assert w.getvalue() == 0
-        assert w.bit_length == 1
-
-    def test_pad_to(self):
-        w = BitWriter()
-        w.write(0b11, 2)
-        w.pad_to(8)
-        assert w.bit_length == 8
-        assert w.getvalue() == 0b11000000
-
-    def test_pad_down_rejected(self):
-        w = BitWriter()
-        w.write(0, 8)
-        with pytest.raises(ValueError):
-            w.pad_to(4)
-
     def test_to_bytes_pads_right(self):
         w = BitWriter()
         w.write(0b1, 1)
@@ -95,16 +70,6 @@ class TestBitReader:
         with pytest.raises(ValueError):
             BitReader(0b1111, 3)
 
-    def test_peek_does_not_consume(self):
-        r = BitReader(0b1100, 4)
-        assert r.peek(2) == 0b11
-        assert r.peek(2) == 0b11
-        assert r.read(2) == 0b11
-
-    def test_peek_past_end_zero_pads(self):
-        r = BitReader(0b11, 2)
-        assert r.peek(4) == 0b1100
-
     def test_skip(self):
         r = BitReader(0b1010, 4)
         r.skip(2)
@@ -114,10 +79,6 @@ class TestBitReader:
         r = BitReader(0, 2)
         with pytest.raises(EOFError):
             r.skip(3)
-
-    def test_read_unary(self):
-        r = BitReader(0b1110, 4)
-        assert r.read_unary() == 3
 
     def test_from_bytes(self):
         r = BitReader.from_bytes(bytes([0xAB, 0xCD]))
@@ -141,16 +102,6 @@ def test_roundtrip_many_fields(fields):
     assert r.remaining == 0
 
 
-@given(st.lists(st.integers(0, 40), max_size=20))
-def test_unary_roundtrip(counts):
-    w = BitWriter()
-    for c in counts:
-        w.write_unary(c)
-    r = BitReader(w.getvalue(), w.bit_length)
-    for c in counts:
-        assert r.read_unary() == c
-
-
 @given(st.integers(0, 2**64 - 1), st.integers(0, 64))
 def test_bytes_roundtrip(value, extra_pad):
     w = BitWriter()
@@ -160,27 +111,18 @@ def test_bytes_roundtrip(value, extra_pad):
     assert r.read(64) == value
 
 
-#: One writer or reader call: (op, value, width). Widths up to 80 cross
-#: the writer's chunk boundary and the reader's byte windows at every
-#: alignment; enough fields fill several 4096-bit chunks.
+#: One writer call: (value, width). Widths up to 80 cross the writer's
+#: chunk boundary and the reader's byte windows at every alignment;
+#: enough fields fill several 4096-bit chunks.
 FIELDS = st.lists(
-    st.tuples(
-        st.sampled_from(["write", "unary", "pad"]),
-        st.integers(0, 2**80 - 1),
-        st.integers(0, 80),
-    ),
+    st.tuples(st.integers(0, 2**80 - 1), st.integers(0, 80)),
     max_size=160,
 )
 
 
 def _drive_writer(writer, fields):
-    for op, value, width in fields:
-        if op == "write":
-            writer.write(value & ((1 << width) - 1), width)
-        elif op == "unary":
-            writer.write_unary(width)
-        else:
-            writer.pad_to(writer.bit_length + width)
+    for value, width in fields:
+        writer.write(value & ((1 << width) - 1), width)
     return writer
 
 
@@ -199,7 +141,7 @@ class TestAgainstTheReference:
         assert fast.to_bytes() == ref.to_bytes()
 
     @given(st.binary(max_size=200), st.lists(
-        st.tuples(st.sampled_from(["read", "peek", "skip"]), st.integers(0, 90)),
+        st.tuples(st.sampled_from(["read", "skip"]), st.integers(0, 90)),
         max_size=60,
     ))
     def test_reader_matches(self, data, ops):
@@ -207,9 +149,6 @@ class TestAgainstTheReference:
 
         fast, ref = BitReader.from_bytes(data), ReferenceBitReader.from_bytes(data)
         for op, width in ops:
-            if op == "peek":
-                assert fast.peek(width) == ref.peek(width)
-                continue
             if width > ref.remaining:
                 with pytest.raises(EOFError):
                     getattr(fast, op)(width)

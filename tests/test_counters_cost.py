@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.common.cost import CostLedger, CostModel, LatencyBreakdown
+from repro.common.cost import CostModel, LatencyBreakdown
 from repro.common.counters import IOCounters, MemoryIOCounter, StorageIOCounter
 
 
@@ -126,26 +126,6 @@ class TestLatencyBreakdown:
     def test_as_dict_includes_total(self):
         d = LatencyBreakdown(filter_ns=1).as_dict()
         assert d["total_ns"] == 1
-
-
-class TestCostLedger:
-    def test_charges_route_to_components(self):
-        ledger = CostLedger(model=CostModel(memory_io_ns=1, storage_read_ns=10))
-        ledger.charge_memory("filter", 5)
-        ledger.charge_memory("unknown_component", 2)
-        ledger.charge_storage(3)
-        assert ledger.breakdown.filter_ns == 5
-        assert ledger.breakdown.other_ns == 2
-        assert ledger.breakdown.storage_ns == 30
-
-    def test_per_operation(self):
-        ledger = CostLedger(model=CostModel(memory_io_ns=1))
-        ledger.charge_memory("filter", 10)
-        ledger.operations = 5
-        assert ledger.per_operation().filter_ns == 2
-
-    def test_per_operation_empty(self):
-        assert CostLedger().per_operation().total_ns == 0
 
 
 class TestIOCounters:

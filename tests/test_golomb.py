@@ -4,13 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.coding.golomb import (
-    golomb_lid_code_lengths,
-    truncated_binary_decode,
-    truncated_binary_encode,
-    truncated_binary_length,
-)
-from repro.common.bitio import BitReader, BitWriter
+from repro.coding.golomb import golomb_lid_code_lengths, truncated_binary_length
+from repro.coding.kraft import kraft_sum
 
 
 class TestTruncatedBinaryLength:
@@ -32,29 +27,12 @@ class TestTruncatedBinaryLength:
             truncated_binary_length(0, 0)
 
 
-@given(st.integers(1, 300), st.data())
-def test_truncated_binary_roundtrip(alphabet, data):
-    index = data.draw(st.integers(0, alphabet - 1))
-    w = BitWriter()
-    truncated_binary_encode(index, alphabet, w)
-    assert w.bit_length == truncated_binary_length(index, alphabet)
-    r = BitReader(w.getvalue(), w.bit_length)
-    assert truncated_binary_decode(r, alphabet) == index
-    assert r.remaining == 0
-
-
-@given(st.integers(2, 64))
+@given(st.integers(2, 300))
 def test_truncated_binary_codes_distinct(alphabet):
-    """All codewords (as padded strings) are prefix-free."""
-    words = []
-    for i in range(alphabet):
-        w = BitWriter()
-        truncated_binary_encode(i, alphabet, w)
-        words.append(format(w.getvalue(), f"0{w.bit_length}b") if w.bit_length else "")
-    for i, a in enumerate(words):
-        for j, b in enumerate(words):
-            if i != j:
-                assert not b.startswith(a) or len(b) == len(a) and a != b
+    """The lengths fill the Kraft sum exactly: a complete prefix code, so
+    every symbol gets its own codeword and none is wasted."""
+    lengths = {i: truncated_binary_length(i, alphabet) for i in range(alphabet)}
+    assert kraft_sum(lengths) == 1
 
 
 class TestGolombLidLengths:

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.coding.huffman import HuffmanCode, huffman_code_lengths
-from repro.coding.kraft import kraft_sum
+from repro.coding.huffman import huffman_code_lengths
+from repro.coding.kraft import CanonicalCode, kraft_sum
 
 
 def entropy(weights: dict) -> float:
@@ -102,7 +102,7 @@ def test_acl_within_one_bit_of_entropy(weights):
 def test_huffman_code_encode_decode(weights, data):
     """Property: encoding a random symbol stream and decoding it symbol
     by symbol recovers the stream (prefix-freedom in action)."""
-    code = HuffmanCode(weights)
+    code = CanonicalCode(huffman_code_lengths(weights))
     symbols = data.draw(
         st.lists(st.sampled_from(sorted(weights)), min_size=1, max_size=20)
     )
@@ -122,14 +122,3 @@ def test_huffman_code_encode_decode(weights, data):
         pos += used
     assert out == symbols
 
-
-class TestHuffmanCodeWrapper:
-    def test_average_code_length(self):
-        code = HuffmanCode({"a": 0.5, "b": 0.25, "c": 0.25})
-        assert code.average_code_length == pytest.approx(1.5)
-
-    def test_lengths_accessor_copies(self):
-        code = HuffmanCode({"a": 1.0, "b": 1.0})
-        lengths = code.lengths
-        lengths["a"] = 99
-        assert code.lengths["a"] != 99

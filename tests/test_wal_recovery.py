@@ -12,7 +12,7 @@ from repro.engine import EngineConfig, build_store, recover_store
 from repro.engine.kvstore import KVStore
 from repro.filters.policy import BloomFilterPolicy, NoFilterPolicy
 from repro.lsm.config import lazy_leveling
-from repro.lsm.entry import KEY, TOMBSTONE
+from repro.lsm.entry import KEY, SEQNO, TOMBSTONE
 from repro.lsm.wal import (
     WalCorruption,
     WriteAheadLog,
@@ -466,6 +466,36 @@ class TestCrashRecovery:
         # And the recovered filter is exactly consistent with the tree.
         for entry, sublevel in recovered.tree.iter_entries_with_sublevels():
             assert sublevel in recovered.policy.filter.query(entry[KEY])
+
+    def test_recovery_reads_no_block(self, monkeypatch):
+        """Runs reopen and the seqno resumes from the manifests alone:
+        recovery of a committed state touches no block, counted or not."""
+        kv, _, cfg = populated_store(ChuckyPolicy(bits_per_entry=10))
+        kv.flush()
+        state = kv.crash()
+        assert state.filter_blob is not None
+        reads = []
+        for name in ("read_run", "read_block"):
+            real = getattr(state.storage, name)
+
+            def wrapped(*args, _real=real, _name=name):
+                reads.append(_name)
+                return _real(*args)
+
+            monkeypatch.setattr(state.storage, name, wrapped)
+        recovered = KVStore.recover(
+            state, cfg, filter_policy=ChuckyPolicy(bits_per_entry=10)
+        )
+        assert reads == []
+        assert recovered._seqno == kv._seqno
+
+    def test_manifest_carries_each_runs_highest_seqno(self):
+        kv, _, _ = populated_store(NoFilterPolicy())
+        manifest = kv.tree.manifest()
+        assert manifest
+        for m in manifest:
+            entries = kv.tree.storage.read_run(m.run_id)
+            assert m.max_seqno == max(e[SEQNO] for block in entries for e in block)
 
     def test_bloom_recovery_scans_runs(self):
         kv, ref, cfg = populated_store(BloomFilterPolicy(10, "blocked", "optimal"))
