@@ -6,9 +6,9 @@ pipelining, a group-commit writer that coalesces concurrent writes
 into crash-atomic ``put_batch`` calls, admission control that sheds
 overload with BUSY, and a graceful drain that leaves every
 acknowledged write recoverable. This example boots a 4-shard durable
-store in process, talks to it with both clients, shows the
-group-commit coalescing in the WAL accounting, then drains and
-crash-recovers.
+store in process, talks to it with the client (from the event loop
+and from another thread), shows the group-commit coalescing in the WAL
+accounting, then drains and crash-recovers.
 
 Run with::
 
@@ -18,7 +18,7 @@ Run with::
 import asyncio
 
 from repro import EngineConfig, build_store, recover_store
-from repro.server import AsyncClient, ReproServer, ServerConfig, SyncClient
+from repro.server import AsyncClient, ReproServer, ServerConfig
 
 SHARDS = 4
 
@@ -55,16 +55,20 @@ async def main() -> None:
         f"batches, {store.wal_batch_records} WAL batch records"
     )
 
-    # -- the blocking client, from any thread -------------------------
-    def from_a_thread() -> bytes | None:
-        with SyncClient("127.0.0.1", port) as kv:
-            kv.put(9001, "from-a-thread")
-            return kv.get(9001)
+    # -- the same client, from any thread -----------------------------
+    # A thread (or a script) gives the client its own event loop with
+    # asyncio.run; nothing else changes.
+    async def round_trip() -> bytes | None:
+        kv = await AsyncClient.connect("127.0.0.1", port)
+        await kv.put(9001, "from-a-thread")
+        value = await kv.get(9001)
+        await kv.close()
+        return value
 
     value = await asyncio.get_running_loop().run_in_executor(
-        None, from_a_thread
+        None, lambda: asyncio.run(round_trip())
     )
-    print("sync client round-trip ->", value)
+    print("round-trip from another thread ->", value)
 
     # -- STATS over the wire ------------------------------------------
     stats = await client.stats()

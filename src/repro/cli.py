@@ -348,7 +348,7 @@ def _cmd_trace_remote(args) -> int:
     """``repro trace --request/--list``: spans from a live server or a
     loadgen traces artifact, rendered as a causal tree."""
     from repro.obs.context import format_trace_id, parse_trace_id
-    from repro.server.client import SyncClient
+    from repro.server.client import AsyncClient, bounded
 
     wanted = parse_trace_id(args.request) if args.request else 0
     if args.traces:
@@ -367,24 +367,33 @@ def _cmd_trace_remote(args) -> int:
         for root in _span_forest(list(found["spans"])):
             _print_span_tree(root)
         return 0
-    try:
-        with SyncClient(args.host, args.port) as client:
-            summary = client.fetch_trace(0) or {}
+
+    async def fetch() -> tuple[dict, dict | None]:
+        client = await bounded(AsyncClient.connect(args.host, args.port))
+        try:
+            summary = await bounded(client.fetch_trace(0)) or {}
             if args.list or not wanted:
-                if not summary.get("tracing_enabled", False):
-                    print("server tracing is disabled", file=sys.stderr)
-                    return 1
-                _trace_sink_warnings(summary)
-                ids = summary.get("trace_ids", [])
-                print(f"{summary.get('traces', 0)} trace(s) held "
-                      f"(capacity {summary.get('capacity', 0)}):")
-                for trace_id in ids:
-                    print(f"  {format_trace_id(trace_id)}")
-                return 0
-            payload = client.fetch_trace(wanted)
+                return summary, None
+            return summary, await bounded(client.fetch_trace(wanted))
+        finally:
+            await client.close()
+
+    try:
+        summary, payload = asyncio.run(fetch())
     except (ConnectionRefusedError, OSError) as exc:
         print(f"cannot reach {args.host}:{args.port}: {exc}", file=sys.stderr)
         return 1
+    if args.list or not wanted:
+        if not summary.get("tracing_enabled", False):
+            print("server tracing is disabled", file=sys.stderr)
+            return 1
+        _trace_sink_warnings(summary)
+        ids = summary.get("trace_ids", [])
+        print(f"{summary.get('traces', 0)} trace(s) held "
+              f"(capacity {summary.get('capacity', 0)}):")
+        for trace_id in ids:
+            print(f"  {format_trace_id(trace_id)}")
+        return 0
     if payload is None:
         _trace_sink_warnings(summary)
         print(

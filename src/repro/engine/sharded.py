@@ -28,7 +28,6 @@ that shard's data would pay. :class:`ShardedKVStore` is the router:
 from __future__ import annotations
 
 import heapq
-import re
 from dataclasses import dataclass, replace
 from typing import Any, Iterator, Sequence
 
@@ -43,7 +42,7 @@ from repro.engine.kvstore import (
     ReadResult,
 )
 from repro.lsm.wal import check_loggable
-from repro.obs import NULL_OBS, Histogram, Observability
+from repro.obs import NULL_OBS, Counter, Observability, PrefixedRegistry
 from repro.obs.trace import Span
 
 #: Seed decorrelating shard routing from every other hash use in the
@@ -52,8 +51,14 @@ from repro.obs.trace import Span
 SHARD_SEED = 0x53484152  # "SHAR"
 _shard_digest = seeded(SHARD_SEED)
 
-#: Per-shard instrument names produced by ``Observability.child``.
-_SHARD_METRIC = re.compile(r"^shard(\d+)_(.+)$")
+#: Per-shard gauges that are counts, so a store-wide sum means something
+#: (as every counter does); ratios, level counts and coding-plan gauges
+#: have no store-wide sum.
+_ADDITIVE_GAUGES = frozenset({
+    "store_entries", "store_runs", "filter_size_bits", "cache_hits",
+    "cache_misses", "wal_appended_records", "wal_batch_records",
+    "wal_appended_bytes", "wal_size_bytes",
+})
 
 
 def shard_of(key: int | str | bytes, num_shards: int) -> int:
@@ -323,12 +328,13 @@ class ShardedKVStore(CountedWindow):
         return spans[-n:] if n > 0 else []
 
     def _collect_aggregates(self) -> None:
-        """Roll per-shard instruments up into store-wide gauges.
+        """Roll the live shards' instruments up into store-wide gauges.
 
-        Runs after the shard collectors (registration order), so the
-        sampled per-shard gauges are fresh. Counters and gauges named
-        ``shard<i>_<base>`` sum into ``agg_<base>``; histograms are
-        left per-shard (their buckets do not aggregate into a gauge).
+        Walks ``self.shards`` (so a shard a handoff attached under its
+        staging prefix counts, and a detached one does not) through each
+        shard's own registry view. Counters and :data:`_ADDITIVE_GAUGES`
+        sum into ``agg_<base>``; the cache hit ratio and filter bits per
+        entry are recomputed from the sums, as ``collect_metrics`` does.
         """
         registry = self.obs.registry
         # Sampled, not set once: cluster nodes attach and detach shards.
@@ -344,14 +350,25 @@ class ShardedKVStore(CountedWindow):
             "shard_imbalance",
             "max/mean entries per shard (1.0 = perfectly balanced)",
         ).set(imbalance)
-        sums: dict[str, float] = {}
-        for instrument in list(registry.instruments()):
-            if isinstance(instrument, Histogram):
-                continue
-            match = _SHARD_METRIC.match(instrument.name)
-            if match is None:
-                continue
-            base = match.group(2)
-            sums[base] = sums.get(base, 0.0) + instrument.value
+        # A sum no live shard feeds any more reads 0, not its last value.
+        sums = {
+            i.name[4:]: 0.0
+            for i in registry.instruments() if i.name.startswith("agg_")
+        }
+        stored = 0
+        for shard in self.shards:
+            view = shard.obs.registry
+            if isinstance(view, PrefixedRegistry):
+                shard._collect_gauges()  # fresh even if attached after us
+                stored += shard.tree.num_entries
+                for inst in view.instruments():
+                    base = inst.name[len(view.prefix):]
+                    if isinstance(inst, Counter) or base in _ADDITIVE_GAUGES:
+                        sums[base] = sums.get(base, 0.0) + inst.value
+        hits = sums.get("cache_hits", 0.0)
+        lookups = hits + sums.get("cache_misses", 0.0)
+        sums["cache_hit_ratio"] = hits / lookups if lookups else 0.0
+        bits = sums.get("filter_size_bits", 0.0)
+        sums["filter_bits_per_entry"] = bits / stored if stored else 0.0
         for base, total in sums.items():
-            registry.gauge(f"agg_{base}", f"sum of per-shard {base}").set(total)
+            registry.gauge(f"agg_{base}", f"store-wide {base}").set(total)

@@ -22,6 +22,7 @@ I/O anywhere.
 
 from __future__ import annotations
 
+import asyncio
 import time
 from collections import deque
 from typing import Any, Callable, Sequence
@@ -202,10 +203,18 @@ def run_dash(
 
     ``iterations=0`` runs until Ctrl-C; ``once`` prints a single frame
     with no screen clearing (the CI smoke mode; a counter row needs two
-    polls, so it shows gauges and latencies only). Import of the client
-    is deferred so the pure renderer stays dependency-free.
+    polls, so it shows gauges and latencies only). A poll is one
+    connection and one STATS call, each :func:`bounded`. Import of the
+    client is deferred so the pure renderer stays dependency-free.
     """
-    from repro.server.client import SyncClient
+    from repro.server.client import AsyncClient, bounded
+
+    async def poll() -> Poll:
+        client = await bounded(AsyncClient.connect(host, port))
+        try:
+            return time.monotonic(), await bounded(client.stats())
+        finally:
+            await client.close()
 
     if once:
         iterations = 1
@@ -213,8 +222,7 @@ def run_dash(
     frame = 0
     try:
         while True:
-            with SyncClient(host, port) as client:
-                polls.append((time.monotonic(), client.stats()))
+            polls.append(asyncio.run(poll()))
             text = render_dashboard(polls)
             if once:
                 out(text)

@@ -19,7 +19,6 @@ from repro.server.client import (
     ServerBusy,
     ServerError,
     ServerShuttingDown,
-    SyncClient,
 )
 from repro.server.group_commit import GroupCommitWriter
 from repro.server.loadgen import LoadgenConfig, ServerTarget, run_loadgen
@@ -57,7 +56,6 @@ __all__ = [
     "ServerShuttingDown",
     "ServerTarget",
     "Status",
-    "SyncClient",
     "decode_request",
     "decode_response",
     "encode_request",

@@ -1,17 +1,14 @@
-"""Client libraries for the serving layer.
+"""The client library for the serving layer.
 
-Two clients over the same wire protocol:
+:class:`AsyncClient` is asyncio and pipelined: many requests may be in
+flight on one connection. The client is the connection's
+:class:`asyncio.Protocol`: the callback that reads a response resolves
+its waiter by request id, with no task in between. The load generator,
+the cluster, the CLI's remote readers (``repro dash``, ``repro trace
+--list/--request``) and the server's own tests all use it; a script or
+a thread drives it under :func:`asyncio.run`.
 
-* :class:`AsyncClient` — asyncio, pipelined: many requests may be in
-  flight on one connection. The client is the connection's
-  :class:`asyncio.Protocol`: the callback that reads a response
-  resolves its waiter by request id, with no task in between. This is
-  what the load generator, the cluster and the server's own tests use.
-* :class:`SyncClient` — plain blocking sockets, strictly one request
-  at a time. Zero asyncio in sight, so scripts, REPL sessions and
-  examples can talk to a server with no ceremony.
-
-Both raise :class:`ServerBusy` when admission control sheds a request
+It raises :class:`ServerBusy` when admission control sheds a request
 (safe to retry — a shed request was never applied),
 :class:`ServerShuttingDown` during a drain, and :class:`ServerError`
 for a server-side failure.
@@ -34,11 +31,10 @@ from __future__ import annotations
 import asyncio
 import itertools
 import json
-import socket
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any, Awaitable, Iterable
 
 from repro.common.errors import ReproError
 from repro.obs.context import HeadSampler, new_span_id, new_trace_id
@@ -56,6 +52,10 @@ from repro.server.protocol import (
     encode_request,
     frame,
 )
+
+#: Bound, in seconds, on each connect and call of ``repro dash`` and
+#: ``repro trace --list/--request`` (see :func:`bounded`).
+CALL_TIMEOUT_S = 10.0
 
 
 class ServerBusy(ReproError):
@@ -97,6 +97,16 @@ class ClientTraceConfig:
             raise ValueError(f"log_spans must be >= 1, got {self.log_spans}")
 
 
+async def bounded(awaitable: Awaitable[Any]) -> Any:
+    """``await awaitable``, or :class:`TimeoutError` (an ``OSError``, like
+    a refused connect) after :data:`CALL_TIMEOUT_S`: a server that
+    accepts but never answers does not hang the caller."""
+    try:
+        return await asyncio.wait_for(awaitable, CALL_TIMEOUT_S)
+    except asyncio.TimeoutError:
+        raise TimeoutError(f"no answer within {CALL_TIMEOUT_S:g} s") from None
+
+
 def _encode_value(value: bytes | str) -> bytes:
     return value if isinstance(value, bytes) else value.encode("utf-8")
 
@@ -111,10 +121,20 @@ def _check(resp: Response) -> Response:
     return resp
 
 
-class _TraceMixin:
-    """The sampling + span-log half both clients share."""
+class AsyncClient(asyncio.Protocol):
+    """Pipelined asyncio client, one protocol per connection. Create
+    with :meth:`connect`."""
 
-    def _init_trace(self, trace: ClientTraceConfig | None) -> None:
+    def __init__(self, trace: ClientTraceConfig | None = None) -> None:
+        self._transport: asyncio.Transport | None = None
+        self._assembler = FrameAssembler()
+        self._ids = itertools.count(1)
+        self._waiters: dict[int, asyncio.Future] = {}
+        self._closed = False
+        #: Set while the transport's write buffer is over its high-water
+        #: mark; requests wait on it before awaiting their response.
+        self._resumed: asyncio.Future | None = None
+        self._lost = asyncio.get_running_loop().create_future()
         self._trace = trace
         if trace is not None:
             self._sampler = HeadSampler(trace.sample_every)
@@ -126,33 +146,27 @@ class _TraceMixin:
             self.sampled_trace_ids = deque(maxlen=1)
         self.slow_upgrades = 0
 
+    @classmethod
+    async def connect(
+        cls, host: str, port: int, trace: ClientTraceConfig | None = None
+    ) -> "AsyncClient":
+        _, client = await asyncio.get_running_loop().create_connection(
+            lambda: cls(trace), host, port
+        )
+        return client
+
+    # -- tracing --------------------------------------------------------
+
     @property
     def traces_sampled(self) -> int:
         return self._sampler.sampled if self._sampler is not None else 0
 
-    def _begin(
-        self, req: Request
-    ) -> tuple[Request, tuple[int, int, int] | None]:
-        """Sampling decision + wall-clock start for one typed call."""
-        if self._trace is None:
-            return req, None
-        start = time.perf_counter_ns()
-        if self._sampler.decide():
-            trace_id = new_trace_id()
-            span_id = new_span_id()
-            req = req._replace(trace_id=trace_id, parent_span_id=span_id)
-            return req, (trace_id, span_id, start)
-        return req, (0, 0, start)
-
-    def _end(
-        self,
-        req: Request,
-        pending: tuple[int, int, int] | None,
+    def _record_span(
+        self, req: Request, trace_id: int, span_id: int, start: int,
         status: Status | None,
     ) -> None:
-        if pending is None:
-            return
-        trace_id, span_id, start = pending
+        """Record a typed call's client root span: a sampled call, or an
+        unsampled one slower than ``slow_us``."""
         wall_ns = float(time.perf_counter_ns() - start)
         cfg = self._trace
         slow = False
@@ -185,32 +199,6 @@ class _TraceMixin:
     def client_spans(self) -> list[Span]:
         """Recorded client-side root spans, oldest first."""
         return list(self.trace_log)
-
-
-class AsyncClient(_TraceMixin, asyncio.Protocol):
-    """Pipelined asyncio client, one protocol per connection. Create
-    with :meth:`connect`."""
-
-    def __init__(self, trace: ClientTraceConfig | None = None) -> None:
-        self._transport: asyncio.Transport | None = None
-        self._assembler = FrameAssembler()
-        self._ids = itertools.count(1)
-        self._waiters: dict[int, asyncio.Future] = {}
-        self._closed = False
-        #: Set while the transport's write buffer is over its high-water
-        #: mark; requests wait on it before awaiting their response.
-        self._resumed: asyncio.Future | None = None
-        self._lost = asyncio.get_running_loop().create_future()
-        self._init_trace(trace)
-
-    @classmethod
-    async def connect(
-        cls, host: str, port: int, trace: ClientTraceConfig | None = None
-    ) -> "AsyncClient":
-        _, client = await asyncio.get_running_loop().create_connection(
-            lambda: cls(trace), host, port
-        )
-        return client
 
     # -- protocol callbacks ---------------------------------------------
 
@@ -290,13 +278,19 @@ class AsyncClient(_TraceMixin, asyncio.Protocol):
 
     async def _call(self, req: Request) -> Response:
         """One typed round-trip: sampling, span recording, status check."""
-        req, pending = self._begin(req)
+        if self._trace is None:
+            return _check(await self.request(req))
+        start = time.perf_counter_ns()
+        trace_id = span_id = 0
+        if self._sampler.decide():
+            trace_id, span_id = new_trace_id(), new_span_id()
+            req = req._replace(trace_id=trace_id, parent_span_id=span_id)
         try:
             resp = await self.request(req)
         except Exception:
-            self._end(req, pending, None)
+            self._record_span(req, trace_id, span_id, start, None)
             raise
-        self._end(req, pending, resp.status)
+        self._record_span(req, trace_id, span_id, start, resp.status)
         return _check(resp)
 
     def _rid(self) -> int:
@@ -367,108 +361,3 @@ class AsyncClient(_TraceMixin, asyncio.Protocol):
         if self._transport is not None:
             self._transport.close()
         await self._lost
-
-
-class SyncClient(_TraceMixin):
-    """Blocking-socket client: one request, one response, in order."""
-
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        timeout: float | None = 10.0,
-        trace: ClientTraceConfig | None = None,
-    ) -> None:
-        self._sock = socket.create_connection((host, port), timeout=timeout)
-        self._assembler = FrameAssembler()
-        self._frames: list[bytes] = []
-        self._ids = itertools.count(1)
-        self._init_trace(trace)
-
-    def _exchange(self, req: Request) -> Response:
-        self._sock.sendall(frame(encode_request(req)))
-        while not self._frames:
-            chunk = self._sock.recv(65536)
-            if not chunk:
-                raise ConnectionResetError("server closed the connection")
-            self._frames.extend(self._assembler.feed(chunk))
-        payload = self._frames.pop(0)
-        resp = decode_response(payload)
-        if resp.request_id != req.request_id:
-            raise ProtocolError(
-                f"response id {resp.request_id} != request id {req.request_id}"
-            )
-        return resp
-
-    def _roundtrip(self, req: Request) -> Response:
-        req, pending = self._begin(req)
-        try:
-            resp = self._exchange(req)
-        except Exception:
-            self._end(req, pending, None)
-            raise
-        self._end(req, pending, resp.status)
-        return _check(resp)
-
-    def _rid(self) -> int:
-        return next(self._ids)
-
-    def ping(self) -> None:
-        self._roundtrip(Request(self._rid(), Op.PING))
-
-    def get(self, key: int) -> bytes | None:
-        resp = self._roundtrip(Request(self._rid(), Op.GET, key=key))
-        return None if resp.status is Status.NOT_FOUND else resp.value
-
-    def put(self, key: int, value: bytes | str) -> None:
-        self._roundtrip(
-            Request(self._rid(), Op.PUT, key=key, value=_encode_value(value))
-        )
-
-    def delete(self, key: int) -> None:
-        self._roundtrip(Request(self._rid(), Op.DELETE, key=key))
-
-    def put_batch(self, items: Iterable[tuple[int, bytes | str | None]]) -> int:
-        wire_items = tuple(
-            (KIND_DELETE, key, b"")
-            if value is None
-            else (KIND_PUT, key, _encode_value(value))
-            for key, value in items
-        )
-        resp = self._roundtrip(Request(self._rid(), Op.BATCH, items=wire_items))
-        return resp.count
-
-    def scan(self, lo: int, hi: int, limit: int = 0) -> list[tuple[int, bytes]]:
-        resp = self._roundtrip(
-            Request(self._rid(), Op.SCAN, lo=lo, hi=hi, limit=limit)
-        )
-        return list(resp.pairs)
-
-    def stats(self) -> dict[str, Any]:
-        resp = self._roundtrip(Request(self._rid(), Op.STATS))
-        return json.loads(resp.value.decode("utf-8"))
-
-    def fetch_trace(self, trace_id: int = 0) -> dict[str, Any] | None:
-        """The server's spans for one trace id (None if unknown);
-        ``trace_id=0`` returns the sink summary. Never sampled."""
-        resp = _check(
-            self._exchange(Request(self._rid(), Op.TRACE, key=trace_id))
-        )
-        if resp.status is Status.NOT_FOUND:
-            return None
-        return json.loads(resp.value.decode("utf-8"))
-
-    def shutdown(self) -> None:
-        self._roundtrip(Request(self._rid(), Op.SHUTDOWN))
-
-    def close(self) -> None:
-        try:
-            self._sock.close()
-        except OSError:
-            pass
-
-    def __enter__(self) -> "SyncClient":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

@@ -143,11 +143,12 @@ class TestServeLoadgen:
     def test_serve_then_loadgen_end_to_end(self, tmp_path, capsys):
         """`repro serve` in a thread, `repro loadgen` against it: zero
         errors and a well-formed BENCH_serve.json artifact."""
+        import asyncio
         import socket
         import threading
         import time
 
-        from repro.server import SyncClient
+        from repro.server import AsyncClient
 
         with socket.socket() as probe:
             probe.bind(("127.0.0.1", 0))
@@ -189,14 +190,18 @@ class TestServeLoadgen:
         assert summary["latency_us"]["all"]["p99_us"] >= \
             summary["latency_us"]["all"]["p50_us"]
 
-        with SyncClient("127.0.0.1", port) as client:
+        async def check_and_shut_down():
+            client = await AsyncClient.connect("127.0.0.1", port)
             # The loadgen sampled nothing: a served store keeps no
             # untraced spans, so there is no ring churn to report as
             # lost spans, and no trace.
-            tracing = client.stats()["tracing"]
+            tracing = (await client.stats())["tracing"]
             assert tracing["spans_dropped_total"] == 0
             assert tracing["traces"] == 0
-            client.shutdown()
+            await client.shutdown()
+            await client.close()
+
+        asyncio.run(check_and_shut_down())
         server_thread.join(timeout=10)
         assert not server_thread.is_alive()
 
@@ -205,11 +210,12 @@ class TestServeLoadgen:
         has three levels, negative GETs over the wire make the polling
         task migrate the live store to chucky; reads stay correct and
         the drain line counts the one applied action."""
+        import asyncio
         import socket
         import threading
         import time
 
-        from repro.server import SyncClient
+        from repro.server import AsyncClient
 
         with socket.socket() as probe:
             probe.bind(("127.0.0.1", 0))
@@ -234,26 +240,76 @@ class TestServeLoadgen:
                     raise
                 time.sleep(0.05)
 
-        printed = ""
-        with SyncClient("127.0.0.1", port) as client:
+        async def drive() -> str:
+            printed = ""
+            client = await AsyncClient.connect("127.0.0.1", port)
             for k in range(300):
-                client.put(k, f"v{k}")
+                await client.put(k, f"v{k}")
             deadline = time.monotonic() + 30
             negative = 1 << 40
             while "tuning applied migrate-filter" not in printed:
                 assert time.monotonic() < deadline, printed
                 for _ in range(64):
-                    assert client.get(negative) is None
+                    assert await client.get(negative) is None
                     negative += 1
                 printed += capsys.readouterr().out
             for k in range(300):
-                assert client.get(k) == f"v{k}".encode()
-            assert client.get(negative) is None
-            client.shutdown()
+                assert await client.get(k) == f"v{k}".encode()
+            assert await client.get(negative) is None
+            await client.shutdown()
+            await client.close()
+            return printed
+
+        printed = asyncio.run(drive())
         server_thread.join(timeout=10)
         assert not server_thread.is_alive()
         printed += capsys.readouterr().out
         assert "applied 1 actions (effective policy chucky)" in printed
+
+
+class TestRemoteReadersUnreachable:
+    """``repro dash`` and ``repro trace --list`` against a port where no
+    server answers: exit 1 with ``cannot reach``, never a hang."""
+
+    @staticmethod
+    def free_port():
+        import socket
+
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            return probe.getsockname()[1]
+
+    READERS = [["dash", "--once"], ["trace", "--list"]]
+
+    @pytest.mark.parametrize("argv", READERS, ids=["dash", "trace"])
+    def test_nothing_listening(self, argv, capsys):
+        port = self.free_port()
+        assert main(argv + ["--port", str(port)]) == 1
+        captured = capsys.readouterr()
+        assert f"cannot reach 127.0.0.1:{port}" in captured.err
+        assert captured.out == ""
+
+    def test_listener_that_never_answers(self, monkeypatch, capsys):
+        """The kernel completes the handshake from the listen backlog,
+        so the connect succeeds and only the call's bound ends it."""
+        import socket
+        import time
+
+        import repro.server.client
+
+        monkeypatch.setattr(repro.server.client, "CALL_TIMEOUT_S", 0.2)
+        with socket.socket() as silent:
+            silent.bind(("127.0.0.1", 0))
+            silent.listen(8)
+            port = silent.getsockname()[1]
+            for argv in self.READERS:
+                start = time.monotonic()
+                assert main(argv + ["--port", str(port)]) == 1
+                assert time.monotonic() - start < 5
+                captured = capsys.readouterr()
+                assert f"cannot reach 127.0.0.1:{port}" in captured.err
+                assert "no answer within 0.2 s" in captured.err
+                assert captured.out == ""
 
 
 class TestModeFlags:

@@ -129,7 +129,7 @@ def live_port():
     over the wire afterwards."""
     from repro.engine import EngineConfig, build_store
     from repro.obs import Observability
-    from repro.server import ReproServer, SyncClient
+    from repro.server import AsyncClient, ReproServer
 
     ports: queue.Queue = queue.Queue()
 
@@ -150,8 +150,13 @@ def live_port():
     thread.start()
     port = ports.get(timeout=10)
     yield port
-    with SyncClient("127.0.0.1", port) as client:
-        client.shutdown()
+
+    async def shutdown():
+        client = await AsyncClient.connect("127.0.0.1", port)
+        await client.shutdown()
+        await client.close()
+
+    asyncio.run(shutdown())
     thread.join(timeout=10)
 
 

@@ -27,7 +27,6 @@ from repro.server import (
     ServerConfig,
     ServerError,
     Status,
-    SyncClient,
 )
 from repro.server.protocol import (
     HANDOFF_BEGIN,
@@ -182,10 +181,11 @@ class TestBasicOps:
         asyncio.run(main())
 
 
-class TestSyncClient:
-    def test_blocking_client_over_real_socket(self):
-        """SyncClient lives in the main thread; the server loop runs in
-        a worker thread — the shape scripts and examples use."""
+class TestMainThreadClient:
+    def test_asyncio_run_client_over_real_socket(self):
+        """The client runs under ``asyncio.run`` in the main thread; the
+        server loop runs in a worker thread — the shape scripts and
+        examples use."""
         ports: queue.Queue = queue.Queue()
 
         def serve():
@@ -199,19 +199,24 @@ class TestSyncClient:
         thread = threading.Thread(target=serve, daemon=True)
         thread.start()
         port = ports.get(timeout=10)
-        with SyncClient(HOST, port) as client:
-            client.ping()
-            client.put(7, "seven")
-            assert client.get(7) == b"seven"
-            assert client.get(8) is None
-            client.put_batch([(8, "eight"), (9, "nine")])
-            assert client.scan(7, 9) == [
+
+        async def session():
+            client = await AsyncClient.connect(HOST, port)
+            await client.ping()
+            await client.put(7, "seven")
+            assert await client.get(7) == b"seven"
+            assert await client.get(8) is None
+            await client.put_batch([(8, "eight"), (9, "nine")])
+            assert await client.scan(7, 9) == [
                 (7, b"seven"), (8, b"eight"), (9, b"nine")
             ]
-            client.delete(8)
-            assert client.get(8) is None
-            assert client.stats()["server"]["errors"] == 0
-            client.shutdown()
+            await client.delete(8)
+            assert await client.get(8) is None
+            assert (await client.stats())["server"]["errors"] == 0
+            await client.shutdown()
+            await client.close()
+
+        asyncio.run(session())
         thread.join(timeout=10)
         assert not thread.is_alive()
 

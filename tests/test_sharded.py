@@ -371,6 +371,65 @@ class TestShardedObservability:
         assert "shard_entries_max" in gauges
         assert "shard_entries_mean" in gauges
 
+    def test_rollup_sums_counts_and_recomputes_ratios(self):
+        """Per-shard ratios are not summed: the store-wide cache hit
+        ratio and filter bits per entry come from the summed counts,
+        and a level count is not rolled up at all."""
+        obs = Observability()
+        sharded = build_store(
+            small_config(buffer_entries=64, cache_blocks=64),
+            observability=obs,
+        )
+        for key in range(4000):
+            sharded.put(key, f"v{key}")
+        for key in range(4000):
+            sharded.get(key)
+        gauges = registry_to_dict(obs.registry)["gauges"]
+        hits = sum(s.tree.cache.hits for s in sharded.shards)
+        misses = sum(s.tree.cache.misses for s in sharded.shards)
+        assert hits > 0 and misses > 0
+        assert gauges["agg_cache_hits"] == hits
+        assert gauges["agg_cache_misses"] == misses
+        assert 0.0 <= gauges["agg_cache_hit_ratio"] <= 1.0
+        assert gauges["agg_cache_hit_ratio"] == hits / (hits + misses)
+        bits = sum(s.policy.size_bits for s in sharded.shards)
+        stored = sum(s.tree.num_entries for s in sharded.shards)
+        assert gauges["agg_filter_size_bits"] == bits
+        assert gauges["agg_filter_bits_per_entry"] == bits / stored
+        assert gauges["agg_store_entries"] == 4000
+        assert "agg_store_levels" not in gauges
+        assert not any(
+            name.startswith("agg_chucky_codebook_") for name in gauges
+        )
+
+    def test_rollup_follows_a_handoff(self):
+        """A shard attached under a staging prefix counts and a detached
+        one does not — the roll-up walks the live shards, not names."""
+        from repro.cluster.store import ShardSubsetStore
+        from repro.engine import build_shard
+
+        config = small_config(shards=1, durable=True)
+        obs = Observability()
+        store = ShardSubsetStore(
+            {i: build_shard(config, obs, f"shard{i}_") for i in (0, 2, 3)},
+            num_global=SHARDS,
+            observability=obs,
+        )
+        store.add_shard(1, build_shard(config, obs, "staging1_"))
+        store.remove_shard(0)
+        hosted = [k for k in range(1000) if shard_of(k, SHARDS) != 0][:101]
+        for key in hosted:
+            store.put(key, f"v{key}")
+        gauges = registry_to_dict(obs.registry)["gauges"]
+        assert store.num_entries == 101
+        assert gauges["agg_store_entries"] == 101
+        assert gauges["agg_kv_writes_total"] == 101
+        for shard_id in store.shard_ids:
+            store.remove_shard(shard_id)
+        gauges = registry_to_dict(obs.registry)["gauges"]
+        assert gauges["agg_store_entries"] == 0
+        assert gauges["agg_kv_writes_total"] == 0
+
     def test_spans_carry_shard_index(self):
         obs = Observability()
         sharded = build_store(small_config(shards=2), observability=obs)
