@@ -348,15 +348,17 @@ class ClusterNode:
         phase = request.phase
         shard_id = request.shard
         if phase == HANDOFF_BEGIN:
+            self._drop_staging(shard_id)
             self.staging[shard_id] = {
                 "store": build_shard(
-                    self.engine_config, self.obs, f"staging{shard_id}_"
+                    self.engine_config, self.obs,
+                    self._staging_prefix(shard_id),
                 ),
                 "applied": 0,
             }
             return Response(rid, op, Status.OK, count=0)
         if phase == HANDOFF_ABORT:
-            self.staging.pop(shard_id, None)
+            self._drop_staging(shard_id)
             return Response(rid, op, Status.OK, count=0)
         new_map = None
         if phase in (HANDOFF_COMMIT, HANDOFF_PROMOTE):
@@ -392,8 +394,8 @@ class ClusterNode:
         if phase == HANDOFF_TAIL_DONE:
             return Response(rid, op, Status.OK, count=stage["applied"])
         # HANDOFF_COMMIT
-        self.staging.pop(shard_id, None)
         if stage is not None and new_map.leader_of(shard_id) == self.name:
+            del self.staging[shard_id]
             # Build-then-swap lands: the caught-up staging store
             # becomes the live shard in one swap. If this node was
             # already following the shard, its follower copy is
@@ -402,11 +404,31 @@ class ClusterNode:
             if self.store.owns(shard_id):
                 self.store.remove_shard(shard_id)
             self.store.add_shard(shard_id, stage["store"])
+        else:
+            self._drop_staging(shard_id)
         self.adopt_map(new_map)
         return Response(
             rid, op, Status.OK,
             count=stage["applied"] if stage is not None else 0,
         )
+
+    def _staging_prefix(self, shard_id: int) -> str:
+        """Instrument prefix of a new staging store: ``staging<i>_``,
+        unless the shard's hosted copy already records under it (it came
+        by an earlier handoff), then ``shard<i>_``. At most two stores of
+        a shard live on a node, and sharing instruments would mix their
+        metrics and let the first one released take the other's away."""
+        prefix = f"staging{shard_id}_"
+        hosted = self.store.local.get(shard_id)
+        in_use = getattr(hosted.obs.registry, "prefix", None) if hosted else None
+        return f"shard{shard_id}_" if in_use == prefix else prefix
+
+    def _drop_staging(self, shard_id: int) -> None:
+        """Abandon the shard's staging store, if any, releasing its
+        instruments from the node's observability."""
+        stage = self.staging.pop(shard_id, None)
+        if stage is not None:
+            stage["store"].obs.release()
 
     async def handle_handoff_start(self, request: Request) -> Response:
         """The operator trigger (HANDOFF_START): run a full handoff of

@@ -75,13 +75,16 @@ class ShardSubsetStore(ShardedKVStore):
 
     def remove_shard(self, shard_id: int) -> KVStore:
         """Detach a hosted shard (after a handoff committed elsewhere)
-        and return its store, its WAL no longer feeding replication."""
+        and return its store, its WAL no longer feeding replication and
+        its instruments no longer exported by the node
+        (:meth:`~repro.obs.Observability.release`)."""
         store = self.local.pop(shard_id, None)
         if store is None:
             raise ValueError(f"shard {shard_id} is not hosted here")
         self.shards = [self.local[i] for i in sorted(self.local)]
         if store.wal is not None:
             store.wal.record_sink = None
+        store.obs.release()
         return store
 
     @property

@@ -16,7 +16,6 @@ from repro.lsm.config import (
     tiering,
 )
 from repro.lsm.entry import Entry, TOMBSTONE
-from repro.lsm.fence import FencePointers
 from repro.lsm.memtable import Memtable
 from repro.lsm.run import Run
 from repro.lsm.storage import StorageDevice
@@ -34,7 +33,6 @@ __all__ = [
     "BUFFER_ORIGIN",
     "BlockCache",
     "Entry",
-    "FencePointers",
     "FlushEvent",
     "LSMConfig",
     "LSMTree",

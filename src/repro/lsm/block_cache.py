@@ -10,16 +10,19 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-from repro.lsm.storage import Block
+from repro.common.counters import MemoryIOCounter
+from repro.lsm.storage import Block, StorageDevice
 
 
 class BlockCache:
     """Fixed-capacity LRU cache keyed by (run_id, block_index).
 
-    A per-run index of cached block numbers makes
-    :meth:`invalidate_run` O(blocks of that run) instead of a scan of
-    the whole cache — compaction-heavy workloads delete runs
-    constantly, and each deletion used to pay O(capacity).
+    :meth:`get` is the one block fetch of a read: a hit is served from
+    memory, a miss loads the block through the storage device and caches
+    it. :meth:`invalidate_run` takes the run's block count and pops its
+    keys, so it costs O(blocks of that run) without a per-run index —
+    compaction-heavy workloads delete runs constantly, and a scan of the
+    whole cache would pay O(capacity) per deletion.
     """
 
     def __init__(self, capacity_blocks: int) -> None:
@@ -27,8 +30,6 @@ class BlockCache:
             raise ValueError(f"capacity must be >= 0, got {capacity_blocks}")
         self._capacity = capacity_blocks
         self._blocks: OrderedDict[tuple[int, int], Block] = OrderedDict()
-        #: run_id -> block indexes currently cached for that run.
-        self._by_run: dict[int, set[int]] = {}
         self.hits = 0
         self.misses = 0
 
@@ -45,51 +46,43 @@ class BlockCache:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
-    def cached_blocks_of(self, run_id: int) -> set[int]:
-        """Block indexes currently cached for ``run_id`` (a copy)."""
-        return set(self._by_run.get(run_id, ()))
-
-    def get(self, run_id: int, index: int) -> Block | None:
+    def get(
+        self,
+        run_id: int,
+        index: int,
+        storage: StorageDevice,
+        memory_ios: MemoryIOCounter,
+    ) -> Block:
+        """Block ``index`` of run ``run_id``. A hit costs one memory I/O
+        (category ``cache``) and makes the block most recently used; a
+        miss reads it from ``storage`` (one counted storage I/O) and
+        caches it, evicting the least recently used block when full."""
         key = (run_id, index)
-        block = self._blocks.get(key)
-        if block is None:
-            self.misses += 1
-            return None
-        self._blocks.move_to_end(key)
-        self.hits += 1
+        blocks = self._blocks
+        block = blocks.get(key)
+        if block is not None:
+            blocks.move_to_end(key)
+            self.hits += 1
+            memory_ios.add("cache")
+            return block
+        self.misses += 1
+        block = storage.read_block(run_id, index)
+        if self._capacity:
+            # A fresh key lands at the most recently used end.
+            blocks[key] = block
+            if len(blocks) > self._capacity:
+                blocks.popitem(last=False)
         return block
 
-    def put(self, run_id: int, index: int, block: Block) -> None:
-        if self._capacity == 0:
-            return
-        key = (run_id, index)
-        self._blocks[key] = block
-        self._blocks.move_to_end(key)
-        self._by_run.setdefault(run_id, set()).add(index)
-        while len(self._blocks) > self._capacity:
-            evicted, _ = self._blocks.popitem(last=False)
-            self._forget(evicted)
-
-    def _forget(self, key: tuple[int, int]) -> None:
-        """Drop ``key`` from the per-run index."""
-        indexes = self._by_run.get(key[0])
-        if indexes is not None:
-            indexes.discard(key[1])
-            if not indexes:
-                del self._by_run[key[0]]
-
-    def invalidate_run(self, run_id: int) -> None:
-        """Drop all cached blocks of a run (called when compaction deletes
-        the run). Touches only that run's entries; hit/miss counters are
-        unaffected."""
-        indexes = self._by_run.pop(run_id, None)
-        if indexes is None:
-            return
-        for index in indexes:
-            del self._blocks[(run_id, index)]
+    def invalidate_run(self, run_id: int, num_blocks: int) -> None:
+        """Drop all cached blocks of a run of ``num_blocks`` blocks
+        (called when compaction deletes the run). Touches only that
+        run's keys; hit/miss counters are unaffected."""
+        pop = self._blocks.pop
+        for index in range(num_blocks):
+            pop((run_id, index), None)
 
     def clear(self) -> None:
         self._blocks.clear()
-        self._by_run.clear()
         self.hits = 0
         self.misses = 0

@@ -1,12 +1,19 @@
 """Immutable sorted runs.
 
 A run is one sorted chunk of key-value entries living at one sub-level,
-split into fixed-size blocks in storage, with fence pointers in memory.
+split into fixed-size blocks in storage, with fence pointers in memory:
+the minimum key of every block plus the run's maximum key (paper
+section 2). A point query binary-searches the fences to the one block
+that may hold its key and fetches that block with a single storage I/O.
+The search costs ~log2(#blocks) memory I/Os, which we count — the
+component the paper names "the next memory I/O bottleneck once Chucky is
+applied" (section 6, Learned Fence Pointers) and the growing cost in
+Figure 14 H.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from itertools import chain, islice
 from operator import itemgetter, lt
 from typing import Iterator
@@ -14,7 +21,6 @@ from typing import Iterator
 from repro.common.counters import MemoryIOCounter
 from repro.lsm.block_cache import BlockCache
 from repro.lsm.entry import KEY, SEQNO, Entry
-from repro.lsm.fence import FencePointers
 from repro.lsm.storage import Block, StorageDevice
 
 _key_of = itemgetter(KEY)
@@ -28,13 +34,25 @@ class Run:
         self,
         run_id: int,
         storage: StorageDevice,
-        fences: FencePointers,
+        block_min_keys: list[int],
+        max_key: int,
         num_entries: int,
         max_seqno: int,
     ) -> None:
+        if not block_min_keys:
+            raise ValueError("a run must have at least one block")
+        if sorted(block_min_keys) != block_min_keys:
+            raise ValueError("block min keys must be sorted")
         self.run_id = run_id
         self._storage = storage
-        self.fences = fences
+        #: Fence pointers: the minimum key of every block.
+        self._mins = block_min_keys
+        self.min_key = block_min_keys[0]
+        self.max_key = max_key
+        self.num_blocks = len(block_min_keys)
+        #: Memory I/Os of one fence search, ceil(log2(#blocks + 1)):
+        #: the paper's ~log(N) search cost, fixed for an immutable run.
+        self._fence_ios = max(1, self.num_blocks.bit_length())
         self.num_entries = num_entries
         #: Highest sequence number among the run's entries, kept with its
         #: metadata so recovery resumes the seqno without reading a block.
@@ -59,14 +77,15 @@ class Run:
             for i in range(0, len(entries), block_entries)
         ]
         run_id = storage.write_run(blocks)
-        fences = FencePointers([b[0][KEY] for b in blocks], entries[-1][KEY])
         return cls(
-            run_id, storage, fences, len(entries), max(map(_seqno_of, entries))
+            run_id, storage, keys[::block_entries], keys[-1], len(entries),
+            max(map(_seqno_of, entries)),
         )
 
     @property
-    def num_blocks(self) -> int:
-        return self.fences.num_blocks
+    def block_min_keys(self) -> tuple[int, ...]:
+        """Per-block minimum keys (persisted in run manifests)."""
+        return tuple(self._mins)
 
     def get(
         self,
@@ -76,14 +95,21 @@ class Run:
     ) -> Entry | None:
         """Point lookup: fence search, then one (possibly cached) block.
 
-        Returns the entry if present in this run, else None. A block-
-        cache hit costs one memory I/O (category ``cache``); a miss costs
-        one storage read and populates the cache.
+        Returns the entry if present in this run, else None. A key
+        outside ``[min_key, max_key]`` is free (the range sits with the
+        run's metadata); otherwise the fence search charges its memory
+        I/Os in category ``fence``, and the block fetch costs one memory
+        I/O (category ``cache``) on a block-cache hit or one storage
+        read on a miss.
         """
-        index = self.fences.locate(key, memory_ios)
-        if index is None:
+        if not self.min_key <= key <= self.max_key:
             return None
-        block = self._fetch_block(index, memory_ios, cache)
+        memory_ios.add("fence", self._fence_ios)
+        index = bisect_right(self._mins, key) - 1
+        if cache is None:
+            block = self._storage.read_block(self.run_id, index)
+        else:
+            block = cache.get(self.run_id, index, self._storage, memory_ios)
         # Binary search within the block is intra-cache-line work once the
         # block is resident; the block fetch itself carried the I/O cost.
         # The 1-tuple ``(key,)`` sorts before every version of ``key``,
@@ -100,9 +126,17 @@ class Run:
         memory_ios: MemoryIOCounter,
         cache: BlockCache | None = None,
     ) -> Iterator[Entry]:
-        """Yield entries with lo <= key <= hi in key order."""
-        for index in self.fences.block_range(lo, hi):
-            block = self._fetch_block(index, memory_ios, cache)
+        """Yield entries with lo <= key <= hi in key order, fetching each
+        overlapping block the way :meth:`get` does (no fence charge)."""
+        if hi < self.min_key or lo > self.max_key:
+            return
+        mins = self._mins
+        first = max(0, bisect_right(mins, lo) - 1)
+        for index in range(first, bisect_right(mins, hi)):
+            if cache is None:
+                block = self._storage.read_block(self.run_id, index)
+            else:
+                block = cache.get(self.run_id, index, self._storage, memory_ios)
             for entry in block:
                 if entry[KEY] > hi:
                     return
@@ -117,18 +151,5 @@ class Run:
     def drop(self, cache: BlockCache | None = None) -> None:
         """Delete the run from storage and invalidate cached blocks."""
         if cache is not None:
-            cache.invalidate_run(self.run_id)
+            cache.invalidate_run(self.run_id, self.num_blocks)
         self._storage.delete_run(self.run_id)
-
-    def _fetch_block(
-        self, index: int, memory_ios: MemoryIOCounter, cache: BlockCache | None
-    ) -> Block:
-        if cache is not None:
-            block = cache.get(self.run_id, index)
-            if block is not None:
-                memory_ios.add("cache")
-                return block
-        block = self._storage.read_block(self.run_id, index)
-        if cache is not None:
-            cache.put(self.run_id, index, block)
-        return block

@@ -101,7 +101,7 @@ class StorageDevice:
             raise IndexError(f"block {index} out of range for run {run_id}")
         if self.faults is not None:
             self._guarded("read_block")
-        self.counter.read(1)
+        self.counter.reads += 1
         return blocks[index]
 
     def read_run(self, run_id: int) -> list[Block]:

@@ -265,7 +265,7 @@ class LSMTree:
         its storage only at commit (crash ordering: the new data must be
         durable before the old data disappears)."""
         if self.cache is not None:
-            self.cache.invalidate_run(run.run_id)
+            self.cache.invalidate_run(run.run_id, run.num_blocks)
         self._pending_free.append(run.run_id)
 
     def _commit(self) -> None:
@@ -559,8 +559,8 @@ class LSMTree:
                         slot_index=slot_index,
                         run_id=run.run_id,
                         num_entries=run.num_entries,
-                        block_min_keys=run.fences.block_min_keys,
-                        max_key=run.fences.max_key,
+                        block_min_keys=run.block_min_keys,
+                        max_key=run.max_key,
                         max_seqno=run.max_seqno,
                     )
                 )
@@ -581,8 +581,6 @@ class LSMTree:
         configured initial level count). Runs are *not* scanned — fence
         pointers come from the manifest, like reading SST footers.
         """
-        from repro.lsm.fence import FencePointers
-
         num_levels = max(
             [config.initial_levels] + [m.level for m in manifest]
         )
@@ -591,8 +589,10 @@ class LSMTree:
             counters=counters, cache=cache,
         )
         for m in manifest:
-            fences = FencePointers(list(m.block_min_keys), m.max_key)
-            run = Run(m.run_id, storage, fences, m.num_entries, m.max_seqno)
+            run = Run(
+                m.run_id, storage, list(m.block_min_keys), m.max_key,
+                m.num_entries, m.max_seqno,
+            )
             level = tree._levels[m.level - 1]
             if not 0 <= m.slot_index < len(level.slots):
                 raise ValueError(

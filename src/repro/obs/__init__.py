@@ -141,6 +141,21 @@ class Observability:
             view.tracer = NULL_TRACER
         return view
 
+    def release(self) -> None:
+        """Take a :meth:`child` bundle out of its family once its store
+        leaves (a shard handed away, a staging store abandoned): its
+        instruments and collectors leave the shared registry, and its
+        tracer — which holds the store's clock — leaves the family's
+        tracers, its drop count folded into the root tracer's so the
+        family total never falls. No-op on a root or disabled bundle."""
+        if not isinstance(self.registry, PrefixedRegistry):
+            return
+        self.registry.forget()
+        tracers = self._tracers
+        if self.tracer in tracers:
+            tracers.remove(self.tracer)
+            tracers[0].dropped += self.tracer.dropped
+
     # -- trace health ---------------------------------------------------
 
     def dropped_spans_total(self) -> int:

@@ -244,11 +244,14 @@ class PrefixedRegistry(MetricsRegistry):
     ``kv_reads_total`` lands in the parent as ``shard3_kv_reads_total``.
     Collectors registered through the view run with the parent's
     :meth:`collect`, and :meth:`instruments` narrows to this prefix.
+    :meth:`forget` takes both back out when the component leaves.
     """
 
     def __init__(self, parent: MetricsRegistry, prefix: str) -> None:
         self.parent = parent
         self.prefix = prefix
+        #: Collectors registered through this view (the parent runs them).
+        self._collectors: list[Callable[[], None]] = []
 
     def counter(self, name: str, help: str = "") -> Counter:
         return self.parent.counter(self.prefix + name, help)
@@ -262,10 +265,22 @@ class PrefixedRegistry(MetricsRegistry):
         return self.parent.histogram(self.prefix + name, buckets, help)
 
     def add_collector(self, fn: Callable[[], None]) -> None:
+        self._collectors.append(fn)
         self.parent.add_collector(fn)
 
     def collect(self) -> None:
         self.parent.collect()
+
+    def forget(self) -> None:
+        """Remove this view's instruments and collectors from the parent
+        (the component they belong to has left: a shard handed to
+        another node, say), so the parent neither exports them nor
+        keeps the component alive through a collector."""
+        for inst in self.instruments():
+            del self.parent._instruments[inst.name]
+        for fn in self._collectors:
+            self.parent._collectors.remove(fn)
+        self._collectors.clear()
 
     def instruments(self) -> list[Instrument]:
         return [

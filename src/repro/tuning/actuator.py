@@ -217,7 +217,7 @@ def _switch_shard(shard: KVStore, new_config: EngineConfig) -> None:
             new_tree.install_run(lsm.sublevel_number(level, slot + 1), chunk)
 
     crash_point("tuning.switch.before_commit")
-    old_runs = [run.run_id for _, run in old_tree.occupied_runs()]
+    old_runs = [run for _, run in old_tree.occupied_runs()]
     policy = new_config.make_policy()
     policy.counters = shard.counters
     policy.obs = shard.obs
@@ -229,10 +229,8 @@ def _switch_shard(shard: KVStore, new_config: EngineConfig) -> None:
     shard.tree = new_tree
     shard.config = new_tree.config
     shard.policy = policy
-    for run_id in old_runs:
-        if old_tree.cache is not None:
-            old_tree.cache.invalidate_run(run_id)
-        old_tree.storage.delete_run(run_id)
+    for run in old_runs:
+        run.drop(old_tree.cache)
     new_tree._commit()
 
 

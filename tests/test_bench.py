@@ -203,6 +203,15 @@ class TestMicrobench:
         assert row["ns_per_op"] > 0 and row["reference_ns_per_op"] > 0
         assert row["overhead"] >= 1
 
+    def test_micro_suite_times_the_point_hit(self):
+        """``kv_get_hit`` times point hits on a store whose data is
+        several times its block cache (fence search, cache, device)."""
+        from repro.workloads.micro import run_micro
+
+        report = run_micro(inner=8, rounds=1)
+        row = next(r for r in report["cases"] if r["name"] == "kv_get_hit")
+        assert row["ns_per_op"] > 0
+
     def test_microbench_command_writes_artifact(self, tmp_path, capsys):
         out = tmp_path / "micro.json"
         rc = main(

@@ -9,7 +9,9 @@ work at the WAL-record layer, where replication actually operates.
 """
 
 import asyncio
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -260,6 +262,27 @@ class TestShardSubsetStore:
         gauges = registry_to_dict(obs.registry)["gauges"]
         assert gauges["kv_shards"] == 1
         assert gauges["shard_entries_max"] == 1
+
+    def test_removed_shard_leaves_the_registry(self):
+        """A shard handed away takes its instruments and collector with
+        it: nothing of it stays exported, and nothing keeps it alive."""
+        obs = Observability()
+        store = ShardSubsetStore(
+            {i: build_shard(_tiny_engine(), obs, f"shard{i}_") for i in range(2)},
+            2, observability=obs,
+        )
+        for key in range(500):
+            store.put(key, f"v{key}")
+        removed = weakref.ref(store.local[0])
+        assert len(obs.registry._collectors) == 4
+        store.remove_shard(0)
+        gc.collect()
+        assert removed() is None
+        assert len(obs.registry._collectors) == 3
+        names = [inst.name for inst in obs.registry.instruments()]
+        assert not [n for n in names if n.startswith("shard0_")]
+        assert [n for n in names if n.startswith("shard1_")]
+        assert registry_to_dict(obs.registry)["gauges"]["kv_shards"] == 1
 
     def test_get_batch_alignment(self):
         store = self._store(range(6))
@@ -991,6 +1014,67 @@ class TestReplGroupSpan:
 # ----------------------------------------------------------------------
 
 class TestTornHandoffCommit:
+    def test_aborted_staging_leaves_the_registry(self):
+        """A staging store dropped by HANDOFF_ABORT is released like a
+        removed shard: no instrument of it stays exported."""
+        m = even_map(["a", "b"], 2, replication=2)
+        obs = Observability()
+        node = ClusterNode("b", m, _tiny_engine(), observability=obs)
+        shard_id = m.shards_led_by("a")[0]
+        collectors = len(obs.registry._collectors)
+        assert node.handle_handoff(
+            Request(1, Op.HANDOFF, phase=HANDOFF_BEGIN, shard=shard_id)
+        ).status is Status.OK
+        staged = weakref.ref(node.staging[shard_id]["store"])
+        prefix = f"staging{shard_id}_"
+        assert [i for i in obs.registry.instruments() if i.name.startswith(prefix)]
+        assert node.handle_handoff(
+            Request(2, Op.HANDOFF, phase=HANDOFF_ABORT, shard=shard_id)
+        ).status is Status.OK
+        gc.collect()
+        assert staged() is None
+        assert len(obs.registry._collectors) == collectors
+        assert not [
+            i for i in obs.registry.instruments() if i.name.startswith(prefix)
+        ]
+
+    def test_a_shard_handed_back_keeps_its_own_instruments(self):
+        """A followed shard whose copy came by an earlier handoff (prefix
+        ``staging<i>_``) is handed to this node again: the new staging
+        store must not share the hosted copy's instruments, so releasing
+        the superseded copy at commit leaves the new one exported."""
+        m = even_map(["a", "b", "c"], 3, replication=2)
+        obs = Observability()
+        node = ClusterNode("b", m, _tiny_engine(), observability=obs)
+        shard_id = next(
+            i for i in range(3) if "b" in m.replicas[i] and m.leader_of(i) != "b"
+        )
+        leader = m.leader_of(shard_id)
+
+        def hand_to_b(current, rid):
+            new_map = current.with_moved(shard_id, leader, "b")
+            for phase, extra in ((HANDOFF_BEGIN, {}), (HANDOFF_COMMIT, dict(
+                epoch=new_map.epoch, value=new_map.to_json().encode("utf-8"),
+            ))):
+                assert node.handle_handoff(Request(
+                    rid, Op.HANDOFF, phase=phase, shard=shard_id, **extra,
+                )).status is Status.OK
+            return new_map
+
+        first = hand_to_b(m, 10)
+        back = first.with_moved(shard_id, "b", leader)
+        node.adopt_map(back)  # b follows again, on its handed-over copy
+        hand_to_b(back, 20)
+        store = node.store.local[shard_id]
+        live = store.obs.registry
+        assert obs.registry.get(live.prefix + "kv_reads_total") is store._m_reads
+        others = [
+            i.name for i in obs.registry.instruments()
+            if i.name.startswith((f"shard{shard_id}_", f"staging{shard_id}_"))
+            and not i.name.startswith(live.prefix)
+        ]
+        assert others == []
+
     def test_commit_without_staging_cannot_seize_leadership(self):
         """A COMMIT that raced an ABORT (torn-commit resolution at the
         source) must bounce, not adopt a map that names this node

@@ -17,6 +17,7 @@ from functools import partial
 import pytest
 
 from repro.chucky.policy import ChuckyPolicy
+from repro.common.counters import MemoryIOCounter
 from repro.common.errors import InjectedCrash, TransientIOError
 from repro.engine.config import EngineConfig, build_store, recover_store
 from repro.engine.kvstore import KVStore
@@ -254,47 +255,62 @@ class TestWalFuzz:
 
 
 # ----------------------------------------------------------------------
-# Satellite 3: block-cache per-run invalidation
+# Block-cache per-run invalidation
 # ----------------------------------------------------------------------
+
+def _cached_runs(cache, *block_counts):
+    """A device holding one run per count, every block fetched once
+    through ``cache``; returns (device, memory counter, run ids)."""
+    device, memory = StorageDevice(), MemoryIOCounter()
+    run_ids = []
+    for n, count in enumerate(block_counts):
+        run_id = device.write_run([(f"r{n}b{i}",) for i in range(count)])
+        for index in range(count):
+            cache.get(run_id, index, device, memory)
+        run_ids.append(run_id)
+    return device, memory, run_ids
+
 
 class TestBlockCacheInvalidation:
     def test_invalidate_run_touches_only_that_run(self):
         cache = BlockCache(64)
-        for run_id in (1, 2, 3):
-            for index in range(5):
-                cache.put(run_id, index, (f"r{run_id}b{index}",))
-        cache.get(2, 0)
+        device, memory, (r1, r2, _) = _cached_runs(cache, 5, 5, 5)
+        cache.get(r2, 0, device, memory)
         hits, misses = cache.hits, cache.misses
-        cache.invalidate_run(2)
+        cache.invalidate_run(r2, 5)
         assert len(cache) == 10
-        assert cache.cached_blocks_of(2) == set()
-        assert cache.cached_blocks_of(1) == set(range(5))
         # Counters are accounting state, not content: untouched.
         assert (cache.hits, cache.misses) == (hits, misses)
+        reads = device.counter.reads
+        for index in range(5):
+            cache.get(r1, index, device, memory)
+        assert (cache.hits, device.counter.reads) == (hits + 5, reads)
+        cache.get(r2, 0, device, memory)
+        assert (cache.misses, device.counter.reads) == (misses + 1, reads + 1)
 
     def test_eviction_maintains_run_index(self):
         cache = BlockCache(4)
-        for index in range(4):
-            cache.put(1, index, (index,))
-        cache.put(2, 0, ("x",))  # evicts (1, 0)
-        assert cache.cached_blocks_of(1) == {1, 2, 3}
-        cache.invalidate_run(1)
+        device, memory, (r1, r2) = _cached_runs(cache, 4, 1)  # evicts (r1, 0)
+        assert len(cache) == 4
+        cache.invalidate_run(r1, 4)
         assert len(cache) == 1
-        assert cache.get(2, 0) == ("x",)
+        hits = cache.hits
+        assert cache.get(r2, 0, device, memory) == ("r1b0",)
+        assert cache.hits == hits + 1
 
     def test_invalidate_missing_run_is_noop(self):
         cache = BlockCache(4)
-        cache.put(1, 0, ("a",))
-        cache.invalidate_run(99)
+        _cached_runs(cache, 1)
+        cache.invalidate_run(99, 3)
         assert len(cache) == 1
 
     def test_clear_resets_index(self):
         cache = BlockCache(4)
-        cache.put(1, 0, ("a",))
+        device, memory, (r1,) = _cached_runs(cache, 2)
         cache.clear()
-        assert cache.cached_blocks_of(1) == set()
-        cache.put(1, 1, ("b",))
-        assert cache.cached_blocks_of(1) == {1}
+        assert (len(cache), cache.hits, cache.misses) == (0, 0, 0)
+        cache.get(r1, 1, device, memory)
+        assert (len(cache), cache.hits, cache.misses) == (1, 0, 1)
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Unit tests for the LSM building blocks: memtable, storage device,
-fence pointers, runs, and the block cache."""
+runs and their fence pointers, and the block cache."""
 
 import gc
 
@@ -10,7 +10,6 @@ from repro.lsm.block_cache import BlockCache
 from repro.lsm.entry import (
     EXPIRES_AT, KEY, SEQNO, TOMBSTONE, VALUE, is_tombstone, make_entry,
 )
-from repro.lsm.fence import FencePointers
 from repro.lsm.memtable import Memtable
 from repro.lsm.run import Run
 from repro.lsm.storage import StorageDevice
@@ -147,39 +146,57 @@ class TestStorageDevice:
         assert counter.reads == 1
 
 
+def _fenced_run(block_min_keys, max_key):
+    """A run whose block ``i`` holds one entry, keyed by its min key."""
+    dev = StorageDevice()
+    blocks = [tuple(make_entries([k])) for k in block_min_keys]
+    rid = dev.write_run(blocks)
+    return Run(rid, dev, list(block_min_keys), max_key, len(blocks), 1), dev
+
+
 class TestFencePointers:
+    """The fence search inside ``Run.get``."""
+
     def test_locate_charges_log_ios(self):
         mem = MemoryIOCounter()
-        fences = FencePointers([0, 10, 20, 30], max_key=39)
-        idx = fences.locate(25, mem)
-        assert idx == 2
-        assert mem.get("fence") == 3  # ceil(log2(5)) = 3
+        run, dev = _fenced_run([0, 10, 20, 30], max_key=39)
+        assert run.get(20, mem)[KEY] == 20
+        assert run.get(25, mem) is None  # in block 2's range, not stored
+        assert mem.get("fence") == 2 * 3  # ceil(log2(5)) = 3 per search
+        assert dev.counter.reads == 2
 
     def test_out_of_range_is_free(self):
         mem = MemoryIOCounter()
-        fences = FencePointers([10, 20], max_key=29)
-        assert fences.locate(5, mem) is None
-        assert fences.locate(99, mem) is None
-        assert mem.total == 0
+        run, dev = _fenced_run([10, 20], max_key=29)
+        assert run.get(5, mem) is None
+        assert run.get(99, mem) is None
+        assert mem.total == 0 and dev.counter.reads == 0
 
     def test_boundaries(self):
+        run, dev = _fenced_run([0, 10], max_key=19)
+        cache = BlockCache(4)
         mem = MemoryIOCounter()
-        fences = FencePointers([0, 10], max_key=19)
-        assert fences.locate(0, mem) == 0
-        assert fences.locate(10, mem) == 1
-        assert fences.locate(19, mem) == 1
+        for key in (0, 10, 19):
+            run.get(key, mem, cache)
+        # 0 lands in block 0, 10 and 19 in block 1: one miss per block.
+        assert (cache.misses, cache.hits, len(cache)) == (2, 1, 2)
 
     def test_block_range(self):
-        fences = FencePointers([0, 10, 20], max_key=29)
-        assert list(fences.block_range(5, 15)) == [0, 1]
-        assert list(fences.block_range(50, 60)) == []
-        assert list(fences.block_range(0, 29)) == [0, 1, 2]
+        run, dev = _fenced_run([0, 10, 20], max_key=29)
+        mem = MemoryIOCounter()
+        assert [e[KEY] for e in run.scan(5, 15, mem)] == [10]
+        assert dev.counter.reads == 2  # blocks 0 and 1 overlap [5, 15]
+        assert list(run.scan(50, 60, mem)) == []
+        assert dev.counter.reads == 2
+        assert [e[KEY] for e in run.scan(0, 29, mem)] == [0, 10, 20]
+        assert dev.counter.reads == 5
+        assert mem.total == 0  # a scan charges no fence search
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            FencePointers([], max_key=0)
+            Run(1, StorageDevice(), [], max_key=0, num_entries=0, max_seqno=0)
         with pytest.raises(ValueError):
-            FencePointers([5, 2], max_key=9)
+            Run(1, StorageDevice(), [5, 2], max_key=9, num_entries=2, max_seqno=0)
 
 
 class TestRun:
@@ -243,35 +260,54 @@ class TestRun:
         assert len(cache) == 0
 
 
+def _device(num_blocks, runs=1):
+    """A device holding ``runs`` runs of ``num_blocks`` blocks each."""
+    dev = StorageDevice()
+    rids = [
+        dev.write_run([(f"b{i}",) for i in range(num_blocks)])
+        for _ in range(runs)
+    ]
+    return dev, *rids
+
+
 class TestBlockCache:
     def test_lru_eviction(self):
-        cache = BlockCache(2)
-        cache.put(1, 0, ("a",))
-        cache.put(1, 1, ("b",))
-        cache.get(1, 0)  # touch: 0 becomes MRU
-        cache.put(1, 2, ("c",))  # evicts (1,1)
-        assert cache.get(1, 1) is None
-        assert cache.get(1, 0) == ("a",)
+        cache, mem = BlockCache(2), MemoryIOCounter()
+        dev, rid = _device(3)
+        cache.get(rid, 0, dev, mem)
+        cache.get(rid, 1, dev, mem)
+        cache.get(rid, 0, dev, mem)  # touch: 0 becomes MRU
+        cache.get(rid, 2, dev, mem)  # evicts (rid, 1)
+        reads = dev.counter.reads
+        assert cache.get(rid, 0, dev, mem) == ("b0",)
+        assert dev.counter.reads == reads
+        assert cache.get(rid, 1, dev, mem) == ("b1",)
+        assert dev.counter.reads == reads + 1
 
     def test_hit_miss_stats(self):
-        cache = BlockCache(2)
-        cache.get(1, 0)
-        cache.put(1, 0, ("a",))
-        cache.get(1, 0)
+        cache, mem = BlockCache(2), MemoryIOCounter()
+        dev, rid = _device(1)
+        cache.get(rid, 0, dev, mem)
+        cache.get(rid, 0, dev, mem)
         assert (cache.hits, cache.misses) == (1, 1)
+        assert mem.get("cache") == 1 and dev.counter.reads == 1
 
     def test_zero_capacity_never_stores(self):
-        cache = BlockCache(0)
-        cache.put(1, 0, ("a",))
-        assert cache.get(1, 0) is None
+        cache, mem = BlockCache(0), MemoryIOCounter()
+        dev, rid = _device(1)
+        assert cache.get(rid, 0, dev, mem) == ("b0",)
+        assert cache.get(rid, 0, dev, mem) == ("b0",)
+        assert len(cache) == 0 and dev.counter.reads == 2
 
     def test_invalidate_run(self):
-        cache = BlockCache(4)
-        cache.put(1, 0, ("a",))
-        cache.put(2, 0, ("b",))
-        cache.invalidate_run(1)
-        assert cache.get(1, 0) is None
-        assert cache.get(2, 0) == ("b",)
+        cache, mem = BlockCache(4), MemoryIOCounter()
+        dev, r1, r2 = _device(1, runs=2)
+        cache.get(r1, 0, dev, mem)
+        cache.get(r2, 0, dev, mem)
+        cache.invalidate_run(r1, 1)
+        assert len(cache) == 1
+        cache.get(r2, 0, dev, mem)
+        assert cache.hits == 1
 
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValueError):

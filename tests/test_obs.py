@@ -122,6 +122,28 @@ class TestRegistry:
         reg.collect()
         assert gauge.value == 42
 
+    def test_released_child_leaves_the_family(self):
+        """A released child view takes back its instruments and
+        collectors; its tracer's drops stay in the family total."""
+        obs = Observability(trace_ring=1)
+        child, sibling = obs.child("a_"), obs.child("b_")
+        child.registry.counter("c").inc()
+        child.registry.add_collector(lambda: None)
+        sibling.registry.counter("c")
+        for name in ("one", "two", "three"):  # a ring of one drops two
+            with child.tracer.span(name):
+                pass
+        collectors = len(obs.registry._collectors)
+        assert obs.dropped_spans_total() == 2
+        child.release()
+        names = [inst.name for inst in obs.registry.instruments()]
+        assert "a_c" not in names and "b_c" in names
+        assert len(obs.registry._collectors) == collectors - 1
+        assert child.tracer not in obs._tracers
+        assert obs.dropped_spans_total() == 2
+        obs.release()  # the root is not a child: nothing happens
+        assert obs.registry.get("b_c") is not None
+
     def test_null_registry_records_nothing(self):
         c = NULL_REGISTRY.counter("c")
         c.inc(100)
