@@ -224,13 +224,18 @@ class CuckooLidFilterBase(ABC):
                 pass
         raise FilterError(f"LID {lid} out of range [1, {len(self._fp_shifts)}]")
 
+    def check_lids(self, lids) -> None:
+        """Range-check each of ``lids`` (``None`` is no LID). A caller
+        that feeds one event through several :meth:`maintain_many` calls
+        checks the event's LIDs first, so a bad one refuses all of it."""
+        for lid in lids:
+            if lid is not None:
+                self._shift(lid)
+
     def _check_lids(self, edits) -> None:
         """Range-check every distinct LID of ``edits`` once, so a bad
-        one refuses the whole event before any edit lands."""
-        lids = {*map(_old_lid, edits), *map(_new_lid, edits)}
-        lids.discard(None)
-        for lid in lids:
-            self._shift(lid)
+        one refuses the whole call before any edit lands."""
+        self.check_lids({*map(_old_lid, edits), *map(_new_lid, edits)})
 
     def _slot(self, digest: int, lid: int) -> Slot:
         """The ``(lid, fingerprint)`` slot of the key behind ``digest``

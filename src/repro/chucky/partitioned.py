@@ -120,6 +120,11 @@ class PartitionedChuckyFilter:
     def remove(self, key: int, lid: int) -> bool:
         return self._partition_of(key).remove(key, lid)
 
+    def check_lids(self, lids) -> None:
+        """:meth:`ChuckyFilter.check_lids` (the partitions share one
+        codebook, so one partition's range is all of theirs)."""
+        self.partitions[0].check_lids(lids)
+
     def maintain_many(self, edits) -> int:
         """``maintain_many`` for each partition's share of ``edits``, in
         their order — one maintenance loop per touched partition. Edits

@@ -15,12 +15,30 @@ from the tree's flush/merge events:
 
 from __future__ import annotations
 
+from itertools import chain, compress, islice, repeat
+from operator import ne
+from typing import Iterator
+
 from repro.common.counters import IOCounters
 from repro.chucky.filter import ChuckyFilter, UncompressedLidFilter
 from repro.chucky.partitioned import PartitionedChuckyFilter
 from repro.filters.policy import FilterPolicy
-from repro.lsm.entry import KEY
 from repro.lsm.tree import BUFFER_ORIGIN, FlushEvent, LSMTree, MergeEvent, TreeEvent
+
+#: Edits per ``maintain_many`` call: a flush, a merge or a rebuild
+#: holds one chunk of edit triples at a time, whatever its size.
+EDIT_CHUNK = 4096
+
+#: ``get(origin, origin)``: the old LID of a survivor's edit, ``None``
+#: for one that came from the write buffer.
+_LID_OF_ORIGIN = {BUFFER_ORIGIN: None}
+
+
+def _maintain(filt, edits: Iterator[tuple]) -> None:
+    """Feed ``edits`` to ``filt.maintain_many`` in order, a bounded
+    chunk per call (the chunks' bucket loads sum to the one-call charge)."""
+    while chunk := list(islice(edits, EDIT_CHUNK)):
+        filt.maintain_many(chunk)
 
 
 class ChuckyPolicy(FilterPolicy):
@@ -129,36 +147,50 @@ class ChuckyPolicy(FilterPolicy):
     # ------------------------------------------------------------------
 
     def handle_event(self, event: TreeEvent) -> None:
-        """Apply a flush or a merge to the filter as one
-        ``maintain_many`` call: its drops that left a run become
-        removals, then its survivors in order — an insert for a fresh
-        buffer entry, an LID update for one that moved."""
+        """Apply a flush or a merge to the filter: its drops that left a
+        run become removals, then its survivors in order — an insert for
+        a fresh buffer entry, an LID update for one that moved.
+
+        The edits are built from the event's columns and handed to
+        ``maintain_many`` :data:`EDIT_CHUNK` at a time, so no per-entry
+        object lives for a whole run. The event's LIDs are range-checked
+        before its first edit lands: a bad one refuses the whole event.
+        """
         if self._pending_rebuild:
             # The geometry changed mid-cascade; everything is recaptured
             # by the wholesale rebuild in after_write().
             return
-        assert self.filter is not None
+        filt = self.filter
+        assert filt is not None
         if isinstance(event, FlushEvent):
             lid = event.sublevel
-            self.filter.maintain_many(
-                [(entry[KEY], None, lid) for entry in event.entries]
-            )
+            filt.check_lids((lid,))
+            _maintain(filt, zip(event.keys, repeat(None), repeat(lid)))
             return
         assert isinstance(event, MergeEvent)
         out = event.output_sublevel
-        edits = [
-            (entry[KEY], old, None)
-            for entry, old in event.drops
-            if old != BUFFER_ORIGIN
-        ]
+        drop_origins = event.drop_origins
+        origins = event.survivor_origins
         # An entry that stayed at its sub-level needs no edit — the
         # advantage over rebuild-from-scratch Bloom filters.
-        edits += [
-            (entry[KEY], None if old == BUFFER_ORIGIN else old, out)
-            for entry, old in event.survivors
-            if old != out
-        ]
-        self.filter.maintain_many(edits)
+        moved_from = set(origins)
+        moved_from.discard(out)
+        lids = set(drop_origins) | moved_from
+        if moved_from:
+            lids.add(out)
+        lids.discard(BUFFER_ORIGIN)
+        filt.check_lids(lids)
+        # A drop from the buffer never reached the filter (origin 0 is
+        # falsy); a survivor from the buffer is an insert (old LID None).
+        removals = compress(
+            zip(event.drops, drop_origins, repeat(None)), drop_origins
+        )
+        moves = compress(
+            zip(event.survivors, map(_LID_OF_ORIGIN.get, origins, origins),
+                repeat(out)),
+            map(ne, origins, repeat(out)),
+        )
+        _maintain(filt, chain(removals, moves))
 
     def handle_grow(self, new_num_levels: int) -> None:
         self._pending_rebuild = True

@@ -25,7 +25,16 @@ from repro.faults.crashpoints import crash_point
 from repro.filters.policy import FilterPolicy, NoFilterPolicy
 from repro.lsm.block_cache import BlockCache
 from repro.lsm.config import LSMConfig
-from repro.lsm.entry import KEY, SEQNO, TOMBSTONE, Entry, Expiring
+from repro.lsm.entry import (
+    KEY,
+    KEY_LIMIT,
+    SEQNO,
+    TOMBSTONE,
+    Entry,
+    Expiring,
+    u64_key,
+    u64_keys,
+)
 from repro.lsm.memtable import Memtable
 from repro.lsm.storage import StorageDevice
 from repro.lsm.tree import LSMTree, RunManifest
@@ -342,7 +351,13 @@ class KVStore(CountedWindow):
         tombstone (its filter fingerprint dropping with it). ``ttl <= 0``
         is legal and deterministically already-expired. Without ``ttl``
         this path is byte-for-byte the pre-TTL one.
+
+        Every operation takes a key in one domain (:func:`u64_key`): an
+        integer in ``[0, 2**64)``, or an object whose ``__index__`` is
+        one. Any other key raises before anything is logged or buffered.
         """
+        if type(key) is not int or not 0 <= key < KEY_LIMIT:
+            key = u64_key(key)
         if ttl is not None:
             value = Expiring(value, self.now_ns() + int(ttl))
         if not self._obs_on:
@@ -370,6 +385,7 @@ class KVStore(CountedWindow):
 
     def delete(self, key: int) -> None:
         """Delete a key (out-of-place: buffers a tombstone)."""
+        key = u64_key(key)
         if not self._obs_on:
             self._delete_impl(key)
         else:
@@ -404,6 +420,7 @@ class KVStore(CountedWindow):
         """
         if not items:
             return
+        items = [(u64_key(key), value) for key, value in items]
         capacity = self.memtable.capacity
         if self.wal is not None and len(items) > capacity:
             check_loggable(value for _, value in items)
@@ -629,6 +646,8 @@ class KVStore(CountedWindow):
 
     def get(self, key: int) -> Any:
         """Point read; returns the value or None."""
+        if type(key) is not int or not 0 <= key < KEY_LIMIT:
+            key = u64_key(key)
         if self._obs_on:
             return self._observed_read(key, False)
         entry = self._find(key)[0]
@@ -647,7 +666,7 @@ class KVStore(CountedWindow):
         a wasted fence search + storage I/O, the quantity Figures 11 and
         14 B-D measure.
         """
-        return self._observed_read(key, True)
+        return self._observed_read(u64_key(key), True)
 
     def _observed_read(self, key: int, stats: bool) -> Any:
         """The one observed read body of :meth:`get` and
@@ -727,6 +746,7 @@ class KVStore(CountedWindow):
         """
         if self._obs_on:
             return [self.get(key) for key in keys]
+        keys = u64_keys(keys)
         self.queries += len(keys)
         memtable_get = self.memtable.get
         out = [memtable_get(key) for key in keys]
@@ -790,6 +810,7 @@ class KVStore(CountedWindow):
 
     def scan(self, lo: int, hi: int) -> Iterator[tuple[int, Any]]:
         """Range read over [lo, hi]; filters are bypassed (section 4.5)."""
+        lo, hi = u64_key(lo), u64_key(hi)
         self.scans += 1
         return self._scan_impl(lo, hi)
 

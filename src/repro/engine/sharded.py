@@ -41,6 +41,7 @@ from repro.engine.kvstore import (
     KVStore,
     ReadResult,
 )
+from repro.lsm.entry import u64_key, u64_keys
 from repro.lsm.wal import check_loggable
 from repro.obs import NULL_OBS, Counter, Observability, PrefixedRegistry
 from repro.obs.trace import Span
@@ -179,6 +180,7 @@ class ShardedKVStore(CountedWindow):
         touched once. Per-shard groups keep the caller's relative order
         and each group is atomic within its shard (one WAL record); a
         value a durable shard cannot log refuses the whole batch."""
+        items = [(u64_key(key), value) for key, value in items]
         groups = self._by_shard([key for key, _ in items])
         if len(groups) > 1 and self.shards[0].wal is not None:
             check_loggable(value for _, value in items)
@@ -208,6 +210,7 @@ class ShardedKVStore(CountedWindow):
     def get_batch(self, keys: list[int]) -> list[Any]:
         """Point-read many keys, visiting each owning shard once with
         its whole group; values align with ``keys`` by index."""
+        keys = u64_keys(keys)
         out: list[Any] = [None] * len(keys)
         for shard, group in self._by_shard(keys):
             values = shard.get_batch([keys[pos] for pos in group])
@@ -222,6 +225,7 @@ class ShardedKVStore(CountedWindow):
         yields one key twice, and tombstone suppression inside each
         shard's scan is already final across the whole store.
         """
+        lo, hi = u64_key(lo), u64_key(hi)
         self.scans += 1
         return heapq.merge(
             *(shard.scan(lo, hi) for shard in self.shards),

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.engine.sharded import shards_of
-from repro.lsm.entry import KEY, SEQNO, TOMBSTONE
+from repro.lsm.entry import SEQNO, TOMBSTONE
 
 
 @dataclass(frozen=True)
@@ -142,9 +142,9 @@ class InvariantChecker:
             expected = Counter()
             with tree.storage.counting_suspended():
                 for sublevel, run in tree.occupied_runs():
-                    for entry in run.read_all():
-                        pi = filt.partition_index(entry[KEY])
-                        fp = partitions[pi].fingerprint(entry[KEY], sublevel)
+                    for key in run.read_keys():
+                        pi = filt.partition_index(key)
+                        fp = partitions[pi].fingerprint(key, sublevel)
                         expected[(pi, sublevel, fp)] += 1
             return expected, actual
         if not hasattr(filt, "iter_slots") or not hasattr(filt, "fingerprint"):
@@ -153,8 +153,8 @@ class InvariantChecker:
         expected = Counter()
         with tree.storage.counting_suspended():
             for sublevel, run in tree.occupied_runs():
-                for entry in run.read_all():
-                    expected[(sublevel, filt.fingerprint(entry[KEY], sublevel))] += 1
+                for key in run.read_keys():
+                    expected[(sublevel, filt.fingerprint(key, sublevel))] += 1
         return expected, actual
 
     # ------------------------------------------------------------------
@@ -170,13 +170,13 @@ class InvariantChecker:
         # read path would miss live data (a false *negative*).
         with storage.counting_suspended():
             for sublevel, run in occupied:
-                for entry in run.read_all():
-                    candidates = list(shard.policy.candidates(entry[KEY]))
+                for key in run.read_keys():
+                    candidates = list(shard.policy.candidates(key))
                     if sublevel not in candidates:
                         violations.append(
                             Violation(
                                 "filter-agreement",
-                                f"shard {index}: key {entry[KEY]} lives at "
+                                f"shard {index}: key {key} lives at "
                                 f"sub-level {sublevel} but the filter only "
                                 f"proposes {candidates}",
                             )
@@ -188,8 +188,7 @@ class InvariantChecker:
         highest = 0
         with storage.counting_suspended():
             for _, run in occupied:
-                for entry in run.read_all():
-                    highest = max(highest, entry[SEQNO])
+                highest = max(highest, max(run.read_columns()[2]))
         for entry in shard.memtable.sorted_entries():
             highest = max(highest, entry[SEQNO])
         if highest > shard._seqno:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.analysis.cost_models import (
     bloom_query_ios,
@@ -34,7 +34,6 @@ from repro.filters.allocation import (
 )
 from repro.filters.blocked_bloom import BlockedBloomFilter
 from repro.filters.bloom import BloomFilter
-from repro.lsm.entry import KEY
 from repro.lsm.run import Run
 from repro.lsm.tree import FlushEvent, LSMTree, MergeEvent, TreeEvent
 from repro.obs import NULL_OBS, Observability
@@ -119,11 +118,11 @@ class FilterPolicy(ABC):
         ``count_storage=False`` rides data the engine reads anyway
         (section 4.5): only the filter's memory I/Os are charged."""
         if count_storage:
-            entries = run.read_all()
+            keys = run.read_keys()
         else:
             with self.tree.storage.counting_suspended():
-                entries = run.read_all()
-        self.handle_event(FlushEvent(sublevel=sublevel, entries=tuple(entries)))
+                keys = run.read_keys()
+        self.handle_event(FlushEvent(sublevel=sublevel, keys=keys))
 
     def rebuild_from_tree(self, count_storage: bool = True) -> None:
         """Absorb every occupied run, youngest first (a policy holding
@@ -227,7 +226,7 @@ class BloomFilterPolicy(FilterPolicy):
         return table.get(sublevel, table[dist.num_sublevels])
 
     def _build_filter(
-        self, sublevel: int, keys: list[int]
+        self, sublevel: int, keys: Sequence[int]
     ) -> BloomFilter | BlockedBloomFilter | None:
         bits = self._bits_for_sublevel(sublevel)
         if bits <= 0.5 or not keys:
@@ -248,15 +247,15 @@ class BloomFilterPolicy(FilterPolicy):
 
     def handle_event(self, event: TreeEvent) -> None:
         if isinstance(event, FlushEvent):
-            keys = [e[KEY] for e in event.entries]
-            self._filters[event.sublevel] = self._build_filter(event.sublevel, keys)
+            self._filters[event.sublevel] = self._build_filter(
+                event.sublevel, event.keys
+            )
         elif isinstance(event, MergeEvent):
             for sublevel in event.input_sublevels:
                 self._filters.pop(sublevel, None)
             if event.survivors:
-                keys = [e[KEY] for e, _ in event.survivors]
                 self._filters[event.output_sublevel] = self._build_filter(
-                    event.output_sublevel, keys
+                    event.output_sublevel, event.survivors
                 )
             else:
                 self._filters.pop(event.output_sublevel, None)
@@ -308,7 +307,7 @@ class XorFilterPolicy(BloomFilterPolicy):
         )
         self.name = f"xor filters ({allocation})"
 
-    def _build_filter(self, sublevel: int, keys: list[int]):
+    def _build_filter(self, sublevel: int, keys: Sequence[int]):
         from repro.filters.xor import XorFilter
 
         bits = self._bits_for_sublevel(sublevel)

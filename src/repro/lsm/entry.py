@@ -3,7 +3,35 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Any
+
+
+#: Keys are unsigned 64-bit integers: what a run's key column
+#: (``array('Q')``), the WAL and the wire hold.
+KEY_LIMIT = 1 << 64
+
+
+def u64_key(key: Any) -> int:
+    """``key`` in the one key domain every store accepts: read as
+    ``operator.index(key)`` (so a ``bool`` or an object with
+    ``__index__`` is its integer; anything else raises ``TypeError``),
+    and refused with ``ValueError`` outside ``[0, 2**64)``."""
+    key = index(key)
+    if not 0 <= key < KEY_LIMIT:
+        raise ValueError(f"key {key} out of 64-bit range")
+    return key
+
+
+def u64_keys(keys: list[Any]) -> list[int]:
+    """:func:`u64_key` over a batch; a batch of in-range ints is
+    checked in C and returned as is."""
+    if (
+        keys and {*map(type, keys)} == {int}
+        and min(keys) >= 0 and max(keys) < KEY_LIMIT
+    ):
+        return keys
+    return list(map(u64_key, keys))
 
 
 #: The singleton tombstone value (paper section 2: deletes are

@@ -1,10 +1,11 @@
 """Simulated block storage device.
 
 Stands in for the paper's Intel Optane SSD (see DESIGN.md section 2).
-Runs are stored as lists of immutable blocks; every block read or write
-is counted by a :class:`StorageIOCounter`, and the cost model prices the
-counts into modelled latency. Contents live in RAM, but nothing outside
-this module may touch them without paying a counted I/O.
+Runs are stored as lists of immutable column blocks; every block read or
+write is counted by a :class:`StorageIOCounter`, and the cost model
+prices the counts into modelled latency. Contents live in RAM, but
+nothing outside this module may touch them without paying a counted
+I/O.
 
 The device carries an optional fault hook (``faults``, installed by the
 fault-injection harness — see :mod:`repro.faults`). When present, every
@@ -18,14 +19,21 @@ device.
 
 from __future__ import annotations
 
+from array import array
 from contextlib import contextmanager
+from typing import Any
 
 from repro.common.counters import StorageIOCounter
 from repro.common.errors import InjectedCrash, TransientIOError
-from repro.lsm.entry import Entry
 
-#: A storage block: an immutable, key-sorted tuple of entries.
-Block = tuple[Entry, ...]
+#: A storage block: one key-sorted slice of a run as columns, ``(keys,
+#: values, seqnos, expires)``. Keys and seqnos are ``array('Q')``, the
+#: values one tuple; ``expires`` is ``None`` unless a version of the
+#: block has an expiry stamp, then a tuple with ``None`` for the
+#: unstamped ones. A stored version is no Python object of its own: it
+#: costs ~24 bytes plus its value, and the cyclic collector tracks a
+#: block's two arrays and the tuple holding them, never a version.
+Block = tuple[array, tuple[Any, ...], array, tuple[int | None, ...] | None]
 
 #: Attempts per I/O before a transient fault escalates to the caller.
 MAX_IO_ATTEMPTS = 4

@@ -17,18 +17,23 @@ level itself must spill, the tree grows a level — the "major compaction"
 that the paper piggybacks filter resizing on (section 4.5).
 
 Filter maintenance is event-driven: every flush and merge emits a
-:class:`FlushEvent` / :class:`MergeEvent` describing exactly which entry
+:class:`FlushEvent` / :class:`MergeEvent` describing exactly which key
 moved from which sub-level to which — the information Chucky's
 opportunistic maintenance (section 4.1) consumes at no extra storage
 I/O, and which Bloom-filter policies use to rebuild per-run filters.
 Origin sub-level 0 means "arrived from the write buffer".
+
+Merges run on columns (:data:`~repro.lsm.run.Columns`), and an event
+carries key and origin columns: neither holds a Python object per moved
+version, and each event is released once its listeners have seen it.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from itertools import compress, islice, repeat
-from operator import eq, is_, is_not, itemgetter, not_
+from operator import eq, is_, is_not, lt, not_
 from typing import Callable, Iterator
 
 from repro.common.counters import IOCounters
@@ -37,24 +42,35 @@ from repro.lsm.block_cache import BlockCache
 from repro.obs import NULL_OBS, Observability
 from repro.obs.metrics import MERGE_INPUT_BUCKETS
 from repro.lsm.config import LSMConfig
-from repro.lsm.entry import EXPIRES_AT, KEY, SEQNO, TOMBSTONE, VALUE, Entry
-from repro.lsm.run import Run
+from repro.lsm.entry import KEY, TOMBSTONE, Entry
+from repro.lsm.run import (
+    Columns,
+    Run,
+    columns_of,
+    concat_columns,
+    stamps_or_none,
+)
 from repro.lsm.storage import StorageDevice
 
 #: Origin marker for entries arriving from the write buffer.
 BUFFER_ORIGIN = 0
 
-_key_of = itemgetter(KEY)
-_value_of = itemgetter(VALUE)
-_expires_at_of = itemgetter(EXPIRES_AT)
+#: Type code of an origin column (sub-level numbers).
+ORIGIN_TYPECODE = "I"
+
+
+def origin_column(origin: int, count: int) -> array:
+    """``count`` versions that all came from sub-level ``origin``."""
+    return array(ORIGIN_TYPECODE, (origin,)) * count
 
 
 @dataclass(frozen=True)
 class FlushEvent:
-    """The buffer became a run at ``sublevel`` holding ``entries``."""
+    """The buffer became a run at ``sublevel`` holding ``keys`` (the
+    new run's key column, in order)."""
 
     sublevel: int
-    entries: tuple[Entry, ...]
+    keys: array
 
 
 @dataclass(frozen=True)
@@ -62,22 +78,30 @@ class MergeEvent:
     """One merge: runs at ``input_sublevels`` became one run at
     ``output_sublevel``.
 
-    ``survivors`` lists every entry of the output run with the sub-level
-    it came from: ``BUFFER_ORIGIN`` (0) for fresh buffer entries, equal
-    to ``output_sublevel`` for entries of a run that was merged in place
-    and therefore *did not move* (Chucky skips the LID update for those,
-    paper section 4.1). ``drops`` lists obsolete versions and purged
-    tombstones with the sub-level they vanished from (0 when a buffer
-    entry was immediately superseded within the same cascade).
+    ``survivors`` is the output run's key column, ``survivor_origins``
+    the sub-level each of those versions came from: ``BUFFER_ORIGIN``
+    (0) for fresh buffer entries, equal to ``output_sublevel`` for
+    entries of a run that was merged in place and therefore *did not
+    move* (Chucky skips the LID update for those, paper section 4.1).
+    ``drops`` / ``drop_origins`` list the keys of obsolete versions and
+    purged tombstones with the sub-level they vanished from (0 when a
+    buffer entry was immediately superseded within the same cascade),
+    in the order a walk over the merge's sources drops them.
     """
 
     input_sublevels: tuple[int, ...]
     output_sublevel: int
-    survivors: tuple[tuple[Entry, int], ...]
-    drops: tuple[tuple[Entry, int], ...]
+    survivors: array
+    survivor_origins: array
+    drops: array
+    drop_origins: array
 
 
 TreeEvent = FlushEvent | MergeEvent
+
+#: Dropped versions waiting for the event that lands a cascade's data:
+#: ``(keys, origins)``.
+_Drops = tuple[array, array]
 
 
 @dataclass(frozen=True)
@@ -156,6 +180,9 @@ class LSMTree:
         #: sub-levels here; read it, never write it.
         self.runs: dict[int, Run | None] = {}
         self._rebuild_runs()
+        #: Events notified since construction (a flush's span reports
+        #: how many its cascade made).
+        self._notified = 0
         self.attach_observability(NULL_OBS)
 
     def attach_observability(self, obs: Observability) -> None:
@@ -241,24 +268,22 @@ class LSMTree:
     # Writes
     # ------------------------------------------------------------------
 
-    def flush(self, entries: list[Entry]) -> list[TreeEvent]:
+    def flush(self, entries: list[Entry]) -> None:
         """Turn a key-sorted buffer into a Level-1 run, merging as needed.
 
-        Returns the events generated (merge cascades bottom-up first, the
-        flush placement last) in the order the listeners saw them.
+        The listeners see the cascade's events in order (merges
+        bottom-up first, the flush placement last); the tree keeps none
+        of them.
         """
         if not entries:
-            return []
-        events: list[TreeEvent] = []
+            return
         with self.obs.tracer.span("tree_flush", entries=len(entries)) as span:
-            self._place(
-                1, entries, origin=None, pending_drops=[], events=events,
-                input_sublevels=(),
-            )
+            notified = self._notified
+            no_drops = array("Q"), array(ORIGIN_TYPECODE)
+            self._place(1, columns_of(entries), None, no_drops, ())
             crash_point("tree.flush.before_commit")
             self._commit()
-            span.set(events=len(events))
-        return events
+            span.set(events=self._notified - notified)
 
     def _retire(self, run: Run) -> None:
         """Mark a run obsolete: invalidate its cached blocks now, free
@@ -284,32 +309,29 @@ class LSMTree:
     def _place(
         self,
         level_number: int,
-        entries: list[Entry],
-        origin: list[int] | None,
-        pending_drops: list[tuple[Entry, int]],
-        events: list[TreeEvent],
+        columns: Columns,
+        origins: array | None,
+        pending_drops: _Drops,
         input_sublevels: tuple[int, ...],
     ) -> None:
-        """Place key-sorted ``entries`` at ``level_number``.
+        """Place key-sorted ``columns`` at ``level_number``.
 
-        ``origin[i]`` is the sub-level entry i came from (None for a pure
-        buffer flush). ``pending_drops`` carries obsolete versions
-        eliminated earlier in this cascade, to be reported with the event
-        that finally lands the data.
+        ``origins[i]`` is the sub-level version i came from (None for a
+        pure buffer flush). ``pending_drops`` carries the keys and
+        origins of obsolete versions eliminated earlier in this cascade,
+        to be reported with the event that finally lands the data.
         """
         if level_number > self.num_levels:
             self._grow()
 
         level = self._levels[level_number - 1]
         capacity = self.sublevel_capacity(level_number)
+        arriving = (columns, origins, pending_drops, input_sublevels)
 
         # 1. Highest-numbered empty sub-level.
         empty_index = self._highest_empty(level)
         if empty_index is not None:
-            self._emplace(
-                level, empty_index, entries, origin, pending_drops, events,
-                input_sublevels,
-            )
+            self._emplace(level, empty_index, *arriving)
             return
 
         # 2. No empty slot means every sub-level is occupied (occupied
@@ -321,11 +343,8 @@ class LSMTree:
         # "included in the merge" rule.
         target = level.slots[0]
         assert target is not None
-        if target.num_entries + len(entries) <= capacity:
-            self._merge_into(
-                level, 0, entries, origin, pending_drops, events,
-                input_sublevels,
-            )
+        if target.num_entries + len(columns[0]) <= capacity:
+            self._merge_into(level, 0, *arriving)
             return
 
         # 3. At a single-sub-level largest level, duplicate versions may
@@ -335,22 +354,17 @@ class LSMTree:
         if (
             level_number == self.num_levels
             and len(level.slots) == 1
-            and self._try_dedup_merge(
-                level, entries, origin, pending_drops, events, input_sublevels
-            )
+            and self._try_dedup_merge(level, *arriving)
         ):
             return
 
         # 4. Level is full: merge it wholesale into the next level, then
         # place the arrival in the freshly emptied level.
-        self._spill_level(level_number, events)
+        self._spill_level(level_number)
         level = self._levels[level_number - 1]
         empty_index = self._highest_empty(level)
         assert empty_index is not None
-        self._emplace(
-            level, empty_index, entries, origin, pending_drops, events,
-            input_sublevels,
-        )
+        self._emplace(level, empty_index, *arriving)
 
     def _highest_empty(self, level: _Level) -> int | None:
         for slot_index in range(len(level.slots) - 1, -1, -1):
@@ -362,49 +376,50 @@ class LSMTree:
         self,
         level: _Level,
         slot_index: int,
-        entries: list[Entry],
-        origin: list[int] | None,
-        pending_drops: list[tuple[Entry, int]],
-        events: list[TreeEvent],
+        columns: Columns,
+        origins: array | None,
+        pending_drops: _Drops,
         input_sublevels: tuple[int, ...],
     ) -> None:
-        """Write ``entries`` as a new run into an empty slot."""
+        """Write ``columns`` as a new run into an empty slot."""
         sublevel = self.sublevel_number(level.number, slot_index)
-        purge = self._is_oldest_sublevel(sublevel)
-        drops = list(pending_drops)
-        if purge and origin is not None:
-            entries, origin, purged = _purge(entries, origin, self._expired)
-            drops += purged
-        if not entries:
+        drops, drop_origins = pending_drops
+        if origins is not None and self._is_oldest_sublevel(sublevel):
+            kept, purged = _purge(
+                columns[1], columns[3], range(len(origins)), self.clock
+            )
+            if purged:
+                drops = drops + _take(columns[0], purged)
+                drop_origins = drop_origins + _take(origins, purged)
+                columns = _gather(columns, kept)
+                origins = _take(origins, kept)
+        keys = columns[0]
+        if not keys:
             if drops:
-                self._notify(
-                    MergeEvent(input_sublevels, sublevel, (), tuple(drops)), events
-                )
+                self._notify(MergeEvent(
+                    input_sublevels, sublevel, keys,
+                    array(ORIGIN_TYPECODE), drops, drop_origins,
+                ))
             return
         crash_point("tree.emplace.before_build")
-        run = Run.build(entries, self.storage, self.config.block_entries)
+        run = Run.build(columns, self.storage, self.config.block_entries)
         self._set_run(level, slot_index, run)
-        if origin is None and not drops:
-            event: TreeEvent = FlushEvent(sublevel=sublevel, entries=tuple(entries))
+        if origins is None and not drops:
+            event: TreeEvent = FlushEvent(sublevel=sublevel, keys=keys)
         else:
-            survivors_origin = (
-                origin if origin is not None else [BUFFER_ORIGIN] * len(entries)
-            )
+            if origins is None:
+                origins = origin_column(BUFFER_ORIGIN, len(keys))
             event = MergeEvent(
-                input_sublevels=input_sublevels,
-                output_sublevel=sublevel,
-                survivors=tuple(zip(entries, survivors_origin)),
-                drops=tuple(drops),
+                input_sublevels, sublevel, keys, origins, drops, drop_origins
             )
-        self._notify(event, events)
+        self._notify(event)
 
     def _try_dedup_merge(
         self,
         level: _Level,
-        entries: list[Entry],
-        origin: list[int] | None,
-        pending_drops: list[tuple[Entry, int]],
-        events: list[TreeEvent],
+        columns: Columns,
+        origins: array | None,
+        pending_drops: _Drops,
         input_sublevels: tuple[int, ...],
     ) -> bool:
         """Attempt an in-place merge into a single-sub-level largest
@@ -416,16 +431,18 @@ class LSMTree:
         target = level.slots[slot_index]
         assert target is not None
         with self.storage.counting_suspended():
-            target_entries = target.read_all()
-        merged_size = len({e[KEY] for e in target_entries}
-                          | {e[KEY] for e in entries})
+            target_columns = target.read_columns()
+        # Both sides hold one version per key: the merge keeps one per
+        # distinct key, and only the smaller side needs a set.
+        small, large = sorted((columns[0], target_columns[0]), key=len)
+        merged_size = len(small) + len(large) - len(set(small).intersection(large))
         if merged_size > self.sublevel_capacity(level.number):
             return False
         # Commit: charge the reads the trial performed, then merge.
         self.counters.storage.read(target.num_blocks)
         self._merge_into(
-            level, slot_index, entries, origin, pending_drops, events,
-            input_sublevels, target_entries=target_entries,
+            level, slot_index, columns, origins, pending_drops,
+            input_sublevels, target_columns=target_columns,
         )
         return True
 
@@ -433,90 +450,74 @@ class LSMTree:
         self,
         level: _Level,
         slot_index: int,
-        entries: list[Entry],
-        origin: list[int] | None,
-        pending_drops: list[tuple[Entry, int]],
-        events: list[TreeEvent],
+        columns: Columns,
+        origins: array | None,
+        pending_drops: _Drops,
         input_sublevels: tuple[int, ...],
-        target_entries: list[Entry] | None = None,
+        target_columns: Columns | None = None,
     ) -> None:
         """Merge the arrival with the run already at ``slot_index``."""
         sublevel = self.sublevel_number(level.number, slot_index)
         target = level.slots[slot_index]
         assert target is not None
-        if target_entries is None:
-            target_entries = target.read_all()
-        incoming_origin = (
-            origin if origin is not None else [BUFFER_ORIGIN] * len(entries)
-        )
-        merged, merged_origin, drops = _merge_sorted(
+        if target_columns is None:
+            target_columns = target.read_columns()
+        if origins is None:
+            origins = origin_column(BUFFER_ORIGIN, len(columns[0]))
+        merged, merged_origins, drops, drop_origins = _merge_sorted(
             [
-                (entries, incoming_origin),
-                (target_entries, [sublevel] * len(target_entries)),
+                (columns, origins),
+                (target_columns, origin_column(sublevel, target.num_entries)),
             ],
             purge_tombstones=self._is_oldest_sublevel(sublevel),
-            is_expired=self._expired,
+            clock=self.clock,
         )
-        drops = list(pending_drops) + drops
+        del columns, origins, target_columns
         self._retire(target)
         self._set_run(level, slot_index, None)
-        if merged:
+        if merged[0]:
             crash_point("tree.merge.before_build")
             run = Run.build(merged, self.storage, self.config.block_entries)
             self._set_run(level, slot_index, run)
             crash_point("tree.merge.after_build")
-        event = MergeEvent(
-            input_sublevels=tuple(input_sublevels) + (sublevel,),
-            output_sublevel=sublevel,
-            survivors=tuple(zip(merged, merged_origin)),
-            drops=tuple(drops),
-        )
-        self._notify(event, events)
+        pending, pending_origins = pending_drops
+        self._notify(MergeEvent(
+            input_sublevels + (sublevel,), sublevel, merged[0], merged_origins,
+            pending + drops, pending_origins + drop_origins,
+        ))
 
-    def _spill_level(self, level_number: int, events: list[TreeEvent]) -> None:
+    def _spill_level(self, level_number: int) -> None:
         """Merge every run at ``level_number`` into the next level."""
         with self.obs.tracer.span("merge_spill", level=level_number):
-            self._spill_level_inner(level_number, events)
+            self._spill_level_inner(level_number)
 
-    def _spill_level_inner(
-        self, level_number: int, events: list[TreeEvent]
-    ) -> None:
+    def _spill_level_inner(self, level_number: int) -> None:
         level = self._levels[level_number - 1]
         occupied = level.occupied()
         assert occupied, "only full levels spill"
-        sources: list[tuple[list[Entry], list[int]]] = []
+        sources: list[tuple[Columns, array]] = []
         input_sublevels: list[int] = []
         for slot_index, run in occupied:
             sublevel = self.sublevel_number(level.number, slot_index)
-            run_entries = run.read_all()
-            sources.append((run_entries, [sublevel] * len(run_entries)))
+            sources.append(
+                (run.read_columns(), origin_column(sublevel, run.num_entries))
+            )
             input_sublevels.append(sublevel)
-        merged, merged_origin, drops = _merge_sorted(sources, purge_tombstones=False)
+        merged, merged_origins, drops, drop_origins = _merge_sorted(
+            sources, purge_tombstones=False
+        )
+        del sources
         for slot_index, run in occupied:
             self._retire(run)
             self._set_run(level, slot_index, None)
         crash_point("tree.spill.before_place")
         self._place(
-            level_number + 1,
-            merged,
-            origin=merged_origin,
-            pending_drops=drops,
-            events=events,
-            input_sublevels=tuple(input_sublevels),
+            level_number + 1, merged, merged_origins, (drops, drop_origins),
+            tuple(input_sublevels),
         )
 
     def _is_oldest_sublevel(self, sublevel: int) -> bool:
         return sublevel == self.config.total_sublevels(self.num_levels)
-
-    def _expired(self, entry: Entry) -> bool:
-        """Whether a TTL entry's stamp has passed. Only consulted where
-        tombstones purge (the oldest sub-level) — dropping an expired
-        version any earlier could resurrect an older, shadowed version
-        of the same key on the query path."""
-        exp = entry[EXPIRES_AT]
-        if exp is None or self.clock is None:
-            return False
-        return exp <= self.clock()
 
     def _grow(self) -> None:
         """Add a level: the old largest level becomes an inner level.
@@ -536,8 +537,8 @@ class LSMTree:
         for listener in self.grow_listeners:
             listener(new_count)
 
-    def _notify(self, event: TreeEvent, events: list[TreeEvent]) -> None:
-        events.append(event)
+    def _notify(self, event: TreeEvent) -> None:
+        self._notified += 1
         if isinstance(event, FlushEvent):
             self._m_flushes.inc()
         else:
@@ -621,11 +622,10 @@ class LSMTree:
             if 0 <= offset < len(level.slots):
                 if level.slots[offset] is not None:
                     raise ValueError(f"sub-level {sublevel} is already occupied")
-                run = Run.build(entries, self.storage, self.config.block_entries)
+                columns = columns_of(entries)
+                run = Run.build(columns, self.storage, self.config.block_entries)
                 self._set_run(level, offset, run)
-                self._notify(
-                    FlushEvent(sublevel=sublevel, entries=tuple(entries)), []
-                )
+                self._notify(FlushEvent(sublevel=sublevel, keys=columns[0]))
                 self._commit()
                 return
         raise ValueError(f"sub-level {sublevel} does not exist")
@@ -679,107 +679,142 @@ class LSMTree:
 
     def iter_entries_with_sublevels(self) -> Iterator[tuple[Entry, int]]:
         """Every live entry with its sub-level, youngest sub-level first
-        (used for filter rebuilds; reads do not touch the block cache)."""
+        (metrics and checks read through it; reads do not touch the
+        block cache)."""
         for sublevel, run in self.occupied_runs():
             for entry in run.read_all():
                 yield entry, sublevel
 
 
+def _take(column: array, order) -> array:
+    """``column`` at the positions ``order`` lists, as a new array."""
+    return array(column.typecode, map(column.__getitem__, order))
+
+
+def _gather(columns: Columns, order) -> Columns:
+    """The versions at the positions ``order`` lists, in that order."""
+    keys, values, seqnos, expires = columns
+    return (
+        _take(keys, order),
+        list(map(values.__getitem__, order)),
+        _take(seqnos, order),
+        None if expires is None
+        else stamps_or_none(list(map(expires.__getitem__, order))),
+    )
+
+
 def _merge_sorted(
-    sources: list[tuple[list[Entry], list[int]]],
+    sources: list[tuple[Columns, array]],
     purge_tombstones: bool,
-    is_expired: Callable[[Entry], bool] | None = None,
-) -> tuple[list[Entry], list[int], list[tuple[Entry, int]]]:
-    """K-way merge with version resolution.
+    clock: Callable[[], int] | None = None,
+) -> tuple[Columns, array, array, array]:
+    """K-way merge with version resolution, over columns.
 
-    ``sources`` pairs each entry list with its per-entry origin sub-level.
-    Returns (survivors, survivor origins, dropped (entry, origin) pairs).
+    ``sources`` pairs each source's columns with its origin column (the
+    sub-level every version came from). Returns ``(survivors, survivor
+    origins, dropped keys, dropped origins)``; which versions survive and
+    which drop, in which order, is :func:`_merge_order`'s answer over
+    the sources concatenated in the order they are listed.
+    """
+    origins = array(ORIGIN_TYPECODE)
+    for source_columns, source_origins in sources:
+        if len(source_columns[0]) != len(source_origins):
+            raise ValueError("each entry needs exactly one origin")
+        origins.extend(source_origins)
+    columns = concat_columns([source_columns for source_columns, _ in sources])
+    keys = columns[0]
+    kept, dropped = _merge_order(columns, purge_tombstones, clock)
+    drops = _take(keys, dropped), _take(origins, dropped)
+    if kept != range(len(keys)):
+        columns, origins = _gather(columns, kept), _take(origins, kept)
+    return (columns, origins, *drops)
+
+
+def _merge_order(
+    columns: Columns,
+    purge_tombstones: bool,
+    clock: Callable[[], int] | None = None,
+) -> tuple[list[int], list[int]]:
+    """``(kept, dropped)``: positions into ``columns`` of the versions a
+    merge keeps, in key order, and of those it drops, in drop order.
+
     The newest version of each key (highest seqno; the earliest-listed
-    of equal seqnos) survives, in key order; with ``purge_tombstones``
-    the survivor is dropped too when it is a tombstone (the merge target
-    is the oldest data in the tree) — or, when ``is_expired`` says so, a
-    TTL entry whose stamp has passed. ``is_expired`` is asked only about
-    non-tombstone survivors whose ``expires_at`` is not ``None``, in key
-    order: a version without a stamp never expires.
+    of equal seqnos) survives; with ``purge_tombstones`` the survivor is
+    dropped too when it is a tombstone (the merge target is the oldest
+    data in the tree) — or a TTL version whose stamp is at or before
+    ``clock()``. The clock is read once, and only when a non-tombstone
+    survivor carries a stamp: a version without one never expires.
 
-    Drops come in the order a walk over the sources, in the order they
+    Drops come in the order a walk over the versions, in the order they
     are listed, would make them: each later version of a key drops
     itself or the version it beat, then the purged survivors in key
     order. The order matters — the filter applies drops as removals,
     and a removal can repatriate an AHT entry.
 
-    The work is C-level except per repeated version: the sources are
-    concatenated and their indexes stable-sorted by key (so a key's
-    versions sit together, in listed order), and only keys with more
-    than one version are replayed in Python.
+    The work is C-level except per repeated version: the positions are
+    stable-sorted by key (so a key's versions sit together, in listed
+    order), and only keys with more than one version are replayed in
+    Python.
     """
-    entries: list[Entry] = []
-    origins: list[int] = []
-    for source_entries, source_origins in sources:
-        if len(source_entries) != len(source_origins):
-            raise ValueError("each entry needs exactly one origin")
-        entries += source_entries
-        origins += source_origins
-    # The temporaries go as soon as they are used: a large merge's
-    # working set is what sets the process's peak RSS.
-    keys = list(map(_key_of, entries))
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    sorted_keys = list(map(keys.__getitem__, order))
-    del keys
-    drops: list[tuple[Entry, int]] = []
-    if any(map(eq, islice(sorted_keys, 1, None), sorted_keys)):
-        order, drops = _replay_repeats(entries, origins, order, sorted_keys)
-    del sorted_keys
-    survivors = list(map(entries.__getitem__, order))
-    survivor_origins = list(map(origins.__getitem__, order))
+    keys, values, seqnos, expires = columns
+    dropped: list[int] = []
+    if all(map(lt, keys, islice(keys, 1, None))):
+        # Already in key order with one version per key (one source, or
+        # sources that do not overlap): nothing to sort or replay.
+        order: range | list[int] = range(len(keys))
+    else:
+        # The temporaries go as soon as they are used: a large merge's
+        # working set is what sets the process's peak RSS.
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        sorted_keys = _take(keys, order)
+        if any(map(eq, islice(sorted_keys, 1, None), sorted_keys)):
+            order, dropped = _replay_repeats(seqnos, order, sorted_keys)
+        del sorted_keys
     if purge_tombstones:
-        survivors, survivor_origins, purged = _purge(
-            survivors, survivor_origins, is_expired
-        )
-        drops += purged
-    return survivors, survivor_origins, drops
+        order, purged = _purge(values, expires, order, clock)
+        dropped += purged
+    return order, dropped
 
 
 def _purge(
-    entries: list[Entry],
-    origins: list[int],
-    is_expired: Callable[[Entry], bool] | None,
-) -> tuple[list[Entry], list[int], list[tuple[Entry, int]]]:
-    """Split versions bound for the oldest sub-level into the kept ones
-    and the purged ``(entry, origin)`` pairs, order kept: tombstones,
-    and stamped versions ``is_expired`` says have passed (it is asked
-    only about non-tombstones whose ``expires_at`` is not ``None``)."""
-    dead = list(map(is_, map(_value_of, entries), repeat(TOMBSTONE)))
-    if is_expired is not None:
-        stamped = map(is_not, map(_expires_at_of, entries), repeat(None))
-        for position in compress(range(len(entries)), stamped):
-            if not dead[position] and is_expired(entries[position]):
-                dead[position] = True
+    values,
+    expires,
+    order,
+    clock: Callable[[], int] | None,
+) -> tuple[list[int], list[int]]:
+    """Split the positions ``order`` lists, of versions bound for the
+    oldest sub-level, into the kept and the purged ones, order kept:
+    tombstones, and stamped versions whose stamp is at or before
+    ``clock()`` (read once, only when a non-tombstone carries a stamp)."""
+    dead = list(map(is_, map(values.__getitem__, order), repeat(TOMBSTONE)))
+    if expires is not None and clock is not None:
+        now = None
+        stamped = map(is_not, map(expires.__getitem__, order), repeat(None))
+        for position in compress(range(len(dead)), stamped):
+            if not dead[position]:
+                if now is None:
+                    now = clock()
+                if expires[order[position]] <= now:
+                    dead[position] = True
     if not any(dead):
-        return entries, origins, []
-    alive = list(map(not_, dead))
-    return (
-        list(compress(entries, alive)),
-        list(compress(origins, alive)),
-        list(compress(zip(entries, origins), dead)),
-    )
+        return order, []
+    return list(compress(order, map(not_, dead))), list(compress(order, dead))
 
 
 def _replay_repeats(
-    entries: list[Entry],
-    origins: list[int],
+    seqnos: array,
     order: list[int],
-    sorted_keys: list[int],
-) -> tuple[list[int], list[tuple[Entry, int]]]:
-    """``order`` (indexes into ``entries`` stable-sorted by key) without
-    the versions a walk over the sources would drop, and those drops as
-    ``(entry, origin)`` pairs in the walk's order: each later version of
-    a key drops itself, or the version it beat on seqno."""
+    sorted_keys: array,
+) -> tuple[list[int], list[int]]:
+    """``order`` (positions stable-sorted by key) without the versions a
+    walk over the sources would drop, and those drops' positions in the
+    walk's order: each later version of a key drops itself, or the
+    version it beat on seqno."""
     repeats = compress(
         range(1, len(order)), map(eq, islice(sorted_keys, 1, None), sorted_keys)
     )
-    # (index of the later version, index of the version it drops): the
-    # walk's order is the later version's index.
+    # (position of the later version, position of the version it
+    # drops): the walk's order is the later version's position.
     replayed: list[tuple[int, int]] = []
     keep = [True] * len(order)
     previous = best = -1
@@ -788,7 +823,7 @@ def _replay_repeats(
             best = position - 1  # the first version of a new key
         previous = position
         later, current = order[position], order[best]
-        if entries[later][SEQNO] > entries[current][SEQNO]:
+        if seqnos[later] > seqnos[current]:
             keep[best] = False
             best = position
             replayed.append((later, current))
@@ -796,5 +831,4 @@ def _replay_repeats(
             keep[position] = False
             replayed.append((later, later))
     replayed.sort()
-    drops = [(entries[dropped], origins[dropped]) for _, dropped in replayed]
-    return list(compress(order, keep)), drops
+    return list(compress(order, keep)), [dropped for _, dropped in replayed]

@@ -34,12 +34,23 @@ report a speedup alongside the ns/op:
 data is 6x its block cache: the fence search, the block cache and, on
 most reads, a device read — the path of the end-to-end ``lookup-hit``
 workload.
+
+``store_bytes_per_version`` is a memory row: the bytes ``tracemalloc``
+traces per stored version of a durable Chucky store (the end-to-end
+benchmark's shape) built and loaded with :data:`STORE_VERSIONS` fresh
+keys, then flushed — ``bytes_per_version`` once the load is done,
+``peak_bytes_per_version`` at the load's high-water mark. Keys and
+values are allocated before tracing starts, so the row counts what the
+store holds, and it is the same on every run. Its ``ns_per_op`` is the
+traced load's wall time per put, slowed by the tracing itself.
 """
 
 from __future__ import annotations
 
+import gc
 import random
 import time
+import tracemalloc
 from typing import Any, Callable
 
 from repro.chucky.bucket import BucketCodec
@@ -95,6 +106,39 @@ def _codec_fixture():
     packed, ovf = codec.pack(slots)
     assert not ovf
     return cb, codec, slots, packed
+
+
+#: Fresh keys the memory row loads.
+STORE_VERSIONS = 40_000
+
+
+def store_bytes_per_version(versions: int = STORE_VERSIONS) -> dict[str, float]:
+    """The ``store_bytes_per_version`` row's figures (see the module
+    docstring)."""
+    from repro.engine import EngineConfig, build_store
+
+    config = EngineConfig.lazy_leveled(
+        4, buffer_entries=256, block_entries=32, policy="chucky",
+        bits_per_entry=10.0, durable=True,
+    )
+    keys = random.Random(5).sample(range(1 << 40), versions)
+    values = [f"v{i:07d}" for i in range(versions)]
+    gc.collect()
+    tracemalloc.start()
+    start = time.perf_counter_ns()
+    store = build_store(config)
+    for key, value in zip(keys, values):
+        store.put(key, value)
+    store.flush()
+    elapsed = time.perf_counter_ns() - start
+    gc.collect()
+    steady, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    return {
+        "ns_per_op": elapsed / versions,
+        "bytes_per_version": round(steady / versions, 1),
+        "peak_bytes_per_version": round(peak / versions, 1),
+    }
 
 
 def run_micro(inner: int = 256, rounds: int = 5) -> dict[str, Any]:
@@ -229,6 +273,9 @@ def run_micro(inner: int = 256, rounds: int = 5) -> dict[str, Any]:
     case("blocked_bloom_query", time_op(
         lambda i: bloom.may_contain(i), inner, rounds))
 
+    memory = store_bytes_per_version()
+    case("store_bytes_per_version", memory.pop("ns_per_op"), **memory)
+
     return {
         "suite": "micro",
         "inner": inner,
@@ -249,5 +296,10 @@ def format_micro(report: dict[str, Any]) -> str:
             line += f"  ({row['speedup']:.2f}x vs reference)"
         if row.get("overhead") is not None:
             line += f"  ({row['overhead']:.2f}x the unobserved read)"
+        if "bytes_per_version" in row:
+            line += (
+                f"  ({row['bytes_per_version']:.1f} B per stored version, "
+                f"{row['peak_bytes_per_version']:.1f} at peak)"
+            )
         lines.append(line)
     return "\n".join(lines)

@@ -1,8 +1,8 @@
 """The dict-walk version merge the one-sort ``_merge_sorted`` replaced.
 
-``repro.lsm.tree._merge_sorted`` concatenates its sources, stable-sorts
-their indexes by key and replays only the keys with more than one
-version. This module keeps the merge it replaced — one dict walk over
+``repro.lsm.tree._merge_sorted`` concatenates its sources' columns,
+stable-sorts their positions by key and replays only the keys with more
+than one version. This module keeps the merge it replaced — one dict walk over
 every version in source order, then the survivors in key order — as the
 reference ``TestMergeOracle`` holds it to: same survivors, same origins,
 same drops in the same order.

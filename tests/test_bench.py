@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.cli import main
 from repro.common.quantile import nearest_rank
 from repro.workloads.bench import (
@@ -172,11 +174,18 @@ class TestBenchCLI:
         assert "applied=0" in printed and "mode=static" in printed
 
 
-class TestMicrobench:
-    def test_micro_suite_reports_all_hot_ops(self):
-        from repro.workloads.micro import run_micro
+@pytest.fixture(scope="module")
+def micro_report():
+    """One small microbench run shared by the tests that read it (its
+    memory row loads a 40k-version store under tracemalloc)."""
+    from repro.workloads.micro import run_micro
 
-        report = run_micro(inner=8, rounds=1)
+    return run_micro(inner=8, rounds=1)
+
+
+class TestMicrobench:
+    def test_micro_suite_reports_all_hot_ops(self, micro_report):
+        report = micro_report
         names = {row["name"] for row in report["cases"]}
         assert {
             "chucky_query", "chucky_query_many", "chucky_maintain_many",
@@ -192,25 +201,34 @@ class TestMicrobench:
         assert event["reference_ns_per_op"] > 0 and event["speedup"] > 0
         assert "host" in report
 
-    def test_micro_suite_states_the_observed_read_cost(self):
+    def test_micro_suite_states_the_observed_read_cost(self, micro_report):
         """``kv_get_observed`` times a point read on a store with
         ``repro serve``'s observability bundle against the same store
         with it off; recording a read's metrics is never free."""
-        from repro.workloads.micro import run_micro
-
-        report = run_micro(inner=8, rounds=1)
+        report = micro_report
         row = next(r for r in report["cases"] if r["name"] == "kv_get_observed")
         assert row["ns_per_op"] > 0 and row["reference_ns_per_op"] > 0
         assert row["overhead"] >= 1
 
-    def test_micro_suite_times_the_point_hit(self):
+    def test_micro_suite_times_the_point_hit(self, micro_report):
         """``kv_get_hit`` times point hits on a store whose data is
         several times its block cache (fence search, cache, device)."""
-        from repro.workloads.micro import run_micro
-
-        report = run_micro(inner=8, rounds=1)
+        report = micro_report
         row = next(r for r in report["cases"] if r["name"] == "kv_get_hit")
         assert row["ns_per_op"] > 0
+
+    def test_micro_suite_states_bytes_per_stored_version(self, micro_report):
+        """``store_bytes_per_version``: traced bytes per version of a
+        loaded durable Chucky store, steady and at the load's peak. A
+        version is a few column bytes plus its share of the filter and
+        the codebook, so the steady figure sits well under the 122 B an
+        entry tuple and its seqno int cost on their own."""
+        row = next(
+            r for r in micro_report["cases"]
+            if r["name"] == "store_bytes_per_version"
+        )
+        assert 0 < row["bytes_per_version"] < 122
+        assert row["peak_bytes_per_version"] > row["bytes_per_version"]
 
     def test_microbench_command_writes_artifact(self, tmp_path, capsys):
         out = tmp_path / "micro.json"

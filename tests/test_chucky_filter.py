@@ -14,6 +14,7 @@ from repro.common.errors import FilterError
 from repro.chucky.filter import (
     ChuckyFilter,
     UncompressedLidFilter,
+    _buckets_for_capacity,
     _partner,
 )
 from repro.common.hashing import FP_MIN, fp_digest
@@ -261,6 +262,19 @@ class TestUpdateRemove:
         assert not f.remove(5, 4)
         assert f.maintenance_misses == 1
 
+    def test_success_after_an_earlier_miss_reports_true(self):
+        """A call's answer is its own misses, not the filter's running
+        total: after a missed remove, a later update or remove that
+        finds its mapping still reports success."""
+        f = ChuckyFilter(100, DIST)
+        assert not f.remove(5, 4)
+        f.insert(6, 2)
+        assert f.update_lid(6, 2, 3) is True
+        assert f.remove(6, 3) is True
+        assert f.maintain_many([(7, None, 1), (7, 1, 2)]) == 0
+        assert f.maintain_many([(8, 2, None)]) == 1
+        assert f.maintenance_misses == 2
+
     def test_mass_update_and_remove_no_misses(self):
         f, pairs = build_filter(3000)
         rng = random.Random(5)
@@ -474,6 +488,25 @@ class TestSizing:
     def test_size_bits_scales_with_buckets(self):
         f = ChuckyFilter(1000, DIST, bits_per_entry=10.0)
         assert f.size_bits >= f.num_buckets * 40
+
+    def test_capacity_must_be_positive(self):
+        with pytest.raises(ValueError, match="capacity must be >= 1"):
+            _buckets_for_capacity(0, 4, 0.05)
+        assert _buckets_for_capacity(1, 4, 0.05) == 2
+
+    def test_size_bits_counts_the_overflow_table(self):
+        """A bucket forced into a rare combination spills its
+        fingerprints to the overflow table, and the footprint counts
+        them: 32 bits of bucket index plus 64 per fingerprint."""
+        f = ChuckyFilter(2000, DIST, bits_per_entry=10.0)
+        bucket_bits = f.num_buckets * f.codebook.bucket_bits
+        assert f.size_bits == bucket_bits
+        for k in random.Random(11).sample(range(10**9), 600):
+            f.insert(k, 1)  # all-youngest-level buckets are rare
+        assert f.overflow and not f.aht
+        overflow_bits = sum(32 + 64 * len(fps) for fps in f.overflow.values())
+        assert overflow_bits > 0
+        assert f.size_bits == bucket_bits + overflow_bits
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -135,8 +135,11 @@ class TestStoreEdges:
         kv = KVStore(leveling(3, buffer_entries=4, block_entries=2))
         for i in range(50):
             kv.put(i * 10, i)
-        assert len(list(kv.scan(-100, 10**9))) == 50
+        assert len(list(kv.scan(0, 2**64 - 1))) == 50
         assert list(kv.scan(55, 55)) == []
+        # A bound outside the key domain is refused like a key.
+        with pytest.raises(ValueError, match="64-bit range"):
+            kv.scan(-100, 10**9)
 
     def test_partitioned_policy_end_to_end(self):
         kv = KVStore(

@@ -2,6 +2,7 @@
 runs and their fence pointers, and the block cache."""
 
 import gc
+from array import array
 
 import pytest
 
@@ -11,7 +12,7 @@ from repro.lsm.entry import (
     EXPIRES_AT, KEY, SEQNO, TOMBSTONE, VALUE, is_tombstone, make_entry,
 )
 from repro.lsm.memtable import Memtable
-from repro.lsm.run import Run
+from repro.lsm.run import Run, columns_of
 from repro.lsm.storage import StorageDevice
 
 
@@ -149,7 +150,10 @@ class TestStorageDevice:
 def _fenced_run(block_min_keys, max_key):
     """A run whose block ``i`` holds one entry, keyed by its min key."""
     dev = StorageDevice()
-    blocks = [tuple(make_entries([k])) for k in block_min_keys]
+    blocks = [
+        (array("Q", [k]), (f"v{k}",), array("Q", [1]), None)
+        for k in block_min_keys
+    ]
     rid = dev.write_run(blocks)
     return Run(rid, dev, list(block_min_keys), max_key, len(blocks), 1), dev
 
@@ -202,7 +206,7 @@ class TestFencePointers:
 class TestRun:
     def build(self, keys, block_entries=2):
         dev = StorageDevice()
-        return Run.build(make_entries(keys), dev, block_entries), dev
+        return Run.build(columns_of(make_entries(keys)), dev, block_entries), dev
 
     def test_build_and_get(self):
         run, _ = self.build(range(10))
@@ -239,17 +243,17 @@ class TestRun:
         dev = StorageDevice()
         entries = [make_entry(2, "a", 1), make_entry(1, "b", 2)]
         with pytest.raises(ValueError, match="sorted by key"):
-            Run.build(entries, dev, 2)
+            Run.build(columns_of(entries), dev, 2)
 
     def test_duplicate_keys_rejected(self):
         dev = StorageDevice()
         entries = [make_entry(1, "a", 1), make_entry(1, "b", 2)]
         with pytest.raises(ValueError, match="one version per key"):
-            Run.build(entries, dev, 2)
+            Run.build(columns_of(entries), dev, 2)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            Run.build([], StorageDevice(), 2)
+            Run.build(columns_of([]), StorageDevice(), 2)
 
     def test_drop_invalidates_cache(self):
         run, dev = self.build(range(4))

@@ -2,14 +2,16 @@
 Chucky's unified policy, kept consistent through merge events."""
 
 import random
+from array import array
 
 import pytest
 
-from repro.chucky.policy import ChuckyPolicy
+from repro.chucky.policy import EDIT_CHUNK, ChuckyPolicy
 from repro.engine.kvstore import KVStore
 from repro.filters.policy import BloomFilterPolicy, NoFilterPolicy
 from repro.lsm.config import lazy_leveling, leveling, tiering
 from repro.lsm.entry import KEY
+from repro.lsm.tree import BUFFER_ORIGIN, ORIGIN_TYPECODE, MergeEvent
 
 
 def written_store(policy, cfg=None, n=600, universe=300, seed=0):
@@ -120,6 +122,63 @@ class TestChuckyPolicy:
         filter_consistency(kv)
         for k in range(10):
             assert kv.get(k) is None
+
+    @staticmethod
+    def merge_event(store, moved, fresh, bad_lid=None):
+        """A merge into the store's largest sub-level: ``moved`` keys
+        from sub-level 1, then ``fresh`` buffer keys (a ``bad_lid``
+        origin on the very last survivor)."""
+        out = store.tree.num_sublevels
+        origins = array(ORIGIN_TYPECODE, [1] * moved + [BUFFER_ORIGIN] * fresh)
+        if bad_lid is not None:
+            origins[-1] = bad_lid
+        return MergeEvent(
+            (1,), out, array("Q", range(10**6, 10**6 + moved + fresh)),
+            origins, array("Q"), array(ORIGIN_TYPECODE),
+        )
+
+    def test_a_bad_lid_refuses_a_whole_chunked_event(self):
+        """An event longer than one ``maintain_many`` chunk has its LIDs
+        checked before its first chunk lands."""
+        from repro.common.errors import FilterError
+
+        cfg = lazy_leveling(3, buffer_entries=8, block_entries=4).with_levels(3)
+        kv = KVStore(cfg, filter_policy=ChuckyPolicy(bits_per_entry=10))
+        filt = kv.policy.filter
+        before = (filt.persist(), filt.num_entries, kv.counters.memory.total)
+        event = self.merge_event(kv, 0, EDIT_CHUNK + 10, bad_lid=99)
+        with pytest.raises(FilterError, match="LID 99 out of range"):
+            kv.policy.handle_event(event)
+        assert (filt.persist(), filt.num_entries, kv.counters.memory.total) == before
+
+    def test_chunks_land_as_one_call(self, monkeypatch):
+        """An event's edits go to ``maintain_many`` at most
+        ``EDIT_CHUNK`` at a time, and the chunks leave the filter and
+        the counters exactly as one call with every edit would."""
+        cfg = lazy_leveling(3, buffer_entries=8, block_entries=4).with_levels(3)
+        fresh = EDIT_CHUNK * 2 + 5
+        inserts = self.merge_event(KVStore(cfg), 0, fresh)
+        stores = [
+            KVStore(cfg, filter_policy=ChuckyPolicy(bits_per_entry=10))
+            for _ in range(2)
+        ]
+        chunked, whole = stores
+        calls = []
+        original = type(chunked.policy.filter).maintain_many
+        monkeypatch.setattr(
+            chunked.policy.filter, "maintain_many",
+            lambda edits: calls.append(len(edits)) or original(
+                chunked.policy.filter, edits
+            ),
+        )
+        chunked.policy.handle_event(inserts)
+        out = inserts.output_sublevel
+        whole.policy.filter.maintain_many(
+            [(key, None, out) for key in inserts.survivors]
+        )
+        assert calls == [EDIT_CHUNK, EDIT_CHUNK, 5]
+        assert chunked.policy.filter.persist() == whole.policy.filter.persist()
+        assert chunked.counters.memory.snapshot() == whole.counters.memory.snapshot()
 
     def test_auxiliary_sizes_reported(self):
         kv, _ = written_store(ChuckyPolicy(bits_per_entry=10))

@@ -468,7 +468,12 @@ class TestDrainAndRecovery:
                 await client.close()
 
             await asyncio.gather(*(worker(i) for i in range(5)))
-            return store.crash()  # no drain, no flush
+            state = store.crash()  # no drain, no flush
+            # The crash must not drain, but the test may not leak its
+            # listening socket: close just the listener.
+            server._server.close()
+            await server._server.wait_closed()
+            return state
 
         state = asyncio.run(main())
         recovered = recover_store(state, cfg)

@@ -1,6 +1,7 @@
 """The Dostoevsky LSM-tree: merge mechanics, invariants, events, growth."""
 
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -16,11 +17,14 @@ from repro.lsm.entry import (
     is_tombstone,
     make_entry,
 )
+from repro.lsm.run import columns_of, entries_of
 from repro.lsm.tree import (
     BUFFER_ORIGIN,
+    ORIGIN_TYPECODE,
     FlushEvent,
     LSMTree,
     MergeEvent,
+    _merge_order,
     _merge_sorted,
 )
 from tests.reference_merge import merge_sorted as reference_merge_sorted
@@ -256,7 +260,7 @@ class TestTombstones:
         tree.clock = lambda: now[0]
         dropped = []
         tree.listeners.append(
-            lambda e: dropped.extend(x[KEY] for x, _ in getattr(e, "drops", ()))
+            lambda e: dropped.extend(getattr(e, "drops", ()))
         )
         return tree, now, dropped
 
@@ -302,12 +306,37 @@ class TestEvents:
         return tree, events
 
     def test_flush_events_carry_all_entries(self, small_tiering):
+        """A flush event carries the new run's whole key column."""
         tree, events = self.collect(small_tiering, 64)
         flushes = [e for e in events if isinstance(e, FlushEvent)]
         assert flushes
         for e in flushes:
-            assert len(e.entries) > 0
-            assert all(type(x) is tuple for x in e.entries)
+            assert len(e.keys) > 0
+            assert type(e.keys) is array and e.keys.typecode == "Q"
+            assert list(e.keys) == sorted(set(e.keys))
+
+    def test_merge_events_carry_columns(self, small_lazy):
+        """A merge event holds no per-entry object: its survivors,
+        drops and their origins are arrays, paired by position."""
+        tree, events = self.collect(small_lazy, 400)
+        merges = [e for e in events if isinstance(e, MergeEvent)]
+        assert any(len(e.drops) for e in merges)
+        for e in merges:
+            for column in (e.survivors, e.survivor_origins, e.drops, e.drop_origins):
+                assert type(column) is array
+            assert len(e.survivors) == len(e.survivor_origins)
+            assert len(e.drops) == len(e.drop_origins)
+
+    def test_tree_keeps_no_event(self, small_lazy):
+        """A cascade's events are released once the listeners saw them."""
+        import weakref
+
+        tree = LSMTree(small_lazy)
+        refs = []
+        tree.listeners.append(lambda e: refs.append(weakref.ref(e)))
+        assert tree.flush([make_entry(k, "v", k + 1) for k in range(4)]) is None
+        drive(tree, [(i % 40, i) for i in range(400)], small_lazy.buffer_entries)
+        assert refs and all(ref() is None for ref in refs)
 
     def test_merge_events_conserve_entries(self, small_lazy):
         """survivors + drops of a merge account for every input entry."""
@@ -317,7 +346,7 @@ class TestEvents:
 
         def on_event(event):
             if isinstance(event, FlushEvent):
-                incoming[event.sublevel] = len(event.entries)
+                incoming[event.sublevel] = len(event.keys)
 
         tree.listeners.append(on_event)
         events = []
@@ -328,34 +357,36 @@ class TestEvents:
                 # Survivors land at the output sub-level; every origin is
                 # either the buffer, an input, or the output itself.
                 valid = set(e.input_sublevels) | {BUFFER_ORIGIN, e.output_sublevel}
-                assert all(src in valid for _, src in e.survivors)
+                assert set(e.survivor_origins) <= valid
 
     def test_replaying_events_reconstructs_tree_content(self, small_lazy):
         """Property at the heart of filter maintenance: applying the
         event stream to a shadow map reproduces exactly the tree's live
         (key -> sub-level) mapping."""
         tree = LSMTree(small_lazy)
-        shadow: dict[tuple[int, int], int] = {}  # (key, seqno) -> sublevel
+        # A run holds one version per key, so (key, sub-level) names a
+        # stored version.
+        shadow: set[tuple[int, int]] = set()
 
         def apply(event):
             if isinstance(event, FlushEvent):
-                for entry in event.entries:
-                    shadow[(entry[KEY], entry[SEQNO])] = event.sublevel
+                for key in event.keys:
+                    assert (key, event.sublevel) not in shadow
+                    shadow.add((key, event.sublevel))
             else:
-                for entry, src in event.drops:
+                for key, src in zip(event.drops, event.drop_origins):
                     if src != BUFFER_ORIGIN:
-                        del shadow[(entry[KEY], entry[SEQNO])]
-                    else:
-                        shadow.pop((entry[KEY], entry[SEQNO]), None)
-                for entry, src in event.survivors:
-                    shadow[(entry[KEY], entry[SEQNO])] = event.output_sublevel
+                        shadow.remove((key, src))
+                out = event.output_sublevel
+                for key, src in zip(event.survivors, event.survivor_origins):
+                    if src != out:
+                        if src != BUFFER_ORIGIN:
+                            shadow.remove((key, src))
+                        shadow.add((key, out))
 
         tree.listeners.append(apply)
         drive(tree, [(i % 64, i) for i in range(700)], small_lazy.buffer_entries)
-        actual = {
-            (e[KEY], e[SEQNO]): sub
-            for e, sub in tree.iter_entries_with_sublevels()
-        }
+        actual = {(e[KEY], sub) for e, sub in tree.iter_entries_with_sublevels()}
         assert shadow == actual
 
 
@@ -522,9 +553,10 @@ _VERSIONS = st.lists(
 
 
 class TestMergeOracle:
-    """``_merge_sorted`` (one stable index sort, duplicates replayed)
-    against the dict walk it replaced (``tests/reference_merge.py``):
-    same survivors, same origins, same drops in the same order."""
+    """``_merge_sorted`` (one stable index sort over columns, only
+    repeated keys replayed) against the dict walk it replaced
+    (``tests/reference_merge.py``): same survivors, same origins, same
+    drops in the same order."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -552,31 +584,45 @@ class TestMergeOracle:
             exp = entry[EXPIRES_AT]
             return exp is not None and exp <= now
 
-        def asking(entry):
-            asked.append(entry)
-            return is_expired(entry)
+        def clock():
+            asked.append(now)
+            return now
 
         if now is None:
-            got = _merge_sorted(sources, purge)
-            want = reference_merge_sorted(sources, purge)
-        else:
-            got = _merge_sorted(sources, purge, asking)
-            want = reference_merge_sorted(sources, purge, is_expired)
-
-        def identities(result):
-            survivors, origins, drops = result
-            return (
-                [id(entry) for entry in survivors],
-                origins,
-                [(id(entry), origin) for entry, origin in drops],
-            )
-
-        assert identities(got) == identities(want)
-        # The contract: only stamped, non-tombstone survivors are asked.
-        assert all(
-            e[EXPIRES_AT] is not None and not is_tombstone(e) for e in asked
+            clock = is_expired = None
+        want, want_origins, want_drops = reference_merge_sorted(
+            sources, purge, is_expired
         )
+        got, got_origins, drops, drop_origins = _merge_sorted(
+            [
+                (columns_of(entries), array(ORIGIN_TYPECODE, origins))
+                for entries, origins in sources
+            ],
+            purge,
+            clock,
+        )
+        assert entries_of(got) == want
+        assert [id(value) for value in got[1]] == [id(e[VALUE]) for e in want]
+        assert list(got_origins) == want_origins
+        assert list(zip(drops, drop_origins)) == [
+            (e[KEY], origin) for e, origin in want_drops
+        ]
+        # Exactly which versions: positions into the sources, in order.
+        listed = [entry for entries, _ in sources for entry in entries]
+        kept, dropped = _merge_order(columns_of(listed), purge, clock)
+        assert [id(listed[i]) for i in kept] == [id(e) for e in want]
+        assert [id(listed[i]) for i in dropped] == [id(e) for e, _ in want_drops]
+        # The clock is read once per merge, and only when a newest
+        # version that is no tombstone carries a stamp.
+        newest = reference_merge_sorted(sources, False)[0]
+        reads = purge and clock is not None and any(
+            e[EXPIRES_AT] is not None and not is_tombstone(e) for e in newest
+        )
+        assert asked == [now] * (2 if reads else 0)
 
     def test_origin_count_mismatch_refused(self):
         with pytest.raises(ValueError, match="exactly one origin"):
-            _merge_sorted([([make_entry(1, "a", 1)], [])], False)
+            _merge_sorted(
+                [(columns_of([make_entry(1, "a", 1)]), array(ORIGIN_TYPECODE))],
+                False,
+            )

@@ -12,7 +12,7 @@ from repro.engine import EngineConfig, build_store, recover_store
 from repro.engine.kvstore import KVStore
 from repro.filters.policy import BloomFilterPolicy, NoFilterPolicy
 from repro.lsm.config import lazy_leveling
-from repro.lsm.entry import KEY, SEQNO, TOMBSTONE
+from repro.lsm.entry import KEY, TOMBSTONE
 from repro.lsm.wal import (
     WalCorruption,
     WriteAheadLog,
@@ -494,8 +494,8 @@ class TestCrashRecovery:
         manifest = kv.tree.manifest()
         assert manifest
         for m in manifest:
-            entries = kv.tree.storage.read_run(m.run_id)
-            assert m.max_seqno == max(e[SEQNO] for block in entries for e in block)
+            blocks = kv.tree.storage.read_run(m.run_id)
+            assert m.max_seqno == max(max(block[2]) for block in blocks)
 
     def test_bloom_recovery_scans_runs(self):
         kv, ref, cfg = populated_store(BloomFilterPolicy(10, "blocked", "optimal"))
