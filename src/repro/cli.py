@@ -468,7 +468,8 @@ def cmd_microbench(args) -> int:
 
 def cmd_tune(args) -> int:
     from repro.tuning import PlannerConfig, TuningConfig, TuningController
-    from repro.workloads.drift import apply_ops, scenario, total_ops
+    from repro.workloads.drift import scenario, total_ops
+    from repro.workloads.ops import apply
 
     config = _engine_config(args)
     if args.window_ops < 1:
@@ -486,7 +487,6 @@ def cmd_tune(args) -> int:
         observability=obs,
     )
     mode = "static (never polled)" if args.static else "adaptive"
-    poll = None if args.static else controller.poll
     print(
         f"tune: scenario={args.scenario} ({len(phases)} phases, "
         f"{total_ops(phases)} ops), start policy={args.policy} "
@@ -497,7 +497,10 @@ def cmd_tune(args) -> int:
     phase_rows = []
     for phase in phases:
         before = store.snapshot()
-        apply_ops(store, phase.ops, poll)
+        for op in phase.ops:
+            apply(store, op)
+            if not args.static:
+                controller.poll()
         after = store.snapshot()
         row = {
             "phase": phase.name,

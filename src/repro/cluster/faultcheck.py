@@ -34,7 +34,6 @@ from __future__ import annotations
 import asyncio
 import random
 from dataclasses import dataclass
-from typing import Any
 
 from repro.cluster.coordinator import ClusterCoordinator
 from repro.cluster.node import ClusterError, ClusterNode
@@ -46,6 +45,7 @@ from repro.faults.harness import (
 )
 from repro.faults.injector import CRASH_AT_POINT, FaultInjector, FaultPlan
 from repro.faults.invariants import ABSENT, Violation
+from repro.workloads.ops import KeyModel, Op, apply_remote
 
 #: The schedule rotation: which cluster crash point a seed provokes.
 CLUSTER_POINTS = (
@@ -214,8 +214,7 @@ class _ClusterUnderTest:
         self.rng = random.Random(f"cluster-faultcheck:{seed}")
         self.cluster = LoopbackCluster(cfg)
         self.coordinator: ClusterCoordinator | None = None
-        self.model: dict[int, Any] = {}
-        self.touched: dict[int, Any] = {}
+        self.model = KeyModel()
         self.victim = ""
 
     async def start(self, injector: FaultInjector) -> None:
@@ -223,13 +222,13 @@ class _ClusterUnderTest:
         self.coordinator = await self.cluster.start()
         for _ in range(self.cfg.writes_before):
             key = self.rng.randrange(_KEY_SPACE)
-            if self.model.get(key) is not None and self.rng.random() < 0.15:
-                await self.coordinator.delete(key)
-                self.model[key] = ABSENT
+            live = self.model.allowed(key) != (ABSENT,)
+            if live and self.rng.random() < 0.15:
+                op = Op("delete", key)
             else:
-                value = _value_for(self.rng, self.seed, key)
-                await self.coordinator.put(key, value)
-                self.model[key] = value
+                op = Op("update", key, _value_for(self.rng, self.seed, key))
+            await apply_remote(self.coordinator, op)
+            self.model.ack(op)
 
     async def recover(self) -> None:
         """The victim dies for real; the cluster must carry on."""
@@ -267,13 +266,13 @@ async def _drive_replicate(
     keys = _shard_keys(shard_id, cfg.num_shards, 8)
     for i in range(cfg.writes_during):
         key = keys[i % len(keys)]
-        value = _value_for(rng, sut.seed, key)
+        op = Op("update", key, _value_for(rng, sut.seed, key))
         try:
-            await sut.coordinator.put(key, value)
+            await apply_remote(sut.coordinator, op)
         except ClusterError:
-            sut.touched[key] = value
+            sut.model.unacked(op)
             return
-        sut.model[key] = value
+        sut.model.ack(op)
 
 
 async def _drive_handoff(
@@ -372,7 +371,7 @@ def run_cluster_faultcheck(cfg: ClusterFaultcheckConfig) -> FaultcheckReport:
             "point": point,
             "occurrence": occurrence,
             "victim": sut.victim,
-            "acked_writes": len(sut.model),
+            "acked_writes": sut.model.acked_keys,
         }
         report.results.append(result)
         report.counters["crashes_injected"] += result.crashed

@@ -3,18 +3,18 @@ gate.
 
 :func:`repro.server.loadgen.run_loadgen` owns the closed loop; this
 target issues its ops through a :class:`ClusterCoordinator`, can **kill
-a node mid-run**, and keeps a client-side reference model of every
-write. After the run a verification pass reads every modelled key back
-through the coordinator; a key that reads anything its history does not
-allow counts as ``lost_acked`` — the number the CI job gates on being
-exactly zero.
+a node mid-run**, and gives every connection a
+:class:`~repro.workloads.ops.KeyModel` its writes enter. After the run
+a verification pass reads every modelled key back through the
+coordinator; a key that reads anything its history does not allow
+counts as ``lost_acked`` — the number the CI job gates on being exactly
+zero.
 
-The rule and the oracle are the crash campaigns' (:func:`merge_expected`,
-:meth:`InvariantChecker.check_reads`): an
-acknowledged write must read back exactly; an *unacknowledged* one — a
-request that raised — may have been applied anyway (the leader can die
-between shipping a write and acking it), so its key may read before or
-after.
+The model and the oracle are the crash campaigns' (:class:`KeyModel`,
+:meth:`InvariantChecker.check_reads`): an acknowledged write must read
+back exactly; an *unacknowledged* one — a request that raised — may
+have been applied anyway (the leader can die between shipping a write
+and acking it), so its key may read before or after.
 
 To keep the model exact under concurrency, connection ``index`` of
 ``C`` owns the residue class ``key % C == index``: its stream draws
@@ -33,9 +33,9 @@ from dataclasses import dataclass
 from repro.cluster.coordinator import ClusterCoordinator
 from repro.cluster.launcher import ClusterSpec
 from repro.cluster.node import ClusterError
-from repro.faults.invariants import ABSENT, InvariantChecker, merge_expected
+from repro.faults.invariants import InvariantChecker
 from repro.server.loadgen import LoadgenConfig, owned_span, run_loadgen
-from repro.workloads.generators import OP_KINDS
+from repro.workloads.ops import STREAM_KINDS, KeyModel
 
 
 @dataclass
@@ -78,7 +78,7 @@ class ClusterTarget:
     async)."""
 
     bench = "cluster"
-    ops = tuple(op for op in OP_KINDS if op != "scan")
+    ops = tuple(op for op in STREAM_KINDS if op != "scan")
 
     def __init__(
         self,
@@ -91,24 +91,35 @@ class ClusterTarget:
         self.cluster = cluster
         self.coordinator = coordinator
         self.kill_fn = kill_fn
-        #: key -> value of the last acknowledged write (ABSENT: deleted).
-        self.model: dict[int, bytes | None] = {}
-        #: key -> value of an unacknowledged write since then.
-        self.touched: dict[int, bytes | None] = {}
+        self._preloaded = False
+        #: Connection index -> the model of its keys (stream key space).
+        self.models: dict[int, KeyModel] = {}
         self.issued = 0
         self._kill_fired = False
         #: The node whose kill returned ("" until one did).
         self.killed = ""
 
     async def preload(self) -> None:
-        # Sequential, so the model is trivially exact.
-        for key in range(self.cfg.key_space):
-            value = f"pre-{key}"
-            await self.coordinator.put(key, value)
-            self.model[key] = value.encode()
+        """Every owned key, sequentially, so each is an acked write."""
+        span = owned_span(self.cfg, "a cluster run")
+        for key in range(span * self.cfg.connections):
+            await self.coordinator.put(key, _preload_value(key))
+        self._preloaded = True
 
     def keys(self, index: int) -> list[int]:
         return list(range(owned_span(self.cfg, "a cluster run")))
+
+    def model(self, index: int) -> KeyModel:
+        """Connection ``index``'s model: stream key ``j`` starts as the
+        preload left its wire key."""
+        start = {}
+        if self._preloaded:
+            start = {
+                key: _preload_value(_wire_key(self.cfg, index, key))
+                for key in self.keys(index)
+            }
+        model = self.models[index] = KeyModel(start)
+        return model
 
     async def connect(self, index: int) -> "_OwnedKeys":
         return _OwnedKeys(self, index)
@@ -129,24 +140,17 @@ class ClusterTarget:
             await done
         self.killed = victim
 
-    def unacked(self, key: int, value: bytes | None) -> None:
-        """Unacknowledged is not unapplied: ``key`` may now hold its
-        last acked value or this one. With no acked value to fall back
-        on, or a second unresolved write, no two-way expectation is
-        left — the key stays unverified until its next ack."""
-        if key in self.touched or key not in self.model:
-            self.model.pop(key, None)
-            self.touched.pop(key, None)
-        else:
-            self.touched[key] = value
-
     async def finish(self, summary: dict) -> None:
         """The verification pass: every key must read back one of the
         values its acked / unacked history allows."""
         coordinator = self.coordinator
         coordinator.read_mode = self.cluster.verify_read_mode
         await coordinator.refresh_map()
-        expectations = merge_expected(self.model, self.touched)
+        expectations = {
+            _wire_key(self.cfg, index, key): allowed
+            for index, model in self.models.items()
+            for key, allowed in model.expectations().items()
+        }
         checker = InvariantChecker()
         lost: list[int] = []
         for key in sorted(expectations):
@@ -166,52 +170,43 @@ class ClusterTarget:
             map_refreshes=coordinator.refreshes,
             retries=coordinator.retries,
             final_epoch=coordinator.map.epoch,
-            acked_writes=len(self.model),
+            acked_writes=sum(m.acked_keys for m in self.models.values()),
             lost_acked=len(lost),
             lost_keys=lost[:20],
         )
 
 
+def _preload_value(key: int) -> bytes:
+    return f"pre-{key}".encode()
+
+
+def _wire_key(cfg: LoadgenConfig, index: int, key: int) -> int:
+    """Connection ``index``'s stream key ``key`` on the wire."""
+    return key * cfg.connections + index
+
+
 class _OwnedKeys:
     """Connection ``index``'s view of the shared coordinator: its own
-    residue class of the key space, every write unique and recorded."""
+    residue class of the key space; every request may fire the kill."""
 
     def __init__(self, target: ClusterTarget, index: int) -> None:
         self.target = target
         self.index = index
-        self.writes = 0
 
     def _own(self, key: int) -> int:
-        return key * self.target.cfg.connections + self.index
+        return _wire_key(self.target.cfg, self.index, key)
 
     async def get(self, key: int) -> bytes | None:
         await self.target.before_request()
         return await self.target.coordinator.get(self._own(key))
 
-    async def put(self, key: int, value: str) -> None:
-        # Stamped so a stale earlier write can never pass for this one.
-        self.writes += 1
-        value = f"{value}-{self.writes}"
-        coordinator = self.target.coordinator
-        await self._write(
-            self._own(key), value.encode(), lambda k: coordinator.put(k, value)
-        )
+    async def put(self, key: int, value: bytes) -> None:
+        await self.target.before_request()
+        await self.target.coordinator.put(self._own(key), value)
 
     async def delete(self, key: int) -> None:
-        await self._write(
-            self._own(key), ABSENT, self.target.coordinator.delete
-        )
-
-    async def _write(self, key: int, stored: bytes | None, send) -> None:
-        target = self.target
-        await target.before_request()
-        try:
-            await send(key)
-        except BaseException:
-            target.unacked(key, stored)
-            raise
-        target.model[key] = stored
-        target.touched.pop(key, None)
+        await self.target.before_request()
+        await self.target.coordinator.delete(self._own(key))
 
     async def close(self) -> None:
         pass  # the coordinator is shared and outlives the connection

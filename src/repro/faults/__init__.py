@@ -32,7 +32,6 @@ _LAZY = {
     "CRASH_IN_RUN_WRITE": "repro.faults.injector",
     "InvariantChecker": "repro.faults.invariants",
     "Violation": "repro.faults.invariants",
-    "merge_expected": "repro.faults.invariants",
     "FaultcheckConfig": "repro.faults.harness",
     "FaultcheckReport": "repro.faults.harness",
     "ScheduleResult": "repro.faults.harness",

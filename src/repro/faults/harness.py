@@ -67,9 +67,10 @@ from repro.faults.injector import (
     FaultInjector,
     FaultPlan,
 )
-from repro.faults.invariants import InvariantChecker, Violation, merge_expected
+from repro.faults.invariants import InvariantChecker, Violation
 from repro.lsm.entry import TOMBSTONE
 from repro.obs import NULL_OBS, Observability
+from repro.workloads.ops import KeyModel, Op, apply
 
 
 @dataclass(frozen=True)
@@ -211,31 +212,34 @@ _KEY_SPACE = 32  # small on purpose: overwrites, deletes and re-puts collide
 _FAR_TTL = 1 << 60
 
 
-def make_workload(seed: int, ops: int) -> list[tuple]:
-    """A deterministic op list: puts (str *and* non-UTF-8 bytes values,
-    some TTL'd with a far-future expiry), deletes, atomic batches (with
-    embedded tombstones), reads, and the occasional explicit flush. The
-    final op is always a put of a non-UTF-8 ``bytes`` value, so a crash
-    at end-of-workload always has a bytes record in the WAL tail — the
-    exact payload the original replay bug corrupted."""
+def make_workload(seed: int, ops: int) -> list[Op]:
+    """A deterministic op list: puts (``update``; str *and* non-UTF-8
+    bytes values, some ``put_ttl`` with a far-future expiry), deletes,
+    atomic batches (with embedded tombstones), reads, and the occasional
+    explicit flush. The final op is always a put of a non-UTF-8
+    ``bytes`` value, so a crash at end-of-workload always has a bytes
+    record in the WAL tail — the exact payload the original replay bug
+    corrupted."""
     rng = random.Random(f"workload:{seed}")
-    workload: list[tuple] = []
+    workload: list[Op] = []
     for _ in range(max(1, ops - 1)):
         roll = rng.random()
         key = rng.randrange(_KEY_SPACE)
         if roll < 0.40:
             value = f"s{seed}-{rng.randrange(1000)}"
             if rng.random() < 0.25:
-                workload.append(("put_ttl", key, value, _FAR_TTL))
+                workload.append(Op("put_ttl", key, value, ttl=_FAR_TTL))
             else:
-                workload.append(("put", key, value))
+                workload.append(Op("update", key, value))
         elif roll < 0.55:
             if rng.random() < 0.25:
-                workload.append(("put_ttl", key, _raw_bytes(rng), _FAR_TTL))
+                workload.append(
+                    Op("put_ttl", key, _raw_bytes(rng), ttl=_FAR_TTL)
+                )
             else:
-                workload.append(("put", key, _raw_bytes(rng)))
+                workload.append(Op("update", key, _raw_bytes(rng)))
         elif roll < 0.70:
-            workload.append(("delete", key))
+            workload.append(Op("delete", key))
         elif roll < 0.80:
             items: list[tuple[int, Any]] = []
             for _ in range(rng.randrange(2, 6)):
@@ -247,58 +251,18 @@ def make_workload(seed: int, ops: int) -> list[tuple]:
                     items.append((k, _raw_bytes(rng)))
                 else:
                     items.append((k, f"b{seed}-{rng.randrange(1000)}"))
-            workload.append(("batch", items))
+            workload.append(Op("batch", items=tuple(items)))
         elif roll < 0.95:
-            workload.append(("get", key))
+            workload.append(Op("read", key))
         else:
-            workload.append(("flush",))
-    workload.append(("put", rng.randrange(_KEY_SPACE), _raw_bytes(rng)))
+            workload.append(Op("flush"))
+    workload.append(Op("update", rng.randrange(_KEY_SPACE), _raw_bytes(rng)))
     return workload
 
 
 def _raw_bytes(rng: random.Random) -> bytes:
     """A value that is guaranteed not to decode as UTF-8."""
     return b"\xff\xfe" + bytes(rng.randrange(256) for _ in range(3))
-
-
-def _op_effects(op: tuple) -> dict[int, Any]:
-    """key -> would-be new value (TOMBSTONE for deletes); empty for
-    reads and flushes."""
-    kind = op[0]
-    if kind in ("put", "put_ttl"):
-        return {op[1]: op[2]}
-    if kind == "delete":
-        return {op[1]: TOMBSTONE}
-    if kind == "batch":
-        effects: dict[int, Any] = {}
-        for key, value in op[1]:
-            effects[key] = value
-        return effects
-    return {}
-
-
-def _apply_op(store, op: tuple) -> Any:
-    kind = op[0]
-    if kind == "put":
-        store.put(op[1], op[2])
-    elif kind == "put_ttl":
-        store.put(op[1], op[2], ttl=op[3])
-    elif kind == "delete":
-        store.delete(op[1])
-    elif kind == "batch":
-        store.put_batch(list(op[1]))
-    elif kind == "get":
-        return store.get(op[1])
-    elif kind == "flush":
-        store.flush()
-    else:  # pragma: no cover - workload generator bug
-        raise ValueError(f"unknown op {kind!r}")
-    return None
-
-
-def _model_value(model: dict[int, Any], key: int) -> Any:
-    value = model.get(key)
-    return None if value is TOMBSTONE else value
 
 
 # ----------------------------------------------------------------------
@@ -313,8 +277,7 @@ class _StoreUnderTest:
 
     def __init__(self, config: EngineConfig) -> None:
         self.config = config
-        self.model: dict[int, Any] = {}
-        self.touched: dict[int, Any] = {}
+        self.model = KeyModel()
         self.store = None
 
     async def start(self, injector: FaultInjector) -> None:
@@ -351,7 +314,8 @@ async def _run_schedule(
     ``sut`` is the system under test: ``start(injector)``, ``recover()``
     (bring the survivor back on a healthy machine), ``get(key)``,
     ``check_structure()`` and ``close()``, all awaitable, plus the
-    ``model`` / ``touched`` reference model the drive fills in.
+    :class:`~repro.workloads.ops.KeyModel` (``model``) the drive fills
+    in.
     ``drive(sut, injector, violations)`` runs with the crash points
     active until it ends or the scheduled crash interrupts it; the
     injector decides whether the crash fired.
@@ -366,9 +330,7 @@ async def _run_schedule(
         if plan.crash_kind is None:
             # A crash-free run: the live system must match the model
             # before it is even crashed (every op was acknowledged).
-            result.violations += await _check_reads(
-                sut, merge_expected(sut.model)
-            )
+            result.violations += await _check_reads(sut)
         elif not result.crashed:
             # Crash sites come from a trace's own counts (or fire on
             # every run), so a schedule that never fires means the
@@ -378,9 +340,7 @@ async def _run_schedule(
             return result, injector
         try:
             await sut.recover()
-            result.violations += await _check_reads(
-                sut, merge_expected(sut.model, sut.touched)
-            )
+            result.violations += await _check_reads(sut)
             result.violations.extend(
                 str(v) for v in await sut.check_structure()
             )
@@ -392,9 +352,11 @@ async def _run_schedule(
         await sut.close()
 
 
-async def _check_reads(sut, expectations: dict) -> list[str]:
-    """Read every expected key back through ``sut`` and judge the reads
-    with the one oracle. A read that raises is that key's violation."""
+async def _check_reads(sut) -> list[str]:
+    """Read every key of ``sut``'s model back through ``sut`` and judge
+    the reads with the one oracle. A read that raises is that key's
+    violation."""
+    expectations = sut.model.expectations()
     reads: dict[int, Any] = {}
     for key in expectations:
         try:
@@ -411,7 +373,7 @@ async def _check_reads(sut, expectations: dict) -> list[str]:
 # ----------------------------------------------------------------------
 
 async def _drive_workload(
-    workload: list[tuple],
+    workload: list[Op],
     sut: _StoreUnderTest,
     injector: FaultInjector,
     violations: list[str],
@@ -421,26 +383,21 @@ async def _drive_workload(
     operation. With no crash scheduled this is the **trace run**: only
     transient I/O errors (absorbed by retry-with-backoff), after which
     the injector's firing counts are the candidate crash sites."""
+    model = sut.model
     for op in workload:
-        effects = _op_effects(op)
         try:
-            value = _apply_op(sut.store, op)
+            value = apply(sut.store, op)
         except InjectedCrash:
-            sut.touched.update(effects)
+            model.unacked(op)
             return
-        if op[0] == "get":
-            expected = _model_value(sut.model, op[1])
-            if value != expected or type(value) is not type(expected):
-                violations.append(
-                    str(
-                        Violation(
-                            "read-your-writes",
-                            f"get({op[1]}) returned {value!r}, model "
-                            f"says {expected!r}",
-                        )
-                    )
+        if op.kind == "read":
+            violations.extend(
+                str(v)
+                for v in InvariantChecker().check_reads(
+                    {op.key: value}, {op.key: model.allowed(op.key)}
                 )
-        sut.model.update(effects)
+            )
+        model.ack(op)
 
 
 def _candidate_plans(
@@ -527,11 +484,12 @@ async def _drive_group_commit(
             )
         )
     await writer.close()
-    for (key, value), outcome in zip(first + second, outcomes):
+    for item, outcome in zip(first + second, outcomes):
+        op = Op("batch", items=(item,))
         if isinstance(outcome, BaseException):
-            sut.touched[key] = value
+            sut.model.unacked(op)
         else:
-            sut.model[key] = value
+            sut.model.ack(op)
 
 
 _MIGRATION_POINTS = (
@@ -544,7 +502,7 @@ _MIGRATION_POINTS = (
 
 
 async def _drive_migration(
-    workload: list[tuple],
+    workload: list[Op],
     point: str,
     sut: _StoreUnderTest,
     injector: FaultInjector,

@@ -1,8 +1,8 @@
 """Crash-consistency invariants checked after every recovery.
 
 The checker is deliberately black-box: it inspects a recovered store
-through (mostly) public surfaces and compares it against the harness's
-reference model. Two families of checks:
+through (mostly) public surfaces and compares it against the reference
+model (:class:`~repro.workloads.ops.KeyModel`). Two families of checks:
 
 * **reads** — every acknowledged write reads back with its exact value
   (``bytes`` stay ``bytes``), deleted keys stay dead, and only the
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.engine.sharded import shards_of
-from repro.lsm.entry import SEQNO, TOMBSTONE
+from repro.lsm.entry import SEQNO
 
 
 @dataclass(frozen=True)
@@ -255,24 +255,3 @@ class InvariantChecker:
                 )
             )
         return violations
-
-
-def merge_expected(
-    model: dict[int, Any], touched: dict[int, Any] | None = None
-) -> dict[int, tuple[Any, ...]]:
-    """Build the expectation map from the harness's reference model.
-
-    ``model`` holds each key's value after the last acknowledged
-    operation (:data:`TOMBSTONE` for deleted keys). ``touched`` maps
-    the keys of the single in-flight operation to their would-be new
-    values; those keys accept before *or* after.
-    """
-    expectations: dict[int, tuple[Any, ...]] = {}
-    for key, value in model.items():
-        expectations[key] = (ABSENT if value is TOMBSTONE else value,)
-    if touched:
-        for key, new_value in touched.items():
-            old = expectations.get(key, (ABSENT,))
-            new = ABSENT if new_value is TOMBSTONE else new_value
-            expectations[key] = tuple(dict.fromkeys((*old, new)))
-    return expectations

@@ -609,12 +609,14 @@ class LSMTree:
         tree._commit()
         return tree
 
-    def install_run(self, sublevel: int, entries: list[Entry]) -> None:
-        """Bulk-load a run directly into a specific (empty) sub-level.
+    def install_run(self, sublevel: int, columns: Columns) -> None:
+        """Bulk-load a run (key-sorted columns, one version per key)
+        directly into a specific (empty) sub-level.
 
         Bypasses the merge machinery — used by benchmark loaders to build
         the paper's "all sub-levels full" worst-case state cheaply, and by
-        recovery. Emits a FlushEvent so filter policies stay in sync.
+        the merge-policy switch. Emits a FlushEvent so filter policies
+        stay in sync.
         """
         for level in self._levels:
             base = self.config.sublevel_number(level.number, 1)
@@ -622,7 +624,6 @@ class LSMTree:
             if 0 <= offset < len(level.slots):
                 if level.slots[offset] is not None:
                     raise ValueError(f"sub-level {sublevel} is already occupied")
-                columns = columns_of(entries)
                 run = Run.build(columns, self.storage, self.config.block_entries)
                 self._set_run(level, offset, run)
                 self._notify(FlushEvent(sublevel=sublevel, keys=columns[0]))

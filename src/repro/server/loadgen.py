@@ -39,8 +39,10 @@ import time
 from dataclasses import asdict, dataclass
 
 from repro.common.quantile import nearest_rank
+from repro.faults.invariants import InvariantChecker
 from repro.server.client import AsyncClient, ClientTraceConfig, ServerBusy
-from repro.workloads.generators import OP_KINDS, WORKLOAD_KINDS, request_stream
+from repro.workloads.generators import WORKLOAD_KINDS, request_stream
+from repro.workloads.ops import STREAM_KINDS, UNKNOWN, KeyModel, Op, apply_remote
 
 #: How many times one op retries BUSY before counting as an error.
 MAX_BUSY_RETRIES = 50
@@ -53,11 +55,12 @@ MAX_TRACES_IN_ARTIFACT = 32
 WORKLOAD_NEEDS = {"ycsb-e": "scan"}
 
 #: Workload kinds whose reads the generator *verifies*: each connection
-#: owns a disjoint key slice, replays a per-connection membership model,
-#: and flags any read that contradicts it. A key the model says is live
-#: reading back absent is a **false negative** — the error class the
+#: owns a disjoint key slice, keeps a :class:`KeyModel` of it, and
+#: judges every read against it. A key the model says is live reading
+#: back absent is a **false negative** — the error class the
 #: filter-delete contract exists to forbid — and fails the churn-smoke
-#: gate; a deleted key reading back live is a stale read.
+#: gate; any other read the model does not allow (a deleted key reading
+#: back live, an older value after an acked overwrite) is a stale read.
 VERIFIED_WORKLOADS = ("churn", "denylist")
 
 #: Span of one short scan op (``ycsb-e``) on the wire.
@@ -116,6 +119,13 @@ def _summarize_op(latencies_us: list[float]) -> dict:
     }
 
 
+def _preloads(cfg: LoadgenConfig) -> bool:
+    """Whether the run seeds the key population first. The denylist
+    scenario's whole point is an (almost) empty store: its admission
+    checks must be negative lookups."""
+    return cfg.preload and cfg.workload != "denylist"
+
+
 def owned_span(cfg: LoadgenConfig, who: str) -> int:
     """Keys per connection when the key space is split disjointly."""
     span = cfg.key_space // cfg.connections
@@ -132,12 +142,13 @@ class ServerTarget:
     socket per connection. A target names its artifact (``bench``), the
     op classes it can issue (``ops``), seeds the key population
     (``preload``), says which keys connection ``index`` draws from
-    (``keys``), opens that connection (``connect`` — anything with
-    ``get`` / ``put`` / ``delete`` / ``scan`` / ``close``) and adds its
-    own sections to the run summary (``finish``)."""
+    (``keys``), gives that connection its :class:`KeyModel` or ``None``
+    (``model``), opens it (``connect`` — anything
+    :func:`~repro.workloads.ops.apply_remote` drives, plus ``close``)
+    and adds its own sections to the run summary (``finish``)."""
 
     bench = "serve"
-    ops = OP_KINDS
+    ops = STREAM_KINDS
 
     def __init__(self, cfg: LoadgenConfig) -> None:
         self.cfg = cfg
@@ -148,7 +159,7 @@ class ServerTarget:
         cfg = self.cfg
         client = await AsyncClient.connect(cfg.host, cfg.port)
         try:
-            value = "x" * cfg.value_size
+            value = b"x" * cfg.value_size
             keys = list(range(cfg.key_space))
             for start in range(0, len(keys), 500):
                 chunk = keys[start : start + 500]
@@ -167,6 +178,16 @@ class ServerTarget:
         span = owned_span(cfg, f"verified workload {cfg.workload!r}")
         lo = index * span
         return list(range(lo, lo + span))
+
+    def model(self, index: int) -> KeyModel | None:
+        """A verified workload's connection owns its keys, so one model
+        of them is authoritative; shared keys have none."""
+        cfg = self.cfg
+        if cfg.workload not in VERIFIED_WORKLOADS:
+            return None
+        if not _preloads(cfg):
+            return KeyModel()
+        return KeyModel(dict.fromkeys(self.keys(index), b"x" * cfg.value_size))
 
     async def connect(self, index: int) -> AsyncClient:
         cfg = self.cfg
@@ -238,67 +259,55 @@ async def _worker(
     stream,
     latencies: dict[str, list[float]],
     counters: dict[str, dict[str, int]],
-    verify_state: dict,
+    verification: dict[str, int],
 ) -> None:
     """One closed-loop connection: the next request leaves only after
-    the previous response arrived."""
+    the previous response arrived. Its writes enter the target's model
+    of its keys, acked or not; on a verified workload every read is
+    judged against that model."""
     conn = await target.connect(index)
-    value = f"c{index}-" + "y" * max(0, cfg.value_size - 4)
-    verifying = cfg.workload in VERIFIED_WORKLOADS
-    # Membership model: True = must read back live, False = must read
-    # back absent, None = unknown (the op that would have set it
-    # errored). Untouched keys are live iff the population was preloaded
-    # (the denylist scenario starts empty).
-    preloaded = cfg.preload and cfg.workload != "denylist"
-    model: dict[int, bool | None] = {}
+    model = target.model(index)
+    judged = cfg.workload in VERIFIED_WORKLOADS
+    checker = InvariantChecker()
+    # Stamped per op, so an older write can never pass for a newer one.
+    prefix = f"c{index}-" + "y" * max(0, cfg.value_size - 4)
     try:
-        for op, key in stream:
+        for n, (kind, key) in enumerate(stream):
+            op = Op(kind, key, f"{prefix}-{n}".encode(), hi=key + SCAN_WIDTH)
             start = time.perf_counter_ns()
             backoff = 0.0005
             ok = False
             result = None
             for attempt in range(MAX_BUSY_RETRIES + 1):
                 try:
-                    if op == "read":
-                        result = await conn.get(key)
-                    elif op == "delete":
-                        await conn.delete(key)
-                    elif op == "scan":
-                        await conn.scan(key, key + SCAN_WIDTH)
-                    elif op == "rmw":
-                        await conn.get(key)
-                        await conn.put(key, value)
-                    else:  # update / insert
-                        await conn.put(key, value)
+                    result = await apply_remote(conn, op)
                     ok = True
                     break
                 except ServerBusy:
-                    counters[op]["busy_retries"] += 1
+                    counters[kind]["busy_retries"] += 1
                     if attempt == MAX_BUSY_RETRIES:
-                        counters[op]["errors"] += 1
+                        counters[kind]["errors"] += 1
                         break
                     await asyncio.sleep(backoff)
                     backoff = min(backoff * 2, 0.05)
                 except Exception:  # noqa: BLE001 — survey run keeps going
-                    counters[op]["errors"] += 1
+                    counters[kind]["errors"] += 1
                     break
-            latencies[op].append((time.perf_counter_ns() - start) / 1_000)
-            if not verifying:
+            latencies[kind].append((time.perf_counter_ns() - start) / 1_000)
+            if model is None:
                 continue
-            if op == "read":
+            if kind != "read":
                 if ok:
-                    expected = model.get(key, preloaded)
-                    if expected is None:
-                        continue
-                    verify_state["verified_reads"] += 1
-                    if expected and result is None:
-                        verify_state["false_negatives"] += 1
-                    elif not expected and result is not None:
-                        verify_state["stale_reads"] += 1
-            elif op in ("update", "insert", "rmw"):
-                model[key] = True if ok else None
-            elif op == "delete":
-                model[key] = False if ok else None
+                    model.ack(op)
+                else:
+                    model.unacked(op)
+                continue
+            allowed = model.allowed(key)
+            if ok and judged and allowed is not UNKNOWN:
+                verification["verified_reads"] += 1
+                if checker.check_reads({key: result}, {key: allowed}):
+                    wrong = "false_negatives" if result is None else "stale_reads"
+                    verification[wrong] += 1
     finally:
         await conn.close()
 
@@ -331,22 +340,16 @@ async def run_loadgen(cfg: LoadgenConfig, target=None) -> dict:
         )
         for index, ops in enumerate(per_conn)
     ]
-    if cfg.preload and cfg.workload != "denylist":
-        # The denylist scenario's whole point is an (almost) empty
-        # store: admission checks must be negative lookups.
+    if _preloads(cfg):
         await target.preload()
-    latencies: dict[str, list[float]] = {op: [] for op in OP_KINDS}
-    counters = {op: {"busy_retries": 0, "errors": 0} for op in OP_KINDS}
-    verify_state: dict = {
-        "verified_reads": 0,
-        "false_negatives": 0,
-        "stale_reads": 0,
-    }
+    latencies: dict[str, list[float]] = {op: [] for op in STREAM_KINDS}
+    counters = {op: {"busy_retries": 0, "errors": 0} for op in STREAM_KINDS}
+    verification = {"verified_reads": 0, "false_negatives": 0, "stale_reads": 0}
     started = time.perf_counter()
     await asyncio.gather(
         *(
             _worker(
-                cfg, target, index, stream, latencies, counters, verify_state
+                cfg, target, index, stream, latencies, counters, verification
             )
             for index, stream in enumerate(streams)
             if per_conn[index] > 0
@@ -377,12 +380,12 @@ async def run_loadgen(cfg: LoadgenConfig, target=None) -> dict:
             "update": _summarize_op(latencies["update"]),
             **{
                 op: _summarize_op(latencies[op])
-                for op in OP_KINDS
+                for op in STREAM_KINDS
                 if op not in ("read", "update") and latencies[op]
             },
         },
     }
     if cfg.workload in VERIFIED_WORKLOADS:
-        summary["verification"] = dict(verify_state)
+        summary["verification"] = verification
     await target.finish(summary)
     return summary

@@ -56,9 +56,8 @@ from repro.engine.kvstore import KVStore
 from repro.engine.sharded import ShardedKVStore, shards_of
 from repro.faults.crashpoints import crash_point
 from repro.filters.policy import make_policy
-from repro.lsm.entry import KEY, SEQNO, Entry, is_tombstone
 from repro.lsm.memtable import Memtable
-from repro.lsm.tree import LSMTree
+from repro.lsm.tree import LSMTree, _gather, _merge_sorted, origin_column
 
 
 class FilterMigration:
@@ -177,20 +176,22 @@ def switch_merge_policy(
 def _switch_shard(shard: KVStore, new_config: EngineConfig) -> None:
     shard.flush()
     old_tree = shard.tree
-    newest: dict[int, Entry] = {}
-    for _, run in old_tree.occupied_runs():
-        for entry in run.read_all():  # counted: this is a major compaction
-            key = entry[KEY]
-            cur = newest.get(key)
-            if cur is None or entry[SEQNO] > cur[SEQNO]:
-                newest[key] = entry
-    survivors = [
-        newest[key] for key in sorted(newest) if not is_tombstone(newest[key])
-    ]
+    # One merge of every run (read counted: this is a major compaction).
+    # The whole dataset is in it, so tombstones purge; with no clock,
+    # every TTL'd version stays.
+    survivors = _merge_sorted(
+        [
+            (run.read_columns(), origin_column(sublevel, run.num_entries))
+            for sublevel, run in old_tree.occupied_runs()
+        ],
+        purge_tombstones=True,
+        clock=None,
+    )[0]
+    total = len(survivors[0])
 
     lsm = new_config.lsm_config()
     levels = max(1, lsm.initial_levels)
-    while _capacity(lsm, levels) < len(survivors):
+    while _capacity(lsm, levels) < total:
         levels += 1
     new_tree = LSMTree(
         lsm.with_levels(levels),
@@ -205,15 +206,15 @@ def _switch_shard(shard: KVStore, new_config: EngineConfig) -> None:
     # machinery expects and small levels keep room for future flushes.
     index = 0
     for level in range(levels, 0, -1):
-        if index >= len(survivors):
+        if index >= total:
             break
         cap = lsm.sublevel_capacity(level, levels)
         slots = lsm.sublevels_at(level, levels)
         for slot in range(slots - 1, -1, -1):
-            if index >= len(survivors):
+            if index >= total:
                 break
-            chunk = survivors[index : index + cap]
-            index += len(chunk)
+            chunk = _gather(survivors, range(index, min(index + cap, total)))
+            index += len(chunk[0])
             new_tree.install_run(lsm.sublevel_number(level, slot + 1), chunk)
 
     crash_point("tuning.switch.before_commit")

@@ -2,7 +2,9 @@
 the YCSB-B mix of the paper's throughput experiment, bulk loaders that
 drive a store (or bare tree) into a target state, the unified request
 stream the serving layer's load generator replays, drift scenarios for
-the adaptive-tuning loop, and the canonical ``repro bench`` suite."""
+the adaptive-tuning loop, and the canonical ``repro bench`` suite.
+:mod:`repro.workloads.ops` holds the op vocabulary, applier and key
+model they all share."""
 
 from repro.workloads.bench import (
     BenchCase,
@@ -13,7 +15,6 @@ from repro.workloads.bench import (
 )
 from repro.workloads.drift import (
     DriftPhase,
-    apply_ops,
     delete_churn_scenario,
     grow_n_scenario,
     phase_shift_scenario,
@@ -22,7 +23,6 @@ from repro.workloads.drift import (
     total_ops,
 )
 from repro.workloads.generators import (
-    OP_KINDS,
     WORKLOAD_KINDS,
     UniformGenerator,
     ZipfianGenerator,
@@ -43,11 +43,9 @@ from repro.workloads.loaders import (
 __all__ = [
     "BenchCase",
     "DriftPhase",
-    "OP_KINDS",
     "UniformGenerator",
     "WORKLOAD_KINDS",
     "ZipfianGenerator",
-    "apply_ops",
     "churn_stream",
     "denylist_stream",
     "default_cases",

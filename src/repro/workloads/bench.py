@@ -30,6 +30,7 @@ from typing import Any
 from repro.common.quantile import nearest_rank
 from repro.engine.config import EngineConfig, build_store
 from repro.workloads.generators import request_stream
+from repro.workloads.ops import Op, apply
 
 
 def host_fingerprint() -> dict[str, Any]:
@@ -133,24 +134,12 @@ def run_case(
     )
     scans = 0
     start = time.perf_counter()
-    for index, (op, key) in enumerate(requests):
+    for index, (kind, key) in enumerate(requests):
         op_start = time.perf_counter_ns()
-        if op == "read":
-            store.get(key)
-        elif op == "delete":
-            store.delete(key)
-        elif op == "scan":
-            for _ in store.scan(key, key + case.scan_width):
-                pass
-        elif op == "rmw":
-            store.get(key)
-            store.put(key, f"u{key}")
-        else:  # update / insert — both a put at the engine
-            store.put(key, f"u{key}")
+        apply(store, Op(kind, key, f"u{key}", hi=key + case.scan_width))
         if case.scan_every and (index + 1) % case.scan_every == 0:
             lo = key % max(1, preload - case.scan_width)
-            for _ in store.scan(lo, lo + case.scan_width):
-                pass
+            apply(store, Op("scan", lo, hi=lo + case.scan_width))
             scans += 1
         wall_us.append((time.perf_counter_ns() - op_start) / 1_000)
     elapsed = time.perf_counter() - start

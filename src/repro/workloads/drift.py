@@ -2,9 +2,10 @@
 
 These are the test beds for the adaptive-tuning loop
 (:mod:`repro.tuning`). Each scenario is a deterministic list of
-:class:`DriftPhase`\\ s — plain op tuples, so tests and the CLI can
-snapshot counted I/Os at phase boundaries and compare adaptive against
-static configurations run over the *same* ops.
+:class:`DriftPhase`\\ s — :class:`~repro.workloads.ops.Op` records
+replayed with :func:`~repro.workloads.ops.apply`, so tests and the CLI
+can snapshot counted I/Os at phase boundaries and compare adaptive
+against static configurations run over the *same* ops.
 
 * :func:`grow_n_scenario` — the paper's own motivation (Eq 2 vs Eq 16):
   data grows level by level, so uniform Bloom filters degrade linearly
@@ -26,13 +27,7 @@ import random
 from dataclasses import dataclass
 
 from repro.workloads.generators import zipf_over
-
-#: Negative lookups draw from far above any inserted key.
-NEGATIVE_BASE = 1 << 40
-
-#: One operation: ("put", key, value) | ("get", key) | ("delete", key)
-#: | ("scan", lo, hi).
-Op = tuple
+from repro.workloads.ops import Op
 
 
 @dataclass(frozen=True)
@@ -41,30 +36,6 @@ class DriftPhase:
 
     name: str
     ops: tuple[Op, ...]
-
-
-def apply_ops(store, ops: tuple[Op, ...], poll=None) -> dict[str, int]:
-    """Replay a phase's ops against a store; returns op counts. ``poll``
-    (e.g. :meth:`repro.tuning.TuningController.poll`) is called after
-    every op."""
-    counts = {"put": 0, "get": 0, "delete": 0, "scan": 0}
-    for op in ops:
-        kind = op[0]
-        if kind == "put":
-            store.put(op[1], op[2])
-        elif kind == "get":
-            store.get(op[1])
-        elif kind == "delete":
-            store.delete(op[1])
-        elif kind == "scan":
-            for _ in store.scan(op[1], op[2]):
-                pass
-        else:
-            raise ValueError(f"unknown drift op {kind!r}")
-        counts[kind] += 1
-        if poll is not None:
-            poll()
-    return counts
 
 
 def scenario(name: str, **kwargs) -> list[DriftPhase]:
@@ -106,7 +77,7 @@ def grow_n_scenario(
     inserted = 0
     for index in range(load_phases):
         load = tuple(
-            ("put", 2 * key, f"v{2 * key}")
+            Op("insert", 2 * key, f"v{2 * key}")
             for key in range(inserted, inserted + keys_per_phase)
         )
         inserted += keys_per_phase
@@ -114,9 +85,9 @@ def grow_n_scenario(
         reads: list[Op] = []
         for _ in range(reads_per_phase):
             if rng.random() < negative_fraction:
-                reads.append(("get", 2 * rng.randrange(inserted) + 1))
+                reads.append(Op("read", 2 * rng.randrange(inserted) + 1))
             else:
-                reads.append(("get", 2 * rng.randrange(inserted)))
+                reads.append(Op("read", 2 * rng.randrange(inserted)))
         phases.append(DriftPhase(name=f"read{index}", ops=tuple(reads)))
     return phases
 
@@ -129,16 +100,16 @@ def phase_shift_scenario(
     """Preload, then flip the read/write mix: read-heavy → write-heavy
     → read-heavy, uniform keys throughout."""
     rng = random.Random(seed ^ 0x7E5)
-    preload = tuple(("put", key, f"v{key}") for key in range(population))
+    preload = tuple(Op("insert", key, f"v{key}") for key in range(population))
     phases = [DriftPhase(name="preload", ops=preload)]
     for index, read_fraction in enumerate((0.9, 0.1, 0.9)):
         ops: list[Op] = []
         for _ in range(phase_ops):
             key = rng.randrange(population)
             if rng.random() < read_fraction:
-                ops.append(("get", key))
+                ops.append(Op("read", key))
             else:
-                ops.append(("put", key, f"u{key}"))
+                ops.append(Op("update", key, f"u{key}"))
         kind = "read" if read_fraction >= 0.5 else "write"
         phases.append(DriftPhase(name=f"{kind}{index}", ops=tuple(ops)))
     return phases
@@ -152,12 +123,12 @@ def skew_shift_scenario(
 ) -> list[DriftPhase]:
     """Preload, then shift read skew: uniform → Zipfian(theta)."""
     rng = random.Random(seed ^ 0x5EE)
-    preload = tuple(("put", key, f"v{key}") for key in range(population))
+    preload = tuple(Op("insert", key, f"v{key}") for key in range(population))
     uniform = tuple(
-        ("get", rng.randrange(population)) for _ in range(phase_ops)
+        Op("read", rng.randrange(population)) for _ in range(phase_ops)
     )
     stream = zipf_over(list(range(population)), theta=theta, seed=seed)
-    skewed = tuple(("get", next(stream)) for _ in range(phase_ops))
+    skewed = tuple(Op("read", next(stream)) for _ in range(phase_ops))
     return [
         DriftPhase(name="preload", ops=preload),
         DriftPhase(name="uniform", ops=uniform),
@@ -183,7 +154,7 @@ def delete_churn_scenario(
     mix as writes (tombstone appends).
     """
     rng = random.Random(seed ^ 0xD317)
-    preload = tuple(("put", key, f"v{key}") for key in range(population))
+    preload = tuple(Op("insert", key, f"v{key}") for key in range(population))
     phases = [DriftPhase(name="preload", ops=preload)]
     live = list(range(population))
     dead: list[int] = []
@@ -193,23 +164,23 @@ def delete_churn_scenario(
             roll = rng.random()
             if roll < read_fraction and (live or dead):
                 if dead and (not live or rng.random() < 0.5):
-                    ops.append(("get", dead[rng.randrange(len(dead))]))
+                    ops.append(Op("read", dead[rng.randrange(len(dead))]))
                 else:
-                    ops.append(("get", live[rng.randrange(len(live))]))
+                    ops.append(Op("read", live[rng.randrange(len(live))]))
             elif live and (not dead or rng.random() < 0.5):
                 pick = rng.randrange(len(live))
                 live[pick], live[-1] = live[-1], live[pick]
                 key = live.pop()
                 dead.append(key)
-                ops.append(("delete", key))
+                ops.append(Op("delete", key))
             elif dead:
                 pick = rng.randrange(len(dead))
                 dead[pick], dead[-1] = dead[-1], dead[pick]
                 key = dead.pop()
                 live.append(key)
-                ops.append(("put", key, f"r{key}"))
+                ops.append(Op("insert", key, f"r{key}"))
             else:  # pragma: no cover - both pools can't be empty
-                ops.append(("get", rng.randrange(population)))
+                ops.append(Op("read", rng.randrange(population)))
         phases.append(DriftPhase(name=f"churn{index}", ops=tuple(ops)))
     return phases
 

@@ -127,13 +127,6 @@ _YCSB_MIXES: dict[str, tuple[float, float, float, float, float]] = {
     "ycsb-f": (0.50, 0.00, 0.0, 0.0, 0.50),
 }
 
-#: Every op tag a request stream can yield. ``insert`` targets a key
-#: that is (intended to be) absent, ``update`` an existing one — stores
-#: treat both as a put; ``rmw`` is read-modify-write (one read + one
-#: update of the same key); ``scan`` starts a short range read at the
-#: key; ``delete`` buffers a tombstone.
-OP_KINDS = ("read", "update", "insert", "delete", "scan", "rmw")
-
 #: Every workload kind :func:`request_stream` understands.
 WORKLOAD_KINDS = (
     "uniform", "zipf", "churn", "denylist",
@@ -304,7 +297,8 @@ def request_stream(
     theta: float = 0.99,
     seed: int = 0,
 ) -> Iterator[tuple[str, int]]:
-    """A finite stream of ``(op, key)`` requests (ops in :data:`OP_KINDS`).
+    """A finite stream of ``(kind, key)`` requests, kinds in
+    :data:`repro.workloads.ops.STREAM_KINDS`.
 
     One entry point for everything that *drives* a store — the serving
     layer's load generator most of all — over the repo's access

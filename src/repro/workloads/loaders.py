@@ -13,6 +13,7 @@ import random
 
 from repro.engine.kvstore import KVStore
 from repro.lsm.entry import make_entry
+from repro.lsm.run import columns_of
 
 
 def fill_tree_to_levels(
@@ -57,7 +58,7 @@ def fill_tree_to_levels(
                 make_entry(key, f"v{sublevel}:{key}", store._bump_seqno())
                 for key in keys
             ]
-            tree.install_run(sublevel, entries)
+            tree.install_run(sublevel, columns_of(entries))
             placement[sublevel] = keys
     return placement
 

@@ -38,12 +38,13 @@ from repro.faults.injector import (
     FaultInjector,
     FaultPlan,
 )
-from repro.faults.invariants import InvariantChecker, merge_expected
+from repro.faults.invariants import InvariantChecker
 from repro.lsm.block_cache import BlockCache
 from repro.lsm.config import lazy_leveling
 from repro.lsm.entry import TOMBSTONE
 from repro.lsm.storage import MAX_IO_ATTEMPTS, StorageDevice
 from repro.lsm.wal import WalCorruption, WriteAheadLog
+from repro.workloads.ops import KeyModel, Op, apply
 
 
 def durable_config(**kwargs) -> EngineConfig:
@@ -469,24 +470,23 @@ class TestMidCascadeCrash:
             injector = FaultInjector(plan)
             store = build_store(cfg)
             injector.install(store)
-            acked = {}
-            touched = None
+            model = KeyModel()
             with crashpoints.activated(injector):
                 for i in range(64):
-                    key = i % 16
+                    op = Op("update", i % 16, f"gen{i}")
                     try:
-                        store.put(key, f"gen{i}")
+                        apply(store, op)
                     except InjectedCrash:
-                        touched = {key: f"gen{i}"}
+                        model.unacked(op)
                         break
-                    acked[key] = f"gen{i}"
+                    model.ack(op)
             if not injector.crashed:
                 continue  # the point fired fewer times than `occurrence`
             state = store.crash()
             state.storage.faults = None
             recovered = recover_store(state, cfg)
             checker = InvariantChecker()
-            expectations = merge_expected(acked, touched)
+            expectations = model.expectations()
             reads = {key: recovered.get(key) for key in expectations}
             violations = checker.check_reads(reads, expectations)
             violations += checker.check_structure(recovered)
@@ -660,9 +660,9 @@ class TestFaultcheckCampaigns:
         first = make_workload(9, 40)
         assert first == make_workload(9, 40)
         final = first[-1]
-        assert final[0] == "put" and isinstance(final[2], bytes)
+        assert final.kind == "update" and isinstance(final.value, bytes)
         with pytest.raises(UnicodeDecodeError):
-            final[2].decode("utf-8")
+            final.value.decode("utf-8")
 
     def test_canary_reintroduced_replay_bug_is_caught(self, monkeypatch):
         """Re-introduce the shipped WAL bug (values coerced through a

@@ -22,7 +22,7 @@ from repro.cluster import (
 from repro.cluster.node import ClusterError
 from repro.engine.config import EngineConfig, build_store
 from repro.server import LoadgenConfig, ReproServer, ServerConfig, run_loadgen
-from repro.server.loadgen import _summarize_op
+from repro.server.loadgen import ServerTarget, _summarize_op
 
 
 class TestPercentiles:
@@ -71,6 +71,20 @@ class TestServerTarget:
         assert check["false_negatives"] == 0
         assert check["stale_reads"] == 0
 
+    def test_a_lost_update_is_a_stale_read(self):
+        """Every put is acked but leaves the key's older value in place.
+        A membership check saw a live key reading live and passed it; a
+        value check sees the read of the older value."""
+        cfg = LoadgenConfig(
+            connections=2, ops=400, workload="churn", key_space=40
+        )
+        summary = asyncio.run(run_loadgen(cfg, _LosesUpdates(cfg)))
+        check = summary["verification"]
+        assert summary["errors"] == 0
+        assert check["verified_reads"] > 0
+        assert check["false_negatives"] == 0
+        assert check["stale_reads"] > 0
+
     def test_invalid_configs_are_value_errors(self):
         with pytest.raises(ValueError, match="connections"):
             LoadgenConfig(connections=0)
@@ -80,6 +94,38 @@ class TestServerTarget:
                     LoadgenConfig(connections=8, key_space=4, workload="churn")
                 )
             )
+
+
+class _KeepsOlderValues:
+    """A connection whose acked puts never replace a key's value (the
+    preload value stays readable: a lost update); deletes land."""
+
+    def __init__(self, data: dict, older: bytes) -> None:
+        self.data = data
+        self.older = older
+
+    async def get(self, key):
+        return self.data.get(key)
+
+    async def put(self, key, value) -> None:
+        self.data[key] = self.older
+
+    async def delete(self, key) -> None:
+        self.data.pop(key, None)
+
+    async def close(self) -> None:
+        pass
+
+
+class _LosesUpdates(ServerTarget):
+    """The single-server target over :class:`_KeepsOlderValues`."""
+
+    async def preload(self) -> None:
+        self.older = b"x" * self.cfg.value_size
+        self.data = dict.fromkeys(range(self.cfg.key_space), self.older)
+
+    async def connect(self, index: int):
+        return _KeepsOlderValues(self.data, self.older)
 
 
 async def _cluster_run(workload: str, seed: int, kill: str = "auto") -> tuple:
@@ -208,7 +254,7 @@ class _AppliesThenRaises:
         return self.data.get(key)
 
     async def put(self, key, value) -> None:
-        self.data[key] = value.encode()
+        self.data[key] = value
         self.puts += 1
         if self.fail_every and self.puts % self.fail_every == 0:
             raise ClusterError("connection lost before the ack")
@@ -235,8 +281,10 @@ class TestUnackedIsNotUnapplied:
         assert summary["op_errors"]["update"] > 0
         # Some key ended the run holding an unacknowledged value...
         after = [
-            key for key, value in target.touched.items()
-            if coordinator.data[key] == value != target.model[key]
+            key
+            for index, model in target.models.items()
+            for key, (before, *unacked) in model.expectations().items()
+            if unacked and coordinator.data[key * 2 + index] == unacked[0]
         ]
         assert after
         # ...and that is allowed.
@@ -260,8 +308,10 @@ class TestUnackedIsNotUnapplied:
         # Keys 7 and 8 are only lost if the run never rewrites them.
         summary = asyncio.run(run())
         rewritten = {
-            key for key, value in target.model.items()
-            if not value.startswith(b"pre-")
+            key * 2 + index
+            for index, model in target.models.items()
+            for key, values in model.expectations().items()
+            if values != (f"pre-{key * 2 + index}".encode(),)
         }
         assert set(summary["lost_keys"]) == {7, 8} - rewritten
         assert summary["lost_acked"] == len({7, 8} - rewritten) > 0

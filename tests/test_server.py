@@ -39,6 +39,8 @@ from repro.server.protocol import (
     encode_request,
     frame,
 )
+from repro.workloads.ops import Op as StoreOp
+from repro.workloads.ops import apply, apply_remote
 
 HOST = "127.0.0.1"
 
@@ -235,9 +237,9 @@ class TestConcurrentEquivalence:
             for i in range(ops_per_client):
                 key = base + rng.randrange(200)
                 if rng.random() < 0.15:
-                    out.append(("delete", key, None))
+                    out.append(StoreOp("delete", key))
                 else:
-                    out.append(("put", key, f"c{idx}v{i}"))
+                    out.append(StoreOp("update", key, f"c{idx}v{i}"))
             return out
 
         async def main():
@@ -247,11 +249,8 @@ class TestConcurrentEquivalence:
 
             async def worker(idx):
                 client = await AsyncClient.connect(HOST, port)
-                for op, key, value in ops_for(idx):
-                    if op == "delete":
-                        await client.delete(key)
-                    else:
-                        await client.put(key, value)
+                for op in ops_for(idx):
+                    await apply_remote(client, op)
                 await client.close()
 
             await asyncio.gather(*(worker(i) for i in range(clients)))
@@ -265,11 +264,8 @@ class TestConcurrentEquivalence:
 
         reference = build_store(small_config())
         for idx in range(clients):
-            for op, key, value in ops_for(idx):
-                if op == "delete":
-                    reference.delete(key)
-                else:
-                    reference.put(key, value)
+            for op in ops_for(idx):
+                apply(reference, op)
 
         expected = list(reference.scan(0, clients * span))
         assert [(k, v.encode()) for k, v in expected] == scanned

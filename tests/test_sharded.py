@@ -18,6 +18,7 @@ from repro.engine import (
 )
 from repro.lsm.config import LSMConfig
 from repro.obs import Observability, registry_to_dict
+from repro.workloads.ops import KeyModel, Op, apply
 
 SHARDS = 4
 
@@ -34,17 +35,9 @@ def mixed_ops(ops=2000, universe=500, seed=13):
     for i in range(ops):
         key = rng.randrange(universe)
         if rng.random() < 0.1:
-            yield ("delete", key, None)
+            yield Op("delete", key)
         else:
-            yield ("put", key, f"v{i}")
-
-
-def apply_ops(store, ops):
-    for op, key, value in ops:
-        if op == "delete":
-            store.delete(key)
-        else:
-            store.put(key, value)
+            yield Op("update", key, f"v{i}")
 
 
 class TestRouting:
@@ -86,8 +79,9 @@ class TestReadIdentity:
         ops = list(mixed_ops())
         sharded = build_store(small_config())
         single = build_store(small_config(shards=1))
-        apply_ops(sharded, ops)
-        apply_ops(single, ops)
+        for op in ops:
+            apply(sharded, op)
+            apply(single, op)
         reads_sharded = [sharded.get(k) for k in range(500)]
         reads_single = [single.get(k) for k in range(500)]
         assert reads_sharded == reads_single
@@ -105,13 +99,9 @@ class TestReadIdentity:
             )
             for _ in range(SHARDS)
         ]
-        apply_ops(sharded, ops)
-        for op, key, value in ops:
-            target = standalones[shard_of(key, SHARDS)]
-            if op == "delete":
-                target.delete(key)
-            else:
-                target.put(key, value)
+        for op in ops:
+            apply(sharded, op)
+            apply(standalones[shard_of(op.key, SHARDS)], op)
         for key in range(500):
             assert sharded.get(key) == standalones[shard_of(key, SHARDS)].get(key)
         for shard, standalone in zip(sharded.shards, standalones):
@@ -121,17 +111,15 @@ class TestReadIdentity:
 class TestScan:
     def test_sorted_and_tombstone_free(self):
         sharded = build_store(small_config())
-        reference = {}
-        for op, key, value in mixed_ops():
-            if op == "delete":
-                sharded.delete(key)
-                reference.pop(key, None)
-            else:
-                sharded.put(key, value)
-                reference[key] = value
+        model = KeyModel()
+        for op in mixed_ops():
+            apply(sharded, op)
+            model.ack(op)
         got = list(sharded.scan(50, 450))
         expected = sorted(
-            (k, v) for k, v in reference.items() if 50 <= k <= 450
+            (k, v)
+            for k, (v,) in model.expectations().items()
+            if 50 <= k <= 450 and v is not None
         )
         assert got == expected
         keys = [k for k, _ in got]
@@ -204,21 +192,17 @@ class TestCrashRecover:
     def test_round_trip_all_shards(self):
         cfg = small_config(durable=True)
         store = build_store(cfg)
-        reference = {}
-        for op, key, value in mixed_ops(ops=1500):
-            if op == "delete":
-                store.delete(key)
-                reference.pop(key, None)
-            else:
-                store.put(key, value)
-                reference[key] = value
+        model = KeyModel()
+        for op in mixed_ops(ops=1500):
+            apply(store, op)
+            model.ack(op)
         state = store.crash()
         assert isinstance(state, ShardedCrashState)
         assert len(state.shards) == SHARDS
         recovered = recover_store(state, cfg)
         assert isinstance(recovered, ShardedKVStore)
         for key in range(500):
-            assert recovered.get(key) == reference.get(key)
+            assert (recovered.get(key),) == model.allowed(key)
 
     def test_recover_preserves_unflushed_tail(self):
         cfg = small_config(durable=True)
@@ -247,7 +231,8 @@ class TestAggregation:
         """A router's snapshot is one IOSnapshot: the field-wise sum of
         its shards' (memory categories key-wise)."""
         sharded = build_store(small_config())
-        apply_ops(sharded, mixed_ops())
+        for op in mixed_ops():
+            apply(sharded, op)
         for key in range(300):
             sharded.get(key)
         agg = sharded.snapshot()
@@ -270,7 +255,8 @@ class TestAggregation:
 
     def test_latency_since_sums_shards(self):
         sharded = build_store(small_config())
-        apply_ops(sharded, mixed_ops())
+        for op in mixed_ops():
+            apply(sharded, op)
         snap = sharded.snapshot()
         shard_snaps = [shard.snapshot() for shard in sharded.shards]
         for key in range(200):
@@ -288,10 +274,12 @@ class TestAggregation:
         summing per-shard prices, component by component — as are the
         window's memory I/Os and false positives."""
         sharded = build_store(small_config(cache_blocks=4))
-        apply_ops(sharded, mixed_ops())
+        for op in mixed_ops():
+            apply(sharded, op)
         snap = sharded.snapshot()
         shard_snaps = [shard.snapshot() for shard in sharded.shards]
-        apply_ops(sharded, mixed_ops(ops=400, seed=5))
+        for op in mixed_ops(ops=400, seed=5):
+            apply(sharded, op)
         for key in range(300):
             sharded.get(key)
         agg = sharded.latency_since(snap)
@@ -326,7 +314,8 @@ class TestAggregation:
 
     def test_counters_sum(self):
         sharded = build_store(small_config())
-        apply_ops(sharded, mixed_ops())
+        for op in mixed_ops():
+            apply(sharded, op)
         for key in range(100):
             sharded.get(key)
         assert sharded.queries == sum(s.queries for s in sharded.shards) == 100
@@ -456,7 +445,8 @@ class TestMeasuredMetricsSharded:
         from repro.analysis.measured import collect_metrics
 
         sharded = build_store(small_config())
-        apply_ops(sharded, mixed_ops())
+        for op in mixed_ops():
+            apply(sharded, op)
         snap = sharded.snapshot()
         for key in range(200):
             sharded.get(key)

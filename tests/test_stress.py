@@ -8,6 +8,7 @@ from repro.analysis.measured import collect_metrics
 from repro.chucky.policy import ChuckyPolicy
 from repro.engine.kvstore import KVStore
 from repro.lsm.config import lazy_leveling
+from repro.workloads.ops import KeyModel, Op, apply
 
 
 def test_long_mixed_workload_with_crash_midway():
@@ -16,10 +17,16 @@ def test_long_mixed_workload_with_crash_midway():
         cfg, filter_policy=ChuckyPolicy(bits_per_entry=10), durable=True
     )
     rng = random.Random(0xBEEF)
-    ref: dict[int, str] = {}
+    model = KeyModel()
     universe = 1500
 
+    def live() -> dict[int, str]:
+        return {
+            k: v for k, (v,) in model.expectations().items() if v is not None
+        }
+
     def verify(store, sample=200):
+        ref = live()
         keys = rng.sample(range(universe), sample)
         for key in keys:
             assert store.get(key) == ref.get(key), key
@@ -28,19 +35,19 @@ def test_long_mixed_workload_with_crash_midway():
             k: v for k, v in ref.items() if lo <= k <= lo + 99
         }
 
-    def apply_ops(store, count):
-        for i in range(count):
+    def mixed_ops(store, count):
+        """Seeded deletes and puts; a put writes the store's update
+        count at the time."""
+        for _ in range(count):
             key = rng.randrange(universe)
-            roll = rng.random()
-            if roll < 0.12:
-                store.delete(key)
-                ref.pop(key, None)
+            if rng.random() < 0.12:
+                yield Op("delete", key)
             else:
-                value = f"v{store.updates}"
-                store.put(key, value)
-                ref[key] = value
+                yield Op("update", key, f"v{store.updates}")
 
-    apply_ops(kv, 6000)
+    for op in mixed_ops(kv, 6000):
+        apply(kv, op)
+        model.ack(op)
     verify(kv)
     assert kv.tree.num_levels >= 3  # the tree grew under load
     assert kv.policy.filter.maintenance_misses == 0
@@ -50,12 +57,14 @@ def test_long_mixed_workload_with_crash_midway():
     kv = KVStore.recover(state, cfg, filter_policy=ChuckyPolicy(bits_per_entry=10))
     verify(kv)
 
-    apply_ops(kv, 6000)
+    for op in mixed_ops(kv, 6000):
+        apply(kv, op)
+        model.ack(op)
     verify(kv)
     assert kv.policy.filter.maintenance_misses == 0
 
     metrics = collect_metrics(kv)
-    assert metrics.live_entries == len(ref)
+    assert metrics.live_entries == len(live())
     # Space amplification stays bounded (lazy leveling: ~T/(T-1) + the
     # transient duplicates at smaller levels).
     assert metrics.space_amplification < 3.0

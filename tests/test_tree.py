@@ -155,8 +155,10 @@ class TestQueries:
         import heapq
 
         tree = LSMTree(small_tiering.with_levels(2))
-        tree.install_run(2, [make_entry(7, "old", 1), make_entry(8, "kept", 2)])
-        tree.install_run(1, [make_entry(7, TOMBSTONE, 3)])
+        tree.install_run(
+            2, columns_of([make_entry(7, "old", 1), make_entry(8, "kept", 2)])
+        )
+        tree.install_run(1, columns_of([make_entry(7, TOMBSTONE, 3)]))
         ranks = []
         real_merge = heapq.merge
 
@@ -211,7 +213,7 @@ class TestVersionOrderRegression:
         # Fill the largest level to capacity with distinct keys.
         cap = tree.sublevel_capacity(3)
         base = [make_entry(k, "base", k + 1) for k in range(cap)]
-        tree.install_run(3, base)
+        tree.install_run(3, columns_of(base))
         grew = []
         tree.grow_listeners.append(grew.append)
         # Update existing keys heavily: the tree must absorb them via
@@ -467,8 +469,12 @@ class TestRunTable:
     def test_tracks_install_run_and_from_manifest(self, small_tiering):
         cfg = small_tiering.with_levels(2)
         tree = LSMTree(cfg)
-        tree.install_run(4, [make_entry(k, f"v{k}", k + 1) for k in range(10)])
-        tree.install_run(2, [make_entry(k, f"w{k}", k + 20) for k in range(5)])
+        tree.install_run(
+            4, columns_of([make_entry(k, f"v{k}", k + 1) for k in range(10)])
+        )
+        tree.install_run(
+            2, columns_of([make_entry(k, f"w{k}", k + 20) for k in range(5)])
+        )
         check_run_table(tree)
         assert [s for s, _ in tree.occupied_runs()] == [2, 4]
         reopened = LSMTree.from_manifest(cfg, tree.storage, tree.manifest())
@@ -482,25 +488,25 @@ class TestInstallRun:
     def test_bulk_load_and_query(self, small_leveling):
         tree = LSMTree(small_leveling.with_levels(3))
         entries = [make_entry(k, f"v{k}", k + 1) for k in range(10)]
-        tree.install_run(3, entries)
+        tree.install_run(3, columns_of(entries))
         assert tree.get_from_sublevel(3, 4)[VALUE] == "v4"
 
     def test_occupied_slot_rejected(self, small_leveling):
         tree = LSMTree(small_leveling.with_levels(2))
-        tree.install_run(1, [make_entry(1, "a", 1)])
+        tree.install_run(1, columns_of([make_entry(1, "a", 1)]))
         with pytest.raises(ValueError):
-            tree.install_run(1, [make_entry(2, "b", 2)])
+            tree.install_run(1, columns_of([make_entry(2, "b", 2)]))
 
     def test_missing_sublevel_rejected(self, small_leveling):
         tree = LSMTree(small_leveling.with_levels(2))
         with pytest.raises(ValueError):
-            tree.install_run(99, [make_entry(1, "a", 1)])
+            tree.install_run(99, columns_of([make_entry(1, "a", 1)]))
 
     def test_emits_flush_event(self, small_leveling):
         tree = LSMTree(small_leveling.with_levels(2))
         events = []
         tree.listeners.append(events.append)
-        tree.install_run(2, [make_entry(1, "a", 1)])
+        tree.install_run(2, columns_of([make_entry(1, "a", 1)]))
         assert isinstance(events[0], FlushEvent)
         assert events[0].sublevel == 2
 

@@ -50,7 +50,8 @@ from repro.tuning import (
     resize_memtable,
     switch_merge_policy,
 )
-from repro.workloads.drift import apply_ops, grow_n_scenario, scenario
+from repro.workloads.drift import grow_n_scenario, scenario
+from repro.workloads.ops import apply
 
 
 def _config(policy="bloom-standard", **kwargs):
@@ -514,8 +515,10 @@ class TestController:
             ),
         )
         for phase in phases:
-            apply_ops(plain, phase.ops)
-            apply_ops(sensed, phase.ops, controller.poll)
+            for op in phase.ops:
+                apply(plain, op)
+                apply(sensed, op)
+                controller.poll()
         assert _snapshot_tuple(plain) == _snapshot_tuple(sensed)
         assert controller.sensor.windows_closed > 10
         assert all(d.action == "hold" for d in controller.decision_log)
@@ -531,11 +534,13 @@ class TestController:
             controller = TuningController(
                 store, cfg, TuningConfig(window_ops=256)
             )
-            poll = controller.poll if adaptive else None
             cost = 0.0
             for phase in phases:
                 before = store.snapshot()
-                apply_ops(store, phase.ops, poll)
+                for op in phase.ops:
+                    apply(store, op)
+                    if adaptive:
+                        controller.poll()
                 after = store.snapshot()
                 if phase.name.startswith("read"):
                     cost += cfg.cost_model.total_cost(
@@ -645,7 +650,9 @@ def test_drift_decision_log_is_pinned(name, policy, shards):
     store = build_store(cfg)
     controller = TuningController(store, cfg, TuningConfig(window_ops=256))
     for phase in scenario(name, seed=0):
-        apply_ops(store, phase.ops, controller.poll)
+        for op in phase.ops:
+            apply(store, op)
+            controller.poll()
     applied = [
         (d.window, d.action, d.target_policy)
         for d in controller.applied_decisions()

@@ -9,7 +9,6 @@ import pytest
 from repro.engine import EngineConfig, build_store
 from repro.workloads.generators import (
     EULER_GAMMA,
-    OP_KINDS,
     WORKLOAD_KINDS,
     UniformGenerator,
     ZipfianGenerator,
@@ -28,6 +27,7 @@ from repro.workloads.loaders import (
     populate_store,
     sublevel_sample_keys,
 )
+from repro.workloads.ops import OP_KINDS
 
 
 class TestUniform:
