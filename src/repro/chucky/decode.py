@@ -2,7 +2,7 @@
 
 The seed decoded combination codes with the canonical first-code/offset
 loop (O(#distinct lengths) integer compares per bucket) and then pulled
-fingerprints out bit-field-by-bit-field through :class:`BitReader`. Both
+fingerprints out bit-field-by-bit-field through a bit reader. Both
 are pure per-probe CPU cost the paper never modelled — its cached
 Huffman tree is assumed CPU-cache resident and effectively free. This
 module makes that assumption real for the Python implementation:
@@ -16,7 +16,7 @@ module makes that assumption real for the Python implementation:
   plans: the codeword, its length, and the (LID, shift, mask, digest
   shift) field layout, so packing/unpacking — and matching a probe's
   digest against a bucket — is pure shift/mask arithmetic with no
-  BitReader/BitWriter objects.
+  bit-stream objects.
 
 Everything here is *derived* state, built once per codebook rebuild
 (i.e. once per LSM-tree geometry change) and bit-identical to the

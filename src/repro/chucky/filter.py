@@ -29,19 +29,23 @@ Structures beyond the bucket array (paper sections 4.4-4.5):
   combinations (FAC's bucket-sized escape codes leave no inline room);
 * additional hash table (AHT) — homeless entries when > 2S versions of
   one key pile onto a single bucket pair (or an eviction walk fails);
-* persistence — buckets serialize to bytes; recovery rebuilds the
-  filter from fingerprints alone, never rescanning the data.
+* persistence — the resident words serialize as they are, under a
+  CRC-32; recovery rebuilds the filter from fingerprints alone, never
+  rescanning the data.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import struct
+import zlib
 from abc import ABC, abstractmethod
+from array import array
+from itertools import islice
 from operator import itemgetter
 
 from repro.coding.distributions import LidDistribution
-from repro.common.bitio import BitReader, BitWriter
 from repro.common.counters import MemoryIOCounter
 from repro.common.errors import FilterError
 from repro.common.hashing import (
@@ -82,6 +86,13 @@ Edit = tuple[int, "int | None", "int | None"]
 _key = itemgetter(0)
 _old_lid = itemgetter(1)
 _new_lid = itemgetter(2)
+
+#: A persisted filter's header: bucket count, S, bucket bits, entries,
+#: overflow-table words and AHT rows. Host byte order, like the words
+#: after it: a blob never leaves the process that wrote it.
+_BLOB_HEADER = struct.Struct("=6Q")
+#: The blob's trailer: CRC-32 of everything before it.
+_BLOB_CRC = struct.Struct("=I")
 
 
 def _partner(bucket: int, prefix: int, num_buckets: int) -> int:
@@ -643,31 +654,25 @@ class ChuckyFilter(CuckooLidFilterBase):
     # -- persistence (paper section 4.5) ---------------------------------------
 
     def persist(self) -> bytes:
-        """Serialize buckets, overflow HT and AHT — fingerprints only,
-        never the data."""
-        writer = BitWriter()
-        writer.write(self.num_buckets, 32)
-        writer.write(self.slots, 8)
-        writer.write(self.codebook.bucket_bits, 16)
-        writer.write(self.num_entries, 40)
-        for packed in self._buckets:
-            writer.write(packed, self.codebook.bucket_bits)
-        writer.write(len(self.overflow), 32)
+        """The filter as it is resident — fingerprints only, never the
+        data: a header, the bucket words as stored, the overflow table
+        as ``index, count, fp...`` runs, the AHT as ``lo, hi, lid, fp``
+        rows (all 64-bit words), then a CRC-32 of everything before it."""
+        overflow = array("Q")
         for index, fps in sorted(self.overflow.items()):
-            writer.write(index, 32)
-            writer.write(len(fps), 8)
-            for fp in fps:
-                writer.write(fp, 64)
-        aht_items = [
-            (pair, slot) for pair, slots in sorted(self.aht.items()) for slot in slots
-        ]
-        writer.write(len(aht_items), 32)
-        for (lo, hi), (lid, fp) in aht_items:
-            writer.write(lo, 32)
-            writer.write(hi, 32)
-            writer.write(lid, 16)
-            writer.write(fp, 64)
-        return writer.to_bytes()
+            overflow.extend((index, len(fps), *fps))
+        aht = array("Q")
+        for (lo, hi), slots in sorted(self.aht.items()):
+            for lid, fp in slots:
+                aht.extend((lo, hi, lid, fp))
+        header = _BLOB_HEADER.pack(
+            self.num_buckets, self.slots, self.codebook.bucket_bits,
+            self.num_entries, len(overflow), len(aht) // 4,
+        )
+        body = b"".join(
+            (header, self._buckets.tobytes(), overflow.tobytes(), aht.tobytes())
+        )
+        return body + _BLOB_CRC.pack(zlib.crc32(body))
 
     @classmethod
     def recover(
@@ -685,24 +690,35 @@ class ChuckyFilter(CuckooLidFilterBase):
     ) -> "ChuckyFilter":
         """Rebuild a filter from :meth:`persist` output.
 
-        The codebook is deterministic in the geometry (``codebook`` lends
-        one already built for it), so only the packed buckets travel.
-        Charges one memory I/O per restored bucket (the 'practically
-        constant amortized cost per entry' of section 4.5).
+        The blob proves itself before anything is allocated: its length
+        against the header, the length the header implies, the CRC, then
+        the geometry. Any mismatch raises :class:`FilterError` (and only
+        that). The codebook is deterministic in the geometry
+        (``codebook`` lends one already built for it), so only the words
+        travel. Charges one memory I/O per restored bucket (the
+        'practically constant amortized cost per entry' of section 4.5).
         """
-        reader = BitReader.from_bytes(data)
-        num_buckets = reader.read(32)
-        read_slots = reader.read(8)
-        bucket_bits = reader.read(16)
-        num_entries = reader.read(40)
-        if read_slots != slots:
+        size = len(data)
+        if size < _BLOB_HEADER.size + _BLOB_CRC.size:
+            raise FilterError(f"persisted filter of {size} B has no header")
+        num_buckets, read_slots, bucket_bits, num_entries, ovf_words, aht_rows = (
+            _BLOB_HEADER.unpack_from(data)
+        )
+        bucket_end = _BLOB_HEADER.size + 8 * num_buckets * ((bucket_bits + 63) // 64)
+        body_end = bucket_end + 8 * (ovf_words + 4 * aht_rows)
+        if size != body_end + _BLOB_CRC.size:
             raise FilterError(
-                f"persisted filter has S={read_slots}, expected {slots}"
+                f"persisted filter is {size} B, its header implies "
+                f"{body_end + _BLOB_CRC.size} B"
             )
-        if bucket_bits != round(bits_per_entry * slots):
+        view = memoryview(data)
+        if zlib.crc32(view[:body_end]) != _BLOB_CRC.unpack_from(data, body_end)[0]:
+            raise FilterError("persisted filter fails its CRC-32")
+        expected_bits = round(bits_per_entry * slots)
+        if (read_slots, bucket_bits) != (slots, expected_bits) or num_buckets < 2:
             raise FilterError(
-                f"persisted bucket is {bucket_bits} bits, expected "
-                f"{round(bits_per_entry * slots)}"
+                f"persisted filter has {num_buckets} buckets of S={read_slots}, "
+                f"{bucket_bits} bits; expected S={slots}, {expected_bits} bits"
             )
         # ``capacity`` at zero over-provisioning reproduces the persisted
         # bucket count exactly; the caller's value is restored below.
@@ -719,20 +735,21 @@ class ChuckyFilter(CuckooLidFilterBase):
             metrics=metrics,
         )
         filt.over_provision = over_provision
-        for i in range(num_buckets):
-            filt._buckets[i] = reader.read(bucket_bits)
-        filt.memory_ios.add("filter", num_buckets)
-        for _ in range(reader.read(32)):
-            index = reader.read(32)
-            count = reader.read(8)
-            filt.overflow[index] = [reader.read(64) for _ in range(count)]
-        for _ in range(reader.read(32)):
-            lo = reader.read(32)
-            hi = reader.read(32)
-            lid = reader.read(16)
-            fp = reader.read(64)
+        filt._buckets.load(view[_BLOB_HEADER.size : bucket_end])
+        words = array("Q")
+        words.frombytes(view[bucket_end:body_end])
+        runs = iter(words[:ovf_words])
+        for index in runs:
+            count = next(runs, 0)
+            fps = list(islice(runs, count))
+            if not 0 < len(fps) == count or index >= num_buckets:
+                raise FilterError("persisted overflow table is malformed")
+            filt.overflow[index] = fps
+        rows = iter(words[ovf_words:])
+        for lo, hi, lid, fp in zip(rows, rows, rows, rows):
             filt.aht.setdefault((lo, hi), []).append((lid, fp))
         filt.num_entries = num_entries
+        filt.memory_ios.add("filter", num_buckets)
         return filt
 
 

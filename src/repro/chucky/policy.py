@@ -20,6 +20,7 @@ from operator import ne
 from typing import Iterator
 
 from repro.common.counters import IOCounters
+from repro.common.errors import FilterError
 from repro.chucky.filter import ChuckyFilter, UncompressedLidFilter
 from repro.chucky.partitioned import PartitionedChuckyFilter
 from repro.filters.policy import FilterPolicy
@@ -229,11 +230,19 @@ class ChuckyPolicy(FilterPolicy):
         """Restore from persisted fingerprints when this variant
         persists and there are any (section 4.5: recovery 'reads only
         the fingerprints from storage and thus avoids a full scan over
-        the data'); otherwise rebuild from the runs."""
+        the data'); otherwise — or when the blob fails its checks —
+        rebuild from the runs."""
         if blob is not None and isinstance(self.filter, ChuckyFilter):
-            self._build_filter(blob)
-        else:
-            self.rebuild_from_tree()
+            try:
+                self._build_filter(blob)
+                return
+            except FilterError:
+                self.obs.registry.counter(
+                    "filter_recover_fallbacks_total",
+                    "persisted filters that failed their checks, so "
+                    "recovery rebuilt the filter from the runs",
+                ).inc()
+        self.rebuild_from_tree()
 
     # ------------------------------------------------------------------
     # Queries

@@ -80,6 +80,15 @@ class PackedBucketStore:
             for offset, word in enumerate(self._split(value)):
                 self._words[base + offset] = word
 
+    def tobytes(self) -> bytes:
+        """Every word as stored, in host byte order."""
+        return self._words.tobytes()
+
+    def load(self, raw: "bytes | memoryview") -> None:
+        """Overwrite every word in place (readers stay bound to the
+        array) from :meth:`tobytes` output of the same geometry."""
+        memoryview(self._words).cast("B")[:] = raw
+
     def __iter__(self):
         if self.words_per_bucket == 1:
             return iter(self._words)

@@ -1,11 +1,10 @@
-"""Shared low-level substrate: bit I/O, hashing, accounting, cost models.
+"""Shared low-level substrate: hashing, accounting, cost models, errors.
 
 Everything in this package is deliberately free of LSM/filter knowledge so
 that the coding, LSM, and filter layers can all build on it without
 circular dependencies.
 """
 
-from repro.common.bitio import BitReader, BitWriter
 from repro.common.counters import IOCounters, MemoryIOCounter, StorageIOCounter
 from repro.common.cost import CostModel, LatencyBreakdown
 from repro.common.errors import (
@@ -23,8 +22,6 @@ from repro.common.hashing import (
 )
 
 __all__ = [
-    "BitReader",
-    "BitWriter",
     "CapacityError",
     "CodebookError",
     "CostModel",

@@ -13,7 +13,8 @@ class CapacityError(ReproError):
 
 class FilterError(ReproError):
     """A filter was used incorrectly (e.g. deleting a key that was never
-    inserted, or querying with an out-of-range level ID)."""
+    inserted, or querying with an out-of-range level ID), or a persisted
+    filter failed its checks."""
 
 
 class CodebookError(ReproError):

@@ -1,10 +1,11 @@
-"""The bit writer and reader the chunked / windowed ones replaced.
+"""The bit-serial reference codec's bit writer and reader.
 
 Both keep the whole buffer in one Python int: the writer shifts it on
 every field and the reader shifts it for every field, so each is
-quadratic in the buffer's length (a 105k-bucket filter took 63 s to
-persist). They stay here as the reference the runtime's
-:mod:`repro.common.bitio` must match bit for bit.
+quadratic in the buffer's length — harmless for the one bucket at a
+time that :mod:`tests.reference_codec` packs and unpacks through them.
+The runtime has no bit stream: its codec is table-driven and a
+persisted filter is its words.
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ class ReferenceBitWriter:
 
 class ReferenceBitReader:
     def __init__(self, value: int, bit_length: int) -> None:
+        if value < 0 or value.bit_length() > bit_length:
+            raise ValueError(f"value {value} does not fit in {bit_length} bits")
         self._value = value
         self._length = bit_length
         self._pos = 0

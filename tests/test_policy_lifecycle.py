@@ -176,7 +176,9 @@ def test_recovery_and_merge_switch_build_the_codebook_once(monkeypatch):
     without a blob) and a merge-policy switch then replace that filter
     for the same geometry and reuse it — they used to build a second
     one. The bytes that come back are the parent's: the persisted blob
-    itself, and (digest taken at the parent) the rebuilt filter."""
+    itself, and (digest pinned when the blob became the filter's words;
+    the rebuilt filter's decoded contents are the parent's) the rebuilt
+    filter."""
     built = []
     init = ChuckyCodebook.__init__
 
@@ -197,7 +199,7 @@ def test_recovery_and_merge_switch_build_the_codebook_once(monkeypatch):
     recovered = recover_store(replace(state, filter_blob=None), config)
     assert len(built) == 1
     assert hashlib.sha256(recovered.policy.persist()).hexdigest() == (
-        "fa6ddd4e0c63ed234d797fca7a22c70673ecba90a2d16351a92c8d14259524cd"
+        "e1c986843850f3abfb4d5453532e1c0ef825e2dc5ad6ca75ce4ae60fd19f6b9c"
     )
 
     del built[:]
