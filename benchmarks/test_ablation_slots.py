@@ -12,7 +12,6 @@ from _support import fmt_row, lid_stream, fresh_negatives, report
 
 from repro.coding.distributions import LidDistribution
 from repro.coding.entropy import combination_entropy_per_lid
-from repro.chucky.codebook import ChuckyCodebook
 from repro.chucky.filter import ChuckyFilter
 
 T, L, M = 5, 6, 10.0
@@ -25,10 +24,8 @@ def sweep():
     dist = LidDistribution(T, L)
     rows = []
     for s in SLOTS:
-        cb = ChuckyCodebook(dist, slots=s, bucket_bits=round(M * s))
-        filt = ChuckyFilter(
-            ENTRIES, dist, bits_per_entry=M, slots=s, codebook=cb
-        )
+        filt = ChuckyFilter(ENTRIES, dist, bits_per_entry=M, slots=s)
+        cb = filt.codebook
         for key, lid in lid_stream(dist, ENTRIES, seed=s):
             filt.insert(key, lid)
         fpr = sum(

@@ -41,7 +41,8 @@ class BucketCodec:
         self._root = table.root
         # FAC codes are at most B bits, so the root index never pads.
         self._root_shift = codebook.bucket_bits - table.root_bits
-        self._pack_fn = codebook.fast.pack_fns.get
+        #: combination -> its compiled pack function (None if rare).
+        self.pack_fn = codebook.fast.pack_fns.get
         self.empty_slot: Slot = (codebook.empty_lid, 0)
         self._empty_packed, _ = self.pack([self.empty_slot] * codebook.slots)
 
@@ -66,7 +67,7 @@ class BucketCodec:
             )
         ordered = sorted(slots)
         combo: Combination = tuple([lid for lid, _ in ordered])
-        fn = self._pack_fn(combo)
+        fn = self.pack_fn(combo)
         if fn is None:
             # Rare combination: the escape code fills the bucket and the
             # fingerprints spill (counts one filter_rt access).

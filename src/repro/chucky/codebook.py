@@ -1,8 +1,10 @@
 """The Chucky codebook: combination codes + per-level fingerprint lengths.
 
 Built once per LSM-tree geometry (it only changes when the number of
-levels changes — paper section 4.3, Construction Time), the codebook
-fixes everything the filter needs to pack a bucket:
+levels changes — paper section 4.3, Construction Time): a running
+filter gets its codebook from :func:`codebook_for`, which hands every
+filter of one geometry the same object while any of them is alive. The
+codebook fixes everything the filter needs to pack a bucket:
 
 * the multinomial probability of every LID combination (Eq 12);
 * the frequent set ``C_freq`` covering a NOV fraction (default 0.9999)
@@ -30,6 +32,7 @@ Three modes support the Figure 9 ablation:
 from __future__ import annotations
 
 import math
+import weakref
 
 from repro.coding.distributions import (
     Combination,
@@ -204,7 +207,9 @@ class ChuckyCodebook:
     @property
     def fast(self) -> "BucketFastTables":
         """Hot-path decode table + pack/unpack plans, built lazily once
-        per codebook (a codebook is immutable, so once is enough)."""
+        per codebook (a codebook is immutable, so once is enough) and
+        shared by every filter sharing it (:func:`codebook_for`): the
+        build is deterministic and nothing in the package runs threads."""
         tables = self._fast
         if tables is None:
             tables = self._fast = BucketFastTables(self)
@@ -271,3 +276,21 @@ class ChuckyCodebook:
             "overflow_probability": self.overflow_probability(),
             "expected_fpr": self.expected_fpr(),
         }
+
+
+#: The live codebooks, by ``(dist, slots, bucket_bits, nov)``. Weak
+#: values: an entry lives exactly as long as some filter holds its
+#: codebook, so the memo needs no size bound and keeps nothing alive.
+_CODEBOOKS = weakref.WeakValueDictionary()
+
+
+def codebook_for(
+    dist: LidDistribution, slots: int, bucket_bits: int, nov: float
+) -> ChuckyCodebook:
+    """The ``mf_fac`` codebook of one geometry: the one any live filter
+    of that geometry already holds, else a new one."""
+    key = (dist, slots, bucket_bits, nov)
+    codebook = _CODEBOOKS.get(key)
+    if codebook is None:
+        codebook = _CODEBOOKS[key] = ChuckyCodebook(dist, slots, bucket_bits, nov=nov)
+    return codebook

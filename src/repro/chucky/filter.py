@@ -62,7 +62,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
 )
 from repro.chucky.bucket import BucketCodec, Slot
-from repro.chucky.codebook import ChuckyCodebook
+from repro.chucky.codebook import codebook_for
 from repro.chucky.slots import PackedBucketStore, SlotStore
 from repro.chucky.tables import CodecTables
 
@@ -550,17 +550,12 @@ class ChuckyFilter(CuckooLidFilterBase):
         over_provision: float = 0.05,
         memory_ios: MemoryIOCounter | None = None,
         seed: int = 0,
-        codebook: ChuckyCodebook | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> None:
-        if codebook is None:
-            bucket_bits = round(bits_per_entry * slots)
-            codebook = ChuckyCodebook(
-                dist, slots=slots, bucket_bits=bucket_bits, mode="mf_fac", nov=nov
-            )
+        codebook = codebook_for(dist, slots, round(bits_per_entry * slots), nov)
         super().__init__(
-            num_buckets=_buckets_for_capacity(capacity, codebook.slots, over_provision),
-            slots=codebook.slots,
+            num_buckets=_buckets_for_capacity(capacity, slots, over_provision),
+            slots=slots,
             empty_lid=codebook.empty_lid,
             memory_ios=memory_ios,
             seed=seed,
@@ -574,7 +569,7 @@ class ChuckyFilter(CuckooLidFilterBase):
         self.codec = BucketCodec(codebook, self.tables)
         self._matching_lids = self.codec.matching_lids
         self._root_entry = self.codec.root_entry
-        self._pack_fn = codebook.fast.pack_fns.get
+        self._pack_fn = self.codec.pack_fn
         self._empty_packed = self.codec.empty_packed
         self._buckets = PackedBucketStore(
             self.num_buckets, codebook.bucket_bits, fill=self._empty_packed
@@ -603,10 +598,10 @@ class ChuckyFilter(CuckooLidFilterBase):
     def _edit_bucket(self, index: int, old: Slot, new: Slot) -> bool:
         # A frequent combination decodes straight from its decode-table
         # plan and, when the edited bucket is frequent too, re-encodes
-        # through its compiled pack function: neither touches the
-        # overflow table or a Decoding / Recoding Table row, so neither
-        # charges anything. Anything else goes through _read_bucket /
-        # _write_bucket, which charge as they always have.
+        # through the pack function the codec looks up for it: neither
+        # touches the overflow table or a Decoding / Recoding Table row,
+        # so neither charges anything. Anything else goes through
+        # _read_bucket / _write_bucket, which charge as they always have.
         packed = self._packed[index]
         if packed == self._empty_packed:
             slots = [self._empty] * self.slots  # as _read_bucket's shortcut
@@ -685,7 +680,6 @@ class ChuckyFilter(CuckooLidFilterBase):
         over_provision: float = 0.05,
         memory_ios: MemoryIOCounter | None = None,
         seed: int = 0,
-        codebook: ChuckyCodebook | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> "ChuckyFilter":
         """Rebuild a filter from :meth:`persist` output.
@@ -693,9 +687,8 @@ class ChuckyFilter(CuckooLidFilterBase):
         The blob proves itself before anything is allocated: its length
         against the header, the length the header implies, the CRC, then
         the geometry. Any mismatch raises :class:`FilterError` (and only
-        that). The codebook is deterministic in the geometry
-        (``codebook`` lends one already built for it), so only the words
-        travel. Charges one memory I/O per restored bucket (the
+        that). The codebook is deterministic in the geometry, so only
+        the words travel. Charges one memory I/O per restored bucket (the
         'practically constant amortized cost per entry' of section 4.5).
         """
         size = len(data)
@@ -723,16 +716,8 @@ class ChuckyFilter(CuckooLidFilterBase):
         # ``capacity`` at zero over-provisioning reproduces the persisted
         # bucket count exactly; the caller's value is restored below.
         filt = cls(
-            capacity=num_buckets * slots,
-            dist=dist,
-            bits_per_entry=bits_per_entry,
-            slots=slots,
-            nov=nov,
-            over_provision=0.0,
-            memory_ios=memory_ios,
-            seed=seed,
-            codebook=codebook,
-            metrics=metrics,
+            num_buckets * slots, dist, bits_per_entry, slots, nov,
+            over_provision=0.0, memory_ios=memory_ios, seed=seed, metrics=metrics,
         )
         filt.over_provision = over_provision
         filt._buckets.load(view[_BLOB_HEADER.size : bucket_end])

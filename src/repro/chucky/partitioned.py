@@ -25,7 +25,6 @@ from repro.coding.distributions import LidDistribution
 from repro.common.counters import MemoryIOCounter
 from repro.common.hashing import seeded
 from repro.obs.metrics import MetricsRegistry
-from repro.chucky.codebook import ChuckyCodebook
 from repro.chucky.filter import ChuckyFilter
 
 _partition_digest = seeded(5000)
@@ -64,26 +63,16 @@ class PartitionedChuckyFilter:
             memory_ios if memory_ios is not None else MemoryIOCounter()
         )
         num_partitions = max(1, math.ceil(capacity / partition_capacity))
-        # One codebook for everyone: the coding plan is a function of the
-        # geometry, not of the partition.
-        self.codebook = ChuckyCodebook(
-            dist, slots=slots, bucket_bits=round(bits_per_entry * slots), nov=nov
-        )
         self.partitions = [
             ChuckyFilter(
-                capacity=partition_capacity,
-                dist=dist,
-                bits_per_entry=bits_per_entry,
-                slots=slots,
-                nov=nov,
-                over_provision=over_provision,
-                memory_ios=self.memory_ios,
-                seed=seed + i,
-                codebook=self.codebook,
-                metrics=metrics,
+                partition_capacity, dist, bits_per_entry, slots, nov,
+                over_provision=over_provision, memory_ios=self.memory_ios,
+                seed=seed + i, metrics=metrics,
             )
             for i in range(num_partitions)
         ]
+        #: The partitions' one codebook (``codebook_for``'s memo).
+        self.codebook = self.partitions[0].codebook
 
     def partition_index(self, key: int) -> int:
         """Which partition owns ``key`` (stable across restarts)."""

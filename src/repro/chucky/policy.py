@@ -98,14 +98,12 @@ class ChuckyPolicy(FilterPolicy):
 
     def _build_filter(self, blob: bytes | None = None) -> None:
         """(Re)place the filter for the tree's current geometry: empty,
-        or (compressed monolithic variant) restored from ``blob``. A
-        codebook is a pure function of the LID distribution and this
-        policy's S / B / NOV, so the filter being replaced lends its own
-        unless the tree grew (attach, then recovery or a rebuild)."""
-        dist = self._distribution()
+        or (compressed monolithic variant) restored from ``blob``. The
+        filter being replaced is still alive while its successor is
+        built, so one of the same geometry gets its codebook back."""
         capacity = self._tree_capacity()
         shared = dict(
-            dist=dist,
+            dist=self._distribution(),
             bits_per_entry=self.bits_per_entry,
             slots=self.slots,
             over_provision=self.over_provision,
@@ -113,21 +111,17 @@ class ChuckyPolicy(FilterPolicy):
             seed=self.seed,
             metrics=self.obs.registry,
         )
-        if self.partition_capacity is not None:
+        if not self.compressed:
+            self.filter = UncompressedLidFilter(capacity, **shared)
+        elif self.partition_capacity is not None:
             self.filter = PartitionedChuckyFilter(
                 capacity, partition_capacity=self.partition_capacity,
                 nov=self.nov, **shared,
             )
-        elif self.compressed:
-            old = self.filter
-            reuse = old is not None and old.dist == dist
-            shared.update(nov=self.nov, codebook=old.codebook if reuse else None)
-            if blob is None:
-                self.filter = ChuckyFilter(capacity, **shared)
-            else:
-                self.filter = ChuckyFilter.recover(blob, **shared)
+        elif blob is None:
+            self.filter = ChuckyFilter(capacity, nov=self.nov, **shared)
         else:
-            self.filter = UncompressedLidFilter(capacity, **shared)
+            self.filter = ChuckyFilter.recover(blob, nov=self.nov, **shared)
         self._publish_codebook_stats()
 
     def _publish_codebook_stats(self) -> None:

@@ -43,6 +43,13 @@ class ReferenceCodecTables(CodecTables):
 class ReferenceBucketCodec(BucketCodec):
     """Pack / unpack one bit field at a time."""
 
+    def __init__(self, codebook, tables: CodecTables) -> None:
+        super().__init__(codebook, tables)
+        # Never pack through a compiled function: a filter's plan edits
+        # (the empty-bucket one too) re-encode through :meth:`pack`, so
+        # the identity tests hold the compiled packers to this one.
+        self.pack_fn = {}.get
+
     def pack(self, slots: list[Slot]) -> tuple[int, list[int] | None]:
         if len(slots) != self.codebook.slots:
             raise FilterError(

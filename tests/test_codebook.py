@@ -1,14 +1,18 @@
 """The Chucky codebook: C_freq selection, MF/FAC alignment, code
 construction — the substance of paper sections 4.2-4.3 and Figure 9."""
 
+import gc
 import math
+import weakref
 
 import pytest
 
 from repro.coding.distributions import LidDistribution
 from repro.coding.kraft import kraft_sum
 from repro.common.errors import CodebookError
-from repro.chucky.codebook import ChuckyCodebook
+from repro.chucky import codebook as codebook_module
+from repro.chucky.codebook import ChuckyCodebook, codebook_for
+from repro.chucky.filter import ChuckyFilter
 
 
 @pytest.fixture(scope="module")
@@ -217,3 +221,40 @@ class TestGeometrySweep:
         ]
         assert sizes[0] <= sizes[1] <= sizes[2]
         assert sizes[2] < math.comb(8 + 4 - 1 + 4, 4) * 8
+
+
+class TestOneCodebookPerGeometry:
+    def test_filters_of_one_geometry_share_it_until_the_last_is_dropped(self):
+        """``codebook_for`` hands every live filter of one geometry the
+        same codebook, and its weak memo keeps none alive: with the
+        cyclic collector off, dropping the last filter frees it."""
+        dist = LidDistribution(7, 2)
+        key = (dist, 4, 40, 0.9999)
+        gc.collect()
+        gc.disable()
+        try:
+            first = ChuckyFilter(256, dist, bits_per_entry=10.0)
+            second = ChuckyFilter(256, dist, bits_per_entry=10.0)
+            assert second.codebook is first.codebook is codebook_for(*key)
+            first.insert(1, 1)  # the filters share the lazy fast tables too
+            assert second.codebook._fast is not None
+            alive = weakref.ref(first.codebook)
+            del first
+            assert alive() is second.codebook
+            del second
+            assert alive() is None
+            assert key not in codebook_module._CODEBOOKS
+        finally:
+            gc.enable()
+
+    def test_a_geometry_is_every_argument(self):
+        dist = LidDistribution(7, 2)
+        held = codebook_for(dist, 4, 40, 0.9999)
+        for other in (
+            (LidDistribution(7, 3), 4, 40, 0.9999),
+            (dist, 2, 20, 0.9999),
+            (dist, 4, 36, 0.9999),
+            (dist, 4, 40, 0.999),
+        ):
+            assert codebook_for(*other) is not held
+        assert codebook_for(dist, 4, 40, 0.9999) is held

@@ -20,11 +20,13 @@ the one maintenance loop to the per-entry path it replaced
 import functools
 import random
 from unittest import mock
+from weakref import WeakValueDictionary
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.chucky import codebook as codebook_module
 from repro.chucky.bucket import BucketCodec
 from repro.chucky.codebook import ChuckyCodebook
 from repro.chucky.filter import ChuckyFilter, UncompressedLidFilter
@@ -173,9 +175,49 @@ class TestFilterIdentity:
                 plan = (*head, (lid, shift, mask, fp_shift + 1))
                 super().__init__(code, payloads={**payloads, combo: plan})
 
-        with mock.patch.object(decode, "PrefixDecodeTable", Skewed):
+        # A fresh memo inside the patch: a live codebook of this
+        # geometry (from any earlier test) would hand back its unskewed
+        # tables, and the skewed one must stay out of the memo that
+        # later tests share.
+        with (
+            mock.patch.object(decode, "PrefixDecodeTable", Skewed),
+            mock.patch.object(codebook_module, "_CODEBOOKS", WeakValueDictionary()),
+        ):
+            armed = ChuckyFilter(2000, DIST, bits_per_entry=10.0)
+            assert type(armed.codebook.fast.decode_table) is Skewed
             with pytest.raises(AssertionError, match="answers diverged"):
                 self.test_workload_observables_match_reference(0)
+
+    def test_reference_codec_runs_no_compiled_pack(self):
+        """Inside ``reference_codec()`` every edit re-encodes through the
+        bit-serial packer — the empty-bucket plan edit too — so no
+        compiled pack function runs during insert, update or remove
+        (the runtime codec, on the same edits, runs them)."""
+        calls = []
+
+        def counting(fn):
+            def pack(ordered):
+                calls.append(fn)
+                return fn(ordered)
+
+            return pack
+
+        def edits(filt):
+            pack_fns = filt.codebook.fast.pack_fns
+            with mock.patch.dict(
+                pack_fns, {combo: counting(fn) for combo, fn in pack_fns.items()}
+            ):
+                for key in range(300):
+                    filt.insert(key, 1 + key % 5)
+                for key in range(0, 300, 2):
+                    assert filt.update_lid(key, 1 + key % 5, 5)
+                for key in range(1, 300, 2):
+                    assert filt.remove(key, 1 + key % 5)
+            return len(calls)
+
+        with reference_codec():
+            assert edits(ChuckyFilter(400, DIST, bits_per_entry=10.0)) == 0
+        assert edits(ChuckyFilter(400, DIST, bits_per_entry=10.0)) > 0
 
     def test_recover_matches_reference(self):
         _, _, blob = _filter_workload(42)

@@ -19,7 +19,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.chucky.codebook import ChuckyCodebook
+from repro.chucky.partitioned import PartitionedChuckyFilter
 from repro.chucky.policy import ChuckyPolicy
 from repro.engine.config import EngineConfig, build_store, recover_store
 from repro.faults.invariants import InvariantChecker
@@ -171,37 +171,55 @@ def test_chucky_persists_only_the_compressed_monolithic_filter():
         assert (blob is not None) == persists, policy
 
 
-def test_recovery_and_merge_switch_build_the_codebook_once(monkeypatch):
-    """``attach`` builds the empty filter's codebook; recovery (with or
-    without a blob) and a merge-policy switch then replace that filter
-    for the same geometry and reuse it — they used to build a second
-    one. The bytes that come back are the parent's: the persisted blob
-    itself, and (digest pinned when the blob became the filter's words;
-    the rebuilt filter's decoded contents are the parent's) the rebuilt
-    filter."""
-    built = []
-    init = ChuckyCodebook.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(self)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(ChuckyCodebook, "__init__", counting_init)
+def test_one_geometry_one_codebook():
+    """A codebook is a pure function of the geometry, so while one
+    store holds it, every other way a filter of that geometry comes to
+    be gets the same object: recovery with and without a blob, a
+    merge-policy switch, a second store, every shard of a sharded store
+    and every partition of a partitioned filter. Each store still counts
+    its own I/Os. The bytes that come back are the parent's: the
+    persisted blob itself, and (digest pinned when the blob became the
+    filter's words; the rebuilt filter's decoded contents are the
+    parent's) the rebuilt filter."""
     config = _config("chucky")
-    state = _loaded_store("chucky").crash()
+    store = _loaded_store("chucky")
+    codebook = store.policy.filter.codebook
+    state = store.crash()
 
-    del built[:]
     recovered = recover_store(state, config)
-    assert len(built) == 1
+    assert recovered.policy.filter.codebook is codebook
     assert recovered.policy.persist() == state.filter_blob
 
-    del built[:]
-    recovered = recover_store(replace(state, filter_blob=None), config)
-    assert len(built) == 1
-    assert hashlib.sha256(recovered.policy.persist()).hexdigest() == (
+    rebuilt = recover_store(replace(state, filter_blob=None), config)
+    assert rebuilt.policy.filter.codebook is codebook
+    assert hashlib.sha256(rebuilt.policy.persist()).hexdigest() == (
         "e1c986843850f3abfb4d5453532e1c0ef825e2dc5ad6ca75ce4ae60fd19f6b9c"
     )
 
-    del built[:]
-    switch_merge_policy(recovered, replace(config, runs_per_level=2))
-    assert len(built) == 1
+    switch_merge_policy(rebuilt, replace(config, runs_per_level=2))
+    assert rebuilt.policy.filter.codebook is not codebook
+    switch_merge_policy(rebuilt, config)
+    assert rebuilt.policy.filter.codebook is codebook
+
+    second = _loaded_store("chucky")
+    assert second.policy.filter.codebook is codebook
+    assert second.policy.filter.tables is not recovered.policy.filter.tables
+    theirs = _cost(recovered)
+    ours = _cost(second)
+    for key in range(0, 400, 3):
+        second.get(key)
+    assert _cost(recovered) == theirs
+    assert _cost(second, ours)[1] > 0
+
+    sharded = build_store(replace(config, shards=4))
+    for key in range(1040):
+        sharded.put(key * 7 % 1600, f"v{key}")
+    sharded.flush()
+    assert len(sharded.shards) == 4
+    assert all(s.policy.filter.codebook is codebook for s in sharded.shards)
+
+    partitioned = PartitionedChuckyFilter(
+        1000, codebook.dist, bits_per_entry=BITS, partition_capacity=64
+    )
+    assert partitioned.num_partitions > 1
+    assert all(p.codebook is codebook for p in partitioned.partitions)
