@@ -161,15 +161,6 @@ def build_shard(
     if prefix is not None:
         enabled = observability is not None and observability.enabled
         observability = observability.child(prefix) if enabled else None
-    if state is not None:
-        return KVStore.recover(
-            state,
-            config.lsm_config(),
-            filter_policy=config.make_policy(),
-            cache_blocks=config.cache_blocks,
-            cost_model=config.cost_model,
-            observability=observability,
-        )
     return KVStore(
         config.lsm_config(),
         filter_policy=config.make_policy(),
@@ -177,6 +168,7 @@ def build_shard(
         cost_model=config.cost_model,
         durable=config.durable,
         observability=observability,
+        state=state,
     )
 
 

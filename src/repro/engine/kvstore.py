@@ -66,7 +66,9 @@ class ReadResult:
 class CrashState:
     """What survives a crash: storage, run manifests, the WAL, and —
     for Chucky — the persisted filter fingerprints (paper section 4.5).
-    The memtable, block cache and in-memory filters are lost."""
+    The memtable, block cache and in-memory filters are lost. A value:
+    ``storage`` is a snapshot of just the manifest's runs, which
+    recovery (``KVStore(..., state=state)``) reads and never writes."""
 
     storage: StorageDevice
     manifest: list[RunManifest]
@@ -205,7 +207,8 @@ class CountedWindow:
 
 
 class KVStore(CountedWindow):
-    """A complete LSM-tree key-value store with pluggable filtering."""
+    """A complete LSM-tree key-value store with pluggable filtering;
+    recovered from a :class:`CrashState` when given ``state``."""
 
     def __init__(
         self,
@@ -215,19 +218,26 @@ class KVStore(CountedWindow):
         cost_model: CostModel | None = None,
         durable: bool = False,
         observability: Observability | None = None,
-        _tree: LSMTree | None = None,
+        state: CrashState | None = None,
     ) -> None:
         self.config = config if config is not None else LSMConfig()
         self.cost_model = cost_model if cost_model is not None else CostModel()
         self.obs = observability if observability is not None else NULL_OBS
         self._obs_on = self.obs.enabled
-        if _tree is not None:
-            self.tree = _tree
-            self.counters = _tree.counters
-        else:
-            self.counters = IOCounters()
-            cache = BlockCache(cache_blocks) if cache_blocks > 0 else None
+        self.counters = IOCounters()
+        cache = BlockCache(cache_blocks) if cache_blocks > 0 else None
+        if state is None:
             self.tree = LSMTree(self.config, counters=self.counters, cache=cache)
+        else:
+            # Runs reopen from their manifests (no data scan) over a
+            # fresh snapshot, so recovery never writes the state.
+            storage = state.storage.snapshot(
+                (m.run_id for m in state.manifest), self.counters.storage
+            )
+            self.tree = LSMTree.from_manifest(
+                self.config, storage, state.manifest,
+                counters=self.counters, cache=cache,
+            )
         self.policy = (
             filter_policy if filter_policy is not None else NoFilterPolicy()
         )
@@ -253,6 +263,24 @@ class KVStore(CountedWindow):
         self.scans = 0
         if self._obs_on:
             self._register_instruments()
+        if state is None:
+            return
+        # Recovery's tail (paper section 4.5): the policy recovers its
+        # filter (from the persisted fingerprints when it can use them,
+        # else by scanning the runs); the WAL replays into the fresh
+        # memtable with the original sequence numbers.
+        self.policy.recover(state.filter_blob)
+        self.wal = WriteAheadLog(data=bytearray(state.wal_data))
+        max_seqno = 0
+        for kind, key, value, seqno in self.wal.replay():
+            self.memtable.put(key, value, seqno)
+            max_seqno = max(max_seqno, seqno)
+        self._seqno = max([max_seqno] + [m.max_seqno for m in state.manifest])
+        # Resume the TTL clock where the crashed incarnation left it —
+        # recovery's own counted work (filter rebuild, WAL replay) has
+        # already advanced _modelled_ns past zero, so the floor keeps
+        # the clock monotone rather than exactly continuous.
+        self._clock_floor = state.clock_ns
 
     # ------------------------------------------------------------------
     # Observability wiring
@@ -574,71 +602,18 @@ class KVStore(CountedWindow):
             self.tree._pending_free
             or self.tree.manifest() != self.tree.committed_manifest()
         )
+        # The *committed* manifest: a crash mid-cascade must recover
+        # from the last durable tree shape, whose runs the deferred
+        # storage reclamation guarantees are still on the device; the
+        # state snapshots just those runs, so no orphan enters it.
+        manifest = self.tree.committed_manifest()
         return CrashState(
-            storage=self.tree.storage,
-            # The *committed* manifest: a crash mid-cascade must recover
-            # from the last durable tree shape, whose runs the deferred
-            # storage reclamation guarantees are still on the device.
-            manifest=self.tree.committed_manifest(),
+            storage=self.tree.storage.snapshot(m.run_id for m in manifest),
+            manifest=manifest,
             wal_data=bytes(self.wal.data),
             filter_blob=None if mid_cascade else self.policy.persist(),
             clock_ns=self.now_ns(),
         )
-
-    @classmethod
-    def recover(
-        cls,
-        state: CrashState,
-        config: LSMConfig,
-        filter_policy: FilterPolicy | None = None,
-        cache_blocks: int = 0,
-        cost_model: CostModel | None = None,
-        observability: Observability | None = None,
-    ) -> "KVStore":
-        """Rebuild a store from a :class:`CrashState`.
-
-        Runs reopen from their manifests (no data scan); the policy
-        recovers its filter (from the persisted fingerprints when it can
-        use them, else by scanning the runs); the WAL replays into a
-        fresh memtable with the original sequence numbers.
-        """
-        counters = IOCounters()
-        state.storage.counter = counters.storage
-        # GC orphan runs: a crash mid-cascade (after a new run was built
-        # but before the manifest committed) or mid-run-write leaves
-        # runs on the device that no manifest references. Reclaim them
-        # now, or every crash permanently leaks their space.
-        referenced = {m.run_id for m in state.manifest}
-        for run_id in state.storage.run_ids():
-            if run_id not in referenced:
-                state.storage.delete_run(run_id)
-        cache = BlockCache(cache_blocks) if cache_blocks > 0 else None
-        tree = LSMTree.from_manifest(
-            config, state.storage, state.manifest, counters=counters, cache=cache
-        )
-        policy = filter_policy if filter_policy is not None else NoFilterPolicy()
-        store = cls(
-            config=config,
-            filter_policy=policy,
-            cost_model=cost_model,
-            durable=True,
-            observability=observability,
-            _tree=tree,
-        )
-        store.policy.recover(state.filter_blob)
-        wal = WriteAheadLog(data=bytearray(state.wal_data))
-        max_seqno = 0
-        for kind, key, value, seqno in wal.replay():
-            store.memtable.put(key, value, seqno)
-            max_seqno = max(max_seqno, seqno)
-        store.wal = wal
-        store._seqno = max([max_seqno] + [m.max_seqno for m in state.manifest])
-        # Resume the TTL clock where the crashed incarnation left it —
-        # recovery's own counted work (filter rebuild, WAL replay) has
-        # already advanced _modelled_ns past zero, so the floor keeps
-        # the clock monotone rather than exactly continuous.
-        store._clock_floor = state.clock_ns
-        return store
 
     # ------------------------------------------------------------------
     # Reads

@@ -58,7 +58,6 @@ from typing import Any
 
 from repro.common.errors import InjectedCrash
 from repro.engine.config import EngineConfig, build_store, recover_store
-from repro.engine.sharded import shards_of
 from repro.faults import crashpoints
 from repro.faults.injector import (
     CRASH_AT_POINT,
@@ -285,12 +284,9 @@ class _StoreUnderTest:
         injector.install(self.store)
 
     async def recover(self) -> None:
-        """Crash, then recover on a healthy machine: the injector is
-        detached from the surviving storage (the device rebooted)."""
-        state = self.store.crash()
-        for shard_state in shards_of(state):
-            shard_state.storage.faults = None
-        self.store = recover_store(state, self.config)
+        """Crash, then recover on a healthy machine: the state's
+        storage snapshot carries no fault hook (the device rebooted)."""
+        self.store = recover_store(self.store.crash(), self.config)
 
     async def get(self, key: int) -> Any:
         return self.store.get(key)

@@ -20,7 +20,8 @@ The injector hooks into the engine three ways:
 After the first injected crash the "machine stays down": every further
 crash point, storage I/O or WAL append raises immediately, so nothing
 can mutate engine state between the crash and the harness capturing the
-:class:`~repro.engine.kvstore.CrashState`.
+:class:`~repro.engine.kvstore.CrashState`, whose storage snapshot
+carries no fault hook: recovery runs on a healthy machine.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from array import array
 from contextlib import contextmanager
-from typing import Any
+from typing import Any, Iterable
 
 from repro.common.counters import StorageIOCounter
 from repro.common.errors import InjectedCrash, TransientIOError
@@ -132,11 +132,24 @@ class StorageDevice:
         return run_id in self._runs
 
     def run_ids(self) -> list[int]:
-        """Every run currently on the device (orphan detection/GC)."""
+        """Every run currently on the device (orphan detection)."""
         return list(self._runs)
 
     def num_blocks(self, run_id: int) -> int:
         return len(self._runs[run_id])
+
+    def snapshot(
+        self, run_ids: Iterable[int], counter: StorageIOCounter | None = None
+    ) -> "StorageDevice":
+        """A new device holding only ``run_ids`` (a crash state's
+        storage), sharing their block lists: a written block is never
+        changed, so no block is copied and no I/O counted. It keeps the
+        next run id and has no fault hook; later writes or frees on
+        either device never reach the other."""
+        device = StorageDevice(counter)
+        device._runs = {run_id: self._runs[run_id] for run_id in run_ids}
+        device._next_id = self._next_id
+        return device
 
     @contextmanager
     def counting_suspended(self):

@@ -45,8 +45,8 @@ under the new K/Z geometry on the same storage device, and swap the
 tree; the configured policy attaches to the new tree and fills itself
 with ``rebuild_from_tree(count_storage=False)``. The old manifest stays
 committed until the swap, so a crash mid-switch recovers the old tree
-and garbage-collects the half-built runs as orphans — the same
-write-new-before-delete-old ordering the tree's own cascades use.
+and the half-built runs, orphans, never enter the crash state — the
+same write-new-before-delete-old ordering the tree's own cascades use.
 """
 
 from __future__ import annotations

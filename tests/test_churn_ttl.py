@@ -181,8 +181,8 @@ class TestChurnCycles:
         deleted = [key for key in range(POPULATION) if key not in live]
         assert deleted
         state = kv.crash()
-        recovered = KVStore.recover(
-            state, PRESETS[preset](), filter_policy=POLICIES[policy]()
+        recovered = KVStore(
+            PRESETS[preset](), filter_policy=POLICIES[policy](), state=state
         )
         for key in deleted:
             assert recovered.get(key) is None, (preset, policy, key)
@@ -264,8 +264,8 @@ class TestTtlExpiry:
         kv.put(2, "text", ttl=1 << 60)
         kv.put(3, b"\x80gone", ttl=0)
         state = kv.crash()
-        recovered = KVStore.recover(
-            state, PRESETS["leveled"](), filter_policy=POLICIES["chucky"]()
+        recovered = KVStore(
+            PRESETS["leveled"](), filter_policy=POLICIES["chucky"](), state=state
         )
         assert recovered.get(1) == raw
         assert recovered.get(2) == "text"
@@ -279,8 +279,8 @@ class TestTtlExpiry:
         crashed_at = kv.now_ns()
         assert crashed_at > 0
         state = kv.crash()
-        recovered = KVStore.recover(
-            state, PRESETS["leveled"](), filter_policy=POLICIES["chucky"]()
+        recovered = KVStore(
+            PRESETS["leveled"](), filter_policy=POLICIES["chucky"](), state=state
         )
         # Monotone across the crash: a TTL that had expired can never
         # un-expire because the clock jumped backwards.

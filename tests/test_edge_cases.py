@@ -173,10 +173,10 @@ class TestStoreEdges:
         for i in range(200):
             kv.put(i, f"v{i}")
         state = kv.crash()
-        recovered = KVStore.recover(
-            state,
+        recovered = KVStore(
             cfg,
             filter_policy=ChuckyPolicy(bits_per_entry=10, partition_capacity=256),
+            state=state,
         )
         for i in range(200):
             assert recovered.get(i) == f"v{i}"

@@ -113,8 +113,8 @@ class TestWalValueFidelity:
         else:
             for key, raw in payloads.items():
                 kv.put(key, raw)
-        recovered = KVStore.recover(
-            kv.crash(), cfg, filter_policy=ChuckyPolicy(bits_per_entry=10)
+        recovered = KVStore(
+            cfg, filter_policy=ChuckyPolicy(bits_per_entry=10), state=kv.crash()
         )
         for key, raw in payloads.items():
             value = recovered.get(key)
@@ -431,7 +431,7 @@ class TestTornWalAppend:
                     acked[i] = f"v{i}"
             assert crashed_key is not None
             state = store.crash()
-            state.storage.faults = None
+            assert state.storage.faults is None
             recovered = recover_store(state, cfg)
             for key, value in acked.items():
                 assert recovered.get(key) == value
@@ -483,7 +483,7 @@ class TestMidCascadeCrash:
             if not injector.crashed:
                 continue  # the point fired fewer times than `occurrence`
             state = store.crash()
-            state.storage.faults = None
+            assert state.storage.faults is None
             recovered = recover_store(state, cfg)
             checker = InvariantChecker()
             expectations = model.expectations()
@@ -518,7 +518,10 @@ class TestMidCascadeCrash:
             clean.put(i % 16, f"v{i}")
         assert clean.crash().filter_blob is not None
 
-    def test_orphan_runs_reclaimed_on_recovery(self):
+    def test_orphan_runs_never_reach_the_state(self):
+        """A crash mid-cascade leaves orphan runs on the live device;
+        the crash state snapshots only the committed manifest's runs,
+        so no recovery ever has an orphan to sweep."""
         cfg = durable_config()
         plan = FaultPlan(
             seed=0,
@@ -534,15 +537,14 @@ class TestMidCascadeCrash:
                 for i in range(128):
                     store.put(i % 16, f"v{i}")
         state = store.crash()
-        state.storage.faults = None
-        referenced = {m.run_id for m in state.manifest}
-        orphans = set(state.storage.run_ids()) - referenced
+        assert state.storage.faults is None
+        referenced = [m.run_id for m in state.manifest]
+        orphans = set(store.tree.storage.run_ids()) - set(referenced)
         assert orphans, "expected the crash to leave orphan runs"
-        recover_store(state, cfg)
-        # Run ids are never reused: the orphans being gone means GC
-        # reclaimed them (recovery may legitimately write NEW runs if
-        # WAL replay fills the memtable).
-        assert orphans.isdisjoint(state.storage.run_ids())
+        assert state.storage.run_ids() == referenced
+        recovered = recover_store(state, cfg)
+        violations = InvariantChecker().check_structure(recovered)
+        assert not violations, [str(v) for v in violations]
 
 
 # ----------------------------------------------------------------------

@@ -54,7 +54,7 @@ def test_long_mixed_workload_with_crash_midway():
 
     # Crash in the middle, recover, keep going.
     state = kv.crash()
-    kv = KVStore.recover(state, cfg, filter_policy=ChuckyPolicy(bits_per_entry=10))
+    kv = KVStore(cfg, filter_policy=ChuckyPolicy(bits_per_entry=10), state=state)
     verify(kv)
 
     for op in mixed_ops(kv, 6000):

@@ -13,6 +13,7 @@ from repro.engine.kvstore import KVStore
 from repro.filters.policy import BloomFilterPolicy, NoFilterPolicy
 from repro.lsm.config import lazy_leveling
 from repro.lsm.entry import KEY, TOMBSTONE
+from repro.lsm.storage import StorageDevice
 from repro.lsm.wal import (
     WalCorruption,
     WriteAheadLog,
@@ -355,8 +356,8 @@ class TestUnloggableValues:
             kv.put(3, bad, ttl=1000)
         assert self.state(kv) == before
         kv.put(3, "c")
-        recovered = KVStore.recover(
-            kv.crash(), cfg, filter_policy=ChuckyPolicy(bits_per_entry=10)
+        recovered = KVStore(
+            cfg, filter_policy=ChuckyPolicy(bits_per_entry=10), state=kv.crash()
         )
         assert [recovered.get(k) for k in (1, 2, 3)] == ["a", b"b", "c"]
         assert recovered._seqno == 3
@@ -369,8 +370,8 @@ class TestUnloggableValues:
             kv.put_batch([(3, "c"), (4, bad), (5, "e")])
         assert self.state(kv) == before
         assert kv.get(3) is None
-        recovered = KVStore.recover(
-            kv.crash(), cfg, filter_policy=ChuckyPolicy(bits_per_entry=10)
+        recovered = KVStore(
+            cfg, filter_policy=ChuckyPolicy(bits_per_entry=10), state=kv.crash()
         )
         assert [recovered.get(k) for k in (1, 2, 3, 5)] == ["a", b"b", None, None]
 
@@ -435,7 +436,7 @@ class TestCrashRecovery:
     def test_recovery_preserves_all_data(self, policy_factory):
         kv, ref, cfg = populated_store(policy_factory())
         state = kv.crash()
-        recovered = KVStore.recover(state, cfg, filter_policy=policy_factory())
+        recovered = KVStore(cfg, filter_policy=policy_factory(), state=state)
         for key in range(200):
             assert recovered.get(key) == ref.get(key), key
 
@@ -447,8 +448,8 @@ class TestCrashRecovery:
         kv.put(2, "only-in-wal")
         kv.delete(1)
         state = kv.crash()
-        recovered = KVStore.recover(
-            state, cfg, filter_policy=ChuckyPolicy(bits_per_entry=10)
+        recovered = KVStore(
+            cfg, filter_policy=ChuckyPolicy(bits_per_entry=10), state=state
         )
         assert recovered.get(2) == "only-in-wal"
         assert recovered.get(1) is None
@@ -458,8 +459,8 @@ class TestCrashRecovery:
         kv.flush()
         state = kv.crash()
         assert state.filter_blob is not None
-        recovered = KVStore.recover(
-            state, cfg, filter_policy=ChuckyPolicy(bits_per_entry=10)
+        recovered = KVStore(
+            cfg, filter_policy=ChuckyPolicy(bits_per_entry=10), state=state
         )
         # Recovery read zero data blocks (manifests + fingerprints only).
         assert recovered.counters.storage.reads == 0
@@ -475,16 +476,18 @@ class TestCrashRecovery:
         state = kv.crash()
         assert state.filter_blob is not None
         reads = []
+        # Patched on the class: recovery reads a fresh snapshot of
+        # ``state.storage``, never that device itself.
         for name in ("read_run", "read_block"):
-            real = getattr(state.storage, name)
+            real = getattr(StorageDevice, name)
 
             def wrapped(*args, _real=real, _name=name):
                 reads.append(_name)
                 return _real(*args)
 
-            monkeypatch.setattr(state.storage, name, wrapped)
-        recovered = KVStore.recover(
-            state, cfg, filter_policy=ChuckyPolicy(bits_per_entry=10)
+            monkeypatch.setattr(StorageDevice, name, wrapped)
+        recovered = KVStore(
+            cfg, filter_policy=ChuckyPolicy(bits_per_entry=10), state=state
         )
         assert reads == []
         assert recovered._seqno == kv._seqno
@@ -501,8 +504,8 @@ class TestCrashRecovery:
         kv, ref, cfg = populated_store(BloomFilterPolicy(10, "blocked", "optimal"))
         kv.flush()
         state = kv.crash()
-        recovered = KVStore.recover(
-            state, cfg, filter_policy=BloomFilterPolicy(10, "blocked", "optimal")
+        recovered = KVStore(
+            cfg, filter_policy=BloomFilterPolicy(10, "blocked", "optimal"), state=state
         )
         assert recovered.counters.storage.reads > 0
 
@@ -514,15 +517,15 @@ class TestCrashRecovery:
     def test_sequence_numbers_continue_after_recovery(self):
         kv, ref, cfg = populated_store(NoFilterPolicy())
         state = kv.crash()
-        recovered = KVStore.recover(state, cfg)
+        recovered = KVStore(cfg, state=state)
         recovered.put(5, "after-recovery")
         assert recovered.get(5) == "after-recovery"
 
     def test_writes_continue_correctly_after_recovery(self):
         kv, ref, cfg = populated_store(ChuckyPolicy(bits_per_entry=10), n=300)
         state = kv.crash()
-        recovered = KVStore.recover(
-            state, cfg, filter_policy=ChuckyPolicy(bits_per_entry=10)
+        recovered = KVStore(
+            cfg, filter_policy=ChuckyPolicy(bits_per_entry=10), state=state
         )
         rng = random.Random(99)
         for i in range(300):
@@ -537,11 +540,91 @@ class TestCrashRecovery:
         kv.flush()
         before = [(s, r.run_id, r.num_entries) for s, r in kv.tree.occupied_runs()]
         state = kv.crash()
-        recovered = KVStore.recover(state, cfg)
+        recovered = KVStore(cfg, state=state)
         after = [
             (s, r.run_id, r.num_entries) for s, r in recovered.tree.occupied_runs()
         ]
         assert before == after
+
+
+def value_config(policy, shards=1):
+    return EngineConfig(
+        size_ratio=3, buffer_entries=16, block_entries=4, policy=policy,
+        durable=True, shards=shards,
+    )
+
+
+def crashed_store(cfg, n=600):
+    """A store of ``cfg`` after ``n`` acked puts, its crash state, and
+    the value each key was last acked with."""
+    store = build_store(cfg)
+    acked = {}
+    for i in range(n):
+        key = i * 7919 % 400
+        store.put(key, f"v{i}")
+        acked[key] = f"v{i}"
+    return store, store.crash(), acked
+
+
+def write_on(store, n=3000):
+    """Enough puts over new keys to merge every earlier run away."""
+    for i in range(n):
+        store.put(1000 + i * 104729 % 5000, f"later{i}")
+
+
+def device_of(state):
+    return state.storage.run_ids(), state.storage.total_blocks
+
+
+@pytest.mark.parametrize("policy", ["chucky", "bloom"])
+class TestCrashStateIsAValue:
+    """A crash state is a snapshot that recovery only reads: no later
+    write or free on the crashed store's device, or on a recovered
+    store's, reaches it. When the state held the crashed store's live
+    device, merges on either freed runs its manifest names, and the
+    next recovery raised ``KeyError: run N does not exist``."""
+
+    def test_crashed_store_writing_on_leaves_the_state_whole(self, policy):
+        cfg = value_config(policy)
+        store, state, acked = crashed_store(cfg)
+        write_on(store)
+        recovered = recover_store(state, cfg)
+        assert {key: recovered.get(key) for key in acked} == acked
+
+    def test_recovered_store_writing_on_leaves_the_state_whole(self, policy):
+        cfg = value_config(policy)
+        _, state, acked = crashed_store(cfg)
+        write_on(recover_store(state, cfg))
+        again = recover_store(state, cfg)
+        assert {key: again.get(key) for key in acked} == acked
+
+    def test_sharded_crashed_store_writing_on_leaves_the_state_whole(
+        self, policy
+    ):
+        cfg = value_config(policy, shards=4)
+        store, state, acked = crashed_store(cfg)
+        write_on(store)
+        recovered = recover_store(state, cfg)
+        assert {key: recovered.get(key) for key in acked} == acked
+
+    def test_one_state_two_recoveries_are_equal(self, policy):
+        cfg = value_config(policy)
+        _, state, _ = crashed_store(cfg)
+        first, second = recover_store(state, cfg), recover_store(state, cfg)
+        write_on(first)
+        write_on(second)
+        assert first.export_entries() == second.export_entries()
+        assert first.tree.manifest() == second.tree.manifest()
+        assert first.policy.persist() == second.policy.persist()
+
+    def test_recovery_never_changes_the_state(self, policy):
+        cfg = value_config(policy)
+        _, state, _ = crashed_store(cfg)
+        before = device_of(state)
+        recovered = recover_store(state, cfg)
+        assert device_of(state) == before
+        write_on(recovered)
+        assert device_of(state) == before
 
 
 class TestCrashMidBatch:
@@ -571,8 +654,8 @@ class TestCrashMidBatch:
             torn = dataclasses.replace(
                 state, wal_data=state.wal_data[:-cut]
             )
-            recovered = KVStore.recover(
-                torn, cfg, filter_policy=ChuckyPolicy(bits_per_entry=10)
+            recovered = KVStore(
+                cfg, filter_policy=ChuckyPolicy(bits_per_entry=10), state=torn
             )
             survivors = [
                 i for i in range(8) if recovered.get(10 + i) is not None
@@ -583,8 +666,8 @@ class TestCrashMidBatch:
     def test_untorn_batch_fully_recovers(self):
         kv, cfg = self.make_store()
         kv.put_batch([(10 + i, f"b{i}") for i in range(8)])
-        recovered = KVStore.recover(
-            kv.crash(), cfg, filter_policy=ChuckyPolicy(bits_per_entry=10)
+        recovered = KVStore(
+            cfg, filter_policy=ChuckyPolicy(bits_per_entry=10), state=kv.crash()
         )
         assert [recovered.get(10 + i) for i in range(8)] == [
             f"b{i}" for i in range(8)
@@ -605,8 +688,8 @@ class TestCrashMidBatch:
         kv, cfg = self.make_store(buffer_entries=8)
         kv.put_batch([(i, f"v{i}") for i in range(30)])  # > capacity
         assert all(kv.get(i) == f"v{i}" for i in range(30))
-        recovered = KVStore.recover(
-            kv.crash(), cfg, filter_policy=ChuckyPolicy(bits_per_entry=10)
+        recovered = KVStore(
+            cfg, filter_policy=ChuckyPolicy(bits_per_entry=10), state=kv.crash()
         )
         assert all(recovered.get(i) == f"v{i}" for i in range(30))
 
@@ -635,8 +718,8 @@ def test_crash_anywhere_loses_nothing(ops, crash_seed):
             kv.put(key, value)
             ref[key] = value
     state = kv.crash()
-    recovered = KVStore.recover(
-        state, cfg, filter_policy=ChuckyPolicy(bits_per_entry=10)
+    recovered = KVStore(
+        cfg, filter_policy=ChuckyPolicy(bits_per_entry=10), state=state
     )
     for key in range(41):
         assert recovered.get(key) == ref.get(key)
