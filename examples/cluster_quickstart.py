@@ -108,7 +108,7 @@ async def tour(
     # most-caught-up live follower; because acks waited for
     # replication, no acknowledged write can be lost.
     dead = coordinator.map.leader_of(0)
-    await cluster.kill(dead)  # listener, commit task, connections
+    await cluster.kill(dead)  # listener, group commit, connections
     promoted_map = await coordinator.failover(dead)
     assert dead not in promoted_map.nodes()
     print(f"\nkilled {dead}; shard 0 promoted to "

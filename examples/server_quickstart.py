@@ -44,10 +44,10 @@ async def main() -> None:
     print("scan(10, 14) ->", await client.scan(10, 14))
 
     # -- group commit under concurrency -------------------------------
-    # 200 pipelined PUTs land while the writer task drains the queue;
-    # whatever accumulated between wake-ups becomes ONE put_batch call
-    # (one WAL batch record per touched shard), so the WAL sees far
-    # fewer records than logical writes.
+    # 200 pipelined PUTs: the writes the server reads in one event-loop
+    # pass become ONE put_batch call in the next (one WAL batch record
+    # per touched shard), so the WAL sees far fewer records than
+    # logical writes.
     burst = 200
     await asyncio.gather(*(client.put(1000 + k, f"v{k}") for k in range(burst)))
     print(

@@ -127,7 +127,6 @@ class LoopbackCluster:
                 for other, addr in self.addrs.items()
                 if other != name
             )
-            node.server.commit.start()
         coordinator = ClusterCoordinator(dict(self.addrs))
         await coordinator.refresh_map()
         return coordinator
@@ -144,8 +143,8 @@ class LoopbackCluster:
             conn.transport.abort()
 
     async def kill(self, name: str) -> None:
-        """Process death: stop serving, stop the commit task, sever
-        peer links. The node's state is never consulted again."""
+        """Process death: stop serving, stop group commit, sever peer
+        links. The node's state is never consulted again."""
         if name in self.killed:
             return
         self.killed.add(name)
@@ -153,9 +152,7 @@ class LoopbackCluster:
         server.close()
         await server.wait_closed()
         node = self.nodes[name]
-        task = node.server.commit._task
-        if task is not None:
-            task.cancel()
+        node.server.commit.stop()
         self._abort_connections(name)
         await asyncio.sleep(0.01)
         await node.peers.close()

@@ -10,11 +10,11 @@ Byte-identical logs on both sides is the whole correctness story:
 whatever a standalone store's recovery would do with this log, a
 follower's recovery does too.
 
-:class:`ReplicatedGroupCommitWriter` keeps the base class's coalescing
-loop and apply path untouched and overrides only the ``_finish`` seam:
+:class:`ReplicatedGroupCommitWriter` keeps the base class's commit
+pass and apply path untouched and overrides only the ``_finish`` seam:
 after a group is durable and applied on the leader, its captured
-records ship to followers and the client futures resolve **only after
-the acks come back** — "acked ⇒ durable beyond the leader". A group
+records ship to followers and the writes' acks run **only after the
+follower acks come back** — "acked ⇒ durable beyond the leader". A group
 whose records could not reach a single follower that was live *when
 the round began* fails its waiters (the writes are durable locally but
 were never acknowledged, so the invariant is preserved in the safe

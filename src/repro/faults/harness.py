@@ -457,8 +457,8 @@ async def _drive_group_commit(
 ) -> None:
     """Concurrent submissions through the group-commit writer with a
     crash between WAL append and acknowledgement. The contract under
-    test: a submission whose future resolved cleanly is durable, full
-    stop; one that got an exception may be in either state."""
+    test: a submission whose ``submit`` returned cleanly is durable,
+    full stop; one that raised may be in either state."""
     from repro.server.group_commit import GroupCommitWriter
 
     rng = random.Random(f"group-commit:{seed}")
@@ -470,7 +470,6 @@ async def _drive_group_commit(
         (7, f"late-{seed}"),
     ]
     writer = GroupCommitWriter(sut.store)
-    writer.start()
     outcomes = []
     for wave in (first, second):
         outcomes.extend(

@@ -306,6 +306,9 @@ class AsyncClient(asyncio.Protocol):
         return None if resp.status is Status.NOT_FOUND else resp.value
 
     async def put(self, key: int, value: bytes | str) -> None:
+        """Store ``value``, which must be UTF-8 text: a str is encoded,
+        bytes are sent as they are, and bytes that are not UTF-8 are
+        refused by the server (:class:`ServerError`, nothing stored)."""
         await self._call(
             Request(self._rid(), Op.PUT, key=key, value=_encode_value(value))
         )
@@ -317,7 +320,8 @@ class AsyncClient(asyncio.Protocol):
         self, items: Iterable[tuple[int, bytes | str | None]]
     ) -> int:
         """Batched writes; a ``None`` value deletes the key. Returns
-        the number of applied items."""
+        the number of applied items. Values are UTF-8 as for
+        :meth:`put`; one that is not refuses the whole batch."""
         wire_items = tuple(
             (KIND_DELETE, key, b"")
             if value is None

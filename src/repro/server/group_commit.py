@@ -1,47 +1,75 @@
 """Group commit: coalesce concurrent writes into atomic batches.
 
 Every PUT/DELETE accepted by the server is submitted here instead of
-hitting the store directly. A single writer task drains whatever has
-accumulated since its last wake-up and applies it as **one**
-``put_batch`` call — which the engine persists as one checksummed WAL
-batch record per touched shard (PR 2's crash-atomic batch path). Under
-concurrency this amortizes the WAL append across the whole group: N
-clients writing together cost ~1 batch record per group instead of N
-put records, which is the classic group-commit win.
+hitting the store directly. The first submission of an event-loop pass
+schedules one commit pass at the end of the next loop pass, which
+applies what the two passes queued as **one** ``put_batch`` call — which the engine persists as one
+checksummed WAL batch record per touched shard (its crash-atomic
+batch path). Under concurrency this amortizes the WAL append across
+the whole group: N clients writing together cost ~1 batch record per
+group instead of N put records, which is the classic group-commit win.
 
 Ordering and durability contract:
 
 * submissions are applied in submission order (the queue is FIFO and
-  the writer never reorders within a batch), so two pipelined writes
-  to the same key from one connection resolve last-writer-wins exactly
-  as they would against a bare store;
-* a submission's future resolves only *after* ``put_batch`` returned,
+  a group is never reordered), so two pipelined writes to the same key
+  from one connection resolve last-writer-wins exactly as they would
+  against a bare store;
+* a submission's ``ack`` runs only *after* ``put_batch`` returned,
   i.e. after the WAL record for its group was appended — an
   acknowledged write is always recoverable;
 * if ``put_batch`` raises, every write in that group gets the error
   (none of them were acknowledged, none are partially applied: the
   engine's batch is all-or-nothing per shard).
 
-The writer runs on the event loop like everything else; "concurrent"
-writes are ones enqueued between two writer wake-ups. The server
-enqueues a write straight from the connection callback that read it
-(:meth:`GroupCommitWriter.enqueue`) and acknowledges it from the
-future's callback, so no write has a task of its own.
-``asyncio.sleep(0)`` after each wake deliberately yields one
-scheduling round — one more poll of every socket — so that writes
-already on the wire can join the forming group.
+There is no writer task: "concurrent" writes are the ones read in the
+pass that scheduled the commit and in the pass it runs in, and the
+server's ack callback writes the response from the commit pass — read
+in one pass, acknowledged in the next (or in the same one). Only a
+replicated writer's finish (it awaits follower acks) runs as a task,
+one at a time; no later group is applied until it returned.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Any
+from typing import Any, Awaitable, Callable
 
 from repro.faults.crashpoints import crash_point
 from repro.obs import GROUP_COMMIT_BUCKETS, NULL_OBS, Observability
 
-#: One queued write: (key, value, waiter, trace context or None).
-Pending = tuple[int, Any, asyncio.Future, tuple[int, int] | None]
+#: Called once a submission settles: None, or the exception that failed it.
+Ack = Callable[[BaseException | None], None]
+
+
+class Submission:
+    """The writes of one :meth:`GroupCommitWriter.enqueue`: ``ack`` runs
+    once, when the last was applied or the first failed. ``waiter``,
+    made only for a scoped drain, resolves when the last write left the
+    queue (applied or failed), never with the error."""
+
+    __slots__ = ("ack", "unsettled", "waiter")
+
+    def __init__(self, ack: Ack, unsettled: int) -> None:
+        self.ack: Ack | None = ack
+        self.unsettled = unsettled
+        self.waiter: asyncio.Future | None = None
+
+    def done(self) -> bool:
+        return not self.unsettled
+
+    def settle(self, error: BaseException | None) -> None:
+        """One of the writes was applied (``error`` None) or failed."""
+        self.unsettled -= 1
+        if not self.unsettled and self.waiter and not self.waiter.done():
+            self.waiter.set_result(None)
+        if self.ack is not None and (error is not None or not self.unsettled):
+            ack, self.ack = self.ack, None
+            ack(error)
+
+
+#: One queued write: (key, value, its submission, trace context or None).
+Pending = tuple[int, Any, Submission, tuple[int, int] | None]
 
 
 class GroupCommitWriter:
@@ -60,15 +88,14 @@ class GroupCommitWriter:
         self.obs = observability if observability is not None else NULL_OBS
         #: Queued writes in submission order.
         self._pending: list[Pending] = []
-        self._wake = asyncio.Event()
         self._closed = False
-        self._task: asyncio.Task | None = None
-        #: True while a popped group is mid apply/finish — such a group
-        #: is in neither ``queue_depth`` nor the store yet, so drain
-        #: loops must wait for both to clear.
-        self.active = False
-        #: The group currently mid apply/finish (None when idle);
-        #: lets scoped drains (shard handoff) find in-flight waiters.
+        self._scheduled: asyncio.TimerHandle | None = None
+        #: A replicated writer's finish in flight — the one task.
+        self._finishing: asyncio.Task | None = None
+        #: Resolved once :meth:`close` finds the writer idle.
+        self._stopped: asyncio.Future | None = None
+        #: The group currently mid apply/finish (None when idle); lets
+        #: scoped drains (shard handoff) find in-flight waiters.
         self.inflight: list[Pending] | None = None
         #: Lifetime totals (also exported as metrics when obs is on).
         self.batches = 0
@@ -90,39 +117,36 @@ class GroupCommitWriter:
             "writes coalesced into one batch (1 = no coalescing)",
         )
 
-    def start(self) -> None:
-        """Spawn the writer task on the running loop."""
-        if self._task is None:
-            self._task = asyncio.get_running_loop().create_task(
-                self._run(), name="group-commit-writer"
-            )
-
     @property
     def queue_depth(self) -> int:
         """Writes submitted but not yet applied."""
         return len(self._pending)
 
     def waiters_for(self, pred) -> list[asyncio.Future]:
-        """Unresolved futures of queued or in-flight writes whose key
-        satisfies ``pred`` — a point-in-time view for scoped drains."""
-        items = list(self._pending)
-        if self.inflight:
-            items += self.inflight
-        return [
-            future
-            for key, _value, future, _trace in items
-            if not future.done() and pred(key)
-        ]
+        """Futures of the unsettled queued or in-flight writes whose key
+        satisfies ``pred``, each resolved when its write settles — a
+        point-in-time view for scoped drains."""
+        items = self._pending + (self.inflight or [])
+        waiters = []
+        for key, _value, submission, _trace in items:
+            if submission.done() or not pred(key):
+                continue
+            if submission.waiter is None:
+                submission.waiter = asyncio.get_running_loop().create_future()
+            waiters.append(submission.waiter)
+        return waiters
 
     def enqueue(
         self,
         items: list[tuple[int, Any]],
+        ack: Ack,
         trace: tuple[int, int] | None = None,
-    ) -> asyncio.Future:
-        """Enqueue ``(key, value)`` writes as one contiguous run and
-        return the future that resolves once all of them are durably
-        applied — the server acknowledges a write from its callback,
-        with no task of its own.
+    ) -> None:
+        """Enqueue ``(key, value)`` writes as one contiguous run;
+        ``ack(None)`` runs once all of them are durably applied, or
+        ``ack(error)`` with what ``put_batch`` raised for the first of
+        their groups that failed — never silently dropped. An empty
+        submission is acknowledged at once.
 
         A single write is a one-item list; a delete carries
         :data:`~repro.lsm.entry.TOMBSTONE` as its value. Contiguity
@@ -130,60 +154,73 @@ class GroupCommitWriter:
         single ``put_batch`` call — i.e. it keeps the engine's
         per-shard crash atomicity. ``trace`` is an optional
         ``(trace_id, parent_span_id)`` context: the batch that applies
-        these writes will join that trace. The future fails with
-        whatever ``put_batch`` raised for a write's group, or with
-        ``ConnectionResetError`` if the writer was closed before the
-        writes could be applied (it never silently drops a submission).
-        Raises ``ConnectionResetError`` if the writer is already closed.
+        these writes will join that trace. Raises
+        ``ConnectionResetError`` if the writer is closed.
         """
         if self._closed:
             raise ConnectionResetError("group-commit writer is closed")
-        loop = asyncio.get_running_loop()
-        futures = []
-        for key, value in items:
-            future = loop.create_future()
-            self._pending.append((key, value, future, trace))
-            futures.append(future)
-        self._wake.set()
-        # A single write is its own future: through gather() its
-        # callbacks would run one event-loop pass after the ack.
-        return futures[0] if len(futures) == 1 else asyncio.gather(*futures)
+        if not items:
+            ack(None)
+            return
+        submission = Submission(ack, len(items))
+        self._pending.extend(
+            [(key, value, submission, trace) for key, value in items]
+        )
+        self._schedule()
 
     async def submit(
         self,
         items: list[tuple[int, Any]],
         trace: tuple[int, int] | None = None,
     ) -> None:
-        """:meth:`enqueue` ``items`` and wait until they are applied."""
-        await self.enqueue(items, trace)
+        """:meth:`enqueue` ``items`` and wait until they are applied;
+        raises what failed them."""
+        done = asyncio.get_running_loop().create_future()
+        self.enqueue(items, lambda e: done.done() or done.set_result(e), trace)
+        error = await done
+        if error is not None:
+            raise error
 
-    async def _run(self) -> None:
-        while True:
-            if not self._pending:
-                if self._closed:
-                    return
-                self._wake.clear()
-                await self._wake.wait()
-                # Yield one scheduling round: writes that arrive in it
-                # join the forming group.
-                await asyncio.sleep(0)
-            group = self._pending[: self.max_batch]
-            del self._pending[: len(group)]
-            if not group:
-                continue
-            self.active = True
+    def _schedule(self) -> None:
+        """Schedule a commit pass, unless one is already scheduled or a
+        finish is in flight (its end schedules the next). A timer due
+        now, not ``call_soon``: the loop runs it in the next pass *after*
+        that pass's I/O callbacks, so the writes read there join the
+        group too."""
+        if self._scheduled is None and self._finishing is None:
+            loop = asyncio.get_running_loop()
+            self._scheduled = loop.call_at(loop.time(), self._commit)
+
+    def _commit(self) -> None:
+        """One commit pass: apply the oldest group (up to ``max_batch``
+        writes) and settle it within this pass — or, when the finish is
+        asynchronous (a replicated writer), run it as the one task."""
+        self._scheduled = None
+        group = self._pending[: self.max_batch]
+        del self._pending[: len(group)]
+        if group:
             self.inflight = group
-            try:
-                if self._apply(group):
-                    # Base class: resolves synchronously (the coroutine
-                    # never awaits, so this is the same event-loop step
-                    # as the apply — behaviour identical to the
-                    # pre-split code). The replicated subclass awaits
-                    # follower acks here before resolving.
-                    await self._finish(group)
-            finally:
-                self.active = False
-                self.inflight = None
+            finish = self._finish(group) if self._apply(group) else None
+            if finish is not None:
+                self._finishing = asyncio.get_running_loop().create_task(
+                    self._finish_then_next(finish)
+                )
+                return
+        self._next()
+
+    async def _finish_then_next(self, finish: Awaitable[None]) -> None:
+        await finish
+        self._finishing = None
+        self._next()
+
+    def _next(self) -> None:
+        """A group settled: schedule the next commit pass, or tell
+        :meth:`close` that the writer is idle."""
+        self.inflight = None
+        if self._pending:
+            self._schedule()
+        elif self._stopped is not None and not self._stopped.done():
+            self._stopped.set_result(None)
 
     def _apply(self, group: list[Pending]) -> bool:
         items = [(key, value) for key, value, _, _ in group]
@@ -247,43 +284,50 @@ class GroupCommitWriter:
                 shared_with=primary, **fields,
             )
 
-    async def _finish(self, group: list[Pending]) -> None:
+    def _finish(self, group: list[Pending]) -> Awaitable[None] | None:
         """Acknowledge an applied group. The seam a replicated writer
-        overrides: ship the group's WAL records to followers, await
-        their acks, *then* resolve — so an acknowledged write is
-        durable beyond the leader."""
+        overrides with a coroutine — ship the group's WAL records to
+        followers, await their acks, *then* resolve, so an acknowledged
+        write is durable beyond the leader — which runs as the one
+        finish in flight."""
         self._resolve(group)
+        return None
 
-    def _resolve(self, group: list[Pending]) -> None:
-        for _, _, future, _ in group:
-            if not future.done():
-                future.set_result(None)
+    def _resolve(
+        self, group: list[Pending], error: BaseException | None = None
+    ) -> None:
+        for _, _, submission, _ in group:
+            try:
+                submission.settle(error)
+            except Exception as exc:  # noqa: BLE001 — must not strand the rest
+                asyncio.get_running_loop().call_exception_handler(
+                    {"message": "group-commit ack raised", "exception": exc}
+                )
 
     def _fail(self, group: list[Pending], exc: BaseException) -> None:
         self.failed_items += len(group)
         self._m_failed_items.inc(len(group))
-        for _, _, future, _ in group:
-            if not future.done():
-                future.set_exception(exc)
+        self._resolve(group, exc)
 
     async def close(self) -> None:
-        """Drain everything already submitted, then stop the writer.
-
-        Part of graceful shutdown: close() is called after the server
-        stopped accepting work, so nothing new can race in; every
-        submission made before close() resolves normally.
-        """
+        """Refuse new writes; return once everything submitted is
+        acknowledged, after at least one more commit pass — so the
+        drain that calls this reads (and refuses) a request already on
+        the wire before it closes the connection."""
         self._closed = True
-        self._wake.set()
-        if self._task is not None:
-            await self._task
-            self._task = None
-        # A submission that somehow arrived after the task exited (it
-        # would have raised in submit(), but be defensive) must not
-        # hang its waiter forever.
-        for _, _, future, _ in self._pending:
-            if not future.done():
-                future.set_exception(
-                    ConnectionResetError("group-commit writer closed")
-                )
+        if self._stopped is None:
+            self._stopped = asyncio.get_running_loop().create_future()
+            self._schedule()
+        await self._stopped
+
+    def stop(self) -> None:
+        """Process death: refuse new writes, drop the queue and cancel
+        the scheduled commit pass and the in-flight finish; nothing
+        queued or in flight is applied or acknowledged afterwards."""
+        self._closed = True
         self._pending.clear()
+        if self._scheduled is not None:
+            self._scheduled.cancel()
+            self._scheduled = None
+        if self._finishing is not None:
+            self._finishing.cancel()

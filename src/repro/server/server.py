@@ -11,16 +11,19 @@ no matter how many clients are connected.
 
 What earns this layer its keep beyond plumbing:
 
-* **One loop pass per GET** — ``data_received`` splits what arrived
-  into runs and answers a GET run (or a PING) before it returns, with
-  ``transport.write``: no task, no lock, no ``drain()``. A PUT, DELETE
-  or BATCH is enqueued into group commit and acknowledged from its
-  group's resolution. Only the ops served by the ``_execute``
-  coroutine (STATS, SCAN, TRACE, SHUTDOWN and a cluster server's ops)
-  get a task.
-* **Group commit** — writes from every connection coalesce into
-  crash-atomic ``put_batch`` calls (one WAL batch record per group per
-  shard) via :class:`GroupCommitWriter`.
+* **One loop pass per GET, two per write** — ``data_received`` splits
+  what arrived into runs and answers a GET run (or a PING) before it
+  returns, with ``transport.write``: no task, no lock, no
+  ``drain()``. A PUT, DELETE or BATCH is enqueued into group commit
+  with an ack callback, which the next loop pass's commit pass calls
+  once the write's group is applied. Only the ops served by the
+  ``_execute`` coroutine (STATS, SCAN, TRACE, SHUTDOWN and a cluster
+  server's ops) get a task.
+* **Group commit** — writes from every connection read in two loop
+  passes coalesce into one crash-atomic ``put_batch`` call (one WAL
+  batch record per group per shard) via :class:`GroupCommitWriter`.
+  Values are strict UTF-8: a PUT or BATCH with a value that is not is
+  answered ERROR and nothing of it is applied.
 * **One request path** — a request is a run of one; the untraced GETs
   a pipelining client sent together form a longer run, handed to one
   ``store.get_batch``. A served store has observability on, so that
@@ -284,7 +287,6 @@ class ReproServer:
 
     async def start(self) -> int:
         """Bind, start accepting, and return the bound port."""
-        self.commit.start()
         self._server = await asyncio.get_running_loop().create_server(
             self.protocol_factory, host=self.config.host, port=self.config.port
         )
@@ -445,11 +447,13 @@ class ReproServer:
             conn.send(response)
 
     def _write(self, conn: _Connection, request: Request) -> None:
-        """Route one write and enqueue it into group commit; its ack is
-        written when its group resolves (:meth:`_acked`), with no task
-        of its own. A traced write allocates its serve span's id now
-        and hands (trace_id, span_id) to group commit — the batch span
-        parents there."""
+        """Route one write and enqueue it into group commit; the commit
+        pass that applies its group calls :meth:`_acked`, which writes
+        the ack — no task, no future. A value must be UTF-8: one that
+        is not is answered ERROR and nothing of its request is applied.
+        A traced write allocates its serve span's id now and hands
+        (trace_id, span_id) to group commit — the batch span parents
+        there."""
         start = time.perf_counter_ns()
         try:
             route = self._route_check
@@ -458,32 +462,23 @@ class ReproServer:
                 op = request.op
                 if op is Op.BATCH:
                     items = [
-                        (
-                            key,
-                            TOMBSTONE
-                            if kind == KIND_DELETE
-                            else value.decode("utf-8", errors="replace"),
-                        )
+                        (key, TOMBSTONE)
+                        if kind == KIND_DELETE
+                        else (key, value.decode("utf-8"))
                         for kind, key, value in request.items
                     ]
                 elif op is Op.DELETE:
                     items = [(request.key, TOMBSTONE)]
                 else:
-                    items = [
-                        (
-                            request.key,
-                            request.value.decode("utf-8", errors="replace"),
-                        )
-                    ]
+                    items = [(request.key, request.value.decode("utf-8"))]
                 span_id = new_span_id() if request.trace_id else 0
                 # One submission: a BATCH's items stay contiguous in the
                 # commit queue, so a batch no larger than
                 # group_commit_batch lands in one crash-atomic put_batch.
-                acked = self.commit.enqueue(
-                    items, (request.trace_id, span_id) if span_id else None
-                )
-                acked.add_done_callback(
-                    partial(self._acked, conn, request, start, span_id)
+                self.commit.enqueue(
+                    items,
+                    partial(self._acked, conn, request, start, span_id),
+                    (request.trace_id, span_id) if span_id else None,
                 )
                 return
         except Exception as exc:  # noqa: BLE001
@@ -496,12 +491,11 @@ class ReproServer:
         request: Request,
         start: int,
         span_id: int,
-        acked: asyncio.Future,
+        error: BaseException | None,
     ) -> None:
-        """A write's group resolved: emit its serve span — under the
+        """A write's group settled: emit its serve span — under the
         wire trace context when it carries one, an instantaneous local
         span otherwise — and write the ack (or the ERROR)."""
-        error = acked.exception()
         if error is not None:
             self._reply(conn, request, self._error(request, error), start)
             return

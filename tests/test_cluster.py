@@ -37,7 +37,7 @@ from repro.engine.config import EngineConfig, build_shard
 from repro.engine.sharded import shard_of
 from repro.obs import Observability, registry_to_dict
 from repro.server import AsyncClient, ClientTraceConfig
-from repro.server.group_commit import GroupCommitWriter
+from repro.server.group_commit import GroupCommitWriter, Submission
 from repro.server.protocol import (
     HANDOFF_ABORT,
     HANDOFF_BEGIN,
@@ -905,7 +905,6 @@ class TestReplGroupSpan:
                 store, {0: ReplicationLog(0)}, ship, lambda shard: ("f",),
                 observability=obs,
             )
-            writer.start()
             error = None
             try:
                 await writer.submit([(1, "v")])
@@ -957,7 +956,6 @@ class TestReplGroupSpan:
                 store, {0: ReplicationLog(0)}, ship, lambda shard: ("f",),
                 observability=obs,
             )
-            writer.start()
             await asyncio.gather(
                 writer.submit([(1, "a")], trace=(111, 5)),
                 writer.submit([(2, "b")], trace=(222, 6)),
@@ -1121,6 +1119,18 @@ class TestTornHandoffCommit:
 # Scoped commit drain: a handoff only waits for the migrating shard
 # ----------------------------------------------------------------------
 
+def _queued(key, waiter):
+    """A queued write of a one-write submission whose drain waiter is
+    ``waiter``; ``_settle`` finishes it."""
+    submission = Submission(lambda error: None, 1)
+    submission.waiter = waiter
+    return (key, b"v", submission, None)
+
+
+def _settle(queued):
+    queued[2].settle(None)
+
+
 class TestScopedDrain:
     def test_drain_ignores_other_shards_and_waits_for_own(self):
         async def run():
@@ -1134,18 +1144,16 @@ class TestScopedDrain:
             other_key = next(
                 k for k in range(100) if shard_of(k, 2) == 1
             )
-            commit._pending.append(
-                (other_key, b"v", loop.create_future(), None)
-            )
+            commit._pending.append(_queued(other_key, loop.create_future()))
             await asyncio.wait_for(node._drain_commits(0), timeout=2)
             # A write for the migrating shard IS waited for.
             our_key = next(k for k in range(100) if shard_of(k, 2) == 0)
-            fut = loop.create_future()
-            commit._pending.append((our_key, b"v", fut, None))
+            ours = _queued(our_key, loop.create_future())
+            commit._pending.append(ours)
             drain = asyncio.create_task(node._drain_commits(0))
             await asyncio.sleep(0.02)
             assert not drain.done()
-            fut.set_result(None)
+            _settle(ours)
             await asyncio.wait_for(drain, timeout=2)
 
         asyncio.run(run())
@@ -1155,15 +1163,51 @@ class TestScopedDrain:
             writer = GroupCommitWriter(store=None)
             loop = asyncio.get_running_loop()
             futs = {k: loop.create_future() for k in range(4)}
-            for k, fut in futs.items():
-                writer._pending.append((k, b"v", fut, None))
+            queued = {k: _queued(k, fut) for k, fut in futs.items()}
+            writer._pending.extend(queued.values())
             inflight_fut = loop.create_future()
-            writer.inflight = [(9, b"v", inflight_fut, None)]
+            writer.inflight = [_queued(9, inflight_fut)]
             even = writer.waiters_for(lambda k: k % 2 == 0)
             assert set(even) == {futs[0], futs[2]}
             assert len(writer.waiters_for(lambda k: True)) == 5
-            futs[0].set_result(None)
+            _settle(queued[0])
             assert futs[0] not in writer.waiters_for(lambda k: True)
+
+        asyncio.run(run())
+
+    def test_split_batch_is_waited_for_after_its_first_group_failed(self):
+        """A BATCH split across groups is acknowledged with the error of
+        its first failed group at once, but its later writes are still
+        queued and applied: a scoped drain waits until the last one has
+        left the queue."""
+
+        async def run():
+            applied = []
+
+            class FirstGroupFails:
+                def put_batch(self, items):
+                    applied.append(items)
+                    if len(applied) == 1:
+                        raise OSError("first group lost")
+
+            writer = GroupCommitWriter(FirstGroupFails(), max_batch=2)
+            acks, drained_after = [], []
+
+            def ack(error):
+                acks.append(error)
+                # The first group just failed; the rest is still queued.
+                for waiter in writer.waiters_for(lambda k: k == 3):
+                    waiter.add_done_callback(
+                        lambda _: drained_after.append(len(applied))
+                    )
+
+            writer.enqueue([(k, "v") for k in range(4)], ack)
+            await asyncio.wait_for(writer.close(), timeout=2)
+            await asyncio.sleep(0)
+            assert [type(error) for error in acks] == [OSError]
+            assert applied[1] == [(2, "v"), (3, "v")]
+            assert drained_after == [2]  # after the second group applied
+            assert writer.waiters_for(lambda k: True) == []
 
         asyncio.run(run())
 

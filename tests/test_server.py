@@ -28,6 +28,7 @@ from repro.server import (
     ServerError,
     Status,
 )
+from repro.server.group_commit import GroupCommitWriter
 from repro.server.protocol import (
     HANDOFF_BEGIN,
     KIND_DELETE,
@@ -183,6 +184,47 @@ class TestBasicOps:
         asyncio.run(main())
 
 
+class TestUtf8Values:
+    """A served value is UTF-8 text: a PUT or BATCH carrying other bytes
+    is refused whole with ERROR, never stored with replacement
+    characters."""
+
+    def test_non_utf8_put_and_batch_are_refused_whole(self):
+        async def main():
+            server, store, port = await start_server()
+            client = await AsyncClient.connect(HOST, port)
+            with pytest.raises(ServerError, match="UnicodeDecodeError"):
+                await client.put(7, b"\xff\xfe\x00ok")
+            assert await client.get(7) is None
+            with pytest.raises(ServerError, match="UnicodeDecodeError"):
+                await client.put_batch(
+                    [(8, "fine"), (9, b"\xc3"), (10, None), (11, "also")]
+                )
+            assert [await client.get(k) for k in (7, 8, 9, 11)] == [None] * 4
+            assert server.commit.items == 0
+            assert server.errors == 2 and server.inflight == 0
+            await client.close()
+            await server.drain()
+
+        asyncio.run(main())
+
+    def test_non_ascii_utf8_round_trips(self):
+        async def main():
+            server, store, port = await start_server()
+            client = await AsyncClient.connect(HOST, port)
+            text = "gr\u00fc\u00dfe \u2603 \U0001f600"
+            await client.put(1, text)
+            await client.put_batch([(2, text.encode("utf-8")), (3, "\u00e9")])
+            assert await client.get(1) == text.encode("utf-8")
+            assert await client.get(2) == text.encode("utf-8")
+            assert await client.get(3) == "\u00e9".encode("utf-8")
+            assert store.get(1) == text
+            await client.close()
+            await server.drain()
+
+        asyncio.run(main())
+
+
 class TestMainThreadClient:
     def test_asyncio_run_client_over_real_socket(self):
         """The client runs under ``asyncio.run`` in the main thread; the
@@ -310,6 +352,26 @@ class TestGroupCommit:
             assert server.commit.items == 100
             await client.close()
             await server.drain()
+
+        asyncio.run(main())
+
+    def test_cancelled_submit_is_applied_without_an_error_report(self):
+        """A caller that stops waiting (a timeout, a cancelled task) does
+        not turn the write's ack into an exception the loop reports."""
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            reported = []
+            loop.set_exception_handler(lambda loop, ctx: reported.append(ctx))
+            store = build_store(small_config())
+            writer = GroupCommitWriter(store)
+            waiting = asyncio.ensure_future(writer.submit([(1, "v")]))
+            await asyncio.sleep(0)  # submit enqueued, commit scheduled
+            waiting.cancel()
+            await writer.close()
+            assert waiting.cancelled()
+            assert store.get(1) == "v"
+            assert reported == []
 
         asyncio.run(main())
 
@@ -922,6 +984,177 @@ class TestOnePassPath:
         asyncio.run(main())
 
 
+class PassCountingLoop(asyncio.SelectorEventLoop):
+    """Counts event-loop passes: one ``_run_once`` call is one pass."""
+
+    passes = 0
+
+    def _run_once(self):
+        self.passes += 1
+        super()._run_once()
+
+
+def run_counting(main):
+    loop = PassCountingLoop()
+    try:
+        return loop.run_until_complete(main())
+    finally:
+        loop.close()
+
+
+class TestPassCounts:
+    """Event-loop passes from a request frame's arrival (the pass whose
+    ``data_received`` reads it) to its response's ``transport.write``,
+    the count DESIGN.md "One request path" states: a write is applied
+    and acknowledged by the commit pass that follows its read."""
+
+    @staticmethod
+    async def _passes(request):
+        loop = asyncio.get_running_loop()
+        store = build_store(small_config())
+        store.put_batch([(k, f"v{k}") for k in range(8)])
+        server = ReproServer(store)
+        conn, transport = attach(server)
+        arrived, written = [], []
+        record = transport.write
+
+        def write(data):
+            written.append(loop.passes)
+            record(data)
+
+        def arrive():
+            arrived.append(loop.passes)
+            conn.data_received(frame(encode_request(request)))
+
+        transport.write = write
+        loop.call_soon(arrive)
+        while not written:
+            await asyncio.sleep(0)
+        assert transport.responses()[request.request_id].status is Status.OK
+        await server.drain()
+        return written[0] - arrived[0] + 1
+
+    @pytest.mark.parametrize(
+        "request_, passes",
+        [
+            (Request(1, Op.PUT, key=3, value=b"w"), 2),
+            (Request(1, Op.DELETE, key=3), 2),
+            (
+                Request(
+                    1, Op.BATCH,
+                    items=((KIND_PUT, 3, b"w"), (KIND_DELETE, 4, b"")),
+                ),
+                2,
+            ),
+            (Request(1, Op.GET, key=3), 1),
+            (Request(1, Op.PING), 1),
+        ],
+        ids=["put", "delete", "batch", "get", "ping"],
+    )
+    def test_passes_from_arrival_to_response(self, request_, passes):
+        assert run_counting(lambda: self._passes(request_)) == passes
+
+
+class TestSamePassAck:
+    """A group's acks, or its ERRORs, leave in the commit pass that
+    applied it — the pass after the one that read its writes — on every
+    connection of the group."""
+
+    @staticmethod
+    def _writes(server, count):
+        """``count`` connections, each with one PUT read in one pass."""
+        pairs = [attach(server) for _ in range(count)]
+        for i, (conn, _) in enumerate(pairs):
+            put = Request(1, Op.PUT, key=i, value=b"v%d" % i)
+            conn.data_received(frame(encode_request(put)))
+        return pairs
+
+    @staticmethod
+    async def _settled(server):
+        """Yield until no write holds the server's budget (bounded)."""
+        for _ in range(8):
+            if not server.inflight:
+                return
+            await asyncio.sleep(0)
+        raise AssertionError(f"{server.inflight} writes never settled")
+
+    def test_failed_group_answers_every_write_error_in_its_pass(self):
+        async def main():
+            loop = asyncio.get_running_loop()
+            store = build_store(small_config())
+            server = ReproServer(store)
+            applied_in, written_in = [], []
+
+            def broken(items):
+                applied_in.append(loop.passes)
+                raise OSError("disk gone")
+
+            store.put_batch = broken
+            pairs = self._writes(server, 3)
+            read_pass = loop.passes
+            for _, transport in pairs:
+                record = transport.write
+
+                def write(data, record=record):
+                    written_in.append(loop.passes)
+                    record(data)
+
+                transport.write = write
+            assert server.inflight == 3
+            await self._settled(server)
+            assert applied_in == [read_pass + 1]
+            assert written_in == [read_pass + 1] * 3
+            for _, transport in pairs:
+                (resp,) = transport.responses().values()
+                assert resp.status is Status.ERROR
+                assert "disk gone" in resp.message
+            assert server.commit.failed_items == 3
+            assert server.errors == 3
+            await asyncio.wait_for(server.drain(), timeout=5)
+
+        run_counting(main)
+
+    def test_a_closed_connection_does_not_hold_back_the_group(self):
+        async def main():
+            store = build_store(small_config())
+            server = ReproServer(store)
+            pairs = self._writes(server, 3)
+            pairs[1][1].close()  # mid group: read, not yet acknowledged
+            await self._settled(server)
+            assert server.commit.batches == 1
+            for i in (0, 2):
+                (resp,) = pairs[i][1].responses().values()
+                assert resp.status is Status.OK
+            assert not pairs[1][1].written
+            assert [store.get(k) for k in range(3)] == ["v0", "v1", "v2"]
+            await asyncio.wait_for(server.drain(), timeout=5)
+
+        asyncio.run(main())
+
+    def test_an_ack_that_raises_does_not_strand_the_rest(self):
+        async def main():
+            loop = asyncio.get_running_loop()
+            reported = []
+            loop.set_exception_handler(lambda loop, ctx: reported.append(ctx))
+            server = ReproServer(build_store(small_config()))
+            pairs = self._writes(server, 3)
+
+            def reset(data):
+                raise ConnectionResetError("peer gone")
+
+            pairs[0][1].write = reset
+            await self._settled(server)
+            for i in (1, 2):
+                (resp,) = pairs[i][1].responses().values()
+                assert resp.status is Status.OK
+            assert [type(ctx["exception"]) for ctx in reported] == [
+                ConnectionResetError
+            ]
+            await asyncio.wait_for(server.drain(), timeout=5)
+
+        asyncio.run(main())
+
+
 class TestAsyncClientIds:
     def test_reused_inflight_request_id_raises_before_sending(self):
         """Two raw requests with one id: the second used to overwrite
@@ -988,7 +1221,6 @@ class TestChunkBoundaries:
         # Deep enough that no run is ever shed: a GET run's admission
         # would otherwise depend on where the stream was cut.
         server = ReproServer(store, ServerConfig(max_queue_depth=64))
-        server.commit.start()
         conn, transport = attach(server)
         for chunk in chunks:
             conn.data_received(chunk)
